@@ -42,12 +42,19 @@ SCHEMA = "qstrange/1"
 
 
 def _load_character(text: str):
-    """Built-in character name, or a path to a Character JSON file."""
-    if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return character_from_json_obj(obj)
-    return get_character(text)
+    """Built-in character name, or else a path to a Character JSON file.
+
+    Built-in names are tried first, so a file that happens to carry a
+    built-in name (say ./chi6) cannot shadow that character.
+    """
+    try:
+        return get_character(text)
+    except ParseError:
+        if not os.path.exists(text):
+            raise
+    with open(text, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    return character_from_json_obj(obj)
 
 
 def _resolve_jobs(value):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 
-from qstrange.exactpoly import IntPoly, NotDivisible, exact_div, pochhammer
+from qstrange.exactpoly import IntPoly, NotDivisible, exact_div, pochhammer_factors
 from qstrange.partialtheta import Character, validate_character
 from qstrange.qfamilies import FamilySpec, partial_sum
 
@@ -189,15 +189,15 @@ def verify_theorem(family: FamilySpec, char: Character, s: int, N: int,
         raise OddModulusRequired(f"G-type divisibility needs odd s, got {s}")
     lam, mu = thresholds(N, s, 1)
     if family.kernel == "F":
-        divisor, divisor_name = pochhammer(lam), f"(q;q)_{lam}"
+        factors, divisor_name = pochhammer_factors(lam), f"(q;q)_{lam}"
     else:
-        divisor, divisor_name = pochhammer(mu, 2), f"(q;q2)_{mu}"
+        factors, divisor_name = pochhammer_factors(mu, 2), f"(q;q2)_{mu}"
     parts = dissect(partial_sum(family, N).value, s).parts
     in_s = residue_set(char, s)
 
     def attempt(i: int) -> DivisibilityRow:
         try:
-            quotient = exact_div(parts[i], divisor) if parts[i] else IntPoly()
+            quotient = exact_div(parts[i], *factors) if parts[i] else IntPoly()
         except NotDivisible:
             if i not in in_s:
                 raise DivisibilityFalsified(

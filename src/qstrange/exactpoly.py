@@ -4,11 +4,19 @@ Coefficients are stored densely as an immutable tuple indexed by exponent,
 with trailing zeros stripped; the zero polynomial has an empty tuple.
 IntPoly holds arbitrary-precision integers, RatPoly holds Fractions.
 Everything here is exact: no floats enter at any point.
+
+General products use the schoolbook rule.  The q-Pochhammer kernels
+(q;q)_n and (q;q^2)_n are products of binomials 1 - q^e, and partial sums
+and certificates apply them one binomial at a time: mul_binomial
+multiplies a coefficient list by one binomial with a shift and a
+subtraction, and exact_div(p, *pochhammer_factors(n, step)) divides by the
+binomials in turn.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -16,19 +24,16 @@ __all__ = [
     "IntPoly",
     "RatPoly",
     "NotDivisible",
-    "KARATSUBA_THRESHOLD",
     "exact_div",
     "theta_deriv",
     "subst_one_minus_q",
     "cyclotomic",
+    "mul_binomial",
+    "pochhammer_exponents",
+    "pochhammer_factors",
     "pochhammer",
     "qbinomial",
 ]
-
-# Degree above which multiplication switches from schoolbook to
-# divide-and-conquer splitting.  Either path gives bit-identical results;
-# the knob only trades constant factors.
-KARATSUBA_THRESHOLD = 64
 
 
 class NotDivisible(ArithmeticError):
@@ -51,7 +56,10 @@ def _sub_lists(a: list, b: list) -> list:
     return out
 
 
-def _mul_schoolbook(a: Sequence, b: Sequence) -> list:
+def _mul_lists(a: Sequence, b: Sequence) -> list:
+    """Schoolbook product of two coefficient lists."""
+    if not a or not b:
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -61,27 +69,19 @@ def _mul_schoolbook(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def _mul_lists(a: Sequence, b: Sequence) -> list:
-    """Product of two coefficient lists, splitting recursively above the knob."""
-    if not a or not b:
+def mul_binomial(coeffs: Sequence, e: int) -> list:
+    """Coefficient list of coeffs * (1 - q^e), for e >= 1.
+
+    One shift and one subtraction, O(len + e).  A list without trailing
+    zeros gives a list without trailing zeros; the empty list stays empty.
+    """
+    if e < 1:
+        raise ValueError("binomial exponent must be positive")
+    if not coeffs:
         return []
-    if min(len(a), len(b)) - 1 <= KARATSUBA_THRESHOLD:
-        return _mul_schoolbook(a, b)
-    m = min(len(a), len(b)) // 2
-    a0, a1 = list(a[:m]), list(a[m:])
-    b0, b1 = list(b[:m]), list(b[m:])
-    z0 = _mul_lists(a0, b0)
-    z2 = _mul_lists(a1, b1)
-    z1 = _sub_lists(_mul_lists(_add_lists(a0, a1), _add_lists(b0, b1)),
-                    _add_lists(z0, z2))
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] += c
-    for i, c in enumerate(z1):
-        out[i + m] += c
-    for i, c in enumerate(z2):
-        out[i + 2 * m] += c
-    return out
+    c = list(coeffs)
+    pad = [0] * e
+    return list(map(operator.sub, c + pad, pad + c))
 
 
 class _BasePoly:
@@ -334,45 +334,63 @@ class RatPoly(_BasePoly):
         return RatPoly(quo), RatPoly(rem)
 
 
-def exact_div(p: IntPoly, d: IntPoly) -> IntPoly:
-    """Exact quotient p/d in Z[q]; raises NotDivisible when it does not exist.
+def exact_div(p: IntPoly, *divisors: IntPoly) -> IntPoly:
+    """Exact quotient of p by the product of the divisors, in Z[q].
 
-    Division runs in the integers directly when d has leading coefficient
-    +-1 (every q-factorial divisor here does), and over the rationals with
-    an integrality check otherwise.
+    exact_div(p, d1, ..., dk) divides by d1, then the quotient by d2, and so
+    on, and raises NotDivisible at the first step that leaves a remainder or
+    a non-integer quotient.  Quotients in Z[q] are unique, so this gives the
+    same quotient and verdict as one division by d1*...*dk.  With no
+    divisors the quotient is p.
+
+    A step runs in the integers when its divisor has leading coefficient
+    +-1 (every binomial 1 - q^e does), and its inner loop visits only the
+    divisor's nonzero coefficients, so dividing by 1 - q^e costs O(deg p).
+    Other divisors go through the rationals with an integrality check.
     """
-    if not isinstance(p, IntPoly) or not isinstance(d, IntPoly):
+    if not isinstance(p, IntPoly) or not all(isinstance(d, IntPoly) for d in divisors):
         raise TypeError("exact_div expects IntPoly arguments")
-    if not d:
+    if not all(divisors):
         raise ZeroDivisionError("exact division by the zero polynomial")
     if not p:
         return IntPoly()
-    if p.degree < d.degree:
-        raise NotDivisible(f"degree {p.degree} < divisor degree {d.degree}")
+    num = list(p.coeffs)
+    for d in divisors:
+        num = _div_step(num, d)
+    return IntPoly(num)
+
+
+def _div_step(num: list, d: IntPoly) -> list:
+    """Quotient of a nonzero coefficient list (no trailing zeros) by d.
+
+    num is used as the remainder buffer and is overwritten.
+    """
+    dd = d.degree
+    if len(num) - 1 < dd:
+        raise NotDivisible(f"degree {len(num) - 1} < divisor degree {dd}")
     lead = d.coeffs[-1]
-    if lead in (1, -1):
-        rem = list(p.coeffs)
-        dc = d.coeffs
-        dd = d.degree
-        quo = [0] * (len(rem) - dd)
-        for top in range(len(rem) - 1, dd - 1, -1):
-            c = rem[top]
-            if not c:
-                continue
-            f = c * lead  # lead is self-inverse
-            quo[top - dd] = f
-            for i, dcoef in enumerate(dc):
-                rem[top - dd + i] -= f * dcoef
-        if any(rem):
+    if lead not in (1, -1):
+        q, r = RatPoly(num).divmod_by(d.to_rat())
+        if r:
             raise NotDivisible("nonzero remainder")
-        return IntPoly(quo)
-    q, r = p.to_rat().divmod_by(d.to_rat())
-    if r:
+        try:
+            return list(q.to_int_poly().coeffs)
+        except ValueError as exc:
+            raise NotDivisible("quotient is not integral") from exc
+    # lead is self-inverse: the quotient term is c*lead, and it removes
+    # c*lead*d_i from position base+i for every nonzero lower term d_i
+    terms = [(i, lead * c) for i, c in enumerate(d.coeffs[:-1]) if c]
+    quo = [0] * (len(num) - dd)
+    for top in range(len(num) - 1, dd - 1, -1):
+        c = num[top]
+        if c:
+            base = top - dd
+            quo[base] = c * lead
+            for i, t in terms:
+                num[base + i] -= c * t
+    if any(num[:dd]):
         raise NotDivisible("nonzero remainder")
-    try:
-        return q.to_int_poly()
-    except ValueError as exc:
-        raise NotDivisible("quotient is not integral") from exc
+    return quo
 
 
 def theta_deriv(p, times: int = 1):
@@ -419,7 +437,22 @@ def cyclotomic(k: int) -> IntPoly:
     return p
 
 
-_POCH_CACHE: dict[int, list[IntPoly]] = {1: [IntPoly.one()], 2: [IntPoly.one()]}
+def pochhammer_exponents(n: int, step: int = 1) -> range:
+    """Exponents e of the binomial factors 1 - q^e of pochhammer(n, step).
+
+    step=1 gives 1..n, step=2 gives the odd numbers 1..2n-1.
+    """
+    if step not in (1, 2):
+        raise ValueError("step must be 1 or 2")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return range(1, n + 1) if step == 1 else range(1, 2 * n, 2)
+
+
+def pochhammer_factors(n: int, step: int = 1) -> tuple[IntPoly, ...]:
+    """The binomials 1 - q^e whose product is pochhammer(n, step), in order."""
+    return tuple(IntPoly((1,) + (0,) * (e - 1) + (-1,))
+                 for e in pochhammer_exponents(n, step))
 
 
 def pochhammer(n: int, step: int = 1) -> IntPoly:
@@ -427,18 +460,12 @@ def pochhammer(n: int, step: int = 1) -> IntPoly:
 
     step=1 gives (q;q)_n = prod_{j=1..n} (1 - q^j); step=2 gives the odd
     product (q;q^2)_n = prod_{j=1..n} (1 - q^(2j-1)).  pochhammer(0, s) = 1.
+    Built one binomial factor at a time; nothing is cached.
     """
-    if step not in (1, 2):
-        raise ValueError("step must be 1 or 2")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    cache = _POCH_CACHE[step]
-    while len(cache) <= n:
-        j = len(cache)
-        e = j if step == 1 else 2 * j - 1
-        prev = cache[-1]
-        cache.append(prev - prev.shift(e))
-    return cache[n]
+    coeffs = [1]
+    for e in pochhammer_exponents(n, step):
+        coeffs = mul_binomial(coeffs, e)
+    return IntPoly(coeffs)
 
 
 @functools.lru_cache(maxsize=4096)

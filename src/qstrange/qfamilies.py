@@ -21,10 +21,11 @@ tuple enumeration.
 from __future__ import annotations
 
 import json
+import operator
 import threading
 from typing import Sequence
 
-from qstrange.exactpoly import IntPoly, pochhammer
+from qstrange.exactpoly import IntPoly, mul_binomial, pochhammer, pochhammer_exponents
 
 __all__ = [
     "FamilySpec",
@@ -268,7 +269,19 @@ def _parse_inline(text: str) -> FamilySpec:
 
 def kernel_poly(family: FamilySpec, n: int) -> IntPoly:
     """(q;q)_n or (q;q^2)_n according to the family's kernel kind."""
-    return pochhammer(n, 1 if family.kernel == "F" else 2)
+    return pochhammer(n, _step(family))
+
+
+def _step(family: FamilySpec) -> int:
+    return 1 if family.kernel == "F" else 2
+
+
+def _add_into(acc: list, coeffs: Sequence) -> list:
+    """acc += coeffs, coefficientwise and in place."""
+    if len(acc) < len(coeffs):
+        acc.extend([0] * (len(coeffs) - len(acc)))
+    acc[: len(coeffs)] = map(operator.add, acc, coeffs)
+    return acc
 
 
 def term_poly(family: FamilySpec, n: int) -> IntPoly:
@@ -281,8 +294,16 @@ def term_poly(family: FamilySpec, n: int) -> IntPoly:
 def partial_sum(family: FamilySpec, upper: int) -> PartialSum:
     """Sum of term_poly(n)*kernel(n) for n = 0..upper, exactly.
 
-    Built incrementally on top of the largest cached truncation for the
-    same family; the cache is invisible in results.
+    Built on top of the largest cached truncation below upper for the same
+    family; the cache is invisible in results.  With K_n = f_1*...*f_n the
+    kernel and f_j = 1 - q^e_j its binomial factors, the new terms are
+    summed by Horner's rule from the top,
+
+        sum_{n=start+1..upper} w_n*K_n
+            = f_1*...*f_(start+1) * (w_(start+1) + f_(start+2)*(w_(start+2) + ...)),
+
+    so every step is one shift-and-subtract pass (mul_binomial) and no
+    dense product is formed.
     """
     if upper < 0:
         raise ValueError("upper must be nonnegative")
@@ -291,11 +312,18 @@ def partial_sum(family: FamilySpec, upper: int) -> PartialSum:
         if upper in per:
             return PartialSum(family, upper, per[upper])
         start = max((n for n in per if n < upper), default=-1)
-        value = per[start] if start >= 0 else IntPoly()
         weights = family.coefficient_polys(upper)
-        for n in range(start + 1, upper + 1):
-            value = value + weights[n] * kernel_poly(family, n)
-            per[n] = value
+        exps = pochhammer_exponents(upper, _step(family))
+        acc = []
+        for n in range(upper, 0, -1):
+            if n > start:
+                acc = _add_into(acc, weights[n].coeffs)
+            acc = mul_binomial(acc, exps[n - 1])
+        if start < 0:
+            value = IntPoly(_add_into(acc, weights[0].coeffs))
+        else:
+            value = per[start] + IntPoly(acc)
+        per[upper] = value
         return PartialSum(family, upper, value)
 
 
@@ -304,18 +332,15 @@ def partial_sum_prefix(family: FamilySpec, upper: int, cap: int) -> IntPoly:
     entirely inside the quotient ring Z[q]/(q^(cap+1)).
 
     Exact for the coefficients it returns; the point is that the truncated
-    run never builds the huge high-degree tails of the exact sum.
+    run never builds the huge high-degree tails of the exact sum.  The
+    same Horner scheme as partial_sum runs from the top term down, with a
+    truncation after each binomial factor.
     """
     if upper < 0 or cap < 0:
         raise ValueError("upper and cap must be nonnegative")
     weights = _RULES[family._kind](family._params, upper, cap)
-    step = 1 if family.kernel == "F" else 2
-    kern = IntPoly.one()
-    total = IntPoly()
-    for n in range(upper + 1):
-        if n:
-            e = n if step == 1 else 2 * n - 1
-            if e <= cap:
-                kern = (kern - kern.shift(e)).truncate(cap)
-        total = total + (weights[n] * kern).truncate(cap)
-    return total
+    exps = pochhammer_exponents(upper, _step(family))
+    acc = []
+    for n in range(upper, 0, -1):
+        acc = mul_binomial(_add_into(acc, weights[n].coeffs), exps[n - 1])[: cap + 1]
+    return IntPoly(_add_into(acc, weights[0].coeffs))

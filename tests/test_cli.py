@@ -187,6 +187,17 @@ def test_residues_from_character_file(capsys, tmp_path):
     assert obj["character"] == "custom"
 
 
+def test_builtin_character_name_wins_over_file(capsys, tmp_path, monkeypatch):
+    # a decoy file named like a built-in, holding a different character
+    (tmp_path / "chi6").write_text(
+        json.dumps(get_character("chi_kz").to_json_obj()))
+    monkeypatch.chdir(tmp_path)
+    code, obj = invoke_json(capsys, "residues", "--char", "chi6", "--s", "5")
+    assert code == 0
+    assert obj["residues"] == [0, 1, 3]
+    assert obj["character"] == "chi6"
+
+
 def test_residues_hikami_pair(capsys):
     code, obj = invoke_json(capsys, "residues", "--char",
                             "chi_hikami:m=2,alpha=0", "--s", "3")

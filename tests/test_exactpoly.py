@@ -1,17 +1,21 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 import helpers
-from qstrange import exactpoly
 from qstrange.exactpoly import (
     IntPoly,
     RatPoly,
     NotDivisible,
     cyclotomic,
     exact_div,
+    mul_binomial,
     pochhammer,
+    pochhammer_exponents,
+    pochhammer_factors,
     qbinomial,
     subst_one_minus_q,
     theta_deriv,
@@ -121,21 +125,6 @@ class TestRingOps:
             want = helpers.to_poly(helpers.dmul(helpers.from_poly(a), helpers.from_poly(b)))
             assert a * b == want
 
-    def test_karatsuba_matches_schoolbook(self):
-        rng = random.Random(77)
-        old = exactpoly.KARATSUBA_THRESHOLD
-        try:
-            for _ in range(10):
-                a = IntPoly(tuple(rng.randint(-50, 50) for _ in range(rng.randint(150, 300))))
-                b = IntPoly(tuple(rng.randint(-50, 50) for _ in range(rng.randint(150, 300))))
-                exactpoly.KARATSUBA_THRESHOLD = 8
-                fast = a * b
-                exactpoly.KARATSUBA_THRESHOLD = 10 ** 9
-                slow = a * b
-                assert fast == slow
-        finally:
-            exactpoly.KARATSUBA_THRESHOLD = old
-
 
 class TestExactDiv:
     def test_simple(self):
@@ -170,6 +159,97 @@ class TestExactDiv:
             if rng.random() < 0.5:
                 b = b + IntPoly.monomial(b.degree + 1, rng.choice((1, -1)))
             assert exact_div(a * b, b) == a
+
+    def test_chain_of_divisors(self):
+        a, b, c = IntPoly((1, 2)), IntPoly((3, 0, 1)), IntPoly((-1, 1))
+        assert exact_div(a * b * c, b, c) == a
+        assert exact_div(a * b * c, c, b, a) == IntPoly.one()
+        with pytest.raises(NotDivisible):
+            exact_div(a * b, b, c)
+
+    def test_no_divisors(self):
+        p = IntPoly((4, 0, -3))
+        assert exact_div(p) == p
+        assert exact_div(IntPoly()) == IntPoly()
+
+    def test_chain_argument_checks(self):
+        with pytest.raises(ZeroDivisionError):
+            exact_div(IntPoly((1,)), IntPoly((1, 1)), IntPoly())
+        with pytest.raises(TypeError):
+            exact_div(IntPoly((1,)), IntPoly((1, 1)), RatPoly((1,)))
+
+    def test_chain_mixes_rational_steps(self):
+        a, b, c = IntPoly((1, 1)), IntPoly((2, 3)), IntPoly((1, 0, -1))
+        assert exact_div(a * b * c, c, b) == a
+        with pytest.raises(NotDivisible):
+            exact_div(a * c + IntPoly((1,)), c, b)
+
+
+class TestBinomialKernels:
+    """Factor-by-factor kernels against the dict-based oracles in helpers."""
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_mul_by_factors_matches_oracle(self, step):
+        rng = random.Random(3100 + step)
+        for n in range(31):
+            p = rand_poly(rng) or IntPoly((1,))
+            coeffs = list(p.coeffs)
+            for e in pochhammer_exponents(n, step):
+                coeffs = mul_binomial(coeffs, e)
+            want = helpers.dmul(helpers.from_poly(p), helpers.poch_def(n, step))
+            assert IntPoly(coeffs) == helpers.to_poly(want), (step, n)
+            assert p * pochhammer(n, step) == helpers.to_poly(want), (step, n)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_factors_multiply_to_kernel(self, step):
+        for n in range(31):
+            prod = IntPoly.one()
+            for f in pochhammer_factors(n, step):
+                prod = prod * f
+            assert prod == helpers.to_poly(helpers.poch_def(n, step)), (step, n)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_divide_by_factors_round_trip(self, step):
+        rng = random.Random(3200 + step)
+        for n in range(31):
+            p = rand_poly(rng)
+            kern = helpers.to_poly(helpers.poch_def(n, step))
+            assert exact_div(p * kern, *pochhammer_factors(n, step)) == p, (step, n)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_fails_only_at_last_factor(self, step):
+        rng = random.Random(3300 + step)
+        for n in range(1, 31):
+            factors = pochhammer_factors(n, step)
+            last = factors[-1].degree
+            # r(1) != 0, so 1 - q^e never divides r; deg r >= e keeps the
+            # failure away from the degree shortcut
+            r = [rng.randint(-9, 9) for _ in range(last + 3)]
+            r[-1] = r[-1] or 1
+            if sum(r) == 0:
+                r[0] += 1
+            r = IntPoly(r)
+            dividend = r * helpers.to_poly(helpers.poch_def(n - 1, step))
+            assert exact_div(dividend, *factors[:-1]) == r
+            with pytest.raises(NotDivisible):
+                exact_div(dividend, *factors)
+
+    def test_mul_binomial_edges(self):
+        assert mul_binomial([], 3) == []
+        assert mul_binomial((2, 1), 1) == [2, -1, -1]
+        assert mul_binomial([1], 3) == [1, 0, 0, -1]
+        with pytest.raises(ValueError):
+            mul_binomial([1], 0)
+
+    def test_exponents(self):
+        assert list(pochhammer_exponents(4)) == [1, 2, 3, 4]
+        assert list(pochhammer_exponents(4, 2)) == [1, 3, 5, 7]
+        assert list(pochhammer_exponents(0, 2)) == []
+        assert pochhammer_factors(2, 2) == (IntPoly((1, -1)), IntPoly((1, 0, 0, -1)))
+        with pytest.raises(ValueError):
+            pochhammer_exponents(-1)
+        with pytest.raises(ValueError):
+            pochhammer_factors(2, 3)
 
 
 class TestRatPoly:
@@ -221,6 +301,31 @@ class TestPochhammer:
             pochhammer(-1)
         with pytest.raises(ValueError):
             pochhammer(3, step=3)
+
+    def test_concurrent_callers_agree(self):
+        # threads entering pochhammer together must each get the exact
+        # kernel; an unlocked shared cache here returned corrupted ones
+        n, workers = 150, 8
+        want = helpers.to_poly(helpers.poch_def(n))
+        barrier = threading.Barrier(workers)
+        got = [None] * workers
+
+        def call(slot):
+            barrier.wait(timeout=60)
+            got[slot] = pochhammer(n)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(g == want for g in got)
 
 
 class TestQBinomial:

@@ -57,20 +57,6 @@ def _load_character(text: str):
     return character_from_json_obj(obj)
 
 
-def _resolve_jobs(value):
-    if value is not None:
-        return value if value > 1 else None
-    raw = os.environ.get("QSTRANGE_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidParam(
-            f"QSTRANGE_THREADS must be an integer, got {raw!r}") from None
-    return n if n > 1 else None
-
-
 def _cyclo_json(x) -> dict:
     return {"conductor": x.k, "coeffs": [str(c) for c in x.rep.coeffs]}
 
@@ -105,7 +91,7 @@ def cmd_dissect(args) -> int:
 def cmd_verify(args) -> int:
     fam = parse_family(args.family)
     char = _load_character(args.char)
-    rep = verify_theorem(fam, char, args.s, args.N, jobs=_resolve_jobs(args.jobs))
+    rep = verify_theorem(fam, char, args.s, args.N)
     lines = [f"family {rep.family_label}, s={rep.s}, N={rep.upper}, "
              f"S={{{', '.join(map(str, sorted(rep.residues)))}}}"]
     for row in rep.rows:
@@ -179,8 +165,7 @@ def cmd_scan(args) -> int:
             line = (f"fail: xi({rep.witness}) = {rep.residue} mod {mod}")
         _emit(args, rep.to_json_obj(), [line])
         return 0 if rep.verdict == "pass" else 1
-    rep = scan_congruences(fam, args.p, args.r, args.depth,
-                           jobs=_resolve_jobs(args.jobs))
+    rep = scan_congruences(fam, args.p, args.r, args.depth)
     beta_txt = ", ".join(map(str, rep.passing_beta)) or "none"
     line = (f"passing beta mod {args.p ** args.r}: {beta_txt} "
             f"(empirical at depth {rep.depth})")
@@ -250,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="built-in character name or Character JSON file")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
 
     p = add("residues", "residue set S of a character modulo s")
     p.add_argument("--char", required=True)
@@ -285,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--beta", type=int, default=None)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
 
     p = add("carray", "derivative-extraction coefficients C(ell, i, .)(s)")
     p.add_argument("--ell", type=int, required=True)

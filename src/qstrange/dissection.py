@@ -12,7 +12,7 @@ applies is a hard error, never a report row.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 from qstrange.exactpoly import IntPoly, NotDivisible, exact_div, pochhammer_factors
 from qstrange.partialtheta import Character, validate_character
@@ -40,23 +40,16 @@ class DivisibilityFalsified(ArithmeticError):
     """A division the theorems guarantee has failed; inputs are inconsistent."""
 
 
+@dataclass(frozen=True, slots=True)
 class Dissection:
-    """Parts A_0..A_{s-1} of p(q) = sum_i q^i A_i(q^s)."""
-
-    __slots__ = ("modulus", "parts")
+    """Parts A_0..A_{s-1} of p(q) = sum_i q^i A_i(q^s); equality compares both fields."""
 
     modulus: int
     parts: tuple
 
-    def __init__(self, modulus: int, parts):
-        parts = tuple(parts)
-        if modulus < 1 or len(parts) != modulus:
+    def __post_init__(self):
+        if self.modulus < 1 or len(self.parts) != self.modulus:
             raise ValueError("need exactly s parts for modulus s")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dissection is immutable")
 
     def reassemble(self) -> IntPoly:
         total = IntPoly()
@@ -81,7 +74,7 @@ def dissect(p: IntPoly, s: int) -> Dissection:
         if len(bucket) <= idx:
             bucket.extend([0] * (idx + 1 - len(bucket)))
         bucket[idx] = c
-    return Dissection(s, (IntPoly(b) for b in buckets))
+    return Dissection(s, tuple(IntPoly(b) for b in buckets))
 
 
 def thresholds(N: int, s: int, k: int = 1) -> tuple[int, int]:
@@ -129,21 +122,15 @@ def pochhammer_factorization(n: int, step: int = 1) -> tuple[int, list[int]]:
     return sign, exps
 
 
+@dataclass(frozen=True, slots=True)
 class DivisibilityRow:
-    """One residue class line of a certificate."""
+    """One residue class line of a certificate; equality compares every field."""
 
-    __slots__ = ("i", "in_s", "divisor_name", "verdict", "quotient")
-
-    def __init__(self, i: int, in_s: bool, divisor_name: str, verdict: str,
-                 quotient: IntPoly | None):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "in_s", in_s)
-        object.__setattr__(self, "divisor_name", divisor_name)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "quotient", quotient)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DivisibilityRow is immutable")
+    i: int
+    in_s: bool
+    divisor_name: str
+    verdict: str
+    quotient: IntPoly | None
 
     def to_json_obj(self) -> dict:
         obj = {"i": self.i, "in_S": self.in_s, "divisor": self.divisor_name,
@@ -153,20 +140,15 @@ class DivisibilityRow:
         return obj
 
 
+@dataclass(frozen=True, slots=True)
 class DivisibilityReport:
-    """Full certificate for one (family, character, s, N) instance."""
+    """Full certificate for one (family, character, s, N); equality compares every field."""
 
-    __slots__ = ("family_label", "s", "upper", "residues", "rows")
-
-    def __init__(self, family_label: str, s: int, upper: int, residues: frozenset, rows):
-        object.__setattr__(self, "family_label", family_label)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "residues", residues)
-        object.__setattr__(self, "rows", tuple(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DivisibilityReport is immutable")
+    family_label: str
+    s: int
+    upper: int
+    residues: frozenset
+    rows: tuple
 
     def to_json_obj(self) -> dict:
         return {"family": self.family_label, "s": self.s, "N": self.upper,
@@ -174,8 +156,7 @@ class DivisibilityReport:
                 "rows": [r.to_json_obj() for r in self.rows]}
 
 
-def verify_theorem(family: FamilySpec, char: Character, s: int, N: int,
-                   jobs: int | None = None) -> DivisibilityReport:
+def verify_theorem(family: FamilySpec, char: Character, s: int, N: int) -> DivisibilityReport:
     """Dissect the partial sum and certify the predicted kernel divisors.
 
     Rows for i outside S must divide (anything else raises
@@ -206,9 +187,5 @@ def verify_theorem(family: FamilySpec, char: Character, s: int, N: int,
             return DivisibilityRow(i, True, divisor_name, "not-claimed", None)
         return DivisibilityRow(i, i in in_s, divisor_name, "divides", quotient)
 
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(attempt, range(s)))
-    else:
-        rows = [attempt(i) for i in range(s)]
+    rows = tuple(attempt(i) for i in range(s))
     return DivisibilityReport(family.label, s, N, in_s, rows)

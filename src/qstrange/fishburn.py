@@ -16,7 +16,7 @@ no code and are tested against each other.
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,17 +38,12 @@ _XI_CACHE: dict[str, tuple] = {}
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
+@dataclass(frozen=True, slots=True)
 class XiSequence:
-    """Coefficients xi(0..D) of family(1-q), exact."""
+    """Coefficients xi(0..D) of family(1-q), exact; equality compares both fields."""
 
-    __slots__ = ("family_label", "coeffs")
-
-    def __init__(self, family_label: str, coeffs: tuple):
-        object.__setattr__(self, "family_label", family_label)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XiSequence is immutable")
+    family_label: str
+    coeffs: tuple
 
     @property
     def depth(self) -> int:
@@ -140,14 +135,14 @@ def _sub_ladder_mod(weights, c0, steps, base, pw, depth, mod, shrink):
 
 
 def _sub_weights_mod(family, depth, mod, pw):
-    kind = family._kind
+    kind = family.kind
     if kind == "kz":
         one = np.ones(1, dtype=np.int64)
         return [one] * (depth + 1)
     if kind == "inline":
         out = []
         for n in range(depth + 1):
-            p = family._params[n] if n < len(family._params) else None
+            p = family.params[n] if n < len(family.params) else None
             if p is None or not p.coeffs:
                 out.append(_EMPTY)
             else:
@@ -156,7 +151,7 @@ def _sub_weights_mod(family, depth, mod, pw):
                                     dtype=np.int64))
         return out
     if kind == "hikami":
-        m, alpha = family._params
+        m, alpha = family.params
         vals = [np.ones(1, dtype=np.int64)] * (depth + 2 * m + 3)
         for level in range(1, m):
             c0 = 1 if level > alpha else 0
@@ -164,7 +159,7 @@ def _sub_weights_mod(family, depth, mod, pw):
                                   shrink=False)
             vals = got[1:] if level == alpha else got
         return vals[: depth + 1]
-    (k,) = family._params
+    (k,) = family.params
     vals = [np.ones(1, dtype=np.int64)] * (depth + 1)
     for _ in range(k - 1):
         vals = _sub_ladder_mod(vals, 1, depth, 2, pw, depth, mod, shrink=True)
@@ -185,10 +180,10 @@ def _xi_mod(family, depth: int, mod: int) -> list:
         # convolutions could overflow int64; take the slow exact road
         return [c % mod for c in xi_coeffs(family, depth).coeffs]
     step = 1 if family.kernel == "F" else 2
-    if family._kind == "gk":
+    if family.kind == "gk":
         top = 2 * depth + 2
-    elif family._kind == "hikami":
-        top = depth + 2 * family._params[0] + 3
+    elif family.kind == "hikami":
+        top = depth + 2 * family.params[0] + 3
     else:
         top = 0
     pw = _pw_table(depth, mod, top)
@@ -225,23 +220,19 @@ def _require_prime(p: int):
         raise InvalidParam(f"p must be prime, got {p}")
 
 
+@dataclass(frozen=True, slots=True)
 class CongruenceReport:
-    """verify_congruence outcome; witness fields are set only on failure."""
+    """verify_congruence outcome (witness set only on failure); equality compares every field."""
 
-    __slots__ = ("family_label", "p", "r", "beta", "depth",
-                 "indices_checked", "verdict", "witness", "residue")
-
-    def __init__(self, family_label, p, r, beta, depth, indices_checked,
-                 verdict, witness=None, residue=None):
-        for name, value in (
-                ("family_label", family_label), ("p", p), ("r", r),
-                ("beta", beta), ("depth", depth),
-                ("indices_checked", indices_checked), ("verdict", verdict),
-                ("witness", witness), ("residue", residue)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CongruenceReport is immutable")
+    family_label: str
+    p: int
+    r: int
+    beta: int
+    depth: int
+    indices_checked: int
+    verdict: str
+    witness: int | None = None
+    residue: int | None = None
 
     def to_json_obj(self):
         mod = self.p ** self.r
@@ -262,20 +253,15 @@ class CongruenceReport:
         return obj
 
 
+@dataclass(frozen=True, slots=True)
 class ScanReport:
-    """scan_congruences outcome: every passing beta at the scanned depth."""
+    """scan_congruences outcome: every passing beta; equality compares every field."""
 
-    __slots__ = ("family_label", "p", "r", "depth", "passing_beta")
-
-    def __init__(self, family_label, p, r, depth, passing_beta):
-        object.__setattr__(self, "family_label", family_label)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "passing_beta", tuple(passing_beta))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScanReport is immutable")
+    family_label: str
+    p: int
+    r: int
+    depth: int
+    passing_beta: tuple
 
     def to_json_obj(self):
         mod = self.p ** self.r
@@ -328,8 +314,7 @@ def verify_congruence(family, p: int, r: int, beta: int,
                             verdict, witness, residue)
 
 
-def scan_congruences(family, p: int, r: int, depth: int,
-                     jobs: int | None = None) -> ScanReport:
+def scan_congruences(family, p: int, r: int, depth: int) -> ScanReport:
     """All beta in 1..p**r whose congruence class passes at this depth.
 
     Requires at least 3 testable indices per class so an empty pattern
@@ -343,15 +328,6 @@ def scan_congruences(family, p: int, r: int, depth: int,
         raise InvalidParam(
             f"need at least 3 indices per class: depth >= {3 * mod - 1}")
     vals = _xi_mod(family, depth, mod)
-
-    def passes(beta: int) -> bool:
-        return not any(vals[i] for i in range(mod - beta, depth + 1, mod))
-
-    betas = range(1, mod + 1)
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            flags = list(pool.map(passes, betas))
-    else:
-        flags = [passes(b) for b in betas]
-    passing = [b for b, ok in zip(betas, flags) if ok]
+    passing = tuple(b for b in range(1, mod + 1)
+                    if not any(vals[i] for i in range(mod - b, depth + 1, mod)))
     return ScanReport(family.label, p, r, depth, passing)

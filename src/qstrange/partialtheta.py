@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from qstrange.cyclofield import CycloNum
@@ -52,47 +52,43 @@ class MeanValueNonzero(CharacterInvalid):
     """The (twisted) mean over one period is not zero."""
 
 
+@dataclass(frozen=True, slots=True)
 class Character:
-    """Periodic rational character with quadratic exponent data (a, b, nu)."""
+    """Periodic rational character with quadratic exponent data (a, b, nu).
 
-    __slots__ = ("a", "b", "nu", "period", "values", "label")
+    values, a {residue: value} dict or one full period, is stored as a tuple
+    of Fractions.  Equality and hashing compare every field but the label.
+    """
 
     a: int
     b: int
     nu: int
     period: int
     values: tuple
-    label: str
+    label: str = field(default="custom", compare=False)
 
-    def __init__(self, a: int, b: int, nu: int, period: int, values, label: str = "custom"):
-        if b < 1:
+    def __post_init__(self):
+        if self.b < 1:
             raise CharacterInvalid("b must be positive")
-        if a < 0:
+        if self.a < 0:
             raise CharacterInvalid("a must be nonnegative")
-        if nu not in (0, 1):
+        if self.nu not in (0, 1):
             raise CharacterInvalid("nu must be 0 or 1")
+        period = self.period
         if period < 1:
             raise CharacterInvalid("period must be positive")
-        if isinstance(values, dict):
+        if isinstance(self.values, dict):
             table = [Fraction(0)] * period
-            for key, val in values.items():
+            for key, val in self.values.items():
                 n = int(key)
                 if not 0 <= n < period:
                     raise CharacterInvalid(f"residue {n} outside 0..{period - 1}")
                 table[n] = Fraction(val)
         else:
-            table = [Fraction(v) for v in values]
+            table = [Fraction(v) for v in self.values]
             if len(table) != period:
                 raise CharacterInvalid("values length must equal the period")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "period", period)
         object.__setattr__(self, "values", tuple(table))
-        object.__setattr__(self, "label", label)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Character is immutable")
 
     def value(self, n: int) -> Fraction:
         return self.values[n % self.period]
@@ -104,15 +100,6 @@ class Character:
             raise IntegralityViolation(f"(({n})^2 - {self.a})/{self.b} is not an integer")
         return num // self.b
 
-    def _key(self):
-        return (self.a, self.b, self.nu, self.period, self.values)
-
-    def __eq__(self, other):
-        return isinstance(other, Character) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
         return f"Character({self.label!r}, a={self.a}, b={self.b}, nu={self.nu}, T={self.period})"
 
@@ -123,14 +110,21 @@ class Character:
 
 
 def character_from_json_obj(obj: dict, label: str = "custom") -> Character:
+    """Validated Character from its JSON form; a float or bool is refused, never rounded."""
     if not isinstance(obj, dict):
         raise ParseError("character JSON must be an object")
-    try:
-        return validate_character(Character(
-            int(obj["a"]), int(obj["b"]), int(obj["nu"]),
-            int(obj["period"]), obj.get("values", {}), label))
-    except KeyError as exc:
-        raise ParseError(f"character JSON missing field {exc}") from None
+    for name in ("a", "b", "nu", "period"):
+        if name not in obj:
+            raise ParseError(f"character JSON missing field {name!r}")
+        if type(obj[name]) is not int:
+            raise ParseError(f"character field {name!r} must be an integer, got {obj[name]!r}")
+    values = obj.get("values", {})
+    entries = values.values() if isinstance(values, dict) else values
+    if not isinstance(values, (dict, list)) or any(
+            type(v) is not int and not isinstance(v, str) for v in entries):
+        raise ParseError('character values must be integers or strings such as "-1/2"')
+    return validate_character(Character(obj["a"], obj["b"], obj["nu"], obj["period"],
+                                        values, label))
 
 
 def validate_character(char: Character) -> Character:
@@ -204,29 +198,29 @@ def get_character(name: str) -> Character:
 
 # -- twisted sequences ---------------------------------------------------------
 
+@dataclass(frozen=True, slots=True, eq=False)
 class TwistedSeq:
-    """C(n) = zeta^((n^2-a)/b) * chi(n) tabulated over one full period."""
+    """C(n) = zeta^((n^2-a)/b) * chi(n) tabulated over one full period.
 
-    __slots__ = ("character", "k", "j", "period", "table")
+    Equality is identity; twisted_sequence shares one instance per (chi, k, j mod k).
+    """
 
-    def __init__(self, character: Character, k: int, j: int, period: int, table):
-        table = tuple(table)
-        if len(table) != period:
+    character: Character
+    k: int
+    j: int
+    period: int
+    table: tuple
+
+    def __post_init__(self):
+        if len(self.table) != self.period:
             raise ValueError("table length must equal the period")
-        total = CycloNum.rational(k, 0)
-        for entry in table:
+        total = CycloNum.rational(self.k, 0)
+        for entry in self.table:
             total = total + entry
         if total:
             raise MeanValueNonzero(
-                f"twisted mean of {character.label} at zeta_{k}^{j} is nonzero")
-        object.__setattr__(self, "character", character)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "table", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistedSeq is immutable")
+                f"twisted mean of {self.character.label} at "
+                f"zeta_{self.k}^{self.j} is nonzero")
 
     def entry(self, n: int) -> CycloNum:
         return self.table[n % self.period]
@@ -234,10 +228,6 @@ class TwistedSeq:
     def __repr__(self):
         return (f"TwistedSeq({self.character.label!r}, zeta_{self.k}^{self.j}, "
                 f"P={self.period})")
-
-
-_SEQ_LOCK = threading.Lock()
-_SEQ_CACHE: dict = {}
 
 
 def _raw_entry(char: Character, k: int, j: int, n: int) -> CycloNum:
@@ -257,22 +247,18 @@ def twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
     if k < 1:
         raise ValueError("conductor k must be positive")
     validate_character(char)
-    j = j % k
-    key = (char, k, j)
-    with _SEQ_LOCK:
-        hit = _SEQ_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _twisted_sequence(char, k, j % k)
+
+
+@functools.lru_cache(maxsize=None)
+def _twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
     P = math.lcm(char.period, char.b * k)
-    table = [_raw_entry(char, k, j, n) for n in range(P)]
+    table = tuple(_raw_entry(char, k, j, n) for n in range(P))
     for n in range(P):
         if _raw_entry(char, k, j, n + P) != table[n]:
             raise CharacterInvalid(
                 f"{char.label}: twisted sequence not {P}-periodic at n={n}")
-    seq = TwistedSeq(char, k, j, P, table)
-    with _SEQ_LOCK:
-        _SEQ_CACHE[key] = seq
-    return seq
+    return TwistedSeq(char, k, j, P, table)
 
 
 # -- Bernoulli machinery --------------------------------------------------------

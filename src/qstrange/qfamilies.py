@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import operator
 import threading
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from qstrange.exactpoly import IntPoly, mul_binomial, pochhammer, pochhammer_exponents
@@ -132,30 +133,22 @@ _RULES = {
 }
 
 
+@dataclass(frozen=True, slots=True)
 class FamilySpec:
-    """Immutable family descriptor: kernel kind, label, coefficient rule."""
+    """Immutable family descriptor: kernel kind, label, coefficient rule.
 
-    __slots__ = ("kernel", "label", "_kind", "_params")
+    kind names the rule ("kz", "hikami", "gk", "inline") and params holds its
+    arguments.  The label determines the rest, so only the label is compared.
+    """
 
-    kernel: str  # "F" or "G"
+    kernel: str = field(compare=False)  # "F" or "G"
     label: str
+    kind: str = field(compare=False)
+    params: tuple = field(compare=False)
 
-    def __init__(self, kernel: str, label: str, kind: str, params: tuple):
-        if kernel not in ("F", "G"):
-            raise InvalidParam(f"unknown kernel {kernel!r}")
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_kind", kind)
-        object.__setattr__(self, "_params", params)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FamilySpec is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, FamilySpec) and self.label == other.label
-
-    def __hash__(self):
-        return hash(self.label)
+    def __post_init__(self):
+        if self.kernel not in ("F", "G"):
+            raise InvalidParam(f"unknown kernel {self.kernel!r}")
 
     def __repr__(self):
         return f"FamilySpec({self.label!r})"
@@ -170,27 +163,18 @@ class FamilySpec:
         with _LOCK:
             have = _WEIGHT_CACHE.get(self.label)
             if have is None or len(have) <= upper:
-                have = _RULES[self._kind](self._params, upper, None)
+                have = _RULES[self.kind](self.params, upper, None)
                 _WEIGHT_CACHE[self.label] = have
             return have[: upper + 1]
 
 
+@dataclass(frozen=True, slots=True)
 class PartialSum:
-    """partial_sum result: the family, the truncation N, and the exact value."""
-
-    __slots__ = ("family", "upper", "value")
+    """partial_sum result: family, truncation N and exact value, all compared."""
 
     family: FamilySpec
     upper: int
     value: IntPoly
-
-    def __init__(self, family: FamilySpec, upper: int, value: IntPoly):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartialSum is immutable")
 
     def __repr__(self):
         return f"PartialSum({self.family.label!r}, N={self.upper})"
@@ -338,7 +322,7 @@ def partial_sum_prefix(family: FamilySpec, upper: int, cap: int) -> IntPoly:
     """
     if upper < 0 or cap < 0:
         raise ValueError("upper and cap must be nonnegative")
-    weights = _RULES[family._kind](family._params, upper, cap)
+    weights = _RULES[family.kind](family.params, upper, cap)
     exps = pochhammer_exponents(upper, _step(family))
     acc = []
     for n in range(upper, 0, -1):

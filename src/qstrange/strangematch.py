@@ -21,6 +21,7 @@ produces a fixed integer combination of shifted derivatives of g, and
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclofield import CycloNum, eval_at_root
@@ -66,25 +67,20 @@ def expansion_coeff(family, k: int, j: int, ell: int) -> CycloNum:
     return val.scale(Fraction((-1) ** ell, math.factorial(ell)))
 
 
+@dataclass(frozen=True, slots=True)
 class MatchReport:
-    """Outcome of comparing series and partial theta coefficients at one root."""
+    """Outcome of comparing series and partial theta coefficients at one root.
 
-    __slots__ = ("family_label", "character_label", "k", "j",
-                 "checked_through", "verdict", "first_mismatch")
+    Equality compares every field.
+    """
 
-    def __init__(self, family_label, character_label, k, j,
-                 checked_through, verdict, first_mismatch=None):
-        for name, value in (
-                ("family_label", family_label),
-                ("character_label", character_label),
-                ("k", k), ("j", j),
-                ("checked_through", checked_through),
-                ("verdict", verdict),
-                ("first_mismatch", first_mismatch)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatchReport is immutable")
+    family_label: str
+    character_label: str
+    k: int
+    j: int
+    checked_through: int
+    verdict: str
+    first_mismatch: int | None = None
 
     def to_json_obj(self):
         obj = {

@@ -50,6 +50,10 @@ def test_unknown_flag_is_usage_error(capsys):
     code, out, err = invoke(capsys, "fishburn", "--family", "kz",
                             "--depth", "3", "--bogus")
     assert code == 2
+    # verify and scan run single-threaded and take no --jobs flag
+    code, out, err = invoke(capsys, "verify", "--family", "kz", "--char",
+                            "chi_kz", "--s", "5", "--N", "10", "--jobs", "2")
+    assert code == 2
 
 
 # ---------------------------------------------------------------- fishburn
@@ -229,6 +233,37 @@ def test_malformed_character_file_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("field,value", [
+    ("a", 1.9), ("a", 1.0), ("nu", True), ("period", "6"), ("b", None),
+    ("values", {"1": 1.0, "2": 1, "4": -1, "5": -1}),
+    ("values", [0, 1, 1, 0, -1, -1.0]),
+    ("values", {"1": True, "2": 1, "4": -1, "5": -1}),
+    ("values", 5),
+])
+def test_inexact_character_field_is_usage_error(capsys, tmp_path, field,
+                                                 value):
+    # rounding would answer for a nearby character (a=1.9 read as a=1)
+    obj = get_character("chi6").to_json_obj()
+    obj[field] = value
+    charfile = tmp_path / "inexact.json"
+    charfile.write_text(json.dumps(obj))
+    code, out, err = invoke(capsys, "residues", "--char", str(charfile),
+                            "--s", "5")
+    assert (code, out) == (2, "")
+    assert "error:" in err
+
+
+def test_character_file_integer_values(capsys, tmp_path):
+    obj = get_character("chi6").to_json_obj()
+    obj["values"] = [0, 1, 1, 0, -1, -1]
+    charfile = tmp_path / "ints.json"
+    charfile.write_text(json.dumps(obj))
+    code, obj = invoke_json(capsys, "residues", "--char", str(charfile),
+                            "--s", "5")
+    assert code == 0
+    assert obj["residues"] == [0, 1, 3]
+
+
 # ---------------------------------------------------------------- match
 
 def test_match_pass_exits_zero(capsys):
@@ -375,28 +410,3 @@ def test_identity_check_bad_poly_json_is_usage_error(capsys):
     code, out, err = invoke(capsys, "identity-check", "--s", "2", "--ell", "1",
                             "--poly", "{oops")
     assert code == 2
-
-
-# ---------------------------------------------------------------- jobs env
-
-def test_jobs_env_variable_used(capsys, monkeypatch):
-    monkeypatch.setenv("QSTRANGE_THREADS", "3")
-    code, obj = invoke_json(capsys, "verify", "--family", "kz",
-                            "--char", "chi_kz", "--s", "5", "--N", "10")
-    assert code == 0
-
-
-def test_jobs_env_variable_invalid_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("QSTRANGE_THREADS", "many")
-    code, out, err = invoke(capsys, "verify", "--family", "kz",
-                            "--char", "chi_kz", "--s", "5", "--N", "10")
-    assert code == 2
-    assert "QSTRANGE_THREADS" in err
-
-
-def test_jobs_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("QSTRANGE_THREADS", "many")
-    code, obj = invoke_json(capsys, "verify", "--family", "kz",
-                            "--char", "chi_kz", "--s", "5", "--N", "10",
-                            "--jobs", "2")
-    assert code == 0

@@ -212,12 +212,6 @@ class TestVerifyTheorem:
         with pytest.raises(CharacterInvalid):
             verify_theorem(parse_family("kz"), Character(0, 1, 0, 1, {0: 1}), 3, 5)
 
-    def test_jobs_agree(self):
-        fam, char = parse_family("gk:k=2"), get_character("chi_gk:k=2")
-        a = verify_theorem(fam, char, 5, 10)
-        b = verify_theorem(fam, char, 5, 10, jobs=4)
-        assert a.to_json_obj() == b.to_json_obj()
-
     def test_falsification_detected(self):
         # character whose residue set misses 0 mod 2, against a family whose
         # even part is the constant 1: the guaranteed division cannot hold
@@ -225,6 +219,16 @@ class TestVerifyTheorem:
         fam = parse_family('{"kernel":"F","terms":[{"coeffs":["1"]}]}')
         with pytest.raises(DivisibilityFalsified):
             verify_theorem(fam, char, 2, 3)
+
+    def test_immutable(self):
+        rep = verify_theorem(parse_family("gk:k=1"), get_character("chi6"), 5, 8)
+        with pytest.raises(AttributeError):
+            rep.rows = ()
+        with pytest.raises(AttributeError):
+            rep.rows[2].verdict = "not-claimed"
+        # records compare by value, quotients included
+        again = verify_theorem(parse_family("gk:k=1"), get_character("chi6"), 5, 8)
+        assert again == rep and again.rows[2] == rep.rows[2]
 
     def test_report_json_shape(self):
         rep = verify_theorem(parse_family("gk:k=1"), get_character("chi6"), 5, 8)

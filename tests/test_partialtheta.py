@@ -92,6 +92,16 @@ class TestCharacters:
         with pytest.raises(CharacterInvalid):
             Character(1, 3, 2, 6, {})
 
+    def test_immutable_and_equal_up_to_label(self):
+        c = get_character("chi6")
+        with pytest.raises(AttributeError):
+            c.label = "renamed"
+        twin = Character(c.a, c.b, c.nu, c.period, list(c.values), "renamed")
+        assert twin == c and hash(twin) == hash(c)
+        assert isinstance(twin.values, tuple)
+        assert Character(1, 3, 0, 6, {1: 1, 2: 1, 4: -1, 5: -1}) == c
+        assert Character(1, 3, 1, 6, c.values) != c
+
     def test_json_round_trip(self):
         c = get_character("chi6")
         obj = json.loads(json.dumps(c.to_json_obj()))
@@ -112,6 +122,15 @@ class TestTwistedSequence:
     def test_chi_hikami_period_80(self):
         seq = twisted_sequence(get_character("chi_hikami:m=2,alpha=0"), 2, 1)
         assert seq.period == 80
+
+    def test_immutable_and_shared(self):
+        char = get_character("chi6")
+        seq = twisted_sequence(char, 3, 1)
+        with pytest.raises(AttributeError):
+            seq.table = ()
+        # one instance per (character, k, j mod k); equality is identity
+        assert twisted_sequence(char, 3, 4) is seq
+        assert TwistedSeq(char, 3, 1, seq.period, seq.table) != seq
 
     def test_constant_character_rejected(self):
         with pytest.raises(MeanValueNonzero):

@@ -4,11 +4,18 @@ derandomize=True makes every run draw the same examples, so the suite
 stays reproducible; no example database is written.
 """
 
+import json
+from fractions import Fraction
+
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qstrange.cyclofield import CycloNum
 from qstrange.dissection import dissect
 from qstrange.exactpoly import IntPoly, NotDivisible, exact_div
+from qstrange.fishburn import _xi_mod, xi_coeffs
+from qstrange.qfamilies import parse_family
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=150)
@@ -57,3 +64,51 @@ def test_chain_matches_product(a, divisors, perturb, r):
         product = product * d
     p = a * product + (r if perturb else IntPoly())
     assert outcome(p, *divisors) == outcome(p, product)
+
+
+inline_families = st.builds(
+    lambda kernel, terms: parse_family(json.dumps(
+        {"kernel": kernel, "terms": [{"coeffs": t} for t in terms]})),
+    st.sampled_from("FG"),
+    st.lists(st.lists(st.integers(-9, 9), max_size=5), max_size=6))
+
+
+@PROPERTY
+@given(inline_families, st.integers(0, 25),
+       st.sampled_from([2, 3, 5, 7, 11, 13, 4, 8, 9, 25, 27, 49]))
+def test_modular_engine_matches_exact(fam, depth, m):
+    assert _xi_mod(fam, depth, m) == [c % m for c in xi_coeffs(fam, depth).coeffs]
+
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+def cyclo_tuples(size):
+    """size elements of one random field Q(zeta_k), k <= 16."""
+    return st.integers(1, 16).flatmap(lambda k: st.tuples(*(
+        st.lists(fractions, max_size=k + 2).map(lambda cs: CycloNum(k, cs))
+        for _ in range(size))))
+
+
+@PROPERTY
+@given(cyclo_tuples(3))
+def test_cyclonum_ring_laws(abc):
+    a, b, c = abc
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + (-a) == 0 and a - b == a + (-b)
+
+
+EMBED_TOL = mpmath.mpf(2) ** -120
+
+
+@PROPERTY
+@given(cyclo_tuples(2))
+def test_embed_is_ring_map(ab):
+    a, b = ab
+    # at 53 bits the differences below would round to false failures
+    with mpmath.workprec(200):
+        assert abs((a + b).embed() - (a.embed() + b.embed())) < EMBED_TOL
+        assert abs((a * b).embed() - a.embed() * b.embed()) < EMBED_TOL

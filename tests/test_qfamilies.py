@@ -69,6 +69,11 @@ class TestParse:
         assert parse_family("kz") == parse_family("kz")
         assert parse_family("kz") != parse_family("gk:k=1")
         assert hash(parse_family("gk:k=2")) == hash(parse_family("gk:k=2"))
+        assert FamilySpec("F", "x", "kz", ()) == FamilySpec("G", "x", "gk", (1,))
+
+    def test_rule_fields(self):
+        f = parse_family("hikami:m=2,alpha=1")
+        assert (f.kernel, f.kind, f.params) == ("F", "hikami", (2, 1))
 
     def test_immutable(self):
         f = parse_family("kz")

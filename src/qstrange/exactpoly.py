@@ -255,7 +255,7 @@ class _BasePoly:
 
     @classmethod
     def from_json_obj(cls, obj: dict):
-        if not isinstance(obj, dict) or "coeffs" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
             raise ValueError("polynomial JSON must be an object with a 'coeffs' list")
         return cls(cls._parse_coeff(c) for c in obj["coeffs"])
 
@@ -281,7 +281,7 @@ class IntPoly(_BasePoly):
 
     @staticmethod
     def _parse_coeff(c) -> int:
-        if isinstance(c, int):
+        if isinstance(c, int) and not isinstance(c, bool):
             return c
         if isinstance(c, str):
             return int(c, 10)
@@ -306,7 +306,7 @@ class RatPoly(_BasePoly):
 
     @staticmethod
     def _parse_coeff(c) -> Fraction:
-        if isinstance(c, (int, str)):
+        if isinstance(c, (int, str)) and not isinstance(c, bool):
             return Fraction(c)
         raise ValueError(f"bad rational coefficient {c!r}")
 
@@ -468,7 +468,6 @@ def pochhammer(n: int, step: int = 1) -> IntPoly:
     return IntPoly(coeffs)
 
 
-@functools.lru_cache(maxsize=4096)
 def qbinomial(n: int, k: int, square_base: bool = False) -> IntPoly:
     """Gaussian binomial [n choose k]_q, or the base-q^2 version.
 

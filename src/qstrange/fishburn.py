@@ -15,7 +15,6 @@ no code and are tested against each other.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +30,6 @@ __all__ = [
     "verify_congruence",
     "scan_congruences",
 ]
-
-_LOCK = threading.Lock()
-_XI_CACHE: dict[str, tuple] = {}
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -70,14 +66,9 @@ def xi_coeffs(family, depth: int) -> XiSequence:
     """xi(0..depth), exact, as the 1-q substitution of the exact partial sum."""
     if depth < 0:
         raise InvalidParam("depth must be nonnegative")
-    with _LOCK:
-        have = _XI_CACHE.get(family.label)
-    if have is None or len(have) <= depth:
-        sub = subst_one_minus_q(partial_sum(family, depth).value, depth)
-        have = tuple(sub.coeffs) + (0,) * (depth + 1 - len(sub.coeffs))
-        with _LOCK:
-            _XI_CACHE[family.label] = have
-    return XiSequence(family.label, have[: depth + 1])
+    sub = subst_one_minus_q(partial_sum(family, depth).value, depth)
+    return XiSequence(family.label,
+                      sub.coeffs + (0,) * (depth + 1 - len(sub.coeffs)))
 
 
 # -- modular engine -----------------------------------------------------------
@@ -152,7 +143,8 @@ def _sub_weights_mod(family, depth, mod, pw):
         return out
     if kind == "hikami":
         m, alpha = family.params
-        vals = [np.ones(1, dtype=np.int64)] * (depth + 2 * m + 3)
+        # one value to spare: the alpha level drops its first
+        vals = [np.ones(1, dtype=np.int64)] * (depth + 2)
         for level in range(1, m):
             c0 = 1 if level > alpha else 0
             got = _sub_ladder_mod(vals, c0, len(vals) - 1, 1, pw, depth, mod,
@@ -183,7 +175,7 @@ def _xi_mod(family, depth: int, mod: int) -> list:
     if family.kind == "gk":
         top = 2 * depth + 2
     elif family.kind == "hikami":
-        top = depth + 2 * family.params[0] + 3
+        top = depth + 2
     else:
         top = 0
     pw = _pw_table(depth, mod, top)

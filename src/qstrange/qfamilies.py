@@ -12,19 +12,22 @@ is computed by a column recurrence derived from the Pascal rule
 
     A_c(n) = A_c(n-1) + Q^(n+c) * A_(c+1)(n-1),
 
-where column c+1 carries the weight sequence shifted by one.  Every update
-is a shift-and-add, so the whole table costs O(steps^2) polynomial
-additions and no multiplications.  Tests check the ladder against direct
-tuple enumeration.
+where column c+1 carries the weight sequence shifted by one.  Each rule is
+an endless stream: weight m of a level enters as a new column and moves
+every older column one step along the anti-diagonal, so the first N values
+cost O(N^2) shift-and-adds in total, however the requests grow, and no
+multiplications.  Tests check the ladder against direct tuple enumeration.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 import threading
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 from qstrange.exactpoly import IntPoly, mul_binomial, pochhammer, pochhammer_exponents
 
@@ -51,78 +54,55 @@ class ParseError(ValueError):
 
 # -- the ladder --------------------------------------------------------------
 
-def _ladder_values(weights: Sequence[IntPoly], c0: int, steps: int, base: int,
-                   cap: int | None = None) -> list[IntPoly]:
-    """Values A(n) = sum_t Q^(t^2 + c0*t) * w(t) * [n choose t]_Q for n = 0..steps.
+def _ladder(weights: Iterable[IntPoly], c0: int, base: int,
+            cap: int | None = None) -> Iterator[IntPoly]:
+    """Stream A(n) = sum_t Q^(t^2 + c0*t) * w(t) * [n choose t]_Q for n = 0, 1, ...
 
-    Q = q**base.  Column c (c = c0..c0+steps) holds the ladder of the weight
-    sequence shifted by c-c0; its n=0 value is w(c-c0).  Updating columns in
-    ascending order lets each step read the previous step's neighbor before
-    it is overwritten.  With cap set, all work is truncated above that degree.
+    Q = q**base.  Column i holds the ladder of the weights shifted by i.
+    When w(m) arrives, column m starts at w(m) and every column i < m takes
+    one step, in descending i, by adding column i+1 (already advanced)
+    shifted by Q^(m + c0); after that column 0 is A(m).  With cap set, all
+    work is truncated above that degree.
     """
-    if len(weights) < steps + 1:
-        raise ValueError("need weights up to index steps")
-    cols = [list(weights[i].coeffs) for i in range(steps + 1)]
-    if cap is not None:
-        cols = [c[: cap + 1] for c in cols]
-    out = [IntPoly(cols[0])]
-    for n in range(1, steps + 1):
-        for idx in range(steps - n + 1):
-            src = cols[idx + 1]
-            off = base * (n + c0 + idx)
-            stop = len(src)
-            if cap is not None:
-                stop = min(stop, cap + 1 - off)
-                if stop <= 0:
-                    continue
-            dst = cols[idx]
-            need = off + stop
-            if len(dst) < need:
-                dst.extend([0] * (need - len(dst)))
-            for i in range(stop):
-                v = src[i]
-                if v:
-                    dst[off + i] += v
-        out.append(IntPoly(cols[0]))
-    return out
+    cols = []
+    for m, w in enumerate(weights):
+        cols.append(list(w.coeffs[: cap + 1] if cap is not None else w.coeffs))
+        off = base * (m + c0)
+        stop = None if cap is None else cap + 1 - off
+        if stop is None or stop > 0:
+            for i in range(m - 1, -1, -1):
+                _add_into(cols[i], cols[i + 1][:stop], off)
+        yield IntPoly(cols[0])
 
 
 # -- coefficient-polynomial rules --------------------------------------------
 
-def _weights_kz(params, upper: int, cap: int | None) -> list[IntPoly]:
-    return [IntPoly.one()] * (upper + 1)
+def _weights_kz(params, cap: int | None) -> Iterator[IntPoly]:
+    return repeat(IntPoly.one())
 
 
-def _weights_hikami(params, upper: int, cap: int | None) -> list[IntPoly]:
+def _weights_hikami(params, cap: int | None) -> Iterator[IntPoly]:
     m, alpha = params
-    # levels run with slack so the alpha-level shift (binomial argument +1)
-    # never runs off the end of the previous level's value table
-    vals = [IntPoly.one()] * (upper + 2 * m + 3)
+    vals = repeat(IntPoly.one())
     for level in range(1, m):
-        c0 = 1 if level > alpha else 0
-        got = _ladder_values(vals, c0, len(vals) - 1, 1, cap)
-        vals = got[1:] if level == alpha else got
-    return vals[: upper + 1]
+        vals = _ladder(vals, 1 if level > alpha else 0, 1, cap)
+        if level == alpha:
+            vals = islice(vals, 1, None)
+    return vals
 
 
-def _weights_gk(params, upper: int, cap: int | None) -> list[IntPoly]:
+def _weights_gk(params, cap: int | None) -> Iterator[IntPoly]:
     (k,) = params
-    vals = [IntPoly.one()] * (upper + 1)
+    vals = repeat(IntPoly.one())
     for _ in range(k - 1):
-        vals = _ladder_values(vals, 1, upper, 2, cap)
-    out = []
-    for n, t in enumerate(vals):
-        g = t.shift(n)
-        out.append(g.truncate(cap) if cap is not None else g)
-    return out
+        vals = _ladder(vals, 1, 2, cap)
+    shifted = (t.shift(n) for n, t in enumerate(vals))
+    return shifted if cap is None else (g.truncate(cap) for g in shifted)
 
 
-def _weights_inline(params, upper: int, cap: int | None) -> list[IntPoly]:
-    out = list(params[: upper + 1])
-    out.extend([IntPoly()] * (upper + 1 - len(out)))
-    if cap is not None:
-        out = [p.truncate(cap) for p in out]
-    return out
+def _weights_inline(params, cap: int | None) -> Iterator[IntPoly]:
+    terms = params if cap is None else (p.truncate(cap) for p in params)
+    return chain(terms, repeat(IntPoly()))
 
 
 _RULES = {
@@ -157,14 +137,21 @@ class FamilySpec:
         return self.label
 
     def coefficient_polys(self, upper: int) -> list[IntPoly]:
-        """f_0..f_upper (or g_0..g_upper), exact, cached per label."""
+        """f_0..f_upper (or g_0..g_upper), exact, as a new list; drawn from
+        the family's stream, so a request pays only for values not yet drawn."""
         if upper < 0:
             raise ValueError("upper must be nonnegative")
         with _LOCK:
-            have = _WEIGHT_CACHE.get(self.label)
-            if have is None or len(have) <= upper:
-                have = _RULES[self.kind](self.params, upper, None)
-                _WEIGHT_CACHE[self.label] = have
+            if self.label not in _STREAMS:
+                _STREAMS[self.label] = (_RULES[self.kind](self.params, None), [])
+            stream, have = _STREAMS[self.label]
+            try:
+                while len(have) <= upper:
+                    have.append(next(stream))
+            except BaseException:
+                # a generator that raised is finished; start over next time
+                del _STREAMS[self.label]
+                raise
             return have[: upper + 1]
 
 
@@ -180,10 +167,10 @@ class PartialSum:
         return f"PartialSum({self.family.label!r}, N={self.upper})"
 
 
-# session caches; the lock covers both (coarse but contention-free in practice)
-_LOCK = threading.RLock()
-_WEIGHT_CACHE: dict[str, list[IntPoly]] = {}
-_SUM_CACHE: dict[str, dict[int, IntPoly]] = {}
+# per label: the rule's stream and the prefix drawn from it so far.  The
+# lock is needed because a generator cannot be advanced from two threads.
+_LOCK = threading.Lock()
+_STREAMS: dict[str, tuple[Iterator[IntPoly], list[IntPoly]]] = {}
 
 
 def parse_family(descriptor: str) -> FamilySpec:
@@ -260,11 +247,12 @@ def _step(family: FamilySpec) -> int:
     return 1 if family.kernel == "F" else 2
 
 
-def _add_into(acc: list, coeffs: Sequence) -> list:
-    """acc += coeffs, coefficientwise and in place."""
-    if len(acc) < len(coeffs):
-        acc.extend([0] * (len(coeffs) - len(acc)))
-    acc[: len(coeffs)] = map(operator.add, acc, coeffs)
+def _add_into(acc: list, coeffs: Sequence, off: int = 0) -> list:
+    """acc += q^off * coeffs, coefficientwise and in place."""
+    end = off + len(coeffs)
+    if len(acc) < end:
+        acc.extend([0] * (end - len(acc)))
+    acc[off:end] = map(operator.add, acc[off:end], coeffs)
     return acc
 
 
@@ -275,56 +263,46 @@ def term_poly(family: FamilySpec, n: int) -> IntPoly:
     return family.coefficient_polys(n)[n]
 
 
+def _horner(family: FamilySpec, weights: Sequence[IntPoly],
+            cap: int | None = None) -> IntPoly:
+    """sum_n w_n*K_n over the given weights, K_n the family's kernel.
+
+    Horner's rule over the kernel's binomial factors f_j = 1 - q^e_j,
+    w_0 + f_1*(w_1 + f_2*(w_2 + ...)), makes every step one mul_binomial
+    pass and forms no dense product; with cap set, each step is truncated.
+    """
+    exps = pochhammer_exponents(len(weights) - 1, _step(family))
+    acc = []
+    for n in range(len(weights) - 1, 0, -1):
+        acc = mul_binomial(_add_into(acc, weights[n].coeffs), exps[n - 1])
+        if cap is not None:
+            del acc[cap + 1:]
+    return IntPoly(_add_into(acc, weights[0].coeffs))
+
+
 def partial_sum(family: FamilySpec, upper: int) -> PartialSum:
     """Sum of term_poly(n)*kernel(n) for n = 0..upper, exactly.
 
-    Built on top of the largest cached truncation below upper for the same
-    family; the cache is invisible in results.  With K_n = f_1*...*f_n the
-    kernel and f_j = 1 - q^e_j its binomial factors, the new terms are
-    summed by Horner's rule from the top,
-
-        sum_{n=start+1..upper} w_n*K_n
-            = f_1*...*f_(start+1) * (w_(start+1) + f_(start+2)*(w_(start+2) + ...)),
-
-    so every step is one shift-and-subtract pass (mul_binomial) and no
-    dense product is formed.
+    Memoized per (family, upper); one Horner pass of O(upper) binomial
+    factors, each O(degree).
     """
     if upper < 0:
         raise ValueError("upper must be nonnegative")
-    with _LOCK:
-        per = _SUM_CACHE.setdefault(family.label, {})
-        if upper in per:
-            return PartialSum(family, upper, per[upper])
-        start = max((n for n in per if n < upper), default=-1)
-        weights = family.coefficient_polys(upper)
-        exps = pochhammer_exponents(upper, _step(family))
-        acc = []
-        for n in range(upper, 0, -1):
-            if n > start:
-                acc = _add_into(acc, weights[n].coeffs)
-            acc = mul_binomial(acc, exps[n - 1])
-        if start < 0:
-            value = IntPoly(_add_into(acc, weights[0].coeffs))
-        else:
-            value = per[start] + IntPoly(acc)
-        per[upper] = value
-        return PartialSum(family, upper, value)
+    return PartialSum(family, upper, _partial_sum_value(family, upper))
+
+
+@functools.lru_cache(maxsize=None)
+def _partial_sum_value(family: FamilySpec, upper: int) -> IntPoly:
+    return _horner(family, family.coefficient_polys(upper))
 
 
 def partial_sum_prefix(family: FamilySpec, upper: int, cap: int) -> IntPoly:
-    """partial_sum(family, upper).value truncated at degree cap, computed
-    entirely inside the quotient ring Z[q]/(q^(cap+1)).
+    """partial_sum(family, upper).value truncated at degree cap.
 
-    Exact for the coefficients it returns; the point is that the truncated
-    run never builds the huge high-degree tails of the exact sum.  The
-    same Horner scheme as partial_sum runs from the top term down, with a
-    truncation after each binomial factor.
+    Computed inside Z[q]/(q^(cap+1)), from weights streamed with the same
+    cap, so the huge high-degree tails of the exact sum are never built.
     """
     if upper < 0 or cap < 0:
         raise ValueError("upper and cap must be nonnegative")
-    weights = _RULES[family.kind](family.params, upper, cap)
-    exps = pochhammer_exponents(upper, _step(family))
-    acc = []
-    for n in range(upper, 0, -1):
-        acc = mul_binomial(_add_into(acc, weights[n].coeffs), exps[n - 1])[: cap + 1]
-    return IntPoly(_add_into(acc, weights[0].coeffs))
+    weights = list(islice(_RULES[family.kind](family.params, cap), upper + 1))
+    return _horner(family, weights, cap)

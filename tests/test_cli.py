@@ -410,3 +410,18 @@ def test_identity_check_bad_poly_json_is_usage_error(capsys):
     code, out, err = invoke(capsys, "identity-check", "--s", "2", "--ell", "1",
                             "--poly", "{oops")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("fishburn", "--family", '{"kernel":"F","terms":[{"coeffs":"12"}]}',
+     "--depth", "3"),
+    ("fishburn", "--family",
+     '{"kernel":"F","terms":[{"coeffs":[true,false,2]}]}', "--depth", "3"),
+    ("identity-check", "--s", "2", "--ell", "1", "--poly", '{"coeffs":"123"}'),
+])
+def test_misshapen_poly_json_is_usage_error(capsys, argv):
+    # a coeffs string was read digit by digit and true as 1, with exit 0
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "coeffs" in err or "True" in err

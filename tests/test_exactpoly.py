@@ -431,3 +431,13 @@ class TestJson:
             IntPoly.from_json_obj({"nope": []})
         with pytest.raises(ValueError):
             IntPoly.from_json_obj({"coeffs": [1.5]})
+
+    @pytest.mark.parametrize("cls", [IntPoly, RatPoly])
+    @pytest.mark.parametrize("obj", [
+        {"coeffs": "12"}, {"coeffs": {"0": 1}}, {"coeffs": None},
+        {"coeffs": [True, False, 2]}, {"coeffs": ["1", False]},
+    ])
+    def test_coeffs_must_be_a_list_without_bools(self, cls, obj):
+        # a string used to be read character by character, and true as 1
+        with pytest.raises(ValueError):
+            cls.from_json_obj(obj)

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -104,19 +106,74 @@ class TestTermPoly:
         assert term_poly(f1, 1) == IntPoly((1, 1, 1, 0, 1))
 
     @pytest.mark.parametrize("m,alpha", [(1, 0), (2, 0), (2, 1),
-                                         (3, 0), (3, 1), (3, 2)])
+                                         (3, 0), (3, 1), (3, 2),
+                                         (4, 0), (4, 1), (4, 2), (4, 3)])
     def test_hikami_ladder_matches_enumeration(self, m, alpha):
         f = parse_family(f"hikami:m={m},alpha={alpha}")
         for n in range(7):
             want = helpers.to_poly(helpers.hikami_f_def(m, alpha, n))
             assert term_poly(f, n) == want, (m, alpha, n)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_gk_ladder_matches_enumeration(self, k):
         f = parse_family(f"gk:k={k}")
         for n in range(7):
             want = helpers.to_poly(helpers.gk_g_def(k, n))
             assert term_poly(f, n) == want, (k, n)
+
+    def test_descending_requests_on_a_new_label(self):
+        # the first request fills the stream's prefix; smaller ones slice it
+        f = FamilySpec("G", "gk:k=3 (descending requests)", "gk", (3,))
+        want = [helpers.to_poly(helpers.gk_g_def(3, n)) for n in range(13)]
+        for n in range(12, -1, -1):
+            got = f.coefficient_polys(n)
+            assert got == want[: n + 1], n
+            got.clear()  # each call returns a new list
+        assert f.coefficient_polys(12) == want
+
+    def test_concurrent_callers_on_a_cold_stream(self):
+        # a generator cannot be advanced from two threads at once; without
+        # the lock these callers raised or got wrong prefixes
+        workers = 8
+        f = FamilySpec("G", "gk:k=3 (cold stream, concurrent)", "gk", (3,))
+        want = [helpers.to_poly(helpers.gk_g_def(3, n)) for n in range(13)]
+        barrier = threading.Barrier(workers)
+        got = [None] * workers
+
+        def call(slot):
+            barrier.wait(timeout=60)
+            got[slot] = f.coefficient_polys(12)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(g == want for g in got)
+
+    def test_interrupted_stream_starts_over(self, monkeypatch):
+        # an exception inside a stream (say KeyboardInterrupt) finishes the
+        # generator; later requests for the label must not meet a dead one
+        f = FamilySpec("G", "gk:k=2 (interrupted stream)", "gk", (2,))
+        shift = IntPoly.shift
+
+        def interrupt_at_5(poly, exponent):
+            if exponent == 5:
+                raise KeyboardInterrupt
+            return shift(poly, exponent)
+
+        monkeypatch.setattr(IntPoly, "shift", interrupt_at_5)
+        with pytest.raises(KeyboardInterrupt):
+            f.coefficient_polys(8)
+        monkeypatch.undo()
+        want = [helpers.to_poly(helpers.gk_g_def(2, n)) for n in range(9)]
+        assert f.coefficient_polys(8) == want
 
     def test_hikami_m1_equals_kz(self):
         f = parse_family("hikami:m=1,alpha=0")
@@ -191,7 +248,7 @@ class TestPrefix:
     @pytest.mark.parametrize("label,upper,cap", [
         ("kz", 20, 12), ("gk:k=1", 20, 15), ("gk:k=2", 14, 10),
         ("gk:k=3", 12, 16), ("hikami:m=2,alpha=0", 12, 9),
-        ("hikami:m=2,alpha=1", 10, 11),
+        ("hikami:m=2,alpha=1", 10, 11), ("hikami:m=3,alpha=1", 10, 8),
     ])
     def test_matches_exact(self, label, upper, cap):
         f = parse_family(label)

@@ -271,7 +271,9 @@ class IntPoly(_BasePoly):
 
     @staticmethod
     def _coerce(c) -> int:
-        if isinstance(c, int):
+        if type(c) is int:  # the hot path; False and True fail it
+            return c
+        if isinstance(c, int) and not isinstance(c, bool):
             return c
         if isinstance(c, Fraction):
             if c.denominator != 1:
@@ -300,7 +302,7 @@ class RatPoly(_BasePoly):
     def _coerce(c) -> Fraction:
         if isinstance(c, Fraction):
             return c
-        if isinstance(c, int):
+        if isinstance(c, int) and not isinstance(c, bool):
             return Fraction(c)
         raise TypeError(f"cannot use {type(c).__name__} as a rational coefficient")
 

@@ -8,9 +8,13 @@ once N = D terms are summed.  ``xi_coeffs`` computes them exactly that way.
 Congruence scanning wants depths in the hundreds, where exact integer
 coefficients are enormous and pointless.  A second engine therefore works
 modulo m from the start and entirely in the substituted domain: the shift
-q**e becomes multiplication by (1-x)**e, every product is a truncated
-int64 convolution, and the family ladders are replayed with per-column
-precision that shrinks as terms acquire valuation.  The two engines share
+q**e becomes multiplication by (1-x)**e, and the family ladders are replayed
+with a precision that shrinks as terms acquire valuation.  Residues are
+int64 in [0, m); every product of residues is taken in float64 (a truncated
+convolution, or one matrix product per ladder step), which BLAS does fast,
+and reduced back in int64.  While (m-1)**2 * (depth+1) < 2**53 every such
+product and partial sum is an integer below 2**53, so it is exact in any
+summation order; larger moduli take the exact road.  The two engines share
 no code and are tested against each other.
 """
 
@@ -18,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exactpoly import subst_one_minus_q
 from .qfamilies import InvalidParam, partial_sum
@@ -32,6 +37,11 @@ __all__ = [
 ]
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+
+# The modular engine refuses, before it allocates anything, a request whose
+# tables would take more bytes than this (256 MiB: up to depth 2363 for
+# gk:k>=2, 2588 for hikami:m>=2 and 5791 for gk:k=1).
+MAX_TABLE_BYTES = 2 ** 28
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,9 +84,11 @@ def xi_coeffs(family, depth: int) -> XiSequence:
 # -- modular engine -----------------------------------------------------------
 
 def _conv_trunc(a, b, prec: int, mod: int):
+    """(a * b) mod (x**prec, mod) for residue arrays, multiplied in float64."""
     if prec <= 0 or a.size == 0 or b.size == 0:
         return _EMPTY
-    return np.convolve(a, b)[:prec] % mod
+    full = np.convolve(a[:prec].astype(np.float64), b[:prec].astype(np.float64))
+    return full[:prec].astype(np.int64) % mod
 
 
 def _pw_table(depth: int, mod: int, top: int):
@@ -93,35 +105,57 @@ def _pw_table(depth: int, mod: int, top: int):
 def _sub_ladder_mod(weights, c0, steps, base, pw, depth, mod, shrink):
     """The qfamilies column ladder, replayed mod (x**prec, mod).
 
-    A shift by q**off in the exact ladder is multiplication by (1-x)**off
-    here.  With shrink set, column idx at step n is only ever needed mod
-    x**(depth+2-c0-idx-n); the bound telescopes across chained ladders, so
+    A shift by q**off in the exact ladder is multiplication by P**off here,
+    P = (1-x)**base.  Column c is stored times the unit P**(c(c-1)/2), which
+    turns the Pascal step A_c += P**(n+c0+c) * A_(c+1) into
+    B_c += P**(n+c0) * B_(c+1): one kernel for every column, so each step
+    is a single float64 product of the column block with that kernel's
+    Toeplitz matrix.  Column 0 is unscaled, so the outputs are the ladder's.
+    With shrink set, column c at step n is only ever needed mod
+    x**(depth+2-c0-c-n); the bound telescopes across chained ladders, so
     outputs leave with exactly the precision the next consumer requires.
+    Each step keeps column 0's precision for the whole block; the extra
+    coefficients of the higher columns are never read back into column 0's.
     """
-    def lim(idx, n):
-        if shrink:
-            return max(0, depth + 2 - c0 - idx - n)
-        return depth + 1
+    width = depth + 2 - c0 if shrink else depth + 1
 
-    cols = []
-    for i in range(steps + 1):
-        w = weights[i][: lim(i, 0)]
-        col = np.zeros(lim(i, 0), dtype=np.int64)
-        col[: w.size] = w % mod
-        cols.append(col)
-    out = [cols[0][: lim(0, 0)].copy()]
+    def lim(n):
+        return max(0, width - n) if shrink else width
+
+    cols = np.zeros((steps + 1, width), dtype=np.int64)
+    unit = np.ones(1, dtype=np.int64)
+    for c in range(steps + 1):
+        if c > 1:
+            unit = _conv_trunc(unit, pw[base * (c - 1)], lim(c), mod)
+        col = _conv_trunc(unit, weights[c][: lim(c)] % mod, lim(c), mod)
+        cols[c, : col.size] = col
+    out = [cols[0, : lim(0)].copy()]
+    # buffers shared by every step, so that no step allocates its own block;
+    # toeplitz[i, j] = padded[width-1 + j - i], zero below the diagonal
+    padded = np.zeros(2 * width - 1)
+    toeplitz = sliding_window_view(padded, width)[::-1]
+    kernel = np.empty((width, width))
+    block = np.empty(steps * width)
+    prod = np.empty_like(block)
     for n in range(1, steps + 1):
-        for idx in range(steps - n + 1):
-            bound = lim(idx, n)
-            if bound <= 0:
-                continue
-            off = base * (n + c0 + idx)
-            src = cols[idx + 1][: lim(idx + 1, n - 1)]
-            add = _conv_trunc(pw[off][: min(off + 1, bound)], src, bound, mod)
-            if add.size:
-                dst = cols[idx]
-                dst[: add.size] = (dst[: add.size] + add) % mod
-        out.append(cols[0][: lim(0, n)].copy())
+        size, rows = lim(n), steps - n + 1
+        if size > 0:
+            # row @ kernel is row * P**(n+c0) mod x**size
+            padded[width - 1: width - 1 + size] = pw[base * (n + c0)][:size]
+            kernel[:size, :size] = toeplitz[:size, :size]
+            b = block[: rows * size].reshape(rows, size)
+            b[...] = cols[1: rows + 1, :size]
+            add = np.matmul(b, kernel[:size, :size],
+                            out=prod[: rows * size].reshape(rows, size))
+            # the float buffers are spent; their memory takes int64 values.
+            # floor_divide by a scalar is several times faster than remainder
+            b, quo = b.view(np.int64), add.view(np.int64)
+            np.copyto(b, add, casting="unsafe")
+            b += cols[:rows, :size]
+            np.floor_divide(b, mod, out=quo)
+            quo *= mod
+            np.subtract(b, quo, out=cols[:rows, :size])
+        out.append(cols[0, :size].copy())
     return out
 
 
@@ -162,22 +196,45 @@ def _sub_weights_mod(family, depth, mod, pw):
     return out
 
 
+def _table_plan(family, depth: int):
+    """(last row of the (1-x)**e table, bytes of the engine's tables).
+
+    The bytes count that table and, for laddered families, one ladder's
+    column block with its two step buffers and Toeplitz kernel.
+    """
+    n = depth + 1
+    top = laddered = 0
+    if family.kind == "gk" and family.params[0] > 1:
+        top, laddered = 2 * depth + 2, True
+    elif family.kind == "gk":
+        top = depth
+    elif family.kind == "hikami" and family.params[0] > 1:
+        top, laddered = depth + 2, True
+    ladder = 4 * (n + 1) * n if laddered else 0
+    return top, 8 * ((top + 1) * n + ladder)
+
+
 def _xi_mod(family, depth: int, mod: int) -> list:
-    """xi(0..depth) reduced mod ``mod``; int64 fast path with exact fallback."""
+    """xi(0..depth) reduced mod ``mod``.
+
+    The fast path needs (mod-1)**2 * (depth+1) < 2**53, so that its float64
+    products are exact; above that the exact coefficients are reduced.
+    Either way, a depth whose tables would pass MAX_TABLE_BYTES is refused
+    with InvalidParam before anything is computed.
+    """
     if depth < 0:
         raise InvalidParam("depth must be nonnegative")
     if mod < 2:
         raise InvalidParam("modulus must be at least 2")
-    if (mod - 1) ** 2 * (depth + 1) >= 2 ** 62:
-        # convolutions could overflow int64; take the slow exact road
+    top, size = _table_plan(family, depth)
+    if size > MAX_TABLE_BYTES:
+        raise InvalidParam(
+            f"{family.label} at depth {depth} needs about {size >> 20} MiB of "
+            f"modular tables; the limit is {MAX_TABLE_BYTES >> 20} MiB")
+    if (mod - 1) ** 2 * (depth + 1) >= 2 ** 53:
+        # float64 products could round; take the slow exact road
         return [c % mod for c in xi_coeffs(family, depth).coeffs]
     step = 1 if family.kernel == "F" else 2
-    if family.kind == "gk":
-        top = 2 * depth + 2
-    elif family.kind == "hikami":
-        top = depth + 2
-    else:
-        top = 0
     pw = _pw_table(depth, mod, top)
     wsub = _sub_weights_mod(family, depth, mod, pw)
     total = np.zeros(depth + 1, dtype=np.int64)

@@ -379,6 +379,20 @@ def test_scan_composite_p_is_usage_error(capsys):
     assert code == 2
 
 
+def test_scan_depth_over_table_limit_is_usage_error(capsys, monkeypatch):
+    import qstrange.fishburn as fb
+
+    def never(*args):
+        raise AssertionError("the (1-x)**e table was built")
+
+    monkeypatch.setattr(fb, "_pw_table", never)
+    code, out, err = invoke(capsys, "scan", "--family", "gk:k=2", "--p", "7",
+                            "--depth", "1000000")
+    assert code == 2
+    assert out == ""
+    assert "MiB" in err
+
+
 # ---------------------------------------------------------------- carray
 
 def test_carray_row(capsys):

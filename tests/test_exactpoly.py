@@ -54,6 +54,16 @@ class TestBasics:
             IntPoly((Fraction(1, 2),))
         assert IntPoly((Fraction(4, 2),)).coeffs == (2,)
 
+    @pytest.mark.parametrize("cls", [IntPoly, RatPoly])
+    def test_bool_coefficients_refused(self, cls):
+        # IntPoly used to keep True as a coefficient and write it as "True"
+        for coeffs in ([True, 2], [1, False], [True]):
+            with pytest.raises(TypeError):
+                cls(coeffs)
+        p = cls([1, 2])
+        assert p.to_json_obj() == {"coeffs": ["1", "2"]}
+        assert cls.from_json_obj(p.to_json_obj()) == p
+
     def test_monomial(self):
         assert IntPoly.monomial(3).coeffs == (0, 0, 0, 1)
         assert IntPoly.monomial(0, -2).coeffs == (-2,)

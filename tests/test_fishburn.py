@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -95,10 +96,45 @@ class TestModularEngine:
             assert _xi_mod(fam, depth, mod) == [c % mod for c in exact]
 
     def test_overflow_fallback(self):
-        # (mod-1)^2*(depth+1) over 2^62 forces the exact route
+        # (mod-1)^2*(depth+1) at or over 2^53 forces the exact route
         mod = 2 ** 31
         exact = xi_coeffs(KZ, 6).coeffs
         assert _xi_mod(KZ, 6, mod) == [c % mod for c in exact]
+
+    @pytest.mark.parametrize("label", ["gk:k=2", "hikami:m=3,alpha=1"])
+    def test_float_guard_edge(self, label, monkeypatch):
+        import qstrange.fishburn as fb
+        fam, depth = parse_family(label), 40
+        # the largest modulus whose float64 products stay below 2^53
+        top = math.isqrt((2 ** 53 - 1) // (depth + 1)) + 1
+        assert (top - 1) ** 2 * (depth + 1) < 2 ** 53 <= top ** 2 * (depth + 1)
+        exact = xi_coeffs(fam, depth).coeffs
+        calls = []
+        monkeypatch.setattr(fb, "xi_coeffs",
+                            lambda f, d: calls.append(d) or xi_coeffs(f, d))
+        for mod, exact_road in ((top, False), (top + 1, True)):
+            calls.clear()
+            assert _xi_mod(fam, depth, mod) == [c % mod for c in exact]
+            assert bool(calls) == exact_road
+
+    def test_table_limit(self, monkeypatch):
+        import qstrange.fishburn as fb
+        # every depth the tests and the benchmark use stays within the limit
+        for label in ("gk:k=4", "hikami:m=4,alpha=1", "kz"):
+            assert fb._table_plan(parse_family(label), 676)[1] \
+                <= fb.MAX_TABLE_BYTES
+
+        def never(*args):
+            raise AssertionError("a road was taken")
+
+        monkeypatch.setattr(fb, "_pw_table", never)
+        monkeypatch.setattr(fb, "xi_coeffs", never)
+        for label in ("gk:k=2", "gk:k=1", "hikami:m=2,alpha=1"):
+            with pytest.raises(InvalidParam):
+                _xi_mod(parse_family(label), 10 ** 6, 7)
+        # above the float guard too: the exact road is refused as well
+        with pytest.raises(InvalidParam):
+            _xi_mod(GK2, 10 ** 6, 2 ** 31)
 
     def test_bad_params(self):
         with pytest.raises(InvalidParam):

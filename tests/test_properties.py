@@ -6,16 +6,18 @@ stays reproducible; no example database is written.
 
 import json
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qstrange.cyclofield import CycloNum
 from qstrange.dissection import dissect
-from qstrange.exactpoly import IntPoly, NotDivisible, exact_div
-from qstrange.fishburn import _xi_mod, xi_coeffs
-from qstrange.qfamilies import parse_family
+from qstrange.exactpoly import IntPoly, NotDivisible, exact_div, subst_one_minus_q
+from qstrange.fishburn import _pw_table, _sub_ladder_mod, _xi_mod, xi_coeffs
+from qstrange.qfamilies import _ladder, parse_family
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=150)
@@ -78,6 +80,32 @@ inline_families = st.builds(
        st.sampled_from([2, 3, 5, 7, 11, 13, 4, 8, 9, 25, 27, 49]))
 def test_modular_engine_matches_exact(fam, depth, m):
     assert _xi_mod(fam, depth, m) == [c % m for c in xi_coeffs(fam, depth).coeffs]
+
+
+@PROPERTY
+@given(st.integers(0, 20).flatmap(lambda depth: st.tuples(
+           st.just(depth),
+           st.lists(polys, min_size=1, max_size=depth + 2))),
+       st.sampled_from([0, 1]), st.sampled_from([1, 2]), st.booleans(),
+       st.sampled_from([2, 3, 5, 7, 4, 8, 9, 25, 27]))
+def test_modular_ladder_matches_exact(depth_weights, c0, base, shrink, m):
+    depth, weights = depth_weights
+    steps = len(weights) - 1
+    width = depth + 2 - c0 if shrink else depth + 1
+
+    def residues(p, size):
+        sub = subst_one_minus_q(p, max(size - 1, 0)).coeffs[:size]
+        return np.array([c % m for c in sub] + [0] * (size - len(sub)),
+                        dtype=np.int64)
+
+    pw = _pw_table(depth, m, base * (steps + c0))
+    got = _sub_ladder_mod([residues(w, width) for w in weights], c0, steps,
+                          base, pw, depth, m, shrink)
+    exact = islice(_ladder(iter(weights), c0, base), steps + 1)
+    assert len(got) == steps + 1
+    for n, (a, want) in enumerate(zip(got, exact)):
+        size = max(0, width - n) if shrink else width
+        assert a.tolist() == residues(want, size).tolist()
 
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)

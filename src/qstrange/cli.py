@@ -180,10 +180,30 @@ def cmd_carray(args) -> int:
     return 0
 
 
+# Largest accepted identity_check_work: about 6 s on a 2-vCPU Xeon VM.
+MAX_IDENTITY_WORK = 10 ** 6
+
+
+def identity_check_work(count: int, max_degree: int, s: int) -> int:
+    """Work estimate for identity-check: the root-of-unity filter makes s*s
+    cyclotomic steps per coefficient of every polynomial."""
+    return count * (max_degree + 1) * s * s
+
+
 def cmd_identity_check(args) -> int:
+    if args.count < 1:
+        raise InvalidParam(f"--count must be positive, got {args.count}")
+    if args.max_degree < 0:
+        raise InvalidParam(f"--max-degree must be nonnegative, got {args.max_degree}")
     if args.poly is not None:
         polys = [IntPoly.from_json_obj(json.loads(args.poly))]
+        work = identity_check_work(1, polys[0].degree, args.s)
     else:
+        work = identity_check_work(args.count, args.max_degree, args.s)
+    if work > MAX_IDENTITY_WORK:
+        raise InvalidParam(f"identity-check work {work} is over "
+                           f"MAX_IDENTITY_WORK = {MAX_IDENTITY_WORK}")
+    if args.poly is None:
         rng = random.Random(args.seed)
         polys = [IntPoly(tuple(rng.randint(-9, 9)
                                for _ in range(rng.randint(0, args.max_degree))))

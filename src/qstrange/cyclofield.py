@@ -1,14 +1,25 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_k).
 
 An element is stored as its canonical residue mod the k-th cyclotomic
-polynomial: a rational polynomial in zeta of degree below phi(k).  All
-operations stay exact; the only numeric hook is embed(), which maps an
-element to an arbitrary-precision complex number for cross-checking.
+polynomial Phi_k, written as integer coordinates over one denominator:
+
+    x = (num[0] + num[1]*zeta + ... + num[d-1]*zeta**(d-1)) / den,
+
+with d at most phi(k) = deg Phi_k, trailing zeros stripped, den > 0 and
+the whole in lowest terms, so equal elements have equal fields.  Products
+fold exponents with zeta**k = 1 and reduce with a per-k table of zeta**e
+mod Phi_k for e < k; Phi_k is monic, so the table rows are integers.  Only
+ints (never bools) and Fractions are accepted as rationals: a float is
+refused rather than turned into a binary fraction.  All operations stay
+exact; the only numeric hook is embed(), which maps an element to an
+arbitrary-precision complex number for cross-checking.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from qstrange.exactpoly import RatPoly, cyclotomic
@@ -21,101 +32,192 @@ class ConductorMismatch(ValueError):
 
 
 @functools.lru_cache(maxsize=None)
-def _phi_rat(k: int) -> RatPoly:
-    return cyclotomic(k).to_rat()
+def _powers(k: int) -> tuple:
+    """Rows zeta**e mod Phi_k, e = 0 .. k-1, each phi(k) integers long."""
+    phi = cyclotomic(k).coeffs
+    d = len(phi) - 1
+    row = [1] + [0] * (d - 1)
+    rows = []
+    for _ in range(k):
+        rows.append(tuple(row))
+        carry = row[-1]
+        row = [0] + row[:-1]
+        if carry:
+            row = [r - carry * c for r, c in zip(row, phi)]
+    return tuple(rows)
 
 
-def _reduce(k: int, rep: RatPoly) -> RatPoly:
-    phi = _phi_rat(k)
-    if rep.degree < phi.degree:
-        return rep
-    _, r = rep.divmod_by(phi)
-    return r
+def _fold(k: int, coeffs: list) -> list:
+    """Integer coordinates of sum coeffs[e] * zeta**e, any length."""
+    rows = _powers(k)
+    d = len(rows[0])
+    if len(coeffs) <= d:
+        return coeffs
+    out = coeffs[:d]
+    for e in range(d, len(coeffs)):
+        c = coeffs[e]
+        if c:
+            out = [o + c * r for o, r in zip(out, rows[e % k])]
+    return out
 
 
+def _exact(x):
+    """x when it is an int (not a bool) or a Fraction; TypeError otherwise."""
+    if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
+        return x
+    raise TypeError(f"cannot use {type(x).__name__} {x!r} as an exact rational")
+
+
+def _normal(num: list, den: int) -> tuple:
+    """(numerators, denominator) stripped, with den > 0, in lowest terms."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return (), 1
+    if den < 0:
+        num, den = [-c for c in num], -den
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+    return tuple(num), den
+
+
+_set = object.__setattr__
+
+
+def _new(k: int, num: list, den: int) -> "CycloNum":
+    """Element from integer coordinates already reduced mod Phi_k."""
+    num, den = _normal(num, den)
+    x = object.__new__(CycloNum)
+    _set(x, "k", k)
+    _set(x, "num", num)
+    _set(x, "den", den)
+    return x
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class CycloNum:
-    """One element of Q(zeta_k), zeta_k = exp(2*pi*i/k)."""
+    """One element of Q(zeta_k), zeta_k = exp(2*pi*i/k).
 
-    __slots__ = ("k", "rep")
+    CycloNum(k, coeffs, den=1) is (sum coeffs[e] * zeta**e) / den for any
+    exact rational coeffs (a sequence or a RatPoly) of any length and a
+    nonzero int den; the fields hold the reduced integer form.
+    """
 
     k: int
-    rep: RatPoly
+    num: tuple
+    den: int = 1
 
-    def __init__(self, k: int, rep):
+    def __post_init__(self):
+        k = self.k
         if k < 1:
             raise ValueError("k must be positive")
-        if not isinstance(rep, RatPoly):
-            rep = RatPoly(rep)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "rep", _reduce(k, rep))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycloNum is immutable")
+        den = _exact(self.den)
+        if not isinstance(den, int) or not den:
+            raise ValueError(f"denominator must be a nonzero integer, got {den!r}")
+        coeffs = self.num.coeffs if isinstance(self.num, RatPoly) else self.num
+        values = [_exact(c) for c in coeffs]
+        common = math.lcm(*(c.denominator for c in values))
+        ints = [c.numerator * (common // c.denominator) for c in values]
+        num, den = _normal(_fold(k, ints), den * common)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @classmethod
     def rational(cls, k: int, x) -> "CycloNum":
-        return cls(k, (Fraction(x),))
+        x = _exact(x)
+        return cls(k, (x.numerator,), x.denominator)
 
     @classmethod
     def zeta(cls, k: int, power: int = 1) -> "CycloNum":
         """zeta_k**power, any integer power."""
-        return cls(k, RatPoly.monomial(power % k))
+        if k < 1:
+            raise ValueError("k must be positive")
+        return _new(k, list(_powers(k)[power % k]), 1)
+
+    @property
+    def rep(self) -> RatPoly:
+        """The element as a rational polynomial in zeta of degree below phi(k)."""
+        den = self.den
+        return RatPoly([Fraction(c, den) for c in self.num])
 
     # -- predicates ----------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.rep)
+        return bool(self.num)
 
     def is_rational(self) -> bool:
-        return self.rep.degree <= 0
+        return len(self.num) <= 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.rep[0]
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycloNum):
             if isinstance(other, (int, Fraction)):
                 return self.is_rational() and self.as_fraction() == other
             return NotImplemented
-        if self.k != other.k:
+        if self.k != other.k and not (self.is_rational() and other.is_rational()):
             raise ConductorMismatch(f"fields Q(zeta_{self.k}) and Q(zeta_{other.k})")
-        return self.rep == other.rep
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.k, self.rep))
+        # a rational element equals its Fraction (in any field), so it hashes as one
+        if self.is_rational():
+            return hash(self.as_fraction())
+        return hash((self.k, self.num, self.den))
 
     # -- arithmetic ----------------------------------------------------------
 
     def _match(self, other) -> "CycloNum":
-        if isinstance(other, (int, Fraction)):
-            return CycloNum.rational(self.k, other)
-        if not isinstance(other, CycloNum):
-            raise TypeError(f"cannot combine CycloNum with {type(other).__name__}")
-        if other.k != self.k:
-            raise ConductorMismatch(f"fields Q(zeta_{self.k}) and Q(zeta_{other.k})")
-        return other
+        if isinstance(other, CycloNum):
+            if other.k != self.k:
+                raise ConductorMismatch(
+                    f"fields Q(zeta_{self.k}) and Q(zeta_{other.k})")
+            return other
+        x = _exact(other)
+        return _new(self.k, [x.numerator], x.denominator)
+
+    def _combine(self, other: "CycloNum", sign: int) -> "CycloNum":
+        a, b = self.num, other.num
+        da, db = self.den, other.den
+        if da != db:
+            a = [c * db for c in a]
+            b = [c * da for c in b]
+            da *= db
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] += sign * c
+        return _new(self.k, out, da)
 
     def __add__(self, other):
-        other = self._match(other)
-        return CycloNum(self.k, self.rep + other.rep)
+        return self._combine(self._match(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._match(other)
-        return CycloNum(self.k, self.rep - other.rep)
+        return self._combine(self._match(other), -1)
 
     def __rsub__(self, other):
         return self._match(other) - self
 
     def __neg__(self):
-        return CycloNum(self.k, -self.rep)
+        return _new(self.k, [-c for c in self.num], self.den)
 
     def __mul__(self, other):
         other = self._match(other)
-        return CycloNum(self.k, self.rep * other.rep)
+        a, b = self.num, other.num
+        if not a or not b:
+            return _new(self.k, [], 1)
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        return _new(self.k, _fold(self.k, prod), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -132,13 +234,18 @@ class CycloNum:
         return result
 
     def scale(self, c) -> "CycloNum":
-        return CycloNum(self.k, self.rep.scale(Fraction(c)))
+        c = _exact(c)
+        p = c.numerator
+        return _new(self.k, [x * p for x in self.num], self.den * c.denominator)
 
     def lift(self, m: int) -> "CycloNum":
         """Reinterpret in the larger field Q(zeta_m); requires k | m."""
         if m % self.k:
             raise ConductorMismatch(f"{self.k} does not divide {m}")
-        return CycloNum(m, self.rep.dilate(m // self.k) if self.rep else self.rep)
+        step = m // self.k
+        spread = [0] * (step * len(self.num))
+        spread[::step] = self.num
+        return CycloNum(m, spread, self.den)
 
     # -- output --------------------------------------------------------------
 
@@ -148,12 +255,12 @@ class CycloNum:
 
         with mpmath.workprec(prec_bits):
             total = mpmath.mpc(0)
-            for e, c in enumerate(self.rep.coeffs):
+            for e, c in enumerate(self.num):
                 if not c:
                     continue
                 w = mpmath.expjpi(mpmath.mpf(2 * e) / self.k)
-                total += w * mpmath.mpf(c.numerator) / c.denominator
-            return total
+                total += w * mpmath.mpf(c)
+            return total / self.den
 
     def __repr__(self) -> str:
         return f"CycloNum(k={self.k}, {self.rep.coeffs})"
@@ -164,8 +271,8 @@ class CycloNum:
 
 def eval_at_root(p, k: int, power: int = 1) -> CycloNum:
     """Value of a polynomial at q = zeta_k**power, folding exponents mod k first."""
-    folded = [Fraction(0)] * k
+    folded = [0] * k
     for e, c in enumerate(p.coeffs):
         if c:
-            folded[(e * power) % k] += Fraction(c)
+            folded[(e * power) % k] += c
     return CycloNum(k, folded)

@@ -8,7 +8,12 @@ the mean-zero condition, builds the twisted sequences C(n) = zeta^((n^2-a)/b)
 * chi(n) at a root of unity, computes L(-n, C) exactly through Bernoulli
 sums, and assembles the asymptotic expansion coefficients gamma_n(zeta).
 
-Everything is exact: values are Fractions, twisted entries are CycloNum.
+Everything is exact: character values are Fractions (only ints, Fractions
+and exact strings are accepted), twisted entries are CycloNum.  A twisted
+sequence also keeps its entries as integer coordinates over one common
+denominator, so L(-n, C) is one integer Horner pass of B_{n+1} per nonzero
+entry and a single division.  L-value and gamma requests whose work estimate
+exceeds MAX_L_WORK are refused with InvalidParam before any arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +40,10 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "l_value",
+    "l_value_work",
     "gamma_coeff",
+    "gamma_work",
+    "MAX_L_WORK",
     "theta_truncated",
 ]
 
@@ -52,12 +60,24 @@ class MeanValueNonzero(CharacterInvalid):
     """The (twisted) mean over one period is not zero."""
 
 
+def _exact_value(v) -> Fraction:
+    """A character value as a Fraction; only ints, Fractions and strings such
+    as "-1/2" are exact, so a float or bool is refused, never rounded."""
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction, str)):
+        raise CharacterInvalid(f"character value {v!r} is not an exact rational")
+    try:
+        return Fraction(v)
+    except ValueError as exc:
+        raise CharacterInvalid(f"character value {v!r}: {exc}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class Character:
     """Periodic rational character with quadratic exponent data (a, b, nu).
 
-    values, a {residue: value} dict or one full period, is stored as a tuple
-    of Fractions.  Equality and hashing compare every field but the label.
+    values, a {residue: value} dict or one full period of ints, Fractions or
+    exact strings, is stored as a tuple of Fractions.  Equality and hashing
+    compare every field but the label.
     """
 
     a: int
@@ -83,9 +103,9 @@ class Character:
                 n = int(key)
                 if not 0 <= n < period:
                     raise CharacterInvalid(f"residue {n} outside 0..{period - 1}")
-                table[n] = Fraction(val)
+                table[n] = _exact_value(val)
         else:
-            table = [Fraction(v) for v in self.values]
+            table = [_exact_value(v) for v in self.values]
             if len(table) != period:
                 raise CharacterInvalid("values length must equal the period")
         object.__setattr__(self, "values", tuple(table))
@@ -202,6 +222,8 @@ def get_character(name: str) -> Character:
 class TwistedSeq:
     """C(n) = zeta^((n^2-a)/b) * chi(n) tabulated over one full period.
 
+    rows and den are derived from table: C(m) = row_m / den in integer
+    coordinates over Q(zeta_k), for the m in 1..period with C(m) != 0.
     Equality is identity; twisted_sequence shares one instance per (chi, k, j mod k).
     """
 
@@ -210,17 +232,29 @@ class TwistedSeq:
     j: int
     period: int
     table: tuple
+    rows: tuple = field(init=False, repr=False)
+    den: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.table) != self.period:
             raise ValueError("table length must equal the period")
-        total = CycloNum.rational(self.k, 0)
-        for entry in self.table:
-            total = total + entry
-        if total:
+        if not all(isinstance(x, CycloNum) and x.k == self.k for x in self.table):
+            raise ValueError(f"table entries must lie in Q(zeta_{self.k})")
+        den = math.lcm(*(x.den for x in self.table))
+        width = max((len(x.num) for x in self.table), default=0)
+        rows = []
+        for m in range(1, self.period + 1):
+            x = self.table[m % self.period]
+            if x:
+                scale = den // x.den
+                coords = [c * scale for c in x.num]
+                rows.append((m, tuple(coords + [0] * (width - len(coords)))))
+        if any(map(sum, zip(*(row for _, row in rows)))):
             raise MeanValueNonzero(
                 f"twisted mean of {self.character.label} at "
                 f"zeta_{self.k}^{self.j} is nonzero")
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "den", den)
 
     def entry(self, n: int) -> CycloNum:
         return self.table[n % self.period]
@@ -263,6 +297,34 @@ def _twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
 
 # -- Bernoulli machinery --------------------------------------------------------
 
+# Largest accepted l_value_work / gamma_work.  An L-value of order 570 at
+# period 24 is just under it and takes about 2 s on a 2-vCPU Xeon VM.
+MAX_L_WORK = 2 * 10 ** 8
+
+
+def l_value_work(n: int, P: int) -> int:
+    """Work estimate for l_value(seq, n) at period P, from n and P alone.
+
+    The Bernoulli recursion for B_0..B_{n+1} takes about (n+2)^2 steps and
+    the P Horner passes n+2 steps each; every step is weighted by n+2, since
+    the integers' bit length grows with the order.
+    """
+    return (n + 2) ** 2 * (n + 2 + P)
+
+
+def gamma_work(char: Character, k: int, n: int) -> int:
+    """Work estimate for gamma_coeff(char, k, j, n): n+1 L-values of order
+    at most 2n+nu at the twisted period, sharing one Bernoulli recursion."""
+    top = 2 * n + char.nu + 2
+    P = math.lcm(char.period, char.b * k)
+    return top ** 2 * (top + (n + 1) * P)
+
+
+def _check_work(work: int, what: str):
+    if work > MAX_L_WORK:
+        raise InvalidParam(f"{what} is over the work limit MAX_L_WORK = {MAX_L_WORK}")
+
+
 @functools.lru_cache(maxsize=None)
 def bernoulli_number(m: int) -> Fraction:
     """Bernoulli number B_m with B_1 = -1/2."""
@@ -286,17 +348,35 @@ def bernoulli_poly(n: int) -> RatPoly:
 
 
 def l_value(seq: TwistedSeq, n: int) -> CycloNum:
-    """L(-n, C) = (-P^n/(n+1)) * sum_{m=1}^{P} C(m) B_{n+1}(m/P), exactly."""
+    """L(-n, C) = (-P^n/(n+1)) * sum_{m=1}^{P} C(m) B_{n+1}(m/P), exactly.
+
+    Computed in integers: with C(m) = row_m/D (seq.rows, seq.den) and
+    B_{n+1}(x) = sum_e b_e x^e / d for integers b_e,
+
+        L(-n, C) = -sum_m row_m * H(m) / (d * D * (n+1) * P),
+        H(m) = sum_e b_e m^e P^(n+1-e),
+
+    one integer Horner pass per nonzero row and one division at the end.
+    Refused with InvalidParam when l_value_work(n, P) exceeds MAX_L_WORK.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     P = seq.period
-    bp = bernoulli_poly(n + 1)
-    total = CycloNum.rational(seq.k, 0)
-    for m in range(1, P + 1):
-        c = seq.entry(m)
-        if c:
-            total = total + c.scale(bp.evaluate(Fraction(m, P)))
-    return total.scale(Fraction(-(P ** n), n + 1))
+    _check_work(l_value_work(n, P), f"L(-{n}, C) at period {P}")
+    beta = bernoulli_poly(n + 1).coeffs
+    d = math.lcm(*(c.denominator for c in beta))
+    horner, power = [], 1
+    for c in reversed(beta):
+        horner.append(c.numerator * (d // c.denominator) * power)
+        power *= P
+    acc = [0] * len(seq.rows[0][1]) if seq.rows else []
+    for m, row in seq.rows:
+        h = 0
+        for c in horner:
+            h = h * m + c
+        for i, r in enumerate(row):
+            acc[i] -= r * h
+    return CycloNum(seq.k, acc, d * seq.den * (n + 1) * P)
 
 
 def gamma_coeff(char: Character, k: int, j: int, n: int) -> CycloNum:
@@ -304,9 +384,11 @@ def gamma_coeff(char: Character, k: int, j: int, n: int) -> CycloNum:
 
     Cauchy product of the exp(a*t/b) prefactor series with the L-value
     expansion: gamma_n = sum_r (a/b)^(n-r)/(n-r)! * (-1)^r/(b^r r!) * L(-2r-nu, C).
+    Refused with InvalidParam when gamma_work(char, k, n) exceeds MAX_L_WORK.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_work(gamma_work(char, k, n), f"gamma_{n} at zeta_{k}")
     seq = twisted_sequence(char, k, j)
     a, b, nu = char.a, char.b, char.nu
     total = CycloNum.rational(k, 0)

@@ -26,8 +26,13 @@ from fractions import Fraction
 
 from .cyclofield import CycloNum, eval_at_root
 from .exactpoly import theta_deriv
-from .partialtheta import gamma_coeff, validate_character
+from .partialtheta import MAX_L_WORK, gamma_coeff, gamma_work, validate_character
 from .qfamilies import InvalidParam, partial_sum
+
+# Largest accepted stable_derivative index for match_expansion: the partial
+# sum it needs is built and differentiated at every order.  kz at index 100
+# and gk:k=3 at index 62 take about 2 s and 1 s on a 2-vCPU Xeon VM.
+MAX_MATCH_INDEX = 100
 
 
 class OddOrderRequired(ValueError):
@@ -102,7 +107,9 @@ def match_expansion(family, char, k: int, j: int, depth: int) -> MatchReport:
     Both sides are exact elements of Q(zeta_k).  The report says "match" when
     every order agrees and otherwise records the first failing order; nothing
     is rounded, so a mismatch is a theorem about the inputs rather than a
-    numerical artifact.
+    numerical artifact.  Refused with InvalidParam before any work when the
+    stable_derivative index at ``depth`` exceeds MAX_MATCH_INDEX or gamma_depth
+    exceeds the L-value work limit.
     """
     validate_character(char)
     if depth < 0:
@@ -110,6 +117,13 @@ def match_expansion(family, char, k: int, j: int, depth: int) -> MatchReport:
     if k < 1:
         raise InvalidParam("root order must be positive")
     j %= k
+    index = stable_derivative(family, k // math.gcd(j, k), depth)
+    if index > MAX_MATCH_INDEX:
+        raise InvalidParam(f"depth {depth} needs the partial sum to index {index}, "
+                           f"over MAX_MATCH_INDEX = {MAX_MATCH_INDEX}")
+    if gamma_work(char, k, depth) > MAX_L_WORK:
+        raise InvalidParam(f"gamma_{depth} at zeta_{k} is over the work limit "
+                           f"MAX_L_WORK = {MAX_L_WORK}")
     first_bad = None
     for ell in range(depth + 1):
         lhs = expansion_coeff(family, k, j, ell)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qstrange.exactpoly import IntPoly
+from qstrange.exactpoly import IntPoly, RatPoly, cyclotomic
+from qstrange.partialtheta import bernoulli_poly
 
 
 # -- dict-based polynomial arithmetic ---------------------------------------
@@ -128,3 +129,27 @@ def subst_def(p: IntPoly, cap: int) -> IntPoly:
         acc = dadd(acc, dscale(term, c))
     acc = {x: v for x, v in acc.items() if x <= cap}
     return to_poly(acc)
+
+
+# -- cyclotomic fields and L-values -----------------------------------------
+
+def cyclo_ref(k: int, coeffs) -> RatPoly:
+    """Residue of sum coeffs[e] * zeta_k**e mod Phi_k by rational division."""
+    rep = coeffs if isinstance(coeffs, RatPoly) else RatPoly(coeffs)
+    phi = cyclotomic(k).to_rat()
+    if rep.degree < phi.degree:
+        return rep
+    return rep.divmod_by(phi)[1]
+
+
+def l_value_def(seq, n: int) -> RatPoly:
+    """L(-n, C) = (-P^n/(n+1)) * sum_{m=1}^{P} C(m) B_{n+1}(m/P), one m at a
+    time in Fractions, as a reduced rational polynomial in zeta_k."""
+    P = seq.period
+    bp = bernoulli_poly(n + 1)
+    total = RatPoly()
+    for m in range(1, P + 1):
+        c = seq.entry(m)
+        if c:
+            total = total + c.rep.scale(bp.evaluate(Fraction(m, P)))
+    return total.scale(Fraction(-(P ** n), n + 1))

@@ -426,6 +426,97 @@ def test_identity_check_bad_poly_json_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--count", "-5"), ("--max-degree", "-2")])
+def test_identity_check_negative_size_is_usage_error(capsys, flag, value):
+    # --count -5 printed "ok: checked 0 polynomials" with exit 0
+    code, out, err = invoke(capsys, "identity-check", "--s", "3", "--ell", "1",
+                            flag, value)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+# ---------------------------------------------------------------- work guards
+
+def _never(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} was reached")
+    return fail
+
+
+def test_lvalue_over_work_limit_is_usage_error(capsys, monkeypatch):
+    import qstrange.partialtheta as pt
+
+    monkeypatch.setattr(pt, "bernoulli_poly", _never("bernoulli_poly"))
+    code, out, err = invoke(capsys, "lvalue", "--char", "chi_kz", "--n", "3000")
+    assert code == 2
+    assert out == ""
+    assert "MAX_L_WORK" in err
+
+
+def test_match_over_index_limit_is_usage_error(capsys, monkeypatch):
+    import qstrange.strangematch as sm
+
+    monkeypatch.setattr(sm, "expansion_coeff", _never("expansion_coeff"))
+    monkeypatch.setattr(sm, "gamma_coeff", _never("gamma_coeff"))
+    code, out, err = invoke(capsys, "match", "--family", "kz", "--char", "chi_kz",
+                            "--k", "2", "--j", "1", "--depth", "400")
+    assert code == 2
+    assert out == ""
+    assert "MAX_MATCH_INDEX" in err
+
+
+def test_identity_check_over_work_limit_is_usage_error(capsys, monkeypatch):
+    import types
+
+    import qstrange.cli as cli
+
+    monkeypatch.setattr(cli, "random", types.SimpleNamespace(Random=_never("Random")))
+    monkeypatch.setattr(cli, "extraction_identity_check",
+                        _never("extraction_identity_check"))
+    code, out, err = invoke(capsys, "identity-check", "--s", "3", "--ell", "2",
+                            "--count", "100000000")
+    assert code == 2
+    assert out == ""
+    assert "MAX_IDENTITY_WORK" in err
+
+
+def test_work_guards_admit_criteria_and_bench_items(capsys):
+    """Criteria 8, 10 and 12, root-match and the cyclotomic cli-cold calls."""
+    import importlib.util
+    import pathlib
+
+    from qstrange.partialtheta import TwistedSeq, l_value, twisted_sequence
+    from qstrange.qfamilies import parse_family
+    from qstrange.strangematch import match_expansion
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+
+    # root-match runs the criterion 8 grid
+    for fam, char, k, j, depth in workloads._match_grid():
+        match_expansion(parse_family(fam), get_character(char), k, j, depth)
+    for name in ("chi_kz", "chi6", "chi_gk:k=1", "chi_gk:k=2", "chi_gk:k=3",
+                 "chi_hikami:m=1,alpha=0", "chi_hikami:m=2,alpha=0",
+                 "chi_hikami:m=2,alpha=1"):
+        base = twisted_sequence(get_character(name), 1, 0)
+        doubled = TwistedSeq(base.character, base.k, base.j,
+                             2 * base.period, base.table * 2)
+        for n in range(7):
+            l_value(doubled, n)
+    # criterion 12 as one CLI battery: 100 polynomials, degree <= 24, s <= 4
+    calls = [("identity-check", "--s", "4", "--ell", "3", "--count", "100",
+              "--max-degree", "24")]
+    calls += [tuple(call.split()) for call in workloads.CLI_CALLS
+              if call.split()[0] in ("match", "lvalue", "gamma", "identity-check")]
+    assert len(calls) == 8
+    for argv in calls:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+
+
 @pytest.mark.parametrize("argv", [
     ("fishburn", "--family", '{"kernel":"F","terms":[{"coeffs":"12"}]}',
      "--depth", "3"),

@@ -40,6 +40,44 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             z.k = 5
 
+    def test_integer_coordinates(self):
+        # (1/2 + zeta/3) is (3 + 2*zeta)/6, and (2 + 4*zeta)/-6 is (-1 - 2*zeta)/3
+        x = CycloNum(5, [Fraction(1, 2), Fraction(1, 3)])
+        assert (x.num, x.den) == ((3, 2), 6)
+        y = CycloNum(5, [2, 4, 0], -6)
+        assert (y.num, y.den) == ((-1, -2), 3)
+        assert y.rep == RatPoly([Fraction(-1, 3), Fraction(-2, 3)])
+        zero = CycloNum(5, [0, 0], 7)
+        assert (zero.num, zero.den) == ((), 1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: CycloNum.rational(3, 0.1),
+        lambda: CycloNum.zeta(3).scale(0.1),
+        lambda: CycloNum.rational(3, True),
+        lambda: CycloNum.zeta(3).scale(True),
+        lambda: CycloNum(3, [1, 0.5]),
+        lambda: CycloNum(3, [True, 1]),
+        lambda: CycloNum.zeta(3) + 0.5,
+        lambda: 0.5 * CycloNum.zeta(3),
+        lambda: CycloNum.zeta(3) - True,
+    ])
+    def test_inexact_inputs_refused(self, make):
+        # a float would become a huge binary Fraction, a bool a silent 0 or 1
+        with pytest.raises(TypeError):
+            make()
+
+    def test_rational_hashes_as_fraction(self):
+        one = CycloNum.rational(5, 1)
+        assert one == 1 and hash(one) == hash(1)
+        assert {1: "x"}.get(one) == "x"
+        half = CycloNum.rational(5, Fraction(3, 2))
+        assert {Fraction(3, 2): "y"}.get(half) == "y"
+        assert hash(CycloNum.rational(5, 0)) == hash(0)
+        # equal rationals of two fields are one set element, not a mismatch
+        assert CycloNum.rational(3, 1) == one
+        assert len({one, CycloNum.rational(3, 1), 1}) == 1
+        assert len({CycloNum.zeta(5), CycloNum.zeta(5, 6), CycloNum.zeta(5, 2)}) == 2
+
 
 class TestArithmetic:
     def test_conjugate_product(self):

@@ -102,6 +102,16 @@ class TestCharacters:
         assert Character(1, 3, 0, 6, {1: 1, 2: 1, 4: -1, 5: -1}) == c
         assert Character(1, 3, 1, 6, c.values) != c
 
+    @pytest.mark.parametrize("values", [
+        {0: -0.1, 1: 0.1}, [True, -1], [0.5, -0.5], {0: "x", 1: 1}])
+    def test_inexact_values_refused(self, values):
+        with pytest.raises(CharacterInvalid):
+            Character(0, 1, 0, 2, values)
+
+    def test_exact_string_values(self):
+        c = Character(0, 1, 0, 2, {"0": "-1/2", "1": "0.5"})
+        assert c.values == (Fraction(-1, 2), Fraction(1, 2))
+
     def test_json_round_trip(self):
         c = get_character("chi6")
         obj = json.loads(json.dumps(c.to_json_obj()))

@@ -5,6 +5,7 @@ stays reproducible; no example database is written.
 """
 
 import json
+import math
 from fractions import Fraction
 from itertools import islice
 
@@ -13,10 +14,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import cyclo_ref, l_value_def
 from qstrange.cyclofield import CycloNum
 from qstrange.dissection import dissect
-from qstrange.exactpoly import IntPoly, NotDivisible, exact_div, subst_one_minus_q
+from qstrange.exactpoly import (
+    IntPoly,
+    NotDivisible,
+    cyclotomic,
+    exact_div,
+    subst_one_minus_q,
+)
 from qstrange.fishburn import _pw_table, _sub_ladder_mod, _xi_mod, xi_coeffs
+from qstrange.partialtheta import (
+    Character,
+    MeanValueNonzero,
+    TwistedSeq,
+    l_value,
+    twisted_sequence,
+)
 from qstrange.qfamilies import _ladder, parse_family
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -140,3 +155,66 @@ def test_embed_is_ring_map(ab):
     with mpmath.workprec(200):
         assert abs((a + b).embed() - (a.embed() + b.embed())) < EMBED_TOL
         assert abs((a * b).embed() - a.embed() * b.embed()) < EMBED_TOL
+
+
+def stored_form_ok(x: CycloNum) -> bool:
+    """At most phi(k) integer coordinates, no trailing zero, den > 0, lowest terms."""
+    return (all(type(c) is int for c in x.num) and type(x.den) is int
+            and len(x.num) <= cyclotomic(x.k).degree
+            and (not x.num or x.num[-1] != 0)
+            and x.den > 0 and math.gcd(x.den, *x.num) == 1)
+
+
+@PROPERTY
+@given(st.integers(1, 15).flatmap(lambda k: st.tuples(
+           st.just(k),
+           st.lists(fractions, max_size=2 * k),
+           st.lists(fractions, max_size=2 * k),
+           fractions)))
+def test_cyclonum_matches_reference(case):
+    k, xs, ys, c = case
+    a, b = CycloNum(k, xs), CycloNum(k, ys)
+    ra, rb = cyclo_ref(k, xs), cyclo_ref(k, ys)
+    assert a.rep == ra and b.rep == rb
+    for got, want in ((a + b, ra + rb), (a * b, ra * rb), (a.scale(c), ra.scale(c))):
+        assert got.rep == cyclo_ref(k, want)
+        assert stored_form_ok(got)
+
+
+@st.composite
+def twisted_seqs(draw):
+    """Twisted sequences of random characters with a = 0, b = 1, period <= 12.
+
+    An odd character (chi(-n) = -chi(n)) has zero twisted mean at every
+    root; an even part with zero mean is added and kept only when the
+    twisted mean stays zero.  Half the draws double the period through the
+    TwistedSeq constructor.
+    """
+    T = draw(st.integers(1, 12))
+    odd = [Fraction(0)] * T
+    for n in range(1, (T + 1) // 2):
+        odd[n] = draw(fractions)
+        odd[T - n] = -odd[n]
+    raw = draw(st.lists(fractions, min_size=T, max_size=T))
+    even = [raw[n] + raw[-n % T] for n in range(T)]
+    even[0] -= sum(even)
+    k = draw(st.integers(1, 12))
+    j = draw(st.integers(0, 10))
+    nu = draw(st.integers(0, 1))
+    try:
+        seq = twisted_sequence(
+            Character(0, 1, nu, T, [o + e for o, e in zip(odd, even)]), k, j)
+    except MeanValueNonzero:
+        seq = twisted_sequence(Character(0, 1, nu, T, odd), k, j)
+    if draw(st.booleans()):
+        seq = TwistedSeq(seq.character, seq.k, seq.j, 2 * seq.period,
+                         seq.table * 2)
+    return seq
+
+
+@PROPERTY
+@given(twisted_seqs(), st.integers(0, 10))
+def test_l_value_matches_definition(seq, n):
+    got = l_value(seq, n)
+    assert got.rep == l_value_def(seq, n)
+    assert stored_form_ok(got)

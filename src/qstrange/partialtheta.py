@@ -13,7 +13,8 @@ and exact strings are accepted), twisted entries are CycloNum.  A twisted
 sequence also keeps its entries as integer coordinates over one common
 denominator, so L(-n, C) is one integer Horner pass of B_{n+1} per nonzero
 entry and a single division.  L-value and gamma requests whose work estimate
-exceeds MAX_L_WORK are refused with InvalidParam before any arithmetic.
+exceeds MAX_L_WORK, and twisted sequences whose period exceeds
+MAX_TWIST_PERIOD, are refused with InvalidParam before any arithmetic.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "gamma_coeff",
     "gamma_work",
     "MAX_L_WORK",
+    "MAX_TWIST_PERIOD",
     "theta_truncated",
 ]
 
@@ -58,6 +60,19 @@ class IntegralityViolation(CharacterInvalid):
 
 class MeanValueNonzero(CharacterInvalid):
     """The (twisted) mean over one period is not zero."""
+
+
+# Largest accepted twisted period lcm(T, b*k).  Building a twisted sequence
+# of period 10**5 takes about 2 s on a 2-vCPU Xeon VM.  A character whose
+# period at k = 1, lcm(T, b), is over it is refused when it is built, since
+# validating it scans that many indices.
+MAX_TWIST_PERIOD = 10 ** 5
+
+
+def _check_period(P: int, what: str):
+    if P > MAX_TWIST_PERIOD:
+        raise InvalidParam(f"{what} has period {P}, over "
+                           f"MAX_TWIST_PERIOD = {MAX_TWIST_PERIOD}")
 
 
 def _exact_value(v) -> Fraction:
@@ -77,7 +92,8 @@ class Character:
 
     values, a {residue: value} dict or one full period of ints, Fractions or
     exact strings, is stored as a tuple of Fractions.  Equality and hashing
-    compare every field but the label.
+    compare every field but the label.  Refused with InvalidParam, before
+    its table is built, when lcm(period, b) exceeds MAX_TWIST_PERIOD.
     """
 
     a: int
@@ -97,6 +113,7 @@ class Character:
         period = self.period
         if period < 1:
             raise CharacterInvalid("period must be positive")
+        _check_period(math.lcm(period, self.b), f"character {self.label}")
         if isinstance(self.values, dict):
             table = [Fraction(0)] * period
             for key, val in self.values.items():
@@ -276,10 +293,13 @@ def twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
 
     The period claim is provable (b*k divides P forces the zeta-power ratio
     to one), but user-supplied characters get it re-checked over a second
-    window anyway.
+    window anyway.  Refused with InvalidParam, before any entry is built,
+    when P exceeds MAX_TWIST_PERIOD.
     """
     if k < 1:
         raise ValueError("conductor k must be positive")
+    _check_period(math.lcm(char.period, char.b * k),
+                  f"twisted sequence of {char.label} at zeta_{k}")
     validate_character(char)
     return _twisted_sequence(char, k, j % k)
 

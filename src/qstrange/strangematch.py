@@ -34,6 +34,10 @@ from .qfamilies import InvalidParam, partial_sum
 # and gk:k=3 at index 62 take about 2 s and 1 s on a 2-vCPU Xeon VM.
 MAX_MATCH_INDEX = 100
 
+# Largest accepted c_array_work: c_array(1000, 1, 5) is 3 * 10**9 and takes
+# about 0.5 s on a 2-vCPU Xeon VM.
+MAX_C_ARRAY_WORK = 10 ** 10
+
 
 class OddOrderRequired(ValueError):
     """A G-kernel series has no stable value at a root of even order."""
@@ -136,6 +140,12 @@ def match_expansion(family, char, k: int, j: int, depth: int) -> MatchReport:
                        depth, verdict, first_bad)
 
 
+def c_array_work(ell: int, i: int, s: int) -> int:
+    """Work estimate for c_array(ell, i, s): about ell**2 multiply-adds on
+    entries whose bit length grows with ell times that of |i| + |s|."""
+    return (ell + 1) ** 3 * max(1, (abs(i) + abs(s)).bit_length())
+
+
 def c_array(ell: int, i: int, s: int) -> list:
     """Coefficients C_{ell,i,j}(s) with (q d/dq)**ell [q**i g(q**s)]
     = sum_j C_{ell,i,j}(s) q**(i+j*s) g^(j)(q**s).
@@ -143,9 +153,14 @@ def c_array(ell: int, i: int, s: int) -> list:
     Row ell is built from row ell-1 by C <- (i+j*s)*C_j + s*C_{j-1}; the
     working row keeps a j = ell+1 slot so the recursion never truncates the
     carry coming from j = ell.  Returned list has entries j = 0 .. ell.
+    Refused with InvalidParam when c_array_work exceeds MAX_C_ARRAY_WORK.
     """
     if ell < 0:
         raise InvalidParam("derivative order must be nonnegative")
+    work = c_array_work(ell, i, s)
+    if work > MAX_C_ARRAY_WORK:
+        raise InvalidParam(f"C-array work {work} is over "
+                           f"MAX_C_ARRAY_WORK = {MAX_C_ARRAY_WORK}")
     row = [1] + [0] * (ell + 1)
     for _ in range(ell):
         nxt = [0] * (ell + 2)

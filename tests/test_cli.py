@@ -5,11 +5,17 @@ capsys so the JSON contract can be checked byte for byte.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from qstrange.cli import build_parser, run
 from qstrange.partialtheta import get_character
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(capsys, *argv):
@@ -380,12 +386,12 @@ def test_scan_composite_p_is_usage_error(capsys):
 
 
 def test_scan_depth_over_table_limit_is_usage_error(capsys, monkeypatch):
-    import qstrange.fishburn as fb
+    import qstrange._modular as engine
 
     def never(*args):
         raise AssertionError("the (1-x)**e table was built")
 
-    monkeypatch.setattr(fb, "_pw_table", never)
+    monkeypatch.setattr(engine, "_pw_table", never)
     code, out, err = invoke(capsys, "scan", "--family", "gk:k=2", "--p", "7",
                             "--depth", "1000000")
     assert code == 2
@@ -466,7 +472,7 @@ def test_match_over_index_limit_is_usage_error(capsys, monkeypatch):
     assert "MAX_MATCH_INDEX" in err
 
 
-def test_identity_check_over_work_limit_is_usage_error(capsys, monkeypatch):
+def _identity_check_refused(capsys, monkeypatch, *argv):
     import types
 
     import qstrange.cli as cli
@@ -474,23 +480,129 @@ def test_identity_check_over_work_limit_is_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "random", types.SimpleNamespace(Random=_never("Random")))
     monkeypatch.setattr(cli, "extraction_identity_check",
                         _never("extraction_identity_check"))
-    code, out, err = invoke(capsys, "identity-check", "--s", "3", "--ell", "2",
-                            "--count", "100000000")
+    code, out, err = invoke(capsys, "identity-check", *argv)
     assert code == 2
     assert out == ""
     assert "MAX_IDENTITY_WORK" in err
 
 
-def test_work_guards_admit_criteria_and_bench_items(capsys):
-    """Criteria 8, 10 and 12, root-match and the cyclotomic cli-cold calls."""
-    import importlib.util
-    import pathlib
+def test_identity_check_over_work_limit_is_usage_error(capsys, monkeypatch):
+    _identity_check_refused(capsys, monkeypatch, "--s", "3", "--ell", "2",
+                            "--count", "100000000")
 
+
+def test_identity_check_ell_over_work_limit_is_usage_error(capsys, monkeypatch):
+    # the O(ell**2) c_array work of every piece
+    _identity_check_refused(capsys, monkeypatch, "--s", "1", "--ell", "200000",
+                            "--count", "1", "--max-degree", "1")
+
+
+def test_residues_over_span_limit_is_usage_error(capsys, monkeypatch):
+    import qstrange.dissection as ds
+    from qstrange.partialtheta import Character
+
+    monkeypatch.setattr(ds, "validate_character", _never("validate_character"))
+    monkeypatch.setattr(Character, "value", _never("the residue scan"))
+    code, out, err = invoke(capsys, "residues", "--char", "chi6",
+                            "--s", "100000000000")
+    assert code == 2
+    assert out == ""
+    assert "MAX_RESIDUE_SPAN" in err
+
+
+BIG_CHARACTER = {"a": 0, "b": 1, "nu": 0, "period": 3000000,
+                 "values": {"1": "1", "2999999": "-1"}}
+
+
+@pytest.mark.parametrize("char, k", [("big.json", "1"), ("chi_kz", "100000")])
+def test_twisted_period_over_limit_is_usage_error(capsys, monkeypatch, tmp_path,
+                                                  char, k):
+    import qstrange.partialtheta as pt
+
+    (tmp_path / "big.json").write_text(json.dumps(BIG_CHARACTER))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(pt, "validate_character", _never("validate_character"))
+    monkeypatch.setattr(pt, "_twisted_sequence", _never("_twisted_sequence"))
+    code, out, err = invoke(capsys, "lvalue", "--char", char, "--k", k,
+                            "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert "MAX_TWIST_PERIOD" in err
+
+
+def _fresh_python(*args, timeout=120):
+    """Run python with args in a fresh interpreter importing this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _imported(importtime_stderr):
+    return {line.rsplit("|", 1)[-1].strip()
+            for line in importtime_stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_numpy_is_imported_only_by_the_modular_engine():
+    code, _, err = _fresh_python("-X", "importtime", "-c", "import qstrange")
+    assert code == 0
+    assert "qstrange" in _imported(err) and "numpy" not in _imported(err)
+    code, out, err = _fresh_python("-X", "importtime", "-m", "qstrange.cli",
+                                   "lvalue", "--char", "chi_kz", "--n", "1")
+    assert (code, out) == (0, "L(-1, C) = 1\n")
+    assert "numpy" not in _imported(err)
+    code, out, err = _fresh_python("-X", "importtime", "-m", "qstrange.cli",
+                                   "scan", "--family", "kz", "--p", "5",
+                                   "--beta", "1", "--depth", "104")
+    assert code == 0 and out.startswith("pass:")
+    assert "numpy" in _imported(err)
+
+
+def test_oversized_probes_are_refused_without_numpy(tmp_path):
+    """Each call hung before it was refused; none may reach the modular
+    engine, whose import is made to fail, and each is refused at once."""
+    (tmp_path / "big.json").write_text(json.dumps(BIG_CHARACTER))
+    probes = [
+        ["scan", "--family", "kz", "--p", "5", "--depth", "100000"],
+        ["carray", "--ell", "3000000", "--i", "1", "--s", "5"],
+        ["identity-check", "--s", "1", "--ell", "200000", "--count", "1",
+         "--max-degree", "1"],
+        ["residues", "--char", "chi6", "--s", "100000000000"],
+        ["lvalue", "--char", str(tmp_path / "big.json"), "--n", "1"],
+    ]
+    script = f"""
+import json, sys, time
+sys.modules["qstrange._modular"] = None  # importing the engine now fails
+from qstrange.cli import run
+results = []
+for argv in {probes!r}:
+    t0 = time.perf_counter()
+    code = run(argv)
+    results.append((code, time.perf_counter() - t0))
+print(json.dumps([results, "numpy" in sys.modules]))
+"""
+    code, out, err = _fresh_python("-c", script)
+    assert code == 0, err
+    results, numpy_loaded = json.loads(out)
+    assert [c for c, _ in results] == [2] * len(probes), err
+    assert max(t for _, t in results) < 1.0
+    assert not numpy_loaded
+    assert err.count("error:") == len(probes)
+
+
+def test_work_guards_admit_criteria_and_bench_items(capsys):
+    """Criteria 5, 8, 10, 11 and 12, the in-process perfbench items and every
+    cli-cold call."""
+    import importlib.util
+
+    from qstrange.dissection import residue_set
+    from qstrange.fishburn import scan_congruences, verify_congruence
     from qstrange.partialtheta import TwistedSeq, l_value, twisted_sequence
     from qstrange.qfamilies import parse_family
     from qstrange.strangematch import match_expansion
 
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    path = SRC.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -506,12 +618,23 @@ def test_work_guards_admit_criteria_and_bench_items(capsys):
                              2 * base.period, base.table * 2)
         for n in range(7):
             l_value(doubled, n)
+    # criterion 5 and the residue sets of exact-sweep's certificates
+    for name, s in (("chi6", 5), ("chi_hikami:m=2,alpha=0", 3),
+                    ("chi_hikami:m=2,alpha=1", 3)):
+        residue_set(get_character(name), s)
+    for _, char, ss in workloads.SWEEP_FAMILIES:
+        for s in ss:
+            residue_set(get_character(char), s)
+    # modular-scan runs the criterion 11 classes and four scans
+    for fam, p, r, beta, depth in workloads.CONGRUENCES:
+        verify_congruence(parse_family(fam), p, r, beta, depth)
+    for fam, p, r, depth in workloads.SCANS:
+        scan_congruences(parse_family(fam), p, r, depth)
     # criterion 12 as one CLI battery: 100 polynomials, degree <= 24, s <= 4
     calls = [("identity-check", "--s", "4", "--ell", "3", "--count", "100",
               "--max-degree", "24")]
-    calls += [tuple(call.split()) for call in workloads.CLI_CALLS
-              if call.split()[0] in ("match", "lvalue", "gamma", "identity-check")]
-    assert len(calls) == 8
+    calls += [tuple(call.split()) for call in workloads.CLI_CALLS]
+    assert len(calls) == 17
     for argv in calls:
         code, out, err = invoke(capsys, *argv)
         assert (code, err) == (0, ""), argv

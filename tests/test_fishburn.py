@@ -1,8 +1,10 @@
 import json
 import math
+import random
 
 import pytest
 
+import qstrange._modular as engine
 from qstrange.fishburn import (
     CongruenceReport,
     ScanReport,
@@ -93,13 +95,13 @@ class TestModularEngine:
         fam = parse_family(label)
         exact = xi_coeffs(fam, depth).coeffs
         for mod in (5, 9, 64, 97):
-            assert _xi_mod(fam, depth, mod) == [c % mod for c in exact]
+            assert _xi_mod(fam, depth, mod) == tuple(c % mod for c in exact)
 
     def test_overflow_fallback(self):
         # (mod-1)^2*(depth+1) at or over 2^53 forces the exact route
         mod = 2 ** 31
         exact = xi_coeffs(KZ, 6).coeffs
-        assert _xi_mod(KZ, 6, mod) == [c % mod for c in exact]
+        assert _xi_mod(KZ, 6, mod) == tuple(c % mod for c in exact)
 
     @pytest.mark.parametrize("label", ["gk:k=2", "hikami:m=3,alpha=1"])
     def test_float_guard_edge(self, label, monkeypatch):
@@ -114,7 +116,7 @@ class TestModularEngine:
                             lambda f, d: calls.append(d) or xi_coeffs(f, d))
         for mod, exact_road in ((top, False), (top + 1, True)):
             calls.clear()
-            assert _xi_mod(fam, depth, mod) == [c % mod for c in exact]
+            assert _xi_mod(fam, depth, mod) == tuple(c % mod for c in exact)
             assert bool(calls) == exact_road
 
     def test_table_limit(self, monkeypatch):
@@ -127,7 +129,7 @@ class TestModularEngine:
         def never(*args):
             raise AssertionError("a road was taken")
 
-        monkeypatch.setattr(fb, "_pw_table", never)
+        monkeypatch.setattr(engine, "_pw_table", never)
         monkeypatch.setattr(fb, "xi_coeffs", never)
         for label in ("gk:k=2", "gk:k=1", "hikami:m=2,alpha=1"):
             with pytest.raises(InvalidParam):
@@ -135,6 +137,31 @@ class TestModularEngine:
         # above the float guard too: the exact road is refused as well
         with pytest.raises(InvalidParam):
             _xi_mod(GK2, 10 ** 6, 2 ** 31)
+
+    def test_work_limit(self, monkeypatch):
+        import qstrange.fishburn as fb
+
+        def never(*args):
+            raise AssertionError("a road was taken")
+
+        monkeypatch.setattr(engine, "xi_residues", never)
+        monkeypatch.setattr(fb, "xi_coeffs", never)
+        # within the table limit, over the work limit; both roads refused
+        for label, depth in (("kz", 100000), ("gk:k=1", 5000),
+                             ("gk:k=2", 1000), ("hikami:m=3,alpha=1", 700)):
+            fam = parse_family(label)
+            assert fb._table_plan(fam, depth)[1] <= fb.MAX_TABLE_BYTES
+            for mod in (5, 2 ** 31):
+                with pytest.raises(InvalidParam, match="MAX_MODULAR_WORK"):
+                    _xi_mod(fam, depth, mod)
+
+    def test_memo_returns_one_tuple(self):
+        vals = _xi_mod(KZ, 60, 5)
+        assert isinstance(vals, tuple)
+        assert _xi_mod(KZ, 60, 5) is vals
+        assert _xi_mod.cache_info().hits == 1
+        with pytest.raises(TypeError):
+            vals[0] = 4
 
     def test_bad_params(self):
         with pytest.raises(InvalidParam):
@@ -251,3 +278,45 @@ class TestScanCongruences:
             scan_congruences(KZ, 6, 1, 100)
         with pytest.raises(InvalidParam):
             scan_congruences(KZ, 5, 0, 100)
+
+
+class TestMemo:
+    CALLS = [(verify_congruence, (GK1, 13, 1, beta, 260)) for beta in (1, 2, 3, 5)]
+    CALLS += [
+        (scan_congruences, (GK1, 13, 1, 260)),
+        (verify_congruence, (KZ, 5, 1, 3, 104)),
+        (scan_congruences, (KZ, 5, 1, 104)),
+        (verify_congruence, (GK2, 7, 1, 1, 140)),
+        (scan_congruences, (GK2, 7, 1, 140)),
+    ]
+
+    def test_reports_independent_of_memo_and_order(self):
+        cold = []
+        for fn, args in self.CALLS:
+            _xi_mod.cache_clear()
+            cold.append(fn(*args))
+        rng = random.Random(11)
+        for _ in range(3):
+            _xi_mod.cache_clear()
+            order = list(range(len(self.CALLS)))
+            rng.shuffle(order)
+            for i in order + order:  # the second pass is fully warm
+                fn, args = self.CALLS[i]
+                assert fn(*args) == cold[i]
+            assert _xi_mod.cache_info().currsize == 3
+
+    def test_mutating_a_report_cannot_reach_the_memo(self):
+        rep = verify_congruence(KZ, 5, 1, 3, 104)
+        scan = scan_congruences(KZ, 5, 1, 104)
+        assert (rep.verdict, rep.witness, scan.passing_beta) == ("fail", 2, (1, 2))
+        with pytest.raises(AttributeError):
+            rep.residue = 0
+        with pytest.raises(AttributeError):
+            scan.passing_beta = (1, 2, 3)
+        obj, scan_obj = rep.to_json_obj(), scan.to_json_obj()
+        obj["residue"] = 0
+        scan_obj["passing_beta"].append(3)
+        assert verify_congruence(KZ, 5, 1, 3, 104) == rep
+        assert scan_congruences(KZ, 5, 1, 104) == scan
+        exact = xi_coeffs(KZ, 104).coeffs
+        assert _xi_mod(KZ, 104, 5) == tuple(c % 5 for c in exact)

@@ -16,6 +16,7 @@ import sys
 from .dissection import (
     DivisibilityFalsified,
     OddModulusRequired,
+    check_modulus,
     dissect,
     residue_set,
     verify_theorem,
@@ -77,6 +78,7 @@ def _emit(args, payload: dict, lines: list):
 
 def cmd_dissect(args) -> int:
     fam = parse_family(args.family)
+    check_modulus(args.s)  # before the partial sum is built
     d = dissect(partial_sum(fam, args.N).value, args.s)
     payload = {
         "family": fam.label, "s": args.s, "N": args.N,

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qstrange.exactpoly import RatPoly, cyclotomic
+from qstrange.exactpoly import RatPoly, _add_into, _mul_lists, _sub_lists, cyclotomic
 
 __all__ = ["CycloNum", "ConductorMismatch", "eval_at_root"]
 
@@ -181,25 +181,23 @@ class CycloNum:
         x = _exact(other)
         return _new(self.k, [x.numerator], x.denominator)
 
-    def _combine(self, other: "CycloNum", sign: int) -> "CycloNum":
-        a, b = self.num, other.num
+    def _combine(self, other: "CycloNum", kernel) -> "CycloNum":
+        """kernel(a, b) of the numerators brought over one denominator."""
+        a, b = list(self.num), other.num
         da, db = self.den, other.den
         if da != db:
             a = [c * db for c in a]
             b = [c * da for c in b]
             da *= db
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] += sign * c
-        return _new(self.k, out, da)
+        return _new(self.k, kernel(a, b), da)
 
     def __add__(self, other):
-        return self._combine(self._match(other), 1)
+        return self._combine(self._match(other), _add_into)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(self._match(other), -1)
+        return self._combine(self._match(other), _sub_lists)
 
     def __rsub__(self, other):
         return self._match(other) - self
@@ -209,14 +207,7 @@ class CycloNum:
 
     def __mul__(self, other):
         other = self._match(other)
-        a, b = self.num, other.num
-        if not a or not b:
-            return _new(self.k, [], 1)
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
+        prod = _mul_lists(self.num, other.num)
         return _new(self.k, _fold(self.k, prod), self.den * other.den)
 
     __rmul__ = __mul__

@@ -2,7 +2,15 @@
 
 Coefficients are stored densely as an immutable tuple indexed by exponent,
 with trailing zeros stripped; the zero polynomial has an empty tuple.
-IntPoly holds arbitrary-precision integers, RatPoly holds Fractions.
+IntPoly holds arbitrary-precision integers (never bools), RatPoly holds
+only Fractions.  Both are frozen slotted dataclasses, so they compare,
+hash, copy and pickle by their coefficients.  They have two constructors:
+the public one, IntPoly(coeffs) or RatPoly(coeffs), coerces and validates
+every coefficient in __post_init__ and refuses bools, floats and (for
+IntPoly) non-integral Fractions; the private IntPoly._new(coeffs) trusts
+an integer sequence produced by list arithmetic on IntPoly coefficients
+and only strips trailing zeros.  RatPoly has no trusted path: its results
+always go through the coercing constructor, so an int never slips in.
 Everything here is exact: no floats enter at any point.
 
 General products use the schoolbook rule.  The q-Pochhammer kernels
@@ -17,8 +25,9 @@ from __future__ import annotations
 
 import functools
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "IntPoly",
@@ -40,13 +49,13 @@ class NotDivisible(ArithmeticError):
     """Exact polynomial division left a remainder or a non-integer quotient."""
 
 
-def _add_lists(a: list, b: list) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
+def _add_into(acc: list, coeffs: Sequence, off: int = 0) -> list:
+    """acc += q^off * coeffs, coefficientwise and in place."""
+    end = off + len(coeffs)
+    if len(acc) < end:
+        acc.extend([0] * (end - len(acc)))
+    acc[off:end] = map(operator.add, acc[off:end], coeffs)
+    return acc
 
 
 def _sub_lists(a: list, b: list) -> list:
@@ -84,25 +93,29 @@ def mul_binomial(coeffs: Sequence, e: int) -> list:
     return list(map(operator.sub, c + pad, pad + c))
 
 
+_set = object.__setattr__
+
+
+def _stripped(cs: tuple) -> tuple:
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    return cs[:n]
+
+
+@dataclass(frozen=True, slots=True, repr=False)
 class _BasePoly:
     """Shared implementation; subclasses fix the coefficient domain."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple = ()
 
-    coeffs: tuple
+    def __post_init__(self):
+        _set(self, "coeffs", _stripped(tuple(map(self._coerce, self.coeffs))))
 
-    @staticmethod
-    def _coerce(c):
-        raise NotImplementedError
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [self._coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    @classmethod
+    def _new(cls, coeffs: Sequence):
+        """Result of list arithmetic on coefficients; revalidated here."""
+        return cls(coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -135,12 +148,6 @@ class _BasePoly:
             return self.coeffs[exponent]
         return self._coerce(0)
 
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.coeffs))
-
     # -- ring operations ---------------------------------------------------
 
     def _same_kind(self, other):
@@ -149,25 +156,25 @@ class _BasePoly:
 
     def __add__(self, other):
         self._same_kind(other)
-        return type(self)(_add_lists(list(self.coeffs), list(other.coeffs)))
+        return self._new(_add_into(list(self.coeffs), other.coeffs))
 
     def __sub__(self, other):
         self._same_kind(other)
-        return type(self)(_sub_lists(list(self.coeffs), list(other.coeffs)))
+        return self._new(_sub_lists(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return type(self)(tuple(-c for c in self.coeffs))
+        return self._new([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if type(other) is type(self):
-            return type(self)(_mul_lists(self.coeffs, other.coeffs))
+            return self._new(_mul_lists(self.coeffs, other.coeffs))
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = self._coerce(c)
-        return type(self)(tuple(c * a for a in self.coeffs))
+        return self._new([c * a for a in self.coeffs])
 
     def __pow__(self, n: int):
         if n < 0:
@@ -187,7 +194,7 @@ class _BasePoly:
             return self
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        return type(self)((0,) * exponent + self.coeffs)
+        return self._new((0,) * exponent + self.coeffs)
 
     def dilate(self, s: int):
         """Substitute q -> q**s (exponent dilation)."""
@@ -196,13 +203,12 @@ class _BasePoly:
         if s == 1 or not self.coeffs:
             return self
         out = [0] * (s * self.degree + 1)
-        for e, c in enumerate(self.coeffs):
-            out[s * e] = c
-        return type(self)(out)
+        out[::s] = self.coeffs
+        return self._new(out)
 
     def derivative(self):
         """Formal d/dq."""
-        return type(self)(tuple(e * c for e, c in enumerate(self.coeffs) if e))
+        return self._new([e * c for e, c in enumerate(self.coeffs) if e])
 
     def evaluate(self, x):
         """Horner evaluation at any value supporting + and *."""
@@ -213,9 +219,7 @@ class _BasePoly:
 
     def truncate(self, cap: int):
         """Drop all terms of degree above cap."""
-        if cap < 0:
-            return type(self)()
-        return type(self)(self.coeffs[: cap + 1])
+        return self._new(self.coeffs[: max(cap + 1, 0)])
 
     def valuation(self) -> int:
         """Least exponent with nonzero coefficient; -1 for the zero polynomial."""
@@ -259,15 +263,19 @@ class _BasePoly:
             raise ValueError("polynomial JSON must be an object with a 'coeffs' list")
         return cls(cls._parse_coeff(c) for c in obj["coeffs"])
 
-    @staticmethod
-    def _parse_coeff(c):
-        raise NotImplementedError
 
-
+@dataclass(frozen=True, slots=True, repr=False)
 class IntPoly(_BasePoly):
     """Dense polynomial with integer coefficients."""
 
-    __slots__ = ()
+    @classmethod
+    def _new(cls, coeffs: Sequence) -> "IntPoly":
+        """Trusted constructor: coeffs are ints (never bools), as list
+        arithmetic on IntPoly coefficients yields; only trailing zeros are
+        stripped, and the sequence itself is never modified."""
+        x = object.__new__(cls)
+        _set(x, "coeffs", _stripped(tuple(coeffs)))
+        return x
 
     @staticmethod
     def _coerce(c) -> int:
@@ -293,10 +301,9 @@ class IntPoly(_BasePoly):
         return RatPoly(self.coeffs)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class RatPoly(_BasePoly):
-    """Dense polynomial with exact rational coefficients."""
-
-    __slots__ = ()
+    """Dense polynomial with exact rational coefficients, held as Fractions."""
 
     @staticmethod
     def _coerce(c) -> Fraction:
@@ -359,7 +366,7 @@ def exact_div(p: IntPoly, *divisors: IntPoly) -> IntPoly:
     num = list(p.coeffs)
     for d in divisors:
         num = _div_step(num, d)
-    return IntPoly(num)
+    return IntPoly._new(num)
 
 
 def _div_step(num: list, d: IntPoly) -> list:
@@ -399,7 +406,7 @@ def theta_deriv(p, times: int = 1):
     """Apply (q d/dq) the given number of times: coefficient c_e maps to e**times * c_e."""
     if times < 0:
         raise ValueError("times must be nonnegative")
-    return type(p)(tuple(e ** times * c for e, c in enumerate(p.coeffs)))
+    return p._new([e ** times * c for e, c in enumerate(p.coeffs)])
 
 
 def subst_one_minus_q(p: IntPoly, cap: int) -> IntPoly:
@@ -412,7 +419,7 @@ def subst_one_minus_q(p: IntPoly, cap: int) -> IntPoly:
         for i in range(min(cap, len(acc) - 1), 0, -1):
             acc[i] -= acc[i - 1]
         acc[0] += c
-    return IntPoly(acc)
+    return IntPoly._new(acc)
 
 
 def _divisors(n: int) -> list[int]:
@@ -467,7 +474,7 @@ def pochhammer(n: int, step: int = 1) -> IntPoly:
     coeffs = [1]
     for e in pochhammer_exponents(n, step):
         coeffs = mul_binomial(coeffs, e)
-    return IntPoly(coeffs)
+    return IntPoly._new(coeffs)
 
 
 def qbinomial(n: int, k: int, square_base: bool = False) -> IntPoly:

@@ -17,7 +17,6 @@ Its results are memoized per (family, depth, modulus).
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 from .exactpoly import subst_one_minus_q
@@ -42,6 +41,11 @@ MAX_TABLE_BYTES = 2 ** 28
 # hikami:m=2, and 560 for gk:k=3 and hikami:m=3; each takes 1-4 s on a
 # 2-vCPU Xeon VM.
 MAX_MODULAR_WORK = 5 * 10 ** 10
+
+# Miller-Rabin with the prime bases 2..41 decides primality exactly below
+# this bound; a larger p is refused rather than guessed at.
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,8 +153,50 @@ def _xi_mod(family, depth: int, mod: int) -> tuple:
 
 # -- congruence checking ------------------------------------------------------
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < PRIME_TEST_LIMIT."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_power(p: int, r: int, reach: int) -> int:
+    """p**r after the O(1) checks on p and r; primality is checked last.
+
+    reach bounds the moduli that leave an index within the depth.  A
+    2**r over it is refused before the power, which could take minutes
+    to form, is computed; below it p**r has at most 82 * bits(reach) bits.
+    """
+    if p < 2:
+        raise InvalidParam(f"p must be prime, got {p}")
+    if p >= PRIME_TEST_LIMIT:
+        raise InvalidParam(f"p = {p} is over the primality test's limit "
+                           f"PRIME_TEST_LIMIT = {PRIME_TEST_LIMIT}")
+    if r < 1:
+        raise InvalidParam("r must be at least 1")
+    if r > max(reach, 0).bit_length():
+        raise InvalidParam(f"{p}**{r} is over {reach}: no index is left to test")
+    return p ** r
+
+
 def _require_prime(p: int):
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    if not _is_prime(p):
         raise InvalidParam(f"p must be prime, got {p}")
 
 
@@ -220,10 +266,7 @@ def verify_congruence(family, p: int, r: int, beta: int,
     smallest index is cheap the exact engine recomputes that coefficient as
     a cross-check on the modular one.
     """
-    _require_prime(p)
-    if r < 1:
-        raise InvalidParam("r must be at least 1")
-    mod = p ** r
+    mod = _prime_power(p, r, depth + max(beta, 1))
     if not 1 <= beta <= mod:
         raise InvalidParam(f"beta must lie in 1..{mod}, got {beta}")
     if depth < 0:
@@ -231,6 +274,7 @@ def verify_congruence(family, p: int, r: int, beta: int,
     first = mod - beta
     if first > depth:
         raise InvalidParam("depth too small to test any index")
+    _require_prime(p)
     vals = _xi_mod(family, depth, mod)
     if first <= 64:
         exact = xi_coeffs(family, first).coeffs[first]
@@ -254,13 +298,11 @@ def scan_congruences(family, p: int, r: int, depth: int) -> ScanReport:
     Requires at least 3 testable indices per class so an empty pattern
     cannot masquerade as a congruence.
     """
-    _require_prime(p)
-    if r < 1:
-        raise InvalidParam("r must be at least 1")
-    mod = p ** r
+    mod = _prime_power(p, r, depth + 1)
     if depth < 0 or (depth + 1) // mod < 3:
         raise InvalidParam(
             f"need at least 3 indices per class: depth >= {3 * mod - 1}")
+    _require_prime(p)
     vals = _xi_mod(family, depth, mod)
     passing = tuple(b for b in range(1, mod + 1)
                     if not any(vals[i] for i in range(mod - b, depth + 1, mod)))

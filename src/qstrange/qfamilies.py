@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 import threading
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
-from qstrange.exactpoly import IntPoly, mul_binomial, pochhammer, pochhammer_exponents
+from qstrange.exactpoly import (IntPoly, _add_into, mul_binomial, pochhammer,
+                                 pochhammer_exponents)
 
 __all__ = [
     "FamilySpec",
@@ -72,7 +72,7 @@ def _ladder(weights: Iterable[IntPoly], c0: int, base: int,
         if stop is None or stop > 0:
             for i in range(m - 1, -1, -1):
                 _add_into(cols[i], cols[i + 1][:stop], off)
-        yield IntPoly(cols[0])
+        yield IntPoly._new(cols[0])
 
 
 # -- coefficient-polynomial rules --------------------------------------------
@@ -247,15 +247,6 @@ def _step(family: FamilySpec) -> int:
     return 1 if family.kernel == "F" else 2
 
 
-def _add_into(acc: list, coeffs: Sequence, off: int = 0) -> list:
-    """acc += q^off * coeffs, coefficientwise and in place."""
-    end = off + len(coeffs)
-    if len(acc) < end:
-        acc.extend([0] * (end - len(acc)))
-    acc[off:end] = map(operator.add, acc[off:end], coeffs)
-    return acc
-
-
 def term_poly(family: FamilySpec, n: int) -> IntPoly:
     """The coefficient polynomial f_n(q) (F-type) or g_n(q) (G-type)."""
     if n < 0:
@@ -277,7 +268,7 @@ def _horner(family: FamilySpec, weights: Sequence[IntPoly],
         acc = mul_binomial(_add_into(acc, weights[n].coeffs), exps[n - 1])
         if cap is not None:
             del acc[cap + 1:]
-    return IntPoly(_add_into(acc, weights[0].coeffs))
+    return IntPoly._new(_add_into(acc, weights[0].coeffs))
 
 
 def partial_sum(family: FamilySpec, upper: int) -> PartialSum:

@@ -7,6 +7,7 @@ results are checked against these, never the other way around.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from qstrange.exactpoly import IntPoly, RatPoly, cyclotomic
@@ -129,6 +130,11 @@ def subst_def(p: IntPoly, cap: int) -> IntPoly:
         acc = dadd(acc, dscale(term, c))
     acc = {x: v for x, v in acc.items() if x <= cap}
     return to_poly(acc)
+
+
+def is_prime_def(n: int) -> bool:
+    """Primality by trial division up to sqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 # -- cyclotomic fields and L-values -----------------------------------------

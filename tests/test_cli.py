@@ -510,6 +510,64 @@ def test_residues_over_span_limit_is_usage_error(capsys, monkeypatch):
     assert "MAX_RESIDUE_SPAN" in err
 
 
+@pytest.mark.parametrize("module, argv", [
+    ("qstrange.cli", ("dissect", "--family", "kz", "--s", "200000", "--N", "1")),
+    ("qstrange.dissection", ("verify", "--family", "kz", "--char", "chi_kz",
+                             "--s", "200000", "--N", "1")),
+])
+def test_dissect_modulus_over_limit_is_usage_error(capsys, monkeypatch,
+                                                   module, argv):
+    import importlib
+
+    monkeypatch.setattr(importlib.import_module(module), "partial_sum",
+                        _never("partial_sum"))
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "MAX_DISSECT_MODULUS" in err
+
+
+def test_verify_checks_residue_span_before_partial_sum(capsys, monkeypatch):
+    import qstrange.dissection as ds
+
+    monkeypatch.setattr(ds, "partial_sum", _never("partial_sum"))
+    code, out, err = invoke(capsys, "verify", "--family", "kz", "--char",
+                            "chi_kz", "--s", "99999", "--N", "1")
+    assert code == 2
+    assert out == ""
+    assert "MAX_RESIDUE_SPAN" in err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("--p", "1000000000000000003", "--depth", "10"), "at least 3 indices"),
+    (("--p", "3", "--r", "100000000", "--depth", "10"), "no index is left"),
+    (("--p", "3", "--r", "100000000", "--beta", "2", "--depth", "10"),
+     "no index is left"),
+    # the least strong pseudoprime to every base 2..41
+    (("--p", "3317044064679887385961981", "--beta", "1", "--depth", "10"),
+     "PRIME_TEST_LIMIT"),
+])
+def test_scan_parameters_are_checked_before_any_work(capsys, monkeypatch,
+                                                     argv, needle):
+    import qstrange.fishburn as fb
+
+    monkeypatch.setattr(fb, "_is_prime", _never("the primality test"))
+    monkeypatch.setattr(fb, "_xi_mod", _never("_xi_mod"))
+    code, out, err = invoke(capsys, "scan", "--family", "kz", *argv)
+    assert code == 2
+    assert out == ""
+    assert needle in err
+
+
+def test_scan_single_class_mod_a_large_prime_answers(capsys):
+    # trial division up to sqrt(p) hung here before the class was checked
+    code, out, err = invoke(capsys, "scan", "--family", "kz", "--p",
+                            "1000000000000000003", "--beta",
+                            "1000000000000000002", "--depth", "10")
+    assert (code, err) == (1, "")
+    assert out == "fail: xi(1) = 1 mod 1000000000000000003\n"
+
+
 BIG_CHARACTER = {"a": 0, "b": 1, "nu": 0, "period": 3000000,
                  "values": {"1": "1", "2999999": "-1"}}
 
@@ -570,6 +628,13 @@ def test_oversized_probes_are_refused_without_numpy(tmp_path):
          "--max-degree", "1"],
         ["residues", "--char", "chi6", "--s", "100000000000"],
         ["lvalue", "--char", str(tmp_path / "big.json"), "--n", "1"],
+        ["dissect", "--family", "kz", "--s", "1000000", "--N", "1"],
+        ["verify", "--family", "kz", "--char", "chi_kz", "--s", "200000",
+         "--N", "1"],
+        ["scan", "--family", "kz", "--p", "1000000000000000003",
+         "--depth", "10"],
+        ["scan", "--family", "kz", "--p", "3", "--r", "100000000",
+         "--depth", "10"],
     ]
     script = f"""
 import json, sys, time

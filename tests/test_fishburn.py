@@ -6,9 +6,11 @@ import pytest
 
 import qstrange._modular as engine
 from qstrange.fishburn import (
+    PRIME_TEST_LIMIT,
     CongruenceReport,
     ScanReport,
     XiSequence,
+    _is_prime,
     _xi_mod,
     scan_congruences,
     verify_congruence,
@@ -16,7 +18,7 @@ from qstrange.fishburn import (
 )
 from qstrange.qfamilies import InvalidParam, parse_family, partial_sum
 
-from helpers import subst_def
+from helpers import is_prime_def, subst_def
 
 KZ = parse_family("kz")
 GK1 = parse_family("gk:k=1")
@@ -278,6 +280,32 @@ class TestScanCongruences:
             scan_congruences(KZ, 6, 1, 100)
         with pytest.raises(InvalidParam):
             scan_congruences(KZ, 5, 0, 100)
+
+
+class TestPrimality:
+    def test_matches_trial_division_below_1e5(self):
+        assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+            [n for n in range(10 ** 5) if is_prime_def(n)]
+
+    @pytest.mark.parametrize("n, prime", [
+        (2 ** 61 - 1, True),
+        (1000000000000000003, True),
+        (PRIME_TEST_LIMIT - 2, False),
+        (561, False),  # Carmichael
+        (3215031751, False),  # strong pseudoprime to bases 2, 3, 5, 7
+        (3825123056546413051, False),  # to every base 2..23
+        (318665857834031151167461, False),  # to every base 2..37
+    ])
+    def test_large_and_adversarial(self, n, prime):
+        assert _is_prime(n) is prime
+
+    def test_limit_is_refused(self):
+        # PRIME_TEST_LIMIT is itself a strong pseudoprime to bases 2..41
+        assert _is_prime(PRIME_TEST_LIMIT)
+        with pytest.raises(InvalidParam, match="PRIME_TEST_LIMIT"):
+            verify_congruence(KZ, PRIME_TEST_LIMIT, 1, 1, 10)
+        with pytest.raises(InvalidParam, match="PRIME_TEST_LIMIT"):
+            scan_congruences(KZ, PRIME_TEST_LIMIT, 1, 10)
 
 
 class TestMemo:

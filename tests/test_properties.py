@@ -20,9 +20,11 @@ from qstrange.dissection import dissect
 from qstrange.exactpoly import (
     IntPoly,
     NotDivisible,
+    RatPoly,
     cyclotomic,
     exact_div,
     subst_one_minus_q,
+    theta_deriv,
 )
 from qstrange._modular import _pw_table, _sub_ladder_mod
 from qstrange.fishburn import _xi_mod, xi_coeffs
@@ -50,6 +52,48 @@ def outcome(p, *divisors):
         return exact_div(p, *divisors)
     except NotDivisible:
         return NotDivisible
+
+
+@PROPERTY
+@given(st.lists(st.integers(-3, 3), max_size=14))
+def test_trusted_constructor_equals_public(cs):
+    before = list(cs)
+    assert IntPoly._new(cs) == IntPoly(cs)
+    assert IntPoly._new(tuple(cs)) == IntPoly(cs)
+    assert cs == before
+
+
+def _results(a, b, c, e):
+    """a and b through every ring, structure and calculus operation."""
+    return [a + b, a - b, -a, a * b, a * c, c * a, a.scale(c), a ** 2,
+            a.shift(e), a.dilate(e + 1), a.truncate(e), a.truncate(-1),
+            a.derivative(), theta_deriv(a, 2), type(a).monomial(e, c)]
+
+
+@PROPERTY
+@given(polys, nonzero_polys, st.integers(-5, 5), st.integers(0, 6))
+def test_int_poly_results_hold_only_ints(a, b, c, e):
+    results = _results(a, b, c, e) + [
+        exact_div(a * b, b), subst_one_minus_q(a, e), *dissect(a, e + 1).parts]
+    for r in results:
+        assert type(r) is IntPoly
+        assert all(type(x) is int for x in r.coeffs), r
+
+
+rats = st.lists(st.one_of(st.integers(-9, 9), st.fractions(max_denominator=6)),
+                max_size=8).map(RatPoly)
+
+
+@PROPERTY
+@given(rats, rats, st.one_of(st.integers(-5, 5), st.fractions(max_denominator=4)),
+       st.integers(0, 6))
+def test_rat_poly_results_hold_only_fractions(a, b, c, e):
+    results = _results(a, b, c, e)
+    if b:
+        results += a.divmod_by(b)
+    for r in results:
+        assert type(r) is RatPoly
+        assert all(type(x) is Fraction for x in r.coeffs), r
 
 
 @PROPERTY

@@ -1,0 +1,97 @@
+"""Every public value type is a frozen slotted dataclass that copies and
+pickles to an equal value."""
+
+import copy
+import dataclasses
+import pickle
+from fractions import Fraction
+
+import pytest
+
+import qstrange
+from qstrange import (
+    CycloNum,
+    IntPoly,
+    RatPoly,
+    dissect,
+    get_character,
+    match_expansion,
+    parse_family,
+    partial_sum,
+    scan_congruences,
+    twisted_sequence,
+    verify_congruence,
+    verify_theorem,
+    xi_coeffs,
+)
+
+KZ = parse_family("kz")
+CHI = get_character("chi_kz")
+
+
+def _samples():
+    report = verify_theorem(KZ, CHI, 5, 9)
+    return {
+        "Character": CHI,
+        "CongruenceReport": verify_congruence(KZ, 5, 1, 1, 30),
+        "CycloNum": CycloNum.zeta(12, 5) + Fraction(1, 3),
+        "Dissection": dissect(partial_sum(KZ, 6).value, 3),
+        "DivisibilityReport": report,
+        "DivisibilityRow": report.rows[3],  # carries a quotient
+        "FamilySpec": parse_family("gk:k=2"),
+        "IntPoly": IntPoly([1, -2, 0, 3]),
+        "MatchReport": match_expansion(KZ, CHI, 2, 1, 3),
+        "PartialSum": partial_sum(KZ, 6),
+        "RatPoly": RatPoly([Fraction(1, 2), 0, -3]),
+        "ScanReport": scan_congruences(KZ, 5, 1, 14),
+        "TwistedSeq": twisted_sequence(CHI, 2, 1),
+        "XiSequence": xi_coeffs(KZ, 5),
+    }
+
+
+SAMPLES = _samples()
+CLASSES = [getattr(qstrange, name) for name in qstrange.__all__
+           if isinstance(getattr(qstrange, name), type)
+           and not issubclass(getattr(qstrange, name), BaseException)]
+
+
+def test_every_public_class_has_a_sample():
+    assert sorted(c.__name__ for c in CLASSES) == sorted(SAMPLES)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_frozen_slotted_dataclass(cls):
+    assert dataclasses.is_dataclass(cls)
+    assert cls.__dataclass_params__.frozen
+    assert "__slots__" in vars(cls)
+    x = SAMPLES[cls.__name__]
+    assert not hasattr(x, "__dict__")
+    name = dataclasses.fields(x)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(x, name, getattr(x, name))
+
+
+def _same(a, b) -> bool:
+    """Equality, or field by field for the identity-equal TwistedSeq."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, qstrange.TwistedSeq):
+        return all(getattr(a, f.name) == getattr(b, f.name)
+                   for f in dataclasses.fields(a))
+    return a == b
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_round_trip(cls, clone):
+    x = SAMPLES[cls.__name__]
+    assert _same(clone(x), x)
+
+
+def test_round_trip_keeps_coefficient_types():
+    for x in (SAMPLES["IntPoly"], SAMPLES["RatPoly"]):
+        y = pickle.loads(pickle.dumps(x))
+        assert list(map(type, y.coeffs)) == list(map(type, x.coeffs))
+        assert hash(y) == hash(x)

@@ -4,10 +4,12 @@ It works modulo m from the start and entirely in the substituted domain:
 the shift q**e becomes multiplication by (1-x)**e, and the family ladders
 are replayed with a precision that shrinks as terms acquire valuation.
 Residues are int64 in [0, m); every product of residues is taken in float64
-(a truncated convolution, or one matrix product per ladder step), which
-BLAS does fast, and reduced back in int64.  The caller guarantees
+(a truncated convolution, or one matrix product per block of ladder rows),
+which BLAS does fast, and reduced back in int64.  The caller guarantees
 (m-1)**2 * (depth+1) < 2**53, so every such product and partial sum is an
-integer below 2**53 and exact in any summation order.
+integer below 2**53 and exact in any summation order.  Only the residues a
+consumer reads are computed: each ladder row and each Horner step of the
+accumulation stops at the precision that is read from it.
 
 This is the only module of the package that imports numpy; fishburn
 imports it on first use, after its parameter and size checks have passed.
@@ -19,6 +21,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .exactpoly import subst_one_minus_q
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+
+# rows per block of a ladder step: each block's product is cut to the
+# precision of its first row (32-48 rows measured fastest)
+_BLOCK_ROWS = 32
 
 
 def _conv_trunc(a, b, prec: int, mod: int):
@@ -40,59 +46,64 @@ def _pw_table(depth: int, mod: int, top: int):
     return pw
 
 
-def _sub_ladder_mod(weights, c0, steps, base, pw, depth, mod, shrink):
+def _sub_ladder_mod(weights, c0, steps, base, pw, depth, mod):
     """The qfamilies column ladder, replayed mod (x**prec, mod).
 
     A shift by q**off in the exact ladder is multiplication by P**off here,
     P = (1-x)**base.  Column c is stored times the unit P**(c(c-1)/2), which
     turns the Pascal step A_c += P**(n+c0+c) * A_(c+1) into
-    B_c += P**(n+c0) * B_(c+1): one kernel for every column, so each step
-    is a single float64 product of the column block with that kernel's
-    Toeplitz matrix.  Column 0 is unscaled, so the outputs are the ladder's.
-    With shrink set, column c at step n is only ever needed mod
-    x**(depth+2-c0-c-n); the bound telescopes across chained ladders, so
-    outputs leave with exactly the precision the next consumer requires.
-    Each step keeps column 0's precision for the whole block; the extra
-    coefficients of the higher columns are never read back into column 0's.
+    B_c += P**(n+c0) * B_(c+1): one kernel for every column, so a step is a
+    product of column rows with that kernel's Toeplitz matrix.  Column 0 is
+    unscaled, so the outputs are the ladder's.
+
+    Column c at step n is only ever read mod x**(width-c-n), width =
+    depth+2-c0; the bound telescopes across chained ladders, so output n
+    leaves with exactly the precision width-n that the next consumer reads.
+    Each step therefore runs over blocks of _BLOCK_ROWS rows in ascending
+    order, so that every source row is read before it is written, and cuts
+    each block's product and reduction to its first row's precision.  The
+    extra coefficients of a block's lower rows are never read back.
     """
-    width = depth + 2 - c0 if shrink else depth + 1
-
-    def lim(n):
-        return max(0, width - n) if shrink else width
-
-    cols = np.zeros((steps + 1, width), dtype=np.int64)
+    width = depth + 2 - c0
+    cols = np.zeros((min(steps, width - 1) + 1, width), dtype=np.int64)
     unit = np.ones(1, dtype=np.int64)
-    for c in range(steps + 1):
+    for c in range(len(cols)):
         if c > 1:
-            unit = _conv_trunc(unit, pw[base * (c - 1)], lim(c), mod)
-        col = _conv_trunc(unit, weights[c][: lim(c)] % mod, lim(c), mod)
+            unit = _conv_trunc(unit, pw[base * (c - 1)], width - c, mod)
+        col = _conv_trunc(unit, weights[c][: width - c] % mod, width - c, mod)
         cols[c, : col.size] = col
-    out = [cols[0, : lim(0)].copy()]
-    # buffers shared by every step, so that no step allocates its own block;
-    # toeplitz[i, j] = padded[width-1 + j - i], zero below the diagonal
-    padded = np.zeros(2 * width - 1)
-    toeplitz = sliding_window_view(padded, width)[::-1]
-    kernel = np.empty((width, width))
-    block = np.empty(steps * width)
+    out = [cols[0].copy()]
+    # buffers shared by every step, so that no block allocates its own; a
+    # step's precision is at most width-1, and so are their sides.
+    # toeplitz[i, j] = padded[side-1 + j - i], zero below the diagonal
+    side = max(width - 1, 1)
+    padded = np.zeros(2 * side - 1)
+    toeplitz = sliding_window_view(padded, side)[::-1]
+    kernel = np.empty((side, side))
+    block = np.empty(min(_BLOCK_ROWS, side) * side)
     prod = np.empty_like(block)
     for n in range(1, steps + 1):
-        size, rows = lim(n), steps - n + 1
-        if size > 0:
+        size = max(0, width - n)
+        rows = min(steps - n + 1, size)
+        if rows:
             # row @ kernel is row * P**(n+c0) mod x**size
-            padded[width - 1: width - 1 + size] = pw[base * (n + c0)][:size]
+            padded[side - 1: side - 1 + size] = pw[base * (n + c0)][:size]
             kernel[:size, :size] = toeplitz[:size, :size]
-            b = block[: rows * size].reshape(rows, size)
-            b[...] = cols[1: rows + 1, :size]
-            add = np.matmul(b, kernel[:size, :size],
-                            out=prod[: rows * size].reshape(rows, size))
+        for r0 in range(0, rows, _BLOCK_ROWS):
+            r1 = min(r0 + _BLOCK_ROWS, rows)
+            h, prec = r1 - r0, size - r0
+            b = block[: h * prec].reshape(h, prec)
+            b[...] = cols[r0 + 1: r1 + 1, :prec]
+            add = np.matmul(b, kernel[:prec, :prec],
+                            out=prod[: h * prec].reshape(h, prec))
             # the float buffers are spent; their memory takes int64 values.
             # floor_divide by a scalar is several times faster than remainder
             b, quo = b.view(np.int64), add.view(np.int64)
             np.copyto(b, add, casting="unsafe")
-            b += cols[:rows, :size]
+            b += cols[r0:r1, :prec]
             np.floor_divide(b, mod, out=quo)
             quo *= mod
-            np.subtract(b, quo, out=cols[:rows, :size])
+            np.subtract(b, quo, out=cols[r0:r1, :prec])
         out.append(cols[0, :size].copy())
     return out
 
@@ -119,14 +130,13 @@ def _sub_weights_mod(family, depth, mod, pw):
         vals = [np.ones(1, dtype=np.int64)] * (depth + 2)
         for level in range(1, m):
             c0 = 1 if level > alpha else 0
-            got = _sub_ladder_mod(vals, c0, len(vals) - 1, 1, pw, depth, mod,
-                                  shrink=False)
+            got = _sub_ladder_mod(vals, c0, len(vals) - 1, 1, pw, depth, mod)
             vals = got[1:] if level == alpha else got
         return vals[: depth + 1]
     (k,) = family.params
     vals = [np.ones(1, dtype=np.int64)] * (depth + 1)
     for _ in range(k - 1):
-        vals = _sub_ladder_mod(vals, 1, depth, 2, pw, depth, mod, shrink=True)
+        vals = _sub_ladder_mod(vals, 1, depth, 2, pw, depth, mod)
     out = []
     for n, t in enumerate(vals):
         prec = depth + 1 - n
@@ -135,30 +145,38 @@ def _sub_weights_mod(family, depth, mod, pw):
 
 
 def xi_residues(family, depth: int, mod: int, top: int) -> tuple:
-    """xi(0..depth) mod ``mod``, with rows 0..top of the (1-x)**e table."""
+    """xi(0..depth) mod ``mod``, with rows 0..top of the (1-x)**e table.
+
+    xi = sum_n x**n R_n w_n, R_n = u_1 ... u_n, with the units
+    u_n = (1 - (1-x)**j_n)/x, j_n = n (F kernel) or 2n-1 (G kernel).  It is
+    accumulated by Horner's rule S_n = w_n + x u_(n+1) S_(n+1), S_0 = xi,
+    with S_n kept mod x**(depth+1-n): one truncated convolution per index.
+    The units are read off (1-x)**j, which is walked down from the top j
+    one prefix sum per step, (1-x)**(j-1) = (1-x)**j / (1-x), so they take
+    O(depth) memory.
+    """
     step = 1 if family.kernel == "F" else 2
     pw = _pw_table(depth, mod, top)
     wsub = _sub_weights_mod(family, depth, mod, pw)
-    total = np.zeros(depth + 1, dtype=np.int64)
-    w0 = wsub[0]
-    total[: w0.size] = w0 % mod
-    # binomial row C(j, .) mod `mod`, advanced by Pascal shifts as j grows
-    brow = np.zeros(depth + 2, dtype=np.int64)
-    brow[0] = 1
-    signs = np.where(np.arange(depth + 1) % 2 == 0, 1, mod - 1)
-    R = np.ones(1, dtype=np.int64)
-    j = 0
-    for n in range(1, depth + 1):
-        prec = depth + 1 - n
-        target = n if step == 1 else 2 * n - 1
-        while j < target:
-            brow[1:] = (brow[1:] + brow[:-1]) % mod
-            j += 1
-        ulen = min(j, prec)
-        # u[i-1] = (-1)**(i+1) C(j, i), the unit (1-(1-x)**j)/x
-        u = (brow[1: ulen + 1] * signs[:ulen]) % mod
-        R = _conv_trunc(R, u, prec, mod)
-        t = _conv_trunc(R, wsub[n][:prec], prec, mod)
-        if t.size:
-            total[n: n + t.size] = (total[n: n + t.size] + t) % mod
-    return tuple(int(v) for v in total)
+    # pj = (1-x)**j mod (x**(depth+1), mod), first for j = j_(depth+1)
+    j = step * depth + 1
+    coef, row = 1, []
+    for i in range(depth + 1):
+        row.append(coef % mod)
+        coef = -coef * (j - i) // (i + 1)  # (-1)**(i+1) C(j, i+1)
+    pj = np.array(row, dtype=np.int64)
+    acc = _EMPTY  # S_(depth+1) = 0
+    for n in range(depth, -1, -1):
+        # acc = S_(n+1) mod x**prec becomes S_n mod x**(prec+1)
+        prec = depth - n
+        t = _conv_trunc((-pj[1: min(j, prec) + 1]) % mod, acc, prec, mod)
+        w = wsub[n][: prec + 1]
+        acc = np.zeros(prec + 1, dtype=np.int64)
+        acc[: w.size] = w
+        acc[1: 1 + t.size] += t
+        acc %= mod
+        for _ in range(step):  # on to j_n
+            np.cumsum(pj, out=pj)
+            pj %= mod
+        j -= step
+    return tuple(acc.tolist())

@@ -264,9 +264,13 @@ class _BasePoly:
         return cls(cls._parse_coeff(c) for c in obj["coeffs"])
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, repr=False)
 class IntPoly(_BasePoly):
     """Dense polynomial with integer coefficients."""
+
+    # coeffs is _BasePoly's slot; slots=True here would repeat it on
+    # Python 3.10, whose dataclasses keep inherited slot names
+    __slots__ = ()
 
     @classmethod
     def _new(cls, coeffs: Sequence) -> "IntPoly":
@@ -301,9 +305,11 @@ class IntPoly(_BasePoly):
         return RatPoly(self.coeffs)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, repr=False)
 class RatPoly(_BasePoly):
     """Dense polynomial with exact rational coefficients, held as Fractions."""
+
+    __slots__ = ()  # as for IntPoly
 
     @staticmethod
     def _coerce(c) -> Fraction:

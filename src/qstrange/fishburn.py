@@ -20,7 +20,8 @@ import functools
 from dataclasses import dataclass
 
 from .exactpoly import subst_one_minus_q
-from .qfamilies import InvalidParam, partial_sum
+from .qfamilies import (MAX_PARTIAL_SUM_WORK, InvalidParam, partial_sum,
+                        partial_sum_work)
 
 __all__ = [
     "XiSequence",
@@ -38,8 +39,8 @@ MAX_TABLE_BYTES = 2 ** 28
 
 # It also refuses a request whose modular_work is over this: the deepest
 # accepted depth is 3683 for kz and gk:k=1, 666 for gk:k=2 and
-# hikami:m=2, and 560 for gk:k=3 and hikami:m=3; each takes 1-4 s on a
-# 2-vCPU Xeon VM.
+# hikami:m=2, and 560 for gk:k=3 and hikami:m=3; each takes 1.2-2.5 s on
+# a 2-vCPU Xeon VM.
 MAX_MODULAR_WORK = 5 * 10 ** 10
 
 # Miller-Rabin with the prime bases 2..41 decides primality exactly below
@@ -77,7 +78,11 @@ class XiSequence:
 
 
 def xi_coeffs(family, depth: int) -> XiSequence:
-    """xi(0..depth), exact, as the 1-q substitution of the exact partial sum."""
+    """xi(0..depth), exact, as the 1-q substitution of the exact partial sum.
+
+    Refused with InvalidParam, before anything is computed, when the
+    partial sum at N = depth is over MAX_PARTIAL_SUM_WORK.
+    """
     if depth < 0:
         raise InvalidParam("depth must be nonnegative")
     sub = subst_one_minus_q(partial_sum(family, depth).value, depth)
@@ -90,8 +95,10 @@ def xi_coeffs(family, depth: int) -> XiSequence:
 def _table_plan(family, depth: int):
     """(last row of the (1-x)**e table, bytes of the engine's tables).
 
-    The bytes count that table and, for laddered families, one ladder's
-    column block with its two step buffers and Toeplitz kernel.
+    The bytes count that table and, for laddered families, 4 n (n+1)
+    words, n = depth + 1, which bound one ladder's buffers: its column
+    block of at most (n+1)**2 words, and its Toeplitz kernel and two step
+    buffers of at most n**2 words each.
     """
     n = depth + 1
     top = laddered = 0
@@ -108,9 +115,13 @@ def _table_plan(family, depth: int):
 def modular_work(family, depth: int) -> int:
     """Work estimate for xi mod m at this depth, from the family alone.
 
-    With n = depth + 1, the xi accumulation makes n truncated convolutions
-    of length up to n, about n**3 steps; each ladder of gk:k>=2 (k-1 of
-    them) or hikami:m>=2 (m-1) adds about n**4 / 4 matrix-product steps.
+    With n = depth + 1, it counts n**3 for the xi accumulation and n**4 / 4
+    for each ladder of gk:k>=2 (k-1 of them) or hikami:m>=2 (m-1).  That
+    overcounts the engine, which computes only the residues it reads: the
+    Horner accumulation makes n truncated convolutions of up to n by n
+    terms, and a ladder's trimmed row blocks take about n**4 / 12
+    matrix-product steps.  The count stays the admission measure, so the
+    accepted depths are those of MAX_MODULAR_WORK's comment.
     """
     n = depth + 1
     ladders = 0
@@ -127,7 +138,8 @@ def _xi_mod(family, depth: int, mod: int) -> tuple:
     products are exact; above that the exact coefficients are reduced.
     Either way, a depth whose tables would pass MAX_TABLE_BYTES, or whose
     modular_work passes MAX_MODULAR_WORK, is refused with InvalidParam
-    before anything is computed or imported.
+    before anything is computed or imported; the exact road is refused
+    as well when xi_coeffs is, over MAX_PARTIAL_SUM_WORK.
     """
     if depth < 0:
         raise InvalidParam("depth must be nonnegative")
@@ -263,8 +275,8 @@ def verify_congruence(family, p: int, r: int, beta: int,
 
     Evidence is empirical at the given depth, never a proof.  On failure the
     report carries the least counterexample index and its residue.  When the
-    smallest index is cheap the exact engine recomputes that coefficient as
-    a cross-check on the modular one.
+    smallest index is at most 64 and within MAX_PARTIAL_SUM_WORK, the exact
+    engine recomputes that coefficient as a cross-check on the modular one.
     """
     mod = _prime_power(p, r, depth + max(beta, 1))
     if not 1 <= beta <= mod:
@@ -276,7 +288,7 @@ def verify_congruence(family, p: int, r: int, beta: int,
         raise InvalidParam("depth too small to test any index")
     _require_prime(p)
     vals = _xi_mod(family, depth, mod)
-    if first <= 64:
+    if first <= 64 and partial_sum_work(family, first) <= MAX_PARTIAL_SUM_WORK:
         exact = xi_coeffs(family, first).coeffs[first]
         if exact % mod != vals[first]:
             raise ArithmeticError(

@@ -52,6 +52,14 @@ class ParseError(ValueError):
     """Malformed family descriptor."""
 
 
+# partial_sum refuses a request whose partial_sum_work is over this: the
+# deepest accepted N is 321 for kz, 271 for gk:k=1, 67 for gk:k=2, 50 for
+# gk:k=3, 80 for hikami:m=2 and 59 for hikami:m=3.  On a 2-vCPU Xeon VM
+# each of those sums takes 0.3-0.9 s, and xi_coeffs of kz and gk:k=1
+# there, with the 1-q substitution, 2-3 s.
+MAX_PARTIAL_SUM_WORK = 10 ** 8
+
+
 # -- the ladder --------------------------------------------------------------
 
 def _ladder(weights: Iterable[IntPoly], c0: int, base: int,
@@ -271,14 +279,61 @@ def _horner(family: FamilySpec, weights: Sequence[IntPoly],
     return IntPoly._new(_add_into(acc, weights[0].coeffs))
 
 
+def partial_sum_work(family: FamilySpec, upper: int) -> int:
+    """Work estimate for partial_sum(family, upper), from the parameters alone.
+
+    It is passes x degree x coefficient words, with N = upper:
+    - passes: the N binomial-factor passes of the Horner sum, plus
+      N(N+1)/2 column steps for each ladder level of the weights (k-1 for
+      gk:k, m-1 for hikami:m);
+    - degree: that of the sum, the kernel's N(N+1)/2 or N**2 plus the
+      weights'; a ladder level of base b and offset c0 adds b n (n+c0) at
+      the index n it is read at;
+    - words: 1 + bits // 64, where bits bounds the coefficients by the sum
+      of their absolute values at q = 1: each kernel factor and each ladder
+      level at most doubles it, and the N+1 terms add bits(N+1).
+    """
+    N = upper
+    levels = wdeg = wbits = 0
+    if family.kind == "gk":
+        levels = family.params[0] - 1
+        wdeg = 2 * levels * N * (N + 1) + N
+    elif family.kind == "hikami":
+        m, alpha = family.params
+        levels = m - 1
+        # the levels up to alpha are read one index further on
+        wdeg = alpha * (N + 1) ** 2 + (levels - alpha) * N * (N + 1)
+    elif family.kind == "inline":
+        terms = family.params[: N + 1]
+        wdeg = max((len(p.coeffs) for p in terms), default=0)
+        wbits = max((sum(map(abs, p.coeffs)).bit_length() for p in terms),
+                    default=0)
+    kdeg = N * (N + 1) // 2 if family.kernel == "F" else N * N
+    bits = N + levels * (N + 1) + wbits + (N + 1).bit_length()
+    passes = N + levels * N * (N + 1) // 2
+    return passes * (kdeg + wdeg) * (1 + bits // 64)
+
+
+def check_partial_sum(family: FamilySpec, upper: int) -> None:
+    """Refuse, with InvalidParam, a partial sum whose work is over
+    MAX_PARTIAL_SUM_WORK, before anything is computed."""
+    work = partial_sum_work(family, upper)
+    if work > MAX_PARTIAL_SUM_WORK:
+        raise InvalidParam(
+            f"{family.label} at N = {upper}: partial-sum work {work} is over "
+            f"MAX_PARTIAL_SUM_WORK = {MAX_PARTIAL_SUM_WORK}")
+
+
 def partial_sum(family: FamilySpec, upper: int) -> PartialSum:
     """Sum of term_poly(n)*kernel(n) for n = 0..upper, exactly.
 
     Memoized per (family, upper); one Horner pass of O(upper) binomial
-    factors, each O(degree).
+    factors, each O(degree).  Refused with InvalidParam when
+    partial_sum_work is over MAX_PARTIAL_SUM_WORK.
     """
     if upper < 0:
         raise ValueError("upper must be nonnegative")
+    check_partial_sum(family, upper)
     return PartialSum(family, upper, _partial_sum_value(family, upper))
 
 

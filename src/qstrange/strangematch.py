@@ -27,7 +27,7 @@ from fractions import Fraction
 from .cyclofield import CycloNum, eval_at_root
 from .exactpoly import theta_deriv
 from .partialtheta import MAX_L_WORK, gamma_coeff, gamma_work, validate_character
-from .qfamilies import InvalidParam, partial_sum
+from .qfamilies import InvalidParam, check_partial_sum, partial_sum
 
 # Largest accepted stable_derivative index for match_expansion: the partial
 # sum it needs is built and differentiated at every order.  kz at index 100
@@ -112,8 +112,9 @@ def match_expansion(family, char, k: int, j: int, depth: int) -> MatchReport:
     every order agrees and otherwise records the first failing order; nothing
     is rounded, so a mismatch is a theorem about the inputs rather than a
     numerical artifact.  Refused with InvalidParam before any work when the
-    stable_derivative index at ``depth`` exceeds MAX_MATCH_INDEX or gamma_depth
-    exceeds the L-value work limit.
+    stable_derivative index at ``depth`` exceeds MAX_MATCH_INDEX, the partial
+    sum to that index exceeds MAX_PARTIAL_SUM_WORK, or gamma_depth exceeds
+    the L-value work limit.
     """
     validate_character(char)
     if depth < 0:
@@ -125,6 +126,7 @@ def match_expansion(family, char, k: int, j: int, depth: int) -> MatchReport:
     if index > MAX_MATCH_INDEX:
         raise InvalidParam(f"depth {depth} needs the partial sum to index {index}, "
                            f"over MAX_MATCH_INDEX = {MAX_MATCH_INDEX}")
+    check_partial_sum(family, index)
     if gamma_work(char, k, depth) > MAX_L_WORK:
         raise InvalidParam(f"gamma_{depth} at zeta_{k} is over the work limit "
                            f"MAX_L_WORK = {MAX_L_WORK}")

@@ -617,6 +617,33 @@ def test_numpy_is_imported_only_by_the_modular_engine():
     assert "numpy" in _imported(err)
 
 
+# each was killed by a 10 s timeout before the partial-sum work limit
+OVER_PARTIAL_SUM_WORK = [
+    ("fishburn", "--family", "gk:k=2", "--depth", "300"),
+    ("scan", "--family", "gk:k=2", "--p", "5500003", "--beta", "5500000",
+     "--depth", "300"),
+    ("dissect", "--family", "kz", "--s", "3", "--N", "2000"),
+    ("verify", "--family", "gk:k=3", "--char", "chi_gk:k=3", "--s", "5",
+     "--N", "3000"),
+]
+
+
+@pytest.mark.parametrize("argv", OVER_PARTIAL_SUM_WORK,
+                         ids=lambda argv: argv[0])
+def test_partial_sum_over_work_limit_is_usage_error(capsys, monkeypatch, argv):
+    import qstrange.qfamilies as qf
+
+    def never(*args):
+        raise AssertionError("the partial sum was computed")
+
+    monkeypatch.setattr(qf, "_partial_sum_value", never)
+    monkeypatch.setattr(qf.FamilySpec, "coefficient_polys", never)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "MAX_PARTIAL_SUM_WORK" in err
+
+
 def test_oversized_probes_are_refused_without_numpy(tmp_path):
     """Each call hung before it was refused; none may reach the modular
     engine, whose import is made to fail, and each is refused at once."""
@@ -635,7 +662,7 @@ def test_oversized_probes_are_refused_without_numpy(tmp_path):
          "--depth", "10"],
         ["scan", "--family", "kz", "--p", "3", "--r", "100000000",
          "--depth", "10"],
-    ]
+    ] + [list(argv) for argv in OVER_PARTIAL_SUM_WORK]
     script = f"""
 import json, sys, time
 sys.modules["qstrange._modular"] = None  # importing the engine now fails
@@ -664,7 +691,8 @@ def test_work_guards_admit_criteria_and_bench_items(capsys):
     from qstrange.dissection import residue_set
     from qstrange.fishburn import scan_congruences, verify_congruence
     from qstrange.partialtheta import TwistedSeq, l_value, twisted_sequence
-    from qstrange.qfamilies import parse_family
+    from qstrange.qfamilies import (MAX_PARTIAL_SUM_WORK, parse_family,
+                                    partial_sum_work)
     from qstrange.strangematch import match_expansion
 
     path = SRC.parent / "perfbench" / "workloads.py"
@@ -690,6 +718,9 @@ def test_work_guards_admit_criteria_and_bench_items(capsys):
     for _, char, ss in workloads.SWEEP_FAMILIES:
         for s in ss:
             residue_set(get_character(char), s)
+    # exact-sweep and criteria 6 and 7 sum to N = 22 and N = 30
+    for fam, _, _ in workloads.SWEEP_FAMILIES:
+        assert partial_sum_work(parse_family(fam), 30) <= MAX_PARTIAL_SUM_WORK
     # modular-scan runs the criterion 11 classes and four scans
     for fam, p, r, beta, depth in workloads.CONGRUENCES:
         verify_congruence(parse_family(fam), p, r, beta, depth)

@@ -99,6 +99,20 @@ class TestModularEngine:
         for mod in (5, 9, 64, 97):
             assert _xi_mod(fam, depth, mod) == tuple(c % mod for c in exact)
 
+    @pytest.mark.parametrize("label,depth", [
+        ("gk:k=2", 66),
+        ("gk:k=3", 48),
+        ("hikami:m=3,alpha=1", 56),
+        ("hikami:m=3,alpha=2", 56),
+    ])
+    def test_agrees_with_exact_across_ladder_blocks(self, label, depth):
+        # the early ladder steps here span two or more blocks of rows
+        assert depth > engine._BLOCK_ROWS
+        fam = parse_family(label)
+        exact = xi_coeffs(fam, depth).coeffs
+        for mod in (7, 25):
+            assert _xi_mod(fam, depth, mod) == tuple(c % mod for c in exact)
+
     def test_overflow_fallback(self):
         # (mod-1)^2*(depth+1) at or over 2^53 forces the exact route
         mod = 2 ** 31
@@ -156,6 +170,20 @@ class TestModularEngine:
             for mod in (5, 2 ** 31):
                 with pytest.raises(InvalidParam, match="MAX_MODULAR_WORK"):
                     _xi_mod(fam, depth, mod)
+
+    def test_cross_check_stays_within_the_partial_sum_limit(self, monkeypatch):
+        import qstrange.fishburn as fb
+
+        def never(*args):
+            raise AssertionError("the exact engine ran")
+
+        # the least index, 64, is over MAX_PARTIAL_SUM_WORK for gk:k=3
+        fam = parse_family("gk:k=3")
+        assert fb.partial_sum_work(fam, 64) > fb.MAX_PARTIAL_SUM_WORK
+        monkeypatch.setattr(fb, "xi_coeffs", never)
+        rep = verify_congruence(fam, 67, 1, 3, 140)
+        assert rep.indices_checked == 2
+        assert rep.verdict in ("pass", "fail")
 
     def test_memo_returns_one_tuple(self):
         vals = _xi_mod(KZ, 60, 5)

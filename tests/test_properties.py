@@ -8,6 +8,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import islice
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -26,6 +27,7 @@ from qstrange.exactpoly import (
     subst_one_minus_q,
     theta_deriv,
 )
+import qstrange._modular as engine
 from qstrange._modular import _pw_table, _sub_ladder_mod
 from qstrange.fishburn import _xi_mod, xi_coeffs
 from qstrange.partialtheta import (
@@ -146,12 +148,14 @@ def test_modular_engine_matches_exact(fam, depth, m):
 @given(st.integers(0, 20).flatmap(lambda depth: st.tuples(
            st.just(depth),
            st.lists(polys, min_size=1, max_size=depth + 2))),
-       st.sampled_from([0, 1]), st.sampled_from([1, 2]), st.booleans(),
-       st.sampled_from([2, 3, 5, 7, 4, 8, 9, 25, 27]))
-def test_modular_ladder_matches_exact(depth_weights, c0, base, shrink, m):
+       st.sampled_from([0, 1]), st.sampled_from([1, 2]),
+       st.sampled_from([2, 3, 5, 7, 4, 8, 9, 25, 27]),
+       st.sampled_from([1, 2, 3, engine._BLOCK_ROWS]))
+def test_modular_ladder_matches_exact(depth_weights, c0, base, m, block):
+    # blocks of 1-3 rows make every step span several of them
     depth, weights = depth_weights
     steps = len(weights) - 1
-    width = depth + 2 - c0 if shrink else depth + 1
+    width = depth + 2 - c0
 
     def residues(p, size):
         sub = subst_one_minus_q(p, max(size - 1, 0)).coeffs[:size]
@@ -159,13 +163,13 @@ def test_modular_ladder_matches_exact(depth_weights, c0, base, shrink, m):
                         dtype=np.int64)
 
     pw = _pw_table(depth, m, base * (steps + c0))
-    got = _sub_ladder_mod([residues(w, width) for w in weights], c0, steps,
-                          base, pw, depth, m, shrink)
+    with mock.patch.object(engine, "_BLOCK_ROWS", block):
+        got = _sub_ladder_mod([residues(w, width) for w in weights], c0,
+                              steps, base, pw, depth, m)
     exact = islice(_ladder(iter(weights), c0, base), steps + 1)
     assert len(got) == steps + 1
     for n, (a, want) in enumerate(zip(got, exact)):
-        size = max(0, width - n) if shrink else width
-        assert a.tolist() == residues(want, size).tolist()
+        assert a.tolist() == residues(want, max(0, width - n)).tolist()
 
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)

@@ -7,7 +7,9 @@ import pytest
 
 import helpers
 from qstrange.exactpoly import IntPoly, pochhammer
+import qstrange.qfamilies as qf
 from qstrange.qfamilies import (
+    MAX_PARTIAL_SUM_WORK,
     FamilySpec,
     InvalidParam,
     ParseError,
@@ -15,6 +17,7 @@ from qstrange.qfamilies import (
     parse_family,
     partial_sum,
     partial_sum_prefix,
+    partial_sum_work,
     term_poly,
 )
 
@@ -242,6 +245,41 @@ class TestPartialSum:
         ps = partial_sum(parse_family("kz"), 1)
         with pytest.raises(AttributeError):
             ps.value = IntPoly()
+
+
+class TestWorkLimit:
+    INLINE = parse_family(json.dumps(
+        {"kernel": "G", "terms": [{"coeffs": [5, -7, 0, 3]}, {"coeffs": []},
+                                  {"coeffs": [0, 0, 0, 0, 0, -40]}]}))
+
+    @pytest.mark.parametrize("label", BUILTINS + [
+        "hikami:m=3,alpha=1", "hikami:m=3,alpha=2", "inline"])
+    def test_bounds_degree_and_coefficients(self, label):
+        # N passes at least, each over the whole degree and coefficient size
+        f = self.INLINE if label == "inline" else parse_family(label)
+        for n in range(13):
+            value = partial_sum(f, n).value
+            bits = max(abs(c).bit_length() for c in value.coeffs)
+            assert partial_sum_work(f, n) >= \
+                n * value.degree * (1 + bits // 64)
+
+    @pytest.mark.parametrize("label,deepest", [
+        ("kz", 321), ("gk:k=1", 271), ("gk:k=2", 67), ("gk:k=3", 50),
+        ("hikami:m=2,alpha=0", 80), ("hikami:m=2,alpha=1", 80),
+        ("hikami:m=3,alpha=1", 59),
+    ])
+    def test_refused_past_the_deepest_accepted_n(self, label, deepest,
+                                                 monkeypatch):
+        f = parse_family(label)
+        assert partial_sum_work(f, deepest) <= MAX_PARTIAL_SUM_WORK \
+            < partial_sum_work(f, deepest + 1)
+
+        def never(*args):
+            raise AssertionError("the partial sum was computed")
+
+        monkeypatch.setattr(qf, "_partial_sum_value", never)
+        with pytest.raises(InvalidParam, match="MAX_PARTIAL_SUM_WORK"):
+            partial_sum(f, deepest + 1)
 
 
 class TestPrefix:

@@ -3,7 +3,10 @@ pickles to an equal value."""
 
 import copy
 import dataclasses
+import importlib
+import inspect
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
@@ -95,3 +98,24 @@ def test_round_trip_keeps_coefficient_types():
         y = pickle.loads(pickle.dumps(x))
         assert list(map(type, y.coeffs)) == list(map(type, x.coeffs))
         assert hash(y) == hash(x)
+
+
+def _package_classes():
+    for info in pkgutil.iter_modules(qstrange.__path__):
+        module = importlib.import_module(f"qstrange.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                yield cls
+
+
+def _slot_names(cls):
+    slots = vars(cls).get("__slots__", ())
+    return (slots,) if isinstance(slots, str) else tuple(slots)
+
+
+@pytest.mark.parametrize("cls", list(_package_classes()),
+                         ids=lambda c: f"{c.__module__}.{c.__qualname__}")
+def test_no_slot_name_repeats_along_the_mro(cls):
+    # a repeated slot shadows the inherited one and leaves it dead
+    names = [name for klass in cls.__mro__ for name in _slot_names(klass)]
+    assert len(names) == len(set(names)), names

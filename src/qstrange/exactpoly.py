@@ -17,13 +17,15 @@ General products use the schoolbook rule.  The q-Pochhammer kernels
 (q;q)_n and (q;q^2)_n are products of binomials 1 - q^e, and partial sums
 and certificates apply them one binomial at a time: mul_binomial
 multiplies a coefficient list by one binomial with a shift and a
-subtraction, and exact_div(p, *pochhammer_factors(n, step)) divides by the
-binomials in turn.
+subtraction, and its inverse div_binomial divides by one with a running
+sum per residue class mod e, which exact_div(p, *pochhammer_factors(n,
+step)) applies to the binomials in turn.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +40,7 @@ __all__ = [
     "subst_one_minus_q",
     "cyclotomic",
     "mul_binomial",
+    "div_binomial",
     "pochhammer_exponents",
     "pochhammer_factors",
     "pochhammer",
@@ -91,6 +94,28 @@ def mul_binomial(coeffs: Sequence, e: int) -> list:
     c = list(coeffs)
     pad = [0] * e
     return list(map(operator.sub, c + pad, pad + c))
+
+
+def div_binomial(coeffs: Sequence, e: int) -> list:
+    """Coefficient list of coeffs / (1 - q^e), for e >= 1; inverts mul_binomial.
+
+    From p = Q (1 - q^e), Q_i = p_i + Q_(i-e): within each residue class
+    mod e the quotient is the running sum of p's coefficients, and the
+    class's last running sum is its coefficient of the remainder.  Raises
+    NotDivisible unless every class ends at 0.  O(len + e); a list without
+    trailing zeros gives a list without trailing zeros.
+    """
+    if e < 1:
+        raise ValueError("binomial exponent must be positive")
+    quo = [0] * len(coeffs)
+    for r in range(e):
+        sums = list(itertools.accumulate(coeffs[r::e]))
+        if sums and sums[-1]:
+            raise NotDivisible("nonzero remainder")
+        quo[r::e] = sums
+    # each class's last index lies in the top e, where the sums are 0
+    del quo[max(len(coeffs) - e, 0):]
+    return quo
 
 
 _set = object.__setattr__
@@ -358,10 +383,11 @@ def exact_div(p: IntPoly, *divisors: IntPoly) -> IntPoly:
     same quotient and verdict as one division by d1*...*dk.  With no
     divisors the quotient is p.
 
-    A step runs in the integers when its divisor has leading coefficient
-    +-1 (every binomial 1 - q^e does), and its inner loop visits only the
-    divisor's nonzero coefficients, so dividing by 1 - q^e costs O(deg p).
-    Other divisors go through the rationals with an integrality check.
+    A divisor +-(1 - q^e) goes through div_binomial, in O(deg p).  Any
+    other divisor with leading coefficient +-1 runs the integer long
+    division, whose inner loop visits only the divisor's nonzero
+    coefficients below the top; the rest go through the rationals with an
+    integrality check.
     """
     if not isinstance(p, IntPoly) or not all(isinstance(d, IntPoly) for d in divisors):
         raise TypeError("exact_div expects IntPoly arguments")
@@ -378,12 +404,16 @@ def exact_div(p: IntPoly, *divisors: IntPoly) -> IntPoly:
 def _div_step(num: list, d: IntPoly) -> list:
     """Quotient of a nonzero coefficient list (no trailing zeros) by d.
 
-    num is used as the remainder buffer and is overwritten.
+    num may be used as the remainder buffer, and overwritten.
     """
     dd = d.degree
     if len(num) - 1 < dd:
         raise NotDivisible(f"degree {len(num) - 1} < divisor degree {dd}")
-    lead = d.coeffs[-1]
+    dc = d.coeffs
+    lead = dc[-1]
+    if dd and lead in (1, -1) and dc[0] == -lead and not any(dc[1:-1]):
+        quo = div_binomial(num, dd)
+        return quo if lead == -1 else [-c for c in quo]
     if lead not in (1, -1):
         q, r = RatPoly(num).divmod_by(d.to_rat())
         if r:

@@ -20,8 +20,8 @@ import functools
 from dataclasses import dataclass
 
 from .exactpoly import subst_one_minus_q
-from .qfamilies import (MAX_PARTIAL_SUM_WORK, InvalidParam, partial_sum,
-                        partial_sum_work)
+from .qfamilies import (MAX_PARTIAL_SUM_WORK, InvalidParam, check_partial_sum,
+                        partial_sum, partial_sum_work)
 
 __all__ = [
     "XiSequence",
@@ -81,10 +81,12 @@ def xi_coeffs(family, depth: int) -> XiSequence:
     """xi(0..depth), exact, as the 1-q substitution of the exact partial sum.
 
     Refused with InvalidParam, before anything is computed, when the
-    partial sum at N = depth is over MAX_PARTIAL_SUM_WORK.
+    partial sum at N = depth and its substitution, partial_sum_work(family,
+    depth, depth), are over MAX_PARTIAL_SUM_WORK.
     """
     if depth < 0:
         raise InvalidParam("depth must be nonnegative")
+    check_partial_sum(family, depth, depth)
     sub = subst_one_minus_q(partial_sum(family, depth).value, depth)
     return XiSequence(family.label,
                       sub.coeffs + (0,) * (depth + 1 - len(sub.coeffs)))
@@ -275,8 +277,9 @@ def verify_congruence(family, p: int, r: int, beta: int,
 
     Evidence is empirical at the given depth, never a proof.  On failure the
     report carries the least counterexample index and its residue.  When the
-    smallest index is at most 64 and within MAX_PARTIAL_SUM_WORK, the exact
-    engine recomputes that coefficient as a cross-check on the modular one.
+    smallest index is at most 64 and xi_coeffs there is within
+    MAX_PARTIAL_SUM_WORK, the exact engine recomputes that coefficient as a
+    cross-check on the modular one.
     """
     mod = _prime_power(p, r, depth + max(beta, 1))
     if not 1 <= beta <= mod:
@@ -288,7 +291,8 @@ def verify_congruence(family, p: int, r: int, beta: int,
         raise InvalidParam("depth too small to test any index")
     _require_prime(p)
     vals = _xi_mod(family, depth, mod)
-    if first <= 64 and partial_sum_work(family, first) <= MAX_PARTIAL_SUM_WORK:
+    if first <= 64 and \
+            partial_sum_work(family, first, first) <= MAX_PARTIAL_SUM_WORK:
         exact = xi_coeffs(family, first).coeffs[first]
         if exact % mod != vals[first]:
             raise ArithmeticError(

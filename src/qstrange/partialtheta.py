@@ -23,6 +23,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from qstrange.cyclofield import CycloNum
 from qstrange.exactpoly import RatPoly
@@ -130,6 +131,12 @@ class Character:
     def value(self, n: int) -> Fraction:
         return self.values[n % self.period]
 
+    def support(self, span: int) -> Iterator[int]:
+        """The n in 0..span-1 with value(n) != 0, ascending; span must be a
+        multiple of the period."""
+        rs = [r for r, v in enumerate(self.values) if v]
+        return (base + r for base in range(0, span, self.period) for r in rs)
+
     def exponent(self, n: int) -> int:
         """(n^2 - a)/b for a supported n; exact integer or IntegralityViolation."""
         num = n * n - self.a
@@ -167,16 +174,15 @@ def character_from_json_obj(obj: dict, label: str = "custom") -> Character:
 def validate_character(char: Character) -> Character:
     """Check (chi1) integrality and (chi2) zero untwisted mean.
 
-    Integrality is scanned over lcm(T, b) indices, which covers every
-    residue of n mod b occurring on the support; one bare period is not
-    enough since the exponent map has period b, not T.
+    Integrality is checked on the support within lcm(T, b) indices, which
+    covers every residue of n mod b occurring on the support; one bare
+    period is not enough since the exponent map has period b, not T.
     """
-    span = math.lcm(char.period, char.b)
-    for n in range(span):
-        if char.value(n):
-            char.exponent(n)  # raises IntegralityViolation when fractional
-    if sum(char.values, Fraction(0)):
-        raise MeanValueNonzero(f"character mean over one period is {sum(char.values)}")
+    for n in char.support(math.lcm(char.period, char.b)):
+        char.exponent(n)  # raises IntegralityViolation when fractional
+    mean = sum(filter(None, char.values))  # the zeros add nothing
+    if mean:
+        raise MeanValueNonzero(f"character mean over one period is {mean}")
     return char
 
 

@@ -55,8 +55,11 @@ class ParseError(ValueError):
 # partial_sum refuses a request whose partial_sum_work is over this: the
 # deepest accepted N is 321 for kz, 271 for gk:k=1, 67 for gk:k=2, 50 for
 # gk:k=3, 80 for hikami:m=2 and 59 for hikami:m=3.  On a 2-vCPU Xeon VM
-# each of those sums takes 0.3-0.9 s, and xi_coeffs of kz and gk:k=1
-# there, with the 1-q substitution, 2-3 s.
+# each of those sums takes 0.3-0.9 s.  xi_coeffs counts its 1-q
+# substitution as well, so its deepest depth is 270 for kz, 231 for
+# gk:k=1 and 49 for gk:k=3 (the others as above); there it takes about
+# 2 s for kz and gk:k=1, whose substitution grows the coefficients past
+# the words counted, and under 0.5 s for the rest.
 MAX_PARTIAL_SUM_WORK = 10 ** 8
 
 
@@ -279,7 +282,7 @@ def _horner(family: FamilySpec, weights: Sequence[IntPoly],
     return IntPoly._new(_add_into(acc, weights[0].coeffs))
 
 
-def partial_sum_work(family: FamilySpec, upper: int) -> int:
+def partial_sum_work(family: FamilySpec, upper: int, cap: int = -1) -> int:
     """Work estimate for partial_sum(family, upper), from the parameters alone.
 
     It is passes x degree x coefficient words, with N = upper:
@@ -292,6 +295,8 @@ def partial_sum_work(family: FamilySpec, upper: int) -> int:
     - words: 1 + bits // 64, where bits bounds the coefficients by the sum
       of their absolute values at q = 1: each kernel factor and each ladder
       level at most doubles it, and the N+1 terms add bits(N+1).
+    With cap >= 0 it also counts the 1-q substitution of the sum truncated
+    at degree cap, as xi_coeffs runs it: cap + 1 more passes.
     """
     N = upper
     levels = wdeg = wbits = 0
@@ -310,14 +315,15 @@ def partial_sum_work(family: FamilySpec, upper: int) -> int:
                     default=0)
     kdeg = N * (N + 1) // 2 if family.kernel == "F" else N * N
     bits = N + levels * (N + 1) + wbits + (N + 1).bit_length()
-    passes = N + levels * N * (N + 1) // 2
+    passes = N + levels * N * (N + 1) // 2 + cap + 1
     return passes * (kdeg + wdeg) * (1 + bits // 64)
 
 
-def check_partial_sum(family: FamilySpec, upper: int) -> None:
-    """Refuse, with InvalidParam, a partial sum whose work is over
-    MAX_PARTIAL_SUM_WORK, before anything is computed."""
-    work = partial_sum_work(family, upper)
+def check_partial_sum(family: FamilySpec, upper: int, cap: int = -1) -> None:
+    """Refuse, with InvalidParam, a partial sum (with cap >= 0, and its 1-q
+    substitution) whose work is over MAX_PARTIAL_SUM_WORK, before anything
+    is computed."""
+    work = partial_sum_work(family, upper, cap)
     if work > MAX_PARTIAL_SUM_WORK:
         raise InvalidParam(
             f"{family.label} at N = {upper}: partial-sum work {work} is over "

@@ -132,6 +132,17 @@ def subst_def(p: IntPoly, cap: int) -> IntPoly:
     return to_poly(acc)
 
 
+def residue_set_def(char, s: int) -> frozenset:
+    """S_{a,b,chi}(s) from a scan of every index in lcm(T, b*s), ascending;
+    the first supported n with a fractional exponent raises, as
+    char.exponent does.  The mean is not checked."""
+    out = set()
+    for n in range(math.lcm(char.period, char.b * s)):
+        if char.value(n):
+            out.add(char.exponent(n) % s)
+    return frozenset(out)
+
+
 def is_prime_def(n: int) -> bool:
     """Primality by trial division up to sqrt(n)."""
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))

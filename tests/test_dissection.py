@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qstrange.dissection import (
+    MAX_DISSECT_MODULUS,
     Dissection,
     DivisibilityFalsified,
     OddModulusRequired,
@@ -13,8 +14,10 @@ from qstrange.dissection import (
     verify_theorem,
 )
 from qstrange.exactpoly import IntPoly, NotDivisible, cyclotomic, exact_div, pochhammer
-from qstrange.partialtheta import Character, CharacterInvalid, get_character
-from qstrange.qfamilies import parse_family, partial_sum
+from qstrange.partialtheta import (Character, CharacterInvalid,
+                                   IntegralityViolation, MeanValueNonzero,
+                                   get_character)
+from qstrange.qfamilies import InvalidParam, parse_family, partial_sum
 
 
 def rand_poly(rng, max_deg=40):
@@ -211,6 +214,33 @@ class TestVerifyTheorem:
     def test_bad_character(self):
         with pytest.raises(CharacterInvalid):
             verify_theorem(parse_family("kz"), Character(0, 1, 0, 1, {0: 1}), 3, 5)
+
+    def test_validates_the_character_once(self, monkeypatch):
+        import qstrange.dissection as dis
+        calls = []
+        real = dis.validate_character
+        monkeypatch.setattr(dis, "validate_character",
+                            lambda char: calls.append(char) or real(char))
+        verify_theorem(parse_family("kz"), get_character("chi_kz"), 5, 9)
+        assert calls == [get_character("chi_kz")]
+
+    @pytest.mark.parametrize("family,char,s,N,exc,match", [
+        ("kz", "chi_kz", 5, -1, ValueError, "need N >= 0"),
+        ("kz", "chi_kz", 0, 9, ValueError, "need N >= 0"),
+        ("kz", "chi_kz", MAX_DISSECT_MODULUS + 1, 9, InvalidParam,
+         "MAX_DISSECT_MODULUS"),
+        ("kz", Character(0, 2, 0, 2, {0: 1, 1: -1}), 5, 9,
+         IntegralityViolation, r"\(\(1\)\^2 - 0\)/2 is not an integer"),
+        ("kz", Character(0, 1, 0, 2, {0: 1}), 5, 9, MeanValueNonzero, "mean"),
+        ("gk:k=1", "chi6", 4, 8, OddModulusRequired, "odd s"),
+        ("kz", "chi_kz", 99999, 9, InvalidParam, "MAX_RESIDUE_SPAN"),
+        ("kz", "chi_kz", 5, 2000, InvalidParam, "MAX_PARTIAL_SUM_WORK"),
+    ])
+    def test_single_faults(self, family, char, s, N, exc, match):
+        if isinstance(char, str):
+            char = get_character(char)
+        with pytest.raises(exc, match=match):
+            verify_theorem(parse_family(family), char, s, N)
 
     def test_falsification_detected(self):
         # character whose residue set misses 0 mod 2, against a family whose

@@ -11,6 +11,7 @@ from qstrange.exactpoly import (
     RatPoly,
     NotDivisible,
     cyclotomic,
+    div_binomial,
     exact_div,
     mul_binomial,
     pochhammer,
@@ -250,6 +251,19 @@ class TestBinomialKernels:
         assert mul_binomial([1], 3) == [1, 0, 0, -1]
         with pytest.raises(ValueError):
             mul_binomial([1], 0)
+
+    def test_div_binomial_edges(self):
+        assert div_binomial([], 3) == []
+        assert div_binomial([2, -1, -1], 1) == [2, 1]
+        assert div_binomial((1, 0, 0, -1), 3) == [1]
+        with pytest.raises(NotDivisible):
+            div_binomial([1], 3)  # degree below e
+        with pytest.raises(NotDivisible):
+            div_binomial([1, 0, 1, -1], 3)  # class 2 ends at 1
+        with pytest.raises(ValueError):
+            div_binomial([1], 0)
+        # q^e - 1 = -(1 - q^e) takes the same road, with the sign
+        assert exact_div(IntPoly((1, 0, -1)), IntPoly((-1, 0, 1))) == IntPoly((-1,))
 
     def test_exponents(self):
         assert list(pochhammer_exponents(4)) == [1, 2, 3, 4]

@@ -185,6 +185,27 @@ class TestModularEngine:
         assert rep.indices_checked == 2
         assert rep.verdict in ("pass", "fail")
 
+    @pytest.mark.parametrize("label,deepest", [
+        ("kz", 270), ("gk:k=1", 231), ("gk:k=2", 67), ("gk:k=3", 49),
+        ("hikami:m=2,alpha=1", 80), ("hikami:m=3,alpha=1", 59),
+    ])
+    def test_xi_coeffs_counts_the_substitution(self, label, deepest,
+                                               monkeypatch):
+        import qstrange.fishburn as fb
+
+        def never(*args):
+            raise AssertionError("the exact engine ran")
+
+        # for kz, gk:k=1 and gk:k=3 the sum alone is accepted at deepest + 1
+        fam = parse_family(label)
+        assert fb.partial_sum_work(fam, deepest, deepest) \
+            <= fb.MAX_PARTIAL_SUM_WORK \
+            < fb.partial_sum_work(fam, deepest + 1, deepest + 1)
+        monkeypatch.setattr(fb, "partial_sum", never)
+        monkeypatch.setattr(fb, "subst_one_minus_q", never)
+        with pytest.raises(InvalidParam, match="MAX_PARTIAL_SUM_WORK"):
+            xi_coeffs(fam, deepest + 1)
+
     def test_memo_returns_one_tuple(self):
         vals = _xi_mod(KZ, 60, 5)
         assert isinstance(vals, tuple)

@@ -15,15 +15,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import cyclo_ref, l_value_def
+from helpers import cyclo_ref, l_value_def, residue_set_def
 from qstrange.cyclofield import CycloNum
-from qstrange.dissection import dissect
+from qstrange.dissection import dissect, residue_set
 from qstrange.exactpoly import (
     IntPoly,
     NotDivisible,
     RatPoly,
     cyclotomic,
+    div_binomial,
     exact_div,
+    mul_binomial,
     subst_one_minus_q,
     theta_deriv,
 )
@@ -32,10 +34,12 @@ from qstrange._modular import _pw_table, _sub_ladder_mod
 from qstrange.fishburn import _xi_mod, xi_coeffs
 from qstrange.partialtheta import (
     Character,
+    CharacterInvalid,
     MeanValueNonzero,
     TwistedSeq,
     l_value,
     twisted_sequence,
+    validate_character,
 )
 from qstrange.qfamilies import _ladder, parse_family
 
@@ -46,6 +50,10 @@ polys = st.lists(st.integers(-30, 30), max_size=14).map(IntPoly)
 nonzero_polys = polys.filter(bool)
 small_divisors = st.lists(st.integers(-4, 4), min_size=1, max_size=5) \
     .map(IntPoly).filter(bool)
+# +-(1 - q^e), the divisors exact_div sends to div_binomial; e can exceed
+# the degree of a dividend drawn from polys
+binomials = st.builds(lambda e, sign: IntPoly((sign,) + (0,) * (e - 1) + (-sign,)),
+                      st.integers(1, 10), st.sampled_from((1, -1)))
 
 
 def outcome(p, *divisors):
@@ -105,9 +113,28 @@ def test_dissect_reassembles(p, s):
 
 
 @PROPERTY
-@given(polys, nonzero_polys)
+@given(polys, st.one_of(nonzero_polys, binomials))
 def test_exact_div_inverts_mul(a, b):
     assert exact_div(a * b, b) == a
+
+
+@PROPERTY
+@given(polys, st.integers(1, 10), st.data())
+def test_div_binomial_perturbed_in_one_class(a, e, data):
+    # t = q^r T(q^e) is divisible by 1 - q^e exactly when T(1) = 0, so a
+    # perturbation in the single class r is caught by that class's last sum
+    r = data.draw(st.integers(0, e - 1))
+    cs = data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+    t = [0] * (r + e * len(cs))
+    t[r::e] = cs
+    p = a * IntPoly((1,) + (0,) * (e - 1) + (-1,)) + IntPoly(t)
+    if sum(cs):
+        with pytest.raises(NotDivisible):
+            div_binomial(p.coeffs, e)
+    else:
+        quo = div_binomial(p.coeffs, e)
+        assert all(type(c) is int for c in quo) and quo[-1:] != [0]
+        assert mul_binomial(quo, e) == list(p.coeffs)
 
 
 @PROPERTY
@@ -121,7 +148,8 @@ def test_perturbed_dividend_raises(a, b, data):
 
 
 @PROPERTY
-@given(polys, st.lists(small_divisors, max_size=4), st.booleans(), polys)
+@given(polys, st.lists(st.one_of(small_divisors, binomials), max_size=4),
+       st.booleans(), polys)
 def test_chain_matches_product(a, divisors, perturb, r):
     product = IntPoly.one()
     for d in divisors:
@@ -170,6 +198,58 @@ def test_modular_ladder_matches_exact(depth_weights, c0, base, m, block):
     assert len(got) == steps + 1
     for n, (a, want) in enumerate(zip(got, exact)):
         assert a.tolist() == residues(want, max(0, width - n)).tolist()
+
+
+@st.composite
+def characters(draw):
+    """Characters with b <= 8, period T <= 12 or T = b, 2b, 3b, and
+    a = x^2 + b y, x <= 5, y <= 3.
+
+    The values are +-v pairs, so the mean is zero, except in about one draw
+    in five, which adds 1 at one residue.  Most draws are admissible:
+    their support lies on the residues mod T all of whose lifts n in
+    lcm(T, b) make (n^2 - a)/b an integer.
+    """
+    b = draw(st.integers(1, 8))
+    T = draw(st.one_of(st.integers(1, 12), st.integers(1, 3).map(b.__mul__)))
+    a = draw(st.integers(0, 5)) ** 2 + b * draw(st.integers(0, 3))
+    span = math.lcm(T, b)
+    good = [r for r in range(T)
+            if all((n * n - a) % b == 0 for n in range(r, span, T))]
+    pool = good if good and draw(st.integers(0, 2)) else list(range(T))
+    values = [0] * T
+    pairs = st.tuples(st.sampled_from(pool), st.sampled_from(pool),
+                      st.integers(1, 3))
+    for r1, r2, v in draw(st.lists(pairs, min_size=1, max_size=4)):
+        values[r1] += v
+        values[r2] -= v
+    if draw(st.integers(0, 4)) == 0:
+        values[draw(st.sampled_from(pool))] += 1
+    return Character(a, b, draw(st.integers(0, 1)), T, values)
+
+
+def checked(f, *args):
+    """f's result, or the type and message of the CharacterInvalid it raises."""
+    try:
+        return f(*args)
+    except CharacterInvalid as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(characters(), st.integers(1, 12))
+def test_support_scans_match_full_scan(char, s):
+    # the full scan raises the same first IntegralityViolation; it does not
+    # check the mean, which the library checks after integrality
+    want = checked(residue_set_def, char, s)
+    want_one = checked(residue_set_def, char, 1)
+    if sum(char.values) and not isinstance(want, tuple):
+        assert checked(residue_set, char, s)[0] is MeanValueNonzero
+        assert checked(validate_character, char)[0] is MeanValueNonzero
+    else:
+        assert checked(residue_set, char, s) == want
+        assert checked(validate_character, char) == \
+            (want_one if isinstance(want_one, tuple) else char)
 
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)

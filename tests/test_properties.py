@@ -205,8 +205,8 @@ def characters(draw):
     """Characters with b <= 8, period T <= 12 or T = b, 2b, 3b, and
     a = x^2 + b y, x <= 5, y <= 3.
 
-    The values are +-v pairs, so the mean is zero, except in about one draw
-    in five, which adds 1 at one residue.  Most draws are admissible:
+    The values are +-v pairs, so the mean is zero, except in the draws
+    that add 1 at one residue.  Most draws are admissible:
     their support lies on the residues mod T all of whose lifts n in
     lcm(T, b) make (n^2 - a)/b an integer.
     """

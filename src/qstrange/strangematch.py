@@ -23,6 +23,7 @@ produces a fixed integer combination of shifted derivatives of g, and
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .cyclofield import CycloNum, eval_at_root
 from .exactpoly import theta_deriv
@@ -178,10 +179,13 @@ def extraction_identity_check(p, s: int, ell: int) -> bool:
     """Verify the two identities behind dissection extraction on a sample poly.
 
     First the root-of-unity filter: averaging zeta_s**(-i*r) * p(zeta_s**r q)
-    over r must reproduce the i-th dissection piece, checked with exact
-    cyclotomic coefficients.  Second the derivative ladder: applying
-    (q d/dq)**ell to q**i A_i(q**s) must equal the c_array combination of
-    plain derivatives of A_i.  Returns False on the first discrepancy.
+    over r must reproduce the i-th dissection piece q**i A_i(q**s), checked
+    with exact cyclotomic coefficients.  At q**e the average is p's
+    coefficient times the filter sum (1/s) sum_r zeta_s**(r*d), d = e - i,
+    which depends only on d mod s and is built once for each d.  Second
+    the derivative ladder: applying (q d/dq)**ell to q**i A_i(q**s) must
+    equal the c_array combination of plain derivatives of A_i.  Returns
+    False on the first discrepancy.
     """
     from .dissection import dissect
 
@@ -190,17 +194,18 @@ def extraction_identity_check(p, s: int, ell: int) -> bool:
     if ell < 0:
         raise InvalidParam("derivative order must be nonnegative")
     parts = dissect(p, s).parts
-    inv_s = Fraction(1, s)
+    filters = []
+    for d in range(s):
+        acc = CycloNum.rational(s, 0)
+        for r in range(s):
+            acc = acc + CycloNum.zeta(s, r * d)
+        filters.append(acc.scale(Fraction(1, s)))
     for i in range(s):
         piece = parts[i].dilate(s).shift(i)
         # filter check, coefficient by coefficient in Q(zeta_s)
-        for e, c in enumerate(p.coeffs):
-            acc = CycloNum.rational(s, 0)
-            for r in range(s):
-                acc = acc + CycloNum.zeta(s, r * (e - i)).scale(Fraction(c))
-            acc = acc.scale(inv_s)
-            want = CycloNum.rational(s, c if e % s == i else 0)
-            if acc != want:
+        pairs = zip_longest(p.coeffs, piece.coeffs, fillvalue=0)
+        for e, (c, want) in enumerate(pairs):
+            if filters[(e - i) % s].scale(c) != CycloNum.rational(s, want):
                 return False
         # derivative ladder check over Z[q]
         lhs = theta_deriv(piece, ell)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from qstrange.cyclofield import CycloNum
 from qstrange.exactpoly import IntPoly, RatPoly, cyclotomic
 from qstrange.partialtheta import bernoulli_poly
 
@@ -170,3 +171,19 @@ def l_value_def(seq, n: int) -> RatPoly:
         if c:
             total = total + c.rep.scale(bp.evaluate(Fraction(m, P)))
     return total.scale(Fraction(-(P ** n), n + 1))
+
+
+def twisted_table_def(char, k: int, j: int) -> list:
+    """C(n) = chi(n) * zeta_k**(j*(n^2-a)/b) for n over two twisted periods
+    2*lcm(T, b*k), each entry built by the public CycloNum constructor from
+    its monomial; a fractional exponent on the support raises ValueError."""
+    P = math.lcm(char.period, char.b * k)
+    table = []
+    for n in range(2 * P):
+        c = char.value(n)
+        e = Fraction(n * n - char.a, char.b)
+        if c and e.denominator != 1:
+            raise ValueError(f"fractional exponent at n={n}")
+        power = j * int(e) % k if c else 0
+        table.append(CycloNum(k, [0] * power + [c]))
+    return table

@@ -749,3 +749,24 @@ def test_misshapen_poly_json_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "coeffs" in err or "True" in err
+
+
+DEEP = "[" * 20000
+
+
+@pytest.mark.parametrize("argv", [
+    ("identity-check", "--s", "2", "--ell", "1", "--poly", DEEP),
+    ("fishburn", "--family", '{"kernel":"F","terms":' + DEEP + "}",
+     "--depth", "3"),
+    ("lvalue", "--char", "deep.json", "--n", "1"),
+])
+def test_deeply_nested_json_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    # the JSON decoder's RecursionError ended in a traceback and exit 1
+    (tmp_path / "deep.json").write_text(
+        '{"a":0,"b":1,"nu":0,"period":2,"values":' + DEEP + "}")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err

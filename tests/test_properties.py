@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import cyclo_ref, l_value_def, residue_set_def
-from qstrange.cyclofield import CycloNum
+from helpers import cyclo_ref, l_value_def, residue_set_def, twisted_table_def
+from qstrange.cyclofield import CycloNum, eval_at_root
 from qstrange.dissection import dissect, residue_set
 from qstrange.exactpoly import (
     IntPoly,
@@ -255,6 +255,31 @@ def test_support_scans_match_full_scan(char, s):
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
 
+@PROPERTY
+@given(characters(), fractions.filter(bool), st.integers(1, 12),
+       st.integers(0, 12))
+def test_twisted_sequence_matches_two_period_oracle(char, scale, k, j):
+    # the oracle tabulates two periods: the second window equals the first,
+    # and the trusted table, rows and den equal what the public constructor
+    # derives from the oracle's table; scaling keeps integrality and a zero
+    # mean, and gives the values unequal denominators
+    char = Character(char.a, char.b, char.nu, char.period,
+                     [v * scale for v in char.values])
+    want = checked(validate_character, char)
+    if not isinstance(want, tuple):
+        P = math.lcm(char.period, char.b * k)
+        table = twisted_table_def(char, k, j)
+        assert table[P:] == table[:P]
+        want = checked(TwistedSeq, char, k, j % k, P, tuple(table[:P]))
+    got = checked(twisted_sequence, char, k, j)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.table == want.table
+    assert all(stored_form_ok(x) for x in got.table)
+    assert (got.rows, got.den) == (want.rows, want.den)
+
+
 def cyclo_tuples(size):
     """size elements of one random field Q(zeta_k), k <= 16."""
     return st.integers(1, 16).flatmap(lambda k: st.tuples(*(
@@ -307,6 +332,25 @@ def test_cyclonum_matches_reference(case):
     assert a.rep == ra and b.rep == rb
     for got, want in ((a + b, ra + rb), (a * b, ra * rb), (a.scale(c), ra.scale(c))):
         assert got.rep == cyclo_ref(k, want)
+        assert stored_form_ok(got)
+
+
+@PROPERTY
+@given(st.integers(1, 16), fractions, st.integers(-40, 40),
+       st.lists(fractions, max_size=20),
+       st.lists(st.integers(-9, 9), max_size=40))
+def test_trusted_cyclonum_paths_equal_public(k, x, power, cs, ps):
+    zeta = [0] * (power % k) + [1]
+    at_root = [0] * k
+    for e, c in enumerate(ps):
+        at_root[e * power % k] += c
+    for got, want in ((CycloNum.rational(k, x), CycloNum(k, [x])),
+                      (CycloNum.zeta(k, power), CycloNum(k, zeta)),
+                      (CycloNum(k, cs).scale(x),
+                       CycloNum(k, [c * x for c in cs])),
+                      (eval_at_root(IntPoly(ps), k, power),
+                       CycloNum(k, at_root))):
+        assert (got.k, got.num, got.den) == (want.k, want.num, want.den)
         assert stored_form_ok(got)
 
 

@@ -214,6 +214,24 @@ class TestExtractionIdentity:
         monkeypatch.setattr(sm, "c_array", lambda ell, i, s: [0] * (ell + 1))
         assert not extraction_identity_check(IntPoly((1, 2, 3)), 2, 1)
 
+    def test_detects_wrong_dissection(self, monkeypatch):
+        # a wrong part still passes the derivative ladder, which holds for
+        # any part; only the filter check compares against the dissection
+        import qstrange.dissection as ds
+        from qstrange.dissection import Dissection
+
+        real = ds.dissect
+
+        def wrong(p, s):
+            parts = list(real(p, s).parts)
+            parts[1] = parts[1] + IntPoly((5, 0, 1))
+            return Dissection(s, tuple(parts))
+
+        p = IntPoly(tuple(range(1, 12)))
+        assert extraction_identity_check(p, 3, 2)
+        monkeypatch.setattr(ds, "dissect", wrong)
+        assert not extraction_identity_check(p, 3, 2)
+
     def test_bad_inputs(self):
         with pytest.raises(InvalidParam):
             extraction_identity_check(IntPoly((1,)), 0, 1)

@@ -13,9 +13,10 @@ import os
 import random
 import sys
 
+from ._admit import InvalidParam, admit
+from ._admit import MAX_IDENTITY_WORK  # re-exported
 from .dissection import (
     DivisibilityFalsified,
-    OddModulusRequired,
     check_modulus,
     dissect,
     residue_set,
@@ -24,17 +25,14 @@ from .dissection import (
 from .exactpoly import IntPoly
 from .fishburn import scan_congruences, verify_congruence, xi_coeffs
 from .partialtheta import (
-    CharacterInvalid,
     character_from_json_obj,
     gamma_coeff,
     get_character,
     l_value,
     twisted_sequence,
 )
-from .qfamilies import (InvalidParam, ParseError, _json_loads, parse_family,
-                        partial_sum)
+from .qfamilies import ParseError, _json_loads, parse_family, partial_sum
 from .strangematch import (
-    OddOrderRequired,
     c_array,
     extraction_identity_check,
     match_expansion,
@@ -183,10 +181,6 @@ def cmd_carray(args) -> int:
     return 0
 
 
-# Largest accepted identity_check_work: about 6 s on a 2-vCPU Xeon VM.
-MAX_IDENTITY_WORK = 10 ** 6
-
-
 def identity_check_work(count: int, max_degree: int, s: int, ell: int) -> int:
     """Work estimate for identity-check: for each of the s pieces of every
     polynomial, the root-of-unity filter makes s cyclotomic steps per
@@ -206,9 +200,7 @@ def cmd_identity_check(args) -> int:
     else:
         work = identity_check_work(args.count, args.max_degree, args.s,
                                    args.ell)
-    if work > MAX_IDENTITY_WORK:
-        raise InvalidParam(f"identity-check work {work} is over "
-                           f"MAX_IDENTITY_WORK = {MAX_IDENTITY_WORK}")
+    admit("MAX_IDENTITY_WORK", work, "identity-check work")
     if args.poly is None:
         rng = random.Random(args.seed)
         polys = [IntPoly(tuple(rng.randint(-9, 9)
@@ -325,11 +317,9 @@ def run(argv=None) -> int:
         _emit(args, {"verdict": "falsified", "detail": str(exc)},
               [f"FALSIFIED: {exc}"])
         return 1
-    except (ParseError, InvalidParam, CharacterInvalid, OddModulusRequired,
-            OddOrderRequired) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    # ParseError, InvalidParam, CharacterInvalid, OddModulusRequired,
+    # OddOrderRequired and json.JSONDecodeError all subclass ValueError
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from qstrange._admit import MAX_DISSECT_MODULUS, MAX_RESIDUE_SPAN, admit
 from qstrange.exactpoly import IntPoly, NotDivisible, exact_div, pochhammer_factors
 from qstrange.partialtheta import Character, validate_character
-from qstrange.qfamilies import FamilySpec, InvalidParam, partial_sum
+from qstrange.qfamilies import FamilySpec, partial_sum
 
 __all__ = [
     "Dissection",
@@ -30,17 +31,9 @@ __all__ = [
     "residue_set",
     "pochhammer_factorization",
     "verify_theorem",
+    "MAX_RESIDUE_SPAN",
+    "MAX_DISSECT_MODULUS",
 ]
-
-
-# Largest accepted residue_set scan, lcm(T, b*s) indices, of which only the
-# support is visited: under 0.2 s on a 2-vCPU Xeon VM, even when chi
-# vanishes nowhere.
-MAX_RESIDUE_SPAN = 10 ** 6
-
-# Largest accepted dissection modulus s: one part per residue, so kz at
-# N = 1 and s = 10**5 prints 3.3 MB of JSON, in under 1 s on a 2-vCPU Xeon VM.
-MAX_DISSECT_MODULUS = 10 ** 5
 
 
 class OddModulusRequired(ValueError):
@@ -84,9 +77,7 @@ def check_modulus(s: int) -> None:
     MAX_DISSECT_MODULUS (InvalidParam), before anything is allocated."""
     if s < 1:
         raise ValueError("modulus must be positive")
-    if s > MAX_DISSECT_MODULUS:
-        raise InvalidParam(f"dissection modulus {s} is over "
-                           f"MAX_DISSECT_MODULUS = {MAX_DISSECT_MODULUS}")
+    admit("MAX_DISSECT_MODULUS", s, "dissection modulus")
 
 
 def thresholds(N: int, s: int, k: int = 1) -> tuple[int, int]:
@@ -110,9 +101,7 @@ def residue_set(char: Character, s: int) -> frozenset:
     if s < 1:
         raise ValueError("modulus must be positive")
     span = math.lcm(char.period, char.b * s)
-    if span > MAX_RESIDUE_SPAN:
-        raise InvalidParam(f"residue set mod {s} scans {span} indices, over "
-                           f"MAX_RESIDUE_SPAN = {MAX_RESIDUE_SPAN}")
+    admit("MAX_RESIDUE_SPAN", span, f"indices in the residue scan mod {s}")
     validate_character(char)
     return frozenset(char.exponent(n) % s for n in char.support(span))
 

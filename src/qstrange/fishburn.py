@@ -19,9 +19,10 @@ Its results are memoized per (family, depth, modulus).
 import functools
 from dataclasses import dataclass
 
+from ._admit import (MAX_MODULAR_WORK, MAX_PARTIAL_SUM_WORK, MAX_TABLE_BYTES,
+                     InvalidParam, admit)
 from .exactpoly import subst_one_minus_q
-from .qfamilies import (MAX_PARTIAL_SUM_WORK, InvalidParam, check_partial_sum,
-                        partial_sum, partial_sum_work)
+from .qfamilies import partial_sum, partial_sum_work
 
 __all__ = [
     "XiSequence",
@@ -30,18 +31,9 @@ __all__ = [
     "xi_coeffs",
     "verify_congruence",
     "scan_congruences",
+    "MAX_TABLE_BYTES",
+    "MAX_MODULAR_WORK",
 ]
-
-# The modular engine refuses, before it allocates anything, a request whose
-# tables would take more bytes than this (256 MiB: up to depth 2363 for
-# gk:k>=2, 2588 for hikami:m>=2 and 5791 for gk:k=1).
-MAX_TABLE_BYTES = 2 ** 28
-
-# It also refuses a request whose modular_work is over this: the deepest
-# accepted depth is 3683 for kz and gk:k=1, 666 for gk:k=2 and
-# hikami:m=2, and 560 for gk:k=3 and hikami:m=3; each takes 1.2-2.5 s on
-# a 2-vCPU Xeon VM.
-MAX_MODULAR_WORK = 5 * 10 ** 10
 
 # Miller-Rabin with the prime bases 2..41 decides primality exactly below
 # this bound; a larger p is refused rather than guessed at.
@@ -86,7 +78,8 @@ def xi_coeffs(family, depth: int) -> XiSequence:
     """
     if depth < 0:
         raise InvalidParam("depth must be nonnegative")
-    check_partial_sum(family, depth, depth)
+    admit("MAX_PARTIAL_SUM_WORK", partial_sum_work(family, depth, depth),
+          f"partial-sum and 1-q work of {family.label} at N = {depth}")
     sub = subst_one_minus_q(partial_sum(family, depth).value, depth)
     return XiSequence(family.label,
                       sub.coeffs + (0,) * (depth + 1 - len(sub.coeffs)))
@@ -123,7 +116,7 @@ def modular_work(family, depth: int) -> int:
     Horner accumulation makes n truncated convolutions of up to n by n
     terms, and a ladder's trimmed row blocks take about n**4 / 12
     matrix-product steps.  The count stays the admission measure, so the
-    accepted depths are those of MAX_MODULAR_WORK's comment.
+    accepted depths are those of MAX_MODULAR_WORK's comment in _admit.
     """
     n = depth + 1
     ladders = 0
@@ -148,15 +141,10 @@ def _xi_mod(family, depth: int, mod: int) -> tuple:
     if mod < 2:
         raise InvalidParam("modulus must be at least 2")
     top, size = _table_plan(family, depth)
-    if size > MAX_TABLE_BYTES:
-        raise InvalidParam(
-            f"{family.label} at depth {depth} needs about {size >> 20} MiB of "
-            f"modular tables; the limit is {MAX_TABLE_BYTES >> 20} MiB")
-    work = modular_work(family, depth)
-    if work > MAX_MODULAR_WORK:
-        raise InvalidParam(
-            f"{family.label} at depth {depth}: modular work {work} is over "
-            f"MAX_MODULAR_WORK = {MAX_MODULAR_WORK}")
+    admit("MAX_TABLE_BYTES", size, f"modular table bytes of {family.label} "
+          f"at depth {depth} (about {size >> 20} MiB)")
+    admit("MAX_MODULAR_WORK", modular_work(family, depth),
+          f"modular work of {family.label} at depth {depth}")
     if (mod - 1) ** 2 * (depth + 1) >= 2 ** 53:
         # float64 products could round; take the slow exact road
         return tuple(c % mod for c in xi_coeffs(family, depth).coeffs)

@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
+from qstrange._admit import MAX_L_WORK, MAX_TWIST_PERIOD, admit
 from qstrange.cyclofield import CycloNum, _new, _powers
 from qstrange.exactpoly import RatPoly
-from qstrange.qfamilies import InvalidParam, ParseError, _parse_kv
+from qstrange.qfamilies import ParseError, _builtin_params
 
 __all__ = [
     "Character",
@@ -63,19 +64,6 @@ class MeanValueNonzero(CharacterInvalid):
     """The (twisted) mean over one period is not zero."""
 
 
-# Largest accepted twisted period lcm(T, b*k).  Validating and tabulating a
-# dense character of period 10**5 takes about 0.8 s on a 2-vCPU Xeon VM.  A
-# character whose period at k = 1, lcm(T, b), is over it is refused when it
-# is built, since validating it scans that many indices.
-MAX_TWIST_PERIOD = 10 ** 5
-
-
-def _check_period(P: int, what: str):
-    if P > MAX_TWIST_PERIOD:
-        raise InvalidParam(f"{what} has period {P}, over "
-                           f"MAX_TWIST_PERIOD = {MAX_TWIST_PERIOD}")
-
-
 def _exact_value(v) -> Fraction:
     """A character value as a Fraction; only ints, Fractions and strings such
     as "-1/2" are exact, so a float or bool is refused, never rounded."""
@@ -93,8 +81,10 @@ class Character:
 
     values, a {residue: value} dict or one full period of ints, Fractions or
     exact strings, is stored as a tuple of Fractions.  Equality and hashing
-    compare every field but the label.  Refused with InvalidParam, before
-    its table is built, when lcm(period, b) exceeds MAX_TWIST_PERIOD.
+    compare every field but the label; the hash is computed once, since
+    every twisted_sequence call hashes its character.  Refused with
+    InvalidParam, before its table is built, when lcm(period, b) exceeds
+    MAX_TWIST_PERIOD.
     """
 
     a: int
@@ -103,6 +93,7 @@ class Character:
     period: int
     values: tuple
     label: str = field(default="custom", compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.b < 1:
@@ -114,7 +105,8 @@ class Character:
         period = self.period
         if period < 1:
             raise CharacterInvalid("period must be positive")
-        _check_period(math.lcm(period, self.b), f"character {self.label}")
+        admit("MAX_TWIST_PERIOD", math.lcm(period, self.b),
+              f"period of character {self.label}")
         if isinstance(self.values, dict):
             table = [Fraction(0)] * period
             for key, val in self.values.items():
@@ -127,6 +119,11 @@ class Character:
             if len(table) != period:
                 raise CharacterInvalid("values length must equal the period")
         object.__setattr__(self, "values", tuple(table))
+        object.__setattr__(self, "_hash", hash((self.a, self.b, self.nu,
+                                                 period, self.values)))
+
+    def __hash__(self):
+        return self._hash
 
     def value(self, n: int) -> Fraction:
         return self.values[n % self.period]
@@ -199,10 +196,6 @@ def _chi6() -> Character:
 
 
 def _chi_hikami(m: int, alpha: int) -> Character:
-    if m < 1:
-        raise InvalidParam(f"m must be >= 1, got {m}")
-    if not 0 <= alpha < m:
-        raise InvalidParam(f"alpha must lie in 0..{m - 1}, got {alpha}")
     T = 8 * m + 4
     minus = ((2 * m - 2 * alpha - 1) % T, (6 * m + 2 * alpha + 5) % T)
     plus = ((2 * m + 2 * alpha + 3) % T, (6 * m - 2 * alpha + 1) % T)
@@ -214,8 +207,6 @@ def _chi_hikami(m: int, alpha: int) -> Character:
 
 
 def _chi_gk(k: int) -> Character:
-    if k < 1:
-        raise InvalidParam(f"k must be >= 1, got {k}")
     T = 4 * k + 2
     vals = {k: Fraction(1), k + 1: Fraction(1),
             (-k) % T: Fraction(-1), (-k - 1) % T: Fraction(-1)}
@@ -231,11 +222,9 @@ def get_character(name: str) -> Character:
         return _chi6()
     head, _, tail = text.partition(":")
     if head == "chi_hikami":
-        args = _parse_kv(tail, ("m", "alpha"), text)
-        return _chi_hikami(args["m"], args["alpha"])
+        return _chi_hikami(*_builtin_params("hikami", tail, text))
     if head == "chi_gk":
-        args = _parse_kv(tail, ("k",), text)
-        return _chi_gk(args["k"])
+        return _chi_gk(*_builtin_params("gk", tail, text))
     raise ParseError(f"unknown character name {name!r}")
 
 
@@ -319,8 +308,8 @@ def twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
     """
     if k < 1:
         raise ValueError("conductor k must be positive")
-    _check_period(math.lcm(char.period, char.b * k),
-                  f"twisted sequence of {char.label} at zeta_{k}")
+    admit("MAX_TWIST_PERIOD", math.lcm(char.period, char.b * k),
+          f"period of the twisted sequence of {char.label} at zeta_{k}")
     return _twisted_sequence(char, k, j % k)
 
 
@@ -345,11 +334,6 @@ def _twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
 
 # -- Bernoulli machinery --------------------------------------------------------
 
-# Largest accepted l_value_work / gamma_work.  An L-value of order 570 at
-# period 24 is just under it and takes about 2 s on a 2-vCPU Xeon VM.
-MAX_L_WORK = 2 * 10 ** 8
-
-
 def l_value_work(n: int, P: int) -> int:
     """Work estimate for l_value(seq, n) at period P, from n and P alone.
 
@@ -366,11 +350,6 @@ def gamma_work(char: Character, k: int, n: int) -> int:
     top = 2 * n + char.nu + 2
     P = math.lcm(char.period, char.b * k)
     return top ** 2 * (top + (n + 1) * P)
-
-
-def _check_work(work: int, what: str):
-    if work > MAX_L_WORK:
-        raise InvalidParam(f"{what} is over the work limit MAX_L_WORK = {MAX_L_WORK}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -410,7 +389,7 @@ def l_value(seq: TwistedSeq, n: int) -> CycloNum:
     if n < 0:
         raise ValueError("n must be nonnegative")
     P = seq.period
-    _check_work(l_value_work(n, P), f"L(-{n}, C) at period {P}")
+    admit("MAX_L_WORK", l_value_work(n, P), f"work of L(-{n}, C) at period {P}")
     beta = bernoulli_poly(n + 1).coeffs
     d = math.lcm(*(c.denominator for c in beta))
     horner, power = [], 1
@@ -436,7 +415,7 @@ def gamma_coeff(char: Character, k: int, j: int, n: int) -> CycloNum:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _check_work(gamma_work(char, k, n), f"gamma_{n} at zeta_{k}")
+    admit("MAX_L_WORK", gamma_work(char, k, n), f"work of gamma_{n} at zeta_{k}")
     seq = twisted_sequence(char, k, j)
     a, b, nu = char.a, char.b, char.nu
     total = CycloNum.rational(k, 0)

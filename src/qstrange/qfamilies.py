@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
+from qstrange._admit import MAX_PARTIAL_SUM_WORK, InvalidParam, admit
 from qstrange.exactpoly import (IntPoly, _add_into, mul_binomial, pochhammer,
                                  pochhammer_exponents)
 
@@ -41,26 +42,12 @@ __all__ = [
     "kernel_poly",
     "partial_sum",
     "partial_sum_prefix",
+    "MAX_PARTIAL_SUM_WORK",
 ]
-
-
-class InvalidParam(ValueError):
-    """Family parameter outside its legal range."""
 
 
 class ParseError(ValueError):
     """Malformed family descriptor."""
-
-
-# partial_sum refuses a request whose partial_sum_work is over this: the
-# deepest accepted N is 321 for kz, 271 for gk:k=1, 67 for gk:k=2, 50 for
-# gk:k=3, 80 for hikami:m=2 and 59 for hikami:m=3.  On a 2-vCPU Xeon VM
-# each of those sums takes 0.3-0.9 s.  xi_coeffs counts its 1-q
-# substitution as well, so its deepest depth is 270 for kz, 231 for
-# gk:k=1 and 49 for gk:k=3 (the others as above); there it takes about
-# 2 s for kz and gk:k=1, whose substitution grows the coefficients past
-# the words counted, and under 0.5 s for the rest.
-MAX_PARTIAL_SUM_WORK = 10 ** 8
 
 
 # -- the ladder --------------------------------------------------------------
@@ -195,20 +182,29 @@ def parse_family(descriptor: str) -> FamilySpec:
         return FamilySpec("F", "kz", "kz", ())
     head, _, tail = text.partition(":")
     if head == "hikami":
-        args = _parse_kv(tail, ("m", "alpha"), text)
+        m, alpha = _builtin_params(head, tail, text)
+        return FamilySpec("F", f"hikami:m={m},alpha={alpha}", "hikami", (m, alpha))
+    if head == "gk":
+        (k,) = _builtin_params(head, tail, text)
+        return FamilySpec("G", f"gk:k={k}", "gk", (k,))
+    raise ParseError(f"unknown family descriptor {descriptor!r}")
+
+
+def _builtin_params(head: str, tail: str, full: str) -> tuple:
+    """(m, alpha) for head "hikami", else (k,), read from tail and checked;
+    the built-in families and characters share these parameters."""
+    if head == "hikami":
+        args = _parse_kv(tail, ("m", "alpha"), full)
         m, alpha = args["m"], args["alpha"]
         if m < 1:
             raise InvalidParam(f"m must be >= 1, got {m}")
         if not 0 <= alpha < m:
             raise InvalidParam(f"alpha must lie in 0..{m - 1}, got {alpha}")
-        return FamilySpec("F", f"hikami:m={m},alpha={alpha}", "hikami", (m, alpha))
-    if head == "gk":
-        args = _parse_kv(tail, ("k",), text)
-        k = args["k"]
-        if k < 1:
-            raise InvalidParam(f"k must be >= 1, got {k}")
-        return FamilySpec("G", f"gk:k={k}", "gk", (k,))
-    raise ParseError(f"unknown family descriptor {descriptor!r}")
+        return m, alpha
+    k = _parse_kv(tail, ("k",), full)["k"]
+    if k < 1:
+        raise InvalidParam(f"k must be >= 1, got {k}")
+    return (k,)
 
 
 def _parse_kv(tail: str, names: tuple, full: str) -> dict:
@@ -328,17 +324,6 @@ def partial_sum_work(family: FamilySpec, upper: int, cap: int = -1) -> int:
     return passes * (kdeg + wdeg) * (1 + bits // 64)
 
 
-def check_partial_sum(family: FamilySpec, upper: int, cap: int = -1) -> None:
-    """Refuse, with InvalidParam, a partial sum (with cap >= 0, and its 1-q
-    substitution) whose work is over MAX_PARTIAL_SUM_WORK, before anything
-    is computed."""
-    work = partial_sum_work(family, upper, cap)
-    if work > MAX_PARTIAL_SUM_WORK:
-        raise InvalidParam(
-            f"{family.label} at N = {upper}: partial-sum work {work} is over "
-            f"MAX_PARTIAL_SUM_WORK = {MAX_PARTIAL_SUM_WORK}")
-
-
 def partial_sum(family: FamilySpec, upper: int) -> PartialSum:
     """Sum of term_poly(n)*kernel(n) for n = 0..upper, exactly.
 
@@ -348,7 +333,8 @@ def partial_sum(family: FamilySpec, upper: int) -> PartialSum:
     """
     if upper < 0:
         raise ValueError("upper must be nonnegative")
-    check_partial_sum(family, upper)
+    admit("MAX_PARTIAL_SUM_WORK", partial_sum_work(family, upper),
+          f"partial-sum work of {family.label} at N = {upper}")
     return PartialSum(family, upper, _partial_sum_value(family, upper))
 
 

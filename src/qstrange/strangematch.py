@@ -25,19 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
+from ._admit import InvalidParam, admit
+from ._admit import MAX_C_ARRAY_WORK, MAX_MATCH_INDEX  # re-exported
 from .cyclofield import CycloNum, eval_at_root
 from .exactpoly import theta_deriv
-from .partialtheta import MAX_L_WORK, gamma_coeff, gamma_work, validate_character
-from .qfamilies import InvalidParam, check_partial_sum, partial_sum
-
-# Largest accepted stable_derivative index for match_expansion: the partial
-# sum it needs is built and differentiated at every order.  kz at index 100
-# and gk:k=3 at index 62 take about 2 s and 1 s on a 2-vCPU Xeon VM.
-MAX_MATCH_INDEX = 100
-
-# Largest accepted c_array_work: c_array(1000, 1, 5) is 3 * 10**9 and takes
-# about 0.5 s on a 2-vCPU Xeon VM.
-MAX_C_ARRAY_WORK = 10 ** 10
+from .partialtheta import gamma_coeff, gamma_work, validate_character
+from .qfamilies import partial_sum, partial_sum_work
 
 
 class OddOrderRequired(ValueError):
@@ -124,13 +117,11 @@ def match_expansion(family, char, k: int, j: int, depth: int) -> MatchReport:
         raise InvalidParam("root order must be positive")
     j %= k
     index = stable_derivative(family, k // math.gcd(j, k), depth)
-    if index > MAX_MATCH_INDEX:
-        raise InvalidParam(f"depth {depth} needs the partial sum to index {index}, "
-                           f"over MAX_MATCH_INDEX = {MAX_MATCH_INDEX}")
-    check_partial_sum(family, index)
-    if gamma_work(char, k, depth) > MAX_L_WORK:
-        raise InvalidParam(f"gamma_{depth} at zeta_{k} is over the work limit "
-                           f"MAX_L_WORK = {MAX_L_WORK}")
+    admit("MAX_MATCH_INDEX", index, f"partial-sum index for depth {depth}")
+    admit("MAX_PARTIAL_SUM_WORK", partial_sum_work(family, index),
+          f"partial-sum work of {family.label} at N = {index}")
+    admit("MAX_L_WORK", gamma_work(char, k, depth),
+          f"work of gamma_{depth} at zeta_{k}")
     first_bad = None
     for ell in range(depth + 1):
         lhs = expansion_coeff(family, k, j, ell)
@@ -160,10 +151,7 @@ def c_array(ell: int, i: int, s: int) -> list:
     """
     if ell < 0:
         raise InvalidParam("derivative order must be nonnegative")
-    work = c_array_work(ell, i, s)
-    if work > MAX_C_ARRAY_WORK:
-        raise InvalidParam(f"C-array work {work} is over "
-                           f"MAX_C_ARRAY_WORK = {MAX_C_ARRAY_WORK}")
+    admit("MAX_C_ARRAY_WORK", c_array_work(ell, i, s), "C-array work")
     row = [1] + [0] * (ell + 1)
     for _ in range(ell):
         nxt = [0] * (ell + 2)

@@ -2,17 +2,28 @@
 
 Everything here is written for clarity, not speed: dict-of-exponents
 arithmetic and direct sums straight from the defining formulas.  Library
-results are checked against these, never the other way around.
+results are checked against these, never the other way around.  The last
+section pins every resource guard at the edge of what it admits.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from fractions import Fraction
 
+import pytest
+
+from qstrange import _admit
+from qstrange.cli import build_parser, cmd_identity_check
 from qstrange.cyclofield import CycloNum
+from qstrange.dissection import dissect, residue_set
 from qstrange.exactpoly import IntPoly, RatPoly, cyclotomic
-from qstrange.partialtheta import bernoulli_poly
+from qstrange.fishburn import _xi_mod, xi_coeffs
+from qstrange.partialtheta import (Character, bernoulli_poly, get_character,
+                                   l_value, twisted_sequence)
+from qstrange.qfamilies import InvalidParam, parse_family, partial_sum
+from qstrange.strangematch import c_array, match_expansion
 
 
 # -- dict-based polynomial arithmetic ---------------------------------------
@@ -187,3 +198,137 @@ def twisted_table_def(char, k: int, j: int) -> list:
         power = j * int(e) % k if c else 0
         table.append(CycloNum(k, [0] * power + [c]))
     return table
+
+
+# -- admission boundaries ----------------------------------------------------
+
+def deepest_admitted(name: str, estimate, lo: int = 0) -> int:
+    """Largest x >= lo whose estimate(x) is within the limit called name,
+    by bisection on the estimate alone; estimate must be nondecreasing and
+    admit lo."""
+    limit = getattr(_admit, name)
+    assert estimate(lo) <= limit
+    hi = max(lo, 1)
+    while estimate(hi) <= limit:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if estimate(mid) <= limit else (lo, mid)
+    return lo
+
+
+# period 1, b = 1: every period the guards compute from it is its argument
+FLAT = Character(0, 1, 0, 1, {})
+
+
+def _identity_check(arg: str, count: int):
+    argv = ["identity-check", *arg.split(), "--count", str(count)]
+    return cmd_identity_check(build_parser().parse_args(argv))
+
+
+# guard: (limit, module whose admit it calls, request at input x for arg,
+# (module, attribute) of the work that must not run)
+GUARDS = {
+    "partial_sum": ("MAX_PARTIAL_SUM_WORK", "qstrange.qfamilies",
+                    lambda arg, x: partial_sum(parse_family(arg), x),
+                    [("qstrange.qfamilies", "_partial_sum_value")]),
+    "xi_coeffs": ("MAX_PARTIAL_SUM_WORK", "qstrange.fishburn",
+                  lambda arg, x: xi_coeffs(parse_family(arg), x),
+                  [("qstrange.fishburn", "partial_sum"),
+                   ("qstrange.fishburn", "subst_one_minus_q")]),
+    "modular": ("MAX_MODULAR_WORK", "qstrange.fishburn",
+                lambda arg, x: _xi_mod(parse_family(arg), x, 5),
+                [("qstrange._modular", "xi_residues"),
+                 ("qstrange.fishburn", "xi_coeffs")]),
+    "table": ("MAX_TABLE_BYTES", "qstrange.fishburn",
+              lambda arg, x: _xi_mod(parse_family(arg), x, 5),
+              [("qstrange._modular", "xi_residues"),
+               ("qstrange.fishburn", "xi_coeffs")]),
+    "l_value": ("MAX_L_WORK", "qstrange.partialtheta",
+                lambda arg, x: l_value(twisted_sequence(
+                    get_character(arg), 1, 0), x),
+                [("qstrange.partialtheta", "bernoulli_poly")]),
+    "c_array": ("MAX_C_ARRAY_WORK", "qstrange.strangematch",
+                lambda arg, x: c_array(x, 1, 5), []),
+    "match": ("MAX_MATCH_INDEX", "qstrange.strangematch",
+              lambda arg, x: match_expansion(parse_family(arg),
+                                             get_character("chi_kz"), 1, 0, x),
+              [("qstrange.strangematch", "expansion_coeff"),
+               ("qstrange.strangematch", "gamma_coeff")]),
+    "character": ("MAX_TWIST_PERIOD", "qstrange.partialtheta",
+                  lambda arg, x: Character(0, 1, 0, x, {1: 1, x - 1: -1}),
+                  [("qstrange.partialtheta", "_exact_value")]),
+    "twisted_sequence": ("MAX_TWIST_PERIOD", "qstrange.partialtheta",
+                         lambda arg, x: twisted_sequence(FLAT, x, 0),
+                         [("qstrange.partialtheta", "validate_character"),
+                          ("qstrange.partialtheta", "_twisted_sequence")]),
+    "residue_set": ("MAX_RESIDUE_SPAN", "qstrange.dissection",
+                    lambda arg, x: residue_set(FLAT, x),
+                    [("qstrange.dissection", "validate_character")]),
+    "dissect": ("MAX_DISSECT_MODULUS", "qstrange.dissection",
+                lambda arg, x: dissect(IntPoly([1]), x),
+                [("qstrange.dissection", "Dissection")]),
+    "identity_check": ("MAX_IDENTITY_WORK", "qstrange.cli", _identity_check,
+                       [("qstrange.cli", "extraction_identity_check")]),
+}
+
+# (guard, arg, deepest admitted x): the refusal decisions to keep
+BOUNDARIES = [
+    ("partial_sum", "kz", 321), ("partial_sum", "gk:k=1", 271),
+    ("partial_sum", "gk:k=2", 67), ("partial_sum", "gk:k=3", 50),
+    ("partial_sum", "hikami:m=2,alpha=0", 80),
+    ("partial_sum", "hikami:m=2,alpha=1", 80),
+    ("partial_sum", "hikami:m=3,alpha=1", 59),
+    ("xi_coeffs", "kz", 270), ("xi_coeffs", "gk:k=1", 231),
+    ("xi_coeffs", "gk:k=2", 67), ("xi_coeffs", "gk:k=3", 49),
+    ("xi_coeffs", "hikami:m=2,alpha=1", 80),
+    ("xi_coeffs", "hikami:m=3,alpha=1", 59),
+    ("modular", "kz", 3683), ("modular", "gk:k=1", 3683),
+    ("modular", "gk:k=2", 666), ("modular", "hikami:m=2,alpha=1", 666),
+    ("modular", "gk:k=3", 560), ("modular", "hikami:m=3,alpha=1", 560),
+    ("table", "gk:k=1", 5791), ("table", "gk:k=2", 2363),
+    ("table", "gk:k=3", 2363), ("table", "hikami:m=2,alpha=1", 2588),
+    ("table", "hikami:m=3,alpha=2", 2588),
+    ("l_value", "chi_kz", 574),  # period 24
+    ("c_array", "i=1,s=5", 1492),
+    ("match", "kz", 100),  # at k = 1 the index is the depth
+    ("character", "period", 10 ** 5),
+    ("twisted_sequence", "k", 10 ** 5),
+    ("residue_set", "s", 10 ** 6),
+    ("dissect", "s", 10 ** 5),
+    # 200000 polynomials x 5 steps: the work is exactly the limit
+    ("identity_check", "--s 1 --ell 0 --max-degree 1", 200000),
+]
+
+
+class Admitted(Exception):
+    """Raised in place of the guarded work once its guard has admitted."""
+
+
+def check_boundary(guard: str, arg: str, deepest: int, monkeypatch):
+    """The guard admits x = deepest and refuses deepest + 1 with an
+    InvalidParam naming its limit; the guarded work runs for neither."""
+    name, module, request, work = GUARDS[guard]
+    for target, attr in work:
+        monkeypatch.setattr(importlib.import_module(target), attr,
+                            _never(f"{target}.{attr}"))
+    guards = importlib.import_module(module)
+    real = guards.admit
+
+    def stop_once_admitted(limit, amount, what):
+        real(limit, amount, what)
+        if limit == name:
+            raise Admitted
+
+    with monkeypatch.context() as m:
+        m.setattr(guards, "admit", stop_once_admitted)
+        with pytest.raises(Admitted):
+            request(arg, deepest)
+    with pytest.raises(InvalidParam, match=name):
+        request(arg, deepest + 1)
+
+
+def _never(what: str):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} was reached")
+    return fail

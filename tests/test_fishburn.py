@@ -18,7 +18,7 @@ from qstrange.fishburn import (
 )
 from qstrange.qfamilies import InvalidParam, parse_family, partial_sum
 
-from helpers import is_prime_def, subst_def
+from helpers import BOUNDARIES, check_boundary, is_prime_def, subst_def
 
 KZ = parse_family("kz")
 GK1 = parse_family("gk:k=1")
@@ -185,26 +185,14 @@ class TestModularEngine:
         assert rep.indices_checked == 2
         assert rep.verdict in ("pass", "fail")
 
+    # the xi_coeffs rows of the table of guard boundaries; for kz, gk:k=1
+    # and gk:k=3 the sum alone is accepted at deepest + 1
     @pytest.mark.parametrize("label,deepest", [
-        ("kz", 270), ("gk:k=1", 231), ("gk:k=2", 67), ("gk:k=3", 49),
-        ("hikami:m=2,alpha=1", 80), ("hikami:m=3,alpha=1", 59),
-    ])
+        (arg, deepest) for guard, arg, deepest in BOUNDARIES
+        if guard == "xi_coeffs"])
     def test_xi_coeffs_counts_the_substitution(self, label, deepest,
                                                monkeypatch):
-        import qstrange.fishburn as fb
-
-        def never(*args):
-            raise AssertionError("the exact engine ran")
-
-        # for kz, gk:k=1 and gk:k=3 the sum alone is accepted at deepest + 1
-        fam = parse_family(label)
-        assert fb.partial_sum_work(fam, deepest, deepest) \
-            <= fb.MAX_PARTIAL_SUM_WORK \
-            < fb.partial_sum_work(fam, deepest + 1, deepest + 1)
-        monkeypatch.setattr(fb, "partial_sum", never)
-        monkeypatch.setattr(fb, "subst_one_minus_q", never)
-        with pytest.raises(InvalidParam, match="MAX_PARTIAL_SUM_WORK"):
-            xi_coeffs(fam, deepest + 1)
+        check_boundary("xi_coeffs", label, deepest, monkeypatch)
 
     def test_memo_returns_one_tuple(self):
         vals = _xi_mod(KZ, 60, 5)

@@ -142,6 +142,20 @@ class TestTwistedSequence:
         assert twisted_sequence(char, 3, 4) is seq
         assert TwistedSeq(char, 3, 1, seq.period, seq.table) != seq
 
+    def test_cached_call_does_not_rehash_the_values(self, monkeypatch):
+        # the character's hash is the cache key of every call; it is
+        # computed once, not from its tuple of Fractions on each call
+        char = get_character("chi_kz")
+        seq = twisted_sequence(char, 5, 1)
+        calls = []
+        real = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__",
+                            lambda x: calls.append(x) or real(x))
+        assert twisted_sequence(char, 5, 1) is seq
+        assert calls == []
+        assert hash(char) == hash((char.a, char.b, char.nu, char.period,
+                                   char.values))
+
     def test_constant_character_rejected(self):
         with pytest.raises(MeanValueNonzero):
             twisted_sequence(Character(0, 1, 0, 1, {0: 1}), 1, 0)

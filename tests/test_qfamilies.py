@@ -7,9 +7,7 @@ import pytest
 
 import helpers
 from qstrange.exactpoly import IntPoly, pochhammer
-import qstrange.qfamilies as qf
 from qstrange.qfamilies import (
-    MAX_PARTIAL_SUM_WORK,
     FamilySpec,
     InvalidParam,
     ParseError,
@@ -263,23 +261,13 @@ class TestWorkLimit:
             assert partial_sum_work(f, n) >= \
                 n * value.degree * (1 + bits // 64)
 
+    # the partial_sum rows of the table of guard boundaries
     @pytest.mark.parametrize("label,deepest", [
-        ("kz", 321), ("gk:k=1", 271), ("gk:k=2", 67), ("gk:k=3", 50),
-        ("hikami:m=2,alpha=0", 80), ("hikami:m=2,alpha=1", 80),
-        ("hikami:m=3,alpha=1", 59),
-    ])
+        (arg, deepest) for guard, arg, deepest in helpers.BOUNDARIES
+        if guard == "partial_sum"])
     def test_refused_past_the_deepest_accepted_n(self, label, deepest,
                                                  monkeypatch):
-        f = parse_family(label)
-        assert partial_sum_work(f, deepest) <= MAX_PARTIAL_SUM_WORK \
-            < partial_sum_work(f, deepest + 1)
-
-        def never(*args):
-            raise AssertionError("the partial sum was computed")
-
-        monkeypatch.setattr(qf, "_partial_sum_value", never)
-        with pytest.raises(InvalidParam, match="MAX_PARTIAL_SUM_WORK"):
-            partial_sum(f, deepest + 1)
+        helpers.check_boundary("partial_sum", label, deepest, monkeypatch)
 
 
 class TestPrefix:

@@ -19,6 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exactpoly import subst_one_minus_q
+from .qfamilies import _shape, _step
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -109,39 +110,29 @@ def _sub_ladder_mod(weights, c0, steps, base, pw, depth, mod):
 
 
 def _sub_weights_mod(family, depth, mod, pw):
-    kind = family.kind
-    if kind == "kz":
-        one = np.ones(1, dtype=np.int64)
-        return [one] * (depth + 1)
-    if kind == "inline":
-        out = []
-        for n in range(depth + 1):
-            p = family.params[n] if n < len(family.params) else None
-            if p is None or not p.coeffs:
-                out.append(_EMPTY)
-            else:
-                sub = subst_one_minus_q(p, depth)
-                out.append(np.array([c % mod for c in sub.coeffs],
-                                    dtype=np.int64))
-        return out
-    if kind == "hikami":
-        m, alpha = family.params
-        # one value to spare: the alpha level drops its first
-        vals = [np.ones(1, dtype=np.int64)] * (depth + 2)
-        for level in range(1, m):
-            c0 = 1 if level > alpha else 0
-            got = _sub_ladder_mod(vals, c0, len(vals) - 1, 1, pw, depth, mod)
-            vals = got[1:] if level == alpha else got
-        return vals[: depth + 1]
-    (k,) = family.params
-    vals = [np.ones(1, dtype=np.int64)] * (depth + 1)
-    for _ in range(k - 1):
-        vals = _sub_ladder_mod(vals, 1, depth, 2, pw, depth, mod)
-    out = []
-    for n, t in enumerate(vals):
-        prec = depth + 1 - n
-        out.append(_conv_trunc(pw[n][: min(n + 1, prec)], t[:prec], prec, mod))
-    return out
+    """The family's weights w(0..depth) in the substituted domain, mod m,
+    each to the precision depth+1-n that xi_residues reads from w(n).
+
+    Inline term n is substituted only that far; the other families start
+    from depth+1 ones and one more for each value a level drops.  The
+    levels of the family's shape are replayed in order by _sub_ladder_mod,
+    and gk's final shift by q**n is a product with (1-x)**n.
+    """
+    levels, shift = _shape(family)
+    vals = [np.ones(1, dtype=np.int64)] * (
+        depth + 1 + sum(drop for _, _, drop in levels))
+    if family.kind == "inline":
+        terms = family.params[: depth + 1]
+        vals = [np.array([c % mod for c in subst_one_minus_q(p, depth - n).coeffs],
+                         dtype=np.int64) for n, p in enumerate(terms)]
+        vals += [_EMPTY] * (depth + 1 - len(terms))
+    for c0, base, drop in levels:
+        vals = _sub_ladder_mod(vals, c0, len(vals) - 1, base, pw, depth,
+                               mod)[drop:]
+    if shift:
+        vals = [_conv_trunc(pw[n][: n + 1], t, depth + 1 - n, mod)
+                for n, t in enumerate(vals)]
+    return vals
 
 
 def xi_residues(family, depth: int, mod: int, top: int) -> tuple:
@@ -155,7 +146,7 @@ def xi_residues(family, depth: int, mod: int, top: int) -> tuple:
     one prefix sum per step, (1-x)**(j-1) = (1-x)**j / (1-x), so they take
     O(depth) memory.
     """
-    step = 1 if family.kernel == "F" else 2
+    step = _step(family)
     pw = _pw_table(depth, mod, top)
     wsub = _sub_weights_mod(family, depth, mod, pw)
     # pj = (1-x)**j mod (x**(depth+1), mod), first for j = j_(depth+1)

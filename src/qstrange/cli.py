@@ -3,8 +3,8 @@
 Default output is a short human-readable table; --format json switches to a
 versioned machine contract ("schema": "qstrange/1") printed with sorted keys
 and no whitespace, so identical invocations are byte identical.  Exit codes:
-0 success or pass, 1 mathematical mismatch or falsified divisibility,
-2 usage error.
+0 success or pass, 1 mathematical mismatch (EngineMismatch included) or
+falsified divisibility, 2 usage error.
 """
 
 import argparse
@@ -23,7 +23,8 @@ from .dissection import (
     verify_theorem,
 )
 from .exactpoly import IntPoly
-from .fishburn import scan_congruences, verify_congruence, xi_coeffs
+from .fishburn import (EngineMismatch, scan_congruences, verify_congruence,
+                       xi_coeffs)
 from .partialtheta import (
     character_from_json_obj,
     gamma_coeff,
@@ -322,7 +323,7 @@ def run(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except EngineMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

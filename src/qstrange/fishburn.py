@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from ._admit import (MAX_MODULAR_WORK, MAX_PARTIAL_SUM_WORK, MAX_TABLE_BYTES,
                      InvalidParam, admit)
 from .exactpoly import subst_one_minus_q
-from .qfamilies import partial_sum, partial_sum_work
+from .qfamilies import _shape, partial_sum, partial_sum_work
 
 __all__ = [
+    "EngineMismatch",
     "XiSequence",
     "CongruenceReport",
     "ScanReport",
@@ -39,6 +40,10 @@ __all__ = [
 # this bound; a larger p is refused rather than guessed at.
 PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+class EngineMismatch(ArithmeticError):
+    """The modular engine disagrees with the exact one at a cross-checked index."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,15 +100,11 @@ def _table_plan(family, depth: int):
     block of at most (n+1)**2 words, and its Toeplitz kernel and two step
     buffers of at most n**2 words each.
     """
-    n = depth + 1
-    top = laddered = 0
-    if family.kind == "gk" and family.params[0] > 1:
-        top, laddered = 2 * depth + 2, True
-    elif family.kind == "gk":
-        top = depth
-    elif family.kind == "hikami" and family.params[0] > 1:
-        top, laddered = depth + 2, True
-    ladder = 4 * (n + 1) * n if laddered else 0
+    n, (levels, shift) = depth + 1, _shape(family)
+    # rows read: to 2n by gk's ladders, to depth by its shift, to n by
+    # hikami's ladders, which keep one spare row that the README bounds rest on
+    top = (2 * n if shift else n + 1) if levels else (depth if shift else 0)
+    ladder = 4 * (n + 1) * n if levels else 0
     return top, 8 * ((top + 1) * n + ladder)
 
 
@@ -111,18 +112,15 @@ def modular_work(family, depth: int) -> int:
     """Work estimate for xi mod m at this depth, from the family alone.
 
     With n = depth + 1, it counts n**3 for the xi accumulation and n**4 / 4
-    for each ladder of gk:k>=2 (k-1 of them) or hikami:m>=2 (m-1).  That
-    overcounts the engine, which computes only the residues it reads: the
-    Horner accumulation makes n truncated convolutions of up to n by n
-    terms, and a ladder's trimmed row blocks take about n**4 / 12
-    matrix-product steps.  The count stays the admission measure, so the
-    accepted depths are those of MAX_MODULAR_WORK's comment in _admit.
+    for each ladder level (k-1 of gk:k, m-1 of hikami:m).  That overcounts
+    the engine, which computes only the residues it reads: the Horner
+    accumulation makes n truncated convolutions of up to n by n terms, and
+    a ladder's trimmed row blocks take about n**4 / 12 matrix-product
+    steps.  The count stays the admission measure, so the accepted depths
+    are those of MAX_MODULAR_WORK's comment in _admit.
     """
     n = depth + 1
-    ladders = 0
-    if family.kind in ("gk", "hikami"):
-        ladders = family.params[0] - 1
-    return n ** 3 + ladders * n ** 4 // 4
+    return n ** 3 + len(_shape(family)[0]) * n ** 4 // 4
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,7 +281,7 @@ def verify_congruence(family, p: int, r: int, beta: int,
             partial_sum_work(family, first, first) <= MAX_PARTIAL_SUM_WORK:
         exact = xi_coeffs(family, first).coeffs[first]
         if exact % mod != vals[first]:
-            raise ArithmeticError(
+            raise EngineMismatch(
                 "modular engine disagrees with exact coefficients")
     indices = range(first, depth + 1, mod)
     witness = residue = None

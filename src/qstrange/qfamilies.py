@@ -1,21 +1,25 @@
 """Habiro-type family constructors and exact partial sums.
 
-A family is a kernel kind plus a rule n -> coefficient polynomial: F-type
-families sum f_n(q)*(q;q)_n, G-type families sum g_n(q)*(q;q^2)_n.  The
-built-in rules cover the Kontsevich-Zagier series ("kz"), the Hikami
-hierarchy ("hikami:m=<m>,alpha=<a>"), and the G_k ladder ("gk:k=<k>");
+A family is a kernel kind plus its weights, the coefficient polynomials:
+F-type families sum f_n(q)*(q;q)_n, G-type families sum g_n(q)*(q;q^2)_n.
+The built-ins are the Kontsevich-Zagier series ("kz"), the Hikami
+hierarchy ("hikami:m=<m>,alpha=<a>") and the G_k ladder ("gk:k=<k>");
 inline JSON descriptors give finite user-defined families.
 
-The built-in coefficient polynomials are nested sums of Gaussian binomials
-weighted by q^(t^2+c*t).  Rather than enumerate tuples, each nesting level
-is computed by a column recurrence derived from the Pascal rule
+The built-in weights are nested sums of Gaussian binomials weighted by
+q^(t^2+c*t).  _shape lists their nesting levels (c0, base, drop),
+innermost first, and whether gk's final shift of weight n by q**n follows;
+the exact stream here, the modular replay and the work estimates all read
+it.  A level maps w to A(n) = sum_t Q^(t^2+c0*t) w(t) [n choose t]_Q,
+Q = q**base, less its first `drop` values.  Rather than enumerate tuples,
+it is computed by a column recurrence derived from the Pascal rule
 
     A_c(n) = A_c(n-1) + Q^(n+c) * A_(c+1)(n-1),
 
-where column c+1 carries the weight sequence shifted by one.  Each rule is
-an endless stream: weight m of a level enters as a new column and moves
-every older column one step along the anti-diagonal, so the first N values
-cost O(N^2) shift-and-adds in total, however the requests grow, and no
+where column c+1 carries the weight sequence shifted by one.  Each level is
+an endless stream: weight m enters as a new column and moves every older
+column one step along the anti-diagonal, so the first N values cost
+O(N^2) shift-and-adds in total, however the requests grow, and no
 multiplications.  Tests check the ladder against direct tuple enumeration.
 """
 
@@ -75,40 +79,29 @@ def _ladder(weights: Iterable[IntPoly], c0: int, base: int,
 
 # -- coefficient-polynomial rules --------------------------------------------
 
-def _weights_kz(params, cap: int | None) -> Iterator[IntPoly]:
-    return repeat(IntPoly.one())
+def _shape(family: FamilySpec) -> tuple[list, bool]:
+    """(levels, shift): the ladder levels (c0, base, drop) of the family's
+    weights, innermost first, and whether weight n is then shifted by q**n."""
+    if family.kind == "hikami":
+        m, alpha = family.params
+        return [(int(j > alpha), 1, j == alpha) for j in range(1, m)], False
+    if family.kind == "gk":
+        return [(1, 2, False)] * (family.params[0] - 1), True
+    return [], False
 
 
-def _weights_hikami(params, cap: int | None) -> Iterator[IntPoly]:
-    m, alpha = params
+def _weights(family: FamilySpec, cap: int | None) -> Iterator[IntPoly]:
+    """The family's weights, each truncated at degree cap when cap is set:
+    its inline terms then zeros, or all ones, through each ladder level."""
     vals = repeat(IntPoly.one())
-    for level in range(1, m):
-        vals = _ladder(vals, 1 if level > alpha else 0, 1, cap)
-        if level == alpha:
-            vals = islice(vals, 1, None)
-    return vals
-
-
-def _weights_gk(params, cap: int | None) -> Iterator[IntPoly]:
-    (k,) = params
-    vals = repeat(IntPoly.one())
-    for _ in range(k - 1):
-        vals = _ladder(vals, 1, 2, cap)
-    shifted = (t.shift(n) for n, t in enumerate(vals))
-    return shifted if cap is None else (g.truncate(cap) for g in shifted)
-
-
-def _weights_inline(params, cap: int | None) -> Iterator[IntPoly]:
-    terms = params if cap is None else (p.truncate(cap) for p in params)
-    return chain(terms, repeat(IntPoly()))
-
-
-_RULES = {
-    "kz": _weights_kz,
-    "hikami": _weights_hikami,
-    "gk": _weights_gk,
-    "inline": _weights_inline,
-}
+    if family.kind == "inline":
+        vals = chain(family.params, repeat(IntPoly()))
+    levels, shift = _shape(family)
+    for c0, base, drop in levels:
+        vals = islice(_ladder(vals, c0, base, cap), drop, None)
+    if shift:
+        vals = (t.shift(n) for n, t in enumerate(vals))
+    return vals if cap is None else (w.truncate(cap) for w in vals)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,6 +120,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.kernel not in ("F", "G"):
             raise InvalidParam(f"unknown kernel {self.kernel!r}")
+        if self.kind not in ("kz", "hikami", "gk", "inline"):
+            raise InvalidParam(f"unknown family kind {self.kind!r}")
 
     def __repr__(self):
         return f"FamilySpec({self.label!r})"
@@ -141,7 +136,7 @@ class FamilySpec:
             raise ValueError("upper must be nonnegative")
         with _LOCK:
             if self.label not in _STREAMS:
-                _STREAMS[self.label] = (_RULES[self.kind](self.params, None), [])
+                _STREAMS[self.label] = (_weights(self, None), [])
             stream, have = _STREAMS[self.label]
             try:
                 while len(have) <= upper:
@@ -292,11 +287,11 @@ def partial_sum_work(family: FamilySpec, upper: int, cap: int = -1) -> int:
 
     It is passes x degree x coefficient words, with N = upper:
     - passes: the N binomial-factor passes of the Horner sum, plus
-      N(N+1)/2 column steps for each ladder level of the weights (k-1 for
-      gk:k, m-1 for hikami:m);
+      N(N+1)/2 column steps for each ladder level of the weights;
     - degree: that of the sum, the kernel's N(N+1)/2 or N**2 plus the
-      weights'; a ladder level of base b and offset c0 adds b n (n+c0) at
-      the index n it is read at;
+      weights'; a level of base b and offset c0 that is read before
+      `later` drops, at index N + later, adds b (N+later) (N+later+c0),
+      and the final shift by q**n adds N;
     - words: 1 + bits // 64, where bits bounds the coefficients by the sum
       of their absolute values at q = 1: each kernel factor and each ladder
       level at most doubles it, and the N+1 terms add bits(N+1).
@@ -304,23 +299,21 @@ def partial_sum_work(family: FamilySpec, upper: int, cap: int = -1) -> int:
     at degree cap, as xi_coeffs runs it: cap + 1 more passes.
     """
     N = upper
-    levels = wdeg = wbits = 0
-    if family.kind == "gk":
-        levels = family.params[0] - 1
-        wdeg = 2 * levels * N * (N + 1) + N
-    elif family.kind == "hikami":
-        m, alpha = family.params
-        levels = m - 1
-        # the levels up to alpha are read one index further on
-        wdeg = alpha * (N + 1) ** 2 + (levels - alpha) * N * (N + 1)
-    elif family.kind == "inline":
+    wdeg = wbits = 0
+    if family.kind == "inline":
         terms = family.params[: N + 1]
         wdeg = max((len(p.coeffs) for p in terms), default=0)
         wbits = max((sum(map(abs, p.coeffs)).bit_length() for p in terms),
                     default=0)
+    levels, shift = _shape(family)
+    later = sum(drop for _, _, drop in levels)
+    wdeg += N * shift
+    for c0, base, drop in levels:
+        wdeg += base * (N + later) * (N + later + c0)
+        later -= drop
     kdeg = N * (N + 1) // 2 if family.kernel == "F" else N * N
-    bits = N + levels * (N + 1) + wbits + (N + 1).bit_length()
-    passes = N + levels * N * (N + 1) // 2 + cap + 1
+    bits = N + len(levels) * (N + 1) + wbits + (N + 1).bit_length()
+    passes = N + len(levels) * N * (N + 1) // 2 + cap + 1
     return passes * (kdeg + wdeg) * (1 + bits // 64)
 
 
@@ -351,5 +344,5 @@ def partial_sum_prefix(family: FamilySpec, upper: int, cap: int) -> IntPoly:
     """
     if upper < 0 or cap < 0:
         raise ValueError("upper and cap must be nonnegative")
-    weights = list(islice(_RULES[family.kind](family.params, cap), upper + 1))
+    weights = list(islice(_weights(family, cap), upper + 1))
     return _horner(family, weights, cap)

@@ -22,7 +22,8 @@ from qstrange.exactpoly import IntPoly, RatPoly, cyclotomic
 from qstrange.fishburn import _xi_mod, xi_coeffs
 from qstrange.partialtheta import (Character, bernoulli_poly, get_character,
                                    l_value, twisted_sequence)
-from qstrange.qfamilies import InvalidParam, parse_family, partial_sum
+from qstrange.qfamilies import (FamilySpec, InvalidParam, parse_family,
+                                 partial_sum)
 from qstrange.strangematch import c_array, match_expansion
 
 
@@ -198,6 +199,85 @@ def twisted_table_def(char, k: int, j: int) -> list:
         power = j * int(e) % k if c else 0
         table.append(CycloNum(k, [0] * power + [c]))
     return table
+
+
+# -- estimates, as the per-kind code that preceded the shared ladder shape ---
+# Copied verbatim, renamed only: the library's estimates, which read
+# qfamilies._shape, must return these integers, so that no refusal moves.
+
+def partial_sum_work_def(family: FamilySpec, upper: int, cap: int = -1) -> int:
+    """Work estimate for partial_sum(family, upper), from the parameters alone.
+
+    It is passes x degree x coefficient words, with N = upper:
+    - passes: the N binomial-factor passes of the Horner sum, plus
+      N(N+1)/2 column steps for each ladder level of the weights (k-1 for
+      gk:k, m-1 for hikami:m);
+    - degree: that of the sum, the kernel's N(N+1)/2 or N**2 plus the
+      weights'; a ladder level of base b and offset c0 adds b n (n+c0) at
+      the index n it is read at;
+    - words: 1 + bits // 64, where bits bounds the coefficients by the sum
+      of their absolute values at q = 1: each kernel factor and each ladder
+      level at most doubles it, and the N+1 terms add bits(N+1).
+    With cap >= 0 it also counts the 1-q substitution of the sum truncated
+    at degree cap, as xi_coeffs runs it: cap + 1 more passes.
+    """
+    N = upper
+    levels = wdeg = wbits = 0
+    if family.kind == "gk":
+        levels = family.params[0] - 1
+        wdeg = 2 * levels * N * (N + 1) + N
+    elif family.kind == "hikami":
+        m, alpha = family.params
+        levels = m - 1
+        # the levels up to alpha are read one index further on
+        wdeg = alpha * (N + 1) ** 2 + (levels - alpha) * N * (N + 1)
+    elif family.kind == "inline":
+        terms = family.params[: N + 1]
+        wdeg = max((len(p.coeffs) for p in terms), default=0)
+        wbits = max((sum(map(abs, p.coeffs)).bit_length() for p in terms),
+                    default=0)
+    kdeg = N * (N + 1) // 2 if family.kernel == "F" else N * N
+    bits = N + levels * (N + 1) + wbits + (N + 1).bit_length()
+    passes = N + levels * N * (N + 1) // 2 + cap + 1
+    return passes * (kdeg + wdeg) * (1 + bits // 64)
+
+
+def table_plan_def(family, depth: int):
+    """(last row of the (1-x)**e table, bytes of the engine's tables).
+
+    The bytes count that table and, for laddered families, 4 n (n+1)
+    words, n = depth + 1, which bound one ladder's buffers: its column
+    block of at most (n+1)**2 words, and its Toeplitz kernel and two step
+    buffers of at most n**2 words each.
+    """
+    n = depth + 1
+    top = laddered = 0
+    if family.kind == "gk" and family.params[0] > 1:
+        top, laddered = 2 * depth + 2, True
+    elif family.kind == "gk":
+        top = depth
+    elif family.kind == "hikami" and family.params[0] > 1:
+        top, laddered = depth + 2, True
+    ladder = 4 * (n + 1) * n if laddered else 0
+    return top, 8 * ((top + 1) * n + ladder)
+
+
+def modular_work_def(family, depth: int) -> int:
+    """Work estimate for xi mod m at this depth, from the family alone.
+
+    With n = depth + 1, it counts n**3 for the xi accumulation and n**4 / 4
+    for each ladder of gk:k>=2 (k-1 of them) or hikami:m>=2 (m-1).  That
+    overcounts the engine, which computes only the residues it reads: the
+    Horner accumulation makes n truncated convolutions of up to n by n
+    terms, and a ladder's trimmed row blocks take about n**4 / 12
+    matrix-product steps.  The count stays the admission measure, so the
+    accepted depths are those of MAX_MODULAR_WORK's comment in _admit.
+    """
+    n = depth + 1
+    ladders = 0
+    if family.kind in ("gk", "hikami"):
+        ladders = family.params[0] - 1
+    return n ** 3 + ladders * n ** 4 // 4
 
 
 # -- admission boundaries ----------------------------------------------------

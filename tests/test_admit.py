@@ -16,6 +16,7 @@ from qstrange.partialtheta import gamma_work, get_character, l_value_work
 from qstrange.qfamilies import InvalidParam, parse_family, partial_sum_work
 from qstrange.strangematch import c_array_work
 
+import helpers
 from helpers import BOUNDARIES, GUARDS, check_boundary, deepest_admitted
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -130,3 +131,38 @@ def test_readme_table_matches_the_limits(index):
         assert estimates, label
         for estimate in estimates:
             assert deepest_admitted(name, estimate) == int(number), label
+
+
+# -- the estimates against their per-kind oracles ----------------------------
+
+ORACLE_FAMILIES = [
+    "kz", *(f"gk:k={k}" for k in range(1, 7)),
+    *(f"hikami:m={m},alpha={a}" for m in range(1, 7) for a in range(m)),
+    '{"kernel":"F","terms":[{"coeffs":["1"]},{"coeffs":["0","2"]},'
+    '{"coeffs":["-1","0","1"]}]}',
+    '{"kernel":"G","terms":[{"coeffs":["2"]},{"coeffs":["1","-1"]},'
+    '{"coeffs":["0","0","0","-98765432109876543210987654321"]}]}',
+]
+
+
+def _estimate_points() -> list:
+    """N or depth 0..80, and every README deepest input of the partial-sum,
+    table and modular limits, with the next one up."""
+    edges = {int(x) for constant, _, deepest in _readme_rows()
+             if constant.split(".")[1] in ("MAX_PARTIAL_SUM_WORK",
+                                           "MAX_TABLE_BYTES",
+                                           "MAX_MODULAR_WORK")
+             for x in re.findall(r"` (\d+)", deepest)}
+    assert len(edges) > 10
+    return sorted(set(range(81)) | edges | {x + 1 for x in edges})
+
+
+@pytest.mark.parametrize("label", ORACLE_FAMILIES)
+def test_estimates_match_the_per_kind_oracles(label):
+    fam = parse_family(label)
+    for x in _estimate_points():
+        assert partial_sum_work(fam, x) == helpers.partial_sum_work_def(fam, x)
+        assert partial_sum_work(fam, x, x) \
+            == helpers.partial_sum_work_def(fam, x, x)
+        assert modular_work(fam, x) == helpers.modular_work_def(fam, x)
+        assert _table_plan(fam, x) == helpers.table_plan_def(fam, x)

@@ -399,6 +399,31 @@ def test_scan_depth_over_table_limit_is_usage_error(capsys, monkeypatch):
     assert "MiB" in err
 
 
+def test_engine_mismatch_exits_one(capsys, monkeypatch):
+    import qstrange.fishburn as fb
+
+    monkeypatch.setattr(fb, "_xi_mod", lambda fam, d, m: (1,) * (d + 1))
+    code, out, err = invoke(capsys, "scan", "--family", "kz", "--p", "5",
+                            "--beta", "1", "--depth", "20")
+    assert code == 1
+    assert out == ""
+    assert err == "error: modular engine disagrees with exact coefficients\n"
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError, OverflowError])
+def test_arithmetic_bug_is_not_a_verdict(capsys, monkeypatch, exc):
+    # only the library's own verdicts exit 1; a bug shows its traceback
+    import qstrange.cli as cli
+
+    def crash(args):
+        raise exc("bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "scan", crash)
+    with pytest.raises(exc):
+        run(["scan", "--family", "kz", "--p", "5", "--depth", "20"])
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------- carray
 
 def test_carray_row(capsys):

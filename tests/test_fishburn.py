@@ -8,6 +8,7 @@ import qstrange._modular as engine
 from qstrange.fishburn import (
     PRIME_TEST_LIMIT,
     CongruenceReport,
+    EngineMismatch,
     ScanReport,
     XiSequence,
     _is_prime,
@@ -90,6 +91,10 @@ class TestModularEngine:
         ("hikami:m=2,alpha=0", 40),
         ("hikami:m=2,alpha=1", 40),
         ("hikami:m=3,alpha=1", 32),
+        ("hikami:m=3,alpha=0", 32),
+        ("hikami:m=4,alpha=0", 32),
+        ("hikami:m=4,alpha=3", 32),
+        ("gk:k=4", 32),
         (INLINE_F.label, 24),
         (INLINE_G.label, 24),
     ])
@@ -255,7 +260,7 @@ class TestVerifyCongruence:
     def test_engine_cross_check(self, monkeypatch):
         import qstrange.fishburn as fb
         monkeypatch.setattr(fb, "_xi_mod", lambda fam, d, m: [1] * (d + 1))
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(EngineMismatch):
             verify_congruence(KZ, 5, 1, 1, 20)
 
     def test_bad_params(self):

@@ -74,6 +74,10 @@ class TestParse:
         assert hash(parse_family("gk:k=2")) == hash(parse_family("gk:k=2"))
         assert FamilySpec("F", "x", "kz", ()) == FamilySpec("G", "x", "gk", (1,))
 
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(InvalidParam, match="kind 'bogus'"):
+            FamilySpec("F", "bogus", "bogus", ())
+
     def test_rule_fields(self):
         f = parse_family("hikami:m=2,alpha=1")
         assert (f.kernel, f.kind, f.params) == ("F", "hikami", (2, 1))

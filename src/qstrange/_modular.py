@@ -114,21 +114,23 @@ def _sub_weights_mod(family, depth, mod, pw):
     each to the precision depth+1-n that xi_residues reads from w(n).
 
     Inline term n is substituted only that far; the other families start
-    from depth+1 ones and one more for each value a level drops.  The
-    levels of the family's shape are replayed in order by _sub_ladder_mod,
+    from depth+1 ones and one more for each value a run drops.  The runs
+    of levels of the family's shape are replayed by _sub_ladder_mod,
     and gk's final shift by q**n is a product with (1-x)**n.
     """
     levels, shift = _shape(family)
     vals = [np.ones(1, dtype=np.int64)] * (
-        depth + 1 + sum(drop for _, _, drop in levels))
+        depth + 1 + sum(drop for *_, drop in levels))
     if family.kind == "inline":
         terms = family.params[: depth + 1]
         vals = [np.array([c % mod for c in subst_one_minus_q(p, depth - n).coeffs],
                          dtype=np.int64) for n, p in enumerate(terms)]
         vals += [_EMPTY] * (depth + 1 - len(terms))
-    for c0, base, drop in levels:
-        vals = _sub_ladder_mod(vals, c0, len(vals) - 1, base, pw, depth,
-                               mod)[drop:]
+    for count, c0, base, drop in levels:
+        for _ in range(count):
+            vals = _sub_ladder_mod(vals, c0, len(vals) - 1, base, pw, depth,
+                                   mod)
+        vals = vals[drop:]
     if shift:
         vals = [_conv_trunc(pw[n][: n + 1], t, depth + 1 - n, mod)
                 for n, t in enumerate(vals)]

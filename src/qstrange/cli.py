@@ -215,20 +215,6 @@ def cmd_identity_check(args) -> int:
     return 0 if ok else 1
 
 
-_HANDLERS = {
-    "dissect": cmd_dissect,
-    "verify": cmd_verify,
-    "residues": cmd_residues,
-    "match": cmd_match,
-    "lvalue": cmd_lvalue,
-    "gamma": cmd_gamma,
-    "fishburn": cmd_fishburn,
-    "scan": cmd_scan,
-    "carray": cmd_carray,
-    "identity-check": cmd_identity_check,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qstrange",
@@ -237,64 +223,70 @@ def build_parser() -> argparse.ArgumentParser:
                     "and Fishburn-type congruences.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, text: str):
+    def add(name: str, text: str, handler):
         p = sub.add_parser(name, help=text, description=text)
+        p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "table"), default="table",
                        help="output format (default table)")
         return p
 
-    p = add("dissect", "s-dissection of an exact partial sum")
+    p = add("dissect", "s-dissection of an exact partial sum", cmd_dissect)
     p.add_argument("--family", required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
 
-    p = add("verify", "divisibility certificate for one (family, s, N)")
+    p = add("verify", "divisibility certificate for one (family, s, N)",
+            cmd_verify)
     p.add_argument("--family", required=True)
     p.add_argument("--char", required=True,
                    help="built-in character name or Character JSON file")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
 
-    p = add("residues", "residue set S of a character modulo s")
+    p = add("residues", "residue set S of a character modulo s", cmd_residues)
     p.add_argument("--char", required=True)
     p.add_argument("--s", type=int, required=True)
 
-    p = add("match", "compare series and partial theta expansions at a root")
+    p = add("match", "compare series and partial theta expansions at a root",
+            cmd_match)
     p.add_argument("--family", required=True)
     p.add_argument("--char", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--j", type=int, default=0)
     p.add_argument("--depth", type=int, required=True)
 
-    p = add("lvalue", "L(-n, C) for a twisted character sequence")
+    p = add("lvalue", "L(-n, C) for a twisted character sequence", cmd_lvalue)
     p.add_argument("--char", required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--j", type=int, default=0)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("gamma", "partial theta expansion coefficient gamma_n")
+    p = add("gamma", "partial theta expansion coefficient gamma_n", cmd_gamma)
     p.add_argument("--char", required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--j", type=int, default=0)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("fishburn", "coefficients of family(1-q)")
+    p = add("fishburn", "coefficients of family(1-q)", cmd_fishburn)
     p.add_argument("--family", required=True)
     p.add_argument("--depth", type=int, required=True)
 
-    p = add("scan", "prime-power congruence scan (or one class with --beta)")
+    p = add("scan", "prime-power congruence scan (or one class with --beta)",
+            cmd_scan)
     p.add_argument("--family", required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--beta", type=int, default=None)
     p.add_argument("--depth", type=int, required=True)
 
-    p = add("carray", "derivative-extraction coefficients C(ell, i, .)(s)")
+    p = add("carray", "derivative-extraction coefficients C(ell, i, .)(s)",
+            cmd_carray)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
 
-    p = add("identity-check", "self-check of the dissection extraction identities")
+    p = add("identity-check", "self-check of the dissection extraction identities",
+            cmd_identity_check)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--poly", default=None,
@@ -313,7 +305,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except DivisibilityFalsified as exc:
         _emit(args, {"verdict": "falsified", "detail": str(exc)},
               [f"FALSIFIED: {exc}"])

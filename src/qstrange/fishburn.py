@@ -100,11 +100,15 @@ def _table_plan(family, depth: int):
     block of at most (n+1)**2 words, and its Toeplitz kernel and two step
     buffers of at most n**2 words each.
     """
-    n, (levels, shift) = depth + 1, _shape(family)
-    # rows read: to 2n by gk's ladders, to depth by its shift, to n by
-    # hikami's ladders, which keep one spare row that the README bounds rest on
-    top = (2 * n if shift else n + 1) if levels else (depth if shift else 0)
-    ladder = 4 * (n + 1) * n if levels else 0
+    n = depth + 1
+    top = laddered = 0
+    if family.kind == "gk" and family.params[0] > 1:
+        top, laddered = 2 * depth + 2, True
+    elif family.kind == "gk":
+        top = depth
+    elif family.kind == "hikami" and family.params[0] > 1:
+        top, laddered = depth + 2, True
+    ladder = 4 * (n + 1) * n if laddered else 0
     return top, 8 * ((top + 1) * n + ladder)
 
 
@@ -120,7 +124,7 @@ def modular_work(family, depth: int) -> int:
     are those of MAX_MODULAR_WORK's comment in _admit.
     """
     n = depth + 1
-    return n ** 3 + len(_shape(family)[0]) * n ** 4 // 4
+    return n ** 3 + sum(c for c, *_ in _shape(family)[0]) * n ** 4 // 4
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,12 +7,14 @@ hierarchy ("hikami:m=<m>,alpha=<a>") and the G_k ladder ("gk:k=<k>");
 inline JSON descriptors give finite user-defined families.
 
 The built-in weights are nested sums of Gaussian binomials weighted by
-q^(t^2+c*t).  _shape lists their nesting levels (c0, base, drop),
-innermost first, and whether gk's final shift of weight n by q**n follows;
-the exact stream here, the modular replay and the work estimates all read
-it.  A level maps w to A(n) = sum_t Q^(t^2+c0*t) w(t) [n choose t]_Q,
-Q = q**base, less its first `drop` values.  Rather than enumerate tuples,
-it is computed by a column recurrence derived from the Pascal rule
+q^(t^2+c*t).  _shape lists their nesting levels, innermost first, as runs
+(count, c0, base, drop): count equal levels, after which the first `drop`
+values are dropped.  It also says whether gk's final shift of weight n by
+q**n follows.  The exact stream here, the modular replay and the work
+estimates all read it, the estimates before any limit is checked, so its
+size does not grow with k or m.  A level maps w to A(n) = sum_t
+Q^(t^2+c0*t) w(t) [n choose t]_Q, Q = q**base.  Rather than enumerate
+tuples, it is computed by a column recurrence derived from the Pascal rule
 
     A_c(n) = A_c(n-1) + Q^(n+c) * A_(c+1)(n-1),
 
@@ -80,13 +82,12 @@ def _ladder(weights: Iterable[IntPoly], c0: int, base: int,
 # -- coefficient-polynomial rules --------------------------------------------
 
 def _shape(family: FamilySpec) -> tuple[list, bool]:
-    """(levels, shift): the ladder levels (c0, base, drop) of the family's
-    weights, innermost first, and whether weight n is then shifted by q**n."""
+    """(levels, shift) of the family's weights, as the module docstring says."""
     if family.kind == "hikami":
         m, alpha = family.params
-        return [(int(j > alpha), 1, j == alpha) for j in range(1, m)], False
+        return [(alpha, 0, 1, alpha > 0), (m - 1 - alpha, 1, 1, False)], False
     if family.kind == "gk":
-        return [(1, 2, False)] * (family.params[0] - 1), True
+        return [(family.params[0] - 1, 1, 2, False)], True
     return [], False
 
 
@@ -97,8 +98,10 @@ def _weights(family: FamilySpec, cap: int | None) -> Iterator[IntPoly]:
     if family.kind == "inline":
         vals = chain(family.params, repeat(IntPoly()))
     levels, shift = _shape(family)
-    for c0, base, drop in levels:
-        vals = islice(_ladder(vals, c0, base, cap), drop, None)
+    for count, c0, base, drop in levels:
+        for _ in range(count):
+            vals = _ladder(vals, c0, base, cap)
+        vals = islice(vals, drop, None)
     if shift:
         vals = (t.shift(n) for n, t in enumerate(vals))
     return vals if cap is None else (w.truncate(cap) for w in vals)
@@ -234,9 +237,7 @@ def _parse_inline(text: str) -> FamilySpec:
         raise ParseError(f"bad inline family JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("inline family must be a JSON object")
-    kernel = obj.get("kernel")
-    if kernel not in ("F", "G"):
-        raise InvalidParam(f"inline family kernel must be 'F' or 'G', got {kernel!r}")
+    kernel = obj.get("kernel")  # checked by FamilySpec
     terms = obj.get("terms")
     if not isinstance(terms, list):
         raise ParseError("inline family needs a 'terms' list")
@@ -306,14 +307,15 @@ def partial_sum_work(family: FamilySpec, upper: int, cap: int = -1) -> int:
         wbits = max((sum(map(abs, p.coeffs)).bit_length() for p in terms),
                     default=0)
     levels, shift = _shape(family)
-    later = sum(drop for _, _, drop in levels)
+    count = sum(c for c, *_ in levels)
+    later = sum(drop for *_, drop in levels)
     wdeg += N * shift
-    for c0, base, drop in levels:
-        wdeg += base * (N + later) * (N + later + c0)
+    for c, c0, base, drop in levels:
+        wdeg += c * base * (N + later) * (N + later + c0)
         later -= drop
     kdeg = N * (N + 1) // 2 if family.kernel == "F" else N * N
-    bits = N + len(levels) * (N + 1) + wbits + (N + 1).bit_length()
-    passes = N + len(levels) * N * (N + 1) // 2 + cap + 1
+    bits = N + count * (N + 1) + wbits + (N + 1).bit_length()
+    passes = N + count * N * (N + 1) // 2 + cap + 1
     return passes * (kdeg + wdeg) * (1 + bits // 64)
 
 

@@ -166,3 +166,28 @@ def test_estimates_match_the_per_kind_oracles(label):
             == helpers.partial_sum_work_def(fam, x, x)
         assert modular_work(fam, x) == helpers.modular_work_def(fam, x)
         assert _table_plan(fam, x) == helpers.table_plan_def(fam, x)
+
+
+@pytest.mark.parametrize("label", [
+    "gk:k=1000000000000",
+    "hikami:m=1000000000000,alpha=0",
+    "hikami:m=1000000000000,alpha=999999999",
+])
+def test_huge_ladders_are_refused_at_once(label, capsys):
+    # the shape is a few runs of levels, so estimating costs the same for
+    # any k or m, and the refusal comes before any level is built
+    from qstrange.cli import run
+    from qstrange.fishburn import _xi_mod
+    from qstrange.qfamilies import _shape, partial_sum
+
+    fam = parse_family(label)
+    assert len(_shape(fam)[0]) <= 2
+    assert partial_sum_work(fam, 1) == helpers.partial_sum_work_def(fam, 1)
+    assert modular_work(fam, 1) == helpers.modular_work_def(fam, 1)
+    with pytest.raises(InvalidParam):
+        partial_sum(fam, 1)
+    with pytest.raises(InvalidParam):
+        _xi_mod(fam, 1, 2)
+    assert run(["fishburn", "--family", label, "--depth", "1"]) == 2
+    assert run(["scan", "--family", label, "--p", "2", "--depth", "5"]) == 2
+    assert "is over MAX_" in capsys.readouterr().err

@@ -415,10 +415,10 @@ def test_arithmetic_bug_is_not_a_verdict(capsys, monkeypatch, exc):
     # only the library's own verdicts exit 1; a bug shows its traceback
     import qstrange.cli as cli
 
-    def crash(args):
+    def crash(*args):
         raise exc("bug")
 
-    monkeypatch.setitem(cli._HANDLERS, "scan", crash)
+    monkeypatch.setattr(cli, "scan_congruences", crash)
     with pytest.raises(exc):
         run(["scan", "--family", "kz", "--p", "5", "--depth", "20"])
     assert capsys.readouterr().err == ""

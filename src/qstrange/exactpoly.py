@@ -384,10 +384,9 @@ def exact_div(p: IntPoly, *divisors: IntPoly) -> IntPoly:
     divisors the quotient is p.
 
     A divisor +-(1 - q^e) goes through div_binomial, in O(deg p).  Any
-    other divisor with leading coefficient +-1 runs the integer long
-    division, whose inner loop visits only the divisor's nonzero
-    coefficients below the top; the rest go through the rationals with an
-    integrality check.
+    other divisor runs the integer long division, whose inner loop visits
+    only the divisor's nonzero coefficients below the top, and which stops
+    at the first quotient term that is not an integer.
     """
     if not isinstance(p, IntPoly) or not all(isinstance(d, IntPoly) for d in divisors):
         raise TypeError("exact_div expects IntPoly arguments")
@@ -407,32 +406,25 @@ def _div_step(num: list, d: IntPoly) -> list:
     num may be used as the remainder buffer, and overwritten.
     """
     dd = d.degree
-    if len(num) - 1 < dd:
-        raise NotDivisible(f"degree {len(num) - 1} < divisor degree {dd}")
     dc = d.coeffs
     lead = dc[-1]
     if dd and lead in (1, -1) and dc[0] == -lead and not any(dc[1:-1]):
         quo = div_binomial(num, dd)
         return quo if lead == -1 else [-c for c in quo]
-    if lead not in (1, -1):
-        q, r = RatPoly(num).divmod_by(d.to_rat())
-        if r:
-            raise NotDivisible("nonzero remainder")
-        try:
-            return list(q.to_int_poly().coeffs)
-        except ValueError as exc:
-            raise NotDivisible("quotient is not integral") from exc
-    # lead is self-inverse: the quotient term is c*lead, and it removes
-    # c*lead*d_i from position base+i for every nonzero lower term d_i
-    terms = [(i, lead * c) for i, c in enumerate(d.coeffs[:-1]) if c]
+    # the quotient term t = c/lead removes t*d_i from position base+i for
+    # every nonzero lower d_i; quotients are unique, so t must be integral
+    terms = [(i, c) for i, c in enumerate(dc[:-1]) if c]
     quo = [0] * (len(num) - dd)
     for top in range(len(num) - 1, dd - 1, -1):
         c = num[top]
         if c:
+            t, rest = divmod(c, lead)
+            if rest:
+                raise NotDivisible("quotient is not integral")
             base = top - dd
-            quo[base] = c * lead
-            for i, t in terms:
-                num[base + i] -= c * t
+            quo[base] = t
+            for i, di in terms:
+                num[base + i] -= t * di
     if any(num[:dd]):
         raise NotDivisible("nonzero remainder")
     return quo

@@ -18,11 +18,11 @@ tuples, it is computed by a column recurrence derived from the Pascal rule
 
     A_c(n) = A_c(n-1) + Q^(n+c) * A_(c+1)(n-1),
 
-where column c+1 carries the weight sequence shifted by one.  Each level is
-an endless stream: weight m enters as a new column and moves every older
-column one step along the anti-diagonal, so the first N values cost
-O(N^2) shift-and-adds in total, however the requests grow, and no
-multiplications.  Tests check the ladder against direct tuple enumeration.
+where column c+1 carries the weight sequence shifted by one.  One endless
+generator runs each run of levels: weight m enters each level in turn as
+a new column and moves its older columns one step along the anti-diagonal,
+so the first N values cost O(N^2) shift-and-adds per level however the
+requests grow, and no products.  Tests check it against tuple enumeration.
 """
 
 from __future__ import annotations
@@ -59,24 +59,28 @@ class ParseError(ValueError):
 # -- the ladder --------------------------------------------------------------
 
 def _ladder(weights: Iterable[IntPoly], c0: int, base: int,
-            cap: int | None = None) -> Iterator[IntPoly]:
+            cap: int | None = None, count: int = 1) -> Iterator[IntPoly]:
     """Stream A(n) = sum_t Q^(t^2 + c0*t) * w(t) * [n choose t]_Q for n = 0, 1, ...
 
-    Q = q**base.  Column i holds the ladder of the weights shifted by i.
-    When w(m) arrives, column m starts at w(m) and every column i < m takes
-    one step, in descending i, by adding column i+1 (already advanced)
-    shifted by Q^(m + c0); after that column 0 is A(m).  With cap set, all
-    work is truncated above that degree.
+    Q = q**base.  With count > 1, one generator runs count such levels, each
+    one's A(n) the next one's w(n).  In a level, column i holds the ladder
+    of the weights shifted by i.  When w(m) arrives, column m starts at w(m)
+    and every column i < m takes one step, in descending i, by adding column
+    i+1 (already advanced) shifted by Q^(m + c0); then column 0 is A(m), a
+    list passed on.  With cap set, all work is truncated above that degree.
     """
-    cols = []
+    stacks = [[] for _ in range(count)]
     for m, w in enumerate(weights):
-        cols.append(list(w.coeffs[: cap + 1] if cap is not None else w.coeffs))
+        val = w.coeffs
         off = base * (m + c0)
         stop = None if cap is None else cap + 1 - off
-        if stop is None or stop > 0:
-            for i in range(m - 1, -1, -1):
-                _add_into(cols[i], cols[i + 1][:stop], off)
-        yield IntPoly._new(cols[0])
+        for cols in stacks:
+            cols.append(list(val[: cap + 1] if cap is not None else val))
+            if stop is None or stop > 0:
+                for i in range(m - 1, -1, -1):
+                    _add_into(cols[i], cols[i + 1][:stop], off)
+            val = cols[0]
+        yield IntPoly._new(val)
 
 
 # -- coefficient-polynomial rules --------------------------------------------
@@ -98,10 +102,8 @@ def _weights(family: FamilySpec, cap: int | None) -> Iterator[IntPoly]:
     if family.kind == "inline":
         vals = chain(family.params, repeat(IntPoly()))
     levels, shift = _shape(family)
-    for count, c0, base, drop in levels:
-        for _ in range(count):
-            vals = _ladder(vals, c0, base, cap)
-        vals = islice(vals, drop, None)
+    for count, c0, base, drop in (run for run in levels if run[0]):
+        vals = islice(_ladder(vals, c0, base, cap, count), drop, None)
     if shift:
         vals = (t.shift(n) for n, t in enumerate(vals))
     return vals if cap is None else (w.truncate(cap) for w in vals)
@@ -297,7 +299,9 @@ def partial_sum_work(family: FamilySpec, upper: int, cap: int = -1) -> int:
       of their absolute values at q = 1: each kernel factor and each ladder
       level at most doubles it, and the N+1 terms add bits(N+1).
     With cap >= 0 it also counts the 1-q substitution of the sum truncated
-    at degree cap, as xi_coeffs runs it: cap + 1 more passes.
+    at degree cap, as xi_coeffs runs it: cap + 1 more passes.  w(0) still
+    passes every level, so at N = 0 it counts a pass per level and degree
+    1: gk:k=80000 is refused there; 79999 takes 0.13 s on a 2-vCPU VM.
     """
     N = upper
     wdeg = wbits = 0
@@ -316,7 +320,7 @@ def partial_sum_work(family: FamilySpec, upper: int, cap: int = -1) -> int:
     kdeg = N * (N + 1) // 2 if family.kernel == "F" else N * N
     bits = N + count * (N + 1) + wbits + (N + 1).bit_length()
     passes = N + count * N * (N + 1) // 2 + cap + 1
-    return passes * (kdeg + wdeg) * (1 + bits // 64)
+    return max(passes, count) * max(kdeg + wdeg, 1) * (1 + bits // 64)
 
 
 def partial_sum(family: FamilySpec, upper: int) -> PartialSum:

@@ -18,7 +18,7 @@ from qstrange import _admit
 from qstrange.cli import build_parser, cmd_identity_check
 from qstrange.cyclofield import CycloNum
 from qstrange.dissection import dissect, residue_set
-from qstrange.exactpoly import IntPoly, RatPoly, cyclotomic
+from qstrange.exactpoly import IntPoly, NotDivisible, RatPoly, cyclotomic
 from qstrange.fishburn import _xi_mod, xi_coeffs
 from qstrange.partialtheta import (Character, bernoulli_poly, get_character,
                                    l_value, twisted_sequence)
@@ -127,6 +127,15 @@ def gk_g_def(k: int, n: int) -> dict:
 
     rec(k - 1, n, n, {0: 1})
     return total
+
+
+def exact_div_def(p: IntPoly, d: IntPoly):
+    """p / d in Z[q] by long division over Q, or NotDivisible when the
+    remainder is nonzero or the quotient is not integral."""
+    quo, rem = p.to_rat().divmod_by(d.to_rat())
+    if rem or any(c.denominator != 1 for c in quo.coeffs):
+        return NotDivisible
+    return IntPoly([int(c) for c in quo.coeffs])
 
 
 def subst_def(p: IntPoly, cap: int) -> IntPoly:

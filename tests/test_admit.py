@@ -4,6 +4,7 @@ README's table of limits."""
 import functools
 import importlib
 import math
+import operator
 import pathlib
 import re
 
@@ -159,13 +160,63 @@ def _estimate_points() -> list:
 
 @pytest.mark.parametrize("label", ORACLE_FAMILIES)
 def test_estimates_match_the_per_kind_oracles(label):
+    # the floors pinned in test_estimate_floors only ever add work, at N = 0
+    # and, for a family with ladder levels, below depth 53
     fam = parse_family(label)
+    laddered = fam.kind in ("gk", "hikami") and fam.params[0] > 1
     for x in _estimate_points():
-        assert partial_sum_work(fam, x) == helpers.partial_sum_work_def(fam, x)
-        assert partial_sum_work(fam, x, x) \
-            == helpers.partial_sum_work_def(fam, x, x)
-        assert modular_work(fam, x) == helpers.modular_work_def(fam, x)
+        partial = operator.ge if x == 0 else operator.eq
+        modular = operator.ge if laddered and x < 53 else operator.eq
+        assert partial(partial_sum_work(fam, x),
+                       helpers.partial_sum_work_def(fam, x))
+        assert partial(partial_sum_work(fam, x, x),
+                       helpers.partial_sum_work_def(fam, x, x))
+        assert modular(modular_work(fam, x), helpers.modular_work_def(fam, x))
         assert _table_plan(fam, x) == helpers.table_plan_def(fam, x)
+
+
+# (family, partial_sum_work at N = 0 without and with the 1-q substitution,
+# modular_work at depths 0, 52 and 53): N = 0 counts a pass per ladder
+# level and degree 1; a level costs at least 2 * 10**6 in modular_work,
+# which 54**4 // 4 passes at depth 53
+FLOORS = [
+    ("kz", 0, 1, 1, 53 ** 3, 54 ** 3),
+    ("gk:k=1", 0, 1, 1, 53 ** 3, 54 ** 3),
+    ("gk:k=3", 2, 2, 1 + 2 * 2 * 10 ** 6, 53 ** 3 + 2 * 2 * 10 ** 6,
+     54 ** 3 + 2 * 54 ** 4 // 4),
+    ("hikami:m=2,alpha=0", 1, 1, 1 + 2 * 10 ** 6, 53 ** 3 + 2 * 10 ** 6,
+     54 ** 3 + 54 ** 4 // 4),
+    # the levels up to alpha are read at index 1, so the degree is alpha
+    ("hikami:m=4,alpha=2", 6, 6, 1 + 3 * 2 * 10 ** 6,
+     53 ** 3 + 3 * 2 * 10 ** 6, 54 ** 3 + 3 * 54 ** 4 // 4),
+]
+
+
+@pytest.mark.parametrize("label,work,work_sub,mod0,mod52,mod53", FLOORS,
+                         ids=[row[0] for row in FLOORS])
+def test_estimate_floors(label, work, work_sub, mod0, mod52, mod53):
+    fam = parse_family(label)
+    assert partial_sum_work(fam, 0) == work
+    assert partial_sum_work(fam, 0, 0) == work_sub
+    assert [modular_work(fam, d) for d in (0, 52, 53)] == [mod0, mod52, mod53]
+
+
+@pytest.mark.parametrize("name,estimate,deepest", [
+    ("MAX_PARTIAL_SUM_WORK",
+     lambda k: partial_sum_work(parse_family(f"gk:k={k}"), 0), 79999),
+    ("MAX_PARTIAL_SUM_WORK",
+     lambda m: partial_sum_work(parse_family(f"hikami:m={m},alpha=0"), 0, 0),
+     79999),
+    ("MAX_MODULAR_WORK",
+     lambda k: modular_work(parse_family(f"gk:k={k}"), 5), 25000),
+    ("MAX_MODULAR_WORK",
+     lambda m: modular_work(parse_family(f"hikami:m={m},alpha=3"), 0),
+     25000),
+], ids=["partial_sum gk N=0", "xi_coeffs hikami N=0", "modular gk depth 5",
+        "modular hikami depth 0"])
+def test_largest_ladders_admitted_at_small_inputs(name, estimate, deepest):
+    # the calibrations in partial_sum_work's and modular_work's docstrings
+    assert deepest_admitted(name, estimate, 4) == deepest
 
 
 @pytest.mark.parametrize("label", [
@@ -183,7 +234,8 @@ def test_huge_ladders_are_refused_at_once(label, capsys):
     fam = parse_family(label)
     assert len(_shape(fam)[0]) <= 2
     assert partial_sum_work(fam, 1) == helpers.partial_sum_work_def(fam, 1)
-    assert modular_work(fam, 1) == helpers.modular_work_def(fam, 1)
+    # depth 1 is under the level floor, which only adds work
+    assert modular_work(fam, 1) >= helpers.modular_work_def(fam, 1)
     with pytest.raises(InvalidParam):
         partial_sum(fam, 1)
     with pytest.raises(InvalidParam):

@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -667,6 +668,44 @@ def test_partial_sum_over_work_limit_is_usage_error(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert "MAX_PARTIAL_SUM_WORK" in err
+
+
+# each built a ladder of every level before the floors on a level's work:
+# 10**8 column stacks at N = 0, or minutes of modular replay at depth 5
+HUGE_LADDERS = [
+    (("fishburn", "--family", "gk:k=100000000", "--depth", "0"),
+     "MAX_PARTIAL_SUM_WORK"),
+    (("dissect", "--family", "gk:k=100000000", "--s", "1", "--N", "0"),
+     "MAX_PARTIAL_SUM_WORK"),
+    (("scan", "--family", "gk:k=2000000", "--p", "2", "--depth", "5"),
+     "MAX_MODULAR_WORK"),
+    (("scan", "--family", "hikami:m=2000000,alpha=3", "--p", "2", "--depth",
+      "5"), "MAX_MODULAR_WORK"),
+]
+
+
+@pytest.mark.parametrize("argv,limit", HUGE_LADDERS,
+                         ids=["fishburn", "dissect", "scan-gk", "scan-hikami"])
+def test_huge_ladders_at_small_inputs_are_refused(capsys, monkeypatch, argv,
+                                                  limit):
+    import qstrange._modular as engine
+    import qstrange.qfamilies as qf
+
+    monkeypatch.setattr(qf, "_weights", _never("the family's weights"))
+    monkeypatch.setattr(engine, "xi_residues", _never("the modular engine"))
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and limit in err
+
+
+def test_tens_of_thousands_of_ladder_levels_run_in_one_generator():
+    # a generator per level overflowed the C stack here and killed the
+    # interpreter with SIGSEGV
+    code, out, err = _fresh_python("-m", "qstrange.cli", "fishburn",
+                                   "--family", "gk:k=50000", "--depth", "0")
+    assert (code, out) == (0, "[1]\n"), err
 
 
 def test_oversized_probes_are_refused_without_numpy(tmp_path):

@@ -81,6 +81,11 @@ class TestXiCoeffs:
         with pytest.raises(InvalidParam):
             xi_coeffs(KZ, -1)
 
+    def test_thousands_of_ladder_levels(self):
+        # a generator per level raised RecursionError here
+        fam = parse_family("hikami:m=3000,alpha=1")
+        assert xi_coeffs(fam, 0).coeffs == (2,)
+
 
 class TestModularEngine:
     @pytest.mark.parametrize("label,depth", [

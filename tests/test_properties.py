@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import cyclo_ref, l_value_def, residue_set_def, twisted_table_def
+from helpers import (cyclo_ref, exact_div_def, l_value_def, residue_set_def,
+                     twisted_table_def)
 from qstrange.cyclofield import CycloNum, eval_at_root
 from qstrange.dissection import dissect, residue_set
 from qstrange.exactpoly import (
@@ -116,6 +117,17 @@ def test_dissect_reassembles(p, s):
 @given(polys, st.one_of(nonzero_polys, binomials))
 def test_exact_div_inverts_mul(a, b):
     assert exact_div(a * b, b) == a
+
+
+@PROPERTY
+@given(polys, small_divisors, st.integers(2, 4), st.integers(1, 4),
+       st.booleans(), polys)
+def test_exact_div_matches_the_rational_oracle(a, e, g, h, perturb, r):
+    # d = g*e is not monic, and h*a*e / d = h*a/g is integral only when g
+    # divides h*a; perturbed by r, the dividend is mostly not divisible
+    d = e.scale(g)
+    p = (a * e).scale(h) + (r if perturb else IntPoly())
+    assert outcome(p, d) == exact_div_def(p, d)
 
 
 @PROPERTY

@@ -202,6 +202,10 @@ class TestPartialSum:
         f = parse_family(label)
         assert partial_sum(f, 0).value == term_poly(f, 0)
 
+    def test_thousands_of_ladder_levels(self):
+        # a generator per level raised RecursionError here
+        assert partial_sum(parse_family("gk:k=3000"), 0).value == IntPoly.one()
+
     @pytest.mark.parametrize("label", BUILTINS)
     def test_increment_invariant(self, label):
         f = parse_family(label)

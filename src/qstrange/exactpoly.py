@@ -405,8 +405,7 @@ def _div_step(num: list, d: IntPoly) -> list:
 
     num may be used as the remainder buffer, and overwritten.
     """
-    dd = d.degree
-    dc = d.coeffs
+    dd, dc = d.degree, d.coeffs
     lead = dc[-1]
     if dd and lead in (1, -1) and dc[0] == -lead and not any(dc[1:-1]):
         quo = div_binomial(num, dd)

@@ -121,14 +121,13 @@ def modular_work(family, depth: int) -> int:
     accumulation makes n truncated convolutions of up to n by n terms, and
     a ladder's trimmed row blocks take about n**4 / 12 matrix-product
     steps.  The count stays the admission measure, so the accepted depths
-    are those of MAX_MODULAR_WORK's comment in _admit.  Below depth 53,
-    where n**4 < 8 * 10**6, a level counts its set-up instead, 2 * 10**6:
-    one _sub_ladder_mod call takes about 82 us at depth 5 on a 2-vCPU Xeon
-    VM, where gk:k=25000 is admitted, in about 2.3 s, and gk:k=25001 not.
+    are those of MAX_MODULAR_WORK's comment in _admit.  Below depth 175 a
+    level counts its set-up instead, (3*10**5 + 6000 n) n for the numpy
+    calls of its n steps and its n**2-word block, fitted to _sub_ladder_mod
+    on a 2-vCPU Xeon VM: the most levels admitted at any depth take 1.8-2.5 s.
     """
-    n = depth + 1
-    levels = sum(c for c, *_ in _shape(family)[0])
-    return n ** 3 + levels * max(n ** 4, 8 * 10 ** 6) // 4
+    n, levels = depth + 1, sum(c for c, *_ in _shape(family)[0])
+    return n ** 3 + levels * max(n ** 4, 4 * (3 * 10 ** 5 + 6000 * n) * n) // 4
 
 
 @functools.lru_cache(maxsize=None)

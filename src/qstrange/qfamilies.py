@@ -8,13 +8,14 @@ inline JSON descriptors give finite user-defined families.
 
 The built-in weights are nested sums of Gaussian binomials weighted by
 q^(t^2+c*t).  _shape lists their nesting levels, innermost first, as runs
-(count, c0, base, drop): count equal levels, after which the first `drop`
-values are dropped.  It also says whether gk's final shift of weight n by
-q**n follows.  The exact stream here, the modular replay and the work
-estimates all read it, the estimates before any limit is checked, so its
-size does not grow with k or m.  A level maps w to A(n) = sum_t
-Q^(t^2+c0*t) w(t) [n choose t]_Q, Q = q**base.  Rather than enumerate
-tuples, it is computed by a column recurrence derived from the Pascal rule
+(count, c0, base, drop): count > 0 equal levels (a run of none would only
+copy each weight), after which the first `drop` values are dropped.  It
+also says whether gk's final shift of weight n by q**n follows.  The exact
+stream here, the modular replay and the work estimates all read it, the
+estimates before any limit is checked, so its size does not grow with k
+or m.  A level maps w to A(n) = sum_t Q^(t^2+c0*t) w(t) [n choose t]_Q,
+Q = q**base.  Rather than enumerate tuples, it is computed by a column
+recurrence derived from the Pascal rule
 
     A_c(n) = A_c(n-1) + Q^(n+c) * A_(c+1)(n-1),
 
@@ -87,12 +88,13 @@ def _ladder(weights: Iterable[IntPoly], c0: int, base: int,
 
 def _shape(family: FamilySpec) -> tuple[list, bool]:
     """(levels, shift) of the family's weights, as the module docstring says."""
+    runs, shift = [], family.kind == "gk"
     if family.kind == "hikami":
         m, alpha = family.params
-        return [(alpha, 0, 1, alpha > 0), (m - 1 - alpha, 1, 1, False)], False
-    if family.kind == "gk":
-        return [(family.params[0] - 1, 1, 2, False)], True
-    return [], False
+        runs = [(alpha, 0, 1, alpha > 0), (m - 1 - alpha, 1, 1, False)]
+    elif shift:
+        runs = [(family.params[0] - 1, 1, 2, False)]
+    return [run for run in runs if run[0]], shift
 
 
 def _weights(family: FamilySpec, cap: int | None) -> Iterator[IntPoly]:
@@ -102,7 +104,7 @@ def _weights(family: FamilySpec, cap: int | None) -> Iterator[IntPoly]:
     if family.kind == "inline":
         vals = chain(family.params, repeat(IntPoly()))
     levels, shift = _shape(family)
-    for count, c0, base, drop in (run for run in levels if run[0]):
+    for count, c0, base, drop in levels:
         vals = islice(_ladder(vals, c0, base, cap, count), drop, None)
     if shift:
         vals = (t.shift(n) for n, t in enumerate(vals))

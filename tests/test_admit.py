@@ -161,12 +161,12 @@ def _estimate_points() -> list:
 @pytest.mark.parametrize("label", ORACLE_FAMILIES)
 def test_estimates_match_the_per_kind_oracles(label):
     # the floors pinned in test_estimate_floors only ever add work, at N = 0
-    # and, for a family with ladder levels, below depth 53
+    # and, for a family with ladder levels, below depth 175
     fam = parse_family(label)
     laddered = fam.kind in ("gk", "hikami") and fam.params[0] > 1
     for x in _estimate_points():
         partial = operator.ge if x == 0 else operator.eq
-        modular = operator.ge if laddered and x < 53 else operator.eq
+        modular = operator.ge if laddered and x < 175 else operator.eq
         assert partial(partial_sum_work(fam, x),
                        helpers.partial_sum_work_def(fam, x))
         assert partial(partial_sum_work(fam, x, x),
@@ -176,29 +176,30 @@ def test_estimates_match_the_per_kind_oracles(label):
 
 
 # (family, partial_sum_work at N = 0 without and with the 1-q substitution,
-# modular_work at depths 0, 52 and 53): N = 0 counts a pass per ladder
-# level and degree 1; a level costs at least 2 * 10**6 in modular_work,
-# which 54**4 // 4 passes at depth 53
+# its ladder levels): N = 0 counts a pass per ladder level and degree 1
 FLOORS = [
-    ("kz", 0, 1, 1, 53 ** 3, 54 ** 3),
-    ("gk:k=1", 0, 1, 1, 53 ** 3, 54 ** 3),
-    ("gk:k=3", 2, 2, 1 + 2 * 2 * 10 ** 6, 53 ** 3 + 2 * 2 * 10 ** 6,
-     54 ** 3 + 2 * 54 ** 4 // 4),
-    ("hikami:m=2,alpha=0", 1, 1, 1 + 2 * 10 ** 6, 53 ** 3 + 2 * 10 ** 6,
-     54 ** 3 + 54 ** 4 // 4),
+    ("kz", 0, 1, 0),
+    ("gk:k=1", 0, 1, 0),
+    ("gk:k=3", 2, 2, 2),
+    ("hikami:m=2,alpha=0", 1, 1, 1),
     # the levels up to alpha are read at index 1, so the degree is alpha
-    ("hikami:m=4,alpha=2", 6, 6, 1 + 3 * 2 * 10 ** 6,
-     53 ** 3 + 3 * 2 * 10 ** 6, 54 ** 3 + 3 * 54 ** 4 // 4),
+    ("hikami:m=4,alpha=2", 6, 6, 3),
 ]
 
+# modular_work of one ladder level by depth: (3*10**5 + 6000 n) n, n =
+# depth + 1, up to depth 174, and n**4 / 4 from 175 on
+LEVEL_WORK = {0: 306_000, 5: 2_016_000, 20: 8_946_000, 52: 32_754_000,
+              174: 236_250_000, 175: 176 ** 4 // 4}
 
-@pytest.mark.parametrize("label,work,work_sub,mod0,mod52,mod53", FLOORS,
+
+@pytest.mark.parametrize("label,work,work_sub,levels", FLOORS,
                          ids=[row[0] for row in FLOORS])
-def test_estimate_floors(label, work, work_sub, mod0, mod52, mod53):
+def test_estimate_floors(label, work, work_sub, levels):
     fam = parse_family(label)
     assert partial_sum_work(fam, 0) == work
     assert partial_sum_work(fam, 0, 0) == work_sub
-    assert [modular_work(fam, d) for d in (0, 52, 53)] == [mod0, mod52, mod53]
+    for depth, per_level in LEVEL_WORK.items():
+        assert modular_work(fam, depth) == (depth + 1) ** 3 + levels * per_level
 
 
 @pytest.mark.parametrize("name,estimate,deepest", [
@@ -208,12 +209,14 @@ def test_estimate_floors(label, work, work_sub, mod0, mod52, mod53):
      lambda m: partial_sum_work(parse_family(f"hikami:m={m},alpha=0"), 0, 0),
      79999),
     ("MAX_MODULAR_WORK",
-     lambda k: modular_work(parse_family(f"gk:k={k}"), 5), 25000),
+     lambda k: modular_work(parse_family(f"gk:k={k}"), 5), 24802),
+    ("MAX_MODULAR_WORK",
+     lambda k: modular_work(parse_family(f"gk:k={k}"), 52), 1527),
     ("MAX_MODULAR_WORK",
      lambda m: modular_work(parse_family(f"hikami:m={m},alpha=3"), 0),
-     25000),
+     163399),
 ], ids=["partial_sum gk N=0", "xi_coeffs hikami N=0", "modular gk depth 5",
-        "modular hikami depth 0"])
+        "modular gk depth 52", "modular hikami depth 0"])
 def test_largest_ladders_admitted_at_small_inputs(name, estimate, deepest):
     # the calibrations in partial_sum_work's and modular_work's docstrings
     assert deepest_admitted(name, estimate, 4) == deepest

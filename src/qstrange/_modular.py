@@ -3,13 +3,17 @@
 It works modulo m from the start and entirely in the substituted domain:
 the shift q**e becomes multiplication by (1-x)**e, and the family ladders
 are replayed with a precision that shrinks as terms acquire valuation.
-Residues are int64 in [0, m); every product of residues is taken in float64
-(a truncated convolution, or one matrix product per block of ladder rows),
-which BLAS does fast, and reduced back in int64.  The caller guarantees
-(m-1)**2 * (depth+1) < 2**53, so every such product and partial sum is an
-integer below 2**53 and exact in any summation order.  Only the residues a
-consumer reads are computed: each ladder row and each Horner step of the
-accumulation stops at the precision that is read from it.
+Residues lie in [0, m); every product of residues is taken in floating
+point (a truncated convolution, or one matrix product per block of ladder
+rows), which BLAS does fast, and reduced back in integers.  Each such
+product and partial sum is a nonnegative integer at most (m-1)**2 *
+(depth+1), so it is exact in any summation order while that bound is below
+2**53 in float64, with int64 residues, or below 2**24 in float32, with
+int32 residues.  The caller guarantees 2**53.  The convolutions run in
+float64; each ladder takes float32 when its bound allows, which halves its
+memory and speeds its products.  Only the residues a consumer reads are
+computed: each ladder row and each Horner step of the accumulation stops at
+the precision that is read from it.
 
 This is the only module of the package that imports numpy; fishburn
 imports it on first use, after its parameter and size checks have passed.
@@ -66,7 +70,12 @@ def _sub_ladder_mod(weights, c0, steps, base, pw, depth, mod):
     extra coefficients of a block's lower rows are never read back.
     """
     width = depth + 2 - c0
-    cols = np.zeros((min(steps, width - 1) + 1, width), dtype=np.int64)
+    # one width per ladder: float32 blocks are exact below 2**24
+    if (mod - 1) ** 2 * (depth + 1) < 2 ** 24:
+        real, whole = np.float32, np.int32
+    else:
+        real, whole = np.float64, np.int64
+    cols = np.zeros((min(steps, width - 1) + 1, width), dtype=whole)
     unit = np.ones(1, dtype=np.int64)
     for c in range(len(cols)):
         if c > 1:
@@ -78,10 +87,10 @@ def _sub_ladder_mod(weights, c0, steps, base, pw, depth, mod):
     # step's precision is at most width-1, and so are their sides.
     # toeplitz[i, j] = padded[side-1 + j - i], zero below the diagonal
     side = max(width - 1, 1)
-    padded = np.zeros(2 * side - 1)
+    padded = np.zeros(2 * side - 1, dtype=real)
     toeplitz = sliding_window_view(padded, side)[::-1]
-    kernel = np.empty((side, side))
-    block = np.empty(min(_BLOCK_ROWS, side) * side)
+    kernel = np.empty((side, side), dtype=real)
+    block = np.empty(min(_BLOCK_ROWS, side) * side, dtype=real)
     prod = np.empty_like(block)
     for n in range(1, steps + 1):
         size = max(0, width - n)
@@ -97,9 +106,11 @@ def _sub_ladder_mod(weights, c0, steps, base, pw, depth, mod):
             b[...] = cols[r0 + 1: r1 + 1, :prec]
             add = np.matmul(b, kernel[:prec, :prec],
                             out=prod[: h * prec].reshape(h, prec))
-            # the float buffers are spent; their memory takes int64 values.
+            # the float buffers are spent; their memory takes integers of
+            # the same width, which hold add + cols < 2**24 + m (int32) or
+            # 2**53 + m (int64).
             # floor_divide by a scalar is several times faster than remainder
-            b, quo = b.view(np.int64), add.view(np.int64)
+            b, quo = b.view(whole), add.view(whole)
             np.copyto(b, add, casting="unsafe")
             b += cols[r0:r1, :prec]
             np.floor_divide(b, mod, out=quo)

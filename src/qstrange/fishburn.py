@@ -9,7 +9,8 @@ Congruence scanning wants depths in the hundreds, where exact integer
 coefficients are enormous and pointless.  A second engine, in the private
 module ``_modular``, therefore works modulo m from the start, in numpy
 float64 products that are exact while (m-1)**2 * (depth+1) < 2**53; larger
-moduli take the exact road.  The two engines share no code and are tested
+moduli take the exact road.  Below 2**24 its ladder blocks run in float32,
+which is exact there too.  The two engines share no code and are tested
 against each other.  ``_xi_mod`` decides the road: it refuses oversized
 requests by table bytes and by work before anything is computed, and it
 imports the modular engine, and with it numpy, only when that engine runs.
@@ -98,7 +99,8 @@ def _table_plan(family, depth: int):
     The bytes count that table and, for laddered families, 4 n (n+1)
     words, n = depth + 1, which bound one ladder's buffers: its column
     block of at most (n+1)**2 words, and its Toeplitz kernel and two step
-    buffers of at most n**2 words each.
+    buffers of at most n**2 words each.  The words are 8 bytes, as in a
+    float64 ladder; a float32 ladder's 4-byte words stay within them.
     """
     n = depth + 1
     top = laddered = 0
@@ -135,7 +137,8 @@ def _xi_mod(family, depth: int, mod: int) -> tuple:
     """xi(0..depth) reduced mod ``mod``, memoized per (family, depth, mod).
 
     The fast road needs (mod-1)**2 * (depth+1) < 2**53, so that its float64
-    products are exact; above that the exact coefficients are reduced.
+    products are exact; above that the exact coefficients are reduced.  On
+    the fast road, a ladder below 2**24 takes its products in float32.
     Either way, a depth whose tables would pass MAX_TABLE_BYTES, or whose
     modular_work passes MAX_MODULAR_WORK, is refused with InvalidParam
     before anything is computed or imported; the exact road is refused

@@ -145,6 +145,25 @@ class TestModularEngine:
             assert _xi_mod(fam, depth, mod) == tuple(c % mod for c in exact)
             assert bool(calls) == exact_road
 
+    @pytest.mark.parametrize("label", ["gk:k=2", "hikami:m=3,alpha=1"])
+    def test_narrow_width_edge(self, label, monkeypatch):
+        fam, depth = parse_family(label), 40
+        # the largest modulus whose ladder blocks run in float32
+        top = math.isqrt((2 ** 24 - 1) // (depth + 1)) + 1
+        assert (top - 1) ** 2 * (depth + 1) < 2 ** 24 <= top ** 2 * (depth + 1)
+        exact = xi_coeffs(fam, depth).coeffs
+        matmul, widths = engine.np.matmul, set()
+
+        def spy(a, b, **kwargs):
+            widths.add((a.dtype.name, b.dtype.name, kwargs["out"].dtype.name))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(engine.np, "matmul", spy)
+        for mod, real in ((top, "float32"), (top + 1, "float64")):
+            widths.clear()
+            assert _xi_mod(fam, depth, mod) == tuple(c % mod for c in exact)
+            assert widths == {(real,) * 3}
+
     def test_table_limit(self, monkeypatch):
         import qstrange.fishburn as fb
         # every depth the tests and the benchmark use stays within the limit

@@ -179,7 +179,7 @@ inline_families = st.builds(
 
 @PROPERTY
 @given(inline_families, st.integers(0, 25),
-       st.sampled_from([2, 3, 5, 7, 11, 13, 4, 8, 9, 25, 27, 49]))
+       st.sampled_from([2, 3, 5, 7, 11, 13, 4, 8, 9, 25, 27, 49, 4099, 10007]))
 def test_modular_engine_matches_exact(fam, depth, m):
     assert _xi_mod(fam, depth, m) == tuple(c % m for c in xi_coeffs(fam, depth).coeffs)
 
@@ -189,10 +189,11 @@ def test_modular_engine_matches_exact(fam, depth, m):
            st.just(depth),
            st.lists(polys, min_size=1, max_size=depth + 2))),
        st.sampled_from([0, 1]), st.sampled_from([1, 2]),
-       st.sampled_from([2, 3, 5, 7, 4, 8, 9, 25, 27]),
+       st.sampled_from([2, 3, 5, 7, 4, 8, 9, 25, 27, 4099, 10007]),
        st.sampled_from([1, 2, 3, engine._BLOCK_ROWS]))
 def test_modular_ladder_matches_exact(depth_weights, c0, base, m, block):
-    # blocks of 1-3 rows make every step span several of them
+    # blocks of 1-3 rows make every step span several of them; moduli of
+    # 4099 and more are over the float32 bound at every depth
     depth, weights = depth_weights
     steps = len(weights) - 1
     width = depth + 2 - c0

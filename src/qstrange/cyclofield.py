@@ -11,17 +11,16 @@ fold exponents with zeta**k = 1 and reduce with a per-k table of zeta**e
 mod Phi_k for e < k; Phi_k is monic, so the table rows are integers.  Only
 ints (never bools) and Fractions are accepted as rationals: a float is
 refused rather than turned into a binary fraction.  All operations stay
-exact; the only numeric hook is embed(), which maps an element to an
-arbitrary-precision complex number for cross-checking.
+exact: no floating point enters at any point.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from qstrange._record import Record, _set
 from qstrange.exactpoly import IntPoly, RatPoly, _add_into, _mul_lists, _sub_lists, cyclotomic
 
 __all__ = ["CycloNum", "ConductorMismatch", "eval_at_root"]
@@ -83,9 +82,6 @@ def _normal(num: list, den: int) -> tuple:
     return tuple(num), den
 
 
-_set = object.__setattr__
-
-
 def _new(k: int, num: list, den: int) -> "CycloNum":
     """Element from integer coordinates already reduced mod Phi_k."""
     num, den = _normal(num, den)
@@ -96,8 +92,7 @@ def _new(k: int, num: list, den: int) -> "CycloNum":
     return x
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class CycloNum:
+class CycloNum(Record):
     """One element of Q(zeta_k), zeta_k = exp(2*pi*i/k).
 
     CycloNum(k, coeffs, den=1) is (sum coeffs[e] * zeta**e) / den for any
@@ -107,24 +102,19 @@ class CycloNum:
     integers through the trusted _new instead.
     """
 
-    k: int
-    num: tuple
-    den: int = 1
+    __slots__ = ("k", "num", "den")
 
-    def __post_init__(self):
-        k = self.k
+    def __init__(self, k: int, num, den: int = 1):
         if k < 1:
             raise ValueError("k must be positive")
-        den = _exact(self.den)
+        den = _exact(den)
         if not isinstance(den, int) or not den:
             raise ValueError(f"denominator must be a nonzero integer, got {den!r}")
-        coeffs = self.num.coeffs if isinstance(self.num, RatPoly) else self.num
+        coeffs = num.coeffs if isinstance(num, RatPoly) else num
         values = [_exact(c) for c in coeffs]
         common = math.lcm(*(c.denominator for c in values))
         ints = [c.numerator * (common // c.denominator) for c in values]
-        num, den = _normal(_fold(k, ints), den * common)
-        _set(self, "num", num)
-        _set(self, "den", den)
+        super().__init__(k, *_normal(_fold(k, ints), den * common))
 
     @classmethod
     def rational(cls, k: int, x) -> "CycloNum":
@@ -243,19 +233,6 @@ class CycloNum:
         return CycloNum(m, spread, self.den)
 
     # -- output --------------------------------------------------------------
-
-    def embed(self, prec_bits: int = 200):
-        """Numeric value as an mpmath complex at the requested precision."""
-        import mpmath
-
-        with mpmath.workprec(prec_bits):
-            total = mpmath.mpc(0)
-            for e, c in enumerate(self.num):
-                if not c:
-                    continue
-                w = mpmath.expjpi(mpmath.mpf(2 * e) / self.k)
-                total += w * mpmath.mpf(c)
-            return total / self.den
 
     def __repr__(self) -> str:
         return f"CycloNum(k={self.k}, {self.rep.coeffs})"

@@ -12,9 +12,9 @@ applies is a hard error, never a report row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from qstrange._admit import MAX_DISSECT_MODULUS, MAX_RESIDUE_SPAN, admit
+from qstrange._record import Record
 from qstrange.exactpoly import IntPoly, NotDivisible, exact_div, pochhammer_factors
 from qstrange.partialtheta import Character, validate_character
 from qstrange.qfamilies import FamilySpec, partial_sum
@@ -44,16 +44,15 @@ class DivisibilityFalsified(ArithmeticError):
     """A division the theorems guarantee has failed; inputs are inconsistent."""
 
 
-@dataclass(frozen=True, slots=True)
-class Dissection:
+class Dissection(Record):
     """Parts A_0..A_{s-1} of p(q) = sum_i q^i A_i(q^s); equality compares both fields."""
 
-    modulus: int
-    parts: tuple
+    __slots__ = ("modulus", "parts")
 
-    def __post_init__(self):
-        if self.modulus < 1 or len(self.parts) != self.modulus:
+    def __init__(self, modulus: int, parts: tuple):
+        if modulus < 1 or len(parts) != modulus:
             raise ValueError("need exactly s parts for modulus s")
+        super().__init__(modulus, parts)
 
     def reassemble(self) -> IntPoly:
         total = IntPoly()
@@ -125,15 +124,10 @@ def pochhammer_factorization(n: int, step: int = 1) -> tuple[int, list[int]]:
     return sign, exps
 
 
-@dataclass(frozen=True, slots=True)
-class DivisibilityRow:
+class DivisibilityRow(Record):
     """One residue class line of a certificate; equality compares every field."""
 
-    i: int
-    in_s: bool
-    divisor_name: str
-    verdict: str
-    quotient: IntPoly | None
+    __slots__ = ("i", "in_s", "divisor_name", "verdict", "quotient")
 
     def to_json_obj(self) -> dict:
         obj = {"i": self.i, "in_S": self.in_s, "divisor": self.divisor_name,
@@ -143,15 +137,10 @@ class DivisibilityRow:
         return obj
 
 
-@dataclass(frozen=True, slots=True)
-class DivisibilityReport:
+class DivisibilityReport(Record):
     """Full certificate for one (family, character, s, N); equality compares every field."""
 
-    family_label: str
-    s: int
-    upper: int
-    residues: frozenset
-    rows: tuple
+    __slots__ = ("family_label", "s", "upper", "residues", "rows")
 
     def to_json_obj(self) -> dict:
         return {"family": self.family_label, "s": self.s, "N": self.upper,

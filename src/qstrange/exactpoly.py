@@ -3,10 +3,10 @@
 Coefficients are stored densely as an immutable tuple indexed by exponent,
 with trailing zeros stripped; the zero polynomial has an empty tuple.
 IntPoly holds arbitrary-precision integers (never bools), RatPoly holds
-only Fractions.  Both are frozen slotted dataclasses, so they compare,
-hash, copy and pickle by their coefficients.  They have two constructors:
-the public one, IntPoly(coeffs) or RatPoly(coeffs), coerces and validates
-every coefficient in __post_init__ and refuses bools, floats and (for
+only Fractions.  Both are records (qstrange._record), so they are frozen
+and compare, hash, copy and pickle by their coefficients.  They have two
+constructors: the public one, IntPoly(coeffs) or RatPoly(coeffs), coerces
+and validates every coefficient and refuses bools, floats and (for
 IntPoly) non-integral Fractions; the private IntPoly._new(coeffs) trusts
 an integer sequence produced by list arithmetic on IntPoly coefficients
 and only strips trailing zeros.  RatPoly has no trusted path: its results
@@ -27,9 +27,10 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
+
+from qstrange._record import Record, _set
 
 __all__ = [
     "IntPoly",
@@ -118,9 +119,6 @@ def div_binomial(coeffs: Sequence, e: int) -> list:
     return quo
 
 
-_set = object.__setattr__
-
-
 def _stripped(cs: tuple) -> tuple:
     n = len(cs)
     while n and not cs[n - 1]:
@@ -128,14 +126,13 @@ def _stripped(cs: tuple) -> tuple:
     return cs[:n]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class _BasePoly:
+class _BasePoly(Record):
     """Shared implementation; subclasses fix the coefficient domain."""
 
-    coeffs: tuple = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        _set(self, "coeffs", _stripped(tuple(map(self._coerce, self.coeffs))))
+    def __init__(self, coeffs=()):
+        _set(self, "coeffs", _stripped(tuple(map(self._coerce, coeffs))))
 
     @classmethod
     def _new(cls, coeffs: Sequence):
@@ -289,13 +286,10 @@ class _BasePoly:
         return cls(cls._parse_coeff(c) for c in obj["coeffs"])
 
 
-@dataclass(frozen=True, repr=False)
 class IntPoly(_BasePoly):
     """Dense polynomial with integer coefficients."""
 
-    # coeffs is _BasePoly's slot; slots=True here would repeat it on
-    # Python 3.10, whose dataclasses keep inherited slot names
-    __slots__ = ()
+    __slots__ = ()  # coeffs is _BasePoly's slot
 
     @classmethod
     def _new(cls, coeffs: Sequence) -> "IntPoly":
@@ -330,7 +324,6 @@ class IntPoly(_BasePoly):
         return RatPoly(self.coeffs)
 
 
-@dataclass(frozen=True, repr=False)
 class RatPoly(_BasePoly):
     """Dense polynomial with exact rational coefficients, held as Fractions."""
 
@@ -353,25 +346,6 @@ class RatPoly(_BasePoly):
     def to_int_poly(self) -> IntPoly:
         """Convert when every coefficient is integral; raises otherwise."""
         return IntPoly(self.coeffs)
-
-    def divmod_by(self, d: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        """Quotient and remainder over Q; d must be nonzero."""
-        if not d:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dc = d.coeffs
-        dd = d.degree
-        lead = dc[-1]
-        quo = [Fraction(0)] * max(len(rem) - dd, 0)
-        for top in range(len(rem) - 1, dd - 1, -1):
-            c = rem[top]
-            if not c:
-                continue
-            f = c / lead
-            quo[top - dd] = f
-            for i, dcoef in enumerate(dc):
-                rem[top - dd + i] -= f * dcoef
-        return RatPoly(quo), RatPoly(rem)
 
 
 def exact_div(p: IntPoly, *divisors: IntPoly) -> IntPoly:

@@ -18,10 +18,10 @@ Its results are memoized per (family, depth, modulus).
 """
 
 import functools
-from dataclasses import dataclass
 
 from ._admit import (MAX_MODULAR_WORK, MAX_PARTIAL_SUM_WORK, MAX_TABLE_BYTES,
                      InvalidParam, admit)
+from ._record import Record
 from .exactpoly import subst_one_minus_q
 from .qfamilies import _shape, partial_sum, partial_sum_work
 
@@ -47,12 +47,10 @@ class EngineMismatch(ArithmeticError):
     """The modular engine disagrees with the exact one at a cross-checked index."""
 
 
-@dataclass(frozen=True, slots=True)
-class XiSequence:
+class XiSequence(Record):
     """Coefficients xi(0..D) of family(1-q), exact; equality compares both fields."""
 
-    family_label: str
-    coeffs: tuple
+    __slots__ = ("family_label", "coeffs")
 
     @property
     def depth(self) -> int:
@@ -126,7 +124,7 @@ def modular_work(family, depth: int) -> int:
     are those of MAX_MODULAR_WORK's comment in _admit.  Below depth 175 a
     level counts its set-up instead, (3*10**5 + 6000 n) n for the numpy
     calls of its n steps and its n**2-word block, fitted to _sub_ladder_mod
-    on a 2-vCPU Xeon VM: the most levels admitted at any depth take 1.8-2.5 s.
+    on a 2-vCPU Xeon VM: the most levels admitted at any depth take 5-6 s.
     """
     n, levels = depth + 1, sum(c for c, *_ in _shape(family)[0])
     return n ** 3 + levels * max(n ** 4, 4 * (3 * 10 ** 5 + 6000 * n) * n) // 4
@@ -210,19 +208,11 @@ def _require_prime(p: int):
         raise InvalidParam(f"p must be prime, got {p}")
 
 
-@dataclass(frozen=True, slots=True)
-class CongruenceReport:
+class CongruenceReport(Record):
     """verify_congruence outcome (witness set only on failure); equality compares every field."""
 
-    family_label: str
-    p: int
-    r: int
-    beta: int
-    depth: int
-    indices_checked: int
-    verdict: str
-    witness: int | None = None
-    residue: int | None = None
+    __slots__ = ("family_label", "p", "r", "beta", "depth", "indices_checked",
+                 "verdict", "witness", "residue")
 
     def to_json_obj(self):
         mod = self.p ** self.r
@@ -243,15 +233,10 @@ class CongruenceReport:
         return obj
 
 
-@dataclass(frozen=True, slots=True)
-class ScanReport:
+class ScanReport(Record):
     """scan_congruences outcome: every passing beta; equality compares every field."""
 
-    family_label: str
-    p: int
-    r: int
-    depth: int
-    passing_beta: tuple
+    __slots__ = ("family_label", "p", "r", "depth", "passing_beta")
 
     def to_json_obj(self):
         mod = self.p ** self.r

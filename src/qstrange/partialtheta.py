@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from qstrange._admit import MAX_L_WORK, MAX_TWIST_PERIOD, admit
+from qstrange._record import Record
 from qstrange.cyclofield import CycloNum, _new, _powers
 from qstrange.exactpoly import RatPoly
 from qstrange.qfamilies import ParseError, _builtin_params
@@ -75,8 +75,7 @@ def _exact_value(v) -> Fraction:
         raise CharacterInvalid(f"character value {v!r}: {exc}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class Character:
+class Character(Record, compare=("a", "b", "nu", "period", "values")):
     """Periodic rational character with quadratic exponent data (a, b, nu).
 
     values, a {residue: value} dict or one full period of ints, Fractions or
@@ -87,40 +86,34 @@ class Character:
     MAX_TWIST_PERIOD.
     """
 
-    a: int
-    b: int
-    nu: int
-    period: int
-    values: tuple
-    label: str = field(default="custom", compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "b", "nu", "period", "values", "label", "_hash")
 
-    def __post_init__(self):
-        if self.b < 1:
+    def __init__(self, a: int, b: int, nu: int, period: int, values,
+                 label: str = "custom"):
+        if b < 1:
             raise CharacterInvalid("b must be positive")
-        if self.a < 0:
+        if a < 0:
             raise CharacterInvalid("a must be nonnegative")
-        if self.nu not in (0, 1):
+        if nu not in (0, 1):
             raise CharacterInvalid("nu must be 0 or 1")
-        period = self.period
         if period < 1:
             raise CharacterInvalid("period must be positive")
-        admit("MAX_TWIST_PERIOD", math.lcm(period, self.b),
-              f"period of character {self.label}")
-        if isinstance(self.values, dict):
+        admit("MAX_TWIST_PERIOD", math.lcm(period, b),
+              f"period of character {label}")
+        if isinstance(values, dict):
             table = [Fraction(0)] * period
-            for key, val in self.values.items():
+            for key, val in values.items():
                 n = int(key)
                 if not 0 <= n < period:
                     raise CharacterInvalid(f"residue {n} outside 0..{period - 1}")
                 table[n] = _exact_value(val)
         else:
-            table = [_exact_value(v) for v in self.values]
+            table = [_exact_value(v) for v in values]
             if len(table) != period:
                 raise CharacterInvalid("values length must equal the period")
-        object.__setattr__(self, "values", tuple(table))
-        object.__setattr__(self, "_hash", hash((self.a, self.b, self.nu,
-                                                 period, self.values)))
+        values = tuple(table)
+        super().__init__(a, b, nu, period, values, label,
+                         hash((a, b, nu, period, values)))
 
     def __hash__(self):
         return self._hash
@@ -230,8 +223,23 @@ def get_character(name: str) -> Character:
 
 # -- twisted sequences ---------------------------------------------------------
 
-@dataclass(frozen=True, slots=True, eq=False)
-class TwistedSeq:
+def _sealed(character: Character, k: int, j: int, nonzero: list) -> tuple:
+    """(rows, den) of a twisted sequence from its (m, C(m)) pairs; refuses a
+    nonzero twisted mean."""
+    den = math.lcm(*(x.den for _, x in nonzero))
+    width = max((len(x.num) for _, x in nonzero), default=0)
+    rows = []
+    for m, x in nonzero:
+        scale = den // x.den
+        coords = [c * scale for c in x.num]
+        rows.append((m, tuple(coords + [0] * (width - len(coords)))))
+    if any(map(sum, zip(*(row for _, row in rows)))):
+        raise MeanValueNonzero(
+            f"twisted mean of {character.label} at zeta_{k}^{j} is nonzero")
+    return tuple(rows), den
+
+
+class TwistedSeq(Record):
     """C(n) = zeta^((n^2-a)/b) * chi(n) tabulated over one full period.
 
     rows and den are derived from table: C(m) = row_m / den in integer
@@ -243,22 +251,20 @@ class TwistedSeq:
     (chi, k, j mod k).
     """
 
-    character: Character
-    k: int
-    j: int
-    period: int
-    table: tuple
-    rows: tuple = field(init=False, repr=False)
-    den: int = field(init=False, repr=False)
+    __slots__ = ("character", "k", "j", "period", "table", "rows", "den")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if len(self.table) != self.period:
+    def __init__(self, character: Character, k: int, j: int, period: int,
+                 table: tuple):
+        if len(table) != period:
             raise ValueError("table length must equal the period")
-        if not all(isinstance(x, CycloNum) and x.k == self.k for x in self.table):
-            raise ValueError(f"table entries must lie in Q(zeta_{self.k})")
-        P = self.period
-        self._seal([(m, self.table[m % P]) for m in range(1, P + 1)
-                    if self.table[m % P]])
+        if not all(isinstance(x, CycloNum) and x.k == k for x in table):
+            raise ValueError(f"table entries must lie in Q(zeta_{k})")
+        nonzero = [(m, table[m % period]) for m in range(1, period + 1)
+                   if table[m % period]]
+        super().__init__(character, k, j, period, table,
+                         *_sealed(character, k, j, nonzero))
 
     @classmethod
     def _new(cls, character: Character, k: int, j: int, period: int,
@@ -266,27 +272,9 @@ class TwistedSeq:
         """Sequence from a table of reduced elements of Q(zeta_k) and its
         nonzero entries as (m, C(m)), m ascending in 1..period."""
         seq = object.__new__(cls)
-        for name, value in (("character", character), ("k", k), ("j", j),
-                            ("period", period), ("table", table)):
-            object.__setattr__(seq, name, value)
-        seq._seal(nonzero)
+        Record.__init__(seq, character, k, j, period, table,
+                        *_sealed(character, k, j, nonzero))
         return seq
-
-    def _seal(self, nonzero: list):
-        """Set rows and den from the (m, C(m)) pairs; refuse a nonzero mean."""
-        den = math.lcm(*(x.den for _, x in nonzero))
-        width = max((len(x.num) for _, x in nonzero), default=0)
-        rows = []
-        for m, x in nonzero:
-            scale = den // x.den
-            coords = [c * scale for c in x.num]
-            rows.append((m, tuple(coords + [0] * (width - len(coords)))))
-        if any(map(sum, zip(*(row for _, row in rows)))):
-            raise MeanValueNonzero(
-                f"twisted mean of {self.character.label} at "
-                f"zeta_{self.k}^{self.j} is nonzero")
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "den", den)
 
     def entry(self, n: int) -> CycloNum:
         return self.table[n % self.period]

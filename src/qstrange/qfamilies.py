@@ -31,11 +31,11 @@ from __future__ import annotations
 import functools
 import json
 import threading
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, Sequence
 
 from qstrange._admit import MAX_PARTIAL_SUM_WORK, InvalidParam, admit
+from qstrange._record import Record
 from qstrange.exactpoly import (IntPoly, _add_into, mul_binomial, pochhammer,
                                  pochhammer_exponents)
 
@@ -111,24 +111,22 @@ def _weights(family: FamilySpec, cap: int | None) -> Iterator[IntPoly]:
     return vals if cap is None else (w.truncate(cap) for w in vals)
 
 
-@dataclass(frozen=True, slots=True)
-class FamilySpec:
+class FamilySpec(Record, compare=("label",)):
     """Immutable family descriptor: kernel kind, label, coefficient rule.
 
-    kind names the rule ("kz", "hikami", "gk", "inline") and params holds its
-    arguments.  The label determines the rest, so only the label is compared.
+    kernel is "F" or "G"; kind names the rule ("kz", "hikami", "gk",
+    "inline") and params holds its arguments.  The label determines the
+    rest, so only the label is compared.
     """
 
-    kernel: str = field(compare=False)  # "F" or "G"
-    label: str
-    kind: str = field(compare=False)
-    params: tuple = field(compare=False)
+    __slots__ = ("kernel", "label", "kind", "params")
 
-    def __post_init__(self):
-        if self.kernel not in ("F", "G"):
-            raise InvalidParam(f"unknown kernel {self.kernel!r}")
-        if self.kind not in ("kz", "hikami", "gk", "inline"):
-            raise InvalidParam(f"unknown family kind {self.kind!r}")
+    def __init__(self, kernel: str, label: str, kind: str, params: tuple):
+        if kernel not in ("F", "G"):
+            raise InvalidParam(f"unknown kernel {kernel!r}")
+        if kind not in ("kz", "hikami", "gk", "inline"):
+            raise InvalidParam(f"unknown family kind {kind!r}")
+        super().__init__(kernel, label, kind, params)
 
     def __repr__(self):
         return f"FamilySpec({self.label!r})"
@@ -155,13 +153,10 @@ class FamilySpec:
             return have[: upper + 1]
 
 
-@dataclass(frozen=True, slots=True)
-class PartialSum:
+class PartialSum(Record):
     """partial_sum result: family, truncation N and exact value, all compared."""
 
-    family: FamilySpec
-    upper: int
-    value: IntPoly
+    __slots__ = ("family", "upper", "value")
 
     def __repr__(self):
         return f"PartialSum({self.family.label!r}, N={self.upper})"

@@ -21,12 +21,12 @@ produces a fixed integer combination of shifted derivatives of g, and
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
 from ._admit import InvalidParam, admit
 from ._admit import MAX_C_ARRAY_WORK, MAX_MATCH_INDEX  # re-exported
+from ._record import Record
 from .cyclofield import CycloNum, eval_at_root
 from .exactpoly import theta_deriv
 from .partialtheta import gamma_coeff, gamma_work, validate_character
@@ -70,20 +70,14 @@ def expansion_coeff(family, k: int, j: int, ell: int) -> CycloNum:
     return val.scale(Fraction((-1) ** ell, math.factorial(ell)))
 
 
-@dataclass(frozen=True, slots=True)
-class MatchReport:
+class MatchReport(Record):
     """Outcome of comparing series and partial theta coefficients at one root.
 
     Equality compares every field.
     """
 
-    family_label: str
-    character_label: str
-    k: int
-    j: int
-    checked_through: int
-    verdict: str
-    first_mismatch: int | None = None
+    __slots__ = ("family_label", "character_label", "k", "j",
+                 "checked_through", "verdict", "first_mismatch")
 
     def to_json_obj(self):
         obj = {
@@ -147,8 +141,11 @@ def c_array(ell: int, i: int, s: int) -> list:
     Row ell is built from row ell-1 by C <- (i+j*s)*C_j + s*C_{j-1}; the
     working row keeps a j = ell+1 slot so the recursion never truncates the
     carry coming from j = ell.  Returned list has entries j = 0 .. ell.
-    Refused with InvalidParam when c_array_work exceeds MAX_C_ARRAY_WORK.
+    Refused with InvalidParam when s < 1, ell < 0 or c_array_work exceeds
+    MAX_C_ARRAY_WORK.
     """
+    if s < 1:
+        raise InvalidParam("modulus must be positive")
     if ell < 0:
         raise InvalidParam("derivative order must be nonnegative")
     admit("MAX_C_ARRAY_WORK", c_array_work(ell, i, s), "C-array work")

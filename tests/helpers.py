@@ -12,6 +12,7 @@ import importlib
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from qstrange import _admit
@@ -129,10 +130,31 @@ def gk_g_def(k: int, n: int) -> dict:
     return total
 
 
+def divmod_def(a: RatPoly, d: RatPoly) -> tuple[RatPoly, RatPoly]:
+    """Quotient and remainder of a by d over Q, by long division; d must be
+    nonzero."""
+    if not d:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    dc = d.coeffs
+    dd = d.degree
+    lead = dc[-1]
+    quo = [Fraction(0)] * max(len(rem) - dd, 0)
+    for top in range(len(rem) - 1, dd - 1, -1):
+        c = rem[top]
+        if not c:
+            continue
+        f = c / lead
+        quo[top - dd] = f
+        for i, dcoef in enumerate(dc):
+            rem[top - dd + i] -= f * dcoef
+    return RatPoly(quo), RatPoly(rem)
+
+
 def exact_div_def(p: IntPoly, d: IntPoly):
     """p / d in Z[q] by long division over Q, or NotDivisible when the
     remainder is nonzero or the quotient is not integral."""
-    quo, rem = p.to_rat().divmod_by(d.to_rat())
+    quo, rem = divmod_def(p.to_rat(), d.to_rat())
     if rem or any(c.denominator != 1 for c in quo.coeffs):
         return NotDivisible
     return IntPoly([int(c) for c in quo.coeffs])
@@ -178,7 +200,19 @@ def cyclo_ref(k: int, coeffs) -> RatPoly:
     phi = cyclotomic(k).to_rat()
     if rep.degree < phi.degree:
         return rep
-    return rep.divmod_by(phi)[1]
+    return divmod_def(rep, phi)[1]
+
+
+def embed_def(x: CycloNum, prec_bits: int = 200):
+    """Numeric value of x as an mpmath complex at the requested precision."""
+    with mpmath.workprec(prec_bits):
+        total = mpmath.mpc(0)
+        for e, c in enumerate(x.num):
+            if not c:
+                continue
+            w = mpmath.expjpi(mpmath.mpf(2 * e) / x.k)
+            total += w * mpmath.mpf(c)
+        return total / x.den
 
 
 def l_value_def(seq, n: int) -> RatPoly:

@@ -434,6 +434,15 @@ def test_carray_row(capsys):
     assert obj["coeffs"] == [1, 35, 25]
 
 
+@pytest.mark.parametrize("s", ["0", "-3"])
+def test_carray_nonpositive_modulus_is_usage_error(capsys, s):
+    # printed a C-array with exit 0, where identity-check refuses the same s
+    code, out, err = invoke(capsys, "carray", "--ell", "2", "--i", "1", "--s", s)
+    assert code == 2
+    assert out == ""
+    assert "error: modulus must be positive" in err
+
+
 # ---------------------------------------------------------------- identity-check
 
 def test_identity_check_random_battery(capsys):
@@ -641,6 +650,15 @@ def test_numpy_is_imported_only_by_the_modular_engine():
                                    "--beta", "1", "--depth", "104")
     assert code == 0 and out.startswith("pass:")
     assert "numpy" in _imported(err)
+
+
+def test_cli_imports_no_dataclasses_inspect_or_typing():
+    # -S: some installs' site modules import typing themselves
+    code, _, err = _fresh_python("-S", "-X", "importtime", "-c",
+                                 "import qstrange.cli")
+    assert code == 0
+    assert "qstrange.cli" in _imported(err)
+    assert not {"dataclasses", "inspect", "typing"} & _imported(err)
 
 
 # each was killed by a 10 s timeout before the partial-sum work limit

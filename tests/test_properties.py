@@ -4,8 +4,10 @@ derandomize=True makes every run draw the same examples, so the suite
 stays reproducible; no example database is written.
 """
 
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 from itertools import islice
 from unittest import mock
@@ -15,10 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (cyclo_ref, exact_div_def, l_value_def, residue_set_def,
-                     twisted_table_def)
+from helpers import (cyclo_ref, divmod_def, embed_def, exact_div_def,
+                     l_value_def, residue_set_def, twisted_table_def)
 from qstrange.cyclofield import CycloNum, eval_at_root
-from qstrange.dissection import dissect, residue_set
+from qstrange.dissection import (DivisibilityReport, DivisibilityRow, dissect,
+                                 residue_set)
 from qstrange.exactpoly import (
     IntPoly,
     NotDivisible,
@@ -32,7 +35,7 @@ from qstrange.exactpoly import (
 )
 import qstrange._modular as engine
 from qstrange._modular import _pw_table, _sub_ladder_mod
-from qstrange.fishburn import _xi_mod, xi_coeffs
+from qstrange.fishburn import CongruenceReport, ScanReport, _xi_mod, xi_coeffs
 from qstrange.partialtheta import (
     Character,
     CharacterInvalid,
@@ -43,6 +46,7 @@ from qstrange.partialtheta import (
     validate_character,
 )
 from qstrange.qfamilies import _ladder, parse_family
+from qstrange.strangematch import MatchReport
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=150)
@@ -101,7 +105,7 @@ rats = st.lists(st.one_of(st.integers(-9, 9), st.fractions(max_denominator=6)),
 def test_rat_poly_results_hold_only_fractions(a, b, c, e):
     results = _results(a, b, c, e)
     if b:
-        results += a.divmod_by(b)
+        results += divmod_def(a, b)
     for r in results:
         assert type(r) is RatPoly
         assert all(type(x) is Fraction for x in r.coeffs), r
@@ -320,8 +324,8 @@ def test_embed_is_ring_map(ab):
     a, b = ab
     # at 53 bits the differences below would round to false failures
     with mpmath.workprec(200):
-        assert abs((a + b).embed() - (a.embed() + b.embed())) < EMBED_TOL
-        assert abs((a * b).embed() - a.embed() * b.embed()) < EMBED_TOL
+        assert abs(embed_def(a + b) - (embed_def(a) + embed_def(b))) < EMBED_TOL
+        assert abs(embed_def(a * b) - embed_def(a) * embed_def(b)) < EMBED_TOL
 
 
 def stored_form_ok(x: CycloNum) -> bool:
@@ -404,3 +408,89 @@ def test_l_value_matches_definition(seq, n):
     got = l_value(seq, n)
     assert got.rep == l_value_def(seq, n)
     assert stored_form_ok(got)
+
+
+# -- records ------------------------------------------------------------------
+
+# small domains, so that drawn pairs are often equal
+tiny_ints = st.lists(st.integers(-1, 1), max_size=3).map(IntPoly)
+tiny_rats = st.lists(st.sampled_from([0, 1, Fraction(-1, 2)]), max_size=3).map(RatPoly)
+# one field, since elements of two fields compare only when both are rational
+tiny_cyclo = st.lists(st.sampled_from([0, 1, Fraction(-1, 2)]), max_size=4) \
+    .map(lambda cs: CycloNum(3, cs))
+tiny_rows = st.builds(DivisibilityRow, st.integers(0, 1), st.booleans(),
+                      st.just("(q;q)_4"), st.sampled_from(["divides", "not-claimed"]),
+                      st.one_of(st.none(), tiny_ints))
+tiny_reports = st.one_of(
+    st.builds(DivisibilityReport, st.just("kz"), st.sampled_from([3, 5]),
+              st.integers(0, 1), st.sampled_from([frozenset(), frozenset({0, 2})]),
+              st.lists(tiny_rows, max_size=2).map(tuple)),
+    st.builds(CongruenceReport, st.just("kz"), st.just(5), st.just(1),
+              st.integers(0, 1), st.just(30), st.just(6),
+              st.sampled_from(["pass", "fail"]), st.sampled_from([None, 4]),
+              st.sampled_from([None, 1])),
+    st.builds(ScanReport, st.just("kz"), st.just(5), st.integers(1, 2),
+              st.just(30), st.sampled_from([(), (1,), (1, 4)])),
+    st.builds(MatchReport, st.just("kz"), st.just("chi_kz"), st.just(2),
+              st.integers(0, 1), st.just(3), st.sampled_from(["match", "mismatch"]),
+              st.sampled_from([None, 2])))
+TINY = (tiny_ints, tiny_rats, tiny_cyclo, tiny_rows, tiny_reports)
+
+# every field of these types is compared
+COMPARED = {
+    IntPoly: ("coeffs",),
+    RatPoly: ("coeffs",),
+    CycloNum: ("k", "num", "den"),
+    DivisibilityRow: ("i", "in_s", "divisor_name", "verdict", "quotient"),
+    DivisibilityReport: ("family_label", "s", "upper", "residues", "rows"),
+    CongruenceReport: ("family_label", "p", "r", "beta", "depth",
+                       "indices_checked", "verdict", "witness", "residue"),
+    ScanReport: ("family_label", "p", "r", "depth", "passing_beta"),
+    MatchReport: ("family_label", "character_label", "k", "j",
+                  "checked_through", "verdict", "first_mismatch"),
+}
+
+
+def compared(x) -> tuple:
+    return tuple(getattr(x, name) for name in COMPARED[type(x)])
+
+
+def leaf_types(v):
+    """v with each leaf replaced by its type, through records and containers."""
+    if type(v) in COMPARED:
+        return type(v), tuple(map(leaf_types, compared(v)))
+    if isinstance(v, (tuple, frozenset)):
+        return type(v), type(v)(map(leaf_types, v))
+    return type(v)
+
+
+@PROPERTY
+@given(st.one_of(*(st.tuples(s, s) for s in TINY)))
+def test_records_compare_and_hash_by_their_fields(pair):
+    a, b = pair
+    assert (a == b) == (compared(a) == compared(b))
+    assert (a != b) == (compared(a) != compared(b))
+    for x in pair:
+        if isinstance(x, CycloNum) and x.is_rational():
+            assert hash(x) == hash(x.as_fraction())  # it equals its Fraction
+        else:
+            assert hash(x) == hash(compared(x))
+
+
+@PROPERTY
+@given(tiny_ints)
+def test_int_and_rat_polys_are_never_equal(p):
+    assert p != p.to_rat() and p.to_rat() != p
+
+
+@PROPERTY
+@given(st.one_of(*TINY))
+def test_records_round_trip_and_stay_frozen(x):
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(clone) is type(x) and clone == x and hash(clone) == hash(x)
+        assert leaf_types(clone) == leaf_types(x)
+    for name in COMPARED[type(x)] + ("unknown",):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)

@@ -192,6 +192,11 @@ class TestCArray:
         with pytest.raises(InvalidParam):
             c_array(-1, 1, 5)
 
+    @pytest.mark.parametrize("s", [0, -3])
+    def test_bad_modulus(self, s):
+        with pytest.raises(InvalidParam, match="modulus must be positive"):
+            c_array(2, 1, s)
+
 
 class TestExtractionIdentity:
     def test_random_battery(self):

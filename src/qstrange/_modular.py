@@ -3,6 +3,11 @@
 It works modulo m from the start and entirely in the substituted domain:
 the shift q**e becomes multiplication by (1-x)**e, and the family ladders
 are replayed with a precision that shrinks as terms acquire valuation.
+Only a ladder reads powers of (1-x) from a table, so only a family with a
+ladder level builds one, of the powers it reads; gk's final shift of
+weight n by q**n is folded into the Horner accumulation as one first
+difference per index.
+
 Residues lie in [0, m); every product of residues is taken in floating
 point (a truncated convolution, or one matrix product per block of ladder
 rows), which BLAS does fast, and reduced back in integers.  Each such
@@ -11,9 +16,10 @@ product and partial sum is a nonnegative integer at most (m-1)**2 *
 2**53 in float64, with int64 residues, or below 2**24 in float32, with
 int32 residues.  The caller guarantees 2**53.  The convolutions run in
 float64; each ladder takes float32 when its bound allows, which halves its
-memory and speeds its products.  Only the residues a consumer reads are
-computed: each ladder row and each Horner step of the accumulation stops at
-the precision that is read from it.
+memory and speeds its products.  A product with a constant is a scaling,
+not a convolution.  Only the residues a consumer reads are computed: each
+ladder row and each Horner step of the accumulation stops at the precision
+that is read from it.
 
 This is the only module of the package that imports numpy; fishburn
 imports it on first use, after its parameter and size checks have passed.
@@ -33,33 +39,41 @@ _BLOCK_ROWS = 32
 
 
 def _conv_trunc(a, b, prec: int, mod: int):
-    """(a * b) mod (x**prec, mod) for residue arrays, multiplied in float64."""
+    """(a * b) mod (x**prec, mod) for residue arrays, multiplied in float64;
+    a product with a constant is a scaling, not a convolution."""
     if prec <= 0 or a.size == 0 or b.size == 0:
         return _EMPTY
+    if a.size == 1 or b.size == 1:
+        small, big = (a, b) if a.size == 1 else (b, a)
+        return big[:prec] * small[0] % mod
     full = np.convolve(a[:prec].astype(np.float64), b[:prec].astype(np.float64))
     return full[:prec].astype(np.int64) % mod
 
 
-def _pw_table(depth: int, mod: int, top: int):
-    """Rows e = 0..top of (1-x)**e mod (x**(depth+1), mod)."""
+def _pw_table(depth: int, mod: int, top: int, base: int):
+    """Rows e = 0..top of P**e mod (x**(depth+1), mod), P = (1-x)**base:
+    the only powers of (1-x) that a ladder of that base reads."""
     pw = np.zeros((top + 1, depth + 1), dtype=np.int64)
     pw[0, 0] = 1
     for e in range(1, top + 1):
         row = pw[e - 1].copy()
-        row[1:] = (row[1:] - pw[e - 1][:-1]) % mod
+        for _ in range(base):
+            row[1:] = (row[1:] - row[:-1]) % mod
         pw[e] = row
     return pw
 
 
-def _sub_ladder_mod(weights, c0, steps, base, pw, depth, mod):
+def _sub_ladder_mod(weights, c0, steps, pw, depth, mod):
     """The qfamilies column ladder, replayed mod (x**prec, mod).
 
-    A shift by q**off in the exact ladder is multiplication by P**off here,
-    P = (1-x)**base.  Column c is stored times the unit P**(c(c-1)/2), which
-    turns the Pascal step A_c += P**(n+c0+c) * A_(c+1) into
-    B_c += P**(n+c0) * B_(c+1): one kernel for every column, so a step is a
-    product of column rows with that kernel's Toeplitz matrix.  Column 0 is
-    unscaled, so the outputs are the ladder's.
+    A shift by q**(base*off) in the exact ladder is multiplication by
+    P**off = pw[off] here, P = (1-x)**base.  Column c is stored times the
+    unit P**(c(c-1)/2), which turns the Pascal step
+    A_c += P**(n+c0+c) * A_(c+1) into B_c += P**(n+c0) * B_(c+1): one
+    kernel for every column, so a step is a product of column rows with
+    that kernel's Toeplitz matrix.  Column 0 is unscaled, so the outputs
+    are the ladder's.  A column whose weight is the constant 1 is its unit,
+    with no convolution.
 
     Column c at step n is only ever read mod x**(width-c-n), width =
     depth+2-c0; the bound telescopes across chained ladders, so output n
@@ -79,7 +93,7 @@ def _sub_ladder_mod(weights, c0, steps, base, pw, depth, mod):
     unit = np.ones(1, dtype=np.int64)
     for c in range(len(cols)):
         if c > 1:
-            unit = _conv_trunc(unit, pw[base * (c - 1)], width - c, mod)
+            unit = _conv_trunc(unit, pw[c - 1], width - c, mod)
         col = _conv_trunc(unit, weights[c][: width - c] % mod, width - c, mod)
         cols[c, : col.size] = col
     out = [cols[0].copy()]
@@ -97,7 +111,7 @@ def _sub_ladder_mod(weights, c0, steps, base, pw, depth, mod):
         rows = min(steps - n + 1, size)
         if rows:
             # row @ kernel is row * P**(n+c0) mod x**size
-            padded[side - 1: side - 1 + size] = pw[base * (n + c0)][:size]
+            padded[side - 1: side - 1 + size] = pw[n + c0][:size]
             kernel[:size, :size] = toeplitz[:size, :size]
         for r0 in range(0, rows, _BLOCK_ROWS):
             r1 = min(r0 + _BLOCK_ROWS, rows)
@@ -120,16 +134,18 @@ def _sub_ladder_mod(weights, c0, steps, base, pw, depth, mod):
     return out
 
 
-def _sub_weights_mod(family, depth, mod, pw):
+def _sub_weights_mod(family, depth, mod, top):
     """The family's weights w(0..depth) in the substituted domain, mod m,
     each to the precision depth+1-n that xi_residues reads from w(n).
 
     Inline term n is substituted only that far; the other families start
     from depth+1 ones and one more for each value a run drops.  The runs
-    of levels of the family's shape are replayed by _sub_ladder_mod,
-    and gk's final shift by q**n is a product with (1-x)**n.
+    of levels of the family's shape are replayed by _sub_ladder_mod.  Only
+    a family with a ladder level builds a table, of the powers of
+    (1-x)**base up to (1-x)**top that its ladders read.  gk's final shift
+    by q**n is left out: xi_residues folds it into its Horner units.
     """
-    levels, shift = _shape(family)
+    levels = _shape(family)[0]
     vals = [np.ones(1, dtype=np.int64)] * (
         depth + 1 + sum(drop for *_, drop in levels))
     if family.kind == "inline":
@@ -137,31 +153,32 @@ def _sub_weights_mod(family, depth, mod, pw):
         vals = [np.array([c % mod for c in subst_one_minus_q(p, depth - n).coeffs],
                          dtype=np.int64) for n, p in enumerate(terms)]
         vals += [_EMPTY] * (depth + 1 - len(terms))
-    for count, c0, base, drop in levels:
+    if levels:
+        base = levels[0][2]  # one for every level of a family
+        pw = _pw_table(depth, mod, top // base, base)
+    for count, c0, _, drop in levels:
         for _ in range(count):
-            vals = _sub_ladder_mod(vals, c0, len(vals) - 1, base, pw, depth,
-                                   mod)
+            vals = _sub_ladder_mod(vals, c0, len(vals) - 1, pw, depth, mod)
         vals = vals[drop:]
-    if shift:
-        vals = [_conv_trunc(pw[n][: n + 1], t, depth + 1 - n, mod)
-                for n, t in enumerate(vals)]
     return vals
 
 
 def xi_residues(family, depth: int, mod: int, top: int) -> tuple:
-    """xi(0..depth) mod ``mod``, with rows 0..top of the (1-x)**e table.
+    """xi(0..depth) mod ``mod``; a ladder reads (1-x)**e for e <= top.
 
     xi = sum_n x**n R_n w_n, R_n = u_1 ... u_n, with the units
     u_n = (1 - (1-x)**j_n)/x, j_n = n (F kernel) or 2n-1 (G kernel).  It is
     accumulated by Horner's rule S_n = w_n + x u_(n+1) S_(n+1), S_0 = xi,
     with S_n kept mod x**(depth+1-n): one truncated convolution per index.
+    gk's weights are w_n = (1-x)**n t_n; with S_n = (1-x)**n S'_n the rule
+    reads S'_n = t_n + x u_(n+1) (1-x) S'_(n+1), S'_0 = xi, so each step
+    takes one first difference instead of a product with (1-x)**n.
     The units are read off (1-x)**j, which is walked down from the top j
     one prefix sum per step, (1-x)**(j-1) = (1-x)**j / (1-x), so they take
     O(depth) memory.
     """
-    step = _step(family)
-    pw = _pw_table(depth, mod, top)
-    wsub = _sub_weights_mod(family, depth, mod, pw)
+    step, shift = _step(family), _shape(family)[1]
+    wsub = _sub_weights_mod(family, depth, mod, top)
     # pj = (1-x)**j mod (x**(depth+1), mod), first for j = j_(depth+1)
     j = step * depth + 1
     coef, row = 1, []
@@ -173,6 +190,9 @@ def xi_residues(family, depth: int, mod: int, top: int) -> tuple:
     for n in range(depth, -1, -1):
         # acc = S_(n+1) mod x**prec becomes S_n mod x**(prec+1)
         prec = depth - n
+        if shift:  # (1-x) S'_(n+1)
+            acc[1:] -= acc[:-1]
+            acc %= mod
         t = _conv_trunc((-pj[1: min(j, prec) + 1]) % mod, acc, prec, mod)
         w = wsub[n][: prec + 1]
         acc = np.zeros(prec + 1, dtype=np.int64)

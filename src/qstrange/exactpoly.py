@@ -423,6 +423,17 @@ def subst_one_minus_q(p: IntPoly, cap: int) -> IntPoly:
     return IntPoly._new(acc)
 
 
+def _one_minus_q_coeff(p: IntPoly, k: int) -> int:
+    """The coefficient of q**k in p(1-q), (-1)**k sum_(e>=k) c_e C(e, k),
+    in one pass over p: C(e, k) = C(e-1, k) e / (e-k)."""
+    total, binom = 0, 1
+    for e in range(k, len(p.coeffs)):
+        if e > k:
+            binom = binom * e // (e - k)
+        total += p.coeffs[e] * binom
+    return -total if k % 2 else total
+
+
 def _divisors(n: int) -> list[int]:
     small, large = [], []
     d = 1

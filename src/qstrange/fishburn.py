@@ -11,10 +11,13 @@ module ``_modular``, therefore works modulo m from the start, in numpy
 float64 products that are exact while (m-1)**2 * (depth+1) < 2**53; larger
 moduli take the exact road.  Below 2**24 its ladder blocks run in float32,
 which is exact there too.  The two engines share no code and are tested
-against each other.  ``_xi_mod`` decides the road: it refuses oversized
-requests by table bytes and by work before anything is computed, and it
-imports the modular engine, and with it numpy, only when that engine runs.
-Its results are memoized per (family, depth, modulus).
+against each other, and ``verify_congruence`` cross-checks the least index
+it tests against the exact partial sum: one coefficient of its 1-q
+substitution, in O(degree) big-integer steps.  ``_xi_mod`` decides the
+road: it refuses oversized requests by table bytes and by work before
+anything is computed, and it imports the modular engine, and with it
+numpy, only when that engine runs.  Its results are memoized per (family,
+depth, modulus).
 """
 
 import functools
@@ -22,7 +25,7 @@ import functools
 from ._admit import (MAX_MODULAR_WORK, MAX_PARTIAL_SUM_WORK, MAX_TABLE_BYTES,
                      InvalidParam, admit)
 from ._record import Record
-from .exactpoly import subst_one_minus_q
+from .exactpoly import _one_minus_q_coeff, subst_one_minus_q
 from .qfamilies import _shape, partial_sum, partial_sum_work
 
 __all__ = [
@@ -260,7 +263,10 @@ def verify_congruence(family, p: int, r: int, beta: int,
     report carries the least counterexample index and its residue.  When the
     smallest index is at most 64 and xi_coeffs there is within
     MAX_PARTIAL_SUM_WORK, the exact engine recomputes that coefficient as a
-    cross-check on the modular one.
+    cross-check on the modular one, and raises EngineMismatch if they
+    differ: xi(k) = (-1)**k sum_(e>=k) c_e C(e, k) over the coefficients
+    c_e of the partial sum at N = k, one pass of O(degree) big-integer
+    steps rather than the whole substitution.
     """
     mod = _prime_power(p, r, depth + max(beta, 1))
     if not 1 <= beta <= mod:
@@ -274,7 +280,7 @@ def verify_congruence(family, p: int, r: int, beta: int,
     vals = _xi_mod(family, depth, mod)
     if first <= 64 and \
             partial_sum_work(family, first, first) <= MAX_PARTIAL_SUM_WORK:
-        exact = xi_coeffs(family, first).coeffs[first]
+        exact = _one_minus_q_coeff(partial_sum(family, first).value, first)
         if exact % mod != vals[first]:
             raise EngineMismatch(
                 "modular engine disagrees with exact coefficients")

@@ -209,7 +209,7 @@ class TestModularEngine:
         # the least index, 64, is over MAX_PARTIAL_SUM_WORK for gk:k=3
         fam = parse_family("gk:k=3")
         assert fb.partial_sum_work(fam, 64) > fb.MAX_PARTIAL_SUM_WORK
-        monkeypatch.setattr(fb, "xi_coeffs", never)
+        monkeypatch.setattr(fb, "partial_sum", never)
         rep = verify_congruence(fam, 67, 1, 3, 140)
         assert rep.indices_checked == 2
         assert rep.verdict in ("pass", "fail")
@@ -222,6 +222,40 @@ class TestModularEngine:
     def test_xi_coeffs_counts_the_substitution(self, label, deepest,
                                                monkeypatch):
         check_boundary("xi_coeffs", label, deepest, monkeypatch)
+
+    # the set-up makes no product that nothing reads: one convolution per
+    # index for the accumulation and, per ladder level, one per column for
+    # its unit and, past the first level, one for its weight times that
+    # unit.  test_agrees_with_exact checks these families' values
+    @pytest.mark.parametrize("label", [
+        "gk:k=1", "gk:k=2", "gk:k=3", "hikami:m=3,alpha=1"])
+    def test_set_up_convolution_budget(self, label, monkeypatch):
+        import qstrange.fishburn as fb
+        from qstrange.qfamilies import _shape
+        fam, depth, mod = parse_family(label), 60, 7
+        levels = sum(count for count, *_ in _shape(fam)[0])
+        convolve, calls = engine.np.convolve, []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return convolve(*args, **kwargs)
+
+        monkeypatch.setattr(engine.np, "convolve", spy)
+        engine.xi_residues(fam, depth, mod, fb._table_plan(fam, depth)[0])
+        assert len(calls) <= (2 * levels or 1) * (depth + 1)
+
+    @pytest.mark.parametrize("label", [
+        "kz", "gk:k=1", "hikami:m=1,alpha=0", INLINE_F.label])
+    def test_no_table_without_a_ladder(self, label, monkeypatch):
+        import qstrange.fishburn as fb
+        fam, depth, mod = parse_family(label), 40, 13
+
+        def never(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(engine, "_pw_table", never)
+        got = engine.xi_residues(fam, depth, mod, fb._table_plan(fam, depth)[0])
+        assert got == tuple(c % mod for c in xi_coeffs(fam, depth).coeffs)
 
     def test_memo_returns_one_tuple(self):
         vals = _xi_mod(KZ, 60, 5)
@@ -286,6 +320,22 @@ class TestVerifyCongruence:
         monkeypatch.setattr(fb, "_xi_mod", lambda fam, d, m: [1] * (d + 1))
         with pytest.raises(EngineMismatch):
             verify_congruence(KZ, 5, 1, 1, 20)
+
+    # the least index is 48, within the cross-check's reach; xi(48) is 0
+    # mod 49 and not mod 59
+    @pytest.mark.parametrize("p,r,beta,verdict", [
+        (7, 2, 1, "pass"), (59, 1, 11, "fail")])
+    def test_engine_cross_check_at_a_large_index(self, p, r, beta, verdict,
+                                                 monkeypatch):
+        import qstrange.fishburn as fb
+        assert fb.partial_sum_work(GK1, 48, 48) <= fb.MAX_PARTIAL_SUM_WORK
+        assert verify_congruence(GK1, p, r, beta, 60).verdict == verdict
+        right, mod = _xi_mod(GK1, 60, p ** r), p ** r
+        # the engine is wrong only at the cross-checked index
+        wrong = right[:48] + ((right[48] + 1) % mod,) + right[49:]
+        monkeypatch.setattr(fb, "_xi_mod", lambda fam, d, m: wrong)
+        with pytest.raises(EngineMismatch):
+            verify_congruence(GK1, p, r, beta, 60)
 
     def test_bad_params(self):
         with pytest.raises(InvalidParam):

@@ -26,6 +26,7 @@ from qstrange.exactpoly import (
     IntPoly,
     NotDivisible,
     RatPoly,
+    _one_minus_q_coeff,
     cyclotomic,
     div_binomial,
     exact_div,
@@ -174,6 +175,16 @@ def test_chain_matches_product(a, divisors, perturb, r):
     assert outcome(p, *divisors) == outcome(p, product)
 
 
+@PROPERTY
+@given(st.lists(st.one_of(st.integers(-30, 30),
+                          st.integers(-2 ** 200, 2 ** 200)), max_size=40)
+       .map(IntPoly), st.integers(0, 45))
+def test_one_coefficient_of_the_substitution(p, k):
+    # k runs past the degree, where the coefficient is 0
+    sub = subst_one_minus_q(p, k).coeffs
+    assert _one_minus_q_coeff(p, k) == (sub[k] if k < len(sub) else 0)
+
+
 inline_families = st.builds(
     lambda kernel, terms: parse_family(json.dumps(
         {"kernel": kernel, "terms": [{"coeffs": t} for t in terms]})),
@@ -207,10 +218,10 @@ def test_modular_ladder_matches_exact(depth_weights, c0, base, m, block):
         return np.array([c % m for c in sub] + [0] * (size - len(sub)),
                         dtype=np.int64)
 
-    pw = _pw_table(depth, m, base * (steps + c0))
+    pw = _pw_table(depth, m, steps + c0, base)
     with mock.patch.object(engine, "_BLOCK_ROWS", block):
         got = _sub_ladder_mod([residues(w, width) for w in weights], c0,
-                              steps, base, pw, depth, m)
+                              steps, pw, depth, m)
     exact = islice(_ladder(iter(weights), c0, base), steps + 1)
     assert len(got) == steps + 1
     for n, (a, want) in enumerate(zip(got, exact)):

@@ -11,6 +11,7 @@ applies is a hard error, never a report row.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from qstrange._admit import MAX_DISSECT_MODULUS, MAX_RESIDUE_SPAN, admit
@@ -29,7 +30,6 @@ __all__ = [
     "check_modulus",
     "thresholds",
     "residue_set",
-    "pochhammer_factorization",
     "verify_theorem",
     "MAX_RESIDUE_SPAN",
     "MAX_DISSECT_MODULUS",
@@ -89,13 +89,18 @@ def thresholds(N: int, s: int, k: int = 1) -> tuple[int, int]:
     return lam, mu
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def residue_set(char: Character, s: int) -> frozenset:
     """S_{a,b,chi}(s): residues (n^2-a)/b mod s over the support of chi.
 
     One scan of the support within lcm(T, b*s) indices is exhaustive:
     both chi and the residue map are periodic with that period.  Refused
     with InvalidParam, before any scan, when that span exceeds
-    MAX_RESIDUE_SPAN.
+    MAX_RESIDUE_SPAN.  Memoized per (chi, s): the modulus, the span and
+    the character are checked once, when the entry is first built, and
+    equal characters share an entry whatever their labels.  An invalid
+    character or modulus is refused on every call, since failures are not
+    cached.
     """
     if s < 1:
         raise ValueError("modulus must be positive")
@@ -103,25 +108,6 @@ def residue_set(char: Character, s: int) -> frozenset:
     admit("MAX_RESIDUE_SPAN", span, f"indices in the residue scan mod {s}")
     validate_character(char)
     return frozenset(char.exponent(n) % s for n in char.support(span))
-
-
-def pochhammer_factorization(n: int, step: int = 1) -> tuple[int, list[int]]:
-    """Cyclotomic shape of the kernels: sign and exponent of each factor.
-
-    step=1: (q;q)_n = (-1)^n * prod_{k=1..n} Phi_k^(floor(n/k)).
-    step=2: (q;q^2)_n = (-1)^n * prod_{k=1..n} Phi_(2k-1)^e(k) where e(k)
-    counts odd multiples of 2k-1 up to 2n-1.
-    """
-    if step not in (1, 2):
-        raise ValueError("step must be 1 or 2")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    sign = -1 if n % 2 else 1
-    if step == 1:
-        exps = [n // k for k in range(1, n + 1)]
-    else:
-        exps = [(2 * n - 1 + m) // (2 * m) for m in (2 * k - 1 for k in range(1, n + 1))]
-    return sign, exps
 
 
 class DivisibilityRow(Record):
@@ -158,7 +144,7 @@ def verify_theorem(family: FamilySpec, char: Character, s: int, N: int) -> Divis
     if N < 0 or s < 1:
         raise ValueError("need N >= 0 and s >= 1")
     check_modulus(s)
-    in_s = residue_set(char, s)  # validates char
+    in_s = residue_set(char, s)  # validates char, once per (char, s)
     if family.kernel == "G" and s % 2 == 0:
         raise OddModulusRequired(f"G-type divisibility needs odd s, got {s}")
     lam, mu = thresholds(N, s, 1)

@@ -471,8 +471,9 @@ def pochhammer_exponents(n: int, step: int = 1) -> range:
 
 
 def pochhammer_factors(n: int, step: int = 1) -> tuple[IntPoly, ...]:
-    """The binomials 1 - q^e whose product is pochhammer(n, step), in order."""
-    return tuple(IntPoly((1,) + (0,) * (e - 1) + (-1,))
+    """The binomials 1 - q^e whose product is pochhammer(n, step), in order,
+    built by the trusted constructor: their coefficients are ints."""
+    return tuple(IntPoly._new((1,) + (0,) * (e - 1) + (-1,))
                  for e in pochhammer_exponents(n, step))
 
 

@@ -207,8 +207,22 @@ def _chi_gk(k: int) -> Character:
 
 
 def get_character(name: str) -> Character:
-    """Built-in character by name; see module docstring for the catalogue."""
-    text = name.strip()
+    """Built-in character by name; see module docstring for the catalogue.
+
+    A non-string is refused with ParseError.  The name's parameters are
+    checked and the record is built once per stripped name, when it is
+    first asked for; later calls return that same immutable record.  A
+    refused or unknown name raises on every call, since failures are not
+    cached.  Built-ins satisfy validate_character by construction, so it
+    is not run here.
+    """
+    if not isinstance(name, str):
+        raise ParseError("character name must be a string")
+    return _builtin_character(name.strip())
+
+
+@functools.lru_cache(maxsize=None)
+def _builtin_character(text: str) -> Character:
     if text == "chi_kz":
         return _chi_kz()
     if text == "chi6":
@@ -218,7 +232,7 @@ def get_character(name: str) -> Character:
         return _chi_hikami(*_builtin_params("hikami", tail, text))
     if head == "chi_gk":
         return _chi_gk(*_builtin_params("gk", tail, text))
-    raise ParseError(f"unknown character name {name!r}")
+    raise ParseError(f"unknown character name {text!r}")
 
 
 # -- twisted sequences ---------------------------------------------------------

@@ -72,6 +72,25 @@ def poch_def(n: int, step: int = 1) -> dict:
     return out
 
 
+def pochhammer_factorization(n: int, step: int = 1) -> tuple[int, list[int]]:
+    """Cyclotomic shape of the kernels: sign and exponent of each factor.
+
+    step=1: (q;q)_n = (-1)^n * prod_{k=1..n} Phi_k^(floor(n/k)).
+    step=2: (q;q^2)_n = (-1)^n * prod_{k=1..n} Phi_(2k-1)^e(k) where e(k)
+    counts odd multiples of 2k-1 up to 2n-1.
+    """
+    if step not in (1, 2):
+        raise ValueError("step must be 1 or 2")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    sign = -1 if n % 2 else 1
+    if step == 1:
+        exps = [n // k for k in range(1, n + 1)]
+    else:
+        exps = [(2 * n - 1 + m) // (2 * m) for m in (2 * k - 1 for k in range(1, n + 1))]
+    return sign, exps
+
+
 def qbinom_def(n: int, k: int, base_power: int = 1) -> dict:
     """Gaussian binomial via the Pascal recurrence, optionally in base q^base_power."""
     if k < 0 or k > n:

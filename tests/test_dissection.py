@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from helpers import pochhammer_factorization, residue_set_def
 from qstrange.dissection import (
     MAX_DISSECT_MODULUS,
     Dissection,
     DivisibilityFalsified,
     OddModulusRequired,
     dissect,
-    pochhammer_factorization,
     residue_set,
     thresholds,
     verify_theorem,
@@ -16,7 +16,7 @@ from qstrange.dissection import (
 from qstrange.exactpoly import IntPoly, NotDivisible, cyclotomic, exact_div, pochhammer
 from qstrange.partialtheta import (Character, CharacterInvalid,
                                    IntegralityViolation, MeanValueNonzero,
-                                   get_character)
+                                   _builtin_character, get_character)
 from qstrange.qfamilies import InvalidParam, parse_family, partial_sum
 
 
@@ -101,6 +101,71 @@ class TestResidueSet:
 
     def test_s_one(self):
         assert residue_set(get_character("chi6"), 1) == frozenset({0})
+
+
+class TestMemos:
+    """residue_set and the built-in characters are memoized; no result may
+    depend on what an earlier call left in the memo."""
+
+    CASES = [("chi_kz", 5), ("chi_kz", 7), ("chi6", 5), ("chi6", 3),
+             ("chi_gk:k=2", 9), ("chi_gk:k=2", 5)]
+
+    def test_residue_set_warm_equals_cold(self):
+        cold = {}
+        for name, s in self.CASES:
+            residue_set.cache_clear()
+            cold[name, s] = residue_set(get_character(name), s)
+            assert cold[name, s] == residue_set_def(get_character(name), s)
+        for name, s in self.CASES + self.CASES[::-1]:
+            assert residue_set(get_character(name), s) == cold[name, s]
+
+    def test_verify_theorem_warm_equals_cold(self):
+        fam, char = parse_family("gk:k=2"), get_character("chi_gk:k=2")
+        cold = {}
+        for s in (9, 5, 3):
+            residue_set.cache_clear()
+            cold[s] = verify_theorem(fam, char, s, 12)
+        for s in (3, 5, 9, 5):
+            assert verify_theorem(fam, char, s, 12) == cold[s]
+
+    def test_equal_character_under_another_label(self):
+        builtin = get_character("chi_kz")
+        twin = Character(1, 24, 1, 12, {1: "-1/2", 11: "-1/2", 5: "1/2", 7: "1/2"},
+                         "my_kz")
+        assert twin == builtin and twin.label != builtin.label
+        for s in (5, 7):
+            assert residue_set(twin, s) == residue_set(builtin, s)
+            assert verify_theorem(parse_family("kz"), twin, s, 14) == \
+                verify_theorem(parse_family("kz"), builtin, s, 14)
+
+    def test_invalid_character_refused_on_every_call(self):
+        bad = Character(0, 1, 0, 1, {0: 1})
+        residue_set(get_character("chi6"), 3)  # warms the memo
+        verify_theorem(parse_family("kz"), get_character("chi_kz"), 3, 5)
+        for _ in range(2):
+            with pytest.raises(MeanValueNonzero):
+                residue_set(bad, 3)
+            with pytest.raises(MeanValueNonzero):
+                verify_theorem(parse_family("kz"), bad, 3, 5)
+
+    def test_bad_modulus_refused_on_every_call(self):
+        char = get_character("chi_kz")
+        residue_set(char, 5)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                residue_set(char, 5.0)
+            with pytest.raises(ValueError, match="positive"):
+                residue_set(char, 0)
+
+    def test_get_character_before_and_after_cache_clear(self):
+        names = ("chi_kz", "chi6", "chi_gk:k=3", "chi_hikami:m=2,alpha=1")
+        warm = [get_character(name) for name in names]
+        assert get_character(" chi6 ") is get_character("chi6")
+        _builtin_character.cache_clear()
+        for name, before in zip(names, warm):
+            after = get_character(name)
+            assert after == before and after.label == before.label
+            assert after.to_json_obj() == before.to_json_obj()
 
 
 class TestPochhammerFactorization:

@@ -92,6 +92,11 @@ class TestCharacters:
         with pytest.raises(CharacterInvalid):
             Character(1, 3, 2, 6, {})
 
+    @pytest.mark.parametrize("name", [5, None, ["chi6"]])
+    def test_non_string_name_refused(self, name):
+        with pytest.raises(ParseError, match="character name must be a string"):
+            get_character(name)
+
     def test_immutable_and_equal_up_to_label(self):
         c = get_character("chi6")
         with pytest.raises(AttributeError):

@@ -20,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 from helpers import (cyclo_ref, divmod_def, embed_def, exact_div_def,
                      l_value_def, residue_set_def, twisted_table_def)
 from qstrange.cyclofield import CycloNum, eval_at_root
-from qstrange.dissection import (DivisibilityReport, DivisibilityRow, dissect,
-                                 residue_set)
+from qstrange.dissection import (DivisibilityFalsified, DivisibilityReport,
+                                 DivisibilityRow, OddModulusRequired, dissect,
+                                 residue_set, verify_theorem)
 from qstrange.exactpoly import (
     IntPoly,
     NotDivisible,
@@ -278,6 +279,33 @@ def test_support_scans_match_full_scan(char, s):
         assert checked(residue_set, char, s) == want
         assert checked(validate_character, char) == \
             (want_one if isinstance(want_one, tuple) else char)
+
+
+def certified(*args):
+    """verify_theorem's report, or the type and message of the refusal or
+    falsification it raises."""
+    try:
+        return verify_theorem(*args)
+    except (CharacterInvalid, DivisibilityFalsified, OddModulusRequired) as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(characters(), st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       st.sampled_from(["kz", "gk:k=1"]), st.integers(0, 10))
+def test_memoized_certificates_match_cold_calls(char, moduli, family, N):
+    # residue_set is memoized per (chi, s): warm calls in any order, and an
+    # equal character under another label, give what a cold call gives, and
+    # a refused character is refused again on every call
+    fam = parse_family(family)
+    twin = Character(char.a, char.b, char.nu, char.period, char.values, "twin")
+    cold = {}
+    for s in moduli:
+        residue_set.cache_clear()
+        cold[s] = checked(residue_set, char, s), certified(fam, char, s, N)
+    for s in moduli + moduli[::-1]:
+        for c in (char, twin):
+            assert (checked(residue_set, c, s), certified(fam, c, s, N)) == cold[s]
 
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)

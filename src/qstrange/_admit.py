@@ -48,10 +48,11 @@ MAX_L_WORK = 2 * 10 ** 8
 # is refused when it is built, since validating it scans that many indices.
 MAX_TWIST_PERIOD = 10 ** 5
 
-# strangematch: largest accepted stable_derivative index for match_expansion:
-# the partial sum it needs is built and differentiated at every order.  kz
-# at index 100 and gk:k=3 at index 62 take about 2 s and 1 s on a 2-vCPU
-# Xeon VM.
+# strangematch: largest accepted stable_derivative index for match_expansion,
+# which builds the partial sum at that index once and reads it at every
+# order.  At q = 1, on a 2-vCPU Xeon VM, kz and gk:k=1 at index 100 take
+# about 0.45 s; gk:k=2 at 67, gk:k=3 at 50 and hikami:m=2 at 80, where
+# MAX_PARTIAL_SUM_WORK stops them, take 0.75-0.9 s, most of it the sum.
 MAX_MATCH_INDEX = 100
 
 # strangematch: largest accepted c_array_work: c_array(1000, 1, 5) is

@@ -223,15 +223,6 @@ class CycloNum(Record):
         p = c.numerator
         return _new(self.k, [x * p for x in self.num], self.den * c.denominator)
 
-    def lift(self, m: int) -> "CycloNum":
-        """Reinterpret in the larger field Q(zeta_m); requires k | m."""
-        if m % self.k:
-            raise ConductorMismatch(f"{self.k} does not divide {m}")
-        step = m // self.k
-        spread = [0] * (step * len(self.num))
-        spread[::step] = self.num
-        return CycloNum(m, spread, self.den)
-
     # -- output --------------------------------------------------------------
 
     def __repr__(self) -> str:

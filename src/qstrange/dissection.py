@@ -54,13 +54,6 @@ class Dissection(Record):
             raise ValueError("need exactly s parts for modulus s")
         super().__init__(modulus, parts)
 
-    def reassemble(self) -> IntPoly:
-        total = IntPoly()
-        for i, part in enumerate(self.parts):
-            if part:
-                total = total + part.dilate(self.modulus).shift(i)
-        return total
-
     def __repr__(self):
         return f"Dissection(s={self.modulus}, degrees={[p.degree for p in self.parts]})"
 

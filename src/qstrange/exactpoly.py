@@ -343,10 +343,6 @@ class RatPoly(_BasePoly):
             return Fraction(c)
         raise ValueError(f"bad rational coefficient {c!r}")
 
-    def to_int_poly(self) -> IntPoly:
-        """Convert when every coefficient is integral; raises otherwise."""
-        return IntPoly(self.coeffs)
-
 
 def exact_div(p: IntPoly, *divisors: IntPoly) -> IntPoly:
     """Exact quotient of p by the product of the divisors, in Z[q].

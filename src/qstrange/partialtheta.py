@@ -23,6 +23,7 @@ import functools
 import math
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import count, islice
 
 from qstrange._admit import MAX_L_WORK, MAX_TWIST_PERIOD, admit
 from qstrange._record import Record
@@ -413,19 +414,38 @@ def gamma_coeff(char: Character, k: int, j: int, n: int) -> CycloNum:
 
     Cauchy product of the exp(a*t/b) prefactor series with the L-value
     expansion: gamma_n = sum_r (a/b)^(n-r)/(n-r)! * (-1)^r/(b^r r!) * L(-2r-nu, C).
-    Refused with InvalidParam when gamma_work(char, k, n) exceeds MAX_L_WORK.
+    It is the n-th value of _gammas, which computes L(-2r-nu, C) once for
+    each r <= n.  Refused with InvalidParam when gamma_work(char, k, n)
+    exceeds MAX_L_WORK.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     admit("MAX_L_WORK", gamma_work(char, k, n), f"work of gamma_{n} at zeta_{k}")
+    return next(islice(_gammas(char, k, j), n, None))
+
+
+def _gammas(char: Character, k: int, j: int) -> Iterator[CycloNum]:
+    """gamma_0, gamma_1, ... at zeta_k^j, with one L-value per order.
+
+    Over b^n n!, gamma_n is sum_r a^(n-r) (-1)^r C(n, r) L_r, where
+    L_r = L(-2r-nu, C) is computed once, when gamma_r is, and kept as its
+    integer (num, den).  Each gamma_n is that integer sum over the lcm of
+    the kept denominators, normalized once.  Nothing is admitted here: the
+    caller admits gamma_work at the deepest order it reads.
+    """
     seq = twisted_sequence(char, k, j)
     a, b, nu = char.a, char.b, char.nu
-    total = CycloNum.rational(k, 0)
-    for r in range(n + 1):
-        pre = (Fraction(a, b) ** (n - r) / math.factorial(n - r)
-               * Fraction((-1) ** r, b ** r * math.factorial(r)))
-        total = total + l_value(seq, 2 * r + nu).scale(pre)
-    return total
+    kept = []
+    for n in count():
+        x = l_value(seq, 2 * n + nu)
+        kept.append((x.num, x.den))
+        den = math.lcm(*(d for _, d in kept))
+        acc = [0] * max(len(num) for num, _ in kept)
+        for r, (num, d) in enumerate(kept):
+            c = (-1) ** r * math.comb(n, r) * a ** (n - r) * (den // d)
+            for i, v in enumerate(num):
+                acc[i] += c * v
+        yield _new(k, acc, den * b ** n * math.factorial(n))
 
 
 def theta_truncated(char: Character, cap: int) -> RatPoly:

@@ -36,7 +36,7 @@ from itertools import chain, islice, repeat
 
 from qstrange._admit import MAX_PARTIAL_SUM_WORK, InvalidParam, admit
 from qstrange._record import Record
-from qstrange.exactpoly import (IntPoly, _add_into, mul_binomial, pochhammer,
+from qstrange.exactpoly import (IntPoly, _add_into, mul_binomial,
                                  pochhammer_exponents)
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "ParseError",
     "parse_family",
     "term_poly",
-    "kernel_poly",
     "partial_sum",
     "partial_sum_prefix",
     "MAX_PARTIAL_SUM_WORK",
@@ -247,11 +246,6 @@ def _parse_inline(text: str) -> FamilySpec:
     canon = {"kernel": kernel, "terms": [p.to_json_obj() for p in polys]}
     label = json.dumps(canon, sort_keys=True, separators=(",", ":"))
     return FamilySpec(kernel, label, "inline", polys)
-
-
-def kernel_poly(family: FamilySpec, n: int) -> IntPoly:
-    """(q;q)_n or (q;q^2)_n according to the family's kernel kind."""
-    return pochhammer(n, _step(family))
 
 
 def _step(family: FamilySpec) -> int:

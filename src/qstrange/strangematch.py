@@ -14,6 +14,12 @@ holds with gamma_l = (-1)**l / l! * (q d/dq)**l F evaluated at zeta, and that
 these agree with the L-value coefficients.  Both sides are computed here in
 exact arithmetic and compared coefficient by coefficient.
 
+A match through order d reads one partial sum, at the stable_derivative
+index of order d, for every order l <= d.  That is exact: each term past
+order l's own index has a kernel with a zero of multiplicity greater than
+l at zeta, so its l-th (q d/dq) derivative is 0 there.  The theta side
+computes each L-value once and reuses it for every later order.
+
 The module also carries the derivative bookkeeping used to extract single
 dissection pieces from a series: applying (q d/dq)**l to q**i * g(q**s)
 produces a fixed integer combination of shifted derivatives of g, and
@@ -21,15 +27,17 @@ produces a fixed integer combination of shifted derivatives of g, and
 """
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import count, islice, zip_longest
+from operator import mul
 
 from ._admit import InvalidParam, admit
 from ._admit import MAX_C_ARRAY_WORK, MAX_MATCH_INDEX  # re-exported
 from ._record import Record
-from .cyclofield import CycloNum, eval_at_root
+from .cyclofield import CycloNum, _fold, _new
 from .exactpoly import theta_deriv
-from .partialtheta import gamma_coeff, gamma_work, validate_character
+from .partialtheta import _gammas, gamma_work, validate_character
 from .qfamilies import partial_sum, partial_sum_work
 
 
@@ -59,15 +67,39 @@ def stable_derivative(family, k: int, ell: int) -> int:
 
 
 def expansion_coeff(family, k: int, j: int, ell: int) -> CycloNum:
-    """Exact t**ell coefficient of the series at q = zeta_k**j * exp(-t)."""
+    """Exact t**ell coefficient of the series at q = zeta_k**j * exp(-t).
+
+    It reads the partial sum at the stable_derivative index of order ell:
+    every later term's kernel has a zero of multiplicity above ell at the
+    root, so a longer sum gives the same value.  match_expansion reads one
+    such longer sum for all its orders, through the same _root_values.
+    """
     if k < 1:
         raise InvalidParam("root order must be positive")
     j %= k
-    order = k // math.gcd(j, k)
-    n_star = stable_derivative(family, order, ell)
-    p = theta_deriv(partial_sum(family, n_star).value, ell)
-    val = eval_at_root(p, k, j)
-    return val.scale(Fraction((-1) ** ell, math.factorial(ell)))
+    n_star = stable_derivative(family, k // math.gcd(j, k), ell)
+    values = _root_values(partial_sum(family, n_star).value, k, j)
+    return next(islice(values, ell, None))
+
+
+def _root_values(p, k: int, j: int) -> Iterator[CycloNum]:
+    """(-1)**ell / ell! * ((q d/dq)**ell p)(zeta_k**j) for ell = 0, 1, ...
+
+    Each order multiplies coefficient e by e once more and sums each class
+    of exponents e*j mod k; the k sums are folded into Q(zeta_k) and
+    normalized once.
+    """
+    classes = [([], []) for _ in range(k)]
+    for e, c in enumerate(p.coeffs):
+        if c:
+            exps, vals = classes[e * j % k]
+            exps.append(e)
+            vals.append(c)
+    for ell in count():
+        sums = [sum(vals) for _, vals in classes]
+        sign = -1 if ell % 2 else 1
+        yield _new(k, [sign * x for x in _fold(k, sums)], math.factorial(ell))
+        classes = [(exps, list(map(mul, exps, vals))) for exps, vals in classes]
 
 
 class MatchReport(Record):
@@ -99,10 +131,14 @@ def match_expansion(family, char, k: int, j: int, depth: int) -> MatchReport:
     Both sides are exact elements of Q(zeta_k).  The report says "match" when
     every order agrees and otherwise records the first failing order; nothing
     is rounded, so a mismatch is a theorem about the inputs rather than a
-    numerical artifact.  Refused with InvalidParam before any work when the
-    stable_derivative index at ``depth`` exceeds MAX_MATCH_INDEX, the partial
-    sum to that index exceeds MAX_PARTIAL_SUM_WORK, or gamma_depth exceeds
-    the L-value work limit.
+    numerical artifact.  The series side reads the partial sum at the
+    stable_derivative index of order ``depth`` once, for every order: the
+    terms past a lower order's own index vanish under that many derivatives
+    at the root, so they add exactly 0.  The theta side computes one
+    L-value per order.  Both stop at the first failing order.  Refused with
+    InvalidParam before any work when the stable_derivative index at
+    ``depth`` exceeds MAX_MATCH_INDEX, the partial sum to that index exceeds
+    MAX_PARTIAL_SUM_WORK, or gamma_depth exceeds the L-value work limit.
     """
     validate_character(char)
     if depth < 0:
@@ -116,13 +152,10 @@ def match_expansion(family, char, k: int, j: int, depth: int) -> MatchReport:
           f"partial-sum work of {family.label} at N = {index}")
     admit("MAX_L_WORK", gamma_work(char, k, depth),
           f"work of gamma_{depth} at zeta_{k}")
-    first_bad = None
-    for ell in range(depth + 1):
-        lhs = expansion_coeff(family, k, j, ell)
-        rhs = gamma_coeff(char, k, j, ell)
-        if lhs != rhs:
-            first_bad = ell
-            break
+    lhs = _root_values(partial_sum(family, index).value, k, j)
+    rhs = _gammas(char, k, j)
+    first_bad = next((ell for ell, x, y in zip(range(depth + 1), lhs, rhs)
+                      if x != y), None)
     verdict = "match" if first_bad is None else "mismatch"
     return MatchReport(family.label, char.label or "custom", k, j,
                        depth, verdict, first_bad)

@@ -17,15 +17,16 @@ import pytest
 
 from qstrange import _admit
 from qstrange.cli import build_parser, cmd_identity_check
-from qstrange.cyclofield import CycloNum
+from qstrange.cyclofield import ConductorMismatch, CycloNum, eval_at_root
 from qstrange.dissection import dissect, residue_set
-from qstrange.exactpoly import IntPoly, NotDivisible, RatPoly, cyclotomic
+from qstrange.exactpoly import (IntPoly, NotDivisible, RatPoly, cyclotomic,
+                                pochhammer, theta_deriv)
 from qstrange.fishburn import _xi_mod, xi_coeffs
 from qstrange.partialtheta import (Character, bernoulli_poly, get_character,
                                    l_value, twisted_sequence)
 from qstrange.qfamilies import (FamilySpec, InvalidParam, parse_family,
                                  partial_sum)
-from qstrange.strangematch import c_array, match_expansion
+from qstrange.strangematch import c_array, match_expansion, stable_derivative
 
 
 # -- dict-based polynomial arithmetic ---------------------------------------
@@ -89,6 +90,25 @@ def pochhammer_factorization(n: int, step: int = 1) -> tuple[int, list[int]]:
     else:
         exps = [(2 * n - 1 + m) // (2 * m) for m in (2 * k - 1 for k in range(1, n + 1))]
     return sign, exps
+
+
+def kernel_poly(family: FamilySpec, n: int) -> IntPoly:
+    """(q;q)_n or (q;q^2)_n according to the family's kernel kind."""
+    return pochhammer(n, 1 if family.kernel == "F" else 2)
+
+
+def to_int_poly_def(p: RatPoly) -> IntPoly:
+    """p in Z[q] when every coefficient is integral; raises otherwise."""
+    return IntPoly(p.coeffs)
+
+
+def reassemble_def(d) -> IntPoly:
+    """sum_i q^i A_i(q^s) from the parts of a Dissection."""
+    total = IntPoly()
+    for i, part in enumerate(d.parts):
+        if part:
+            total = total + part.dilate(d.modulus).shift(i)
+    return total
 
 
 def qbinom_def(n: int, k: int, base_power: int = 1) -> dict:
@@ -234,6 +254,16 @@ def embed_def(x: CycloNum, prec_bits: int = 200):
         return total / x.den
 
 
+def lift_def(x: CycloNum, m: int) -> CycloNum:
+    """x reinterpreted in the larger field Q(zeta_m); requires k | m."""
+    if m % x.k:
+        raise ConductorMismatch(f"{x.k} does not divide {m}")
+    step = m // x.k
+    spread = [0] * (step * len(x.num))
+    spread[::step] = x.num
+    return CycloNum(m, spread, x.den)
+
+
 def l_value_def(seq, n: int) -> RatPoly:
     """L(-n, C) = (-P^n/(n+1)) * sum_{m=1}^{P} C(m) B_{n+1}(m/P), one m at a
     time in Fractions, as a reduced rational polynomial in zeta_k."""
@@ -245,6 +275,31 @@ def l_value_def(seq, n: int) -> RatPoly:
         if c:
             total = total + c.rep.scale(bp.evaluate(Fraction(m, P)))
     return total.scale(Fraction(-(P ** n), n + 1))
+
+
+def gamma_def(char, k: int, j: int, n: int) -> CycloNum:
+    """gamma_n(zeta_k^j) as the Cauchy product term by term:
+    sum_r (a/b)^(n-r)/(n-r)! * (-1)^r/(b^r r!) * L(-2r-nu, C), one l_value
+    per term, with Fraction prefactors and CycloNum sums."""
+    seq = twisted_sequence(char, k, j)
+    a, b, nu = char.a, char.b, char.nu
+    total = CycloNum.rational(k, 0)
+    for r in range(n + 1):
+        pre = (Fraction(a, b) ** (n - r) / math.factorial(n - r)
+               * Fraction((-1) ** r, b ** r * math.factorial(r)))
+        total = total + l_value(seq, 2 * r + nu).scale(pre)
+    return total
+
+
+def expansion_def(family, k: int, j: int, ell: int, upper=None) -> CycloNum:
+    """(-1)**ell / ell! * ((q d/dq)**ell S_N)(zeta_k**j), S_N the partial sum
+    at N = upper, by default the stable_derivative index of order ell."""
+    j %= k
+    if upper is None:
+        upper = stable_derivative(family, k // math.gcd(j, k), ell)
+    p = theta_deriv(partial_sum(family, upper).value, ell)
+    return eval_at_root(p, k, j).scale(
+        Fraction((-1) ** ell, math.factorial(ell)))
 
 
 def twisted_table_def(char, k: int, j: int) -> list:
@@ -395,8 +450,8 @@ GUARDS = {
     "match": ("MAX_MATCH_INDEX", "qstrange.strangematch",
               lambda arg, x: match_expansion(parse_family(arg),
                                              get_character("chi_kz"), 1, 0, x),
-              [("qstrange.strangematch", "expansion_coeff"),
-               ("qstrange.strangematch", "gamma_coeff")]),
+              [("qstrange.strangematch", "partial_sum"),
+               ("qstrange.partialtheta", "l_value")]),
     "character": ("MAX_TWIST_PERIOD", "qstrange.partialtheta",
                   lambda arg, x: Character(0, 1, 0, x, {1: 1, x - 1: -1}),
                   [("qstrange.partialtheta", "_exact_value")]),

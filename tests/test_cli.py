@@ -496,10 +496,11 @@ def test_lvalue_over_work_limit_is_usage_error(capsys, monkeypatch):
 
 
 def test_match_over_index_limit_is_usage_error(capsys, monkeypatch):
+    import qstrange.partialtheta as pt
     import qstrange.strangematch as sm
 
-    monkeypatch.setattr(sm, "expansion_coeff", _never("expansion_coeff"))
-    monkeypatch.setattr(sm, "gamma_coeff", _never("gamma_coeff"))
+    monkeypatch.setattr(sm, "partial_sum", _never("partial_sum"))
+    monkeypatch.setattr(pt, "l_value", _never("l_value"))
     code, out, err = invoke(capsys, "match", "--family", "kz", "--char", "chi_kz",
                             "--k", "2", "--j", "1", "--depth", "400")
     assert code == 2

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (cyclo_ref, divmod_def, embed_def, exact_div_def,
-                     l_value_def, residue_set_def, twisted_table_def)
+                     expansion_def, gamma_def, l_value_def, reassemble_def,
+                     residue_set_def, twisted_table_def)
 from qstrange.cyclofield import CycloNum, eval_at_root
 from qstrange.dissection import (DivisibilityFalsified, DivisibilityReport,
                                  DivisibilityRow, OddModulusRequired, dissect,
@@ -43,12 +44,15 @@ from qstrange.partialtheta import (
     CharacterInvalid,
     MeanValueNonzero,
     TwistedSeq,
+    gamma_coeff,
+    get_character,
     l_value,
     twisted_sequence,
     validate_character,
 )
 from qstrange.qfamilies import _ladder, parse_family
-from qstrange.strangematch import MatchReport
+from qstrange.strangematch import (MatchReport, OddOrderRequired,
+                                   expansion_coeff, match_expansion)
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=150)
@@ -116,7 +120,7 @@ def test_rat_poly_results_hold_only_fractions(a, b, c, e):
 @PROPERTY
 @given(polys, st.integers(1, 12))
 def test_dissect_reassembles(p, s):
-    assert dissect(p, s).reassemble() == p
+    assert reassemble_def(dissect(p, s)) == p
 
 
 @PROPERTY
@@ -258,10 +262,11 @@ def characters(draw):
 
 
 def checked(f, *args):
-    """f's result, or the type and message of the CharacterInvalid it raises."""
+    """f's result, or the type and message of the CharacterInvalid or
+    OddOrderRequired it raises."""
     try:
         return f(*args)
-    except CharacterInvalid as exc:
+    except (CharacterInvalid, OddOrderRequired) as exc:
         return type(exc), str(exc)
 
 
@@ -447,6 +452,34 @@ def test_l_value_matches_definition(seq, n):
     got = l_value(seq, n)
     assert got.rep == l_value_def(seq, n)
     assert stored_form_ok(got)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.one_of(characters(), st.sampled_from(
+           ["chi_kz", "chi6", "chi_gk:k=2", "chi_hikami:m=2,alpha=1"])
+       .map(get_character)),
+       st.sampled_from(["kz", "gk:k=1", "gk:k=2", "hikami:m=2,alpha=1"]),
+       st.integers(1, 6), st.integers(-12, 12), st.integers(0, 4))
+def test_match_equals_the_oracles(char, family, k, j, depth):
+    # the series side reads one partial sum at the deepest index and the
+    # theta side one L-value per order; every order must still equal its
+    # definition, and the report must name the first order that differs.
+    # Most pairings mismatch, so first_mismatch is compared too.
+    fam = parse_family(family)
+    orders = range(depth + 1)
+    lhs = [checked(expansion_def, fam, k, j, ell) for ell in orders]
+    rhs = [checked(gamma_def, char, k, j, ell) for ell in orders]
+    assert [checked(expansion_coeff, fam, k, j, ell) for ell in orders] == lhs
+    assert [checked(gamma_coeff, char, k, j, ell) for ell in orders] == rhs
+    refused = next((x for x in (checked(validate_character, char),
+                                lhs[0], rhs[0]) if isinstance(x, tuple)), None)
+    got = checked(match_expansion, fam, char, k, j, depth)
+    if refused is not None:
+        assert got == refused
+        return
+    bad = next((ell for ell in orders if lhs[ell] != rhs[ell]), None)
+    assert (got.verdict, got.first_mismatch, got.j) == \
+        ("match" if bad is None else "mismatch", bad, j % k)
 
 
 # -- records ------------------------------------------------------------------

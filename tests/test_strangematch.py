@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import expansion_def, lift_def
 from qstrange.cyclofield import CycloNum, eval_at_root
 from qstrange.exactpoly import IntPoly, theta_deriv
 from qstrange.partialtheta import Character, CharacterInvalid, get_character
@@ -49,12 +50,6 @@ class TestStableDerivative:
             stable_derivative(KZ, 3, -1)
 
 
-def coeff_via_n(family, k, j, ell, n):
-    p = theta_deriv(partial_sum(family, n).value, ell)
-    scale = Fraction((-1) ** ell, math.factorial(ell))
-    return eval_at_root(p, k, j).scale(scale)
-
-
 class TestExpansionCoeff:
     def test_frozen_values(self):
         assert expansion_coeff(KZ, 1, 0, 0) == CycloNum.rational(1, 1)
@@ -70,13 +65,13 @@ class TestExpansionCoeff:
             n_star = stable_derivative(fam, k, ell)
             want = expansion_coeff(fam, k, j, ell)
             for extra in (0, 1, 4):
-                assert coeff_via_n(fam, k, j, ell, n_star + extra) == want
+                assert expansion_def(fam, k, j, ell, n_star + extra) == want
 
     def test_order_comes_from_gcd(self):
         # zeta_6^2 is a primitive cube root; both routes must agree
         a = expansion_coeff(GK1, 6, 2, 1)
         b = expansion_coeff(GK1, 3, 1, 1)
-        assert a.lift(6) == a and b.lift(6) == a
+        assert lift_def(a, 6) == a and lift_def(b, 6) == a
         # zeta_6^3 = -1 has even order, no stable value for a G kernel
         with pytest.raises(OddOrderRequired):
             expansion_coeff(GK1, 6, 3, 0)
@@ -136,6 +131,32 @@ class TestMatchExpansion:
         assert rep.first_mismatch == 3
         rep2 = match_expansion(GK1, get_character("chi_kz"), 1, 0, 4)
         assert rep2.verdict == "mismatch" and rep2.first_mismatch == 3
+
+    def test_one_sum_and_one_l_value_per_order(self, monkeypatch):
+        # one partial sum, at the deepest stable index, and L(-2r-nu) once
+        # per order r: not once per (order, r) pair, which is
+        # (depth+1)(depth+2)/2 calls; a mismatch stops the L-values there
+        import qstrange.partialtheta as pt
+        import qstrange.strangematch as sm
+
+        calls = {"partial_sum": 0, "l_value": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(sm, "partial_sum")
+        counted(pt, "l_value")
+        for char, k, depth, stop in (("chi_kz", 3, 0, 0), ("chi_kz", 3, 4, 4),
+                                     ("chi6", 1, 4, 3)):
+            calls.update(partial_sum=0, l_value=0)
+            rep = match_expansion(KZ, get_character(char), k, 1, depth)
+            assert rep.first_mismatch == (None if stop == depth else stop)
+            assert calls == {"partial_sum": 1, "l_value": stop + 1}
 
     def test_j_reduced_mod_k(self):
         a = match_expansion(KZ, get_character("chi_kz"), 3, 5, 1)

@@ -32,8 +32,8 @@ MAX_TABLE_BYTES = 2 ** 28
 # fishburn: it also refuses a request whose modular_work is over this: the
 # deepest accepted depth is 3683 for kz and gk:k=1, 666 for gk:k=2 and
 # hikami:m=2, and 560 for gk:k=3 and hikami:m=3.  On a 2-vCPU Xeon VM kz
-# and gk:k=1 take 1.4-2.5 s there; the other four take 1.1-1.2 s while
-# their ladders run in float32 (for every modulus up to 159), and 1.7-2.1 s
+# and gk:k=1 take 1.2-2.2 s there; the other four take 1.0-1.4 s while
+# their ladders run in float32 (for every modulus up to 159), and 1.8-2.2 s
 # in float64.
 MAX_MODULAR_WORK = 5 * 10 ** 10
 

@@ -11,7 +11,7 @@ difference per index.
 Residues lie in [0, m); every product of residues is taken in floating
 point (a truncated convolution, or one matrix product per block of ladder
 rows), which BLAS does fast, and reduced back in integers.  Each such
-product and partial sum is a nonnegative integer at most (m-1)**2 *
+product and partial sum is an integer of absolute value at most (m-1)**2 *
 (depth+1), so it is exact in any summation order while that bound is below
 2**53 in float64, with int64 residues, or below 2**24 in float32, with
 int32 residues.  The caller guarantees 2**53.  The convolutions run in
@@ -20,6 +20,14 @@ memory and speeds its products.  A product with a constant is a scaling,
 not a convolution.  Only the residues a consumer reads are computed: each
 ladder row and each Horner step of the accumulation stops at the precision
 that is read from it.
+
+Each step makes one pass of each kind.  A ladder holds its residue
+columns in its float width, so every block's product reads its source
+rows in place, and casts and reduces each block once.  The accumulation
+keeps its unit row negated from the start and reduces it once per index,
+after its prefix sums; gk's first differences enter the convolution
+unreduced, with entries in (-m, m), within the bound above; and S_n is
+reduced once, after its weight is added.
 
 This is the only module of the package that imports numpy; fishburn
 imports it on first use, after its parameter and size checks have passed.
@@ -82,6 +90,12 @@ def _sub_ladder_mod(weights, c0, steps, pw, depth, mod):
     order, so that every source row is read before it is written, and cuts
     each block's product and reduction to its first row's precision.  The
     extra coefficients of a block's lower rows are never read back.
+
+    The weights must be residues.  The columns are held in the ladder's
+    float width, so each block's product reads its source rows in place;
+    the target rows are added in float, which is exact below the bound,
+    and the block is cast once to integers and reduced once, straight back
+    into its rows.  The outputs leave at the integer width.
     """
     width = depth + 2 - c0
     # one width per ladder: float32 blocks are exact below 2**24
@@ -89,14 +103,14 @@ def _sub_ladder_mod(weights, c0, steps, pw, depth, mod):
         real, whole = np.float32, np.int32
     else:
         real, whole = np.float64, np.int64
-    cols = np.zeros((min(steps, width - 1) + 1, width), dtype=whole)
+    cols = np.zeros((min(steps, width - 1) + 1, width), dtype=real)
     unit = np.ones(1, dtype=np.int64)
     for c in range(len(cols)):
         if c > 1:
             unit = _conv_trunc(unit, pw[c - 1], width - c, mod)
-        col = _conv_trunc(unit, weights[c][: width - c] % mod, width - c, mod)
+        col = _conv_trunc(unit, weights[c][: width - c], width - c, mod)
         cols[c, : col.size] = col
-    out = [cols[0].copy()]
+    out = [cols[0].astype(whole)]
     # buffers shared by every step, so that no block allocates its own; a
     # step's precision is at most width-1, and so are their sides.
     # toeplitz[i, j] = padded[side-1 + j - i], zero below the diagonal
@@ -104,8 +118,8 @@ def _sub_ladder_mod(weights, c0, steps, pw, depth, mod):
     padded = np.zeros(2 * side - 1, dtype=real)
     toeplitz = sliding_window_view(padded, side)[::-1]
     kernel = np.empty((side, side), dtype=real)
-    block = np.empty(min(_BLOCK_ROWS, side) * side, dtype=real)
-    prod = np.empty_like(block)
+    prod = np.empty(min(_BLOCK_ROWS, side) * side, dtype=real)
+    total = np.empty(prod.size, dtype=whole)
     for n in range(1, steps + 1):
         size = max(0, width - n)
         rows = min(steps - n + 1, size)
@@ -116,21 +130,20 @@ def _sub_ladder_mod(weights, c0, steps, pw, depth, mod):
         for r0 in range(0, rows, _BLOCK_ROWS):
             r1 = min(r0 + _BLOCK_ROWS, rows)
             h, prec = r1 - r0, size - r0
-            b = block[: h * prec].reshape(h, prec)
-            b[...] = cols[r0 + 1: r1 + 1, :prec]
-            add = np.matmul(b, kernel[:prec, :prec],
+            add = np.matmul(cols[r0 + 1: r1 + 1, :prec], kernel[:prec, :prec],
                             out=prod[: h * prec].reshape(h, prec))
-            # the float buffers are spent; their memory takes integers of
-            # the same width, which hold add + cols < 2**24 + m (int32) or
-            # 2**53 + m (int64).
+            # the kernel's diagonal is P**(n+c0) mod x = 1, so add + cols
+            # is at most (m-1)**2 * (depth+1), or depth+2 for m = 2: exact
+            # in either width
+            add += cols[r0:r1, :prec]
+            # the float buffer is spent; its memory takes the quotients.
             # floor_divide by a scalar is several times faster than remainder
-            b, quo = b.view(whole), add.view(whole)
+            b, quo = total[: h * prec].reshape(h, prec), add.view(whole)
             np.copyto(b, add, casting="unsafe")
-            b += cols[r0:r1, :prec]
             np.floor_divide(b, mod, out=quo)
             quo *= mod
             np.subtract(b, quo, out=cols[r0:r1, :prec])
-        out.append(cols[0, :size].copy())
+        out.append(cols[0, :size].astype(whole))
     return out
 
 
@@ -174,33 +187,46 @@ def xi_residues(family, depth: int, mod: int, top: int) -> tuple:
     reads S'_n = t_n + x u_(n+1) (1-x) S'_(n+1), S'_0 = xi, so each step
     takes one first difference instead of a product with (1-x)**n.
     The units are read off (1-x)**j, which is walked down from the top j
-    one prefix sum per step, (1-x)**(j-1) = (1-x)**j / (1-x), so they take
-    O(depth) memory.
+    by prefix sums, (1-x)**(j-1) = (1-x)**j / (1-x), so they take O(depth)
+    memory.  The row is kept negated, -(1-x)**j, whose entries 1..j are
+    u's, and is reduced once per index, after its one or two prefix sums;
+    in between its entries stay below m * (depth+1)**2 in int64.  Its float
+    copy is zero at x**0, so one convolution gives x u_(n+1) S_(n+1).  gk's
+    first difference (1-x) S'_(n+1) enters it unreduced, with entries in
+    (-m, m), so every product sum stays within (m-1)**2 * (depth+1); S_n
+    is reduced once, after its weight is added.
     """
     step, shift = _step(family), _shape(family)[1]
     wsub = _sub_weights_mod(family, depth, mod, top)
-    # pj = (1-x)**j mod (x**(depth+1), mod), first for j = j_(depth+1)
+    # neg = -(1-x)**j mod (x**(depth+1), mod), first for j = j_(depth+1);
+    # its entries 1..j are the unit's, u = (1 - (1-x)**j)/x
     j = step * depth + 1
-    coef, row = 1, []
+    coef, row = -1, []
     for i in range(depth + 1):
         row.append(coef % mod)
-        coef = -coef * (j - i) // (i + 1)  # (-1)**(i+1) C(j, i+1)
-    pj = np.array(row, dtype=np.int64)
-    acc = _EMPTY  # S_(depth+1) = 0
+        coef = -coef * (j - i) // (i + 1)  # (-1)**i C(j, i+1)
+    neg = np.array(row, dtype=np.int64)
+    # the float copy that the convolutions read, x u: zero at x**0
+    xu = np.zeros(depth + 1, dtype=np.float64)
+    # S_n mod x**(prec+1) is acc[1:prec+2]; acc[0] stays 0
+    acc = np.zeros(depth + 2, dtype=np.int64)
     for n in range(depth, -1, -1):
-        # acc = S_(n+1) mod x**prec becomes S_n mod x**(prec+1)
+        # S_(n+1) mod x**prec becomes S_n mod x**(prec+1)
         prec = depth - n
-        if shift:  # (1-x) S'_(n+1)
-            acc[1:] -= acc[:-1]
-            acc %= mod
-        t = _conv_trunc((-pj[1: min(j, prec) + 1]) % mod, acc, prec, mod)
+        if prec:
+            # S_(n+1), or gk's (1-x) S'_(n+1) unreduced: entries in (-m, m)
+            src = (np.subtract(acc[1: prec + 1], acc[:prec]) if shift
+                   else acc[1: prec + 1])
+            width = min(j, prec) + 1
+            xu[1:width] = neg[1:width]
+            acc[1: prec + 2] = np.convolve(xu[:width], src)[: prec + 1]
         w = wsub[n][: prec + 1]
-        acc = np.zeros(prec + 1, dtype=np.int64)
-        acc[: w.size] = w
-        acc[1: 1 + t.size] += t
-        acc %= mod
-        for _ in range(step):  # on to j_n
-            np.cumsum(pj, out=pj)
-            pj %= mod
+        acc[1: w.size + 1] += w
+        acc[1: prec + 2] %= mod
+        # on to j_n: neg is only read up to x**j from here on
+        head = neg[: j + 1]
+        for _ in range(step):
+            np.add.accumulate(head, out=head)
+        head %= mod
         j -= step
-    return tuple(acc.tolist())
+    return tuple(acc[1:].tolist())

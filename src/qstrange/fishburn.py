@@ -127,7 +127,7 @@ def modular_work(family, depth: int) -> int:
     are those of MAX_MODULAR_WORK's comment in _admit.  Below depth 175 a
     level counts its set-up instead, (3*10**5 + 6000 n) n for the numpy
     calls of its n steps and its n**2-word block, fitted to _sub_ladder_mod
-    on a 2-vCPU Xeon VM: the most levels admitted at any depth take 5-6 s.
+    on a 2-vCPU Xeon VM: the most levels admitted at any depth take 4-7 s.
     """
     n, levels = depth + 1, sum(c for c, *_ in _shape(family)[0])
     return n ** 3 + levels * max(n ** 4, 4 * (3 * 10 ** 5 + 6000 * n) * n) // 4

@@ -129,7 +129,10 @@ class TestModularEngine:
         exact = xi_coeffs(KZ, 6).coeffs
         assert _xi_mod(KZ, 6, mod) == tuple(c % mod for c in exact)
 
-    @pytest.mark.parametrize("label", ["gk:k=2", "hikami:m=3,alpha=1"])
+    # kz and gk:k=1 have no ladder, so only the accumulation runs at the
+    # edge; gk:k=1's carries signed first differences into its convolutions
+    @pytest.mark.parametrize("label", [
+        "kz", "gk:k=1", "gk:k=2", "hikami:m=3,alpha=1"])
     def test_float_guard_edge(self, label, monkeypatch):
         import qstrange.fishburn as fb
         fam, depth = parse_family(label), 40
@@ -243,6 +246,41 @@ class TestModularEngine:
         monkeypatch.setattr(engine.np, "convolve", spy)
         engine.xi_residues(fam, depth, mod, fb._table_plan(fam, depth)[0])
         assert len(calls) <= (2 * levels or 1) * (depth + 1)
+
+    # one pass per step: every block of a ladder step multiplies its source
+    # rows where they lie in the column array, with no copy, and the
+    # accumulation makes at most one convolution per index
+    @pytest.mark.parametrize("real,mod", [("float32", 7), ("float64", 10007)])
+    def test_one_pass_per_step(self, real, mod, monkeypatch):
+        import qstrange.fishburn as fb
+        depth = 70  # the first steps of gk:k=2's ladder span three blocks
+        matmul, convolve = engine.np.matmul, engine.np.convolve
+        sub_weights = engine._sub_weights_mod
+        bases, weights, calls = [], [], []
+
+        def matmul_spy(a, b, **kwargs):
+            bases.append(a.base)
+            return matmul(a, b, **kwargs)
+
+        def convolve_spy(*args, **kwargs):
+            calls.append(len(weights))  # 0 in the set-up, then 1
+            return convolve(*args, **kwargs)
+
+        def weights_spy(*args):
+            weights.append(sub_weights(*args))
+            return weights[0]
+
+        monkeypatch.setattr(engine.np, "matmul", matmul_spy)
+        monkeypatch.setattr(engine.np, "convolve", convolve_spy)
+        monkeypatch.setattr(engine, "_sub_weights_mod", weights_spy)
+        engine.xi_residues(GK2, depth, mod, fb._table_plan(GK2, depth)[0])
+        # gk:k=2 has one ladder, of width depth+1, with a column per row
+        cols = bases[0]
+        assert len(bases) > depth and all(base is cols for base in bases)
+        assert cols.shape == (depth + 1, depth + 1) and cols.dtype.name == real
+        # its outputs leave at the integer width of the same size
+        assert {w.dtype.itemsize for w in weights[0]} == {cols.dtype.itemsize}
+        assert 0 < calls.count(1) <= depth + 1
 
     @pytest.mark.parametrize("label", [
         "kz", "gk:k=1", "hikami:m=1,alpha=0", INLINE_F.label])

@@ -197,10 +197,23 @@ inline_families = st.builds(
     st.lists(st.lists(st.integers(-9, 9), max_size=5), max_size=6))
 
 
+# the bound below which each road's products are exact
+ROAD_BOUNDS = {"float32 ladder": 2 ** 24, "float64": 2 ** 53}
+
+
 @PROPERTY
-@given(inline_families, st.integers(0, 25),
-       st.sampled_from([2, 3, 5, 7, 11, 13, 4, 8, 9, 25, 27, 49, 4099, 10007]))
+@given(st.one_of(inline_families, st.sampled_from(
+           ["kz", "gk:k=1", "gk:k=2", "gk:k=3", "hikami:m=2,alpha=1",
+            "hikami:m=3,alpha=0", "hikami:m=3,alpha=2"]).map(parse_family)),
+       st.integers(0, 25),
+       st.one_of(st.sampled_from([2, 3, 5, 7, 11, 13, 4, 8, 9, 25, 27, 49,
+                                  4099, 10007]),
+                 st.sampled_from(sorted(ROAD_BOUNDS))))
 def test_modular_engine_matches_exact(fam, depth, m):
+    # a road's name stands for its edge at this depth: the largest modulus
+    # m with (m-1)**2 * (depth+1) below its bound
+    if m in ROAD_BOUNDS:
+        m = math.isqrt((ROAD_BOUNDS[m] - 1) // (depth + 1)) + 1
     assert _xi_mod(fam, depth, m) == tuple(c % m for c in xi_coeffs(fam, depth).coeffs)
 
 

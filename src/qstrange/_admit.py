@@ -32,9 +32,11 @@ MAX_TABLE_BYTES = 2 ** 28
 # fishburn: it also refuses a request whose modular_work is over this: the
 # deepest accepted depth is 3683 for kz and gk:k=1, 666 for gk:k=2 and
 # hikami:m=2, and 560 for gk:k=3 and hikami:m=3.  On a 2-vCPU Xeon VM kz
-# and gk:k=1 take 1.2-2.2 s there; the other four take 1.0-1.4 s while
-# their ladders run in float32 (for every modulus up to 159), and 1.8-2.2 s
-# in float64.
+# and gk:k=1 take 1.3-2.2 s there, and gk:k=2 and hikami:m=2, whose one
+# level is the two-column first level, 0.12-0.17 s.  gk:k=3 and hikami:m=3
+# take 0.7-0.8 s while their second ladders run in float32 (for every
+# modulus up to 159), and 1.1-1.3 s in float64.  The many-level inputs
+# admitted at small depths (modular_work's set-up floor) take 4.2-6.3 s.
 MAX_MODULAR_WORK = 5 * 10 ** 10
 
 # partialtheta: largest accepted l_value_work / gamma_work.  An L-value of

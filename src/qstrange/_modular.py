@@ -3,10 +3,15 @@
 It works modulo m from the start and entirely in the substituted domain:
 the shift q**e becomes multiplication by (1-x)**e, and the family ladders
 are replayed with a precision that shrinks as terms acquire valuation.
-Only a ladder reads powers of (1-x) from a table, so only a family with a
-ladder level builds one, of the powers it reads; gk's final shift of
-weight n by q**n is folded into the Horner accumulation as one first
-difference per index.
+The first ladder level of every laddered family is fed by ones, and there
+the Pascal rules close on two columns, so that level is a two-column
+recurrence of two convolutions per step, O(depth**3), whose powers of
+(1-x) are walked up by first differences.  Each later level is a column
+ladder, one Toeplitz block product per step, O(depth**4), and only those
+levels read powers of (1-x) from a table, so only a family with a second
+level builds one, of the powers it reads.  gk's final shift of weight n
+by q**n is folded into the Horner accumulation as one first difference
+per index.
 
 Residues lie in [0, m); every product of residues is taken in floating
 point (a truncated convolution, or one matrix product per block of ladder
@@ -21,13 +26,14 @@ not a convolution.  Only the residues a consumer reads are computed: each
 ladder row and each Horner step of the accumulation stops at the precision
 that is read from it.
 
-Each step makes one pass of each kind.  A ladder holds its residue
-columns in its float width, so every block's product reads its source
-rows in place, and casts and reduces each block once.  The accumulation
-keeps its unit row negated from the start and reduces it once per index,
-after its prefix sums; gk's first differences enter the convolution
-unreduced, with entries in (-m, m), within the bound above; and S_n is
-reduced once, after its weight is added.
+Each step makes one pass of each kind.  The first level's differences
+X - Y enter their convolution unreduced, with entries in (-m, m).  A
+ladder holds its residue columns in its float width, so every block's
+product reads its source rows in place, and casts and reduces each block
+once.  The accumulation keeps its unit row negated from the start and
+reduces it once per index, after its prefix sums; gk's first differences
+enter the convolution unreduced, with entries in (-m, m), within the
+bound above; and S_n is reduced once, after its weight is added.
 
 This is the only module of the package that imports numpy; fishburn
 imports it on first use, after its parameter and size checks have passed.
@@ -64,11 +70,52 @@ def _pw_table(depth: int, mod: int, top: int, base: int):
     pw = np.zeros((top + 1, depth + 1), dtype=np.int64)
     pw[0, 0] = 1
     for e in range(1, top + 1):
-        row = pw[e - 1].copy()
-        for _ in range(base):
-            row[1:] = (row[1:] - row[:-1]) % mod
-        pw[e] = row
+        pw[e] = pw[e - 1]
+        _times_p(pw[e], base, mod)
     return pw
+
+
+def _times_p(row, base, mod):
+    """row * (1-x)**base mod (x**len(row), mod), in place: base first
+    differences."""
+    for _ in range(base):
+        row[1:] = (row[1:] - row[:-1]) % mod
+    return row
+
+
+def _ones_level_mod(c0, base, steps, depth, mod):
+    """The first ladder level, fed by the constant 1, mod (x**prec, mod).
+
+    Column c of that ladder is G_(c0+c)(n) = sum_t Q**(t**2 + (c0+c) t)
+    [n choose t]_Q, and the two Pascal rules close on its first two
+    columns, X = G_c0 and Y = G_(c0+1):
+        X(n) = X(n-1) + Q**(n+c0) Y(n-1),
+        Y(n) = Y(n-1) + Q**n (X(n) - Y(n-1)),    X(0) = Y(0) = 1.
+    Here Q**e is P**e, P = (1-x)**base, so a step is two truncated
+    convolutions, not a product per column.  P**n and P**(n+c0) are walked
+    up by base first differences each per step; no table is read.
+
+    Outputs 0..steps are X(n), each to the precision width-n, width =
+    depth+2-c0, that _sub_ladder_mod gives its output n (empty from n =
+    width on); Y(n) is kept to width-n-1, the precision that X(n+1) reads.  X - Y enters its convolution unreduced,
+    with entries in (-m, m), so every product sum stays within (m-1)**2 *
+    (depth+1).
+    """
+    width = depth + 2 - c0
+    x = np.zeros(width, dtype=np.int64)
+    x[0] = 1
+    y, out = x[:-1], [x]
+    # P**n and P**(n+c0), first for n = 1
+    pn = _times_p(x.copy(), base, mod)
+    pc = _times_p(pn.copy(), base * c0, mod)
+    for n in range(1, min(steps, width - 1) + 1):
+        size = width - n
+        x = (x[:size] + _conv_trunc(pc, y, size, mod)) % mod
+        out.append(x)
+        diff = x[: size - 1] - y[: size - 1]
+        y = (y[: size - 1] + _conv_trunc(pn, diff, size - 1, mod)) % mod
+        pn, pc = (_times_p(p[: size - 1], base, mod) for p in (pn, pc))
+    return out + [_EMPTY] * (steps + 1 - len(out))
 
 
 def _sub_ladder_mod(weights, c0, steps, pw, depth, mod):
@@ -80,8 +127,8 @@ def _sub_ladder_mod(weights, c0, steps, pw, depth, mod):
     A_c += P**(n+c0+c) * A_(c+1) into B_c += P**(n+c0) * B_(c+1): one
     kernel for every column, so a step is a product of column rows with
     that kernel's Toeplitz matrix.  Column 0 is unscaled, so the outputs
-    are the ladder's.  A column whose weight is the constant 1 is its unit,
-    with no convolution.
+    are the ladder's.  The first level, fed by ones, is _ones_level_mod's;
+    this one replays the later levels.
 
     Column c at step n is only ever read mod x**(width-c-n), width =
     depth+2-c0; the bound telescopes across chained ladders, so output n
@@ -152,9 +199,10 @@ def _sub_weights_mod(family, depth, mod, top):
     each to the precision depth+1-n that xi_residues reads from w(n).
 
     Inline term n is substituted only that far; the other families start
-    from depth+1 ones and one more for each value a run drops.  The runs
-    of levels of the family's shape are replayed by _sub_ladder_mod.  Only
-    a family with a ladder level builds a table, of the powers of
+    from depth+1 ones and one more for each value a run drops.  The first
+    ladder level, always fed by those ones, is _ones_level_mod's; the
+    later levels of the family's shape are replayed by _sub_ladder_mod.
+    Only a family with a later level builds a table, of the powers of
     (1-x)**base up to (1-x)**top that its ladders read.  gk's final shift
     by q**n is left out: xi_residues folds it into its Horner units.
     """
@@ -167,8 +215,11 @@ def _sub_weights_mod(family, depth, mod, top):
                          dtype=np.int64) for n, p in enumerate(terms)]
         vals += [_EMPTY] * (depth + 1 - len(terms))
     if levels:
-        base = levels[0][2]  # one for every level of a family
-        pw = _pw_table(depth, mod, top // base, base)
+        count, c0, base, drop = levels[0]  # one base for every level
+        vals = _ones_level_mod(c0, base, len(vals) - 1, depth, mod)
+        levels = [(count - 1, c0, base, drop)] + levels[1:]
+        if any(count for count, *_ in levels):
+            pw = _pw_table(depth, mod, top // base, base)
     for count, c0, _, drop in levels:
         for _ in range(count):
             vals = _sub_ladder_mod(vals, c0, len(vals) - 1, pw, depth, mod)

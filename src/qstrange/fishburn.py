@@ -102,6 +102,9 @@ def _table_plan(family, depth: int):
     block of at most (n+1)**2 words, and its Toeplitz kernel and two step
     buffers of at most n**2 words each.  The words are 8 bytes, as in a
     float64 ladder; a float32 ladder's 4-byte words stay within them.
+    Only the levels after the first build the table and a ladder, so for
+    gk:k=2 and hikami:m=2, whose one level takes O(n) words, and for
+    gk:k=1, which has no level, the count is an upper bound.
     """
     n = depth + 1
     top = laddered = 0
@@ -121,10 +124,13 @@ def modular_work(family, depth: int) -> int:
     With n = depth + 1, it counts n**3 for the xi accumulation and n**4 / 4
     for each ladder level (k-1 of gk:k, m-1 of hikami:m).  That overcounts
     the engine, which computes only the residues it reads: the Horner
-    accumulation makes n truncated convolutions of up to n by n terms, and
-    a ladder's trimmed row blocks take about n**4 / 12 matrix-product
-    steps.  The count stays the admission measure, so the accepted depths
-    are those of MAX_MODULAR_WORK's comment in _admit.  Below depth 175 a
+    accumulation makes n truncated convolutions of up to n by n terms, the
+    first level two per step, about 2 n**3 / 3 steps in all, and each later
+    level's trimmed row blocks take about n**4 / 12 matrix-product steps.
+    So for gk:k=2 and hikami:m=2, whose one level is the first, the count
+    is an upper bound well above their cost.  The count stays the
+    admission measure, so the accepted depths are those of
+    MAX_MODULAR_WORK's comment in _admit.  Below depth 175 a
     level counts its set-up instead, (3*10**5 + 6000 n) n for the numpy
     calls of its n steps and its n**2-word block, fitted to _sub_ladder_mod
     on a 2-vCPU Xeon VM: the most levels admitted at any depth take 4-7 s.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -148,7 +149,9 @@ class TestModularEngine:
             assert _xi_mod(fam, depth, mod) == tuple(c % mod for c in exact)
             assert bool(calls) == exact_road
 
-    @pytest.mark.parametrize("label", ["gk:k=2", "hikami:m=3,alpha=1"])
+    # gk:k=2 and hikami:m=2 make no block product: their one level is
+    # _ones_level_mod's
+    @pytest.mark.parametrize("label", ["gk:k=3", "hikami:m=3,alpha=1"])
     def test_narrow_width_edge(self, label, monkeypatch):
         fam, depth = parse_family(label), 40
         # the largest modulus whose ladder blocks run in float32
@@ -226,26 +229,45 @@ class TestModularEngine:
                                                monkeypatch):
         check_boundary("xi_coeffs", label, deepest, monkeypatch)
 
-    # the set-up makes no product that nothing reads: one convolution per
-    # index for the accumulation and, per ladder level, one per column for
-    # its unit and, past the first level, one for its weight times that
-    # unit.  test_agrees_with_exact checks these families' values
+    # the set-up makes no product that nothing reads: the accumulation
+    # makes at most one convolution per index, the first ladder level two
+    # per output, and each later level one per column for its unit and
+    # one for its weight times that unit.  test_agrees_with_exact checks
+    # these families' values
     @pytest.mark.parametrize("label", [
         "gk:k=1", "gk:k=2", "gk:k=3", "hikami:m=3,alpha=1"])
     def test_set_up_convolution_budget(self, label, monkeypatch):
         import qstrange.fishburn as fb
         from qstrange.qfamilies import _shape
         fam, depth, mod = parse_family(label), 60, 7
-        levels = sum(count for count, *_ in _shape(fam)[0])
-        convolve, calls = engine.np.convolve, []
+        levels = _shape(fam)[0]
+        later = max(sum(count for count, *_ in levels) - 1, 0)
+        outputs = depth + 1 + sum(drop for *_, drop in levels)
+        convolve, part = engine.np.convolve, ["accumulation"]
+        calls = {"accumulation": 0, "first": 0, "later": 0}
 
         def spy(*args, **kwargs):
-            calls.append(1)
+            calls[part[-1]] += 1
             return convolve(*args, **kwargs)
 
+        def in_part(name, fn):
+            def run(*args):
+                part.append(name)
+                try:
+                    return fn(*args)
+                finally:
+                    part.pop()
+            return run
+
         monkeypatch.setattr(engine.np, "convolve", spy)
+        monkeypatch.setattr(engine, "_ones_level_mod",
+                            in_part("first", engine._ones_level_mod))
+        monkeypatch.setattr(engine, "_sub_ladder_mod",
+                            in_part("later", engine._sub_ladder_mod))
         engine.xi_residues(fam, depth, mod, fb._table_plan(fam, depth)[0])
-        assert len(calls) <= (2 * levels or 1) * (depth + 1)
+        assert calls["accumulation"] <= depth + 1
+        assert calls["first"] <= 2 * outputs * bool(levels)
+        assert calls["later"] <= 2 * (depth + 1) * later
 
     # one pass per step: every block of a ladder step multiplies its source
     # rows where they lie in the column array, with no copy, and the
@@ -253,7 +275,8 @@ class TestModularEngine:
     @pytest.mark.parametrize("real,mod", [("float32", 7), ("float64", 10007)])
     def test_one_pass_per_step(self, real, mod, monkeypatch):
         import qstrange.fishburn as fb
-        depth = 70  # the first steps of gk:k=2's ladder span three blocks
+        fam = parse_family("gk:k=3")
+        depth = 70  # the first steps of its second level span three blocks
         matmul, convolve = engine.np.matmul, engine.np.convolve
         sub_weights = engine._sub_weights_mod
         bases, weights, calls = [], [], []
@@ -273,8 +296,9 @@ class TestModularEngine:
         monkeypatch.setattr(engine.np, "matmul", matmul_spy)
         monkeypatch.setattr(engine.np, "convolve", convolve_spy)
         monkeypatch.setattr(engine, "_sub_weights_mod", weights_spy)
-        engine.xi_residues(GK2, depth, mod, fb._table_plan(GK2, depth)[0])
-        # gk:k=2 has one ladder, of width depth+1, with a column per row
+        engine.xi_residues(fam, depth, mod, fb._table_plan(fam, depth)[0])
+        # gk:k=3's second level is its one ladder, of width depth+1, with a
+        # column per row
         cols = bases[0]
         assert len(bases) > depth and all(base is cols for base in bases)
         assert cols.shape == (depth + 1, depth + 1) and cols.dtype.name == real
@@ -282,16 +306,20 @@ class TestModularEngine:
         assert {w.dtype.itemsize for w in weights[0]} == {cols.dtype.itemsize}
         assert 0 < calls.count(1) <= depth + 1
 
+    # a family of one ladder level runs only _ones_level_mod, which reads
+    # no table and makes no block product
     @pytest.mark.parametrize("label", [
-        "kz", "gk:k=1", "hikami:m=1,alpha=0", INLINE_F.label])
+        "kz", "gk:k=1", "hikami:m=1,alpha=0", INLINE_F.label, "gk:k=2",
+        "hikami:m=2,alpha=0", "hikami:m=2,alpha=1"])
     def test_no_table_without_a_ladder(self, label, monkeypatch):
         import qstrange.fishburn as fb
         fam, depth, mod = parse_family(label), 40, 13
 
-        def never(*args):
-            raise AssertionError("a table was built")
+        def never(*args, **kwargs):
+            raise AssertionError("a table was built or a block multiplied")
 
         monkeypatch.setattr(engine, "_pw_table", never)
+        monkeypatch.setattr(engine.np, "matmul", never)
         got = engine.xi_residues(fam, depth, mod, fb._table_plan(fam, depth)[0])
         assert got == tuple(c % mod for c in xi_coeffs(fam, depth).coeffs)
 
@@ -308,6 +336,45 @@ class TestModularEngine:
             _xi_mod(KZ, 5, 1)
         with pytest.raises(InvalidParam):
             _xi_mod(KZ, -1, 5)
+
+
+# SHA-256 of _xi_mod over the grid of pinned_grid, per family, as the
+# engine computed it before its first ladder level became a two-column
+# recurrence.  Past depth 67 no exact oracle reaches gk:k=2 or hikami:m=2,
+# so these digests pin the engine's outputs wherever it reads
+PINNED_DIGESTS = {
+    "kz": "877a58ac8e4c08f1bdf59f26e915f84dd20a83338455566cd25942244173c605",
+    "gk:k=1": "437f89f927e7de29da78fbdf9c263c2380e55a0ec84b197c5258425c96f373da",
+    "gk:k=2": "b6041bd6bd7fd7943eceb64e789ad413d1dbc8a46c6174319ff334f01201b0ec",
+    "gk:k=3": "3bcd233daf6c394aeb222428444caaf4247f9851ad3114daff25aefe88c67425",
+    "hikami:m=2,alpha=0":
+        "0a955c48d6ebb12ec41e523fc204c2612d9d174db9690879e84272d31557eaea",
+    "hikami:m=2,alpha=1":
+        "667e06e23177f2b4221ed0b598b0741bcecf4c4a4a15ba8b98ab9192b3eb9aa4",
+    "hikami:m=3,alpha=1":
+        "6ba246d3d679b7d13a229c8d7b6542001fad80be2e382a093e34b60d8984464f",
+    INLINE_F.label:
+        "b15252b58f423533fbe94953f085b1906b647f0835746ae4c668fd0de876a0d3",
+}
+
+
+def pinned_grid(label):
+    """(depth, modulus) pairs: depths 0, 1, 45 and 120, and 300 for the
+    single-level families; moduli 2, 7, 13, 25, 641, 642 and the largest
+    that the float64 road takes at that depth."""
+    deep = (300,) if label.startswith(("gk:k=2", "hikami:m=2")) else ()
+    for depth in (0, 1, 45, 120) + deep:
+        top = math.isqrt((2 ** 53 - 1) // (depth + 1)) + 1
+        for mod in (2, 7, 13, 25, 641, 642, top):
+            yield depth, mod
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_DIGESTS))
+def test_pinned_digest(label):
+    fam, digest = parse_family(label), hashlib.sha256()
+    for depth, mod in pinned_grid(label):
+        digest.update(f"{depth} {mod}: {_xi_mod(fam, depth, mod)}\n".encode())
+    assert digest.hexdigest() == PINNED_DIGESTS[label]
 
 
 class TestVerifyCongruence:

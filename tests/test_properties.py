@@ -5,11 +5,12 @@ stays reproducible; no example database is written.
 """
 
 import copy
+import functools
 import json
 import math
 import pickle
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from unittest import mock
 
 import mpmath
@@ -37,7 +38,7 @@ from qstrange.exactpoly import (
     theta_deriv,
 )
 import qstrange._modular as engine
-from qstrange._modular import _pw_table, _sub_ladder_mod
+from qstrange._modular import _ones_level_mod, _pw_table, _sub_ladder_mod
 from qstrange.fishburn import CongruenceReport, ScanReport, _xi_mod, xi_coeffs
 from qstrange.partialtheta import (
     Character,
@@ -244,6 +245,42 @@ def test_modular_ladder_matches_exact(depth_weights, c0, base, m, block):
     assert len(got) == steps + 1
     for n, (a, want) in enumerate(zip(got, exact)):
         assert a.tolist() == residues(want, max(0, width - n)).tolist()
+
+
+ONES_DEPTH = 80  # the deepest depth test_ones_level_matches_exact draws
+
+
+@functools.cache
+def ones_ladder_sub(c0, base):
+    """The exact ladder level fed by ones, output n substituted q -> 1-x
+    through the precision width-n that ONES_DEPTH reads from it."""
+    width = ONES_DEPTH + 2 - c0
+    outs = islice(_ladder(repeat(IntPoly.one()), c0, base), width)
+    return [subst_one_minus_q(a, width - 1 - n).coeffs
+            for n, a in enumerate(outs)]
+
+
+@PROPERTY
+@given(st.integers(0, ONES_DEPTH), st.integers(-2, 2),
+       st.sampled_from([0, 1]), st.sampled_from([1, 2]),
+       st.one_of(st.sampled_from([2, 3, 5, 7, 11, 13, 25, 49]),
+                 st.sampled_from([(2 ** 24, 0), (2 ** 24, 1), (2 ** 53, 0)])))
+def test_ones_level_matches_exact(depth, extra, c0, base, m):
+    # (bound, 0) is the largest modulus m with (m-1)**2 * (depth+1) below
+    # the bound at this depth, and (bound, 1) the least one at or over it.
+    # A family's first level runs width-1 steps; extra runs fewer or more
+    if isinstance(m, tuple):
+        bound, past = m
+        m = math.isqrt((bound - 1) // (depth + 1)) + 1 + past
+    width = depth + 2 - c0
+    steps = max(width - 1 + extra, 0)
+    got = _ones_level_mod(c0, base, steps, depth, m)
+    assert len(got) == steps + 1
+    exact = ones_ladder_sub(c0, base)
+    for n, a in enumerate(got):
+        size = max(0, width - n)
+        want = [c % m for c in exact[n][:size]] if size else []
+        assert a.tolist() == want + [0] * (size - len(want))
 
 
 @st.composite

@@ -17,11 +17,13 @@ class InvalidParam(ValueError):
 # qfamilies: partial_sum refuses a request whose partial_sum_work is over
 # this: the deepest accepted N is 321 for kz, 271 for gk:k=1, 67 for gk:k=2,
 # 50 for gk:k=3, 80 for hikami:m=2 and 59 for hikami:m=3.  On a 2-vCPU Xeon
-# VM each of those sums takes 0.3-0.9 s.  xi_coeffs counts its 1-q
-# substitution as well, so its deepest depth is 270 for kz, 231 for gk:k=1
-# and 49 for gk:k=3 (the others as above); there it takes about 2 s for kz
-# and gk:k=1, whose substitution grows the coefficients past the words
-# counted, and under 0.5 s for the rest.
+# VM each of those sums takes 0.12-0.2 s, except kz and gk:k=1, whose
+# packed sums need four and eight words a coefficient: 0.5-0.6 s and
+# 0.7-0.75 s.  xi_coeffs counts its 1-q substitution as well, so its
+# deepest depth is 270 for kz, 231 for gk:k=1 and 49 for gk:k=3 (the others
+# as above); there it takes 1.1-1.5 s for kz and gk:k=1, whose substitution
+# grows the coefficients past the words counted, and under 0.3 s for the
+# rest.
 MAX_PARTIAL_SUM_WORK = 10 ** 8
 
 # fishburn: the modular engine refuses, before it allocates anything, a
@@ -52,9 +54,10 @@ MAX_TWIST_PERIOD = 10 ** 5
 
 # strangematch: largest accepted stable_derivative index for match_expansion,
 # which builds the partial sum at that index once and reads it at every
-# order.  At q = 1, on a 2-vCPU Xeon VM, kz and gk:k=1 at index 100 take
-# about 0.45 s; gk:k=2 at 67, gk:k=3 at 50 and hikami:m=2 at 80, where
-# MAX_PARTIAL_SUM_WORK stops them, take 0.75-0.9 s, most of it the sum.
+# order.  At q = 1, on a 2-vCPU Xeon VM, kz at index 100 takes 0.2-0.35 s,
+# most of it outside the sum, and gk:k=1 0.02 s; gk:k=2 at 67, gk:k=3 at
+# 50 and hikami:m=2 at 80, where MAX_PARTIAL_SUM_WORK stops them, take
+# 0.13-0.16 s, most of it the sum.
 MAX_MATCH_INDEX = 100
 
 # strangematch: largest accepted c_array_work: c_array(1000, 1, 5) is

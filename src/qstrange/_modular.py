@@ -97,9 +97,9 @@ def _ones_level_mod(c0, base, steps, depth, mod):
 
     Outputs 0..steps are X(n), each to the precision width-n, width =
     depth+2-c0, that _sub_ladder_mod gives its output n (empty from n =
-    width on); Y(n) is kept to width-n-1, the precision that X(n+1) reads.  X - Y enters its convolution unreduced,
-    with entries in (-m, m), so every product sum stays within (m-1)**2 *
-    (depth+1).
+    width on); Y(n) is kept to width-n-1, the precision that X(n+1) reads.
+    X - Y enters its convolution unreduced, with entries in (-m, m), so
+    every product sum stays within (m-1)**2 * (depth+1).
     """
     width = depth + 2 - c0
     x = np.zeros(width, dtype=np.int64)

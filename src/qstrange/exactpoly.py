@@ -14,12 +14,22 @@ always go through the coercing constructor, so an int never slips in.
 Everything here is exact: no floats enter at any point.
 
 General products use the schoolbook rule.  The q-Pochhammer kernels
-(q;q)_n and (q;q^2)_n are products of binomials 1 - q^e, and partial sums
-and certificates apply them one binomial at a time: mul_binomial
-multiplies a coefficient list by one binomial with a shift and a
-subtraction, and its inverse div_binomial divides by one with a running
-sum per residue class mod e, which exact_div(p, *pochhammer_factors(n,
-step)) applies to the binomials in turn.
+(q;q)_n and (q;q^2)_n are products of binomials 1 - q^e, applied one
+binomial at a time: mul_binomial multiplies a coefficient list by one
+binomial with a shift and a subtraction, as pochhammer builds a kernel,
+and its inverse div_binomial divides by one with a running sum per
+residue class mod e, which exact_div(p, *pochhammer_factors(n, step))
+applies to the binomials in turn, as the certificates divide.
+
+The exact stream of qfamilies (its ladder of weights and its Horner sums)
+adds shifted polynomials and multiplies by binomials, but forms no product
+of two polynomials.  It works on polynomials packed into one int each,
+sum c_i 2**(width*i) with width a whole number of 64-bit words: a shift by
+q**k is a shift by k*width bits and a sum is one int addition, each a
+single pass in C.  _encode, _decode, _respace, _truncate and _repack are
+that codec.  A slot is exact while |c_i| < 2**(width-1); the callers bound
+that by l1 norms kept as plain ints (the Horner sum also by measuring
+itself) and re-encode at a doubled width before it fails.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import struct
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -117,6 +128,104 @@ def div_binomial(coeffs: Sequence, e: int) -> list:
     # each class's last index lies in the top e, where the sums are 0
     del quo[max(len(coeffs) - e, 0):]
     return quo
+
+
+WORD = 64  # bits in one slot word; packed widths are multiples of it
+_TOP = 1 << (WORD - 1)
+_MASK = (1 << WORD) - 1
+
+
+def _halves(width: int, n: int, spacing: int = 0) -> int:
+    """2**(width-1) in each of n slots of spacing bits, by default width."""
+    pad = bytes(max(spacing - width, 0) // 8)
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80" + pad) * n, "little")
+
+
+def _encode(coeffs: Sequence, width: int) -> int:
+    """sum c_i 2**(width*i), for ints with -2**(width-1) <= c_i < 2**(width-1).
+
+    Each c_i is written in two's complement, one slot each; flipping the
+    top bit of every slot makes the slot c_i + 2**(width-1), a sum with no
+    carries, from which the offsets are then subtracted.  Coefficients of
+    one word are packed in one call, then moved to wider slots; wider ones
+    are packed one word position at a time.
+    """
+    n = len(coeffs)
+    try:
+        raw = struct.pack(f"<{n}q", *coeffs)
+    except struct.error:  # a coefficient takes more than one word
+        k = width // WORD
+        raw = bytearray(8 * n * k)
+        slots = memoryview(raw).cast("Q")  # 8-byte units, in any byte order
+        for j in range(k):  # word j of every c_i, the top one signed
+            words = map(operator.rshift, coeffs, itertools.repeat(WORD * j))
+            if j < k - 1:
+                words = map(operator.and_, words, itertools.repeat(_MASK))
+            fmt = f"<{n}q" if j == k - 1 else f"<{n}Q"
+            slots[j::k] = memoryview(struct.pack(fmt, *words)).cast("Q")
+        half = _halves(width, n)
+        return (int.from_bytes(raw, "little") ^ half) - half
+    half = _halves(WORD, n)
+    x = (int.from_bytes(raw, "little") ^ half) - half
+    return x if width == WORD else _respace(x, WORD, width)
+
+
+def _decode(x: int, width: int) -> tuple:
+    """The coefficients of a packed int, lowest first, possibly with
+    trailing zeros; inverts _encode while every |c_i| < 2**(width-1).
+
+    The offsets make every slot c_i + 2**(width-1) >= 0; its words are
+    read in one call and joined, the top one less its offset.
+    """
+    n = abs(x).bit_length() // width + 1  # the top slot is at most n-1
+    half = _halves(width, n)
+    if width == WORD:
+        raw = ((x + half) ^ half).to_bytes(8 * n, "little")
+        return struct.unpack(f"<{n}q", raw)
+    k = width // WORD
+    raw = (x + half).to_bytes(8 * n * k, "little")
+    words = struct.unpack(f"<{n * k}Q", raw)
+    out = map(operator.sub, words[k - 1::k], itertools.repeat(_TOP))
+    for j in range(k - 2, -1, -1):
+        out = map(operator.lshift, out, itertools.repeat(WORD))
+        out = map(operator.add, out, words[j::k])
+    return tuple(out)
+
+
+def _respace(x: int, width: int, new: int) -> int:
+    """The packed int x, its slots moved from width to width new >= width.
+
+    With the offsets added every slot is a nonnegative number of width
+    bits, so its words are copied into the low words of the wider slots
+    and the offsets, now one per wider slot, taken off again.
+    """
+    n = abs(x).bit_length() // width + 1
+    k, wide = width // WORD, new // WORD
+    raw = memoryview((x + _halves(width, n)).to_bytes(8 * n * k, "little"))
+    buf = bytearray(8 * n * wide)
+    out, words = memoryview(buf).cast("Q"), raw.cast("Q")
+    for j in range(k):  # whole 8-byte units, so byte order does not matter
+        out[j::wide] = words[j::k]
+    return int.from_bytes(buf, "little") - _halves(width, n, new)
+
+
+def _truncate(x: int, width: int, n: int) -> int:
+    """The packed int of x's slots 0..n-1, the rest dropped.  Adding the
+    offsets makes every slot nonnegative, so a mask cuts it exactly."""
+    half = _halves(width, n)
+    return ((x + half) & ((1 << width * n) - 1)) - half
+
+
+def _fitting(width: int, bound: int) -> int:
+    """width, doubled until a slot holds every |c| <= bound."""
+    while bound >> (width - 1):
+        width *= 2
+    return width
+
+
+def _repack(xs: list, width: int, new: int) -> list:
+    """The packed ints xs, all of one width, re-encoded at width new."""
+    return [_respace(x, width, new) for x in xs]
 
 
 def _stripped(cs: tuple) -> tuple:

@@ -24,6 +24,12 @@ generator runs each run of levels: weight m enters each level in turn as
 a new column and moves its older columns one step along the anti-diagonal,
 so the first N values cost O(N^2) shift-and-adds per level however the
 requests grow, and no products.  Tests check it against tuple enumeration.
+
+The ladder and the Horner sums hold each polynomial as one packed int
+(exactpoly's codec): a shift-and-add is then one pass in C over the int,
+not a Python loop over its coefficients.  Their slot widths grow with l1
+bounds kept beside them, and only the values handed out are decoded to
+IntPoly.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ from itertools import chain, islice, repeat
 
 from qstrange._admit import MAX_PARTIAL_SUM_WORK, InvalidParam, admit
 from qstrange._record import Record
-from qstrange.exactpoly import (IntPoly, _add_into, mul_binomial,
+from qstrange.exactpoly import (WORD, IntPoly, _decode, _encode, _fitting,
+                                 _repack, _respace, _truncate,
                                  pochhammer_exponents)
 
 __all__ = [
@@ -66,21 +73,43 @@ def _ladder(weights: Iterable[IntPoly], c0: int, base: int,
     one's A(n) the next one's w(n).  In a level, column i holds the ladder
     of the weights shifted by i.  When w(m) arrives, column m starts at w(m)
     and every column i < m takes one step, in descending i, by adding column
-    i+1 (already advanced) shifted by Q^(m + c0); then column 0 is A(m), a
-    list passed on.  With cap set, all work is truncated above that degree.
+    i+1 (already advanced) shifted by Q^(m + c0); then column 0 is A(m),
+    passed on.  With cap set, all work is truncated above that degree.
+
+    Every column is one packed int (exactpoly._encode), so a step is one
+    shift and one addition.  Its l1 norm follows the same recurrence on
+    |w(m)|, and a level's column 0 bounds all its columns; before a step
+    would let the last level's column 0 reach the slot, every column is
+    re-encoded at a doubled width.  Only the outputs are decoded.
     """
-    stacks = [[] for _ in range(count)]
+    width = WORD
+    levels = [([], []) for _ in range(count)]  # (packed columns, l1 bounds)
     for m, w in enumerate(weights):
-        val = w.coeffs
+        coeffs = w.coeffs if cap is None else w.coeffs[: cap + 1]
+        norm = sum(map(abs, coeffs))
+        for _, norms in levels:
+            norms.append(norm)
+            for i in range(m - 1, -1, -1):
+                norms[i] += norms[i + 1]
+            norm = norms[0]
+        if norm >> (width - 1):
+            new = _fitting(width, norm)
+            for cols, _ in levels:
+                cols[:] = _repack(cols, width, new)
+            width = new
         off = base * (m + c0)
-        stop = None if cap is None else cap + 1 - off
-        for cols in stacks:
-            cols.append(list(val[: cap + 1] if cap is not None else val))
-            if stop is None or stop > 0:
+        val, shift = _encode(coeffs, width), off * width
+        for cols, _ in levels:
+            cols.append(val)
+            if cap is None:
                 for i in range(m - 1, -1, -1):
-                    _add_into(cols[i], cols[i + 1][:stop], off)
+                    cols[i] += cols[i + 1] << shift
+            elif off <= cap:
+                for i in range(m - 1, -1, -1):
+                    cols[i] = _truncate(cols[i] + (cols[i + 1] << shift),
+                                        width, cap + 1)
             val = cols[0]
-        yield IntPoly._new(val)
+        yield IntPoly._new(_decode(val, width))
 
 
 # -- coefficient-polynomial rules --------------------------------------------
@@ -140,8 +169,8 @@ class FamilySpec(Record, compare=("label",)):
             raise ValueError("upper must be nonnegative")
         with _LOCK:
             if self.label not in _STREAMS:
-                _STREAMS[self.label] = (_weights(self, None), [])
-            stream, have = _STREAMS[self.label]
+                _STREAMS[self.label] = (_weights(self, None), [], [])
+            stream, have, _ = _STREAMS[self.label]
             try:
                 while len(have) <= upper:
                     have.append(next(stream))
@@ -161,10 +190,12 @@ class PartialSum(Record):
         return f"PartialSum({self.family.label!r}, N={self.upper})"
 
 
-# per label: the rule's stream and the prefix drawn from it so far.  The
-# lock is needed because a generator cannot be advanced from two threads.
+# per label: the rule's stream, the prefix drawn from it so far and the
+# packed weights (_packed) of as much of that prefix as partial sums have
+# read.  The lock is needed because a generator cannot be advanced from
+# two threads.
 _LOCK = threading.Lock()
-_STREAMS: dict[str, tuple[Iterator[IntPoly], list[IntPoly]]] = {}
+_STREAMS: dict[str, tuple[Iterator[IntPoly], list[IntPoly], list[tuple]]] = {}
 
 
 def parse_family(descriptor: str) -> FamilySpec:
@@ -259,21 +290,58 @@ def term_poly(family: FamilySpec, n: int) -> IntPoly:
     return family.coefficient_polys(n)[n]
 
 
-def _horner(family: FamilySpec, weights: Sequence[IntPoly],
+def _packed(w: IntPoly) -> tuple[int, int, int]:
+    """(l1 norm, width, packed int) of a weight, at the least doubled width
+    whose slots hold it; _horner reads weights in this form."""
+    norm = sum(map(abs, w.coeffs))
+    width = _fitting(WORD, norm)
+    return norm, width, _encode(w.coeffs, width)
+
+
+def _horner(family: FamilySpec, weights: Sequence[tuple],
             cap: int | None = None) -> IntPoly:
-    """sum_n w_n*K_n over the given weights, K_n the family's kernel.
+    """sum_n w_n*K_n over the given _packed weights, K_n the family's kernel.
 
     Horner's rule over the kernel's binomial factors f_j = 1 - q^e_j,
-    w_0 + f_1*(w_1 + f_2*(w_2 + ...)), makes every step one mul_binomial
-    pass and forms no dense product; with cap set, each step is truncated.
+    w_0 + f_1*(w_1 + f_2*(w_2 + ...)), on packed ints (exactpoly._encode):
+    a step adds w_n and subtracts the sum shifted by e_j slots, and forms
+    no dense product; with cap set, each step is truncated.
+
+    bound bounds every coefficient: it gains |w_n|, the l1 norm, and at
+    most doubles per factor.  When it reaches the slot, the sum itself is
+    measured, and only a sum that fills most of the slot is re-encoded at
+    a doubled width; so the width follows the sum, not its final bound.
+    That width always holds w_n, which is moved to it when packed narrower.
+    Weights much shorter than the sum (kz's 1, gk:k=1's q^n) are summed
+    apart, in `short`, until that grows: each step then makes one pass
+    over the long sum, not two.  Both parts are sums of some of the terms
+    that bound bounds, so each stays within it.
     """
     exps = pochhammer_exponents(len(weights) - 1, _step(family))
-    acc = []
-    for n in range(len(weights) - 1, 0, -1):
-        acc = mul_binomial(_add_into(acc, weights[n].coeffs), exps[n - 1])
-        if cap is not None:
-            del acc[cap + 1:]
-    return IntPoly._new(_add_into(acc, weights[0].coeffs))
+    width, acc, short, bound = WORD, 0, 0, 0
+    for n in range(len(weights) - 1, -1, -1):
+        norm, wide, w = weights[n]
+        bound = (bound + norm) << (n > 0)
+        if bound >> (width - 1):
+            # measure the sum, and double the width only when it fills
+            # more than three quarters of the slot
+            acc, short = acc + short, 0
+            bound = (max(map(abs, _decode(acc, width))) + norm) << (n > 0)
+            if bound >> (width - width // 4 - 1):
+                new = _fitting(2 * width, bound)
+                (acc,) = _repack([acc], width, new)
+                width = new
+        short += w if wide == width else _respace(w, wide, width)
+        if short.bit_length() > acc.bit_length() >> 4:
+            acc, short = acc + short, 0
+        if n:
+            shift = exps[n - 1] * width
+            acc -= acc << shift
+            short -= short << shift
+            if cap is not None:
+                acc = _truncate(acc, width, cap + 1)
+                short = _truncate(short, width, cap + 1)
+    return IntPoly._new(_decode(acc + short, width))
 
 
 def partial_sum_work(family: FamilySpec, upper: int, cap: int = -1) -> int:
@@ -318,7 +386,8 @@ def partial_sum(family: FamilySpec, upper: int) -> PartialSum:
     """Sum of term_poly(n)*kernel(n) for n = 0..upper, exactly.
 
     Memoized per (family, upper); one Horner pass of O(upper) binomial
-    factors, each O(degree).  Refused with InvalidParam when
+    factors, each a shift and a subtraction of one packed int, in
+    O(degree x slot words).  Refused with InvalidParam when
     partial_sum_work is over MAX_PARTIAL_SUM_WORK.
     """
     if upper < 0:
@@ -330,7 +399,16 @@ def partial_sum(family: FamilySpec, upper: int) -> PartialSum:
 
 @functools.lru_cache(maxsize=None)
 def _partial_sum_value(family: FamilySpec, upper: int) -> IntPoly:
-    return _horner(family, family.coefficient_polys(upper))
+    weights = family.coefficient_polys(upper)
+    with _LOCK:
+        # each weight is packed once per stream; if the stream was dropped
+        # since the draw (its generator raised), these are packed apart
+        entry = _STREAMS.get(family.label)
+        packed = entry[2] if entry else []
+        while len(packed) <= upper:
+            packed.append(_packed(weights[len(packed)]))
+        packed = packed[: upper + 1]
+    return _horner(family, packed)
 
 
 def partial_sum_prefix(family: FamilySpec, upper: int, cap: int) -> IntPoly:
@@ -341,5 +419,5 @@ def partial_sum_prefix(family: FamilySpec, upper: int, cap: int) -> IntPoly:
     """
     if upper < 0 or cap < 0:
         raise ValueError("upper and cap must be nonnegative")
-    weights = list(islice(_weights(family, cap), upper + 1))
-    return _horner(family, weights, cap)
+    weights = islice(_weights(family, cap), upper + 1)
+    return _horner(family, list(map(_packed, weights)), cap)

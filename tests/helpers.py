@@ -19,8 +19,9 @@ from qstrange import _admit
 from qstrange.cli import build_parser, cmd_identity_check
 from qstrange.cyclofield import ConductorMismatch, CycloNum, eval_at_root
 from qstrange.dissection import dissect, residue_set
-from qstrange.exactpoly import (IntPoly, NotDivisible, RatPoly, cyclotomic,
-                                pochhammer, theta_deriv)
+from qstrange.exactpoly import (IntPoly, NotDivisible, RatPoly, _add_into,
+                                cyclotomic, mul_binomial, pochhammer,
+                                pochhammer_exponents, theta_deriv)
 from qstrange.fishburn import _xi_mod, xi_coeffs
 from qstrange.partialtheta import (Character, bernoulli_poly, get_character,
                                    l_value, twisted_sequence)
@@ -167,6 +168,38 @@ def gk_g_def(k: int, n: int) -> dict:
 
     rec(k - 1, n, n, {0: 1})
     return total
+
+
+def ladder_def(weights, c0: int, base: int, cap=None, count: int = 1):
+    """qfamilies._ladder on coefficient lists: the same column recurrence,
+    one list per column and one list addition per step, with no widths
+    and no bounds."""
+    stacks = [[] for _ in range(count)]
+    for m, w in enumerate(weights):
+        val = w.coeffs
+        off = base * (m + c0)
+        stop = None if cap is None else cap + 1 - off
+        for cols in stacks:
+            cols.append(list(val[: cap + 1] if cap is not None else val))
+            if stop is None or stop > 0:
+                for i in range(m - 1, -1, -1):
+                    _add_into(cols[i], cols[i + 1][:stop], off)
+            val = cols[0]
+        yield IntPoly(val)
+
+
+def horner_def(family: FamilySpec, weights, cap=None) -> IntPoly:
+    """qfamilies._horner on coefficient lists: Horner's rule over the
+    kernel's binomial factors, one mul_binomial per factor, each step
+    truncated at cap when it is set."""
+    step = 1 if family.kernel == "F" else 2
+    exps = pochhammer_exponents(len(weights) - 1, step)
+    acc = []
+    for n in range(len(weights) - 1, 0, -1):
+        acc = mul_binomial(_add_into(acc, weights[n].coeffs), exps[n - 1])
+        if cap is not None:
+            del acc[cap + 1:]
+    return IntPoly(_add_into(acc, weights[0].coeffs))
 
 
 def divmod_def(a: RatPoly, d: RatPoly) -> tuple[RatPoly, RatPoly]:

@@ -19,17 +19,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (cyclo_ref, divmod_def, embed_def, exact_div_def,
-                     expansion_def, gamma_def, l_value_def, reassemble_def,
-                     residue_set_def, twisted_table_def)
+                     expansion_def, gamma_def, horner_def, l_value_def,
+                     ladder_def, reassemble_def, residue_set_def,
+                     twisted_table_def)
 from qstrange.cyclofield import CycloNum, eval_at_root
 from qstrange.dissection import (DivisibilityFalsified, DivisibilityReport,
                                  DivisibilityRow, OddModulusRequired, dissect,
                                  residue_set, verify_theorem)
 from qstrange.exactpoly import (
+    WORD,
     IntPoly,
     NotDivisible,
     RatPoly,
+    _decode,
+    _encode,
     _one_minus_q_coeff,
+    _repack,
+    _truncate,
     cyclotomic,
     div_binomial,
     exact_div,
@@ -51,7 +57,8 @@ from qstrange.partialtheta import (
     twisted_sequence,
     validate_character,
 )
-from qstrange.qfamilies import _ladder, parse_family
+from qstrange.qfamilies import (_horner, _ladder, _packed, parse_family,
+                                 partial_sum_prefix)
 from qstrange.strangematch import (MatchReport, OddOrderRequired,
                                    expansion_coeff, match_expansion)
 
@@ -281,6 +288,67 @@ def test_ones_level_matches_exact(depth, extra, c0, base, m):
         size = max(0, width - n)
         want = [c % m for c in exact[n][:size]] if size else []
         assert a.tolist() == want + [0] * (size - len(want))
+
+
+# coefficients small, or within a few units of +-2**63 and +-2**127, the
+# edges of packed slots of one and two words
+edge_ints = st.one_of(
+    st.integers(-30, 30),
+    st.builds(lambda sign, edge, d: sign * (edge + d), st.sampled_from((1, -1)),
+              st.sampled_from((2 ** 63, 2 ** 127)), st.integers(-3, 3)))
+edge_polys = st.lists(edge_ints, max_size=8).map(IntPoly)
+caps = st.one_of(st.none(), st.integers(0, 12))
+
+
+@PROPERTY
+@given(st.lists(st.one_of(polys, edge_polys), min_size=1, max_size=8),
+       st.integers(0, 2), st.integers(1, 2), st.integers(1, 3), caps)
+def test_packed_ladder_matches_the_oracle(weights, c0, base, count, cap):
+    got = _ladder(iter(weights), c0, base, cap, count)
+    assert list(got) == list(ladder_def(weights, c0, base, cap, count))
+
+
+@PROPERTY
+@given(st.sampled_from("FG"), st.lists(edge_polys, min_size=1, max_size=8),
+       caps)
+def test_packed_horner_matches_the_oracle(kernel, weights, cap):
+    fam = parse_family(json.dumps({"kernel": kernel, "terms": []}))
+    got = _horner(fam, list(map(_packed, weights)), cap)
+    assert got == horner_def(fam, weights, cap)
+
+
+@PROPERTY
+@given(st.sampled_from("FG"), st.lists(edge_polys, max_size=6),
+       st.integers(0, 8), st.integers(0, 12))
+def test_prefix_matches_the_oracle(kernel, terms, upper, cap):
+    fam = parse_family(json.dumps(
+        {"kernel": kernel, "terms": [p.to_json_obj() for p in terms]}))
+    weights = (terms + [IntPoly()] * (upper + 1))[: upper + 1]
+    want = horner_def(fam, [w.truncate(cap) for w in weights], cap)
+    assert partial_sum_prefix(fam, upper, cap) == want
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+           st.one_of(st.integers(-5, 5),
+                     st.sampled_from((1, -1)).map(
+                         lambda sign: sign * (2 ** (WORD * k - 1) - 1)),
+                     st.integers(-2 ** (WORD * k - 1) + 1,
+                                 2 ** (WORD * k - 1) - 1)),
+           max_size=10))),
+       st.integers(0, 2), st.integers(0, 11))
+def test_codec_round_trips(words_coeffs, more, cut):
+    # slots of 1, 2 and 3 words hold +-(2**(width-1) - 1); re-encoding at
+    # 1, 2 or 4 times the width and truncating keep the coefficients
+    words, coeffs = words_coeffs
+    width = WORD * words
+    x = _encode(coeffs, width)
+    assert x == sum(c << (width * i) for i, c in enumerate(coeffs))
+    assert IntPoly(_decode(x, width)) == IntPoly(coeffs)
+    (wide,) = _repack([x], width, width << more)
+    assert IntPoly(_decode(wide, width << more)) == IntPoly(coeffs)
+    assert IntPoly(_decode(_truncate(x, width, cut), width)) == \
+        IntPoly(coeffs[:cut])
 
 
 @st.composite

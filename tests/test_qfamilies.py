@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -6,7 +8,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import helpers
-from qstrange.exactpoly import IntPoly, pochhammer
+import qstrange.exactpoly as exactpoly
+import qstrange.qfamilies as qfamilies
+from qstrange.exactpoly import WORD, IntPoly, pochhammer
 from qstrange.qfamilies import (
     FamilySpec,
     InvalidParam,
@@ -292,3 +296,125 @@ class TestPrefix:
         # G-type terms beyond the cap cannot touch the prefix
         f = parse_family("gk:k=2")
         assert partial_sum_prefix(f, 40, 20) == partial_sum_prefix(f, 20, 20)
+
+
+# an inline family whose terms sit at the edges of one and two slot words
+INLINE_WIDE = parse_family(json.dumps({"kernel": "F", "terms": [
+    {"coeffs": [str(2 ** 62 - 1), "-3"]},
+    {"coeffs": ["0", str(-2 ** 62), "1", str(2 ** 63 - 1)]},
+    {"coeffs": [str(2 ** 126 - 5), "0", str(-2 ** 127 + 1)]},
+    {"coeffs": ["-1"]}]}))
+
+# N on both sides of each width change of the packed stream.  The Horner
+# sum first doubles its slots at N = 94 for kz, 63 for gk:k=1, 32 for
+# gk:k=2, 25 for gk:k=3, 54 and 53 for hikami:m=2 (alpha 0 and 1) and 35
+# for hikami:m=3,alpha=1, and again at 174, 138, 64 and 50 for the first
+# four (gk:k=1 a third time at 269, left out to keep the test short).  Its
+# bound first reaches the slot, where the sum is measured, at 62-63 for kz
+# and gk:k=1, 31-32 for gk:k=2 and hikami:m=2 and 23-24 for hikami:m=3,
+# and again at 126-127 for kz.  The ladder columns double at n = 40 for
+# gk:k=3 and hikami:m=3,alpha=1 and at 62-63 for gk:k=2 and hikami:m=2,
+# which the term polynomials cover.  The inline family needs two and four
+# words.
+PINNED_SUMS = {
+    "kz": (0, 1, 2, 62, 63, 93, 94, 126, 127, 173, 174),
+    "gk:k=1": (0, 1, 62, 63, 137, 138),
+    "gk:k=2": (0, 1, 31, 32, 62, 63, 64),
+    "gk:k=3": (24, 25, 39, 40, 41, 49, 50),
+    "hikami:m=2,alpha=0": (31, 32, 53, 54, 63, 64),
+    "hikami:m=2,alpha=1": (30, 31, 52, 53, 62, 63),
+    "hikami:m=3,alpha=1": (23, 24, 34, 35, 39, 40, 41),
+    INLINE_WIDE.label: (0, 1, 2, 3, 4, 40),
+}
+
+# SHA-256 of stream_digest per family, as the exact stream computed it on
+# coefficient lists, before it was packed into ints
+PINNED_STREAM_DIGESTS = {
+    "kz": "467e13fd3b0da79324bbd21f2c691e90eafa696b592208e4f015cecbd8fdcd93",
+    "gk:k=1":
+        "24d5bbf03c36867ee88f11a56714aaeb6ca01e4cf47d5cff5a8cafccc691dc03",
+    "gk:k=2":
+        "336d9d44746de72375922bef59de5ac119f3b6f76fb6e667f7e7e8845336873c",
+    "gk:k=3":
+        "443c92b3c2f09584ce84745243b4bf798aabe9c5673484fa8a0a3fa1a4d852d5",
+    "hikami:m=2,alpha=0":
+        "3bbbd75c08b86920299117aa7f9991f6eb0994ff687439e5db118c666e7e8d88",
+    "hikami:m=2,alpha=1":
+        "4379b495cd7f00f2ad69a158f1e36d45e63cb4b63633eabbcc509b45bdf9c383",
+    "hikami:m=3,alpha=1":
+        "9e5c49bd9a6290f5d67ba79154211b418fbeed531036dcb28e7074d2f4efcdac",
+    INLINE_WIDE.label:
+        "b61026c750299efaa11ba0d0361865db675829531b3be58c2f7bd50883483870",
+}
+
+
+def stream_digest(label):
+    """SHA-256 over term_poly n = 0..max N, then for each N of PINNED_SUMS
+    the partial sum and its prefixes at caps N and 4N+3."""
+    fam, digest = parse_family(label), hashlib.sha256()
+    for n in range(max(PINNED_SUMS[label]) + 1):
+        digest.update(f"term {n}: {term_poly(fam, n).coeffs}\n".encode())
+    for N in PINNED_SUMS[label]:
+        digest.update(f"sum {N}: {partial_sum(fam, N).value.coeffs}\n".encode())
+        for cap in (N, 4 * N + 3):
+            prefix = partial_sum_prefix(fam, N, cap)
+            digest.update(f"prefix {N} {cap}: {prefix.coeffs}\n".encode())
+    return digest.hexdigest()
+
+
+class TestPackedStream:
+    @pytest.mark.parametrize("label", sorted(PINNED_STREAM_DIGESTS))
+    def test_pinned_digest(self, label):
+        assert stream_digest(label) == PINNED_STREAM_DIGESTS[label]
+
+    def test_measured_sum_keeps_its_slots(self):
+        # one weight, 2**14 at n = 125, under the G kernel: the sum nearly
+        # doubles at each factor and fills 127 bits of its two-word slots,
+        # so a measured bound one bit low lets it overflow them
+        fam = parse_family(json.dumps({"kernel": "G", "terms": []}))
+        weights = [IntPoly()] * 125 + [IntPoly([2 ** 14])]
+        got = qfamilies._horner(fam, list(map(qfamilies._packed, weights)))
+        assert got == helpers.horner_def(fam, weights)
+
+    def test_one_representation(self, monkeypatch):
+        # from a cold stream, gk:k=3 at 50 goes through no list arithmetic;
+        # it decodes each ladder output and the sum once, encodes each
+        # weight once per pass, and re-encodes O(log words) times
+        def refuse(name):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"{name} was called")
+            return fail
+
+        for name in ("mul_binomial", "_add_into"):
+            monkeypatch.setattr(exactpoly, name, refuse(name))
+        calls = {"_encode": 0, "_decode": 0}
+        widths = []
+
+        def counted(name):
+            real = getattr(qfamilies, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        def repack(xs, width, new):
+            widths.append((width, new))
+            return exactpoly._repack(xs, width, new)
+
+        for name in calls:
+            monkeypatch.setattr(qfamilies, name, counted(name))
+        monkeypatch.setattr(qfamilies, "_repack", repack)
+        monkeypatch.setattr(qfamilies, "_STREAMS", {})
+        qfamilies._partial_sum_value.cache_clear()
+        N = 50
+        partial_sum(parse_family("gk:k=3"), N)
+        # decoded: N+1 ladder outputs, the sum, and the sum once more where
+        # its bound reaches the slot, before each of its two doublings;
+        # encoded: N+1 ones into the ladder and N+1 weights into the sum
+        assert calls == {"_encode": 2 * (N + 1), "_decode": N + 4}
+        # both ladder levels and the sum outgrow one word, and each doubles
+        # its width, so each re-encodes at most log2(words) times
+        assert widths and all(new == 2 * width for width, new in widths)
+        words = max(new for _, new in widths) // WORD
+        assert len(widths) <= 3 * math.log2(words)

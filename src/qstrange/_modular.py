@@ -7,11 +7,11 @@ The first ladder level of every laddered family is fed by ones, and there
 the Pascal rules close on two columns, so that level is a two-column
 recurrence of two convolutions per step, O(depth**3), whose powers of
 (1-x) are walked up by first differences.  Each later level is a column
-ladder, one Toeplitz block product per step, O(depth**4), and only those
-levels read powers of (1-x) from a table, so only a family with a second
-level builds one, of the powers it reads.  gk's final shift of weight n
-by q**n is folded into the Horner accumulation as one first difference
-per index.
+ladder, one Toeplitz block product per step, O(depth**4); a run of equal
+levels builds its units and buffers once.  Only those levels read powers
+of (1-x) from a table, so only a family with a second level builds one,
+of the powers it reads.  gk's final shift of weight n by q**n is folded
+into the Horner accumulation as one first difference per index.
 
 Residues lie in [0, m); every product of residues is taken in floating
 point (a truncated convolution, or one matrix product per block of ladder
@@ -118,8 +118,9 @@ def _ones_level_mod(c0, base, steps, depth, mod):
     return out + [_EMPTY] * (steps + 1 - len(out))
 
 
-def _sub_ladder_mod(weights, c0, steps, pw, depth, mod):
-    """The qfamilies column ladder, replayed mod (x**prec, mod).
+def _sub_ladder_mod(weights, c0, steps, pw, depth, mod, count=1):
+    """count levels of the qfamilies column ladder, replayed mod (x**prec,
+    mod), each level's outputs the next one's weights.
 
     A shift by q**(base*off) in the exact ladder is multiplication by
     P**off = pw[off] here, P = (1-x)**base.  Column c is stored times the
@@ -143,6 +144,11 @@ def _sub_ladder_mod(weights, c0, steps, pw, depth, mod):
     the target rows are added in float, which is exact below the bound,
     and the block is cast once to integers and reduced once, straight back
     into its rows.  The outputs leave at the integer width.
+
+    The count levels share c0, base, steps and width, so the units, the
+    Toeplitz view and the buffers, O(depth**2) words, are built once for
+    all of them; each level builds its own column block, and each step its
+    kernel.
     """
     width = depth + 2 - c0
     # one width per ladder: float32 blocks are exact below 2**24
@@ -150,14 +156,12 @@ def _sub_ladder_mod(weights, c0, steps, pw, depth, mod):
         real, whole = np.float32, np.int32
     else:
         real, whole = np.float64, np.int64
-    cols = np.zeros((min(steps, width - 1) + 1, width), dtype=real)
-    unit = np.ones(1, dtype=np.int64)
-    for c in range(len(cols)):
-        if c > 1:
-            unit = _conv_trunc(unit, pw[c - 1], width - c, mod)
-        col = _conv_trunc(unit, weights[c][: width - c], width - c, mod)
-        cols[c, : col.size] = col
-    out = [cols[0].astype(whole)]
+    columns = min(steps, width - 1) + 1
+    # column c's unit P**(c(c-1)/2), None for the 1 of columns 0 and 1
+    units, unit = [None] * min(columns, 2), np.ones(1, dtype=np.int64)
+    for c in range(2, columns):
+        unit = _conv_trunc(unit, pw[c - 1], width - c, mod)
+        units.append(unit)
     # buffers shared by every step, so that no block allocates its own; a
     # step's precision is at most width-1, and so are their sides.
     # toeplitz[i, j] = padded[side-1 + j - i], zero below the diagonal
@@ -167,31 +171,42 @@ def _sub_ladder_mod(weights, c0, steps, pw, depth, mod):
     kernel = np.empty((side, side), dtype=real)
     prod = np.empty(min(_BLOCK_ROWS, side) * side, dtype=real)
     total = np.empty(prod.size, dtype=whole)
-    for n in range(1, steps + 1):
-        size = max(0, width - n)
-        rows = min(steps - n + 1, size)
-        if rows:
-            # row @ kernel is row * P**(n+c0) mod x**size
-            padded[side - 1: side - 1 + size] = pw[n + c0][:size]
-            kernel[:size, :size] = toeplitz[:size, :size]
-        for r0 in range(0, rows, _BLOCK_ROWS):
-            r1 = min(r0 + _BLOCK_ROWS, rows)
-            h, prec = r1 - r0, size - r0
-            add = np.matmul(cols[r0 + 1: r1 + 1, :prec], kernel[:prec, :prec],
-                            out=prod[: h * prec].reshape(h, prec))
-            # the kernel's diagonal is P**(n+c0) mod x = 1, so add + cols
-            # is at most (m-1)**2 * (depth+1), or depth+2 for m = 2: exact
-            # in either width
-            add += cols[r0:r1, :prec]
-            # the float buffer is spent; its memory takes the quotients.
-            # floor_divide by a scalar is several times faster than remainder
-            b, quo = total[: h * prec].reshape(h, prec), add.view(whole)
-            np.copyto(b, add, casting="unsafe")
-            np.floor_divide(b, mod, out=quo)
-            quo *= mod
-            np.subtract(b, quo, out=cols[r0:r1, :prec])
-        out.append(cols[0, :size].astype(whole))
-    return out
+    for _ in range(count):
+        cols = np.zeros((columns, width), dtype=real)
+        for c, unit in enumerate(units):
+            # the weights are residues, so an unscaled column is a copy
+            col = weights[c][: width - c]
+            if unit is not None:
+                col = _conv_trunc(unit, col, width - c, mod)
+            cols[c, : col.size] = col
+        weights = [cols[0].astype(whole)]
+        for n in range(1, steps + 1):
+            size = max(0, width - n)
+            rows = min(steps - n + 1, size)
+            if rows:
+                # row @ kernel is row * P**(n+c0) mod x**size
+                padded[side - 1: side - 1 + size] = pw[n + c0][:size]
+                kernel[:size, :size] = toeplitz[:size, :size]
+            for r0 in range(0, rows, _BLOCK_ROWS):
+                r1 = min(r0 + _BLOCK_ROWS, rows)
+                h, prec = r1 - r0, size - r0
+                add = np.matmul(cols[r0 + 1: r1 + 1, :prec],
+                                kernel[:prec, :prec],
+                                out=prod[: h * prec].reshape(h, prec))
+                # the kernel's diagonal is P**(n+c0) mod x = 1, so add +
+                # cols is at most (m-1)**2 * (depth+1), or depth+2 for
+                # m = 2: exact in either width
+                add += cols[r0:r1, :prec]
+                # the float buffer is spent; its memory takes the
+                # quotients.  floor_divide by a scalar is several times
+                # faster than remainder
+                b, quo = total[: h * prec].reshape(h, prec), add.view(whole)
+                np.copyto(b, add, casting="unsafe")
+                np.floor_divide(b, mod, out=quo)
+                quo *= mod
+                np.subtract(b, quo, out=cols[r0:r1, :prec])
+            weights.append(cols[0, :size].astype(whole))
+    return weights
 
 
 def _sub_weights_mod(family, depth, mod, top):
@@ -201,7 +216,8 @@ def _sub_weights_mod(family, depth, mod, top):
     Inline term n is substituted only that far; the other families start
     from depth+1 ones and one more for each value a run drops.  The first
     ladder level, always fed by those ones, is _ones_level_mod's; the
-    later levels of the family's shape are replayed by _sub_ladder_mod.
+    later levels of the family's shape are replayed by _sub_ladder_mod,
+    one call per run of equal levels.
     Only a family with a later level builds a table, of the powers of
     (1-x)**base up to (1-x)**top that its ladders read.  gk's final shift
     by q**n is left out: xi_residues folds it into its Horner units.
@@ -221,8 +237,9 @@ def _sub_weights_mod(family, depth, mod, top):
         if any(count for count, *_ in levels):
             pw = _pw_table(depth, mod, top // base, base)
     for count, c0, _, drop in levels:
-        for _ in range(count):
-            vals = _sub_ladder_mod(vals, c0, len(vals) - 1, pw, depth, mod)
+        if count:
+            vals = _sub_ladder_mod(vals, c0, len(vals) - 1, pw, depth, mod,
+                                   count)
         vals = vals[drop:]
     return vals
 

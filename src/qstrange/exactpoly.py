@@ -258,12 +258,6 @@ class _BasePoly(Record):
     def one(cls):
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, exponent: int, coefficient=1):
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls((0,) * exponent + (coefficient,))
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -340,13 +334,6 @@ class _BasePoly(Record):
     def derivative(self):
         """Formal d/dq."""
         return self._new([e * c for e, c in enumerate(self.coeffs) if e])
-
-    def evaluate(self, x):
-        """Horner evaluation at any value supporting + and *."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def truncate(self, cap: int):
         """Drop all terms of degree above cap."""
@@ -428,9 +415,6 @@ class IntPoly(_BasePoly):
         if isinstance(c, str):
             return int(c, 10)
         raise ValueError(f"bad integer coefficient {c!r}")
-
-    def to_rat(self) -> "RatPoly":
-        return RatPoly(self.coeffs)
 
 
 class RatPoly(_BasePoly):

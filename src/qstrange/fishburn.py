@@ -17,7 +17,11 @@ substitution, in O(degree) big-integer steps.  ``_xi_mod`` decides the
 road: it refuses oversized requests by table bytes and by work before
 anything is computed, and it imports the modular engine, and with it
 numpy, only when that engine runs.  Its results are memoized per (family,
-depth, modulus).
+depth, modulus), and a modulus that divides SHARED = lcm(1..16) reads,
+reduced, the one run per (family, depth) modulo SHARED, unless the family
+runs a column ladder.  So congruence checks modulo 5, 7, 11, 13, 16, ...
+of one family and depth share one run of the engine within a process;
+separate processes, such as separate CLI calls, share nothing.
 """
 
 import functools
@@ -39,6 +43,10 @@ __all__ = [
     "MAX_TABLE_BYTES",
     "MAX_MODULAR_WORK",
 ]
+
+# lcm(1..16) = 2**4 * 3**2 * 5 * 7 * 11 * 13: _xi_mod answers every modulus
+# that divides it from one engine run modulo it, per (family, depth)
+SHARED = 720_720
 
 # Miller-Rabin with the prime bases 2..41 decides primality exactly below
 # this bound; a larger p is refused rather than guessed at.
@@ -135,13 +143,26 @@ def modular_work(family, depth: int) -> int:
     calls of its n steps and its n**2-word block, fitted to _sub_ladder_mod
     on a 2-vCPU Xeon VM: the most levels admitted at any depth take 4-7 s.
     """
-    n, levels = depth + 1, sum(c for c, *_ in _shape(family)[0])
+    n, levels = depth + 1, _levels(family)
     return n ** 3 + levels * max(n ** 4, 4 * (3 * 10 ** 5 + 6000 * n) * n) // 4
+
+
+def _levels(family) -> int:
+    """The number of ladder levels of the family's weights."""
+    return sum(count for count, *_ in _shape(family)[0])
 
 
 @functools.lru_cache(maxsize=None)
 def _xi_mod(family, depth: int, mod: int) -> tuple:
     """xi(0..depth) reduced mod ``mod``, memoized per (family, depth, mod).
+
+    A modulus below SHARED that divides it reads the run modulo SHARED, so
+    one run per (family, depth) serves them all, each reduced once into its
+    own entry.  A family with a level after the first keeps its own
+    modulus: its column ladder would leave float32 for float64 at SHARED.
+    That run is taken only where SHARED's float64 products are exact,
+    which holds up to depth 17339, past every depth MAX_MODULAR_WORK
+    admits.  The memo lives in one process: separate CLI calls share no run.
 
     The fast road needs (mod-1)**2 * (depth+1) < 2**53, so that its float64
     products are exact; above that the exact coefficients are reduced.  On
@@ -160,6 +181,9 @@ def _xi_mod(family, depth: int, mod: int) -> tuple:
           f"at depth {depth} (about {size >> 20} MiB)")
     admit("MAX_MODULAR_WORK", modular_work(family, depth),
           f"modular work of {family.label} at depth {depth}")
+    if mod != SHARED and SHARED % mod == 0 and _levels(family) < 2 \
+            and (SHARED - 1) ** 2 * (depth + 1) < 2 ** 53:
+        return tuple(v % mod for v in _xi_mod(family, depth, SHARED))
     if (mod - 1) ** 2 * (depth + 1) >= 2 ** 53:
         # float64 products could round; take the slow exact road
         return tuple(c % mod for c in xi_coeffs(family, depth).coeffs)

@@ -30,6 +30,28 @@ from qstrange.qfamilies import (FamilySpec, InvalidParam, parse_family,
 from qstrange.strangematch import c_array, match_expansion, stable_derivative
 
 
+# -- polynomial helpers the library does not need --------------------------
+
+def monomial(cls, exponent: int, coefficient=1):
+    """coefficient * q**exponent, as an IntPoly or RatPoly (cls)."""
+    if exponent < 0:
+        raise ValueError("exponent must be nonnegative")
+    return cls((0,) * exponent + (coefficient,))
+
+
+def evaluate(p, x):
+    """p(x) by Horner's rule, at any value supporting + and *."""
+    acc = 0 * x
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def to_rat(p: IntPoly) -> RatPoly:
+    """p with Fraction coefficients."""
+    return RatPoly(p.coeffs)
+
+
 # -- dict-based polynomial arithmetic ---------------------------------------
 
 def dmul(a: dict, b: dict) -> dict:
@@ -226,7 +248,7 @@ def divmod_def(a: RatPoly, d: RatPoly) -> tuple[RatPoly, RatPoly]:
 def exact_div_def(p: IntPoly, d: IntPoly):
     """p / d in Z[q] by long division over Q, or NotDivisible when the
     remainder is nonzero or the quotient is not integral."""
-    quo, rem = divmod_def(p.to_rat(), d.to_rat())
+    quo, rem = divmod_def(to_rat(p), to_rat(d))
     if rem or any(c.denominator != 1 for c in quo.coeffs):
         return NotDivisible
     return IntPoly([int(c) for c in quo.coeffs])
@@ -269,7 +291,7 @@ def is_prime_def(n: int) -> bool:
 def cyclo_ref(k: int, coeffs) -> RatPoly:
     """Residue of sum coeffs[e] * zeta_k**e mod Phi_k by rational division."""
     rep = coeffs if isinstance(coeffs, RatPoly) else RatPoly(coeffs)
-    phi = cyclotomic(k).to_rat()
+    phi = to_rat(cyclotomic(k))
     if rep.degree < phi.degree:
         return rep
     return divmod_def(rep, phi)[1]
@@ -306,7 +328,7 @@ def l_value_def(seq, n: int) -> RatPoly:
     for m in range(1, P + 1):
         c = seq.entry(m)
         if c:
-            total = total + c.rep.scale(bp.evaluate(Fraction(m, P)))
+            total = total + c.rep.scale(evaluate(bp, Fraction(m, P)))
     return total.scale(Fraction(-(P ** n), n + 1))
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from helpers import embed_def, lift_def
+from helpers import embed_def, lift_def, monomial
 from qstrange.cyclofield import ConductorMismatch, CycloNum, eval_at_root
 from qstrange.exactpoly import IntPoly, RatPoly, cyclotomic
 
@@ -19,7 +19,7 @@ def embed_close(a, b):
 class TestConstruction:
     def test_reduction(self):
         # zeta_3^2 reduces against 1 + q + q^2
-        z2 = CycloNum(3, RatPoly.monomial(2))
+        z2 = CycloNum(3, monomial(RatPoly, 2))
         assert z2.rep.coeffs == (Fraction(-1), Fraction(-1))
 
     def test_zeta_power_wraps(self):
@@ -140,7 +140,7 @@ class TestArithmetic:
 class TestEvalAtRoot:
     def test_folding(self):
         # q^5 at zeta_4: 5 = 1 mod 4
-        p = IntPoly.monomial(5)
+        p = monomial(IntPoly, 5)
         assert eval_at_root(p, 4) == CycloNum.zeta(4)
 
     def test_power_argument(self):

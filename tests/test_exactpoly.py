@@ -66,8 +66,8 @@ class TestBasics:
         assert cls.from_json_obj(p.to_json_obj()) == p
 
     def test_monomial(self):
-        assert IntPoly.monomial(3).coeffs == (0, 0, 0, 1)
-        assert IntPoly.monomial(0, -2).coeffs == (-2,)
+        assert helpers.monomial(IntPoly, 3).coeffs == (0, 0, 0, 1)
+        assert helpers.monomial(IntPoly, 0, -2).coeffs == (-2,)
 
     def test_str(self):
         assert str(IntPoly((3, -2, -1, 1))) == "3 - 2*q - q^2 + q^3"
@@ -112,8 +112,8 @@ class TestRingOps:
 
     def test_evaluate(self):
         p = IntPoly((1, 0, -1))
-        assert p.evaluate(3) == -8
-        assert p.evaluate(Fraction(1, 2)) == Fraction(3, 4)
+        assert helpers.evaluate(p, 3) == -8
+        assert helpers.evaluate(p, Fraction(1, 2)) == Fraction(3, 4)
 
     def test_truncate(self):
         p = IntPoly((1, 2, 3, 4))
@@ -168,7 +168,8 @@ class TestExactDiv:
                 continue
             # force unit leading coefficient half the time to hit the fast path
             if rng.random() < 0.5:
-                b = b + IntPoly.monomial(b.degree + 1, rng.choice((1, -1)))
+                b = b + helpers.monomial(IntPoly, b.degree + 1,
+                                         rng.choice((1, -1)))
             assert exact_div(a * b, b) == a
 
     def test_chain_of_divisors(self):
@@ -312,7 +313,7 @@ class TestPochhammer:
 
     def test_recurrence(self):
         for n in range(1, 20):
-            factor = IntPoly.one() - IntPoly.monomial(n)
+            factor = IntPoly.one() - helpers.monomial(IntPoly, n)
             assert pochhammer(n) == pochhammer(n - 1) * factor
 
     def test_degree(self):
@@ -383,7 +384,7 @@ class TestQBinomial:
             assert b == qbinomial(n, n - k)
             # q=1 recovers the ordinary binomial coefficient
             import math
-            assert b.evaluate(1) == math.comb(n, k)
+            assert helpers.evaluate(b, 1) == math.comb(n, k)
 
 
 class TestCyclotomic:

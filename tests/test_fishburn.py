@@ -231,9 +231,10 @@ class TestModularEngine:
 
     # the set-up makes no product that nothing reads: the accumulation
     # makes at most one convolution per index, the first ladder level two
-    # per output, and each later level one per column for its unit and
-    # one for its weight times that unit.  test_agrees_with_exact checks
-    # these families' values
+    # per output, and each later level at most one per column for its
+    # unit and one for its weight times that unit (a run of levels builds
+    # its units once).  test_agrees_with_exact checks these families'
+    # values
     @pytest.mark.parametrize("label", [
         "gk:k=1", "gk:k=2", "gk:k=3", "hikami:m=3,alpha=1"])
     def test_set_up_convolution_budget(self, label, monkeypatch):
@@ -306,6 +307,40 @@ class TestModularEngine:
         assert {w.dtype.itemsize for w in weights[0]} == {cols.dtype.itemsize}
         assert 0 < calls.count(1) <= depth + 1
 
+    # the levels after the first of gk:k=5 are one run, which builds its
+    # units, Toeplitz view and buffers once; hikami:m=4,alpha=2 has two
+    # runs of later levels, one with c0 = 0 and one with c0 = 1
+    @pytest.mark.parametrize("label,runs", [
+        ("gk:k=5", 1), ("hikami:m=4,alpha=2", 2)])
+    def test_one_set_up_per_run_of_levels(self, label, runs, monkeypatch):
+        fam, depth, mod = parse_family(label), 20, 13
+        view, conv_trunc, pw_table = (engine.sliding_window_view,
+                                      engine._conv_trunc, engine._pw_table)
+        sides, units, tables = [], [], []
+
+        def view_spy(padded, side):
+            sides.append(side)
+            return view(padded, side)
+
+        def conv_spy(a, b, prec, m):
+            # a step of a unit chain multiplies by a row of the table
+            if tables and b.base is tables[0]:
+                units.append(prec)
+            return conv_trunc(a, b, prec, m)
+
+        def table_spy(*args):
+            tables.append(pw_table(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(engine, "sliding_window_view", view_spy)
+        monkeypatch.setattr(engine, "_conv_trunc", conv_spy)
+        monkeypatch.setattr(engine, "_pw_table", table_spy)
+        got = _xi_mod(fam, depth, mod)
+        assert got == tuple(c % mod for c in xi_coeffs(fam, depth).coeffs)
+        assert len(sides) == runs
+        # one unit chain P**(c(c-1)/2), c = 2..width-1, per run
+        assert len(units) == sum(side - 1 for side in sides)
+
     # a family of one ladder level runs only _ones_level_mod, which reads
     # no table and makes no block product
     @pytest.mark.parametrize("label", [
@@ -330,6 +365,45 @@ class TestModularEngine:
         assert _xi_mod.cache_info().hits == 1
         with pytest.raises(TypeError):
             vals[0] = 4
+
+    # moduli that divide SHARED read one run per (family, depth), modulo
+    # SHARED; test_shared_run_matches_own_run checks the values
+    def test_one_run_for_every_divisor(self, monkeypatch):
+        import qstrange.fishburn as fb
+        xi_residues, mods = engine.xi_residues, []
+
+        def spy(fam, depth, mod, top):
+            mods.append(mod)
+            return xi_residues(fam, depth, mod, top)
+
+        monkeypatch.setattr(engine, "xi_residues", spy)
+        assert scan_congruences(KZ, 5, 1, 104).passing_beta == (1, 2)
+        assert 1 in scan_congruences(KZ, 7, 1, 104).passing_beta
+        verify_congruence(KZ, 13, 1, 1, 104)
+        assert mods == [fb.SHARED]
+
+    # a column ladder keeps its own modulus, so its block products stay in
+    # float32 rather than moving to float64 at SHARED
+    def test_column_ladder_runs_at_its_own_modulus(self, monkeypatch):
+        fam, depth = parse_family("gk:k=3"), 40
+        xi_residues, matmul = engine.xi_residues, engine.np.matmul
+        mods, widths = [], set()
+
+        def spy(fam, depth, mod, top):
+            mods.append(mod)
+            return xi_residues(fam, depth, mod, top)
+
+        def matmul_spy(a, b, **kwargs):
+            widths.add((a.dtype.name, b.dtype.name, kwargs["out"].dtype.name))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(engine, "xi_residues", spy)
+        monkeypatch.setattr(engine.np, "matmul", matmul_spy)
+        exact = xi_coeffs(fam, depth).coeffs
+        for mod in (5, 13):
+            assert _xi_mod(fam, depth, mod) == tuple(c % mod for c in exact)
+        assert mods == [5, 13]
+        assert widths == {("float32",) * 3}
 
     def test_bad_params(self):
         with pytest.raises(InvalidParam):
@@ -535,8 +609,10 @@ class TestMemo:
         (scan_congruences, (GK1, 13, 1, 260)),
         (verify_congruence, (KZ, 5, 1, 3, 104)),
         (scan_congruences, (KZ, 5, 1, 104)),
+        (scan_congruences, (KZ, 7, 1, 104)),
         (verify_congruence, (GK2, 7, 1, 1, 140)),
         (scan_congruences, (GK2, 7, 1, 140)),
+        (verify_congruence, (GK2, 11, 1, 1, 140)),
     ]
 
     def test_reports_independent_of_memo_and_order(self):
@@ -552,7 +628,9 @@ class TestMemo:
             for i in order + order:  # the second pass is fully warm
                 fn, args = self.CALLS[i]
                 assert fn(*args) == cold[i]
-            assert _xi_mod.cache_info().currsize == 3
+            # one shared run modulo SHARED per (family, depth), and one
+            # reduced entry per modulus: 13; 5 and 7; 7 and 11
+            assert _xi_mod.cache_info().currsize == 3 + 5
 
     def test_mutating_a_report_cannot_reach_the_memo(self):
         rep = verify_congruence(KZ, 5, 1, 3, 104)

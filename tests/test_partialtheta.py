@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import evaluate, to_rat
 from qstrange.cyclofield import CycloNum
 from qstrange.exactpoly import RatPoly
 from qstrange.partialtheta import (
@@ -216,13 +217,13 @@ class TestBernoulli:
         for n in range(1, 11):
             bp = bernoulli_poly(n)
             for x in xs:
-                assert bp.evaluate(x + 1) - bp.evaluate(x) == n * x ** (n - 1)
+                assert evaluate(bp, x + 1) - evaluate(bp, x) == n * x ** (n - 1)
 
     def test_endpoint_symmetry(self):
         for n in range(2, 11):
             bp = bernoulli_poly(n)
-            assert bp.evaluate(Fraction(0)) == bp.evaluate(Fraction(1))
-            assert bp.evaluate(Fraction(0)) == bernoulli_number(n)
+            assert evaluate(bp, Fraction(0)) == evaluate(bp, Fraction(1))
+            assert evaluate(bp, Fraction(0)) == bernoulli_number(n)
 
 
 def alternating_seq():
@@ -298,4 +299,4 @@ class TestThetaTruncated:
         cap = 25
         theta = theta_truncated(get_character(f"chi_gk:k={k}"), cap)
         fam = partial_sum_prefix(parse_family(f"gk:k={k}"), cap, cap)
-        assert theta == fam.to_rat()
+        assert theta == to_rat(fam)

@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (cyclo_ref, divmod_def, embed_def, exact_div_def,
                      expansion_def, gamma_def, horner_def, l_value_def,
-                     ladder_def, reassemble_def, residue_set_def,
-                     twisted_table_def)
+                     ladder_def, monomial, reassemble_def, residue_set_def,
+                     to_rat, twisted_table_def)
 from qstrange.cyclofield import CycloNum, eval_at_root
 from qstrange.dissection import (DivisibilityFalsified, DivisibilityReport,
                                  DivisibilityRow, OddModulusRequired, dissect,
@@ -45,7 +45,8 @@ from qstrange.exactpoly import (
 )
 import qstrange._modular as engine
 from qstrange._modular import _ones_level_mod, _pw_table, _sub_ladder_mod
-from qstrange.fishburn import CongruenceReport, ScanReport, _xi_mod, xi_coeffs
+from qstrange.fishburn import (SHARED, CongruenceReport, ScanReport,
+                               _table_plan, _xi_mod, xi_coeffs)
 from qstrange.partialtheta import (
     Character,
     CharacterInvalid,
@@ -57,8 +58,9 @@ from qstrange.partialtheta import (
     twisted_sequence,
     validate_character,
 )
-from qstrange.qfamilies import (_horner, _ladder, _packed, parse_family,
-                                 partial_sum_prefix)
+from qstrange.qfamilies import (MAX_PARTIAL_SUM_WORK, InvalidParam, _horner,
+                                 _ladder, _packed, parse_family,
+                                 partial_sum_prefix, partial_sum_work)
 from qstrange.strangematch import (MatchReport, OddOrderRequired,
                                    expansion_coeff, match_expansion)
 
@@ -96,7 +98,7 @@ def _results(a, b, c, e):
     """a and b through every ring, structure and calculus operation."""
     return [a + b, a - b, -a, a * b, a * c, c * a, a.scale(c), a ** 2,
             a.shift(e), a.dilate(e + 1), a.truncate(e), a.truncate(-1),
-            a.derivative(), theta_deriv(a, 2), type(a).monomial(e, c)]
+            a.derivative(), theta_deriv(a, 2), monomial(type(a), e, c)]
 
 
 @PROPERTY
@@ -225,16 +227,66 @@ def test_modular_engine_matches_exact(fam, depth, m):
     assert _xi_mod(fam, depth, m) == tuple(c % m for c in xi_coeffs(fam, depth).coeffs)
 
 
+SHARED_DEPTH = 60  # the deepest depth test_shared_run_matches_own_run draws
+SHARED_FAMILIES = ["kz", "gk:k=1", "gk:k=2", "hikami:m=2,alpha=0",
+                   "hikami:m=2,alpha=1", '{"kernel":"G","terms":[{"coeffs":'
+                   '[2]},{"coeffs":[1,-1]},{"coeffs":[0,3,-2]}]}',
+                   "gk:k=3", "hikami:m=3,alpha=1"]
+
+
+@functools.cache
+def exact_xi(label):
+    """xi_coeffs of the family at the deepest depth up to SHARED_DEPTH that
+    MAX_PARTIAL_SUM_WORK admits; shallower xi are its prefixes."""
+    fam = parse_family(label)
+    depth = max(d for d in range(SHARED_DEPTH + 1)
+                if partial_sum_work(fam, d, d) <= MAX_PARTIAL_SUM_WORK)
+    return xi_coeffs(fam, depth).coeffs
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.sampled_from(SHARED_FAMILIES), st.integers(0, SHARED_DEPTH),
+       st.one_of(st.sampled_from([d for d in range(2, SHARED + 1)
+                                  if SHARED % d == 0] + [25, 49, 17]),
+                 st.sampled_from([(2 ** 24, 0), (2 ** 24, 1),
+                                  (2 ** 53, 0), (2 ** 53, 1)])))
+def test_shared_run_matches_own_run(label, depth, m):
+    # a divisor of SHARED reads the run modulo SHARED unless the family has
+    # a column ladder; either way the residues are those of the engine run
+    # at m itself, and of the exact coefficients.  (bound, 0) is the
+    # largest m with (m-1)**2 * (depth+1) below the bound, (bound, 1) the
+    # least at or over it
+    if isinstance(m, tuple):
+        bound, past = m
+        m = math.isqrt((bound - 1) // (depth + 1)) + 1 + past
+    fam = parse_family(label)
+    fast = (m - 1) ** 2 * (depth + 1) < 2 ** 53
+    exact = exact_xi(label)
+    if not fast and depth >= len(exact):
+        # the exact road is refused here, and so is the request
+        with pytest.raises(InvalidParam, match="MAX_PARTIAL_SUM_WORK"):
+            _xi_mod(fam, depth, m)
+        return
+    got = _xi_mod(fam, depth, m)
+    if fast:
+        assert got == engine.xi_residues(fam, depth, m,
+                                         _table_plan(fam, depth)[0])
+    if depth < len(exact):
+        assert got == tuple(c % m for c in exact[: depth + 1])
+
+
 @PROPERTY
 @given(st.integers(0, 20).flatmap(lambda depth: st.tuples(
            st.just(depth),
            st.lists(polys, min_size=1, max_size=depth + 2))),
        st.sampled_from([0, 1]), st.sampled_from([1, 2]),
        st.sampled_from([2, 3, 5, 7, 4, 8, 9, 25, 27, 4099, 10007]),
-       st.sampled_from([1, 2, 3, engine._BLOCK_ROWS]))
-def test_modular_ladder_matches_exact(depth_weights, c0, base, m, block):
+       st.sampled_from([1, 2, 3, engine._BLOCK_ROWS]), st.integers(1, 3))
+def test_modular_ladder_matches_exact(depth_weights, c0, base, m, block,
+                                      count):
     # blocks of 1-3 rows make every step span several of them; moduli of
-    # 4099 and more are over the float32 bound at every depth
+    # 4099 and more are over the float32 bound at every depth.  count
+    # levels share one set-up
     depth, weights = depth_weights
     steps = len(weights) - 1
     width = depth + 2 - c0
@@ -247,8 +299,8 @@ def test_modular_ladder_matches_exact(depth_weights, c0, base, m, block):
     pw = _pw_table(depth, m, steps + c0, base)
     with mock.patch.object(engine, "_BLOCK_ROWS", block):
         got = _sub_ladder_mod([residues(w, width) for w in weights], c0,
-                              steps, pw, depth, m)
-    exact = islice(_ladder(iter(weights), c0, base), steps + 1)
+                              steps, pw, depth, m, count)
+    exact = islice(_ladder(iter(weights), c0, base, None, count), steps + 1)
     assert len(got) == steps + 1
     for n, (a, want) in enumerate(zip(got, exact)):
         assert a.tolist() == residues(want, max(0, width - n)).tolist()
@@ -670,7 +722,7 @@ def test_records_compare_and_hash_by_their_fields(pair):
 @PROPERTY
 @given(tiny_ints)
 def test_int_and_rat_polys_are_never_equal(p):
-    assert p != p.to_rat() and p.to_rat() != p
+    assert p != to_rat(p) and to_rat(p) != p
 
 
 @PROPERTY

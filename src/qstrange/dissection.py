@@ -82,7 +82,7 @@ def thresholds(N: int, s: int, k: int = 1) -> tuple[int, int]:
     return lam, mu
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=256, typed=True)
 def residue_set(char: Character, s: int) -> frozenset:
     """S_{a,b,chi}(s): residues (n^2-a)/b mod s over the support of chi.
 
@@ -93,7 +93,8 @@ def residue_set(char: Character, s: int) -> frozenset:
     the character are checked once, when the entry is first built, and
     equal characters share an entry whatever their labels.  An invalid
     character or modulus is refused on every call, since failures are not
-    cached.
+    cached.  A set mod s holds up to s residues, so the memo keeps only the
+    latest 256 entries (perfbench's exact-sweep makes 19).
     """
     if s < 1:
         raise ValueError("modulus must be positive")

@@ -26,10 +26,10 @@ adds shifted polynomials and multiplies by binomials, but forms no product
 of two polynomials.  It works on polynomials packed into one int each,
 sum c_i 2**(width*i) with width a whole number of 64-bit words: a shift by
 q**k is a shift by k*width bits and a sum is one int addition, each a
-single pass in C.  _encode, _decode, _respace, _truncate and _repack are
-that codec.  A slot is exact while |c_i| < 2**(width-1); the callers bound
-that by l1 norms kept as plain ints (the Horner sum also by measuring
-itself) and re-encode at a doubled width before it fails.
+single pass in C.  _encode, _decode, _respace and _truncate are that
+codec.  A slot is exact while |c_i| < 2**(width-1); the callers bound that
+by l1 norms kept as plain ints (the Horner sum also by measuring itself)
+and move to a doubled width with _respace before it fails.
 """
 
 from __future__ import annotations
@@ -132,7 +132,6 @@ def div_binomial(coeffs: Sequence, e: int) -> list:
 
 WORD = 64  # bits in one slot word; packed widths are multiples of it
 _TOP = 1 << (WORD - 1)
-_MASK = (1 << WORD) - 1
 
 
 def _halves(width: int, n: int, spacing: int = 0) -> int:
@@ -146,28 +145,13 @@ def _encode(coeffs: Sequence, width: int) -> int:
 
     Each c_i is written in two's complement, one slot each; flipping the
     top bit of every slot makes the slot c_i + 2**(width-1), a sum with no
-    carries, from which the offsets are then subtracted.  Coefficients of
-    one word are packed in one call, then moved to wider slots; wider ones
-    are packed one word position at a time.
+    carries, from which the offsets are then subtracted.  Only inline
+    terms are encoded (the stream's other weights start packed), so one
+    plain loop serves every width.
     """
-    n = len(coeffs)
-    try:
-        raw = struct.pack(f"<{n}q", *coeffs)
-    except struct.error:  # a coefficient takes more than one word
-        k = width // WORD
-        raw = bytearray(8 * n * k)
-        slots = memoryview(raw).cast("Q")  # 8-byte units, in any byte order
-        for j in range(k):  # word j of every c_i, the top one signed
-            words = map(operator.rshift, coeffs, itertools.repeat(WORD * j))
-            if j < k - 1:
-                words = map(operator.and_, words, itertools.repeat(_MASK))
-            fmt = f"<{n}q" if j == k - 1 else f"<{n}Q"
-            slots[j::k] = memoryview(struct.pack(fmt, *words)).cast("Q")
-        half = _halves(width, n)
-        return (int.from_bytes(raw, "little") ^ half) - half
-    half = _halves(WORD, n)
-    x = (int.from_bytes(raw, "little") ^ half) - half
-    return x if width == WORD else _respace(x, WORD, width)
+    size, half = width // 8, _halves(width, len(coeffs))
+    raw = b"".join(c.to_bytes(size, "little", signed=True) for c in coeffs)
+    return (int.from_bytes(raw, "little") ^ half) - half
 
 
 def _decode(x: int, width: int) -> tuple:
@@ -211,7 +195,11 @@ def _respace(x: int, width: int, new: int) -> int:
 
 def _truncate(x: int, width: int, n: int) -> int:
     """The packed int of x's slots 0..n-1, the rest dropped.  Adding the
-    offsets makes every slot nonnegative, so a mask cuts it exactly."""
+    offsets makes every slot nonnegative, so a mask cuts it exactly.  x is
+    returned as it is when it holds no slot from n on (counted as _decode
+    counts them), so the cost follows x, not n."""
+    if n > abs(x).bit_length() // width:
+        return x
     half = _halves(width, n)
     return ((x + half) & ((1 << width * n) - 1)) - half
 
@@ -221,11 +209,6 @@ def _fitting(width: int, bound: int) -> int:
     while bound >> (width - 1):
         width *= 2
     return width
-
-
-def _repack(xs: list, width: int, new: int) -> list:
-    """The packed ints xs, all of one width, re-encoded at width new."""
-    return [_respace(x, width, new) for x in xs]
 
 
 def _stripped(cs: tuple) -> tuple:

@@ -25,11 +25,11 @@ a new column and moves its older columns one step along the anti-diagonal,
 so the first N values cost O(N^2) shift-and-adds per level however the
 requests grow, and no products.  Tests check it against tuple enumeration.
 
-The ladder and the Horner sums hold each polynomial as one packed int
-(exactpoly's codec): a shift-and-add is then one pass in C over the int,
-not a Python loop over its coefficients.  Their slot widths grow with l1
-bounds kept beside them, and only the values handed out are decoded to
-IntPoly.
+The ladder and the Horner sums hold each polynomial as a _packed triple
+(l1 bound, slot width, one packed int of exactpoly's codec), so that a
+shift-and-add is one pass in C over an int.  Each family's weights are
+drawn once per process, from the lru_cache memo _stream; only term_poly
+and coefficient_polys decode them to IntPoly, and a sum is decoded once.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from itertools import chain, islice, repeat
 from qstrange._admit import MAX_PARTIAL_SUM_WORK, InvalidParam, admit
 from qstrange._record import Record
 from qstrange.exactpoly import (WORD, IntPoly, _decode, _encode, _fitting,
-                                 _repack, _respace, _truncate,
-                                 pochhammer_exponents)
+                                 _respace, _truncate, pochhammer_exponents)
 
 __all__ = [
     "FamilySpec",
@@ -65,8 +64,8 @@ class ParseError(ValueError):
 
 # -- the ladder --------------------------------------------------------------
 
-def _ladder(weights: Iterable[IntPoly], c0: int, base: int,
-            cap: int | None = None, count: int = 1) -> Iterator[IntPoly]:
+def _ladder(weights: Iterable[tuple], c0: int, base: int,
+            cap: int | None = None, count: int = 1) -> Iterator[tuple]:
     """Stream A(n) = sum_t Q^(t^2 + c0*t) * w(t) * [n choose t]_Q for n = 0, 1, ...
 
     Q = q**base.  With count > 1, one generator runs count such levels, each
@@ -76,29 +75,31 @@ def _ladder(weights: Iterable[IntPoly], c0: int, base: int,
     i+1 (already advanced) shifted by Q^(m + c0); then column 0 is A(m),
     passed on.  With cap set, all work is truncated above that degree.
 
-    Every column is one packed int (exactpoly._encode), so a step is one
-    shift and one addition.  Its l1 norm follows the same recurrence on
-    |w(m)|, and a level's column 0 bounds all its columns; before a step
-    would let the last level's column 0 reach the slot, every column is
-    re-encoded at a doubled width.  Only the outputs are decoded.
+    Weights come and go as _packed triples; every column is one packed
+    int, so a step is one shift and one addition.  Its l1 bound follows the
+    same recurrence on the bound of w(m), and a level's column 0 bounds all
+    its columns; before a step would let the last level's column 0 reach
+    the slot (or w(m) comes wider), every column moves to a doubled width.
     """
     width = WORD
     levels = [([], []) for _ in range(count)]  # (packed columns, l1 bounds)
-    for m, w in enumerate(weights):
-        coeffs = w.coeffs if cap is None else w.coeffs[: cap + 1]
-        norm = sum(map(abs, coeffs))
+    for m, (norm, wide, val) in enumerate(weights):
+        if cap is not None:
+            val = _truncate(val, wide, cap + 1)
         for _, norms in levels:
             norms.append(norm)
             for i in range(m - 1, -1, -1):
                 norms[i] += norms[i + 1]
             norm = norms[0]
-        if norm >> (width - 1):
-            new = _fitting(width, norm)
+        if norm >> (width - 1) or wide > width:
+            new = _fitting(max(width, wide), norm)
             for cols, _ in levels:
-                cols[:] = _repack(cols, width, new)
+                cols[:] = [_respace(x, width, new) for x in cols]
             width = new
         off = base * (m + c0)
-        val, shift = _encode(coeffs, width), off * width
+        shift = off * width
+        if wide < width:
+            val = _respace(val, wide, width)
         for cols, _ in levels:
             cols.append(val)
             if cap is None:
@@ -109,7 +110,7 @@ def _ladder(weights: Iterable[IntPoly], c0: int, base: int,
                     cols[i] = _truncate(cols[i] + (cols[i + 1] << shift),
                                         width, cap + 1)
             val = cols[0]
-        yield IntPoly._new(_decode(val, width))
+        yield norm, width, val
 
 
 # -- coefficient-polynomial rules --------------------------------------------
@@ -125,18 +126,20 @@ def _shape(family: FamilySpec) -> tuple[list, bool]:
     return [run for run in runs if run[0]], shift
 
 
-def _weights(family: FamilySpec, cap: int | None) -> Iterator[IntPoly]:
-    """The family's weights, each truncated at degree cap when cap is set:
-    its inline terms then zeros, or all ones, through each ladder level."""
-    vals = repeat(IntPoly.one())
+def _weights(family: FamilySpec, cap: int | None) -> Iterator[tuple]:
+    """The family's _packed weights: its inline terms then zeros, or all
+    ones, through each ladder level (truncated at degree cap when cap is
+    set), then gk's shift of weight n by q**n, that is by n slots."""
+    vals = repeat((1, WORD, 1))
     if family.kind == "inline":
-        vals = chain(family.params, repeat(IntPoly()))
+        vals = chain(map(_packed, family.params), repeat((0, WORD, 0)))
     levels, shift = _shape(family)
     for count, c0, base, drop in levels:
         vals = islice(_ladder(vals, c0, base, cap, count), drop, None)
     if shift:
-        vals = (t.shift(n) for n, t in enumerate(vals))
-    return vals if cap is None else (w.truncate(cap) for w in vals)
+        vals = ((norm, width, x << n * width)
+                for n, (norm, width, x) in enumerate(vals))
+    return vals
 
 
 class FamilySpec(Record, compare=("label",)):
@@ -164,21 +167,10 @@ class FamilySpec(Record, compare=("label",)):
 
     def coefficient_polys(self, upper: int) -> list[IntPoly]:
         """f_0..f_upper (or g_0..g_upper), exact, as a new list; drawn from
-        the family's stream, so a request pays only for values not yet drawn."""
-        if upper < 0:
-            raise ValueError("upper must be nonnegative")
-        with _LOCK:
-            if self.label not in _STREAMS:
-                _STREAMS[self.label] = (_weights(self, None), [], [])
-            stream, have, _ = _STREAMS[self.label]
-            try:
-                while len(have) <= upper:
-                    have.append(next(stream))
-            except BaseException:
-                # a generator that raised is finished; start over next time
-                del _STREAMS[self.label]
-                raise
-            return have[: upper + 1]
+        the family's stream, so a request pays only for values not yet
+        drawn, and refused with InvalidParam as partial_sum(upper) is."""
+        return [IntPoly._new(_decode(x, width))
+                for _, width, x in _stream(self)(upper)]
 
 
 class PartialSum(Record):
@@ -190,12 +182,32 @@ class PartialSum(Record):
         return f"PartialSum({self.family.label!r}, N={self.upper})"
 
 
-# per label: the rule's stream, the prefix drawn from it so far and the
-# packed weights (_packed) of as much of that prefix as partial sums have
-# read.  The lock is needed because a generator cannot be advanced from
-# two threads.
-_LOCK = threading.Lock()
-_STREAMS: dict[str, tuple[Iterator[IntPoly], list[IntPoly], list[tuple]]] = {}
+@functools.lru_cache(maxsize=None)
+def _stream(family: FamilySpec):
+    """draw(upper): the family's _packed weights 0..upper as a new list,
+    admitted as partial_sum(upper) is, each drawn once from _weights and
+    kept.  The lock is there because a generator cannot be advanced from
+    two threads; one that raised (say, on KeyboardInterrupt) is finished,
+    so the stream starts over.  A cold race may build two; both are right."""
+    lock, gen, drawn = threading.Lock(), None, []
+
+    def draw(upper: int) -> list[tuple]:
+        nonlocal gen
+        if upper < 0:
+            raise ValueError("upper must be nonnegative")
+        admit("MAX_PARTIAL_SUM_WORK", partial_sum_work(family, upper),
+              f"weights of {family.label} up to n = {upper}")
+        with lock:
+            try:
+                gen = gen or _weights(family, None)
+                while len(drawn) <= upper:
+                    drawn.append(next(gen))
+            except BaseException:
+                gen = None
+                drawn.clear()
+                raise
+            return drawn[: upper + 1]
+    return draw
 
 
 def parse_family(descriptor: str) -> FamilySpec:
@@ -284,15 +296,15 @@ def _step(family: FamilySpec) -> int:
 
 
 def term_poly(family: FamilySpec, n: int) -> IntPoly:
-    """The coefficient polynomial f_n(q) (F-type) or g_n(q) (G-type)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return family.coefficient_polys(n)[n]
+    """The coefficient polynomial f_n(q) (F-type) or g_n(q) (G-type);
+    refused with InvalidParam as partial_sum(n) is."""
+    _, width, x = _stream(family)(n)[n]
+    return IntPoly._new(_decode(x, width))
 
 
 def _packed(w: IntPoly) -> tuple[int, int, int]:
     """(l1 norm, width, packed int) of a weight, at the least doubled width
-    whose slots hold it; _horner reads weights in this form."""
+    whose slots hold it: the one form in which the stream keeps weights."""
     norm = sum(map(abs, w.coeffs))
     width = _fitting(WORD, norm)
     return norm, width, _encode(w.coeffs, width)
@@ -309,9 +321,10 @@ def _horner(family: FamilySpec, weights: Sequence[tuple],
 
     bound bounds every coefficient: it gains |w_n|, the l1 norm, and at
     most doubles per factor.  When it reaches the slot, the sum itself is
-    measured, and only a sum that fills most of the slot is re-encoded at
-    a doubled width; so the width follows the sum, not its final bound.
-    That width always holds w_n, which is moved to it when packed narrower.
+    measured, and only a sum that fills most of the slot moves to a
+    doubled width; so the width follows the sum, not its final bound.  A
+    w_n packed narrower moves to that width, and one packed wider (a ladder
+    hands weights out at its own width) moves the sum to its width.
     Weights much shorter than the sum (kz's 1, gk:k=1's q^n) are summed
     apart, in `short`, until that grows: each step then makes one pass
     over the long sum, not two.  Both parts are sums of some of the terms
@@ -322,15 +335,16 @@ def _horner(family: FamilySpec, weights: Sequence[tuple],
     for n in range(len(weights) - 1, -1, -1):
         norm, wide, w = weights[n]
         bound = (bound + norm) << (n > 0)
+        new = max(width, wide)
         if bound >> (width - 1):
             # measure the sum, and double the width only when it fills
             # more than three quarters of the slot
             acc, short = acc + short, 0
             bound = (max(map(abs, _decode(acc, width))) + norm) << (n > 0)
             if bound >> (width - width // 4 - 1):
-                new = _fitting(2 * width, bound)
-                (acc,) = _repack([acc], width, new)
-                width = new
+                new = _fitting(max(2 * width, new), bound)
+        if new > width:
+            acc, short, width = _respace(acc + short, width, new), 0, new
         short += w if wide == width else _respace(w, wide, width)
         if short.bit_length() > acc.bit_length() >> 4:
             acc, short = acc + short, 0
@@ -338,10 +352,32 @@ def _horner(family: FamilySpec, weights: Sequence[tuple],
             shift = exps[n - 1] * width
             acc -= acc << shift
             short -= short << shift
-            if cap is not None:
-                acc = _truncate(acc, width, cap + 1)
-                short = _truncate(short, width, cap + 1)
+        if cap is not None:  # w_n may reach past it, say by gk's shift
+            acc = _truncate(acc, width, cap + 1)
+            short = _truncate(short, width, cap + 1)
     return IntPoly._new(_decode(acc + short, width))
+
+
+def _work_factors(family: FamilySpec, upper: int) -> tuple[int, ...]:
+    """partial_sum_work's (passes, levels, degree, words), less the 1-q."""
+    N = upper
+    wdeg = wbits = 0
+    if family.kind == "inline":
+        terms = family.params[: N + 1]
+        wdeg = max((len(p.coeffs) for p in terms), default=0)
+        wbits = max((sum(map(abs, p.coeffs)).bit_length() for p in terms),
+                    default=0)
+    levels, shift = _shape(family)
+    count = sum(c for c, *_ in levels)
+    later = sum(drop for *_, drop in levels)
+    wdeg += N * shift
+    for c, c0, base, drop in levels:
+        wdeg += c * base * (N + later) * (N + later + c0)
+        later -= drop
+    kdeg = N * (N + 1) // 2 if family.kernel == "F" else N * N
+    bits = N + count * (N + 1) + wbits + (N + 1).bit_length()
+    passes = N + count * N * (N + 1) // 2
+    return passes, count, max(kdeg + wdeg, 1), 1 + bits // 64
 
 
 def partial_sum_work(family: FamilySpec, upper: int, cap: int = -1) -> int:
@@ -362,24 +398,8 @@ def partial_sum_work(family: FamilySpec, upper: int, cap: int = -1) -> int:
     passes every level, so at N = 0 it counts a pass per level and degree
     1: gk:k=80000 is refused there; 79999 takes 0.13 s on a 2-vCPU VM.
     """
-    N = upper
-    wdeg = wbits = 0
-    if family.kind == "inline":
-        terms = family.params[: N + 1]
-        wdeg = max((len(p.coeffs) for p in terms), default=0)
-        wbits = max((sum(map(abs, p.coeffs)).bit_length() for p in terms),
-                    default=0)
-    levels, shift = _shape(family)
-    count = sum(c for c, *_ in levels)
-    later = sum(drop for *_, drop in levels)
-    wdeg += N * shift
-    for c, c0, base, drop in levels:
-        wdeg += c * base * (N + later) * (N + later + c0)
-        later -= drop
-    kdeg = N * (N + 1) // 2 if family.kernel == "F" else N * N
-    bits = N + count * (N + 1) + wbits + (N + 1).bit_length()
-    passes = N + count * N * (N + 1) // 2 + cap + 1
-    return max(passes, count) * max(kdeg + wdeg, 1) * (1 + bits // 64)
+    passes, count, degree, words = _work_factors(family, upper)
+    return max(passes + cap + 1, count) * degree * words
 
 
 def partial_sum(family: FamilySpec, upper: int) -> PartialSum:
@@ -399,16 +419,7 @@ def partial_sum(family: FamilySpec, upper: int) -> PartialSum:
 
 @functools.lru_cache(maxsize=None)
 def _partial_sum_value(family: FamilySpec, upper: int) -> IntPoly:
-    weights = family.coefficient_polys(upper)
-    with _LOCK:
-        # each weight is packed once per stream; if the stream was dropped
-        # since the draw (its generator raised), these are packed apart
-        entry = _STREAMS.get(family.label)
-        packed = entry[2] if entry else []
-        while len(packed) <= upper:
-            packed.append(_packed(weights[len(packed)]))
-        packed = packed[: upper + 1]
-    return _horner(family, packed)
+    return _horner(family, _stream(family)(upper))
 
 
 def partial_sum_prefix(family: FamilySpec, upper: int, cap: int) -> IntPoly:
@@ -416,8 +427,13 @@ def partial_sum_prefix(family: FamilySpec, upper: int, cap: int) -> IntPoly:
 
     Computed inside Z[q]/(q^(cap+1)), from weights streamed with the same
     cap, so the huge high-degree tails of the exact sum are never built.
+    Refused with InvalidParam when partial_sum_work, its degree cut at
+    cap + 1, is over MAX_PARTIAL_SUM_WORK.
     """
     if upper < 0 or cap < 0:
         raise ValueError("upper and cap must be nonnegative")
-    weights = islice(_weights(family, cap), upper + 1)
-    return _horner(family, list(map(_packed, weights)), cap)
+    passes, count, degree, words = _work_factors(family, upper)
+    admit("MAX_PARTIAL_SUM_WORK",
+          max(passes, count) * min(degree, cap + 1) * words,
+          f"prefix work of {family.label} at N = {upper}, cap {cap}")
+    return _horner(family, list(islice(_weights(family, cap), upper + 1)), cap)

@@ -213,15 +213,17 @@ def ladder_def(weights, c0: int, base: int, cap=None, count: int = 1):
 def horner_def(family: FamilySpec, weights, cap=None) -> IntPoly:
     """qfamilies._horner on coefficient lists: Horner's rule over the
     kernel's binomial factors, one mul_binomial per factor, each step
-    truncated at cap when it is set."""
+    (the last one adds w_0) truncated at cap when it is set."""
     step = 1 if family.kernel == "F" else 2
     exps = pochhammer_exponents(len(weights) - 1, step)
     acc = []
-    for n in range(len(weights) - 1, 0, -1):
-        acc = mul_binomial(_add_into(acc, weights[n].coeffs), exps[n - 1])
+    for n in range(len(weights) - 1, -1, -1):
+        acc = _add_into(acc, weights[n].coeffs)
+        if n:
+            acc = mul_binomial(acc, exps[n - 1])
         if cap is not None:
             del acc[cap + 1:]
-    return IntPoly(_add_into(acc, weights[0].coeffs))
+    return IntPoly(acc)
 
 
 def divmod_def(a: RatPoly, d: RatPoly) -> tuple[RatPoly, RatPoly]:

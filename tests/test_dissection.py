@@ -16,7 +16,7 @@ from qstrange.dissection import (
 from qstrange.exactpoly import IntPoly, NotDivisible, cyclotomic, exact_div, pochhammer
 from qstrange.partialtheta import (Character, CharacterInvalid,
                                    IntegralityViolation, MeanValueNonzero,
-                                   _builtin_character, get_character)
+                                   get_character)
 from qstrange.qfamilies import InvalidParam, parse_family, partial_sum
 
 
@@ -110,20 +110,20 @@ class TestMemos:
     CASES = [("chi_kz", 5), ("chi_kz", 7), ("chi6", 5), ("chi6", 3),
              ("chi_gk:k=2", 9), ("chi_gk:k=2", 5)]
 
-    def test_residue_set_warm_equals_cold(self):
+    def test_residue_set_warm_equals_cold(self, clear_memos):
         cold = {}
         for name, s in self.CASES:
-            residue_set.cache_clear()
+            clear_memos()
             cold[name, s] = residue_set(get_character(name), s)
             assert cold[name, s] == residue_set_def(get_character(name), s)
         for name, s in self.CASES + self.CASES[::-1]:
             assert residue_set(get_character(name), s) == cold[name, s]
 
-    def test_verify_theorem_warm_equals_cold(self):
+    def test_verify_theorem_warm_equals_cold(self, clear_memos):
         fam, char = parse_family("gk:k=2"), get_character("chi_gk:k=2")
         cold = {}
         for s in (9, 5, 3):
-            residue_set.cache_clear()
+            clear_memos()
             cold[s] = verify_theorem(fam, char, s, 12)
         for s in (3, 5, 9, 5):
             assert verify_theorem(fam, char, s, 12) == cold[s]
@@ -157,11 +157,35 @@ class TestMemos:
             with pytest.raises(ValueError, match="positive"):
                 residue_set(char, 0)
 
-    def test_get_character_before_and_after_cache_clear(self):
+    def test_every_memo_is_found(self, memos):
+        # the helper that empties the memos between tests finds them all
+        assert sorted(memos) == [
+            "qstrange.cyclofield._powers",
+            "qstrange.dissection.residue_set",
+            "qstrange.exactpoly.cyclotomic",
+            "qstrange.fishburn._xi_mod",
+            "qstrange.partialtheta._builtin_character",
+            "qstrange.partialtheta._twisted_sequence",
+            "qstrange.partialtheta.bernoulli_number",
+            "qstrange.partialtheta.bernoulli_poly",
+            "qstrange.qfamilies._partial_sum_value",
+            "qstrange.qfamilies._stream",
+        ]
+
+    def test_residue_set_memo_is_bounded(self):
+        # a memo without a bound kept every set of a sweep over s: 271 MB
+        # at s = 1..4000, against 14 MB without the memo
+        char, bound = get_character("chi6"), residue_set.cache_info().maxsize
+        assert bound is not None
+        for s in range(1, bound + 20):
+            assert residue_set(char, s) == residue_set_def(char, s)
+            assert residue_set.cache_info().currsize <= bound
+
+    def test_get_character_before_and_after_cache_clear(self, clear_memos):
         names = ("chi_kz", "chi6", "chi_gk:k=3", "chi_hikami:m=2,alpha=1")
         warm = [get_character(name) for name in names]
         assert get_character(" chi6 ") is get_character("chi6")
-        _builtin_character.cache_clear()
+        clear_memos()
         for name, before in zip(names, warm):
             after = get_character(name)
             assert after == before and after.label == before.label

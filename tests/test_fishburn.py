@@ -615,14 +615,14 @@ class TestMemo:
         (verify_congruence, (GK2, 11, 1, 1, 140)),
     ]
 
-    def test_reports_independent_of_memo_and_order(self):
+    def test_reports_independent_of_memo_and_order(self, clear_memos):
         cold = []
         for fn, args in self.CALLS:
-            _xi_mod.cache_clear()
+            clear_memos()
             cold.append(fn(*args))
         rng = random.Random(11)
         for _ in range(3):
-            _xi_mod.cache_clear()
+            clear_memos()
             order = list(range(len(self.CALLS)))
             rng.shuffle(order)
             for i in order + order:  # the second pass is fully warm

@@ -34,7 +34,7 @@ from qstrange.exactpoly import (
     _decode,
     _encode,
     _one_minus_q_coeff,
-    _repack,
+    _respace,
     _truncate,
     cyclotomic,
     div_binomial,
@@ -59,7 +59,7 @@ from qstrange.partialtheta import (
     validate_character,
 )
 from qstrange.qfamilies import (MAX_PARTIAL_SUM_WORK, InvalidParam, _horner,
-                                 _ladder, _packed, parse_family,
+                                 _ladder, _packed, parse_family, partial_sum,
                                  partial_sum_prefix, partial_sum_work)
 from qstrange.strangematch import (MatchReport, OddOrderRequired,
                                    expansion_coeff, match_expansion)
@@ -275,6 +275,11 @@ def test_shared_run_matches_own_run(label, depth, m):
         assert got == tuple(c % m for c in exact[: depth + 1])
 
 
+def unpacked(triples):
+    """The IntPolys of a stream of _packed triples."""
+    return (IntPoly(_decode(x, width)) for _, width, x in triples)
+
+
 @PROPERTY
 @given(st.integers(0, 20).flatmap(lambda depth: st.tuples(
            st.just(depth),
@@ -300,7 +305,8 @@ def test_modular_ladder_matches_exact(depth_weights, c0, base, m, block,
     with mock.patch.object(engine, "_BLOCK_ROWS", block):
         got = _sub_ladder_mod([residues(w, width) for w in weights], c0,
                               steps, pw, depth, m, count)
-    exact = islice(_ladder(iter(weights), c0, base, None, count), steps + 1)
+    exact = islice(unpacked(_ladder(map(_packed, weights), c0, base, None,
+                                    count)), steps + 1)
     assert len(got) == steps + 1
     for n, (a, want) in enumerate(zip(got, exact)):
         assert a.tolist() == residues(want, max(0, width - n)).tolist()
@@ -314,7 +320,7 @@ def ones_ladder_sub(c0, base):
     """The exact ladder level fed by ones, output n substituted q -> 1-x
     through the precision width-n that ONES_DEPTH reads from it."""
     width = ONES_DEPTH + 2 - c0
-    outs = islice(_ladder(repeat(IntPoly.one()), c0, base), width)
+    outs = islice(unpacked(_ladder(repeat((1, WORD, 1)), c0, base)), width)
     return [subst_one_minus_q(a, width - 1 - n).coeffs
             for n, a in enumerate(outs)]
 
@@ -356,7 +362,7 @@ caps = st.one_of(st.none(), st.integers(0, 12))
 @given(st.lists(st.one_of(polys, edge_polys), min_size=1, max_size=8),
        st.integers(0, 2), st.integers(1, 2), st.integers(1, 3), caps)
 def test_packed_ladder_matches_the_oracle(weights, c0, base, count, cap):
-    got = _ladder(iter(weights), c0, base, cap, count)
+    got = unpacked(_ladder(map(_packed, weights), c0, base, cap, count))
     assert list(got) == list(ladder_def(weights, c0, base, cap, count))
 
 
@@ -367,6 +373,25 @@ def test_packed_horner_matches_the_oracle(kernel, weights, cap):
     fam = parse_family(json.dumps({"kernel": kernel, "terms": []}))
     got = _horner(fam, list(map(_packed, weights)), cap)
     assert got == horner_def(fam, weights, cap)
+
+
+@PROPERTY
+@given(st.sampled_from("FG"), st.lists(edge_polys, min_size=1, max_size=8),
+       caps)
+def test_horner_takes_weights_wider_than_its_sum(kernel, terms, cap):
+    # an inline family whose term norms fall, packed as a ladder hands
+    # weights out: each at the widest width so far, so the sum, which
+    # starts from the last and narrowest term, meets weights wider than it
+    terms.sort(key=lambda p: -sum(map(abs, p.coeffs)))
+    fam = parse_family(json.dumps(
+        {"kernel": kernel, "terms": [p.to_json_obj() for p in terms]}))
+    wide = max(width for _, width, _ in map(_packed, terms))
+    weights = [(norm, wide, _respace(x, width, wide))
+               for norm, width, x in map(_packed, terms)]
+    got = _horner(fam, weights, cap)
+    assert got == horner_def(fam, terms, cap)
+    if cap is None:
+        assert got == partial_sum(fam, len(terms) - 1).value
 
 
 @PROPERTY
@@ -397,7 +422,7 @@ def test_codec_round_trips(words_coeffs, more, cut):
     x = _encode(coeffs, width)
     assert x == sum(c << (width * i) for i, c in enumerate(coeffs))
     assert IntPoly(_decode(x, width)) == IntPoly(coeffs)
-    (wide,) = _repack([x], width, width << more)
+    wide = _respace(x, width, width << more)
     assert IntPoly(_decode(wide, width << more)) == IntPoly(coeffs)
     assert IntPoly(_decode(_truncate(x, width, cut), width)) == \
         IntPoly(coeffs[:cut])
@@ -468,7 +493,8 @@ def certified(*args):
 @PROPERTY
 @given(characters(), st.lists(st.integers(1, 12), min_size=1, max_size=4),
        st.sampled_from(["kz", "gk:k=1"]), st.integers(0, 10))
-def test_memoized_certificates_match_cold_calls(char, moduli, family, N):
+def test_memoized_certificates_match_cold_calls(clear_memos, char, moduli,
+                                                family, N):
     # residue_set is memoized per (chi, s): warm calls in any order, and an
     # equal character under another label, give what a cold call gives, and
     # a refused character is refused again on every call
@@ -476,7 +502,7 @@ def test_memoized_certificates_match_cold_calls(char, moduli, family, N):
     twin = Character(char.a, char.b, char.nu, char.period, char.values, "twin")
     cold = {}
     for s in moduli:
-        residue_set.cache_clear()
+        clear_memos()
         cold[s] = checked(residue_set, char, s), certified(fam, char, s, N)
     for s in moduli + moduli[::-1]:
         for c in (char, twin):

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -167,21 +168,26 @@ class TestTermPoly:
 
     def test_interrupted_stream_starts_over(self, monkeypatch):
         # an exception inside a stream (say KeyboardInterrupt) finishes the
-        # generator; later requests for the label must not meet a dead one
+        # generator; later requests for the label must not meet a dead one,
+        # nor a prefix drawn before it.  The ladder is interrupted once, as
+        # it hands out packed weight 5, after weights 0..3 were drawn
         f = FamilySpec("G", "gk:k=2 (interrupted stream)", "gk", (2,))
-        shift = IntPoly.shift
+        ladder, fired = qfamilies._ladder, []
 
-        def interrupt_at_5(poly, exponent):
-            if exponent == 5:
-                raise KeyboardInterrupt
-            return shift(poly, exponent)
+        def interrupt_at_5(*args):
+            for n, triple in enumerate(ladder(*args)):
+                if n == 5 and not fired:
+                    fired.append(n)
+                    raise KeyboardInterrupt
+                yield triple
 
-        monkeypatch.setattr(IntPoly, "shift", interrupt_at_5)
+        monkeypatch.setattr(qfamilies, "_ladder", interrupt_at_5)
+        assert f.coefficient_polys(3)[3] == term_poly(f, 3)
         with pytest.raises(KeyboardInterrupt):
             f.coefficient_polys(8)
-        monkeypatch.undo()
         want = [helpers.to_poly(helpers.gk_g_def(2, n)) for n in range(9)]
-        assert f.coefficient_polys(8) == want
+        assert fired and f.coefficient_polys(8) == want
+        assert partial_sum(f, 8).value == helpers.horner_def(f, want)
 
     def test_hikami_m1_equals_kz(self):
         f = parse_family("hikami:m=1,alpha=0")
@@ -376,10 +382,35 @@ class TestPackedStream:
         got = qfamilies._horner(fam, list(map(qfamilies._packed, weights)))
         assert got == helpers.horner_def(fam, weights)
 
+    def test_prefix_costs_follow_the_sum_not_the_cap(self):
+        # a cap of 10**7 slots took 6.3 s and 355 MB, at each truncation
+        fam = parse_family("kz")
+        t0 = time.perf_counter()
+        assert partial_sum_prefix(fam, 5, 10 ** 9) == partial_sum(fam, 5).value
+        assert time.perf_counter() - t0 < 0.5
+
+    @pytest.mark.parametrize("call", [
+        lambda fam: term_poly(fam, 0),
+        lambda fam: fam.coefficient_polys(0),
+        lambda fam: partial_sum_prefix(fam, 0, 0),
+    ], ids=["term_poly", "coefficient_polys", "partial_sum_prefix"])
+    def test_huge_ladders_are_refused_before_they_run(self, call, monkeypatch):
+        # each would build 10**8 ladder levels; gk:k=10**6 took 2.1 s and
+        # 267 MB in partial_sum_prefix, and k = 3*10**6 7.7 s in term_poly
+        def never(*args):
+            raise AssertionError("the family's weights were built")
+
+        monkeypatch.setattr(qfamilies, "_weights", never)
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidParam, match="MAX_PARTIAL_SUM_WORK"):
+            call(parse_family("gk:k=100000000"))
+        assert time.perf_counter() - t0 < 1.0
+
     def test_one_representation(self, monkeypatch):
-        # from a cold stream, gk:k=3 at 50 goes through no list arithmetic;
-        # it decodes each ladder output and the sum once, encodes each
-        # weight once per pass, and re-encodes O(log words) times
+        # from a cold stream, gk:k=3 at 50 goes through no list arithmetic
+        # and packs nothing: the ladder starts from packed ones, and only
+        # the sum is decoded; the ladder and the sum each widen their
+        # slots O(log words) times
         def refuse(name):
             def fail(*args, **kwargs):
                 raise AssertionError(f"{name} was called")
@@ -388,7 +419,7 @@ class TestPackedStream:
         for name in ("mul_binomial", "_add_into"):
             monkeypatch.setattr(exactpoly, name, refuse(name))
         calls = {"_encode": 0, "_decode": 0}
-        widths = []
+        moves, fits = [], []
 
         def counted(name):
             real = getattr(qfamilies, name)
@@ -398,23 +429,26 @@ class TestPackedStream:
                 return real(*args)
             return wrapper
 
-        def repack(xs, width, new):
-            widths.append((width, new))
-            return exactpoly._repack(xs, width, new)
+        def respace(x, width, new):
+            moves.append((width, new))
+            return exactpoly._respace(x, width, new)
+
+        def fitting(width, bound):
+            fits.append(exactpoly._fitting(width, bound))
+            return fits[-1]
 
         for name in calls:
             monkeypatch.setattr(qfamilies, name, counted(name))
-        monkeypatch.setattr(qfamilies, "_repack", repack)
-        monkeypatch.setattr(qfamilies, "_STREAMS", {})
-        qfamilies._partial_sum_value.cache_clear()
+        monkeypatch.setattr(qfamilies, "_respace", respace)
+        monkeypatch.setattr(qfamilies, "_fitting", fitting)
         N = 50
         partial_sum(parse_family("gk:k=3"), N)
-        # decoded: N+1 ladder outputs, the sum, and the sum once more where
-        # its bound reaches the slot, before each of its two doublings;
-        # encoded: N+1 ones into the ladder and N+1 weights into the sum
-        assert calls == {"_encode": 2 * (N + 1), "_decode": N + 4}
-        # both ladder levels and the sum outgrow one word, and each doubles
-        # its width, so each re-encodes at most log2(words) times
-        assert widths and all(new == 2 * width for width, new in widths)
-        words = max(new for _, new in widths) // WORD
-        assert len(widths) <= 3 * math.log2(words)
+        # decoded: the sum, and the sum once more where its bound reaches
+        # the slot, before each of its two doublings
+        assert calls == {"_encode": 0, "_decode": 3}
+        # the ladder and the sum outgrow one word, and each widens at most
+        # log2(words) times; every move of slots (a widening, or a weight
+        # packed narrower than the sum) goes to a wider width
+        words = max(fits) // WORD
+        assert fits and len(fits) <= 2 * math.log2(words)
+        assert all(new > width for width, new in moves)

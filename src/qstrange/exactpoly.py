@@ -18,8 +18,11 @@ General products use the schoolbook rule.  The q-Pochhammer kernels
 binomial at a time: mul_binomial multiplies a coefficient list by one
 binomial with a shift and a subtraction, as pochhammer builds a kernel,
 and its inverse div_binomial divides by one with a running sum per
-residue class mod e, which exact_div(p, *pochhammer_factors(n, step))
-applies to the binomials in turn, as the certificates divide.
+residue class mod e.  The certificates (dissection.verify_theorem) call
+div_binomial directly, on each residue slice of a partial sum, for each e
+in pochhammer_exponents(n, step) in turn; exact_div reaches the same
+div_binomial for a binomial divisor and runs integer long division for
+any other.
 
 The exact stream of qfamilies (its ladder of weights and its Horner sums)
 adds shifted polynomials and multiplies by binomials, but forms no product

@@ -141,7 +141,8 @@ def modular_work(family, depth: int) -> int:
     MAX_MODULAR_WORK's comment in _admit.  Below depth 175 a
     level counts its set-up instead, (3*10**5 + 6000 n) n for the numpy
     calls of its n steps and its n**2-word block, fitted to _sub_ladder_mod
-    on a 2-vCPU Xeon VM: the most levels admitted at any depth take 4-7 s.
+    on a 2-vCPU Xeon VM: the most levels admitted at any depth take
+    0.3-3.3 s mod 5 (see MAX_MODULAR_WORK's comment).
     """
     n, levels = depth + 1, _levels(family)
     return n ** 3 + levels * max(n ** 4, 4 * (3 * 10 ** 5 + 6000 * n) * n) // 4
@@ -152,9 +153,10 @@ def _levels(family) -> int:
     return sum(count for count, *_ in _shape(family)[0])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _xi_mod(family, depth: int, mod: int) -> tuple:
-    """xi(0..depth) reduced mod ``mod``, memoized per (family, depth, mod).
+    """xi(0..depth) reduced mod ``mod``, memoized per (family, depth, mod)
+    (the latest 256 entries).
 
     A modulus below SHARED that divides it reads the run modulo SHARED, so
     one run per (family, depth) serves them all, each reduced once into its

@@ -307,7 +307,8 @@ def twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
     before any entry is built, when P exceeds MAX_TWIST_PERIOD.  The
     character is validated and the twisted mean checked once per
     (chi, k, j mod k), when the shared sequence is first built; an invalid
-    character is refused on every call, since failures are not cached.
+    character is refused on every call, since failures are not cached.  The
+    memo keeps the latest 256 sequences.
     """
     if k < 1:
         raise ValueError("conductor k must be positive")
@@ -316,7 +317,7 @@ def twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
     return _twisted_sequence(char, k, j % k)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
     """On the support, C(n) = chi(n) * zeta**(j*e) with chi(n) = p/q and
     e = (n^2-a)/b is row j*e mod k of _powers(k) times p, over q; every

@@ -405,9 +405,9 @@ def partial_sum_work(family: FamilySpec, upper: int, cap: int = -1) -> int:
 def partial_sum(family: FamilySpec, upper: int) -> PartialSum:
     """Sum of term_poly(n)*kernel(n) for n = 0..upper, exactly.
 
-    Memoized per (family, upper); one Horner pass of O(upper) binomial
-    factors, each a shift and a subtraction of one packed int, in
-    O(degree x slot words).  Refused with InvalidParam when
+    Memoized per (family, upper), the latest 256; one Horner pass of
+    O(upper) binomial factors, each a shift and a subtraction of one packed
+    int, in O(degree x slot words).  Refused with InvalidParam when
     partial_sum_work is over MAX_PARTIAL_SUM_WORK.
     """
     if upper < 0:
@@ -417,7 +417,7 @@ def partial_sum(family: FamilySpec, upper: int) -> PartialSum:
     return PartialSum(family, upper, _partial_sum_value(family, upper))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _partial_sum_value(family: FamilySpec, upper: int) -> IntPoly:
     return _horner(family, _stream(family)(upper))
 

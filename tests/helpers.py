@@ -18,10 +18,14 @@ import pytest
 from qstrange import _admit
 from qstrange.cli import build_parser, cmd_identity_check
 from qstrange.cyclofield import ConductorMismatch, CycloNum, eval_at_root
-from qstrange.dissection import dissect, residue_set
+from qstrange.dissection import (DivisibilityFalsified, DivisibilityReport,
+                                 DivisibilityRow, OddModulusRequired,
+                                 check_modulus, dissect, residue_set,
+                                 thresholds)
 from qstrange.exactpoly import (IntPoly, NotDivisible, RatPoly, _add_into,
-                                cyclotomic, mul_binomial, pochhammer,
-                                pochhammer_exponents, theta_deriv)
+                                cyclotomic, exact_div, mul_binomial, pochhammer,
+                                pochhammer_exponents, pochhammer_factors,
+                                theta_deriv)
 from qstrange.fishburn import _xi_mod, xi_coeffs
 from qstrange.partialtheta import (Character, bernoulli_poly, get_character,
                                    l_value, twisted_sequence)
@@ -281,6 +285,37 @@ def residue_set_def(char, s: int) -> frozenset:
         if char.value(n):
             out.add(char.exponent(n) % s)
     return frozenset(out)
+
+
+def certificate_def(family: FamilySpec, char, s: int, N: int):
+    """verify_theorem by the general path: dissect the partial sum into
+    IntPoly parts and divide each nonzero part with exact_div by the
+    pochhammer_factors binomials.  Checks run in the library's order."""
+    if N < 0 or s < 1:
+        raise ValueError("need N >= 0 and s >= 1")
+    check_modulus(s)
+    in_s = residue_set(char, s)
+    if family.kernel == "G" and s % 2 == 0:
+        raise OddModulusRequired(f"G-type divisibility needs odd s, got {s}")
+    lam, mu = thresholds(N, s, 1)
+    if family.kernel == "F":
+        factors, divisor_name = pochhammer_factors(lam), f"(q;q)_{lam}"
+    else:
+        factors, divisor_name = pochhammer_factors(mu, 2), f"(q;q2)_{mu}"
+    rows = []
+    for i, part in enumerate(dissect(partial_sum(family, N).value, s).parts):
+        try:
+            quotient = exact_div(part, *factors) if part else IntPoly()
+        except NotDivisible:
+            if i not in in_s:
+                raise DivisibilityFalsified(
+                    f"{family.label}, s={s}, N={N}: part i={i} is outside "
+                    f"S={sorted(in_s)} yet {divisor_name} does not divide it")
+            rows.append(DivisibilityRow(i, True, divisor_name, "not-claimed", None))
+        else:
+            rows.append(DivisibilityRow(i, i in in_s, divisor_name, "divides",
+                                        quotient))
+    return DivisibilityReport(family.label, s, N, in_s, tuple(rows))
 
 
 def is_prime_def(n: int) -> bool:

@@ -181,6 +181,23 @@ class TestMemos:
             assert residue_set(char, s) == residue_set_def(char, s)
             assert residue_set.cache_info().currsize <= bound
 
+    @pytest.mark.parametrize("name,key", [
+        ("qstrange.qfamilies._partial_sum_value", lambda j: (parse_family(
+            f'{{"kernel":"F","terms":[{{"coeffs":[{j}]}}]}}'), 0)),
+        ("qstrange.partialtheta._twisted_sequence",
+         lambda j: (Character(0, 1, 0, 2, {0: j, 1: -j}), 1, 0)),
+        ("qstrange.fishburn._xi_mod", lambda j: (parse_family("gk:k=1"), 0, j + 1)),
+    ])
+    def test_large_entry_memos_are_bounded(self, memos, name, key):
+        # one entry is a whole partial sum, twisted sequence or xi column;
+        # 300 distinct keys, each cheap to build, must not keep 300 entries
+        memo, bound = memos[name], 256
+        assert memo.cache_info().maxsize == bound
+        for j in range(1, 301):
+            memo(*key(j))
+            assert memo.cache_info().currsize <= bound
+        assert memo.cache_info().currsize == bound
+
     def test_get_character_before_and_after_cache_clear(self, clear_memos):
         names = ("chi_kz", "chi6", "chi_gk:k=3", "chi_hikami:m=2,alpha=1")
         warm = [get_character(name) for name in names]
@@ -303,6 +320,62 @@ class TestVerifyTheorem:
     def test_bad_character(self):
         with pytest.raises(CharacterInvalid):
             verify_theorem(parse_family("kz"), Character(0, 1, 0, 1, {0: 1}), 3, 5)
+
+    @pytest.mark.parametrize("family,char,s,N", [
+        ("kz", "chi_kz", 5, 9),
+        ("gk:k=1", "chi6", 5, 8),
+        ("gk:k=2", "chi_gk:k=2", 3, 12),
+        ("hikami:m=2,alpha=0", "chi_hikami:m=2,alpha=0", 3, 8),
+    ])
+    def test_divides_slices_by_the_binomials_alone(self, monkeypatch, family,
+                                                   char, s, N):
+        # the certificate builds no Dissection and no factor polynomial, and
+        # makes no exact_div dispatch: each residue slice goes to
+        # div_binomial once per Pochhammer exponent, up to the first
+        # NotDivisible, and only a quotient becomes an IntPoly
+        import qstrange.dissection as dis
+        import qstrange.exactpoly as ep
+        fam, char = parse_family(family), get_character(char)
+        partial_sum(fam, N)  # warm, so only the certificate's own work is seen
+
+        def never(*args):
+            raise AssertionError("called off the certificate path")
+        for module, name in ((dis, "dissect"), (dis, "Dissection"),
+                             (dis, "exact_div"), (ep, "exact_div"),
+                             (ep, "_div_step"), (ep, "pochhammer_factors")):
+            monkeypatch.setattr(module, name, never)
+        calls, wrapped = [], []
+        real_div, real_new = dis.div_binomial, IntPoly._new.__func__
+
+        def div(coeffs, e):
+            calls.append([e, "raised"])
+            quo = real_div(coeffs, e)
+            calls[-1][1] = "divided"
+            return quo
+        monkeypatch.setattr(dis, "div_binomial", div)
+        monkeypatch.setattr(IntPoly, "_new", classmethod(
+            lambda cls, coeffs: wrapped.append(1) or real_new(cls, coeffs)))
+        rep = verify_theorem(fam, char, s, N)
+        monkeypatch.undo()
+
+        lam, mu = thresholds(N, s)
+        want = list(range(1, lam + 1) if fam.kernel == "F" else range(1, 2 * mu, 2))
+        runs = []
+        for e, how in calls:
+            if e == want[0]:
+                runs.append([])
+            runs[-1].append((e, how))
+        assert len(runs) == s
+        for row, run in zip(rep.rows, runs):
+            assert [e for e, _ in run] == want[:len(run)]
+            assert all(how == "divided" for _, how in run[:-1])
+            if row.verdict == "divides":
+                assert len(run) == len(want) and run[-1][1] == "divided"
+            else:
+                assert run[-1][1] == "raised"
+        assert len(wrapped) == sum(row.verdict == "divides" for row in rep.rows)
+        assert {row.verdict for row in rep.rows} == {"divides", "not-claimed"}
+        assert rep == verify_theorem(fam, char, s, N)
 
     def test_validates_the_character_once(self, monkeypatch):
         import qstrange.dissection as dis

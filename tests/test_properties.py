@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (cyclo_ref, divmod_def, embed_def, exact_div_def,
-                     expansion_def, gamma_def, horner_def, l_value_def,
-                     ladder_def, monomial, reassemble_def, residue_set_def,
-                     to_rat, twisted_table_def)
+from helpers import (certificate_def, cyclo_ref, divmod_def, embed_def,
+                     exact_div_def, expansion_def, gamma_def, horner_def,
+                     l_value_def, ladder_def, monomial, reassemble_def,
+                     residue_set_def, to_rat, twisted_table_def)
 from qstrange.cyclofield import CycloNum, eval_at_root
 from qstrange.dissection import (DivisibilityFalsified, DivisibilityReport,
                                  DivisibilityRow, OddModulusRequired, dissect,
@@ -481,13 +481,16 @@ def test_support_scans_match_full_scan(char, s):
             (want_one if isinstance(want_one, tuple) else char)
 
 
-def certified(*args):
-    """verify_theorem's report, or the type and message of the refusal or
+def certified(*args, verify=verify_theorem):
+    """verify's report, or the type and message of the refusal or
     falsification it raises."""
     try:
-        return verify_theorem(*args)
+        return verify(*args)
     except (CharacterInvalid, DivisibilityFalsified, OddModulusRequired) as exc:
         return type(exc), str(exc)
+
+
+certified_def = functools.partial(certified, verify=certificate_def)
 
 
 @PROPERTY
@@ -507,6 +510,33 @@ def test_memoized_certificates_match_cold_calls(clear_memos, char, moduli,
     for s in moduli + moduli[::-1]:
         for c in (char, twin):
             assert (checked(residue_set, c, s), certified(fam, c, s, N)) == cold[s]
+
+
+# built-in families, or inline ones whose terms are mostly zeros, so that
+# some residue slices end in zeros and some parts are empty
+certificate_families = st.one_of(
+    st.sampled_from(["kz", "gk:k=1", "gk:k=2", "gk:k=3",
+                     "hikami:m=2,alpha=0", "hikami:m=2,alpha=1"]),
+    st.builds(lambda kernel, terms: json.dumps(
+                  {"kernel": kernel, "terms": [{"coeffs": t} for t in terms]}),
+              st.sampled_from("FG"),
+              st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)), max_size=6),
+                       max_size=4)),
+).map(parse_family)
+
+
+BUILTIN_CHARACTERS = ("chi_kz", "chi6", "chi_gk:k=2", "chi_gk:k=3",
+                      "chi_hikami:m=2,alpha=0", "chi_hikami:m=2,alpha=1")
+
+
+@PROPERTY
+@given(certificate_families,
+       st.one_of(characters(), st.sampled_from(BUILTIN_CHARACTERS).map(get_character)),
+       st.integers(1, 12), st.integers(0, 14))
+def test_certificates_match_the_general_division(family, char, s, N):
+    # verify_theorem divides residue slices by div_binomial directly; the
+    # oracle dissects into IntPoly parts and divides with exact_div
+    assert certified(family, char, s, N) == certified_def(family, char, s, N)
 
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)

@@ -19,11 +19,12 @@ class InvalidParam(ValueError):
 # 50 for gk:k=3, 80 for hikami:m=2 and 59 for hikami:m=3.  On a 2-vCPU Xeon
 # VM each of those sums takes 0.12-0.2 s, except kz and gk:k=1, whose
 # packed sums need four and eight words a coefficient: 0.5-0.6 s and
-# 0.7-0.75 s.  xi_coeffs counts its 1-q substitution as well, so its
-# deepest depth is 270 for kz, 231 for gk:k=1 and 49 for gk:k=3 (the others
-# as above); there it takes 1.1-1.5 s for kz and gk:k=1, whose substitution
-# grows the coefficients past the words counted, and under 0.3 s for the
-# rest.
+# 0.7-0.75 s.  scan --beta past the float64 edge reads its one index n from
+# the sum at N = n, so 0.8-1.0 s for kz and 1.3-1.5 s for gk:k=1 at most.
+# xi_coeffs counts its 1-q substitution as well, so its deepest depth is 270
+# for kz, 231 for gk:k=1 and 49 for gk:k=3 (the others as above), taking
+# 1.1-1.5 s for kz and gk:k=1, whose substitution grows the coefficients
+# past the words counted, and under 0.3 s for the rest.
 MAX_PARTIAL_SUM_WORK = 10 ** 8
 
 # fishburn: the modular engine refuses, before it allocates anything, a

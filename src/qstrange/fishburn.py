@@ -6,22 +6,17 @@ contributes nothing below degree n and the first D+1 coefficients are frozen
 once N = D terms are summed.  ``xi_coeffs`` computes them exactly that way.
 
 Congruence scanning wants depths in the hundreds, where exact integer
-coefficients are enormous and pointless.  A second engine, in the private
-module ``_modular``, therefore works modulo m from the start, in numpy
-float64 products that are exact while (m-1)**2 * (depth+1) < 2**53; larger
-moduli take the exact road.  Below 2**24 its ladder blocks run in float32,
-which is exact there too.  The two engines share no code and are tested
-against each other, and ``verify_congruence`` cross-checks the least index
-it tests against the exact partial sum: one coefficient of its 1-q
-substitution, in O(degree) big-integer steps.  ``_xi_mod`` decides the
-road: it refuses oversized requests by table bytes and by work before
-anything is computed, and it imports the modular engine, and with it
-numpy, only when that engine runs.  Its results are memoized per (family,
-depth, modulus), and a modulus that divides SHARED = lcm(1..16) reads,
-reduced, the one run per (family, depth) modulo SHARED, unless the family
-runs a column ladder.  So congruence checks modulo 5, 7, 11, 13, 16, ...
-of one family and depth share one run of the engine within a process;
-separate processes, such as separate CLI calls, share nothing.
+coefficients are enormous and pointless.  A second engine, the private
+``_modular``, works modulo m from the start, in numpy float64 products,
+exact while (m-1)**2 * (depth+1) < 2**53, and float32 ladder blocks below
+2**24; the engines share no code and are tested against each other.
+``verify_congruence`` reads one exact coefficient of the 1-q substitution,
+in O(degree) big-integer steps, to cross-check the engine's least index,
+and past the float64 edge, where every admitted depth leaves one index, in
+place of the engine.  ``_xi_mod`` imports the engine, and numpy, only when
+it runs, and memoizes per (family, depth, modulus); a modulus dividing
+SHARED = lcm(1..16) reads, reduced, the one run per (family, depth) modulo
+SHARED unless the family runs a column ladder.  Processes share nothing.
 """
 
 import functools
@@ -153,45 +148,48 @@ def _levels(family) -> int:
     return sum(count for count, *_ in _shape(family)[0])
 
 
-@functools.lru_cache(maxsize=256)
-def _xi_mod(family, depth: int, mod: int) -> tuple:
-    """xi(0..depth) reduced mod ``mod``, memoized per (family, depth, mod)
-    (the latest 256 entries).
-
-    A modulus below SHARED that divides it reads the run modulo SHARED, so
-    one run per (family, depth) serves them all, each reduced once into its
-    own entry.  A family with a level after the first keeps its own
-    modulus: its column ladder would leave float32 for float64 at SHARED.
-    That run is taken only where SHARED's float64 products are exact,
-    which holds up to depth 17339, past every depth MAX_MODULAR_WORK
-    admits.  The memo lives in one process: separate CLI calls share no run.
-
-    The fast road needs (mod-1)**2 * (depth+1) < 2**53, so that its float64
-    products are exact; above that the exact coefficients are reduced.  On
-    the fast road, a ladder below 2**24 takes its products in float32.
-    Either way, a depth whose tables would pass MAX_TABLE_BYTES, or whose
-    modular_work passes MAX_MODULAR_WORK, is refused with InvalidParam
-    before anything is computed or imported; the exact road is refused
-    as well when xi_coeffs is, over MAX_PARTIAL_SUM_WORK.
-    """
+def _admit_depth(family, depth: int) -> int:
+    """Refuse a depth over MAX_TABLE_BYTES or MAX_MODULAR_WORK before any
+    work, else give the last (1-x)**e table row; admitted depths are < 3684."""
     if depth < 0:
         raise InvalidParam("depth must be nonnegative")
-    if mod < 2:
-        raise InvalidParam("modulus must be at least 2")
     top, size = _table_plan(family, depth)
     admit("MAX_TABLE_BYTES", size, f"modular table bytes of {family.label} "
           f"at depth {depth} (about {size >> 20} MiB)")
     admit("MAX_MODULAR_WORK", modular_work(family, depth),
           f"modular work of {family.label} at depth {depth}")
-    if mod != SHARED and SHARED % mod == 0 and _levels(family) < 2 \
-            and (SHARED - 1) ** 2 * (depth + 1) < 2 ** 53:
+    return top
+
+
+def _float_exact(mod: int, depth: int) -> bool:
+    """Whether the engine's float64 products mod ``mod`` are exact at depth."""
+    return (mod - 1) ** 2 * (depth + 1) < 2 ** 53
+
+
+@functools.lru_cache(maxsize=256)
+def _xi_mod(family, depth: int, mod: int) -> tuple:
+    """xi(0..depth) mod ``mod`` by the modular engine; the latest 256 memoized.
+
+    A divisor of SHARED below it reads the run modulo SHARED, reduced,
+    unless the family has a level after the first, whose column ladder
+    would leave float32 for float64 at SHARED.  _admit_depth refuses the
+    depth first; a modulus past the float64 edge is then a caller's bug.
+    """
+    if mod < 2:
+        raise InvalidParam("modulus must be at least 2")
+    top = _admit_depth(family, depth)
+    if not _float_exact(mod, depth):
+        raise ValueError(f"modulus {mod} is past the float64 edge")
+    if mod != SHARED and SHARED % mod == 0 and _levels(family) < 2:
         return tuple(v % mod for v in _xi_mod(family, depth, SHARED))
-    if (mod - 1) ** 2 * (depth + 1) >= 2 ** 53:
-        # float64 products could round; take the slow exact road
-        return tuple(c % mod for c in xi_coeffs(family, depth).coeffs)
     from ._modular import xi_residues
 
     return xi_residues(family, depth, mod, top)
+
+
+def _xi_exact(family, n: int, mod: int) -> int:
+    """xi(n) mod ``mod``, exact, refused as partial_sum(family, n) is."""
+    return _one_minus_q_coeff(partial_sum(family, n).value, n) % mod
 
 
 # -- congruence checking ------------------------------------------------------
@@ -292,13 +290,11 @@ def verify_congruence(family, p: int, r: int, beta: int,
     """Check xi(p**r * n - beta) == 0 mod p**r for every index within depth.
 
     Evidence is empirical at the given depth, never a proof.  On failure the
-    report carries the least counterexample index and its residue.  When the
-    smallest index is at most 64 and xi_coeffs there is within
-    MAX_PARTIAL_SUM_WORK, the exact engine recomputes that coefficient as a
-    cross-check on the modular one, and raises EngineMismatch if they
-    differ: xi(k) = (-1)**k sum_(e>=k) c_e C(e, k) over the coefficients
-    c_e of the partial sum at N = k, one pass of O(degree) big-integer
-    steps rather than the whole substitution.
+    report carries the least counterexample index and its residue.  The
+    depth is admitted as the engine's is.  An exact read of the least index
+    cross-checks the engine (EngineMismatch) when that index is at most 64
+    and xi_coeffs there is within MAX_PARTIAL_SUM_WORK.  Past the float64
+    edge the modulus is over the depth, and that read is the whole check.
     """
     mod = _prime_power(p, r, depth + max(beta, 1))
     if not 1 <= beta <= mod:
@@ -309,13 +305,16 @@ def verify_congruence(family, p: int, r: int, beta: int,
     if first > depth:
         raise InvalidParam("depth too small to test any index")
     _require_prime(p)
-    vals = _xi_mod(family, depth, mod)
-    if first <= 64 and \
-            partial_sum_work(family, first, first) <= MAX_PARTIAL_SUM_WORK:
-        exact = _one_minus_q_coeff(partial_sum(family, first).value, first)
-        if exact % mod != vals[first]:
+    if _float_exact(mod, depth):
+        vals = _xi_mod(family, depth, mod)
+        checked = first <= 64 and \
+            partial_sum_work(family, first, first) <= MAX_PARTIAL_SUM_WORK
+        if checked and _xi_exact(family, first, mod) != vals[first]:
             raise EngineMismatch(
                 "modular engine disagrees with exact coefficients")
+    else:
+        _admit_depth(family, depth)
+        vals = {first: _xi_exact(family, first, mod)}
     indices = range(first, depth + 1, mod)
     witness = residue = None
     for i in indices:

@@ -44,7 +44,7 @@ def clear_memos():
 @pytest.fixture(autouse=True)
 def cold_memos():
     """Start every test with every memo empty, so that a test asserting
-    which road _xi_mod takes, how often a character is validated or what a
+    which run _xi_mod reads, how often a character is validated or what a
     cold stream computes cannot be answered from an earlier test's run."""
     _clear_memos()
     yield

@@ -26,7 +26,7 @@ from qstrange.exactpoly import (IntPoly, NotDivisible, RatPoly, _add_into,
                                 cyclotomic, exact_div, mul_binomial, pochhammer,
                                 pochhammer_exponents, pochhammer_factors,
                                 theta_deriv)
-from qstrange.fishburn import _xi_mod, xi_coeffs
+from qstrange.fishburn import _xi_mod, verify_congruence, xi_coeffs
 from qstrange.partialtheta import (Character, bernoulli_poly, get_character,
                                    l_value, twisted_sequence)
 from qstrange.qfamilies import (FamilySpec, InvalidParam, parse_family,
@@ -515,6 +515,9 @@ def _identity_check(arg: str, count: int):
     return cmd_identity_check(build_parser().parse_args(argv))
 
 
+# a prime past the float64 edge at every depth
+EDGE_P = 1_000_000_007
+
 # guard: (limit, module whose admit it calls, request at input x for arg,
 # (module, attribute) of the work that must not run)
 GUARDS = {
@@ -527,12 +530,16 @@ GUARDS = {
                    ("qstrange.fishburn", "subst_one_minus_q")]),
     "modular": ("MAX_MODULAR_WORK", "qstrange.fishburn",
                 lambda arg, x: _xi_mod(parse_family(arg), x, 5),
-                [("qstrange._modular", "xi_residues"),
-                 ("qstrange.fishburn", "xi_coeffs")]),
+                [("qstrange._modular", "xi_residues")]),
     "table": ("MAX_TABLE_BYTES", "qstrange.fishburn",
               lambda arg, x: _xi_mod(parse_family(arg), x, 5),
-              [("qstrange._modular", "xi_residues"),
-               ("qstrange.fishburn", "xi_coeffs")]),
+              [("qstrange._modular", "xi_residues")]),
+    # verify_congruence past the float64 edge, its one index at depth x
+    "edge_index": ("MAX_PARTIAL_SUM_WORK", "qstrange.qfamilies",
+                   lambda arg, x: verify_congruence(
+                       parse_family(arg), EDGE_P, 1, EDGE_P - x, x),
+                   [("qstrange.qfamilies", "_partial_sum_value"),
+                    ("qstrange.fishburn", "_xi_mod")]),
     "l_value": ("MAX_L_WORK", "qstrange.partialtheta",
                 lambda arg, x: l_value(twisted_sequence(
                     get_character(arg), 1, 0), x),

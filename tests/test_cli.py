@@ -604,6 +604,33 @@ def test_scan_single_class_mod_a_large_prime_answers(capsys):
     assert out == "fail: xi(1) = 1 mod 1000000000000000003\n"
 
 
+# past the float64 edge at every depth the work limit admits: the one
+# index, 1, is read from the partial sum at N = 1, also past the depths
+# xi_coeffs admits (270 for kz)
+EDGE_SCAN = ("scan", "--family", "kz", "--p", "1000000007", "--beta",
+             "1000000006", "--depth")
+
+
+@pytest.mark.parametrize("depth", ["270", "271", "3683"])
+def test_scan_past_the_float_edge_reads_one_index(capsys, depth):
+    code, obj = invoke_json(capsys, *EDGE_SCAN, depth)
+    assert code == 1
+    assert obj == {"command": "scan", "schema": "qstrange/1", "family": "kz",
+                   "p": 1000000007, "r": 1, "beta": 1000000006,
+                   "residue_class": 1, "depth": int(depth),
+                   "indices_checked": 1, "verdict": "fail",
+                   "status": "empirical", "witness": 1, "residue": 1}
+
+
+def test_scan_past_the_float_edge_admits_the_depth_first(capsys, monkeypatch):
+    import qstrange.qfamilies as qf
+
+    monkeypatch.setattr(qf, "_partial_sum_value", _never("the partial sum"))
+    code, out, err = invoke(capsys, *EDGE_SCAN, "3684")
+    assert (code, out) == (2, "")
+    assert "MAX_MODULAR_WORK" in err
+
+
 BIG_CHARACTER = {"a": 0, "b": 1, "nu": 0, "period": 3000000,
                  "values": {"1": "1", "2999999": "-1"}}
 
@@ -665,7 +692,7 @@ def test_cli_imports_no_dataclasses_inspect_or_typing():
 # each was killed by a 10 s timeout before the partial-sum work limit
 OVER_PARTIAL_SUM_WORK = [
     ("fishburn", "--family", "gk:k=2", "--depth", "300"),
-    ("scan", "--family", "gk:k=2", "--p", "5500003", "--beta", "5500000",
+    ("scan", "--family", "gk:k=2", "--p", "5500003", "--beta", "5499703",
      "--depth", "300"),
     ("dissect", "--family", "kz", "--s", "3", "--N", "2000"),
     ("verify", "--family", "gk:k=3", "--char", "chi_gk:k=3", "--s", "5",

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -20,7 +21,8 @@ from qstrange.fishburn import (
 )
 from qstrange.qfamilies import InvalidParam, parse_family, partial_sum
 
-from helpers import BOUNDARIES, check_boundary, is_prime_def, subst_def
+from helpers import (BOUNDARIES, GUARDS, _never, check_boundary,
+                     deepest_admitted, is_prime_def, subst_def)
 
 KZ = parse_family("kz")
 GK1 = parse_family("gk:k=1")
@@ -124,30 +126,40 @@ class TestModularEngine:
         for mod in (7, 25):
             assert _xi_mod(fam, depth, mod) == tuple(c % mod for c in exact)
 
-    def test_overflow_fallback(self):
-        # (mod-1)^2*(depth+1) at or over 2^53 forces the exact route
-        mod = 2 ** 31
+    def test_overflow_fallback(self, monkeypatch):
+        # (mod-1)^2*(depth+1) at or over 2^53: verify_congruence reads its
+        # one index exactly and never runs the engine
+        import qstrange.fishburn as fb
+        mod = 2 ** 31 - 1  # a prime
+        assert not fb._float_exact(mod, 6)
         exact = xi_coeffs(KZ, 6).coeffs
-        assert _xi_mod(KZ, 6, mod) == tuple(c % mod for c in exact)
+        monkeypatch.setattr(fb, "_xi_mod", _never("_xi_mod"))
+        for first in range(7):
+            rep = verify_congruence(KZ, mod, 1, mod - first, 6)
+            assert rep.indices_checked == 1
+            assert (rep.witness, rep.residue) == (first, exact[first] % mod)
+
+    def test_past_the_edge_is_a_caller_bug(self, monkeypatch):
+        # the engine cannot run there, and is not even imported
+        monkeypatch.setitem(sys.modules, "qstrange._modular", None)
+        for label in ("kz", "gk:k=3"):
+            with pytest.raises(ValueError) as exc:
+                _xi_mod(parse_family(label), 6, 2 ** 31)
+            assert type(exc.value) is ValueError
 
     # kz and gk:k=1 have no ladder, so only the accumulation runs at the
     # edge; gk:k=1's carries signed first differences into its convolutions
     @pytest.mark.parametrize("label", [
         "kz", "gk:k=1", "gk:k=2", "hikami:m=3,alpha=1"])
-    def test_float_guard_edge(self, label, monkeypatch):
-        import qstrange.fishburn as fb
+    def test_float_guard_edge(self, label):
         fam, depth = parse_family(label), 40
         # the largest modulus whose float64 products stay below 2^53
         top = math.isqrt((2 ** 53 - 1) // (depth + 1)) + 1
         assert (top - 1) ** 2 * (depth + 1) < 2 ** 53 <= top ** 2 * (depth + 1)
         exact = xi_coeffs(fam, depth).coeffs
-        calls = []
-        monkeypatch.setattr(fb, "xi_coeffs",
-                            lambda f, d: calls.append(d) or xi_coeffs(f, d))
-        for mod, exact_road in ((top, False), (top + 1, True)):
-            calls.clear()
-            assert _xi_mod(fam, depth, mod) == tuple(c % mod for c in exact)
-            assert bool(calls) == exact_road
+        assert _xi_mod(fam, depth, top) == tuple(c % top for c in exact)
+        with pytest.raises(ValueError, match="past the float64 edge"):
+            _xi_mod(fam, depth, top + 1)
 
     # gk:k=2 and hikami:m=2 make no block product: their one level is
     # _ones_level_mod's
@@ -181,12 +193,11 @@ class TestModularEngine:
             raise AssertionError("a road was taken")
 
         monkeypatch.setattr(engine, "_pw_table", never)
-        monkeypatch.setattr(fb, "xi_coeffs", never)
         for label in ("gk:k=2", "gk:k=1", "hikami:m=2,alpha=1"):
             with pytest.raises(InvalidParam):
                 _xi_mod(parse_family(label), 10 ** 6, 7)
-        # above the float guard too: the exact road is refused as well
-        with pytest.raises(InvalidParam):
+        # past the float edge too: the refusal comes before its ValueError
+        with pytest.raises(InvalidParam, match="MAX_TABLE_BYTES"):
             _xi_mod(GK2, 10 ** 6, 2 ** 31)
 
     def test_work_limit(self, monkeypatch):
@@ -196,8 +207,8 @@ class TestModularEngine:
             raise AssertionError("a road was taken")
 
         monkeypatch.setattr(engine, "xi_residues", never)
-        monkeypatch.setattr(fb, "xi_coeffs", never)
-        # within the table limit, over the work limit; both roads refused
+        # within the table limit, over the work limit, and refused so past
+        # the float edge too, before its ValueError
         for label, depth in (("kz", 100000), ("gk:k=1", 5000),
                              ("gk:k=2", 1000), ("hikami:m=3,alpha=1", 700)):
             fam = parse_family(label)
@@ -228,6 +239,16 @@ class TestModularEngine:
     def test_xi_coeffs_counts_the_substitution(self, label, deepest,
                                                monkeypatch):
         check_boundary("xi_coeffs", label, deepest, monkeypatch)
+
+    # the partial_sum rows of the table of guard boundaries: past the float
+    # edge the one index read is admitted exactly as far as the sum at
+    # N = that index is
+    @pytest.mark.parametrize("label,deepest", [
+        (arg, deepest) for guard, arg, deepest in BOUNDARIES
+        if guard == "partial_sum"])
+    def test_index_past_the_edge_is_admitted_as_its_sum_is(
+            self, label, deepest, monkeypatch):
+        check_boundary("edge_index", label, deepest, monkeypatch)
 
     # the set-up makes no product that nothing reads: the accumulation
     # makes at most one convolution per index, the first ladder level two
@@ -381,6 +402,22 @@ class TestModularEngine:
         assert 1 in scan_congruences(KZ, 7, 1, 104).passing_beta
         verify_congruence(KZ, 13, 1, 1, 104)
         assert mods == [fb.SHARED]
+
+    def test_shared_run_is_exact_at_every_admitted_depth(self):
+        # the run modulo SHARED needs its float64 products exact, which
+        # holds up to depth 17339; the deepest depth each of the modular
+        # and table guards admits is below that
+        import qstrange.fishburn as fb
+        assert fb._float_exact(fb.SHARED, 17339)
+        assert not fb._float_exact(fb.SHARED, 17340)
+        estimates = {"modular": fb.modular_work,
+                     "table": lambda fam, d: fb._table_plan(fam, d)[1]}
+        for guard, arg, _ in BOUNDARIES:
+            if guard in estimates:
+                fam = parse_family(arg)
+                deepest = deepest_admitted(
+                    GUARDS[guard][0], lambda d: estimates[guard](fam, d))
+                assert deepest < 17339, (guard, arg)
 
     # a column ladder keeps its own modulus, so its block products stay in
     # float32 rather than moving to float64 at SHARED

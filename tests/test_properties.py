@@ -20,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (certificate_def, cyclo_ref, divmod_def, embed_def,
                      exact_div_def, expansion_def, gamma_def, horner_def,
-                     l_value_def, ladder_def, monomial, reassemble_def,
-                     residue_set_def, to_rat, twisted_table_def)
+                     is_prime_def, l_value_def, ladder_def, monomial,
+                     reassemble_def, residue_set_def, to_rat,
+                     twisted_table_def)
 from qstrange.cyclofield import CycloNum, eval_at_root
 from qstrange.dissection import (DivisibilityFalsified, DivisibilityReport,
                                  DivisibilityRow, OddModulusRequired, dissect,
@@ -46,7 +47,8 @@ from qstrange.exactpoly import (
 import qstrange._modular as engine
 from qstrange._modular import _ones_level_mod, _pw_table, _sub_ladder_mod
 from qstrange.fishburn import (SHARED, CongruenceReport, ScanReport,
-                               _table_plan, _xi_mod, xi_coeffs)
+                               _table_plan, _xi_mod, verify_congruence,
+                               xi_coeffs)
 from qstrange.partialtheta import (
     Character,
     CharacterInvalid,
@@ -58,8 +60,8 @@ from qstrange.partialtheta import (
     twisted_sequence,
     validate_character,
 )
-from qstrange.qfamilies import (MAX_PARTIAL_SUM_WORK, InvalidParam, _horner,
-                                 _ladder, _packed, parse_family, partial_sum,
+from qstrange.qfamilies import (MAX_PARTIAL_SUM_WORK, _horner, _ladder,
+                                 _packed, parse_family, partial_sum,
                                  partial_sum_prefix, partial_sum_work)
 from qstrange.strangematch import (MatchReport, OddOrderRequired,
                                    expansion_coeff, match_expansion)
@@ -255,24 +257,51 @@ def test_shared_run_matches_own_run(label, depth, m):
     # a column ladder; either way the residues are those of the engine run
     # at m itself, and of the exact coefficients.  (bound, 0) is the
     # largest m with (m-1)**2 * (depth+1) below the bound, (bound, 1) the
-    # least at or over it
+    # least at or over it, where the engine has no road at all
     if isinstance(m, tuple):
         bound, past = m
         m = math.isqrt((bound - 1) // (depth + 1)) + 1 + past
     fam = parse_family(label)
-    fast = (m - 1) ** 2 * (depth + 1) < 2 ** 53
-    exact = exact_xi(label)
-    if not fast and depth >= len(exact):
-        # the exact road is refused here, and so is the request
-        with pytest.raises(InvalidParam, match="MAX_PARTIAL_SUM_WORK"):
+    if (m - 1) ** 2 * (depth + 1) >= 2 ** 53:
+        with pytest.raises(ValueError, match="past the float64 edge"):
             _xi_mod(fam, depth, m)
         return
     got = _xi_mod(fam, depth, m)
-    if fast:
-        assert got == engine.xi_residues(fam, depth, m,
-                                         _table_plan(fam, depth)[0])
+    assert got == engine.xi_residues(fam, depth, m, _table_plan(fam, depth)[0])
+    exact = exact_xi(label)
     if depth < len(exact):
         assert got == tuple(c % m for c in exact[: depth + 1])
+
+
+@functools.cache
+def edge_primes(depth):
+    """The largest prime m with (m-1)**2 * (depth+1) below 2**53, whose
+    float64 products are exact, and the least prime past it."""
+    top = math.isqrt((2 ** 53 - 1) // (depth + 1)) + 1
+    below = next(m for m in range(top, 1, -1) if is_prime_def(m))
+    return below, next(m for m in range(top + 1, 2 * top) if is_prime_def(m))
+
+
+@PROPERTY
+@given(st.one_of(inline_families, st.sampled_from(
+           ["kz", "gk:k=1", "gk:k=2", "gk:k=3", "hikami:m=2,alpha=0",
+            "hikami:m=3,alpha=1"]).map(parse_family)),
+       st.integers(0, 25).flatmap(
+           lambda depth: st.tuples(st.just(depth), st.integers(0, depth))),
+       st.sampled_from([0, 1]))
+def test_congruence_matches_exact_across_the_float_edge(fam, depth_first,
+                                                        past):
+    # below the edge the engine answers and the exact read cross-checks
+    # it; past it the exact read alone answers.  Both agree with xi_coeffs
+    depth, first = depth_first
+    p = edge_primes(depth)[past]
+    rep = verify_congruence(fam, p, 1, p - first, depth)
+    xi = [c % p for c in xi_coeffs(fam, depth).coeffs]
+    indices = range(first, depth + 1, p)
+    witness = next((i for i in indices if xi[i]), None)
+    assert (rep.verdict, rep.witness, rep.indices_checked) == (
+        "pass" if witness is None else "fail", witness, len(indices))
+    assert rep.residue == (None if witness is None else xi[witness])
 
 
 def unpacked(triples):

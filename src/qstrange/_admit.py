@@ -44,15 +44,18 @@ MAX_TABLE_BYTES = 2 ** 28
 # depth 52 2.1-3.3 s.
 MAX_MODULAR_WORK = 5 * 10 ** 10
 
-# partialtheta: largest accepted l_value_work / gamma_work.  An L-value of
-# order 570 at period 24 is just under it (574 is the deepest accepted) and
-# takes about 2 s on a 2-vCPU Xeon VM.
+# partialtheta: largest accepted l_value_work / gamma_work.  On a 2-vCPU
+# Xeon VM the deepest accepted, lvalue --char chi_kz --n 574 and gamma --n
+# 123 at period 24, take 0.2 s and 0.3-0.4 s.
 MAX_L_WORK = 2 * 10 ** 8
 
-# partialtheta: largest accepted twisted period lcm(T, b*k).  Validating and
-# tabulating a dense character of period 10**5 takes about 0.8 s on a
-# 2-vCPU Xeon VM.  A character whose period at k = 1, lcm(T, b), is over it
-# is refused when it is built, since validating it scans that many indices.
+# partialtheta: largest accepted twisted period lcm(T, b*k).  On a 2-vCPU
+# Xeon VM a character file of period 99991, nonzero but at 0, takes 1.8 s
+# at k = 1.  A fold mod Phi_k costs about (k - phi(k)) times the nonzero
+# terms of Phi_k, most at k = 2p: lvalue --char chi6 --k 33322 takes 22 s,
+# and a file with b = 1 at k = 99998 5 min.  A character whose period at
+# k = 1, lcm(T, b), is over it is refused when it is built, since
+# validating it scans that many indices.
 MAX_TWIST_PERIOD = 10 ** 5
 
 # strangematch: largest accepted stable_derivative index for match_expansion,
@@ -67,7 +70,7 @@ MAX_MATCH_INDEX = 100
 # 3 * 10**9 and takes about 0.5 s on a 2-vCPU Xeon VM.
 MAX_C_ARRAY_WORK = 10 ** 10
 
-# cli: largest accepted identity_check_work: about 6 s on a 2-vCPU Xeon VM.
+# cli: largest accepted identity_check_work: under 0.8 s on a 2-vCPU Xeon VM.
 MAX_IDENTITY_WORK = 10 ** 6
 
 # dissection: largest accepted residue_set scan, lcm(T, b*s) indices, of

@@ -7,16 +7,15 @@ polynomial Phi_k, written as integer coordinates over one denominator:
 
 with d at most phi(k) = deg Phi_k, trailing zeros stripped, den > 0 and
 the whole in lowest terms, so equal elements have equal fields.  Products
-fold exponents with zeta**k = 1 and reduce with a per-k table of zeta**e
-mod Phi_k for e < k; Phi_k is monic, so the table rows are integers.  Only
-ints (never bools) and Fractions are accepted as rationals: a float is
-refused rather than turned into a binary fraction.  All operations stay
-exact: no floating point enters at any point.
+fold exponents with zeta**k = 1 and reduce from the top by Phi_k, which is
+monic, so the coordinates stay integers.  Only ints (never bools) and
+Fractions are accepted as rationals: a float is refused rather than turned
+into a binary fraction.  All operations stay exact: no floating point
+enters at any point.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -30,34 +29,25 @@ class ConductorMismatch(ValueError):
     """Arithmetic tried to mix elements of different cyclotomic fields."""
 
 
-@functools.lru_cache(maxsize=None)
-def _powers(k: int) -> tuple:
-    """Rows zeta**e mod Phi_k, e = 0 .. k-1, each phi(k) integers long."""
+def _fold(k: int, coeffs: list) -> list:
+    """Integer coordinates of sum coeffs[e] * zeta**e, any length: exponents
+    mod k, then each term from the top down to phi(k) removed by the monic
+    Phi_k's nonzero coefficients.  A short coeffs is returned itself."""
     phi = cyclotomic(k).coeffs
     d = len(phi) - 1
-    row = [1] + [0] * (d - 1)
-    rows = []
-    for _ in range(k):
-        rows.append(tuple(row))
-        carry = row[-1]
-        row = [0] + row[:-1]
-        if carry:
-            row = [r - carry * c for r, c in zip(row, phi)]
-    return tuple(rows)
-
-
-def _fold(k: int, coeffs: list) -> list:
-    """Integer coordinates of sum coeffs[e] * zeta**e, any length."""
-    rows = _powers(k)
-    d = len(rows[0])
     if len(coeffs) <= d:
         return coeffs
-    out = coeffs[:d]
-    for e in range(d, len(coeffs)):
-        c = coeffs[e]
+    out = coeffs[:k]
+    for base in range(k, len(coeffs), k):
+        _add_into(out, coeffs[base:base + k])
+    terms = [(i, c) for i, c in enumerate(phi[:-1]) if c]
+    for top in range(len(out) - 1, d - 1, -1):
+        c = out[top]
         if c:
-            out = [o + c * r for o, r in zip(out, rows[e % k])]
-    return out
+            base = top - d
+            for i, p in terms:
+                out[base + i] -= c * p
+    return out[:d]
 
 
 def _exact(x):
@@ -128,7 +118,7 @@ class CycloNum(Record):
         """zeta_k**power, any integer power."""
         if k < 1:
             raise ValueError("k must be positive")
-        return _new(k, list(_powers(k)[power % k]), 1)
+        return _new(k, _fold(k, [0] * (power % k) + [1]), 1)
 
     @property
     def rep(self) -> RatPoly:

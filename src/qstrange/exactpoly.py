@@ -509,28 +509,26 @@ def _one_minus_q_coeff(p: IntPoly, k: int) -> int:
     return -total if k % 2 else total
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic(k: int) -> IntPoly:
-    """k-th cyclotomic polynomial, monic, with cyclotomic(1) = q - 1."""
+    """k-th cyclotomic polynomial, monic, with cyclotomic(1) = q - 1.
+
+    Phi_k = prod (1 - q^d)^mu(k/d) over d | k (the mu add up to 0 for
+    k > 1); each prime p of k adds d/p with the opposite sign for each d so
+    far.  The mu = +1 binomials go first, so each division is exact.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    p = IntPoly((-1,) + (0,) * (k - 1) + (1,))  # q^k - 1
-    for d in _divisors(k):
-        if d < k:
-            p = exact_div(p, cyclotomic(d))
-    return p
+    factors, n = [(k, 1)], k
+    for p in range(2, k + 1):
+        if n % p == 0:  # p is prime: every smaller prime is divided out
+            factors += [(d // p, -mu) for d, mu in factors]
+            while n % p == 0:
+                n //= p
+    coeffs = [1]
+    for d, mu in sorted(factors, key=lambda f: -f[1]):
+        coeffs = mul_binomial(coeffs, d) if mu > 0 else div_binomial(coeffs, d)
+    return IntPoly._new([-c for c in coeffs] if k == 1 else coeffs)
 
 
 def pochhammer_exponents(n: int, step: int = 1) -> range:

@@ -10,24 +10,27 @@ sums, and assembles the asymptotic expansion coefficients gamma_n(zeta).
 
 Everything is exact: character values are Fractions (only ints, Fractions
 and exact strings are accepted), twisted entries are CycloNum.  A twisted
-sequence also keeps its entries as integer coordinates over one common
-denominator, so L(-n, C) is one integer Horner pass of B_{n+1} per nonzero
-entry and a single division.  L-value and gamma requests whose work estimate
-exceeds MAX_L_WORK, and twisted sequences whose period exceeds
+sequence keeps its nonzero entries as integer (power, coefficient) terms
+over one common denominator, so L(-n, C) is one integer Horner pass of
+B_{n+1} per nonzero entry, summed by power of zeta and folded mod Phi_k
+once, and a single division.  L-value and gamma requests whose work
+estimate exceeds MAX_L_WORK, and twisted sequences whose period exceeds
 MAX_TWIST_PERIOD, are refused with InvalidParam before any arithmetic.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import count, islice
+from operator import itemgetter
 
 from qstrange._admit import MAX_L_WORK, MAX_TWIST_PERIOD, admit
 from qstrange._record import Record
-from qstrange.cyclofield import CycloNum, _new, _powers
+from qstrange.cyclofield import CycloNum, _fold, _new
 from qstrange.exactpoly import RatPoly
 from qstrange.qfamilies import ParseError, _builtin_params
 
@@ -42,7 +45,6 @@ __all__ = [
     "validate_character",
     "twisted_sequence",
     "bernoulli_number",
-    "bernoulli_poly",
     "l_value",
     "l_value_work",
     "gamma_coeff",
@@ -238,35 +240,39 @@ def _builtin_character(text: str) -> Character:
 
 # -- twisted sequences ---------------------------------------------------------
 
-def _sealed(character: Character, k: int, j: int, nonzero: list) -> tuple:
-    """(rows, den) of a twisted sequence from its (m, C(m)) pairs; refuses a
-    nonzero twisted mean."""
-    den = math.lcm(*(x.den for _, x in nonzero))
-    width = max((len(x.num) for _, x in nonzero), default=0)
-    rows = []
-    for m, x in nonzero:
-        scale = den // x.den
-        coords = [c * scale for c in x.num]
-        rows.append((m, tuple(coords + [0] * (width - len(coords)))))
-    if any(map(sum, zip(*(row for _, row in rows)))):
+def _folded(k: int, rows) -> list:
+    """Integer coordinates of the sum of the rows over Q(zeta_k): each term
+    (power, c) adds c into the bucket of that power of zeta, and the k
+    buckets are folded once."""
+    buckets = [0] * k
+    for _, terms in rows:
+        for power, c in terms:
+            buckets[power] += c
+    return _fold(k, buckets)
+
+
+def _sealed(seq, character: Character, k: int, j: int, period: int,
+            rows: tuple, den: int) -> "TwistedSeq":
+    """seq with its fields set, after refusing a nonzero twisted mean."""
+    if any(_folded(k, rows)):
         raise MeanValueNonzero(
             f"twisted mean of {character.label} at zeta_{k}^{j} is nonzero")
-    return tuple(rows), den
+    Record.__init__(seq, character, k, j, period, rows, den)
+    return seq
 
 
 class TwistedSeq(Record):
     """C(n) = zeta^((n^2-a)/b) * chi(n) tabulated over one full period.
 
-    rows and den are derived from table: C(m) = row_m / den in integer
-    coordinates over Q(zeta_k), for the m in 1..period with C(m) != 0.
-    The public constructor checks the table and scans it for those m;
-    twisted_sequence builds the table from the character and passes its
-    nonzero entries to the trusted _new.  Both refuse a nonzero twisted mean.
-    Equality is identity; twisted_sequence shares one instance per
-    (chi, k, j mod k).
+    C(m) = sum c * zeta**power / den over the integer (power, c) terms of
+    row m, power < k, for each m in 1..period with C(m) != 0, ascending.
+    The public constructor keeps each table entry's nonzero coordinates;
+    twisted_sequence writes one term per supported m.  Both refuse a
+    nonzero twisted mean; table and entry are derived from rows.  Equality
+    is identity; twisted_sequence shares one per (chi, k, j mod k).
     """
 
-    __slots__ = ("character", "k", "j", "period", "table", "rows", "den")
+    __slots__ = ("character", "k", "j", "period", "rows", "den")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -278,21 +284,22 @@ class TwistedSeq(Record):
             raise ValueError(f"table entries must lie in Q(zeta_{k})")
         nonzero = [(m, table[m % period]) for m in range(1, period + 1)
                    if table[m % period]]
-        super().__init__(character, k, j, period, table,
-                         *_sealed(character, k, j, nonzero))
-
-    @classmethod
-    def _new(cls, character: Character, k: int, j: int, period: int,
-             table: tuple, nonzero: list) -> "TwistedSeq":
-        """Sequence from a table of reduced elements of Q(zeta_k) and its
-        nonzero entries as (m, C(m)), m ascending in 1..period."""
-        seq = object.__new__(cls)
-        Record.__init__(seq, character, k, j, period, table,
-                        *_sealed(character, k, j, nonzero))
-        return seq
+        den = math.lcm(*(x.den for _, x in nonzero))
+        rows = tuple((m, tuple((i, c * (den // x.den))
+                               for i, c in enumerate(x.num) if c))
+                     for m, x in nonzero)
+        _sealed(self, character, k, j, period, rows, den)
 
     def entry(self, n: int) -> CycloNum:
-        return self.table[n % self.period]
+        m = n % self.period or self.period
+        at = bisect.bisect_left(self.rows, m, key=itemgetter(0))
+        row = [r for r in self.rows[at:at + 1] if r[0] == m]
+        return _new(self.k, _folded(self.k, row), self.den)
+
+    @property
+    def table(self) -> tuple:
+        """C(0), ..., C(period - 1)."""
+        return tuple(map(self.entry, range(self.period)))
 
     def __repr__(self):
         return (f"TwistedSeq({self.character.label!r}, zeta_{self.k}^{self.j}, "
@@ -319,21 +326,16 @@ def twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
 
 @functools.lru_cache(maxsize=256)
 def _twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
-    """On the support, C(n) = chi(n) * zeta**(j*e) with chi(n) = p/q and
-    e = (n^2-a)/b is row j*e mod k of _powers(k) times p, over q; every
-    other entry is one shared zero."""
+    """On the support, C(n) = chi(n) * zeta**(j*e) with e = (n^2-a)/b is
+    one term, the integer chi(n) * den at power j*e mod k."""
     validate_character(char)
     P = math.lcm(char.period, char.b * k)
-    powers = _powers(k)
-    table = [_new(k, [], 1)] * P
-    nonzero = []
-    for n in char.support(P):
-        v = char.value(n)
-        row = powers[j * char.exponent(n) % k]
-        x = table[n] = _new(k, [v.numerator * c for c in row], v.denominator)
-        nonzero.append((n or P, x))
-    nonzero.sort(key=lambda pair: pair[0])  # C(0) is entry m = P
-    return TwistedSeq._new(char, k, j, P, tuple(table), nonzero)
+    support = sorted(n or P for n in char.support(P))  # C(0) is entry m = P
+    den = math.lcm(*(v.denominator for v in char.values))
+    scaled = [int(den * v) for v in char.values]
+    rows = tuple((m, ((j * char.exponent(m) % k, scaled[m % char.period]),))
+                 for m in support)
+    return _sealed(object.__new__(TwistedSeq), char, k, j, P, rows, den)
 
 
 # -- Bernoulli machinery --------------------------------------------------------
@@ -341,73 +343,82 @@ def _twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
 def l_value_work(n: int, P: int) -> int:
     """Work estimate for l_value(seq, n) at period P, from n and P alone.
 
-    The Bernoulli recursion for B_0..B_{n+1} takes about (n+2)^2 steps and
-    the P Horner passes n+2 steps each; every step is weighted by n+2, since
-    the integers' bit length grows with the order.
+    B_0..B_{n+1} take under (n+2)^2 integer multiply-adds and the P Horner
+    passes n+2 steps each; every step is weighted by n+2, since the
+    integers' bit length grows with the order.
     """
     return (n + 2) ** 2 * (n + 2 + P)
 
 
 def gamma_work(char: Character, k: int, n: int) -> int:
     """Work estimate for gamma_coeff(char, k, j, n): n+1 L-values of order
-    at most 2n+nu at the twisted period, sharing one Bernoulli recursion."""
+    at most 2n+nu at the twisted period; their Bernoulli numbers are
+    charged as one set at the top order."""
     top = 2 * n + char.nu + 2
     P = math.lcm(char.period, char.b * k)
     return top ** 2 * (top + (n + 1) * P)
 
 
-@functools.lru_cache(maxsize=None)
+def _bernoulli(top: int) -> list:
+    """B_0, ..., B_top as (numerator, denominator) pairs in lowest terms,
+    B_1 = -1/2.  The even ones come from the tangent numbers T_i of
+    tan x = sum T_i x^(2i-1)/(2i-1)!, in integer multiply-adds (Brent and
+    Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers",
+    2011): B_2i = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)).  Nothing is kept.
+    """
+    half = top // 2
+    t = [0] + [math.factorial(i - 1) for i in range(1, half + 1)]
+    for i in range(2, half + 1):
+        for h in range(i, half + 1):
+            t[h] = (h - i) * t[h - 1] + (h - i + 2) * t[h]
+    out = [(1, 1), (-1, 2), *[(0, 1)] * (top - 1)]
+    for i in range(1, half + 1):
+        num, den = (-1) ** (i - 1) * 2 * i * t[i], 4 ** i * (4 ** i - 1)
+        g = math.gcd(num, den)
+        out[2 * i] = (num // g, den // g)
+    return out[:top + 1]
+
+
 def bernoulli_number(m: int) -> Fraction:
     """Bernoulli number B_m with B_1 = -1/2."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for jj in range(m):
-        acc += math.comb(m + 1, jj) * bernoulli_number(jj)
-    return -acc / (m + 1)
-
-
-@functools.lru_cache(maxsize=None)
-def bernoulli_poly(n: int) -> RatPoly:
-    """Bernoulli polynomial B_n(x), exact rationals."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    coeffs = [math.comb(n, e) * bernoulli_number(n - e) for e in range(n + 1)]
-    return RatPoly(coeffs)
+    return Fraction(*_bernoulli(m)[m])
 
 
 def l_value(seq: TwistedSeq, n: int) -> CycloNum:
     """L(-n, C) = (-P^n/(n+1)) * sum_{m=1}^{P} C(m) B_{n+1}(m/P), exactly.
 
-    Computed in integers: with C(m) = row_m/D (seq.rows, seq.den) and
+    Computed in integers: with C(m) = row_m/D (seq.rows, seq.den), d the
+    lcm of the denominators of B_0..B_{n+1}, and
     B_{n+1}(x) = sum_e b_e x^e / d for integers b_e,
 
         L(-n, C) = -sum_m row_m * H(m) / (d * D * (n+1) * P),
         H(m) = sum_e b_e m^e P^(n+1-e),
 
-    one integer Horner pass per nonzero row and one division at the end.
-    Refused with InvalidParam when l_value_work(n, P) exceeds MAX_L_WORK.
+    one integer Horner pass per nonzero row, added into k buckets by the
+    power of zeta, one fold and one division at the end.  Refused with
+    InvalidParam when l_value_work(n, P) exceeds MAX_L_WORK.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     P = seq.period
     admit("MAX_L_WORK", l_value_work(n, P), f"work of L(-{n}, C) at period {P}")
-    beta = bernoulli_poly(n + 1).coeffs
-    d = math.lcm(*(c.denominator for c in beta))
+    bern = _bernoulli(n + 1)
+    d = math.lcm(*(den for _, den in bern))
     horner, power = [], 1
-    for c in reversed(beta):
-        horner.append(c.numerator * (d // c.denominator) * power)
+    for e in range(n + 1, -1, -1):
+        num, den = bern[n + 1 - e]
+        horner.append(math.comb(n + 1, e) * num * (d // den) * power)
         power *= P
-    acc = [0] * len(seq.rows[0][1]) if seq.rows else []
-    for m, row in seq.rows:
+    buckets = [0] * seq.k
+    for m, terms in seq.rows:
         h = 0
         for c in horner:
             h = h * m + c
-        for i, r in enumerate(row):
-            acc[i] -= r * h
-    return _new(seq.k, acc, d * seq.den * (n + 1) * P)
+        for power, c in terms:
+            buckets[power] -= c * h
+    return _new(seq.k, _fold(seq.k, buckets), d * seq.den * (n + 1) * P)
 
 
 def gamma_coeff(char: Character, k: int, j: int, n: int) -> CycloNum:

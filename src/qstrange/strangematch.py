@@ -28,7 +28,6 @@ produces a fixed integer combination of shifted derivatives of g, and
 
 import math
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import count, islice, zip_longest
 from operator import mul
 
@@ -200,10 +199,11 @@ def extraction_identity_check(p, s: int, ell: int) -> bool:
     over r must reproduce the i-th dissection piece q**i A_i(q**s), checked
     with exact cyclotomic coefficients.  At q**e the average is p's
     coefficient times the filter sum (1/s) sum_r zeta_s**(r*d), d = e - i,
-    which depends only on d mod s and is built once for each d.  Second
-    the derivative ladder: applying (q d/dq)**ell to q**i A_i(q**s) must
-    equal the c_array combination of plain derivatives of A_i.  Returns
-    False on the first discrepancy.
+    which depends only on gcd(d, s) and is built once for each, as s
+    counts of powers of zeta_s folded once.  Second the derivative ladder:
+    applying (q d/dq)**ell to q**i A_i(q**s) must equal the c_array
+    combination of plain derivatives of A_i.  Returns False on the first
+    discrepancy.
     """
     from .dissection import dissect
 
@@ -212,18 +212,15 @@ def extraction_identity_check(p, s: int, ell: int) -> bool:
     if ell < 0:
         raise InvalidParam("derivative order must be nonnegative")
     parts = dissect(p, s).parts
-    filters = []
-    for d in range(s):
-        acc = CycloNum.rational(s, 0)
-        for r in range(s):
-            acc = acc + CycloNum.zeta(s, r * d)
-        filters.append(acc.scale(Fraction(1, s)))
+    # r*d mod s runs over the multiples of g = gcd(d, s), each g times
+    filters = {g: _new(s, _fold(s, [g * (e % g == 0) for e in range(s)]), s)
+               for g in {math.gcd(d, s) for d in range(s)}}
     for i in range(s):
         piece = parts[i].dilate(s).shift(i)
         # filter check, coefficient by coefficient in Q(zeta_s)
         pairs = zip_longest(p.coeffs, piece.coeffs, fillvalue=0)
         for e, (c, want) in enumerate(pairs):
-            if filters[(e - i) % s].scale(c) != CycloNum.rational(s, want):
+            if filters[math.gcd(e - i, s)].scale(c) != CycloNum.rational(s, want):
                 return False
         # derivative ladder check over Z[q]
         lhs = theta_deriv(piece, ell)

@@ -8,6 +8,7 @@ section pins every resource guard at the edge of what it admits.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import math
 from fractions import Fraction
@@ -27,8 +28,8 @@ from qstrange.exactpoly import (IntPoly, NotDivisible, RatPoly, _add_into,
                                 pochhammer_exponents, pochhammer_factors,
                                 theta_deriv)
 from qstrange.fishburn import _xi_mod, verify_congruence, xi_coeffs
-from qstrange.partialtheta import (Character, bernoulli_poly, get_character,
-                                   l_value, twisted_sequence)
+from qstrange.partialtheta import (Character, get_character, l_value,
+                                   twisted_sequence)
 from qstrange.qfamilies import (FamilySpec, InvalidParam, parse_family,
                                  partial_sum)
 from qstrange.strangematch import c_array, match_expansion, stable_derivative
@@ -325,6 +326,60 @@ def is_prime_def(n: int) -> bool:
 
 # -- cyclotomic fields and L-values -----------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def cyclotomic_def(k: int) -> IntPoly:
+    """Phi_k as (q^k - 1) divided by Phi_d for every proper divisor d of k,
+    each Phi_d by the same recursion; Phi_1 = q - 1."""
+    p = IntPoly((-1,) + (0,) * (k - 1) + (1,))
+    for d in range(1, k):
+        if k % d == 0:
+            p = exact_div(p, cyclotomic_def(d))
+    return p
+
+
+def powers_def(k: int) -> tuple:
+    """Rows zeta**e mod Phi_k, e = 0 .. k-1, each phi(k) integers long:
+    each row is the one before times zeta, its top carried down by Phi_k."""
+    phi = cyclotomic(k).coeffs
+    d = len(phi) - 1
+    row = [1] + [0] * (d - 1)
+    rows = []
+    for _ in range(k):
+        rows.append(tuple(row))
+        carry = row[-1]
+        row = [0] + row[:-1]
+        if carry:
+            row = [r - carry * c for r, c in zip(row, phi)]
+    return tuple(rows)
+
+
+def fold_def(k: int, coeffs: list) -> list:
+    """Integer coordinates of sum coeffs[e] * zeta**e, phi(k) long: the
+    sum of coeffs[e] times row e mod k of the power table."""
+    rows = powers_def(k)
+    out = [0] * len(rows[0])
+    for e, c in enumerate(coeffs):
+        out = [o + c * r for o, r in zip(out, rows[e % k])]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def bernoulli_numbers_def(top: int) -> tuple:
+    """B_0 .. B_top with B_1 = -1/2, by the recursion
+    B_m = -sum_{i<m} C(m+1, i) B_i / (m+1) in Fractions."""
+    out = [Fraction(1)]
+    for m in range(1, top + 1):
+        acc = sum(math.comb(m + 1, i) * b for i, b in enumerate(out))
+        out.append(-acc / (m + 1))
+    return tuple(out)
+
+
+def bernoulli_poly_def(n: int) -> RatPoly:
+    """Bernoulli polynomial B_n(x) = sum_e C(n, e) B_{n-e} x^e."""
+    b = bernoulli_numbers_def(n)
+    return RatPoly([math.comb(n, e) * b[n - e] for e in range(n + 1)])
+
+
 def cyclo_ref(k: int, coeffs) -> RatPoly:
     """Residue of sum coeffs[e] * zeta_k**e mod Phi_k by rational division."""
     rep = coeffs if isinstance(coeffs, RatPoly) else RatPoly(coeffs)
@@ -360,7 +415,7 @@ def l_value_def(seq, n: int) -> RatPoly:
     """L(-n, C) = (-P^n/(n+1)) * sum_{m=1}^{P} C(m) B_{n+1}(m/P), one m at a
     time in Fractions, as a reduced rational polynomial in zeta_k."""
     P = seq.period
-    bp = bernoulli_poly(n + 1)
+    bp = bernoulli_poly_def(n + 1)
     total = RatPoly()
     for m in range(1, P + 1):
         c = seq.entry(m)
@@ -543,7 +598,7 @@ GUARDS = {
     "l_value": ("MAX_L_WORK", "qstrange.partialtheta",
                 lambda arg, x: l_value(twisted_sequence(
                     get_character(arg), 1, 0), x),
-                [("qstrange.partialtheta", "bernoulli_poly")]),
+                [("qstrange.partialtheta", "_bernoulli")]),
     "c_array": ("MAX_C_ARRAY_WORK", "qstrange.strangematch",
                 lambda arg, x: c_array(x, 1, 5), []),
     "match": ("MAX_MATCH_INDEX", "qstrange.strangematch",

@@ -7,6 +7,7 @@ capsys so the JSON contract can be checked byte for byte.
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import time
@@ -477,6 +478,33 @@ def test_identity_check_negative_size_is_usage_error(capsys, flag, value):
     assert flag in err
 
 
+@pytest.mark.parametrize("argv, want", [
+    # each of the s filter sums was s additions of field elements: 83 s at
+    # s = 997, which MAX_IDENTITY_WORK admits
+    (("identity-check", "--s", "997", "--ell", "0", "--count", "1",
+      "--max-degree", "0"),
+     '{"checked":1,"command":"identity-check","ell":0,"ok":true,"s":997,'
+     '"schema":"qstrange/1"}\n'),
+    # the table of zeta**e mod Phi_4166 and every twisted entry's
+    # coordinates: 25 s and 891 MB
+    (("lvalue", "--char", "chi_kz", "--k", "4166", "--j", "1", "--n", "0"),
+     '{"character":"chi_kz","command":"lvalue","j":1,"k":4166,"n":0,'
+     '"schema":"qstrange/1","value":{"coeffs":[],"conductor":4166}}\n'),
+], ids=["identity-check-s997", "lvalue-k4166"])
+def test_deep_admitted_call_finishes_in_seconds(capsys, argv, want):
+    def expire(signum, frame):
+        raise TimeoutError(f"qstrange {' '.join(argv)} ran past 10 s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        code, out, err = invoke(capsys, *argv, "--format", "json")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert (code, out) == (0, want)
+
+
 # ---------------------------------------------------------------- work guards
 
 def _never(what):
@@ -488,7 +516,7 @@ def _never(what):
 def test_lvalue_over_work_limit_is_usage_error(capsys, monkeypatch):
     import qstrange.partialtheta as pt
 
-    monkeypatch.setattr(pt, "bernoulli_poly", _never("bernoulli_poly"))
+    monkeypatch.setattr(pt, "_bernoulli", _never("_bernoulli"))
     code, out, err = invoke(capsys, "lvalue", "--char", "chi_kz", "--n", "3000")
     assert code == 2
     assert out == ""

@@ -409,6 +409,18 @@ class TestCyclotomic:
         for p in (2, 3, 5, 7, 11, 13):
             assert cyclotomic(p).coeffs == (1,) * p
 
+    def test_matches_division_of_q_k_minus_one(self):
+        # products and quotients of binomials against the recursive division
+        for k in range(1, 400):
+            assert cyclotomic(k) == helpers.cyclotomic_def(k), k
+
+    def test_many_prime_factors(self):
+        # 30030 = 2*3*5*7*11*13: phi is 5760, and Phi_k(1) = 1 when k is
+        # not a prime power; the recursive division took 42 s here
+        p = cyclotomic(30030)
+        assert p.degree == 5760 and p.coeffs[-1] == 1
+        assert sum(p.coeffs) == 1
+
 
 class TestSubstitution:
     def test_frozen_small(self):

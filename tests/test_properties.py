@@ -9,6 +9,7 @@ import functools
 import json
 import math
 import pickle
+import random
 from fractions import Fraction
 from itertools import islice, repeat
 from unittest import mock
@@ -16,14 +17,15 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import (certificate_def, cyclo_ref, divmod_def, embed_def,
-                     exact_div_def, expansion_def, gamma_def, horner_def,
+from helpers import (bernoulli_numbers_def, certificate_def, cyclo_ref,
+                     divmod_def, embed_def, exact_div_def, expansion_def,
+                     fold_def, gamma_def, horner_def,
                      is_prime_def, l_value_def, ladder_def, monomial,
                      reassemble_def, residue_set_def, to_rat,
                      twisted_table_def)
-from qstrange.cyclofield import CycloNum, eval_at_root
+from qstrange.cyclofield import CycloNum, _fold, eval_at_root
 from qstrange.dissection import (DivisibilityFalsified, DivisibilityReport,
                                  DivisibilityRow, OddModulusRequired, dissect,
                                  residue_set, verify_theorem)
@@ -54,6 +56,7 @@ from qstrange.partialtheta import (
     CharacterInvalid,
     MeanValueNonzero,
     TwistedSeq,
+    bernoulli_number,
     gamma_coeff,
     get_character,
     l_value,
@@ -576,9 +579,10 @@ fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
        st.integers(0, 12))
 def test_twisted_sequence_matches_two_period_oracle(char, scale, k, j):
     # the oracle tabulates two periods: the second window equals the first,
-    # and the trusted table, rows and den equal what the public constructor
-    # derives from the oracle's table; scaling keeps integrality and a zero
-    # mean, and gives the values unequal denominators
+    # and the trusted sequence has the table, den and low L-values of the
+    # one the public constructor builds from the oracle's table (their rows
+    # differ: one term per entry against its coordinates); scaling keeps
+    # integrality and a zero mean, and gives the values unequal denominators
     char = Character(char.a, char.b, char.nu, char.period,
                      [v * scale for v in char.values])
     want = checked(validate_character, char)
@@ -593,7 +597,9 @@ def test_twisted_sequence_matches_two_period_oracle(char, scale, k, j):
         return
     assert got.table == want.table
     assert all(stored_form_ok(x) for x in got.table)
-    assert (got.rows, got.den) == (want.rows, want.den)
+    assert got.den == want.den
+    for n in range(4):
+        assert l_value(got, n) == l_value(want, n)
 
 
 def cyclo_tuples(size):
@@ -668,6 +674,31 @@ def test_trusted_cyclonum_paths_equal_public(k, x, power, cs, ps):
                        CycloNum(k, at_root))):
         assert (got.k, got.num, got.den) == (want.k, want.num, want.den)
         assert stored_form_ok(got)
+
+
+@PROPERTY
+@given(st.integers(1, 400).flatmap(lambda k: st.tuples(
+           st.just(k), st.integers(0, 3 * k), st.integers(0, 2 ** 32))))
+@example((400, 1200, 1)).via("the longest input at the largest k")
+@example((385, 1155, 2)).via("Phi_385, with coefficients from -3 to 2")
+@example((1, 3, 3)).via("Phi_1 = q - 1")
+def test_fold_matches_power_table(case):
+    # _fold reduces by the nonzero coefficients of Phi_k; the oracle adds
+    # rows of the table of zeta**e mod Phi_k, e < k, that _fold replaced
+    k, size, seed = case
+    rng = random.Random(seed)
+    coeffs = [rng.choice((0, rng.randint(-10 ** 6, 10 ** 6)))
+              for _ in range(size)]
+    got, want = _fold(k, list(coeffs)), fold_def(k, coeffs)
+    assert len(got) <= len(want)
+    assert got + [0] * (len(want) - len(got)) == want
+
+
+@PROPERTY
+@given(st.integers(0, 300))
+def test_bernoulli_number_matches_recursion(m):
+    # tangent numbers in the library, the Fraction recursion in the oracle
+    assert bernoulli_number(m) == bernoulli_numbers_def(300)[m]
 
 
 @st.composite

@@ -20,7 +20,7 @@ from qstrange._record import Record
 # perfbench's span tests rebind it in this module
 from qstrange.exactpoly import (IntPoly, NotDivisible, div_binomial,
                                 exact_div, pochhammer_exponents)
-from qstrange.partialtheta import Character, validate_character
+from qstrange.partialtheta import Character
 from qstrange.qfamilies import FamilySpec, partial_sum
 
 __all__ = [
@@ -92,18 +92,16 @@ def residue_set(char: Character, s: int) -> frozenset:
     One scan of the support within lcm(T, b*s) indices is exhaustive:
     both chi and the residue map are periodic with that period.  Refused
     with InvalidParam, before any scan, when that span exceeds
-    MAX_RESIDUE_SPAN.  Memoized per (chi, s): the modulus, the span and
-    the character are checked once, when the entry is first built, and
-    equal characters share an entry whatever their labels.  An invalid
-    character or modulus is refused on every call, since failures are not
-    cached.  A set mod s holds up to s residues, so the memo keeps only the
+    MAX_RESIDUE_SPAN.  Memoized per (chi, s): the modulus and the span are
+    checked once, when the entry is first built, and equal characters share
+    an entry whatever their labels.  An invalid modulus is refused on every
+    call.  A set mod s holds up to s residues, so the memo keeps only the
     latest 256 entries (perfbench's exact-sweep makes 19).
     """
     if s < 1:
         raise ValueError("modulus must be positive")
     span = math.lcm(char.period, char.b * s)
     admit("MAX_RESIDUE_SPAN", span, f"indices in the residue scan mod {s}")
-    validate_character(char)
     return frozenset(char.exponent(n) % s for n in char.support(span))
 
 
@@ -148,7 +146,7 @@ def verify_theorem(family: FamilySpec, char: Character, s: int, N: int) -> Divis
     if N < 0 or s < 1:
         raise ValueError("need N >= 0 and s >= 1")
     check_modulus(s)
-    in_s = residue_set(char, s)  # validates char, once per (char, s)
+    in_s = residue_set(char, s)
     if family.kernel == "G" and s % 2 == 0:
         raise OddModulusRequired(f"G-type divisibility needs odd s, got {s}")
     lam, mu = thresholds(N, s, 1)

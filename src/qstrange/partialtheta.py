@@ -2,11 +2,12 @@
 
 A character here is a periodic rational-valued function chi together with
 the exponent data (a, b) and the weight nu, so that the attached partial
-theta series is sum over n >= 0 of n^nu * chi(n) * q^((n^2-a)/b).  The
-module validates the support condition (integrality of the exponent) and
-the mean-zero condition, builds the twisted sequences C(n) = zeta^((n^2-a)/b)
-* chi(n) at a root of unity, computes L(-n, C) exactly through Bernoulli
-sums, and assembles the asymptotic expansion coefficients gamma_n(zeta).
+theta series is sum over n >= 0 of n^nu * chi(n) * q^((n^2-a)/b).  A
+Character meets the support condition (integrality of the exponent) and
+the mean-zero condition once it is built.  The module builds the twisted
+sequences C(n) = zeta^((n^2-a)/b) * chi(n) at a root of unity, computes
+L(-n, C) exactly through Bernoulli sums, and assembles the asymptotic
+expansion coefficients gamma_n(zeta).
 
 Everything is exact: character values are Fractions (only ints, Fractions
 and exact strings are accepted), twisted entries are CycloNum.  A twisted
@@ -25,7 +26,7 @@ import functools
 import math
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 from operator import itemgetter
 
 from qstrange._admit import MAX_L_WORK, MAX_TWIST_PERIOD, admit
@@ -42,7 +43,6 @@ __all__ = [
     "MeanValueNonzero",
     "get_character",
     "character_from_json_obj",
-    "validate_character",
     "twisted_sequence",
     "bernoulli_number",
     "l_value",
@@ -86,7 +86,9 @@ class Character(Record, compare=("a", "b", "nu", "period", "values")):
     compare every field but the label; the hash is computed once, since
     every twisted_sequence call hashes its character.  Refused with
     InvalidParam, before its table is built, when lcm(period, b) exceeds
-    MAX_TWIST_PERIOD.
+    MAX_TWIST_PERIOD.  Then (chi1) integrality is checked on the support
+    within lcm(period, b) indices, since the exponent map has period b, not
+    the period, and (chi2) the zero mean over one period.
     """
 
     __slots__ = ("a", "b", "nu", "period", "values", "label", "_hash")
@@ -117,6 +119,11 @@ class Character(Record, compare=("a", "b", "nu", "period", "values")):
         values = tuple(table)
         super().__init__(a, b, nu, period, values, label,
                          hash((a, b, nu, period, values)))
+        for n in self.support(math.lcm(period, b)):
+            self.exponent(n)  # raises IntegralityViolation when fractional
+        mean = sum(filter(None, values))  # the zeros add nothing
+        if mean:
+            raise MeanValueNonzero(f"character mean over one period is {mean}")
 
     def __hash__(self):
         return self._hash
@@ -147,7 +154,7 @@ class Character(Record, compare=("a", "b", "nu", "period", "values")):
 
 
 def character_from_json_obj(obj: dict, label: str = "custom") -> Character:
-    """Validated Character from its JSON form; a float or bool is refused, never rounded."""
+    """Character from its JSON form; a float or bool is refused, never rounded."""
     if not isinstance(obj, dict):
         raise ParseError("character JSON must be an object")
     for name in ("a", "b", "nu", "period"):
@@ -160,23 +167,7 @@ def character_from_json_obj(obj: dict, label: str = "custom") -> Character:
     if not isinstance(values, (dict, list)) or any(
             type(v) is not int and not isinstance(v, str) for v in entries):
         raise ParseError('character values must be integers or strings such as "-1/2"')
-    return validate_character(Character(obj["a"], obj["b"], obj["nu"], obj["period"],
-                                        values, label))
-
-
-def validate_character(char: Character) -> Character:
-    """Check (chi1) integrality and (chi2) zero untwisted mean.
-
-    Integrality is checked on the support within lcm(T, b) indices, which
-    covers every residue of n mod b occurring on the support; one bare
-    period is not enough since the exponent map has period b, not T.
-    """
-    for n in char.support(math.lcm(char.period, char.b)):
-        char.exponent(n)  # raises IntegralityViolation when fractional
-    mean = sum(filter(None, char.values))  # the zeros add nothing
-    if mean:
-        raise MeanValueNonzero(f"character mean over one period is {mean}")
-    return char
+    return Character(obj["a"], obj["b"], obj["nu"], obj["period"], values, label)
 
 
 # -- built-ins ----------------------------------------------------------------
@@ -214,17 +205,16 @@ def get_character(name: str) -> Character:
 
     A non-string is refused with ParseError.  The name's parameters are
     checked and the record is built once per stripped name, when it is
-    first asked for; later calls return that same immutable record.  A
-    refused or unknown name raises on every call, since failures are not
-    cached.  Built-ins satisfy validate_character by construction, so it
-    is not run here.
+    first asked for; later calls return that same immutable record while
+    it is among the latest 16 names asked for.  A refused or unknown name
+    raises on every call.
     """
     if not isinstance(name, str):
         raise ParseError("character name must be a string")
     return _builtin_character(name.strip())
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _builtin_character(text: str) -> Character:
     if text == "chi_kz":
         return _chi_kz()
@@ -312,10 +302,8 @@ def twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
     C is P-periodic by construction: T divides P, and b*k dividing P makes
     the zeta-power ratio between n + P and n one.  Refused with InvalidParam,
     before any entry is built, when P exceeds MAX_TWIST_PERIOD.  The
-    character is validated and the twisted mean checked once per
-    (chi, k, j mod k), when the shared sequence is first built; an invalid
-    character is refused on every call, since failures are not cached.  The
-    memo keeps the latest 256 sequences.
+    twisted mean is checked once per (chi, k, j mod k), when the shared
+    sequence is first built.  The memo keeps the latest 256 sequences.
     """
     if k < 1:
         raise ValueError("conductor k must be positive")
@@ -328,7 +316,6 @@ def twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
 def _twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
     """On the support, C(n) = chi(n) * zeta**(j*e) with e = (n^2-a)/b is
     one term, the integer chi(n) * den at power j*e mod k."""
-    validate_character(char)
     P = math.lcm(char.period, char.b * k)
     support = sorted(n or P for n in char.support(P))  # C(0) is entry m = P
     den = math.lcm(*(v.denominator for v in char.values))
@@ -404,7 +391,13 @@ def l_value(seq: TwistedSeq, n: int) -> CycloNum:
         raise ValueError("n must be nonnegative")
     P = seq.period
     admit("MAX_L_WORK", l_value_work(n, P), f"work of L(-{n}, C) at period {P}")
-    bern = _bernoulli(n + 1)
+    return _l_value(seq, n, _bernoulli(n + 1))
+
+
+def _l_value(seq: TwistedSeq, n: int, bern: list) -> CycloNum:
+    """l_value(seq, n) from bern = B_0, ..., B_{n+1} as _bernoulli gives
+    them, with no admission; d is the lcm over every pair in bern."""
+    P = seq.period
     d = math.lcm(*(den for _, den in bern))
     horner, power = [], 1
     for e in range(n + 1, -1, -1):
@@ -426,30 +419,33 @@ def gamma_coeff(char: Character, k: int, j: int, n: int) -> CycloNum:
 
     Cauchy product of the exp(a*t/b) prefactor series with the L-value
     expansion: gamma_n = sum_r (a/b)^(n-r)/(n-r)! * (-1)^r/(b^r r!) * L(-2r-nu, C).
-    It is the n-th value of _gammas, which computes L(-2r-nu, C) once for
+    It is the last value of _gammas, which computes L(-2r-nu, C) once for
     each r <= n.  Refused with InvalidParam when gamma_work(char, k, n)
     exceeds MAX_L_WORK.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     admit("MAX_L_WORK", gamma_work(char, k, n), f"work of gamma_{n} at zeta_{k}")
-    return next(islice(_gammas(char, k, j), n, None))
+    return next(islice(_gammas(char, k, j, n), n, None))
 
 
-def _gammas(char: Character, k: int, j: int) -> Iterator[CycloNum]:
-    """gamma_0, gamma_1, ... at zeta_k^j, with one L-value per order.
+def _gammas(char: Character, k: int, j: int, top: int) -> Iterator[CycloNum]:
+    """gamma_0, ..., gamma_top at zeta_k^j, with one L-value per order.
 
     Over b^n n!, gamma_n is sum_r a^(n-r) (-1)^r C(n, r) L_r, where
     L_r = L(-2r-nu, C) is computed once, when gamma_r is, and kept as its
     integer (num, den).  Each gamma_n is that integer sum over the lcm of
-    the kept denominators, normalized once.  Nothing is admitted here: the
-    caller admits gamma_work at the deepest order it reads.
+    the kept denominators, normalized once.  One Bernoulli pass, to the
+    order of L_top, serves every L_r.  Nothing is admitted here: the caller
+    admits gamma_work at top.
     """
     seq = twisted_sequence(char, k, j)
     a, b, nu = char.a, char.b, char.nu
+    bern = _bernoulli(2 * top + nu + 1)
     kept = []
-    for n in count():
-        x = l_value(seq, 2 * n + nu)
+    for n in range(top + 1):
+        order = 2 * n + nu
+        x = _l_value(seq, order, bern[:order + 2])
         kept.append((x.num, x.den))
         den = math.lcm(*(d for _, d in kept))
         acc = [0] * max(len(num) for num, _ in kept)
@@ -466,7 +462,6 @@ def theta_truncated(char: Character, cap: int) -> RatPoly:
         raise ValueError("theta_truncated requires a nu=0 character")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    validate_character(char)
     coeffs = [Fraction(0)] * (cap + 1)
     n = 0
     # exponents grow like n^2/b; stop once a whole period stays above cap

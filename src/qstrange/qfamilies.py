@@ -28,8 +28,9 @@ requests grow, and no products.  Tests check it against tuple enumeration.
 The ladder and the Horner sums hold each polynomial as a _packed triple
 (l1 bound, slot width, one packed int of exactpoly's codec), so that a
 shift-and-add is one pass in C over an int.  Each family's weights are
-drawn once per process, from the lru_cache memo _stream; only term_poly
-and coefficient_polys decode them to IntPoly, and a sum is decoded once.
+drawn once, from the lru_cache memo _stream, which keeps the latest 8
+families; only term_poly and coefficient_polys decode them to IntPoly, and
+a sum is decoded once.
 """
 
 from __future__ import annotations
@@ -182,13 +183,15 @@ class PartialSum(Record):
         return f"PartialSum({self.family.label!r}, N={self.upper})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def _stream(family: FamilySpec):
     """draw(upper): the family's _packed weights 0..upper as a new list,
     admitted as partial_sum(upper) is, each drawn once from _weights and
     kept.  The lock is there because a generator cannot be advanced from
     two threads; one that raised (say, on KeyboardInterrupt) is finished,
-    so the stream starts over.  A cold race may build two; both are right."""
+    so the stream starts over.  A cold race may build two; both are right.
+    One stream can hold 20 MB, so the memo keeps the latest 8 families
+    (perfbench's root-match, the widest workload, draws from 7)."""
     lock, gen, drawn = threading.Lock(), None, []
 
     def draw(upper: int) -> list[tuple]:

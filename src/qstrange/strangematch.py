@@ -36,7 +36,7 @@ from ._admit import MAX_C_ARRAY_WORK, MAX_MATCH_INDEX  # re-exported
 from ._record import Record
 from .cyclofield import CycloNum, _fold, _new
 from .exactpoly import theta_deriv
-from .partialtheta import _gammas, gamma_work, validate_character
+from .partialtheta import _gammas, gamma_work
 from .qfamilies import partial_sum, partial_sum_work
 
 
@@ -139,7 +139,6 @@ def match_expansion(family, char, k: int, j: int, depth: int) -> MatchReport:
     ``depth`` exceeds MAX_MATCH_INDEX, the partial sum to that index exceeds
     MAX_PARTIAL_SUM_WORK, or gamma_depth exceeds the L-value work limit.
     """
-    validate_character(char)
     if depth < 0:
         raise InvalidParam("depth must be nonnegative")
     if k < 1:
@@ -152,7 +151,7 @@ def match_expansion(family, char, k: int, j: int, depth: int) -> MatchReport:
     admit("MAX_L_WORK", gamma_work(char, k, depth),
           f"work of gamma_{depth} at zeta_{k}")
     lhs = _root_values(partial_sum(family, index).value, k, j)
-    rhs = _gammas(char, k, j)
+    rhs = _gammas(char, k, j, depth)
     first_bad = next((ell for ell, x, y in zip(range(depth + 1), lhs, rhs)
                       if x != y), None)
     verdict = "match" if first_bad is None else "mismatch"

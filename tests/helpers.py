@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import importlib
 import math
+import pkgutil
 from fractions import Fraction
 
 import mpmath
@@ -28,7 +29,8 @@ from qstrange.exactpoly import (IntPoly, NotDivisible, RatPoly, _add_into,
                                 pochhammer_exponents, pochhammer_factors,
                                 theta_deriv)
 from qstrange.fishburn import _xi_mod, verify_congruence, xi_coeffs
-from qstrange.partialtheta import (Character, get_character, l_value,
+from qstrange.partialtheta import (Character, IntegralityViolation,
+                                   MeanValueNonzero, get_character, l_value,
                                    twisted_sequence)
 from qstrange.qfamilies import (FamilySpec, InvalidParam, parse_family,
                                  partial_sum)
@@ -275,6 +277,17 @@ def subst_def(p: IntPoly, cap: int) -> IntPoly:
         acc = dadd(acc, dscale(term, c))
     acc = {x: v for x, v in acc.items() if x <= cap}
     return to_poly(acc)
+
+
+def character_def(a: int, b: int, nu: int, period: int, values: list) -> None:
+    """Raise what Character(a, b, nu, period, values) must raise for one
+    full period of int values, from a scan of every index in lcm(T, b),
+    ascending, then the sum of the period; None when both hold."""
+    for n in range(math.lcm(period, b)):
+        if values[n % period] and (n * n - a) % b:
+            raise IntegralityViolation(f"(({n})^2 - {a})/{b} is not an integer")
+    if sum(values):
+        raise MeanValueNonzero(f"character mean over one period is {sum(values)}")
 
 
 def residue_set_def(char, s: int) -> frozenset:
@@ -574,7 +587,7 @@ def _identity_check(arg: str, count: int):
 EDGE_P = 1_000_000_007
 
 # guard: (limit, module whose admit it calls, request at input x for arg,
-# (module, attribute) of the work that must not run)
+# (dotted module or class, attribute) of the work that must not run)
 GUARDS = {
     "partial_sum": ("MAX_PARTIAL_SUM_WORK", "qstrange.qfamilies",
                     lambda arg, x: partial_sum(parse_family(arg), x),
@@ -605,17 +618,17 @@ GUARDS = {
               lambda arg, x: match_expansion(parse_family(arg),
                                              get_character("chi_kz"), 1, 0, x),
               [("qstrange.strangematch", "partial_sum"),
-               ("qstrange.partialtheta", "l_value")]),
+               ("qstrange.partialtheta", "_l_value")]),
     "character": ("MAX_TWIST_PERIOD", "qstrange.partialtheta",
                   lambda arg, x: Character(0, 1, 0, x, {1: 1, x - 1: -1}),
                   [("qstrange.partialtheta", "_exact_value")]),
     "twisted_sequence": ("MAX_TWIST_PERIOD", "qstrange.partialtheta",
                          lambda arg, x: twisted_sequence(FLAT, x, 0),
-                         [("qstrange.partialtheta", "validate_character"),
+                         [("qstrange.partialtheta.Character", "support"),
                           ("qstrange.partialtheta", "_twisted_sequence")]),
     "residue_set": ("MAX_RESIDUE_SPAN", "qstrange.dissection",
                     lambda arg, x: residue_set(FLAT, x),
-                    [("qstrange.dissection", "validate_character")]),
+                    [("qstrange.partialtheta.Character", "support")]),
     "dissect": ("MAX_DISSECT_MODULUS", "qstrange.dissection",
                 lambda arg, x: dissect(IntPoly([1]), x),
                 [("qstrange.dissection", "Dissection")]),
@@ -661,7 +674,7 @@ def check_boundary(guard: str, arg: str, deepest: int, monkeypatch):
     InvalidParam naming its limit; the guarded work runs for neither."""
     name, module, request, work = GUARDS[guard]
     for target, attr in work:
-        monkeypatch.setattr(importlib.import_module(target), attr,
+        monkeypatch.setattr(pkgutil.resolve_name(target), attr,
                             _never(f"{target}.{attr}"))
     guards = importlib.import_module(module)
     real = guards.admit

@@ -528,7 +528,7 @@ def test_match_over_index_limit_is_usage_error(capsys, monkeypatch):
     import qstrange.strangematch as sm
 
     monkeypatch.setattr(sm, "partial_sum", _never("partial_sum"))
-    monkeypatch.setattr(pt, "l_value", _never("l_value"))
+    monkeypatch.setattr(pt, "_l_value", _never("_l_value"))
     code, out, err = invoke(capsys, "match", "--family", "kz", "--char", "chi_kz",
                             "--k", "2", "--j", "1", "--depth", "400")
     assert code == 2
@@ -562,11 +562,10 @@ def test_identity_check_ell_over_work_limit_is_usage_error(capsys, monkeypatch):
 
 
 def test_residues_over_span_limit_is_usage_error(capsys, monkeypatch):
-    import qstrange.dissection as ds
     from qstrange.partialtheta import Character
 
-    monkeypatch.setattr(ds, "validate_character", _never("validate_character"))
-    monkeypatch.setattr(Character, "value", _never("the residue scan"))
+    get_character("chi6")  # built, its support scanned, before the spy
+    monkeypatch.setattr(Character, "support", _never("the residue scan"))
     code, out, err = invoke(capsys, "residues", "--char", "chi6",
                             "--s", "100000000000")
     assert code == 2
@@ -670,7 +669,8 @@ def test_twisted_period_over_limit_is_usage_error(capsys, monkeypatch, tmp_path,
 
     (tmp_path / "big.json").write_text(json.dumps(BIG_CHARACTER))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(pt, "validate_character", _never("validate_character"))
+    get_character("chi_kz")  # built, its support scanned, before the spy
+    monkeypatch.setattr(pt.Character, "support", _never("the support scan"))
     monkeypatch.setattr(pt, "_twisted_sequence", _never("_twisted_sequence"))
     code, out, err = invoke(capsys, "lvalue", "--char", char, "--k", k,
                             "--n", "1")

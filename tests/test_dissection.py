@@ -139,14 +139,11 @@ class TestMemos:
                 verify_theorem(parse_family("kz"), builtin, s, 14)
 
     def test_invalid_character_refused_on_every_call(self):
-        bad = Character(0, 1, 0, 1, {0: 1})
         residue_set(get_character("chi6"), 3)  # warms the memo
         verify_theorem(parse_family("kz"), get_character("chi_kz"), 3, 5)
         for _ in range(2):
             with pytest.raises(MeanValueNonzero):
-                residue_set(bad, 3)
-            with pytest.raises(MeanValueNonzero):
-                verify_theorem(parse_family("kz"), bad, 3, 5)
+                Character(0, 1, 0, 1, {0: 1})
 
     def test_bad_modulus_refused_on_every_call(self):
         char = get_character("chi_kz")
@@ -374,32 +371,28 @@ class TestVerifyTheorem:
         assert {row.verdict for row in rep.rows} == {"divides", "not-claimed"}
         assert rep == verify_theorem(fam, char, s, N)
 
-    def test_validates_the_character_once(self, monkeypatch):
-        import qstrange.dissection as dis
-        calls = []
-        real = dis.validate_character
-        monkeypatch.setattr(dis, "validate_character",
-                            lambda char: calls.append(char) or real(char))
-        verify_theorem(parse_family("kz"), get_character("chi_kz"), 5, 9)
-        assert calls == [get_character("chi_kz")]
+    @pytest.mark.parametrize("args,exc,match", [
+        ((0, 2, 0, 2, {0: 1, 1: -1}), IntegralityViolation,
+         r"\(\(1\)\^2 - 0\)/2 is not an integer"),
+        ((0, 1, 0, 2, {0: 1}), MeanValueNonzero, "mean"),
+    ], ids=["integrality", "mean"])
+    def test_invalid_character_cannot_be_built(self, args, exc, match):
+        # no verify_theorem call can be made with such a character
+        with pytest.raises(exc, match=match):
+            Character(*args)
 
     @pytest.mark.parametrize("family,char,s,N,exc,match", [
         ("kz", "chi_kz", 5, -1, ValueError, "need N >= 0"),
         ("kz", "chi_kz", 0, 9, ValueError, "need N >= 0"),
         ("kz", "chi_kz", MAX_DISSECT_MODULUS + 1, 9, InvalidParam,
          "MAX_DISSECT_MODULUS"),
-        ("kz", Character(0, 2, 0, 2, {0: 1, 1: -1}), 5, 9,
-         IntegralityViolation, r"\(\(1\)\^2 - 0\)/2 is not an integer"),
-        ("kz", Character(0, 1, 0, 2, {0: 1}), 5, 9, MeanValueNonzero, "mean"),
         ("gk:k=1", "chi6", 4, 8, OddModulusRequired, "odd s"),
         ("kz", "chi_kz", 99999, 9, InvalidParam, "MAX_RESIDUE_SPAN"),
         ("kz", "chi_kz", 5, 2000, InvalidParam, "MAX_PARTIAL_SUM_WORK"),
     ])
     def test_single_faults(self, family, char, s, N, exc, match):
-        if isinstance(char, str):
-            char = get_character(char)
         with pytest.raises(exc, match=match):
-            verify_theorem(parse_family(family), char, s, N)
+            verify_theorem(parse_family(family), get_character(char), s, N)
 
     def test_falsification_detected(self):
         # character whose residue set misses 0 mod 2, against a family whose

@@ -20,7 +20,6 @@ from qstrange.partialtheta import (
     l_value,
     theta_truncated,
     twisted_sequence,
-    validate_character,
 )
 from qstrange.qfamilies import (
     InvalidParam,
@@ -37,7 +36,9 @@ BUILTIN_NAMES = ["chi_kz", "chi6", "chi_hikami:m=1,alpha=0",
 class TestCharacters:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtins_validate(self, name):
-        validate_character(get_character(name))
+        # the constructor checks integrality and the mean of every built-in
+        c = get_character(name)
+        assert Character(c.a, c.b, c.nu, c.period, c.values) == c
 
     def test_chi6_table(self):
         c = get_character("chi6")
@@ -69,16 +70,16 @@ class TestCharacters:
     def test_integrality_violation(self):
         # support at n = 3 with (9-1)/3 not an integer
         with pytest.raises(IntegralityViolation):
-            validate_character(Character(1, 3, 0, 6, {3: 1, 1: 1, 5: -1, 2: -1}))
+            Character(1, 3, 0, 6, {3: 1, 1: 1, 5: -1, 2: -1})
 
     def test_integrality_checked_past_one_period(self):
         # passes on 0..T-1 but fails at n = 3 = 1 + T
         with pytest.raises(IntegralityViolation):
-            validate_character(Character(1, 16, 0, 2, {1: 1}))
+            Character(1, 16, 0, 2, {1: 1})
 
     def test_mean_value_nonzero(self):
         with pytest.raises(MeanValueNonzero):
-            validate_character(Character(0, 1, 0, 1, {0: 1}))
+            Character(0, 1, 0, 1, {0: 1})
 
     def test_bad_params(self):
         with pytest.raises(InvalidParam):

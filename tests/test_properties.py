@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (bernoulli_numbers_def, certificate_def, cyclo_ref,
-                     divmod_def, embed_def, exact_div_def, expansion_def,
-                     fold_def, gamma_def, horner_def,
+from helpers import (bernoulli_numbers_def, certificate_def, character_def,
+                     cyclo_ref, divmod_def, embed_def, exact_div_def,
+                     expansion_def, fold_def, gamma_def, horner_def,
                      is_prime_def, l_value_def, ladder_def, monomial,
                      reassemble_def, residue_set_def, to_rat,
                      twisted_table_def)
@@ -60,8 +60,8 @@ from qstrange.partialtheta import (
     gamma_coeff,
     get_character,
     l_value,
+    theta_truncated,
     twisted_sequence,
-    validate_character,
 )
 from qstrange.qfamilies import (MAX_PARTIAL_SUM_WORK, _horner, _ladder,
                                  _packed, parse_family, partial_sum,
@@ -462,8 +462,9 @@ def test_codec_round_trips(words_coeffs, more, cut):
 
 @st.composite
 def characters(draw):
-    """Characters with b <= 8, period T <= 12 or T = b, 2b, 3b, and
-    a = x^2 + b y, x <= 5, y <= 3.
+    """Character parameters (a, b, nu, T, values) with b <= 8, period
+    T <= 12 or T = b, 2b, 3b, a = x^2 + b y, x <= 5, y <= 3, and one full
+    period of int values.
 
     The values are +-v pairs, so the mean is zero, except in the draws
     that add 1 at one residue.  Most draws are admissible:
@@ -485,7 +486,7 @@ def characters(draw):
         values[r2] -= v
     if draw(st.integers(0, 4)) == 0:
         values[draw(st.sampled_from(pool))] += 1
-    return Character(a, b, draw(st.integers(0, 1)), T, values)
+    return a, b, draw(st.integers(0, 1)), T, values
 
 
 def checked(f, *args):
@@ -497,20 +498,30 @@ def checked(f, *args):
         return type(exc), str(exc)
 
 
+# the drawn characters that the constructor admits
+valid_characters = characters().map(lambda params: checked(Character, *params)) \
+    .filter(lambda char: isinstance(char, Character))
+
+
 @PROPERTY
 @given(characters(), st.integers(1, 12))
-def test_support_scans_match_full_scan(char, s):
-    # the full scan raises the same first IntegralityViolation; it does not
-    # check the mean, which the library checks after integrality
-    want = checked(residue_set_def, char, s)
-    want_one = checked(residue_set_def, char, 1)
-    if sum(char.values) and not isinstance(want, tuple):
-        assert checked(residue_set, char, s)[0] is MeanValueNonzero
-        assert checked(validate_character, char)[0] is MeanValueNonzero
-    else:
-        assert checked(residue_set, char, s) == want
-        assert checked(validate_character, char) == \
-            (want_one if isinstance(want_one, tuple) else char)
+def test_support_scans_match_full_scan(params, s):
+    # the constructor raises what the full-scan oracle raises, class and
+    # message, or builds a character that no consumer refuses
+    want = checked(character_def, *params)
+    char = checked(Character, *params)
+    if want is not None:
+        assert char == want
+        return
+    assert isinstance(char, Character)
+    assert residue_set(char, s) == residue_set_def(char, s)
+    assert twisted_sequence(char, 1, 0).period == math.lcm(char.period, char.b)
+    if char.nu == 0:
+        try:
+            theta_truncated(char, 12)
+        except ValueError as exc:  # only a negative exponent may be refused
+            assert not isinstance(exc, CharacterInvalid)
+            assert "negative exponent" in str(exc)
 
 
 def certified(*args, verify=verify_theorem):
@@ -526,13 +537,12 @@ certified_def = functools.partial(certified, verify=certificate_def)
 
 
 @PROPERTY
-@given(characters(), st.lists(st.integers(1, 12), min_size=1, max_size=4),
+@given(valid_characters, st.lists(st.integers(1, 12), min_size=1, max_size=4),
        st.sampled_from(["kz", "gk:k=1"]), st.integers(0, 10))
 def test_memoized_certificates_match_cold_calls(clear_memos, char, moduli,
                                                 family, N):
     # residue_set is memoized per (chi, s): warm calls in any order, and an
-    # equal character under another label, give what a cold call gives, and
-    # a refused character is refused again on every call
+    # equal character under another label, give what a cold call gives
     fam = parse_family(family)
     twin = Character(char.a, char.b, char.nu, char.period, char.values, "twin")
     cold = {}
@@ -563,7 +573,8 @@ BUILTIN_CHARACTERS = ("chi_kz", "chi6", "chi_gk:k=2", "chi_gk:k=3",
 
 @PROPERTY
 @given(certificate_families,
-       st.one_of(characters(), st.sampled_from(BUILTIN_CHARACTERS).map(get_character)),
+       st.one_of(valid_characters,
+                 st.sampled_from(BUILTIN_CHARACTERS).map(get_character)),
        st.integers(1, 12), st.integers(0, 14))
 def test_certificates_match_the_general_division(family, char, s, N):
     # verify_theorem divides residue slices by div_binomial directly; the
@@ -575,7 +586,7 @@ fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
 
 @PROPERTY
-@given(characters(), fractions.filter(bool), st.integers(1, 12),
+@given(valid_characters, fractions.filter(bool), st.integers(1, 12),
        st.integers(0, 12))
 def test_twisted_sequence_matches_two_period_oracle(char, scale, k, j):
     # the oracle tabulates two periods: the second window equals the first,
@@ -585,12 +596,10 @@ def test_twisted_sequence_matches_two_period_oracle(char, scale, k, j):
     # integrality and a zero mean, and gives the values unequal denominators
     char = Character(char.a, char.b, char.nu, char.period,
                      [v * scale for v in char.values])
-    want = checked(validate_character, char)
-    if not isinstance(want, tuple):
-        P = math.lcm(char.period, char.b * k)
-        table = twisted_table_def(char, k, j)
-        assert table[P:] == table[:P]
-        want = checked(TwistedSeq, char, k, j % k, P, tuple(table[:P]))
+    P = math.lcm(char.period, char.b * k)
+    table = twisted_table_def(char, k, j)
+    assert table[P:] == table[:P]
+    want = checked(TwistedSeq, char, k, j % k, P, tuple(table[:P]))
     got = checked(twisted_sequence, char, k, j)
     if isinstance(want, tuple):
         assert got == want
@@ -741,7 +750,7 @@ def test_l_value_matches_definition(seq, n):
 
 
 @settings(PROPERTY, max_examples=60)
-@given(st.one_of(characters(), st.sampled_from(
+@given(st.one_of(valid_characters, st.sampled_from(
            ["chi_kz", "chi6", "chi_gk:k=2", "chi_hikami:m=2,alpha=1"])
        .map(get_character)),
        st.sampled_from(["kz", "gk:k=1", "gk:k=2", "hikami:m=2,alpha=1"]),
@@ -757,8 +766,8 @@ def test_match_equals_the_oracles(char, family, k, j, depth):
     rhs = [checked(gamma_def, char, k, j, ell) for ell in orders]
     assert [checked(expansion_coeff, fam, k, j, ell) for ell in orders] == lhs
     assert [checked(gamma_coeff, char, k, j, ell) for ell in orders] == rhs
-    refused = next((x for x in (checked(validate_character, char),
-                                lhs[0], rhs[0]) if isinstance(x, tuple)), None)
+    refused = next((x for x in (lhs[0], rhs[0]) if isinstance(x, tuple)),
+                   None)
     got = checked(match_expansion, fam, char, k, j, depth)
     if refused is not None:
         assert got == refused

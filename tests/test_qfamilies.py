@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -405,6 +406,20 @@ class TestPackedStream:
         with pytest.raises(InvalidParam, match="MAX_PARTIAL_SUM_WORK"):
             call(parse_family("gk:k=100000000"))
         assert time.perf_counter() - t0 < 1.0
+
+    def test_family_sweep_keeps_a_bounded_number_of_streams(self):
+        # gk:k for k = 2..25, each drawn to its deepest admitted N <= 40:
+        # one stream holds up to 20 MB, and keeping all 24 peaked at 315 MB
+        tracemalloc.start()
+        try:
+            for k in range(2, 26):
+                fam = parse_family(f"gk:k={k}")
+                term_poly(fam, min(40, helpers.deepest_admitted(
+                    "MAX_PARTIAL_SUM_WORK", lambda n: partial_sum_work(fam, n))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * 2 ** 20
 
     def test_one_representation(self, monkeypatch):
         # from a cold stream, gk:k=3 at 50 goes through no list arithmetic

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import expansion_def, lift_def
+from helpers import expansion_def, gamma_def, lift_def
 from qstrange.cyclofield import CycloNum, eval_at_root
 from qstrange.exactpoly import IntPoly, theta_deriv
-from qstrange.partialtheta import Character, CharacterInvalid, get_character
+from qstrange.partialtheta import (Character, CharacterInvalid, gamma_coeff,
+                                   get_character)
 from qstrange.qfamilies import InvalidParam, parse_family, partial_sum
 from qstrange.strangematch import (
     OddOrderRequired,
@@ -139,7 +140,7 @@ class TestMatchExpansion:
         import qstrange.partialtheta as pt
         import qstrange.strangematch as sm
 
-        calls = {"partial_sum": 0, "l_value": 0}
+        calls = {"partial_sum": 0, "_l_value": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -150,13 +151,30 @@ class TestMatchExpansion:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(sm, "partial_sum")
-        counted(pt, "l_value")
+        counted(pt, "_l_value")
         for char, k, depth, stop in (("chi_kz", 3, 0, 0), ("chi_kz", 3, 4, 4),
                                      ("chi6", 1, 4, 3)):
-            calls.update(partial_sum=0, l_value=0)
+            calls.update(partial_sum=0, _l_value=0)
             rep = match_expansion(KZ, get_character(char), k, 1, depth)
             assert rep.first_mismatch == (None if stop == depth else stop)
-            assert calls == {"partial_sum": 1, "l_value": stop + 1}
+            assert calls == {"partial_sum": 1, "_l_value": stop + 1}
+
+    def test_one_bernoulli_pass_per_request(self, monkeypatch):
+        # B_0..B_{2 depth + nu + 1} once, sliced for each order, not one
+        # tangent-number pass per L-value
+        import qstrange.partialtheta as pt
+
+        tops = []
+        real = pt._bernoulli
+        monkeypatch.setattr(pt, "_bernoulli",
+                            lambda top: tops.append(top) or real(top))
+        want = gamma_def(get_character("chi_kz"), 2, 1, 3)
+        tops.clear()
+        assert gamma_coeff(get_character("chi_kz"), 2, 1, 3) == want
+        assert tops == [8]
+        tops.clear()
+        assert match_expansion(KZ, get_character("chi_kz"), 2, 1, 4).verdict == "match"
+        assert tops == [10]
 
     def test_j_reduced_mod_k(self):
         a = match_expansion(KZ, get_character("chi_kz"), 3, 5, 1)

@@ -5,12 +5,16 @@ versioned machine contract ("schema": "qstrange/1") printed with sorted keys
 and no whitespace, so identical invocations are byte identical.  Exit codes:
 0 success or pass, 1 mathematical mismatch (EngineMismatch included) or
 falsified divisibility, 2 usage error.
+
+A call builds the parser of its own subcommand only.  The console entry
+(console_main) ends the process without interpreter teardown once its
+output is flushed, so it runs no atexit handlers; run() returns the exit
+code and is unchanged for callers in process.
 """
 
 import argparse
 import json
 import os
-import random
 import sys
 
 from ._admit import InvalidParam, admit
@@ -203,6 +207,8 @@ def cmd_identity_check(args) -> int:
                                    args.ell)
     admit("MAX_IDENTITY_WORK", work, "identity-check work")
     if args.poly is None:
+        import random  # only this subcommand draws random polynomials
+
         rng = random.Random(args.seed)
         polys = [IntPoly(tuple(rng.randint(-9, 9)
                                for _ in range(rng.randint(0, args.max_degree))))
@@ -215,91 +221,88 @@ def cmd_identity_check(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQ_STR = {"required": True}
+_REQ_INT = {"type": int, "required": True}
+
+
+def _opt_int(default):
+    return {"type": int, "default": default}
+
+
+# One row per subcommand: its name, help text, handler, and the options it
+# takes after --format, each flag with its add_argument keywords.
+COMMANDS = (
+    ("dissect", "s-dissection of an exact partial sum", cmd_dissect,
+     {"--family": _REQ_STR, "--s": _REQ_INT, "--N": _REQ_INT}),
+    ("verify", "divisibility certificate for one (family, s, N)", cmd_verify,
+     {"--family": _REQ_STR,
+      "--char": {"required": True,
+                 "help": "built-in character name or Character JSON file"},
+      "--s": _REQ_INT, "--N": _REQ_INT}),
+    ("residues", "residue set S of a character modulo s", cmd_residues,
+     {"--char": _REQ_STR, "--s": _REQ_INT}),
+    ("match", "compare series and partial theta expansions at a root",
+     cmd_match,
+     {"--family": _REQ_STR, "--char": _REQ_STR, "--k": _REQ_INT,
+      "--j": _opt_int(0), "--depth": _REQ_INT}),
+    ("lvalue", "L(-n, C) for a twisted character sequence", cmd_lvalue,
+     {"--char": _REQ_STR, "--k": _opt_int(1), "--j": _opt_int(0),
+      "--n": _REQ_INT}),
+    ("gamma", "partial theta expansion coefficient gamma_n", cmd_gamma,
+     {"--char": _REQ_STR, "--k": _opt_int(1), "--j": _opt_int(0),
+      "--n": _REQ_INT}),
+    ("fishburn", "coefficients of family(1-q)", cmd_fishburn,
+     {"--family": _REQ_STR, "--depth": _REQ_INT}),
+    ("scan", "prime-power congruence scan (or one class with --beta)",
+     cmd_scan,
+     {"--family": _REQ_STR, "--p": _REQ_INT, "--r": _opt_int(1),
+      "--beta": _opt_int(None), "--depth": _REQ_INT}),
+    ("carray", "derivative-extraction coefficients C(ell, i, .)(s)",
+     cmd_carray, {"--ell": _REQ_INT, "--i": _REQ_INT, "--s": _REQ_INT}),
+    ("identity-check", "self-check of the dissection extraction identities",
+     cmd_identity_check,
+     {"--s": _REQ_INT, "--ell": _REQ_INT,
+      "--poly": {"default": None,
+                 "help": 'one polynomial as JSON {"coeffs": [...]}'},
+      "--count": _opt_int(100), "--seed": _opt_int(0),
+      "--max-degree": _opt_int(40)}),
+)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of command alone when it names
+    one: a call parses its argv with build_parser(argv[0]) and so builds
+    one subparser, not ten.  Parsing gives the same result, output and exit
+    code either way, usage errors and help included."""
     parser = argparse.ArgumentParser(
         prog="qstrange",
         description="Exact arithmetic for strange q-series: dissections, "
                     "divisibility certificates, root-of-unity expansions, "
                     "and Fishburn-type congruences.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, text: str, handler):
+    rows = [row for row in COMMANDS if row[0] == command] or COMMANDS
+    # unrecognized arguments print the top-level usage, which lists every
+    # subcommand; the full parser keeps the default, because a metavar
+    # would also rename the command in its "required" and "invalid choice"
+    # errors
+    metavar = ("{" + ",".join(row[0] for row in COMMANDS) + "}"
+               if len(rows) == 1 else None)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name, text, handler, options in rows:
         p = sub.add_parser(name, help=text, description=text)
         p.set_defaults(handler=handler)
-        p.add_argument("--format", choices=("json", "table"), default="table",
-                       help="output format (default table)")
-        return p
-
-    p = add("dissect", "s-dissection of an exact partial sum", cmd_dissect)
-    p.add_argument("--family", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-
-    p = add("verify", "divisibility certificate for one (family, s, N)",
-            cmd_verify)
-    p.add_argument("--family", required=True)
-    p.add_argument("--char", required=True,
-                   help="built-in character name or Character JSON file")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-
-    p = add("residues", "residue set S of a character modulo s", cmd_residues)
-    p.add_argument("--char", required=True)
-    p.add_argument("--s", type=int, required=True)
-
-    p = add("match", "compare series and partial theta expansions at a root",
-            cmd_match)
-    p.add_argument("--family", required=True)
-    p.add_argument("--char", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j", type=int, default=0)
-    p.add_argument("--depth", type=int, required=True)
-
-    p = add("lvalue", "L(-n, C) for a twisted character sequence", cmd_lvalue)
-    p.add_argument("--char", required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--j", type=int, default=0)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("gamma", "partial theta expansion coefficient gamma_n", cmd_gamma)
-    p.add_argument("--char", required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--j", type=int, default=0)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("fishburn", "coefficients of family(1-q)", cmd_fishburn)
-    p.add_argument("--family", required=True)
-    p.add_argument("--depth", type=int, required=True)
-
-    p = add("scan", "prime-power congruence scan (or one class with --beta)",
-            cmd_scan)
-    p.add_argument("--family", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--beta", type=int, default=None)
-    p.add_argument("--depth", type=int, required=True)
-
-    p = add("carray", "derivative-extraction coefficients C(ell, i, .)(s)",
-            cmd_carray)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-
-    p = add("identity-check", "self-check of the dissection extraction identities",
-            cmd_identity_check)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--poly", default=None,
-                   help='one polynomial as JSON {"coeffs": [...]}')
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-degree", type=int, default=40)
-
+        p.add_argument("--format", choices=("json", "table"),
+                       default="table", help="output format (default table)")
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    """One CLI call on argv (default sys.argv[1:]); returns its exit code
+    and never ends the process."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -321,7 +324,22 @@ def run(argv=None) -> int:
 
 
 def console_main():
-    sys.exit(run())
+    """The `qstrange` script and `python -m qstrange.cli`: run() on
+    sys.argv, then, once stdout and stderr are flushed, os._exit with its
+    code.  That skips the interpreter's teardown, which only frees memory
+    the process is about to give back, and runs no atexit handlers (the
+    package registers none).  A flush that raises OSError, say into a
+    closed pipe, leaves the exit to sys.exit, whose teardown reports it and
+    exits 120; an exception that escapes run() prints its traceback and
+    exits 1."""
+    code = run()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

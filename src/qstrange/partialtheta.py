@@ -83,8 +83,9 @@ class Character(Record, compare=("a", "b", "nu", "period", "values")):
 
     values, a {residue: value} dict or one full period of ints, Fractions or
     exact strings, is stored as a tuple of Fractions.  Equality and hashing
-    compare every field but the label; the hash is computed once, since
-    every twisted_sequence call hashes its character.  Refused with
+    compare every field but the label; the hash, of the nonzero values
+    with their residues, is computed once, since every twisted_sequence
+    call hashes its character.  Refused with
     InvalidParam, before its table is built, when lcm(period, b) exceeds
     MAX_TWIST_PERIOD.  Then (chi1) integrality is checked on the support
     within lcm(period, b) indices, since the exponent map has period b, not
@@ -117,8 +118,12 @@ class Character(Record, compare=("a", "b", "nu", "period", "values")):
             if len(table) != period:
                 raise CharacterInvalid("values length must equal the period")
         values = tuple(table)
+        # the nonzero (residue, value) pairs fix the table once the period
+        # is fixed; Fraction.__hash__ is Python code, and most values are 0
         super().__init__(a, b, nu, period, values, label,
-                         hash((a, b, nu, period, values)))
+                         hash((a, b, nu, period,
+                               tuple((r, v) for r, v in enumerate(values)
+                                     if v))))
         for n in self.support(math.lcm(period, b)):
             self.exponent(n)  # raises IntegralityViolation when fractional
         mean = sum(filter(None, values))  # the zeros add nothing

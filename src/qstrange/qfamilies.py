@@ -35,9 +35,9 @@ a sum is decoded once.
 
 from __future__ import annotations
 
+import _thread
 import functools
 import json
-import threading
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat
 
@@ -192,7 +192,7 @@ def _stream(family: FamilySpec):
     so the stream starts over.  A cold race may build two; both are right.
     One stream can hold 20 MB, so the memo keeps the latest 8 families
     (perfbench's root-match, the widest workload, draws from 7)."""
-    lock, gen, drawn = threading.Lock(), None, []
+    lock, gen, drawn = _thread.allocate_lock(), None, []
 
     def draw(upper: int) -> list[tuple]:
         nonlocal gen

@@ -1,9 +1,13 @@
 """End-to-end checks of the command line surface.
 
 Everything goes through cli.run() with an argv list; stdout is captured via
-capsys so the JSON contract can be checked byte for byte.
+capsys so the JSON contract can be checked byte for byte.  The console
+entry, console_main, ends the process, so it runs only in fresh
+interpreters, never in this one.
 """
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -14,10 +18,11 @@ import time
 
 import pytest
 
-from qstrange.cli import build_parser, run
+from qstrange.cli import COMMANDS, build_parser, run
 from qstrange.partialtheta import get_character
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "readme_calls.json"
 
 
 def invoke(capsys, *argv):
@@ -34,13 +39,73 @@ def invoke_json(capsys, *argv):
 
 # ---------------------------------------------------------------- basics
 
+def _subcommands(parser):
+    return list(parser._subparsers._group_actions[0].choices)
+
+
 def test_parser_lists_all_subcommands():
-    parser = build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, type(parser._subparsers._group_actions[0])))
-    names = set(sub.choices)
-    assert names == {"dissect", "verify", "residues", "match", "lvalue",
-                     "gamma", "fishburn", "scan", "carray", "identity-check"}
+    assert _subcommands(build_parser()) == [
+        "dissect", "verify", "residues", "match", "lvalue", "gamma",
+        "fishburn", "scan", "carray", "identity-check"]
+    assert _subcommands(build_parser("-h")) == _subcommands(build_parser())
+
+
+def test_named_subcommand_builds_only_its_own_parser():
+    full = build_parser()
+    for name, *_ in COMMANDS:
+        parser = build_parser(name)
+        assert _subcommands(parser) == [name]
+        # unrecognized arguments print this usage, with every subcommand
+        assert parser.format_usage() == full.format_usage()
+
+
+def _usage_argvs():
+    """Usage errors and help requests of every subcommand and of the top
+    level; every required option given as 1 parses, so each argv stops in
+    the parser."""
+    for name, _, _, options in COMMANDS:
+        required = [x for flag, kw in options.items() if kw.get("required")
+                    for x in (flag, "1")]
+        first_int = next(flag for flag, kw in options.items()
+                         if kw.get("type") is int)
+        yield [name]  # every required option missing
+        yield [name, *required[2:]]  # the first one missing
+        yield [name, *required, "--bogus", "1"]  # unknown option
+        yield [name, *required, "extra"]  # extra positional
+        yield [name, *required, "--format", "xml"]  # bad --format choice
+        yield [name, *required, first_int, "x"]  # not an integer
+        yield [name, "--help"]
+        yield [name, *required, "-h"]
+    yield from ([], ["-h"], ["--help"], ["nosuch"], ["nosuch", "--s", "1"],
+                ["Scan"], ["sca"], ["--format", "json"], ["--bogus"],
+                ["--", "scan"])
+
+
+def _printed(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = parse(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _full_parse(argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code else 0
+    raise AssertionError(f"{argv} parses")
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+def test_usage_errors_match_the_full_parser(monkeypatch, columns):
+    # run() builds only the named subcommand's parser; every usage error
+    # and help text, wrapped at either width, is what the parser of all
+    # ten prints, with the same exit code
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in _usage_argvs():
+        want = _printed(_full_parse, argv)
+        assert want[0] in (0, 2), argv
+        assert _printed(run, argv) == want, argv
 
 
 def test_help_exits_zero(capsys):
@@ -52,6 +117,12 @@ def test_help_exits_zero(capsys):
 def test_no_subcommand_is_usage_error(capsys):
     code, out, err = invoke(capsys)
     assert code == 2
+    # argparse names the command by its dest, not by a list of choices
+    assert err.endswith("error: the following arguments are required: "
+                        "command\n")
+    code, out, err = invoke(capsys, "nosuch")
+    assert code == 2
+    assert "error: argument command: invalid choice: 'nosuch'" in err
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -537,11 +608,12 @@ def test_match_over_index_limit_is_usage_error(capsys, monkeypatch):
 
 
 def _identity_check_refused(capsys, monkeypatch, *argv):
-    import types
+    import random
 
     import qstrange.cli as cli
 
-    monkeypatch.setattr(cli, "random", types.SimpleNamespace(Random=_never("Random")))
+    # cmd_identity_check imports random when it draws, so patch the module
+    monkeypatch.setattr(random, "Random", _never("Random"))
     monkeypatch.setattr(cli, "extraction_identity_check",
                         _never("extraction_identity_check"))
     code, out, err = invoke(capsys, "identity-check", *argv)
@@ -714,7 +786,90 @@ def test_cli_imports_no_dataclasses_inspect_or_typing():
                                  "import qstrange.cli")
     assert code == 0
     assert "qstrange.cli" in _imported(err)
-    assert not {"dataclasses", "inspect", "typing"} & _imported(err)
+    assert not ({"dataclasses", "inspect", "typing", "random", "threading"}
+                & _imported(err))
+
+
+# ---------------------------------------------------------------- console entry
+
+def _console_env():
+    # stdout stays block-buffered, as for a user, so console_main's flush
+    # before its os._exit writes the output
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return env
+
+
+@pytest.mark.parametrize(
+    "want", json.loads(GOLDEN.read_text(encoding="utf-8")),
+    ids=lambda want: " ".join(want["argv"]))
+def test_readme_call_through_the_console_entry(want):
+    proc = subprocess.run([sys.executable, "-m", "qstrange.cli",
+                           *want["argv"]], env=_console_env(),
+                          capture_output=True, timeout=120, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        want["code"], want["stdout"].encode(), want["stderr"].encode())
+
+
+def test_usage_error_through_the_console_entry():
+    argv = ["scan", "--family", "kz", "--p", "5", "--depth", "9", "extra"]
+    proc = subprocess.run([sys.executable, "-m", "qstrange.cli", *argv],
+                          env=_console_env(), capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _printed(run, argv)
+
+
+def _stdout_closed(how, *args):
+    """Exit code and stderr of python args whose stdout is a pipe with no
+    reader ("pipe"), or a closed descriptor, so that sys.stdout is None
+    ("fd")."""
+    if how == "fd":
+        proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", sys.executable,
+                               *args], env=_console_env(),
+                              capture_output=True, timeout=120, check=False)
+        return proc.returncode, proc.stderr
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, *args], env=_console_env(),
+                              stdout=write, stderr=subprocess.PIPE,
+                              timeout=120, check=False)
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("how, argv, code", [
+    # the output waits in the buffer: the exit's flush fails
+    ("pipe", ["carray", "--ell", "2", "--i", "1", "--s", "5"], 120),
+    # more than a buffer: print fails in the handler, a usage error
+    ("pipe", ["dissect", "--family", "kz", "--s", "1", "--N", "60"], 2),
+    # print writes nothing, and there is nothing to flush
+    ("fd", ["carray", "--ell", "2", "--i", "1", "--s", "5"], 0),
+])
+def test_closed_stdout_exits_as_sys_exit_does(how, argv, code):
+    # sys.exit(run()) was the console entry before the hard exit
+    want = _stdout_closed(how, "-c", "import sys; from qstrange.cli import "
+                                     "run; sys.exit(run(sys.argv[1:]))", *argv)
+    assert want[0] == code
+    assert _stdout_closed(how, "-m", "qstrange.cli", *argv) == want
+
+
+def test_exception_out_of_run_prints_its_traceback():
+    script = """
+import qstrange.cli as cli
+
+def boom(text):
+    raise RuntimeError("forced out of run")
+
+cli.parse_family = boom
+cli.console_main()
+"""
+    code, out, err = _fresh_python("-c", script, "fishburn", "--family", "kz",
+                                   "--depth", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: forced out of run\n")
 
 
 # each was killed by a 10 s timeout before the partial-sum work limit

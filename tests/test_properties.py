@@ -611,6 +611,22 @@ def test_twisted_sequence_matches_two_period_oracle(char, scale, k, j):
         assert l_value(got, n) == l_value(want, n)
 
 
+@PROPERTY
+@given(valid_characters, fractions.filter(bool), st.booleans())
+def test_equal_characters_hash_equal(char, scale, zeros_listed):
+    # the hash reads only the nonzero values: one full period and the
+    # {residue: value} form, with or without its zeros and under other
+    # labels, are equal characters with equal hashes
+    values = [v * scale for v in char.values]
+    full = Character(char.a, char.b, char.nu, char.period, values, "full")
+    entries = {str(r): str(v) for r, v in enumerate(values)
+               if v or zeros_listed}
+    sparse = Character(char.a, char.b, char.nu, char.period, entries, "dict")
+    assert sparse == full and hash(sparse) == hash(full)
+    assert pickle.loads(pickle.dumps(sparse)) == full
+    assert hash(pickle.loads(pickle.dumps(sparse))) == hash(full)
+
+
 def cyclo_tuples(size):
     """size elements of one random field Q(zeta_k), k <= 16."""
     return st.integers(1, 16).flatmap(lambda k: st.tuples(*(

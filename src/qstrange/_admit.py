@@ -51,11 +51,11 @@ MAX_L_WORK = 2 * 10 ** 8
 
 # partialtheta: largest accepted twisted period lcm(T, b*k).  On a 2-vCPU
 # Xeon VM a character file of period 99991, nonzero but at 0, takes 1.8 s
-# at k = 1.  A fold mod Phi_k costs about (k - phi(k)) times the nonzero
-# terms of Phi_k, most at k = 2p: lvalue --char chi6 --k 33322 takes 22 s,
-# and a file with b = 1 at k = 99998 5 min.  A character whose period at
-# k = 1, lcm(T, b), is over it is refused when it is built, since
-# validating it scans that many indices.
+# at k = 1.  A fold mod Phi_k that would cost over 2k steps directly makes
+# one pass per binomial of Phi_k: lvalue --char chi6 --k 33322 (k = 2p)
+# takes 0.6 s, --k 30030 0.9 s, and a file with b = 1 at k = 99998 1.3 s.
+# A character whose period at k = 1, lcm(T, b), is over it is refused
+# when it is built, since validating it scans that many indices.
 MAX_TWIST_PERIOD = 10 ** 5
 
 # strangematch: largest accepted stable_derivative index for match_expansion,

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 
 from qstrange._record import Record, _set
-from qstrange.exactpoly import IntPoly, RatPoly, _add_into, _mul_lists, _sub_lists, cyclotomic
+from qstrange.exactpoly import (IntPoly, RatPoly, _add_into, _cyclotomic_binomials,
+                                _mul_lists, _sub_lists, cyclotomic)
 
 __all__ = ["CycloNum", "ConductorMismatch", "eval_at_root"]
 
@@ -32,7 +34,10 @@ class ConductorMismatch(ValueError):
 def _fold(k: int, coeffs: list) -> list:
     """Integer coordinates of sum coeffs[e] * zeta**e, any length: exponents
     mod k, then each term from the top down to phi(k) removed by the monic
-    Phi_k's nonzero coefficients.  A short coeffs is returned itself."""
+    Phi_k's nonzero coefficients.  When that costs over 2k steps (Phi_2p
+    has p terms and p + 1 coordinates to remove), the remainder comes from
+    the quotient's power series instead (_fold_by_series).  A short coeffs
+    is returned itself."""
     phi = cyclotomic(k).coeffs
     d = len(phi) - 1
     if len(coeffs) <= d:
@@ -41,6 +46,8 @@ def _fold(k: int, coeffs: list) -> list:
     for base in range(k, len(coeffs), k):
         _add_into(out, coeffs[base:base + k])
     terms = [(i, c) for i, c in enumerate(phi[:-1]) if c]
+    if (len(out) - d) * len(terms) > 2 * k:
+        return _fold_by_series(k, out, d)
     for top in range(len(out) - 1, d - 1, -1):
         c = out[top]
         if c:
@@ -233,3 +240,32 @@ def eval_at_root(p, k: int, power: int = 1) -> CycloNum:
     if isinstance(p, IntPoly):
         return _new(k, _fold(k, folded), 1)
     return CycloNum(k, folded)
+
+
+def _fold_by_series(k: int, out: list, d: int) -> list:
+    """out mod Phi_k, for k > 1, d = phi(k) < len(out) <= k.
+
+    Phi_k is a product of binomials (1 - x^e)^(+-1) and is palindromic, so
+    the quotient of out by Phi_k, reversed, is the reversed out times
+    1/Phi_k to len(out) - d terms, and the remainder is out - Phi_k * Q
+    below x^d: each is one pass per binomial over a truncated series.
+    """
+    binomials = _cyclotomic_binomials(k)
+    quo = out[:d - 1:-1]
+    for e, mu in binomials:
+        _times_binomial(quo, e, -mu)
+    quo.reverse()
+    low = quo[:d] + [0] * (d - len(quo))
+    for e, mu in binomials:
+        _times_binomial(low, e, mu)
+    return list(map(sub, out[:d], low))
+
+
+def _times_binomial(c: list, e: int, mu: int) -> None:
+    """c times (1 - x^e)^mu, mu = +-1, as a series truncated to len(c), in
+    place: for mu = -1 each block of e coefficients adds the one below."""
+    if mu > 0:
+        c[e:] = map(sub, c[e:], c[:-e])
+    else:
+        for base in range(e, len(c), e):
+            c[base:base + e] = map(add, c[base:base + e], c[base - e:base])

@@ -509,24 +509,34 @@ def _one_minus_q_coeff(p: IntPoly, k: int) -> int:
     return -total if k % 2 else total
 
 
+def _cyclotomic_binomials(k: int) -> list:
+    """(d, mu(k/d)) for the d | k with mu(k/d) != 0, so that
+    Phi_k = prod (1 - q^d)^mu(k/d) for k > 1 (the mu add up to 0) and
+    -Phi_1 for k = 1: each prime p of k adds d/p with the opposite sign
+    for each d so far."""
+    factors, n, p = [(k, 1)], k, 2
+    while n > 1:
+        if p * p > n:
+            p = n  # n is prime: every smaller prime is divided out
+        if n % p == 0:
+            factors += [(d // p, -mu) for d, mu in factors]
+            while n % p == 0:
+                n //= p
+        p += 1
+    return factors
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic(k: int) -> IntPoly:
     """k-th cyclotomic polynomial, monic, with cyclotomic(1) = q - 1.
 
-    Phi_k = prod (1 - q^d)^mu(k/d) over d | k (the mu add up to 0 for
-    k > 1); each prime p of k adds d/p with the opposite sign for each d so
-    far.  The mu = +1 binomials go first, so each division is exact.
+    The product of _cyclotomic_binomials(k); the mu = +1 binomials go
+    first, so each division is exact.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    factors, n = [(k, 1)], k
-    for p in range(2, k + 1):
-        if n % p == 0:  # p is prime: every smaller prime is divided out
-            factors += [(d // p, -mu) for d, mu in factors]
-            while n % p == 0:
-                n //= p
     coeffs = [1]
-    for d, mu in sorted(factors, key=lambda f: -f[1]):
+    for d, mu in sorted(_cyclotomic_binomials(k), key=lambda f: -f[1]):
         coeffs = mul_binomial(coeffs, d) if mu > 0 else div_binomial(coeffs, d)
     return IntPoly._new([-c for c in coeffs] if k == 1 else coeffs)
 

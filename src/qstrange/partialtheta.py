@@ -10,13 +10,24 @@ L(-n, C) exactly through Bernoulli sums, and assembles the asymptotic
 expansion coefficients gamma_n(zeta).
 
 Everything is exact: character values are Fractions (only ints, Fractions
-and exact strings are accepted), twisted entries are CycloNum.  A twisted
-sequence keeps its nonzero entries as integer (power, coefficient) terms
-over one common denominator, so L(-n, C) is one integer Horner pass of
-B_{n+1} per nonzero entry, summed by power of zeta and folded mod Phi_k
-once, and a single division.  L-value and gamma requests whose work
-estimate exceeds MAX_L_WORK, and twisted sequences whose period exceeds
-MAX_TWIST_PERIOD, are refused with InvalidParam before any arithmetic.
+and exact strings are accepted), twisted entries are CycloNum.  Each step
+does its work once at the level its inputs allow:
+
+- per character: its nonzero values as integers over one denominator,
+  built by the constructor;
+- per character and conductor k (_twist_rows): the twisted period P and,
+  for every supported m in 1..P, e(m) mod k and the integer value, so a
+  root zeta_k^j only maps e to the power j*e mod k;
+- per character, k and j (_twisted_sequence): one shared TwistedSeq, whose
+  twisted mean is checked when it is built;
+- per request: one Bernoulli pass to the top order and one pass over the
+  rows for the power sums sum c * m^e by power of zeta (_bucket_sums);
+  each L(-n, C) then combines those sums with the integer coefficients of
+  B_{n+1}, folds mod Phi_k once and divides once.
+
+L-value and gamma requests whose work estimate exceeds MAX_L_WORK, and
+twisted sequences whose period exceeds MAX_TWIST_PERIOD, are refused with
+InvalidParam before any arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from qstrange._admit import MAX_L_WORK, MAX_TWIST_PERIOD, admit
 from qstrange._record import Record
@@ -82,17 +93,19 @@ class Character(Record, compare=("a", "b", "nu", "period", "values")):
     """Periodic rational character with quadratic exponent data (a, b, nu).
 
     values, a {residue: value} dict or one full period of ints, Fractions or
-    exact strings, is stored as a tuple of Fractions.  Equality and hashing
-    compare every field but the label; the hash, of the nonzero values
-    with their residues, is computed once, since every twisted_sequence
-    call hashes its character.  Refused with
+    exact strings, is stored as a tuple of Fractions; terms holds the
+    nonzero ones as (residue, integer) pairs over the common denominator
+    den.  Equality and hashing compare a, b, nu, period and values; the
+    hash, of the nonzero values with their residues, is computed once,
+    since every memoized call hashes its character.  Refused with
     InvalidParam, before its table is built, when lcm(period, b) exceeds
     MAX_TWIST_PERIOD.  Then (chi1) integrality is checked on the support
     within lcm(period, b) indices, since the exponent map has period b, not
     the period, and (chi2) the zero mean over one period.
     """
 
-    __slots__ = ("a", "b", "nu", "period", "values", "label", "_hash")
+    __slots__ = ("a", "b", "nu", "period", "values", "label", "den", "terms",
+                 "_hash")
 
     def __init__(self, a: int, b: int, nu: int, period: int, values,
                  label: str = "custom"):
@@ -117,18 +130,20 @@ class Character(Record, compare=("a", "b", "nu", "period", "values")):
             table = [_exact_value(v) for v in values]
             if len(table) != period:
                 raise CharacterInvalid("values length must equal the period")
-        values = tuple(table)
+        nonzero = tuple((r, v) for r, v in enumerate(table) if v)
+        den = math.lcm(*(v.denominator for _, v in nonzero))
+        terms = tuple((r, v.numerator * (den // v.denominator))
+                      for r, v in nonzero)
         # the nonzero (residue, value) pairs fix the table once the period
         # is fixed; Fraction.__hash__ is Python code, and most values are 0
-        super().__init__(a, b, nu, period, values, label,
-                         hash((a, b, nu, period,
-                               tuple((r, v) for r, v in enumerate(values)
-                                     if v))))
+        super().__init__(a, b, nu, period, tuple(table), label, den, terms,
+                         hash((a, b, nu, period, nonzero)))
         for n in self.support(math.lcm(period, b)):
             self.exponent(n)  # raises IntegralityViolation when fractional
-        mean = sum(filter(None, values))  # the zeros add nothing
+        mean = sum(c for _, c in terms)
         if mean:
-            raise MeanValueNonzero(f"character mean over one period is {mean}")
+            raise MeanValueNonzero("character mean over one period is "
+                                   f"{Fraction(mean, den)}")
 
     def __hash__(self):
         return self._hash
@@ -139,7 +154,7 @@ class Character(Record, compare=("a", "b", "nu", "period", "values")):
     def support(self, span: int) -> Iterator[int]:
         """The n in 0..span-1 with value(n) != 0, ascending; span must be a
         multiple of the period."""
-        rs = [r for r, v in enumerate(self.values) if v]
+        rs = [r for r, _ in self.terms]
         return (base + r for base in range(0, span, self.period) for r in rs)
 
     def exponent(self, n: int) -> int:
@@ -319,15 +334,11 @@ def twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
 
 @functools.lru_cache(maxsize=256)
 def _twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
-    """On the support, C(n) = chi(n) * zeta**(j*e) with e = (n^2-a)/b is
-    one term, the integer chi(n) * den at power j*e mod k."""
-    P = math.lcm(char.period, char.b * k)
-    support = sorted(n or P for n in char.support(P))  # C(0) is entry m = P
-    den = math.lcm(*(v.denominator for v in char.values))
-    scaled = [int(den * v) for v in char.values]
-    rows = tuple((m, ((j * char.exponent(m) % k, scaled[m % char.period]),))
-                 for m in support)
-    return _sealed(object.__new__(TwistedSeq), char, k, j, P, rows, den)
+    """On the support, C(m) = chi(m) * zeta**(j*e) with e = (m^2-a)/b is
+    one term, the integer chi(m) * den at power j*e mod k."""
+    P, ms, exps, cs = _twist_rows(char, k)
+    rows = tuple((m, ((j * e % k, c),)) for m, e, c in zip(ms, exps, cs))
+    return _sealed(object.__new__(TwistedSeq), char, k, j, P, rows, char.den)
 
 
 # -- Bernoulli machinery --------------------------------------------------------
@@ -388,34 +399,29 @@ def l_value(seq: TwistedSeq, n: int) -> CycloNum:
         L(-n, C) = -sum_m row_m * H(m) / (d * D * (n+1) * P),
         H(m) = sum_e b_e m^e P^(n+1-e),
 
-    one integer Horner pass per nonzero row, added into k buckets by the
-    power of zeta, one fold and one division at the end.  Refused with
-    InvalidParam when l_value_work(n, P) exceeds MAX_L_WORK.
+    so each power of zeta needs only the power sums sum c * m^e of its
+    terms, e <= n+1 (_bucket_sums); one fold and one division end it.
+    Refused with InvalidParam when l_value_work(n, P) exceeds MAX_L_WORK.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     P = seq.period
     admit("MAX_L_WORK", l_value_work(n, P), f"work of L(-{n}, C) at period {P}")
-    return _l_value(seq, n, _bernoulli(n + 1))
+    return _l_value(seq, n, _bernoulli(n + 1), _bucket_sums(seq, n + 1))
 
 
-def _l_value(seq: TwistedSeq, n: int, bern: list) -> CycloNum:
+def _l_value(seq: TwistedSeq, n: int, bern: list, sums: list) -> CycloNum:
     """l_value(seq, n) from bern = B_0, ..., B_{n+1} as _bernoulli gives
-    them, with no admission; d is the lcm over every pair in bern."""
+    them and the _bucket_sums of seq to an order of at least n+1, with no
+    admission; d is the lcm over every pair in bern.  Each power of zeta
+    takes sum_e C(n+1, e) B_{n+1-e} d P^(n+1-e) times its e-th sum."""
     P = seq.period
     d = math.lcm(*(den for _, den in bern))
-    horner, power = [], 1
-    for e in range(n + 1, -1, -1):
-        num, den = bern[n + 1 - e]
-        horner.append(math.comb(n + 1, e) * num * (d // den) * power)
-        power *= P
+    weights = [math.comb(n + 1, e) * num * (d // den) * P ** (n + 1 - e)
+               for e, (num, den) in enumerate(reversed(bern))]
     buckets = [0] * seq.k
-    for m, terms in seq.rows:
-        h = 0
-        for c in horner:
-            h = h * m + c
-        for power, c in terms:
-            buckets[power] -= c * h
+    for power, row in sums:
+        buckets[power] = -sum(map(mul, weights, row))
     return _new(seq.k, _fold(seq.k, buckets), d * seq.den * (n + 1) * P)
 
 
@@ -440,17 +446,19 @@ def _gammas(char: Character, k: int, j: int, top: int) -> Iterator[CycloNum]:
     Over b^n n!, gamma_n is sum_r a^(n-r) (-1)^r C(n, r) L_r, where
     L_r = L(-2r-nu, C) is computed once, when gamma_r is, and kept as its
     integer (num, den).  Each gamma_n is that integer sum over the lcm of
-    the kept denominators, normalized once.  One Bernoulli pass, to the
-    order of L_top, serves every L_r.  Nothing is admitted here: the caller
-    admits gamma_work at top.
+    the kept denominators, normalized once.  One Bernoulli pass and one
+    pass of power sums over the rows, both to the order of L_top, serve
+    every L_r.  Nothing is admitted here: the caller admits gamma_work at
+    top.
     """
     seq = twisted_sequence(char, k, j)
     a, b, nu = char.a, char.b, char.nu
     bern = _bernoulli(2 * top + nu + 1)
+    sums = _bucket_sums(seq, 2 * top + nu + 1)
     kept = []
     for n in range(top + 1):
         order = 2 * n + nu
-        x = _l_value(seq, order, bern[:order + 2])
+        x = _l_value(seq, order, bern[:order + 2], sums)
         kept.append((x.num, x.den))
         den = math.lcm(*(d for _, d in kept))
         acc = [0] * max(len(num) for num, _ in kept)
@@ -481,3 +489,40 @@ def theta_truncated(char: Character, cap: int) -> RatPoly:
                 coeffs[e] += c
         n += 1
     return RatPoly(coeffs)
+
+
+# -- rows and power sums shared by the roots of one order -------------------
+
+@functools.lru_cache(maxsize=256)
+def _twist_rows(char: Character, k: int) -> tuple:
+    """What every root of order k shares: P = lcm(T, b*k) and, for the
+    supported m in 1..P ascending, m, e(m) mod k and chi(m) * den."""
+    T, a, b = char.period, char.a, char.b
+    P = math.lcm(T, b * k)
+    ms = [base + r for base in range(0, P, T) for r, _ in char.terms]
+    cs = [c for _, c in char.terms] * (P // T)
+    if ms and not ms[0]:  # C(0) is entry m = P
+        ms, cs = ms[1:] + [P], cs[1:] + cs[:1]
+    return P, tuple(ms), tuple((m * m - a) // b % k for m in ms), tuple(cs)
+
+
+def _power_sums(xs, cs, top: int) -> list:
+    """sum c * x**e over the pairs of xs and cs, for e = 0, ..., top."""
+    out = [sum(cs)]
+    for _ in range(top):
+        cs = list(map(mul, xs, cs))
+        out.append(sum(cs))
+    return out
+
+
+def _bucket_sums(seq: TwistedSeq, top: int) -> list:
+    """(power, sums) for each power of zeta among seq's terms: sums[e] is
+    sum c * m**e over the terms (power, c) of the rows m, e <= top."""
+    groups = {}
+    for m, terms in seq.rows:
+        for power, c in terms:
+            ms, cs = groups.setdefault(power, ([], []))
+            ms.append(m)
+            cs.append(c)
+    return [(power, _power_sums(ms, cs, top))
+            for power, (ms, cs) in groups.items()]

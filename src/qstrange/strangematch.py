@@ -17,8 +17,13 @@ exact arithmetic and compared coefficient by coefficient.
 A match through order d reads one partial sum, at the stable_derivative
 index of order d, for every order l <= d.  That is exact: each term past
 order l's own index has a kernel with a zero of multiplicity greater than
-l at zeta, so its l-th (q d/dq) derivative is 0 there.  The theta side
-computes each L-value once and reuses it for every later order.
+l at zeta, so its l-th (q d/dq) derivative is 0 there.  The series side
+reads the moments sum c_e e^l of that sum's coefficients, one per class
+of e mod the root's order and per l <= d (_series_moments, shared by every
+root and request with the same family, index, order and d); a root only
+places each class at its power of zeta.  The theta side shares its work
+as partialtheta describes: each L-value is computed once, from power sums
+taken once per request, and reused for every later order.
 
 The module also carries the derivative bookkeeping used to extract single
 dissection pieces from a series: applying (q d/dq)**l to q**i * g(q**s)
@@ -26,17 +31,17 @@ produces a fixed integer combination of shifted derivatives of g, and
 ``c_array`` tabulates those combinations.
 """
 
+import functools
 import math
 from collections.abc import Iterator
-from itertools import count, islice, zip_longest
-from operator import mul
+from itertools import islice, zip_longest
 
 from ._admit import InvalidParam, admit
 from ._admit import MAX_C_ARRAY_WORK, MAX_MATCH_INDEX  # re-exported
 from ._record import Record
 from .cyclofield import CycloNum, _fold, _new
 from .exactpoly import theta_deriv
-from .partialtheta import _gammas, gamma_work
+from .partialtheta import _gammas, _power_sums, gamma_work
 from .qfamilies import partial_sum, partial_sum_work
 
 
@@ -77,28 +82,40 @@ def expansion_coeff(family, k: int, j: int, ell: int) -> CycloNum:
         raise InvalidParam("root order must be positive")
     j %= k
     n_star = stable_derivative(family, k // math.gcd(j, k), ell)
-    values = _root_values(partial_sum(family, n_star).value, k, j)
-    return next(islice(values, ell, None))
+    return next(islice(_root_values(family, n_star, k, j, ell), ell, None))
 
 
-def _root_values(p, k: int, j: int) -> Iterator[CycloNum]:
-    """(-1)**ell / ell! * ((q d/dq)**ell p)(zeta_k**j) for ell = 0, 1, ...
+def _root_values(family, index: int, k: int, j: int,
+                 top: int) -> Iterator[CycloNum]:
+    """(-1)**ell / ell! * ((q d/dq)**ell p)(zeta_k**j) for ell = 0..top,
+    p the partial sum of family at index.
 
-    Each order multiplies coefficient e by e once more and sums each class
-    of exponents e*j mod k; the k sums are folded into Q(zeta_k) and
-    normalized once.
+    With g = gcd(j, k), zeta_k**j is a root of order k' = k/g, and the
+    class of e mod k' sits at the power g * (e * j/g mod k') of zeta_k:
+    each value is the moments of order ell, one per class, placed there,
+    folded into Q(zeta_k) and normalized once.
     """
-    classes = [([], []) for _ in range(k)]
-    for e, c in enumerate(p.coeffs):
-        if c:
-            exps, vals = classes[e * j % k]
-            exps.append(e)
-            vals.append(c)
-    for ell in count():
-        sums = [sum(vals) for _, vals in classes]
+    g = math.gcd(j, k)
+    order = k // g
+    at = [g * (r * (j // g) % order) for r in range(order)]
+    moments = _series_moments(family, index, order, top)
+    for ell in range(top + 1):
+        buckets = [0] * k
         sign = -1 if ell % 2 else 1
-        yield _new(k, [sign * x for x in _fold(k, sums)], math.factorial(ell))
-        classes = [(exps, list(map(mul, exps, vals))) for exps, vals in classes]
+        for power, row in zip(at, moments):
+            buckets[power] = sign * row[ell]
+        yield _new(k, _fold(k, buckets), math.factorial(ell))
+
+
+@functools.lru_cache(maxsize=256)
+def _series_moments(family, index: int, k: int, top: int) -> tuple:
+    """For each residue r mod k, the sums of c_e * e**ell over the
+    coefficients c_e of the partial sum at index with e = r mod k, for
+    ell = 0..top.  Keyed on the family and numbers, never on the sum, so
+    the partial-sum memo stays the only holder of the polynomial."""
+    coeffs = partial_sum(family, index).value.coeffs
+    return tuple(tuple(_power_sums(range(r, len(coeffs), k), coeffs[r::k], top))
+                 for r in range(k))
 
 
 class MatchReport(Record):
@@ -150,9 +167,9 @@ def match_expansion(family, char, k: int, j: int, depth: int) -> MatchReport:
           f"partial-sum work of {family.label} at N = {index}")
     admit("MAX_L_WORK", gamma_work(char, k, depth),
           f"work of gamma_{depth} at zeta_{k}")
-    lhs = _root_values(partial_sum(family, index).value, k, j)
+    lhs = _root_values(family, index, k, j, depth)
     rhs = _gammas(char, k, j, depth)
-    first_bad = next((ell for ell, x, y in zip(range(depth + 1), lhs, rhs)
+    first_bad = next((ell for ell, (x, y) in enumerate(zip(lhs, rhs))
                       if x != y), None)
     verdict = "match" if first_bad is None else "mismatch"
     return MatchReport(family.label, char.label or "custom", k, j,
@@ -197,9 +214,12 @@ def extraction_identity_check(p, s: int, ell: int) -> bool:
     First the root-of-unity filter: averaging zeta_s**(-i*r) * p(zeta_s**r q)
     over r must reproduce the i-th dissection piece q**i A_i(q**s), checked
     with exact cyclotomic coefficients.  At q**e the average is p's
-    coefficient times the filter sum (1/s) sum_r zeta_s**(r*d), d = e - i,
-    which depends only on gcd(d, s) and is built once for each, as s
-    counts of powers of zeta_s folded once.  Second the derivative ladder:
+    coefficient c times the filter sum (1/s) sum_r zeta_s**(r*d),
+    d = e - i, which depends only on gcd(d, s) and is built once for each,
+    as s counts of powers of zeta_s folded once into integer coordinates
+    num over s.  The piece's coefficient want must then be c * num / s, so
+    c * num is compared with (want * s, 0, ..., 0).  Second the derivative
+    ladder:
     applying (q d/dq)**ell to q**i A_i(q**s) must equal the c_array
     combination of plain derivatives of A_i.  Returns False on the first
     discrepancy.
@@ -211,15 +231,19 @@ def extraction_identity_check(p, s: int, ell: int) -> bool:
     if ell < 0:
         raise InvalidParam("derivative order must be nonnegative")
     parts = dissect(p, s).parts
-    # r*d mod s runs over the multiples of g = gcd(d, s), each g times
-    filters = {g: _new(s, _fold(s, [g * (e % g == 0) for e in range(s)]), s)
-               for g in {math.gcd(d, s) for d in range(s)}}
+    # r*d mod s runs over the multiples of g = gcd(d, s), each g times;
+    # each filter keeps its first coordinate and whether any other is not 0
+    filters = {}
+    for g in {math.gcd(d, s) for d in range(s)}:
+        num = _fold(s, [g * (e % g == 0) for e in range(s)])
+        filters[g] = (num[0], any(num[1:]))
     for i in range(s):
         piece = parts[i].dilate(s).shift(i)
         # filter check, coefficient by coefficient in Q(zeta_s)
         pairs = zip_longest(p.coeffs, piece.coeffs, fillvalue=0)
         for e, (c, want) in enumerate(pairs):
-            if filters[math.gcd(e - i, s)].scale(c) != CycloNum.rational(s, want):
+            head, rest = filters[math.gcd(e - i, s)]
+            if c * head != want * s or (c and rest):
                 return False
         # derivative ladder check over Z[q]
         lhs = theta_deriv(piece, ell)

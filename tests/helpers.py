@@ -611,13 +611,16 @@ GUARDS = {
     "l_value": ("MAX_L_WORK", "qstrange.partialtheta",
                 lambda arg, x: l_value(twisted_sequence(
                     get_character(arg), 1, 0), x),
-                [("qstrange.partialtheta", "_bernoulli")]),
+                [("qstrange.partialtheta", "_bernoulli"),
+                 ("qstrange.partialtheta", "_bucket_sums")]),
     "c_array": ("MAX_C_ARRAY_WORK", "qstrange.strangematch",
                 lambda arg, x: c_array(x, 1, 5), []),
     "match": ("MAX_MATCH_INDEX", "qstrange.strangematch",
               lambda arg, x: match_expansion(parse_family(arg),
                                              get_character("chi_kz"), 1, 0, x),
               [("qstrange.strangematch", "partial_sum"),
+               ("qstrange.strangematch", "_series_moments"),
+               ("qstrange.partialtheta", "_bucket_sums"),
                ("qstrange.partialtheta", "_l_value")]),
     "character": ("MAX_TWIST_PERIOD", "qstrange.partialtheta",
                   lambda arg, x: Character(0, 1, 0, x, {1: 1, x - 1: -1}),

@@ -23,6 +23,9 @@ from qstrange.partialtheta import get_character
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "readme_calls.json"
+# stdout of lvalue --char chi6 --k 33322 --j 1 --n 0 --format json, taken
+# from the fold that removed each coordinate by all p terms of Phi_2p
+LVALUE_K33322 = GOLDEN.with_name("lvalue_chi6_k33322.json")
 
 
 def invoke(capsys, *argv):
@@ -561,7 +564,11 @@ def test_identity_check_negative_size_is_usage_error(capsys, flag, value):
     (("lvalue", "--char", "chi_kz", "--k", "4166", "--j", "1", "--n", "0"),
      '{"character":"chi_kz","command":"lvalue","j":1,"k":4166,"n":0,'
      '"schema":"qstrange/1","value":{"coeffs":[],"conductor":4166}}\n'),
-], ids=["identity-check-s997", "lvalue-k4166"])
+    # Phi_2p has p nonzero terms, and each of the p + 1 coordinates above
+    # phi(2p) was removed by all of them: 22 s
+    (("lvalue", "--char", "chi6", "--k", "33322", "--j", "1", "--n", "0"),
+     LVALUE_K33322.read_text()),
+], ids=["identity-check-s997", "lvalue-k4166", "lvalue-k33322"])
 def test_deep_admitted_call_finishes_in_seconds(capsys, argv, want):
     def expire(signum, frame):
         raise TimeoutError(f"qstrange {' '.join(argv)} ran past 10 s")
@@ -599,6 +606,8 @@ def test_match_over_index_limit_is_usage_error(capsys, monkeypatch):
     import qstrange.strangematch as sm
 
     monkeypatch.setattr(sm, "partial_sum", _never("partial_sum"))
+    monkeypatch.setattr(sm, "_series_moments", _never("_series_moments"))
+    monkeypatch.setattr(pt, "_bucket_sums", _never("_bucket_sums"))
     monkeypatch.setattr(pt, "_l_value", _never("_l_value"))
     code, out, err = invoke(capsys, "match", "--family", "kz", "--char", "chi_kz",
                             "--k", "2", "--j", "1", "--depth", "400")

@@ -161,9 +161,11 @@ class TestMemos:
             "qstrange.exactpoly.cyclotomic",
             "qstrange.fishburn._xi_mod",
             "qstrange.partialtheta._builtin_character",
+            "qstrange.partialtheta._twist_rows",
             "qstrange.partialtheta._twisted_sequence",
             "qstrange.qfamilies._partial_sum_value",
             "qstrange.qfamilies._stream",
+            "qstrange.strangematch._series_moments",
         ]
 
     def test_residue_set_memo_is_bounded(self):
@@ -180,11 +182,16 @@ class TestMemos:
             f'{{"kernel":"F","terms":[{{"coeffs":[{j}]}}]}}'), 0)),
         ("qstrange.partialtheta._twisted_sequence",
          lambda j: (Character(0, 1, 0, 2, {0: j, 1: -j}), 1, 0)),
+        ("qstrange.partialtheta._twist_rows",
+         lambda j: (Character(0, 1, 0, 2, {0: j, 1: -j}), 1)),
+        ("qstrange.strangematch._series_moments",
+         lambda j: (parse_family("kz"), 2, j, 1)),
         ("qstrange.fishburn._xi_mod", lambda j: (parse_family("gk:k=1"), 0, j + 1)),
     ])
     def test_large_entry_memos_are_bounded(self, memos, name, key):
-        # one entry is a whole partial sum, twisted sequence or xi column;
-        # 300 distinct keys, each cheap to build, must not keep 300 entries
+        # one entry is a whole partial sum, twisted sequence, set of twisted
+        # rows, set of series moments or xi column; 300 distinct keys, each
+        # cheap to build, must not keep 300 entries
         memo, bound = memos[name], 256
         assert memo.cache_info().maxsize == bound
         for j in range(1, 301):

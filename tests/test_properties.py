@@ -707,9 +707,16 @@ def test_trusted_cyclonum_paths_equal_public(k, x, power, cs, ps):
 @example((400, 1200, 1)).via("the longest input at the largest k")
 @example((385, 1155, 2)).via("Phi_385, with coefficients from -3 to 2")
 @example((1, 3, 3)).via("Phi_1 = q - 1")
+@example((1994, 1994, 4)).via("Phi_2p, p = 997: p terms, p + 1 to remove")
+@example((1018, 3054, 5)).via("Phi_2p, p = 509, three periods")
+@example((1202, 700, 6)).via("Phi_2p, p = 601, shorter than k")
+@example((1147, 1147, 7)).via("Phi_31*37, two primes near sqrt(k)")
+@example((1155, 1155, 8)).via("Phi_3*5*7*11, sixteen binomials")
+@example((1024, 2048, 9)).via("a prime power, reduced directly")
 def test_fold_matches_power_table(case):
-    # _fold reduces by the nonzero coefficients of Phi_k; the oracle adds
-    # rows of the table of zeta**e mod Phi_k, e < k, that _fold replaced
+    # _fold reduces by the nonzero coefficients of Phi_k, or through the
+    # quotient's power series when that is cheaper; the oracle adds rows of
+    # the table of zeta**e mod Phi_k, e < k, that _fold replaced
     k, size, seed = case
     rng = random.Random(seed)
     coeffs = [rng.choice((0, rng.randint(-10 ** 6, 10 ** 6)))
@@ -791,6 +798,64 @@ def test_match_equals_the_oracles(char, family, k, j, depth):
     bad = next((ell for ell in orders if lhs[ell] != rhs[ell]), None)
     assert (got.verdict, got.first_mismatch, got.j) == \
         ("match" if bad is None else "mismatch", bad, j % k)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.one_of(valid_characters, st.sampled_from(
+           ["chi_kz", "chi6", "chi_gk:k=2", "chi_hikami:m=2,alpha=1"])
+       .map(get_character)),
+       st.sampled_from(["kz", "gk:k=1", "hikami:m=2,alpha=1"]),
+       st.integers(1, 5), st.integers(0, 3), st.data())
+def test_shared_work_equals_cold_calls(clear_memos, char, family, k, depth,
+                                       data):
+    # twisted rows are shared per (chi, k), series moments per (family,
+    # index, order, top), twisted sequences per (chi, k, j): every j of one
+    # order, in a drawn order and with drawn memo clears in between, must
+    # give what a cold call gives and what the oracles give
+    fam = parse_family(family)
+    top = 2 * depth + char.nu + 1
+    calls = [(kind, j, n) for j in range(k) for kind, ns in (
+        ("match", [depth]), ("expansion", range(depth + 1)),
+        ("gamma", range(depth + 1)), ("lvalue", range(top + 1)))
+        for n in ns]
+
+    def call(kind, j, n):
+        if kind == "match":
+            return checked(match_expansion, fam, char, k, j, n)
+        if kind == "expansion":
+            return checked(expansion_coeff, fam, k, j, n)
+        if kind == "gamma":
+            return checked(gamma_coeff, char, k, j, n)
+        return checked(lambda: l_value(twisted_sequence(char, k, j), n))
+
+    warm = {}
+    for c in data.draw(st.permutations(calls)):
+        if data.draw(st.booleans()):
+            clear_memos()
+        warm[c] = call(*c)
+    for c in calls:
+        clear_memos()
+        assert call(*c) == warm[c]
+    for j in range(k):
+        lhs = [checked(expansion_def, fam, k, j, ell) for ell in range(depth + 1)]
+        rhs = [checked(gamma_def, char, k, j, n) for n in range(depth + 1)]
+        assert [warm["expansion", j, ell] for ell in range(depth + 1)] == lhs
+        assert [warm["gamma", j, n] for n in range(depth + 1)] == rhs
+        for n in range(top + 1):
+            got = warm["lvalue", j, n]
+            if not isinstance(got, tuple):
+                seq = twisted_sequence(char, k, j)
+                assert got.rep == l_value_def(seq, n)
+        got = warm["match", j, depth]
+        refused = next((x for x in (lhs[0], rhs[0]) if isinstance(x, tuple)),
+                       None)
+        if refused is not None:
+            assert got == refused
+            continue
+        bad = next((ell for ell in range(depth + 1) if lhs[ell] != rhs[ell]),
+                   None)
+        assert (got.verdict, got.first_mismatch) == \
+            ("match" if bad is None else "mismatch", bad)
 
 
 # -- records ------------------------------------------------------------------

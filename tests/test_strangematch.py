@@ -276,6 +276,26 @@ class TestExtractionIdentity:
         monkeypatch.setattr(ds, "dissect", wrong)
         assert not extraction_identity_check(p, 3, 2)
 
+    @pytest.mark.parametrize("s,g,at", [(3, 1, 0), (3, 1, 1), (3, 3, 0),
+                                        (3, 3, 1), (4, 2, 1), (4, 4, 0)])
+    def test_detects_wrong_filter_sum(self, monkeypatch, s, g, at):
+        # one filter sum, for gcd(e - i, s) = g, off by one in its first
+        # coordinate or in one that must be 0, fails the filter check
+        import qstrange.strangematch as sm
+
+        real = sm._fold
+
+        def wrong(k, coeffs):
+            out = list(real(k, coeffs))
+            if k == s and coeffs == [g * (e % g == 0) for e in range(s)]:
+                out[at] += 1
+            return out
+
+        p = IntPoly(tuple(range(1, 12)))
+        assert extraction_identity_check(p, s, 2)
+        monkeypatch.setattr(sm, "_fold", wrong)
+        assert not extraction_identity_check(p, s, 2)
+
     def test_bad_inputs(self):
         with pytest.raises(InvalidParam):
             extraction_identity_check(IntPoly((1,)), 0, 1)

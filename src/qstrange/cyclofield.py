@@ -94,8 +94,8 @@ class CycloNum(Record):
 
     CycloNum(k, coeffs, den=1) is (sum coeffs[e] * zeta**e) / den for any
     exact rational coeffs (a sequence or a RatPoly) of any length and a
-    nonzero int den; the fields hold the reduced integer form.  The
-    classmethods, scale() and the arithmetic build their results from
+    nonzero int den; the fields hold the reduced integer form.
+    rational(), scale() and the arithmetic build their results from
     integers through the trusted _new instead.
     """
 
@@ -119,13 +119,6 @@ class CycloNum(Record):
         if k < 1:
             raise ValueError("k must be positive")
         return _new(k, [x.numerator], x.denominator)
-
-    @classmethod
-    def zeta(cls, k: int, power: int = 1) -> "CycloNum":
-        """zeta_k**power, any integer power."""
-        if k < 1:
-            raise ValueError("k must be positive")
-        return _new(k, _fold(k, [0] * (power % k) + [1]), 1)
 
     @property
     def rep(self) -> RatPoly:

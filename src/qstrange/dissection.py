@@ -141,7 +141,7 @@ def verify_theorem(family: FamilySpec, char: Character, s: int, N: int) -> Divis
     NotDivisible; only a quotient becomes an IntPoly.  A slice may end in
     zeros, which change neither a class's remainder nor the stripped
     quotient, so this gives what dissect and exact_div by
-    pochhammer_factors would give.
+    those binomials would give.
     """
     if N < 0 or s < 1:
         raise ValueError("need N >= 0 and s >= 1")

@@ -20,9 +20,8 @@ binomial with a shift and a subtraction, as pochhammer builds a kernel,
 and its inverse div_binomial divides by one with a running sum per
 residue class mod e.  The certificates (dissection.verify_theorem) call
 div_binomial directly, on each residue slice of a partial sum, for each e
-in pochhammer_exponents(n, step) in turn; exact_div reaches the same
-div_binomial for a binomial divisor and runs integer long division for
-any other.
+in pochhammer_exponents(n, step) in turn.  exact_div, for any divisors,
+runs integer long division, so tests can check div_binomial against it.
 
 The exact stream of qfamilies (its ladder of weights and its Horner sums)
 adds shifted polynomials and multiplies by binomials, but forms no product
@@ -40,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import re
 import struct
 from collections.abc import Sequence
 from fractions import Fraction
@@ -57,14 +57,32 @@ __all__ = [
     "mul_binomial",
     "div_binomial",
     "pochhammer_exponents",
-    "pochhammer_factors",
     "pochhammer",
-    "qbinomial",
 ]
 
 
 class NotDivisible(ArithmeticError):
     """Exact polynomial division left a remainder or a non-integer quotient."""
+
+
+# Exact numbers read as text (JSON coefficients, character values and
+# residue keys) have one grammar: an optional sign and ASCII digits and, for
+# a rational, an optional /digits (not zero) or .digits.  int() and
+# Fraction() also take some of "1_0", " 7", "1 / 2" and non-ASCII digits,
+# which ones by Python version; on this grammar they agree everywhere.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*|\.[0-9]+)?")
+
+
+def _parse_number(c, rational: bool = False):
+    """c as an int, or with rational set as a Fraction, when c is an int
+    (not a bool) or a string in the grammar above; ValueError otherwise."""
+    if isinstance(c, int) and not isinstance(c, bool):
+        return Fraction(c) if rational else c
+    if isinstance(c, str) and (_RATIONAL if rational else _INTEGER).fullmatch(c):
+        return Fraction(c) if rational else int(c)
+    kind = "rational" if rational else "integer"
+    raise ValueError(f"{c!r} is not an exact {kind}")
 
 
 def _add_into(acc: list, coeffs: Sequence, off: int = 0) -> list:
@@ -394,13 +412,7 @@ class IntPoly(_BasePoly):
             return c.numerator
         raise TypeError(f"cannot use {type(c).__name__} as an integer coefficient")
 
-    @staticmethod
-    def _parse_coeff(c) -> int:
-        if isinstance(c, int) and not isinstance(c, bool):
-            return c
-        if isinstance(c, str):
-            return int(c, 10)
-        raise ValueError(f"bad integer coefficient {c!r}")
+    _parse_coeff = staticmethod(_parse_number)
 
 
 class RatPoly(_BasePoly):
@@ -416,11 +428,7 @@ class RatPoly(_BasePoly):
             return Fraction(c)
         raise TypeError(f"cannot use {type(c).__name__} as a rational coefficient")
 
-    @staticmethod
-    def _parse_coeff(c) -> Fraction:
-        if isinstance(c, (int, str)) and not isinstance(c, bool):
-            return Fraction(c)
-        raise ValueError(f"bad rational coefficient {c!r}")
+    _parse_coeff = staticmethod(functools.partial(_parse_number, rational=True))
 
 
 def exact_div(p: IntPoly, *divisors: IntPoly) -> IntPoly:
@@ -432,10 +440,9 @@ def exact_div(p: IntPoly, *divisors: IntPoly) -> IntPoly:
     same quotient and verdict as one division by d1*...*dk.  With no
     divisors the quotient is p.
 
-    A divisor +-(1 - q^e) goes through div_binomial, in O(deg p).  Any
-    other divisor runs the integer long division, whose inner loop visits
-    only the divisor's nonzero coefficients below the top, and which stops
-    at the first quotient term that is not an integer.
+    Each step is integer long division, whose inner loop visits only the
+    divisor's nonzero coefficients below the top, and which stops at the
+    first quotient term that is not an integer.
     """
     if not isinstance(p, IntPoly) or not all(isinstance(d, IntPoly) for d in divisors):
         raise TypeError("exact_div expects IntPoly arguments")
@@ -456,9 +463,6 @@ def _div_step(num: list, d: IntPoly) -> list:
     """
     dd, dc = d.degree, d.coeffs
     lead = dc[-1]
-    if dd and lead in (1, -1) and dc[0] == -lead and not any(dc[1:-1]):
-        quo = div_binomial(num, dd)
-        return quo if lead == -1 else [-c for c in quo]
     # the quotient term t = c/lead removes t*d_i from position base+i for
     # every nonzero lower d_i; quotients are unique, so t must be integral
     terms = [(i, c) for i, c in enumerate(dc[:-1]) if c]
@@ -526,12 +530,14 @@ def _cyclotomic_binomials(k: int) -> list:
     return factors
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def cyclotomic(k: int) -> IntPoly:
     """k-th cyclotomic polynomial, monic, with cyclotomic(1) = q - 1.
 
     The product of _cyclotomic_binomials(k); the mu = +1 binomials go
-    first, so each division is exact.
+    first, so each division is exact.  The memo keeps the latest 256, as
+    the other memos of large entries do: Phi_k near k = 90000 holds about
+    0.44 MB, and root matching reads at most a handful of conductors.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -553,13 +559,6 @@ def pochhammer_exponents(n: int, step: int = 1) -> range:
     return range(1, n + 1) if step == 1 else range(1, 2 * n, 2)
 
 
-def pochhammer_factors(n: int, step: int = 1) -> tuple[IntPoly, ...]:
-    """The binomials 1 - q^e whose product is pochhammer(n, step), in order,
-    built by the trusted constructor: their coefficients are ints."""
-    return tuple(IntPoly._new((1,) + (0,) * (e - 1) + (-1,))
-                 for e in pochhammer_exponents(n, step))
-
-
 def pochhammer(n: int, step: int = 1) -> IntPoly:
     """q-Pochhammer products.
 
@@ -571,15 +570,3 @@ def pochhammer(n: int, step: int = 1) -> IntPoly:
     for e in pochhammer_exponents(n, step):
         coeffs = mul_binomial(coeffs, e)
     return IntPoly._new(coeffs)
-
-
-def qbinomial(n: int, k: int, square_base: bool = False) -> IntPoly:
-    """Gaussian binomial [n choose k]_q, or the base-q^2 version.
-
-    Zero outside 0 <= k <= n.  Computed by exact division of q-factorials,
-    which is guaranteed to succeed.
-    """
-    if k < 0 or k > n:
-        return IntPoly()
-    base = exact_div(pochhammer(n), pochhammer(k) * pochhammer(n - k))
-    return base.dilate(2) if square_base else base

@@ -18,8 +18,8 @@ does its work once at the level its inputs allow:
 - per character and conductor k (_twist_rows): the twisted period P and,
   for every supported m in 1..P, e(m) mod k and the integer value, so a
   root zeta_k^j only maps e to the power j*e mod k;
-- per character, k and j (_twisted_sequence): one shared TwistedSeq, whose
-  twisted mean is checked when it is built;
+- per request at zeta_k^j: a TwistedSeq that places those rows at their
+  powers j*e mod k, its twisted mean checked when it is built;
 - per request: one Bernoulli pass to the top order and one pass over the
   rows for the power sums sum c * m^e by power of zeta (_bucket_sums);
   each L(-n, C) then combines those sums with the integer coefficients of
@@ -43,7 +43,7 @@ from operator import itemgetter, mul
 from qstrange._admit import MAX_L_WORK, MAX_TWIST_PERIOD, admit
 from qstrange._record import Record
 from qstrange.cyclofield import CycloNum, _fold, _new
-from qstrange.exactpoly import RatPoly
+from qstrange.exactpoly import RatPoly, _parse_number
 from qstrange.qfamilies import ParseError, _builtin_params
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "get_character",
     "character_from_json_obj",
     "twisted_sequence",
-    "bernoulli_number",
     "l_value",
     "l_value_work",
     "gamma_coeff",
@@ -79,14 +78,14 @@ class MeanValueNonzero(CharacterInvalid):
 
 
 def _exact_value(v) -> Fraction:
-    """A character value as a Fraction; only ints, Fractions and strings such
-    as "-1/2" are exact, so a float or bool is refused, never rounded."""
-    if isinstance(v, bool) or not isinstance(v, (int, Fraction, str)):
-        raise CharacterInvalid(f"character value {v!r} is not an exact rational")
+    """A character value as a Fraction; only ints, Fractions and strings in
+    exactpoly's number grammar, such as "-1/2", are exact, so a float or
+    bool is refused, never rounded."""
     try:
-        return Fraction(v)
-    except ValueError as exc:
-        raise CharacterInvalid(f"character value {v!r}: {exc}") from None
+        return v if isinstance(v, Fraction) else _parse_number(v, rational=True)
+    except ValueError:
+        raise CharacterInvalid(
+            f"character value {v!r} is not an exact rational") from None
 
 
 class Character(Record, compare=("a", "b", "nu", "period", "values")):
@@ -122,7 +121,10 @@ class Character(Record, compare=("a", "b", "nu", "period", "values")):
         if isinstance(values, dict):
             table = [Fraction(0)] * period
             for key, val in values.items():
-                n = int(key)
+                try:
+                    n = _parse_number(key)
+                except ValueError:
+                    raise CharacterInvalid(f"residue {key!r} is not an integer") from None
                 if not 0 <= n < period:
                     raise CharacterInvalid(f"residue {n} outside 0..{period - 1}")
                 table[n] = _exact_value(val)
@@ -278,13 +280,10 @@ class TwistedSeq(Record):
     row m, power < k, for each m in 1..period with C(m) != 0, ascending.
     The public constructor keeps each table entry's nonzero coordinates;
     twisted_sequence writes one term per supported m.  Both refuse a
-    nonzero twisted mean; table and entry are derived from rows.  Equality
-    is identity; twisted_sequence shares one per (chi, k, j mod k).
+    nonzero twisted mean; table and entry are derived from rows.
     """
 
     __slots__ = ("character", "k", "j", "period", "rows", "den")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __init__(self, character: Character, k: int, j: int, period: int,
                  table: tuple):
@@ -321,21 +320,17 @@ def twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
 
     C is P-periodic by construction: T divides P, and b*k dividing P makes
     the zeta-power ratio between n + P and n one.  Refused with InvalidParam,
-    before any entry is built, when P exceeds MAX_TWIST_PERIOD.  The
-    twisted mean is checked once per (chi, k, j mod k), when the shared
-    sequence is first built.  The memo keeps the latest 256 sequences.
+    before any entry is built, when P exceeds MAX_TWIST_PERIOD.  On the
+    support, C(m) = chi(m) * zeta**(j*e) with e = (m^2-a)/b is one term,
+    the integer chi(m) * den at power j*e mod k, placed on the rows that
+    _twist_rows shares among the roots of order k; each call builds its
+    own sequence and checks its twisted mean.
     """
     if k < 1:
         raise ValueError("conductor k must be positive")
     admit("MAX_TWIST_PERIOD", math.lcm(char.period, char.b * k),
           f"period of the twisted sequence of {char.label} at zeta_{k}")
-    return _twisted_sequence(char, k, j % k)
-
-
-@functools.lru_cache(maxsize=256)
-def _twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
-    """On the support, C(m) = chi(m) * zeta**(j*e) with e = (m^2-a)/b is
-    one term, the integer chi(m) * den at power j*e mod k."""
+    j %= k
     P, ms, exps, cs = _twist_rows(char, k)
     rows = tuple((m, ((j * e % k, c),)) for m, e, c in zip(ms, exps, cs))
     return _sealed(object.__new__(TwistedSeq), char, k, j, P, rows, char.den)
@@ -380,13 +375,6 @@ def _bernoulli(top: int) -> list:
         g = math.gcd(num, den)
         out[2 * i] = (num // g, den // g)
     return out[:top + 1]
-
-
-def bernoulli_number(m: int) -> Fraction:
-    """Bernoulli number B_m with B_1 = -1/2."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return Fraction(*_bernoulli(m)[m])
 
 
 def l_value(seq: TwistedSeq, n: int) -> CycloNum:

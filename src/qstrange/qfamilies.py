@@ -29,8 +29,8 @@ The ladder and the Horner sums hold each polynomial as a _packed triple
 (l1 bound, slot width, one packed int of exactpoly's codec), so that a
 shift-and-add is one pass in C over an int.  Each family's weights are
 drawn once, from the lru_cache memo _stream, which keeps the latest 8
-families; only term_poly and coefficient_polys decode them to IntPoly, and
-a sum is decoded once.
+families; only coefficient_polys decodes them to IntPoly, and a sum is
+decoded once.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "InvalidParam",
     "ParseError",
     "parse_family",
-    "term_poly",
     "partial_sum",
     "partial_sum_prefix",
     "MAX_PARTIAL_SUM_WORK",
@@ -298,13 +297,6 @@ def _step(family: FamilySpec) -> int:
     return 1 if family.kernel == "F" else 2
 
 
-def term_poly(family: FamilySpec, n: int) -> IntPoly:
-    """The coefficient polynomial f_n(q) (F-type) or g_n(q) (G-type);
-    refused with InvalidParam as partial_sum(n) is."""
-    _, width, x = _stream(family)(n)[n]
-    return IntPoly._new(_decode(x, width))
-
-
 def _packed(w: IntPoly) -> tuple[int, int, int]:
     """(l1 norm, width, packed int) of a weight, at the least doubled width
     whose slots hold it: the one form in which the stream keeps weights."""
@@ -406,7 +398,8 @@ def partial_sum_work(family: FamilySpec, upper: int, cap: int = -1) -> int:
 
 
 def partial_sum(family: FamilySpec, upper: int) -> PartialSum:
-    """Sum of term_poly(n)*kernel(n) for n = 0..upper, exactly.
+    """Sum of f_n(q)*kernel(n) for n = 0..upper, exactly, f_n the n-th of
+    the family's coefficient_polys.
 
     Memoized per (family, upper), the latest 256; one Horner pass of
     O(upper) binomial factors, each a shift and a subtraction of one packed

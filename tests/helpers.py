@@ -26,12 +26,11 @@ from qstrange.dissection import (DivisibilityFalsified, DivisibilityReport,
                                  thresholds)
 from qstrange.exactpoly import (IntPoly, NotDivisible, RatPoly, _add_into,
                                 cyclotomic, exact_div, mul_binomial, pochhammer,
-                                pochhammer_exponents, pochhammer_factors,
-                                theta_deriv)
+                                pochhammer_exponents, theta_deriv)
 from qstrange.fishburn import _xi_mod, verify_congruence, xi_coeffs
 from qstrange.partialtheta import (Character, IntegralityViolation,
-                                   MeanValueNonzero, get_character, l_value,
-                                   twisted_sequence)
+                                   MeanValueNonzero, _bernoulli, get_character,
+                                   l_value, twisted_sequence)
 from qstrange.qfamilies import (FamilySpec, InvalidParam, parse_family,
                                  partial_sum)
 from qstrange.strangematch import c_array, match_expansion, stable_derivative
@@ -57,6 +56,26 @@ def evaluate(p, x):
 def to_rat(p: IntPoly) -> RatPoly:
     """p with Fraction coefficients."""
     return RatPoly(p.coeffs)
+
+
+def pochhammer_factors(n: int, step: int = 1) -> tuple:
+    """The binomials 1 - q^e whose product is pochhammer(n, step), in order."""
+    return tuple(IntPoly((1,) + (0,) * (e - 1) + (-1,))
+                 for e in pochhammer_exponents(n, step))
+
+
+def qbinomial(n: int, k: int, square_base: bool = False) -> IntPoly:
+    """Gaussian binomial [n choose k]_q, or the base-q^2 version; zero
+    outside 0 <= k <= n.  An exact division of q-factorials."""
+    if k < 0 or k > n:
+        return IntPoly()
+    base = exact_div(pochhammer(n), pochhammer(k) * pochhammer(n - k))
+    return base.dilate(2) if square_base else base
+
+
+def term_poly(family: FamilySpec, n: int) -> IntPoly:
+    """The coefficient polynomial f_n(q) (F-type) or g_n(q) (G-type)."""
+    return family.coefficient_polys(n)[n]
 
 
 # -- dict-based polynomial arithmetic ---------------------------------------
@@ -338,6 +357,16 @@ def is_prime_def(n: int) -> bool:
 
 
 # -- cyclotomic fields and L-values -----------------------------------------
+
+def zeta(k: int, power: int = 1) -> CycloNum:
+    """zeta_k**power, any integer power."""
+    return CycloNum(k, [0] * (power % k) + [1])
+
+
+def bernoulli_number(m: int) -> Fraction:
+    """B_m, B_1 = -1/2, as the library's tangent-number pass gives it."""
+    return Fraction(*_bernoulli(m)[m])
+
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_def(k: int) -> IntPoly:
@@ -628,7 +657,7 @@ GUARDS = {
     "twisted_sequence": ("MAX_TWIST_PERIOD", "qstrange.partialtheta",
                          lambda arg, x: twisted_sequence(FLAT, x, 0),
                          [("qstrange.partialtheta.Character", "support"),
-                          ("qstrange.partialtheta", "_twisted_sequence")]),
+                          ("qstrange.partialtheta", "_twist_rows")]),
     "residue_set": ("MAX_RESIDUE_SPAN", "qstrange.dissection",
                     lambda arg, x: residue_set(FLAT, x),
                     [("qstrange.partialtheta.Character", "support")]),

@@ -335,6 +335,33 @@ def test_inexact_character_field_is_usage_error(capsys, tmp_path, field,
     assert "error:" in err
 
 
+# int() and Fraction() took some of these, and which by Python version
+OFF_GRAMMAR = ["1_0", " 7", "1 / 2", "\u0663"]
+
+
+@pytest.mark.parametrize("value", OFF_GRAMMAR)
+def test_character_value_off_the_grammar_is_usage_error(capsys, tmp_path,
+                                                        value):
+    # chi6 with its values scaled by 10 is valid: only "1_0" reads as 10
+    charfile = tmp_path / "f.json"
+    charfile.write_text(json.dumps({"a": 1, "b": 3, "nu": 0, "period": 6,
+                                    "values": {"1": value, "5": "-10"}}))
+    code, out, err = invoke(capsys, "residues", "--char", str(charfile),
+                            "--s", "5")
+    assert (code, out) == (2, "")
+    assert err == f"error: character value {value!r} is not an exact rational\n"
+
+
+@pytest.mark.parametrize("value", OFF_GRAMMAR)
+def test_inline_coefficient_off_the_grammar_is_usage_error(capsys, value):
+    family = json.dumps({"kernel": "F", "terms": [{"coeffs": [value]}]})
+    code, out, err = invoke(capsys, "dissect", "--family", family, "--s", "2",
+                            "--N", "0")
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad term polynomial: {value!r} is not an exact "
+                   "integer\n")
+
+
 def test_character_file_integer_values(capsys, tmp_path):
     obj = get_character("chi6").to_json_obj()
     obj["values"] = [0, 1, 1, 0, -1, -1]
@@ -752,7 +779,7 @@ def test_twisted_period_over_limit_is_usage_error(capsys, monkeypatch, tmp_path,
     monkeypatch.chdir(tmp_path)
     get_character("chi_kz")  # built, its support scanned, before the spy
     monkeypatch.setattr(pt.Character, "support", _never("the support scan"))
-    monkeypatch.setattr(pt, "_twisted_sequence", _never("_twisted_sequence"))
+    monkeypatch.setattr(pt, "_twist_rows", _never("_twist_rows"))
     code, out, err = invoke(capsys, "lvalue", "--char", char, "--k", k,
                             "--n", "1")
     assert code == 2

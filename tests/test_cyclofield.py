@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from helpers import embed_def, lift_def, monomial
+from helpers import embed_def, lift_def, monomial, zeta
 from qstrange.cyclofield import ConductorMismatch, CycloNum, eval_at_root
 from qstrange.exactpoly import IntPoly, RatPoly, cyclotomic
 
@@ -23,21 +23,21 @@ class TestConstruction:
         assert z2.rep.coeffs == (Fraction(-1), Fraction(-1))
 
     def test_zeta_power_wraps(self):
-        assert CycloNum.zeta(5, 7) == CycloNum.zeta(5, 2)
-        assert CycloNum.zeta(5, -1) == CycloNum.zeta(5, 4)
-        assert CycloNum.zeta(5, 0) == 1
+        assert zeta(5, 7) == zeta(5, 2)
+        assert zeta(5, -1) == zeta(5, 4)
+        assert zeta(5, 0) == 1
 
     def test_rational_predicates(self):
         x = CycloNum.rational(7, Fraction(3, 2))
         assert x.is_rational()
         assert x.as_fraction() == Fraction(3, 2)
-        z = CycloNum.zeta(7)
+        z = zeta(7)
         assert not z.is_rational()
         with pytest.raises(ValueError):
             z.as_fraction()
 
     def test_immutable(self):
-        z = CycloNum.zeta(4)
+        z = zeta(4)
         with pytest.raises(AttributeError):
             z.k = 5
 
@@ -53,14 +53,14 @@ class TestConstruction:
 
     @pytest.mark.parametrize("make", [
         lambda: CycloNum.rational(3, 0.1),
-        lambda: CycloNum.zeta(3).scale(0.1),
+        lambda: zeta(3).scale(0.1),
         lambda: CycloNum.rational(3, True),
-        lambda: CycloNum.zeta(3).scale(True),
+        lambda: zeta(3).scale(True),
         lambda: CycloNum(3, [1, 0.5]),
         lambda: CycloNum(3, [True, 1]),
-        lambda: CycloNum.zeta(3) + 0.5,
-        lambda: 0.5 * CycloNum.zeta(3),
-        lambda: CycloNum.zeta(3) - True,
+        lambda: zeta(3) + 0.5,
+        lambda: 0.5 * zeta(3),
+        lambda: zeta(3) - True,
     ])
     def test_inexact_inputs_refused(self, make):
         # a float would become a huge binary Fraction, a bool a silent 0 or 1
@@ -77,25 +77,25 @@ class TestConstruction:
         # equal rationals of two fields are one set element, not a mismatch
         assert CycloNum.rational(3, 1) == one
         assert len({one, CycloNum.rational(3, 1), 1}) == 1
-        assert len({CycloNum.zeta(5), CycloNum.zeta(5, 6), CycloNum.zeta(5, 2)}) == 2
+        assert len({zeta(5), zeta(5, 6), zeta(5, 2)}) == 2
 
 
 class TestArithmetic:
     def test_conjugate_product(self):
         # (1 + zeta_3)(1 + zeta_3^2) = 1
-        z = CycloNum.zeta(3)
+        z = zeta(3)
         assert (1 + z) * (1 + z * z) == 1
 
     def test_geometric_sum_vanishes(self):
         for k in (2, 3, 5, 6, 12):
-            z = CycloNum.zeta(k)
+            z = zeta(k)
             total = CycloNum.rational(k, 0)
             for j in range(k):
                 total = total + z ** j
             assert not total
 
     def test_pow_matches_repeated_mul(self):
-        z = CycloNum.zeta(8) + CycloNum.rational(8, Fraction(1, 2))
+        z = zeta(8) + CycloNum.rational(8, Fraction(1, 2))
         acc = CycloNum.rational(8, 1)
         for n in range(6):
             assert z ** n == acc
@@ -103,21 +103,21 @@ class TestArithmetic:
 
     def test_conductor_mismatch(self):
         with pytest.raises(ConductorMismatch):
-            CycloNum.zeta(3) + CycloNum.zeta(4)
+            zeta(3) + zeta(4)
         with pytest.raises(ConductorMismatch):
-            CycloNum.zeta(3) == CycloNum.zeta(4)
+            zeta(3) == zeta(4)
 
     def test_scalar_ops(self):
-        z = CycloNum.zeta(5)
+        z = zeta(5)
         assert 2 * z - z == z
         assert (z - 1) + (1 - z) == 0
         assert z.scale(Fraction(1, 3)) * 3 == z
 
     def test_lift(self):
-        z3 = CycloNum.zeta(3)
+        z3 = zeta(3)
         z12 = lift_def(z3, 12)
         assert z12.k == 12
-        assert z12 == CycloNum.zeta(12, 4)
+        assert z12 == zeta(12, 4)
         with pytest.raises(ConductorMismatch):
             lift_def(z3, 8)
 
@@ -141,11 +141,11 @@ class TestEvalAtRoot:
     def test_folding(self):
         # q^5 at zeta_4: 5 = 1 mod 4
         p = monomial(IntPoly, 5)
-        assert eval_at_root(p, 4) == CycloNum.zeta(4)
+        assert eval_at_root(p, 4) == zeta(4)
 
     def test_power_argument(self):
         p = IntPoly((0, 1))  # q
-        assert eval_at_root(p, 6, 2) == CycloNum.zeta(6, 2)
+        assert eval_at_root(p, 6, 2) == zeta(6, 2)
 
     def test_cyclotomic_vanishes_at_primitive_root(self):
         for k in (1, 2, 3, 4, 6, 10, 12):
@@ -160,7 +160,7 @@ class TestEvalAtRoot:
             k = rng.randint(1, 12)
             j = rng.randint(0, 2 * k)
             p = IntPoly(tuple(rng.randint(-5, 5) for _ in range(rng.randint(0, 18))))
-            z = CycloNum.zeta(k, j)
+            z = zeta(k, j)
             slow = CycloNum.rational(k, 0)
             for e, c in enumerate(p.coeffs):
                 slow = slow + (z ** e).scale(c)
@@ -170,9 +170,9 @@ class TestEvalAtRoot:
 class TestEmbed:
     def test_zeta_values(self):
         with mpmath.workprec(200):
-            z = embed_def(CycloNum.zeta(4))
+            z = embed_def(zeta(4))
             assert embed_close(z, mpmath.mpc(0, 1))
-            z6 = embed_def(CycloNum.zeta(6))
+            z6 = embed_def(zeta(6))
             assert embed_close(z6, mpmath.mpc(mpmath.mpf(1) / 2, mpmath.sqrt(3) / 2))
 
     def test_embedding_is_ring_map(self):

@@ -162,11 +162,15 @@ class TestMemos:
             "qstrange.fishburn._xi_mod",
             "qstrange.partialtheta._builtin_character",
             "qstrange.partialtheta._twist_rows",
-            "qstrange.partialtheta._twisted_sequence",
             "qstrange.qfamilies._partial_sum_value",
             "qstrange.qfamilies._stream",
             "qstrange.strangematch._series_moments",
         ]
+
+    def test_every_memo_is_bounded(self, memos):
+        # a memo without a bound keeps every entry that a sweep asks for
+        assert [name for name, memo in memos.items()
+                if memo.cache_info().maxsize is None] == []
 
     def test_residue_set_memo_is_bounded(self):
         # a memo without a bound kept every set of a sweep over s: 271 MB
@@ -180,18 +184,17 @@ class TestMemos:
     @pytest.mark.parametrize("name,key", [
         ("qstrange.qfamilies._partial_sum_value", lambda j: (parse_family(
             f'{{"kernel":"F","terms":[{{"coeffs":[{j}]}}]}}'), 0)),
-        ("qstrange.partialtheta._twisted_sequence",
-         lambda j: (Character(0, 1, 0, 2, {0: j, 1: -j}), 1, 0)),
         ("qstrange.partialtheta._twist_rows",
          lambda j: (Character(0, 1, 0, 2, {0: j, 1: -j}), 1)),
         ("qstrange.strangematch._series_moments",
          lambda j: (parse_family("kz"), 2, j, 1)),
         ("qstrange.fishburn._xi_mod", lambda j: (parse_family("gk:k=1"), 0, j + 1)),
+        ("qstrange.exactpoly.cyclotomic", lambda j: (j,)),
     ])
     def test_large_entry_memos_are_bounded(self, memos, name, key):
-        # one entry is a whole partial sum, twisted sequence, set of twisted
-        # rows, set of series moments or xi column; 300 distinct keys, each
-        # cheap to build, must not keep 300 entries
+        # one entry is a whole partial sum, set of twisted rows, set of
+        # series moments, xi column or cyclotomic polynomial; 300 distinct
+        # keys, each cheap to build, must not keep 300 entries
         memo, bound = memos[name], 256
         assert memo.cache_info().maxsize == bound
         for j in range(1, 301):
@@ -343,7 +346,7 @@ class TestVerifyTheorem:
             raise AssertionError("called off the certificate path")
         for module, name in ((dis, "dissect"), (dis, "Dissection"),
                              (dis, "exact_div"), (ep, "exact_div"),
-                             (ep, "_div_step"), (ep, "pochhammer_factors")):
+                             (ep, "_div_step")):
             monkeypatch.setattr(module, name, never)
         calls, wrapped = [], []
         real_div, real_new = dis.div_binomial, IntPoly._new.__func__

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import pochhammer_factors, qbinomial
 from qstrange.exactpoly import (
     IntPoly,
     RatPoly,
@@ -16,8 +17,6 @@ from qstrange.exactpoly import (
     mul_binomial,
     pochhammer,
     pochhammer_exponents,
-    pochhammer_factors,
-    qbinomial,
     subst_one_minus_q,
     theta_deriv,
 )
@@ -468,6 +467,23 @@ class TestJson:
             IntPoly.from_json_obj({"nope": []})
         with pytest.raises(ValueError):
             IntPoly.from_json_obj({"coeffs": [1.5]})
+
+    @pytest.mark.parametrize("cls", [IntPoly, RatPoly])
+    @pytest.mark.parametrize("text", ["1_0", " 7", "1 / 2", "\u0663", "0x1",
+                                      "", "1/0"])
+    def test_coefficients_read_one_grammar(self, cls, text):
+        # an optional sign and ASCII digits (and /digits or .digits in a
+        # RatPoly), on every Python: int() and Fraction() took some of these
+        with pytest.raises(ValueError, match="is not an exact"):
+            cls.from_json_obj({"coeffs": ["1", text]})
+
+    def test_grammar_keeps_signs_and_rationals_apart(self):
+        assert IntPoly.from_json_obj({"coeffs": ["+7", "-007"]}) == IntPoly([7, -7])
+        assert RatPoly.from_json_obj({"coeffs": ["-2/4", "0.25", 3]}) == \
+            RatPoly([Fraction(-1, 2), Fraction(1, 4), 3])
+        for text in ("1/2", "0.5"):
+            with pytest.raises(ValueError, match="is not an exact integer"):
+                IntPoly.from_json_obj({"coeffs": [text]})
 
     @pytest.mark.parametrize("cls", [IntPoly, RatPoly])
     @pytest.mark.parametrize("obj", [

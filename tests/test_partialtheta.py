@@ -1,10 +1,11 @@
+import gc
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import bernoulli_poly_def, evaluate, to_rat
+from helpers import bernoulli_number, bernoulli_poly_def, evaluate, to_rat, zeta
 from qstrange.cyclofield import CycloNum
 from qstrange.exactpoly import RatPoly
 from qstrange.partialtheta import (
@@ -13,7 +14,7 @@ from qstrange.partialtheta import (
     IntegralityViolation,
     MeanValueNonzero,
     TwistedSeq,
-    bernoulli_number,
+    _twist_rows,
     character_from_json_obj,
     gamma_coeff,
     get_character,
@@ -27,6 +28,7 @@ from qstrange.qfamilies import (
     parse_family,
     partial_sum_prefix,
 )
+from qstrange.strangematch import match_expansion
 
 BUILTIN_NAMES = ["chi_kz", "chi6", "chi_hikami:m=1,alpha=0",
                  "chi_hikami:m=2,alpha=0", "chi_hikami:m=2,alpha=1",
@@ -114,6 +116,18 @@ class TestCharacters:
         with pytest.raises(CharacterInvalid):
             Character(0, 1, 0, 2, values)
 
+    @pytest.mark.parametrize("text", ["1_0", " 7", "1 / 2", "\u0663", "1/0",
+                                      "1e3", ".5"])
+    def test_values_and_residues_read_one_grammar(self, text):
+        # an optional sign, ASCII digits and /digits or .digits, on every
+        # Python: int() and Fraction() took some of these, by version
+        with pytest.raises(CharacterInvalid, match="not an exact rational"):
+            Character(1, 3, 0, 6, {"1": text, "5": "-10"})
+        with pytest.raises(CharacterInvalid, match="not an integer"):
+            Character(1, 3, 0, 6, {text: "1", "5": "-1"})
+        assert Character(1, 3, 0, 6, {"+1": "+1", "05": "-1.0"}) == \
+            Character(1, 3, 0, 6, {1: 1, 5: -1})
+
     def test_exact_string_values(self):
         c = Character(0, 1, 0, 2, {"0": "-1/2", "1": "0.5"})
         assert c.values == (Fraction(-1, 2), Fraction(1, 2))
@@ -139,17 +153,24 @@ class TestTwistedSequence:
         seq = twisted_sequence(get_character("chi_hikami:m=2,alpha=0"), 2, 1)
         assert seq.period == 80
 
-    def test_immutable_and_shared(self):
+    def test_immutable_and_equal_by_fields(self):
         char = get_character("chi6")
         seq = twisted_sequence(char, 3, 1)
         with pytest.raises(AttributeError):
             seq.table = ()
-        # one instance per (character, k, j mod k); equality is identity
-        assert twisted_sequence(char, 3, 4) is seq
-        assert TwistedSeq(char, 3, 1, seq.period, seq.table) != seq
+        # each call builds its own sequence, equal field by field for the
+        # same (character, k, j mod k)
+        again = twisted_sequence(char, 3, 4)
+        assert again is not seq
+        assert again == seq and hash(again) == hash(seq)
+        assert twisted_sequence(char, 3, 2) != seq
+        # the public constructor stores each entry's coordinates, not one
+        # term per entry: the same table in other rows
+        public = TwistedSeq(char, 3, 1, seq.period, seq.table)
+        assert public.table == seq.table and public != seq
 
     def test_cached_call_does_not_rehash_the_values(self, monkeypatch):
-        # the character's hash is the cache key of every call; it is
+        # the character's hash is the key of the shared twisted rows; it is
         # computed once, not from its tuple of Fractions on each call
         char = get_character("chi_kz")
         seq = twisted_sequence(char, 5, 1)
@@ -157,7 +178,8 @@ class TestTwistedSequence:
         real = Fraction.__hash__
         monkeypatch.setattr(Fraction, "__hash__",
                             lambda x: calls.append(x) or real(x))
-        assert twisted_sequence(char, 5, 1) is seq
+        assert twisted_sequence(char, 5, 1) == seq
+        assert _twist_rows.cache_info().hits == 1
         assert calls == []
         # of the nonzero values with their residues, not of every value
         nonzero = tuple((r, v) for r, v in enumerate(char.values) if v)
@@ -176,7 +198,7 @@ class TestTwistedSequence:
         for _ in range(20):
             n = rng.randint(0, 4 * seq.period)
             c = char.value(n)
-            want = (CycloNum.zeta(k, j * char.exponent(n)).scale(c)
+            want = (zeta(k, j * char.exponent(n)).scale(c)
                     if c else CycloNum.rational(k, 0))
             assert seq.entry(n) == want
 
@@ -191,6 +213,19 @@ class TestTwistedSequence:
                 for n in range(1, M * (8 * m + 4) + 1):
                     total = total + seq.entry(n)
                 assert not total, (m, alpha, M)
+
+    def test_no_sequence_outlives_its_request(self):
+        # the rows shared by the roots of one order are memoized, the
+        # sequences built on them are not, so none is kept after a call
+        def alive():
+            gc.collect()
+            return sum(isinstance(x, TwistedSeq) for x in gc.get_objects())
+
+        before, char = alive(), get_character("chi_kz")
+        match_expansion(parse_family("kz"), char, 2, 1, 3)
+        gamma_coeff(char, 3, 1, 2)
+        l_value(twisted_sequence(char, 4, 1), 1)
+        assert alive() == before
 
     def test_mean_zero_any_conductor_for_odd_char(self):
         char = get_character("chi6")

@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (bernoulli_numbers_def, certificate_def, character_def,
-                     cyclo_ref, divmod_def, embed_def, exact_div_def,
-                     expansion_def, fold_def, gamma_def, horner_def,
-                     is_prime_def, l_value_def, ladder_def, monomial,
-                     reassemble_def, residue_set_def, to_rat,
+from helpers import (bernoulli_number, bernoulli_numbers_def, certificate_def,
+                     character_def, cyclo_ref, divmod_def, embed_def,
+                     exact_div_def, expansion_def, fold_def, gamma_def,
+                     horner_def, is_prime_def, l_value_def, ladder_def,
+                     monomial, reassemble_def, residue_set_def, to_rat,
                      twisted_table_def)
 from qstrange.cyclofield import CycloNum, _fold, eval_at_root
 from qstrange.dissection import (DivisibilityFalsified, DivisibilityReport,
@@ -56,7 +56,6 @@ from qstrange.partialtheta import (
     CharacterInvalid,
     MeanValueNonzero,
     TwistedSeq,
-    bernoulli_number,
     gamma_coeff,
     get_character,
     l_value,
@@ -687,12 +686,10 @@ def test_cyclonum_matches_reference(case):
        st.lists(fractions, max_size=20),
        st.lists(st.integers(-9, 9), max_size=40))
 def test_trusted_cyclonum_paths_equal_public(k, x, power, cs, ps):
-    zeta = [0] * (power % k) + [1]
     at_root = [0] * k
     for e, c in enumerate(ps):
         at_root[e * power % k] += c
     for got, want in ((CycloNum.rational(k, x), CycloNum(k, [x])),
-                      (CycloNum.zeta(k, power), CycloNum(k, zeta)),
                       (CycloNum(k, cs).scale(x),
                        CycloNum(k, [c * x for c in cs])),
                       (eval_at_root(IntPoly(ps), k, power),
@@ -808,10 +805,10 @@ def test_match_equals_the_oracles(char, family, k, j, depth):
        st.integers(1, 5), st.integers(0, 3), st.data())
 def test_shared_work_equals_cold_calls(clear_memos, char, family, k, depth,
                                        data):
-    # twisted rows are shared per (chi, k), series moments per (family,
-    # index, order, top), twisted sequences per (chi, k, j): every j of one
-    # order, in a drawn order and with drawn memo clears in between, must
-    # give what a cold call gives and what the oracles give
+    # twisted rows are shared per (chi, k) and series moments per (family,
+    # index, order, top): every j of one order, in a drawn order and with
+    # drawn memo clears in between, must give what a cold call gives and
+    # what the oracles give
     fam = parse_family(family)
     top = 2 * depth + char.nu + 1
     calls = [(kind, j, n) for j in range(k) for kind, ns in (

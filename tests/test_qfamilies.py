@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import helpers
+from helpers import term_poly
 import qstrange.exactpoly as exactpoly
 import qstrange.qfamilies as qfamilies
 from qstrange.exactpoly import WORD, IntPoly, pochhammer
@@ -21,7 +22,6 @@ from qstrange.qfamilies import (
     partial_sum,
     partial_sum_prefix,
     partial_sum_work,
-    term_poly,
 )
 
 
@@ -55,6 +55,7 @@ class TestParse:
     @pytest.mark.parametrize("bad", [
         "bogus", "hikami:m=two,alpha=0", "hikami:m=2", "gk:", "gk:j=1",
         "kz:k=1", "{not json", '{"kernel":"F"}', '["kernel"]',
+        '{"kernel":"F","terms":[{"coeffs":["1_0"]}]}',
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
@@ -391,13 +392,13 @@ class TestPackedStream:
         assert time.perf_counter() - t0 < 0.5
 
     @pytest.mark.parametrize("call", [
-        lambda fam: term_poly(fam, 0),
         lambda fam: fam.coefficient_polys(0),
         lambda fam: partial_sum_prefix(fam, 0, 0),
-    ], ids=["term_poly", "coefficient_polys", "partial_sum_prefix"])
+    ], ids=["coefficient_polys", "partial_sum_prefix"])
     def test_huge_ladders_are_refused_before_they_run(self, call, monkeypatch):
         # each would build 10**8 ladder levels; gk:k=10**6 took 2.1 s and
-        # 267 MB in partial_sum_prefix, and k = 3*10**6 7.7 s in term_poly
+        # 267 MB in partial_sum_prefix, and k = 3*10**6 7.7 s for one
+        # coefficient polynomial
         def never(*args):
             raise AssertionError("the family's weights were built")
 

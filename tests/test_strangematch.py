@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import expansion_def, gamma_def, lift_def
+from helpers import expansion_def, gamma_def, lift_def, zeta
 from qstrange.cyclofield import CycloNum, eval_at_root
 from qstrange.exactpoly import IntPoly, theta_deriv
 from qstrange.partialtheta import (Character, CharacterInvalid, gamma_coeff,
@@ -92,7 +92,7 @@ class TestExpansionCoeff:
             for e, c in enumerate(p.coeffs):
                 if c:
                     w = Fraction(c * (-e) ** m, math.factorial(m))
-                    acc = acc + CycloNum.zeta(k, e * j).scale(w)
+                    acc = acc + zeta(k, e * j).scale(w)
             via_theta = eval_at_root(theta_deriv(p, m), k, j).scale(
                 Fraction((-1) ** m, math.factorial(m)))
             assert acc == via_theta

@@ -26,7 +26,7 @@ from .dissection import (
     residue_set,
     verify_theorem,
 )
-from .exactpoly import IntPoly
+from .exactpoly import IntPoly, _parse_number
 from .fishburn import (EngineMismatch, scan_congruences, verify_congruence,
                        xi_coeffs)
 from .partialtheta import (
@@ -83,14 +83,11 @@ def _emit(args, payload: dict, lines: list):
 def cmd_dissect(args) -> int:
     fam = parse_family(args.family)
     check_modulus(args.s)  # before the partial sum is built
-    d = dissect(partial_sum(fam, args.N).value, args.s)
-    payload = {
-        "family": fam.label, "s": args.s, "N": args.N,
-        "parts": [{"i": i, "poly": p.to_json_obj()}
-                  for i, p in enumerate(d.parts)],
-    }
-    lines = [f"i={i}: {p}" for i, p in enumerate(d.parts)]
-    _emit(args, payload, lines)
+    parts = dissect(partial_sum(fam, args.N), args.s)
+    payload = {"family": fam.label, "s": args.s, "N": args.N,
+               "parts": [{"i": i, "poly": p.to_json_obj()}
+                         for i, p in enumerate(parts)]}
+    _emit(args, payload, [f"i={i}: {p}" for i, p in enumerate(parts)])
     return 0
 
 
@@ -153,8 +150,9 @@ def cmd_gamma(args) -> int:
 
 def cmd_fishburn(args) -> int:
     fam = parse_family(args.family)
-    seq = xi_coeffs(fam, args.depth)
-    _emit(args, seq.to_json_obj(), [str(list(seq.coeffs))])
+    coeffs = list(xi_coeffs(fam, args.depth))
+    payload = {"family": fam.label, "depth": args.depth, "coeffs": coeffs}
+    _emit(args, payload, [str(coeffs)])
     return 0
 
 
@@ -221,12 +219,20 @@ def cmd_identity_check(args) -> int:
     return 0 if ok else 1
 
 
+def _integer(text: str) -> int:
+    """An option's integer, in exactpoly's grammar (int() takes "1_0")."""
+    try:
+        return _parse_number(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 _REQ_STR = {"required": True}
-_REQ_INT = {"type": int, "required": True}
+_REQ_INT = {"type": _integer, "required": True}
 
 
 def _opt_int(default):
-    return {"type": int, "default": default}
+    return {"type": _integer, "default": default}
 
 
 # One row per subcommand: its name, help text, handler, and the options it

@@ -24,7 +24,6 @@ from qstrange.partialtheta import Character
 from qstrange.qfamilies import FamilySpec, partial_sum
 
 __all__ = [
-    "Dissection",
     "DivisibilityRow",
     "DivisibilityReport",
     "OddModulusRequired",
@@ -47,24 +46,10 @@ class DivisibilityFalsified(ArithmeticError):
     """A division the theorems guarantee has failed; inputs are inconsistent."""
 
 
-class Dissection(Record):
-    """Parts A_0..A_{s-1} of p(q) = sum_i q^i A_i(q^s); equality compares both fields."""
-
-    __slots__ = ("modulus", "parts")
-
-    def __init__(self, modulus: int, parts: tuple):
-        if modulus < 1 or len(parts) != modulus:
-            raise ValueError("need exactly s parts for modulus s")
-        super().__init__(modulus, parts)
-
-    def __repr__(self):
-        return f"Dissection(s={self.modulus}, degrees={[p.degree for p in self.parts]})"
-
-
-def dissect(p: IntPoly, s: int) -> Dissection:
-    """Part i holds the coefficients of exponents e = i (mod s), at (e-i)/s."""
+def dissect(p: IntPoly, s: int) -> tuple:
+    """The s parts A_i of p(q) = sum_i q^i A_i(q^s), new immutable IntPoly."""
     check_modulus(s)
-    return Dissection(s, tuple(IntPoly._new(p.coeffs[i::s]) for i in range(s)))
+    return tuple(IntPoly._new(p.coeffs[i::s]) for i in range(s))
 
 
 def check_modulus(s: int) -> None:
@@ -154,7 +139,7 @@ def verify_theorem(family: FamilySpec, char: Character, s: int, N: int) -> Divis
         exponents, divisor_name = pochhammer_exponents(lam), f"(q;q)_{lam}"
     else:
         exponents, divisor_name = pochhammer_exponents(mu, 2), f"(q;q2)_{mu}"
-    coeffs = partial_sum(family, N).value.coeffs
+    coeffs = partial_sum(family, N).coeffs
 
     def attempt(i: int) -> DivisibilityRow:
         num = coeffs[i::s]

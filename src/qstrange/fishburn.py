@@ -29,7 +29,6 @@ from .qfamilies import _shape, partial_sum, partial_sum_work
 
 __all__ = [
     "EngineMismatch",
-    "XiSequence",
     "CongruenceReport",
     "ScanReport",
     "xi_coeffs",
@@ -53,34 +52,9 @@ class EngineMismatch(ArithmeticError):
     """The modular engine disagrees with the exact one at a cross-checked index."""
 
 
-class XiSequence(Record):
-    """Coefficients xi(0..D) of family(1-q), exact; equality compares both fields."""
-
-    __slots__ = ("family_label", "coeffs")
-
-    @property
-    def depth(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __repr__(self):
-        return f"XiSequence({self.family_label!r}, depth={self.depth})"
-
-    def to_json_obj(self):
-        return {"family": self.family_label, "depth": self.depth,
-                "coeffs": list(self.coeffs)}
-
-
-def xi_coeffs(family, depth: int) -> XiSequence:
-    """xi(0..depth), exact, as the 1-q substitution of the exact partial sum.
+def xi_coeffs(family, depth: int) -> tuple:
+    """xi(0..depth), a tuple of depth + 1 ints: the 1-q substitution of
+    the exact partial sum, which reads the memo's immutable IntPoly.
 
     Refused with InvalidParam, before anything is computed, when the
     partial sum at N = depth and its substitution, partial_sum_work(family,
@@ -90,9 +64,8 @@ def xi_coeffs(family, depth: int) -> XiSequence:
         raise InvalidParam("depth must be nonnegative")
     admit("MAX_PARTIAL_SUM_WORK", partial_sum_work(family, depth, depth),
           f"partial-sum and 1-q work of {family.label} at N = {depth}")
-    sub = subst_one_minus_q(partial_sum(family, depth).value, depth)
-    return XiSequence(family.label,
-                      sub.coeffs + (0,) * (depth + 1 - len(sub.coeffs)))
+    sub = subst_one_minus_q(partial_sum(family, depth), depth)
+    return sub.coeffs + (0,) * (depth + 1 - len(sub.coeffs))
 
 
 # -- road choice and guards ---------------------------------------------------
@@ -189,7 +162,7 @@ def _xi_mod(family, depth: int, mod: int) -> tuple:
 
 def _xi_exact(family, n: int, mod: int) -> int:
     """xi(n) mod ``mod``, exact, refused as partial_sum(family, n) is."""
-    return _one_minus_q_coeff(partial_sum(family, n).value, n) % mod
+    return _one_minus_q_coeff(partial_sum(family, n), n) % mod
 
 
 # -- congruence checking ------------------------------------------------------

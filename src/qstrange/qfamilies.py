@@ -44,11 +44,11 @@ from itertools import chain, islice, repeat
 from qstrange._admit import MAX_PARTIAL_SUM_WORK, InvalidParam, admit
 from qstrange._record import Record
 from qstrange.exactpoly import (WORD, IntPoly, _decode, _encode, _fitting,
-                                 _respace, _truncate, pochhammer_exponents)
+                                 _parse_number, _respace, _truncate,
+                                 pochhammer_exponents)
 
 __all__ = [
     "FamilySpec",
-    "PartialSum",
     "InvalidParam",
     "ParseError",
     "parse_family",
@@ -173,15 +173,6 @@ class FamilySpec(Record, compare=("label",)):
                 for _, width, x in _stream(self)(upper)]
 
 
-class PartialSum(Record):
-    """partial_sum result: family, truncation N and exact value, all compared."""
-
-    __slots__ = ("family", "upper", "value")
-
-    def __repr__(self):
-        return f"PartialSum({self.family.label!r}, N={self.upper})"
-
-
 @functools.lru_cache(maxsize=8)
 def _stream(family: FamilySpec):
     """draw(upper): the family's _packed weights 0..upper as a new list,
@@ -258,7 +249,7 @@ def _parse_kv(tail: str, names: tuple, full: str) -> dict:
         if key.strip() != name or not eq:
             raise ParseError(f"expected {name}=<int> in {full!r}")
         try:
-            out[name] = int(val)
+            out[name] = _parse_number(val.strip())
         except ValueError:
             raise ParseError(f"bad integer for {name} in {full!r}") from None
     return out
@@ -397,20 +388,20 @@ def partial_sum_work(family: FamilySpec, upper: int, cap: int = -1) -> int:
     return max(passes + cap + 1, count) * degree * words
 
 
-def partial_sum(family: FamilySpec, upper: int) -> PartialSum:
+def partial_sum(family: FamilySpec, upper: int) -> IntPoly:
     """Sum of f_n(q)*kernel(n) for n = 0..upper, exactly, f_n the n-th of
     the family's coefficient_polys.
 
-    Memoized per (family, upper), the latest 256; one Horner pass of
-    O(upper) binomial factors, each a shift and a subtraction of one packed
-    int, in O(degree x slot words).  Refused with InvalidParam when
-    partial_sum_work is over MAX_PARTIAL_SUM_WORK.
+    Memoized per (family, upper), the latest 256: a call returns the memo's
+    one immutable IntPoly.  One Horner pass of O(upper) binomial factors,
+    each a shift and a subtraction of one packed int, in O(degree x slot
+    words).  Raises InvalidParam if partial_sum_work > MAX_PARTIAL_SUM_WORK.
     """
     if upper < 0:
         raise ValueError("upper must be nonnegative")
     admit("MAX_PARTIAL_SUM_WORK", partial_sum_work(family, upper),
           f"partial-sum work of {family.label} at N = {upper}")
-    return PartialSum(family, upper, _partial_sum_value(family, upper))
+    return _partial_sum_value(family, upper)
 
 
 @functools.lru_cache(maxsize=256)
@@ -419,7 +410,7 @@ def _partial_sum_value(family: FamilySpec, upper: int) -> IntPoly:
 
 
 def partial_sum_prefix(family: FamilySpec, upper: int, cap: int) -> IntPoly:
-    """partial_sum(family, upper).value truncated at degree cap.
+    """partial_sum(family, upper) truncated at degree cap.
 
     Computed inside Z[q]/(q^(cap+1)), from weights streamed with the same
     cap, so the huge high-degree tails of the exact sum are never built.

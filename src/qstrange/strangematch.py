@@ -113,7 +113,7 @@ def _series_moments(family, index: int, k: int, top: int) -> tuple:
     coefficients c_e of the partial sum at index with e = r mod k, for
     ell = 0..top.  Keyed on the family and numbers, never on the sum, so
     the partial-sum memo stays the only holder of the polynomial."""
-    coeffs = partial_sum(family, index).value.coeffs
+    coeffs = partial_sum(family, index).coeffs
     return tuple(tuple(_power_sums(range(r, len(coeffs), k), coeffs[r::k], top))
                  for r in range(k))
 
@@ -230,7 +230,7 @@ def extraction_identity_check(p, s: int, ell: int) -> bool:
         raise InvalidParam("modulus must be positive")
     if ell < 0:
         raise InvalidParam("derivative order must be nonnegative")
-    parts = dissect(p, s).parts
+    parts = dissect(p, s)
     # r*d mod s runs over the multiples of g = gcd(d, s), each g times;
     # each filter keeps its first coordinate and whether any other is not 0
     filters = {}

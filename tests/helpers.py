@@ -152,11 +152,11 @@ def to_int_poly_def(p: RatPoly) -> IntPoly:
 
 
 def reassemble_def(d) -> IntPoly:
-    """sum_i q^i A_i(q^s) from the parts of a Dissection."""
+    """sum_i q^i A_i(q^s) from the s parts of a dissection."""
     total = IntPoly()
-    for i, part in enumerate(d.parts):
+    for i, part in enumerate(d):
         if part:
-            total = total + part.dilate(d.modulus).shift(i)
+            total = total + part.dilate(len(d)).shift(i)
     return total
 
 
@@ -336,7 +336,7 @@ def certificate_def(family: FamilySpec, char, s: int, N: int):
     else:
         factors, divisor_name = pochhammer_factors(mu, 2), f"(q;q2)_{mu}"
     rows = []
-    for i, part in enumerate(dissect(partial_sum(family, N).value, s).parts):
+    for i, part in enumerate(dissect(partial_sum(family, N), s)):
         try:
             quotient = exact_div(part, *factors) if part else IntPoly()
         except NotDivisible:
@@ -486,7 +486,7 @@ def expansion_def(family, k: int, j: int, ell: int, upper=None) -> CycloNum:
     j %= k
     if upper is None:
         upper = stable_derivative(family, k // math.gcd(j, k), ell)
-    p = theta_deriv(partial_sum(family, upper).value, ell)
+    p = theta_deriv(partial_sum(family, upper), ell)
     return eval_at_root(p, k, j).scale(
         Fraction((-1) ** ell, math.factorial(ell)))
 
@@ -663,7 +663,7 @@ GUARDS = {
                     [("qstrange.partialtheta.Character", "support")]),
     "dissect": ("MAX_DISSECT_MODULUS", "qstrange.dissection",
                 lambda arg, x: dissect(IntPoly([1]), x),
-                [("qstrange.dissection", "Dissection")]),
+                [("qstrange.exactpoly.IntPoly", "_new")]),
     "identity_check": ("MAX_IDENTITY_WORK", "qstrange.cli", _identity_check,
                        [("qstrange.cli", "extraction_identity_check")]),
 }

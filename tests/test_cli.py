@@ -70,7 +70,7 @@ def _usage_argvs():
         required = [x for flag, kw in options.items() if kw.get("required")
                     for x in (flag, "1")]
         first_int = next(flag for flag, kw in options.items()
-                         if kw.get("type") is int)
+                         if "type" in kw)
         yield [name]  # every required option missing
         yield [name, *required[2:]]  # the first one missing
         yield [name, *required, "--bogus", "1"]  # unknown option
@@ -181,7 +181,7 @@ def test_dissect_part_count_and_json(capsys):
     for part in obj["parts"]:
         piece = IntPoly.from_json_obj(part["poly"]).dilate(5).shift(part["i"])
         total = total + piece
-    assert total == partial_sum(parse_family("gk:k=1"), 8).value
+    assert total == partial_sum(parse_family("gk:k=1"), 8)
 
 
 def test_dissect_table_lines(capsys):
@@ -360,6 +360,35 @@ def test_inline_coefficient_off_the_grammar_is_usage_error(capsys, value):
     assert (code, out) == (2, "")
     assert err == (f"error: bad term polynomial: {value!r} is not an exact "
                    "integer\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("dissect", "--family", "gk:k=1_0", "--s", "2", "--N", "0"),
+    ("residues", "--char", "chi_gk:k=\u0662", "--s", "5"),
+])
+def test_descriptor_integer_off_the_grammar_is_usage_error(capsys, argv):
+    # int() read these as k = 10 and k = 2
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad integer for k in {argv[2]!r}\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--s", "\u0665"), ("--s", "5_0"),
+                                         ("--N", " 0")])
+def test_option_integer_off_the_grammar_is_usage_error(capsys, flag, value):
+    # argparse's type=int read these as 5, 50 and 0
+    argv = {"--s": "5", "--N": "8", flag: value}
+    code, out, err = invoke(capsys, "dissect", "--family", "gk:k=1",
+                            *(x for item in argv.items() for x in item))
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: invalid int value: "
+                        f"{value!r}\n")
+
+
+def test_option_integer_keeps_its_sign(capsys):
+    code, obj = invoke_json(capsys, "lvalue", "--char", "chi6", "--k", "+3",
+                            "--j", "-1", "--n", "0")
+    assert code == 0 and (obj["k"], obj["j"]) == (3, 2)
 
 
 def test_character_file_integer_values(capsys, tmp_path):
@@ -567,6 +596,15 @@ def test_identity_check_bad_poly_json_is_usage_error(capsys):
     code, out, err = invoke(capsys, "identity-check", "--s", "2", "--ell", "1",
                             "--poly", "{oops")
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0663"])
+def test_identity_check_poly_off_the_grammar_is_usage_error(capsys, value):
+    poly = json.dumps({"coeffs": [value]})
+    code, out, err = invoke(capsys, "identity-check", "--s", "2", "--ell", "1",
+                            "--poly", poly)
+    assert (code, out) == (2, "")
+    assert err == f"error: {value!r} is not an exact integer\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--count", "-5"), ("--max-degree", "-2")])

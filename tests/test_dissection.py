@@ -5,7 +5,6 @@ import pytest
 from helpers import pochhammer_factorization, reassemble_def, residue_set_def
 from qstrange.dissection import (
     MAX_DISSECT_MODULUS,
-    Dissection,
     DivisibilityFalsified,
     OddModulusRequired,
     dissect,
@@ -28,13 +27,13 @@ class TestDissect:
     def test_frozen_example(self):
         p = IntPoly((3, -2, -1, 1))
         d = dissect(p, 2)
-        assert d.parts[0] == IntPoly((3, -1))
-        assert d.parts[1] == IntPoly((-2, 1))
+        assert d[0] == IntPoly((3, -1))
+        assert d[1] == IntPoly((-2, 1))
 
     def test_s_one(self):
         p = IntPoly((5, 0, 2))
         d = dissect(p, 1)
-        assert d.parts == (p,)
+        assert d == (p,)
         assert reassemble_def(d) == p
 
     def test_reassembly_random(self):
@@ -46,12 +45,20 @@ class TestDissect:
 
     def test_zero_poly(self):
         d = dissect(IntPoly(), 4)
-        assert all(not part for part in d.parts)
+        assert all(not part for part in d)
 
     def test_immutable(self):
         d = dissect(IntPoly((1,)), 2)
-        with pytest.raises(AttributeError):
-            d.parts = ()
+        with pytest.raises(TypeError):
+            d[0] = IntPoly()
+
+    @pytest.mark.parametrize("s", [1, 2, 5, 13])
+    def test_returns_a_tuple_of_s_parts(self, s):
+        p = partial_sum(parse_family("kz"), 6)
+        d = dissect(p, s)
+        assert type(d) is tuple and len(d) == s
+        assert all(type(part) is IntPoly for part in d)
+        assert partial_sum(parse_family("kz"), 6) is p  # p is left as it was
 
 
 class TestThresholds:
@@ -244,52 +251,52 @@ def gk1_expected_parts():
 
 class TestWorkedExamples:
     def test_gk1_s5_n8_parts(self):
-        d = dissect(partial_sum(parse_family("gk:k=1"), 8).value, 5)
-        assert d.parts == gk1_expected_parts()
+        d = dissect(partial_sum(parse_family("gk:k=1"), 8), 5)
+        assert d == gk1_expected_parts()
 
     def test_gk1_s5_n8_divisibility(self):
-        d = dissect(partial_sum(parse_family("gk:k=1"), 8).value, 5)
+        d = dissect(partial_sum(parse_family("gk:k=1"), 8), 5)
         poch22 = pochhammer(2, 2)
         for i in (2, 4):
-            exact_div(d.parts[i], poch22)
+            exact_div(d[i], poch22)
         for i in (0, 1, 3):
             with pytest.raises(NotDivisible):
-                exact_div(d.parts[i], poch22)
+                exact_div(d[i], poch22)
 
     def test_hikami_alpha0_s3_n8(self):
-        d = dissect(partial_sum(parse_family("hikami:m=2,alpha=0"), 8).value, 3)
+        d = dissect(partial_sum(parse_family("hikami:m=2,alpha=0"), 8), 3)
         q3 = pochhammer(3)
-        quo = exact_div(d.parts[2], q3)
+        quo = exact_div(d[2], q3)
         inner = exact_div(quo, IntPoly((1, 1)) * IntPoly((1, 1, 1)))
         assert inner[0] == 1 and inner[1] == -1
         assert inner.degree == 26 and inner[26] == 1 and inner[25] == -1
         # the two parts the theorem does not claim
         with pytest.raises(NotDivisible):
-            exact_div(d.parts[0], q3)
+            exact_div(d[0], q3)
         with pytest.raises(NotDivisible):
-            exact_div(d.parts[1], q3)
-        cof = exact_div(d.parts[0], IntPoly((1, -1, 1)))
+            exact_div(d[1], q3)
+        cof = exact_div(d[0], IntPoly((1, -1, 1)))
         assert cof[0] == 9 and cof[1] == 9
         assert cof.degree == 34 and cof[34] == 1 and cof[33] == 1
-        assert d.parts[1][0] == -8 and d.parts[1][1] == -7
-        assert d.parts[1].degree == 35
-        assert d.parts[1][35] == -1 and d.parts[1][34] == 1
+        assert d[1][0] == -8 and d[1][1] == -7
+        assert d[1].degree == 35
+        assert d[1][35] == -1 and d[1][34] == 1
 
     def test_hikami_alpha1_s3_n8(self):
-        d = dissect(partial_sum(parse_family("hikami:m=2,alpha=1"), 8).value, 3)
+        d = dissect(partial_sum(parse_family("hikami:m=2,alpha=1"), 8), 3)
         q3 = pochhammer(3)
-        quo = exact_div(d.parts[1], q3)
+        quo = exact_div(d[1], q3)
         inner = exact_div(
             quo, IntPoly((1, 1)) * IntPoly((1, -1, 1)) * IntPoly((1, 1, 1)))
         assert inner[0] == 1 and inner[1] == 2
         assert inner.degree == 27 and inner[27] == 1 and inner[26] == -1
         with pytest.raises(NotDivisible):
-            exact_div(d.parts[0], q3)
+            exact_div(d[0], q3)
         with pytest.raises(NotDivisible):
-            exact_div(d.parts[2], q3)
-        assert d.parts[0][0] == 9 and d.parts[0][1] == -7
-        assert d.parts[0].degree == 39 and d.parts[0][39] == 1 and d.parts[0][36] == 2
-        p2 = d.parts[2]
+            exact_div(d[2], q3)
+        assert d[0][0] == 9 and d[0][1] == -7
+        assert d[0].degree == 39 and d[0][39] == 1 and d[0][36] == 2
+        p2 = d[2]
         assert p2[0] == -7 and p2[1] == 0 and p2[2] == 0 and p2[3] == 3
         assert p2.degree == 38 and p2[38] == -1 and p2[36] == 1
 
@@ -333,7 +340,7 @@ class TestVerifyTheorem:
     ])
     def test_divides_slices_by_the_binomials_alone(self, monkeypatch, family,
                                                    char, s, N):
-        # the certificate builds no Dissection and no factor polynomial, and
+        # the certificate builds no dissection and no factor polynomial, and
         # makes no exact_div dispatch: each residue slice goes to
         # div_binomial once per Pochhammer exponent, up to the first
         # NotDivisible, and only a quotient becomes an IntPoly
@@ -344,9 +351,8 @@ class TestVerifyTheorem:
 
         def never(*args):
             raise AssertionError("called off the certificate path")
-        for module, name in ((dis, "dissect"), (dis, "Dissection"),
-                             (dis, "exact_div"), (ep, "exact_div"),
-                             (ep, "_div_step")):
+        for module, name in ((dis, "dissect"), (dis, "exact_div"),
+                             (ep, "exact_div"), (ep, "_div_step")):
             monkeypatch.setattr(module, name, never)
         calls, wrapped = [], []
         real_div, real_new = dis.div_binomial, IntPoly._new.__func__

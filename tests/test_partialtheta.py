@@ -95,6 +95,13 @@ class TestCharacters:
         with pytest.raises(CharacterInvalid):
             Character(1, 3, 2, 6, {})
 
+    @pytest.mark.parametrize("name", ["chi_gk:k=1_0", "chi_gk:k=\u0662",
+                                      "chi_hikami:m=\u0662,alpha=0"])
+    def test_name_integers_read_one_grammar(self, name):
+        # int() read these as k = 10, k = 2 and m = 2
+        with pytest.raises(ParseError, match="bad integer"):
+            get_character(name)
+
     @pytest.mark.parametrize("name", [5, None, ["chi6"]])
     def test_non_string_name_refused(self, name):
         with pytest.raises(ParseError, match="character name must be a string"):

@@ -16,16 +16,13 @@ from qstrange import (
     CycloNum,
     IntPoly,
     RatPoly,
-    dissect,
     get_character,
     match_expansion,
     parse_family,
-    partial_sum,
     scan_congruences,
     twisted_sequence,
     verify_congruence,
     verify_theorem,
-    xi_coeffs,
 )
 from qstrange._record import Record
 
@@ -39,17 +36,14 @@ def _samples():
         "Character": CHI,
         "CongruenceReport": verify_congruence(KZ, 5, 1, 1, 30),
         "CycloNum": zeta(12, 5) + Fraction(1, 3),
-        "Dissection": dissect(partial_sum(KZ, 6).value, 3),
         "DivisibilityReport": report,
         "DivisibilityRow": report.rows[3],  # carries a quotient
         "FamilySpec": parse_family("gk:k=2"),
         "IntPoly": IntPoly([1, -2, 0, 3]),
         "MatchReport": match_expansion(KZ, CHI, 2, 1, 3),
-        "PartialSum": partial_sum(KZ, 6),
         "RatPoly": RatPoly([Fraction(1, 2), 0, -3]),
         "ScanReport": scan_congruences(KZ, 5, 1, 14),
         "TwistedSeq": twisted_sequence(CHI, 2, 1),
-        "XiSequence": xi_coeffs(KZ, 5),
     }
 
 

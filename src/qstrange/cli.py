@@ -198,7 +198,14 @@ def cmd_identity_check(args) -> int:
     if args.max_degree < 0:
         raise InvalidParam(f"--max-degree must be nonnegative, got {args.max_degree}")
     if args.poly is not None:
-        polys = [IntPoly.from_json_obj(_json_loads(args.poly, "--poly JSON"))]
+        try:
+            obj = _json_loads(args.poly, "--poly JSON")
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad --poly JSON: {exc}") from None
+        try:
+            polys = [IntPoly.from_json_obj(obj)]
+        except ValueError as exc:
+            raise ParseError(f"bad --poly polynomial: {exc}") from None
         work = identity_check_work(1, polys[0].degree, args.s, args.ell)
     else:
         work = identity_check_work(args.count, args.max_degree, args.s,

@@ -18,12 +18,20 @@ does its work once at the level its inputs allow:
 - per character and conductor k (_twist_rows): the twisted period P and,
   for every supported m in 1..P, e(m) mod k and the integer value, so a
   root zeta_k^j only maps e to the power j*e mod k;
-- per request at zeta_k^j: a TwistedSeq that places those rows at their
-  powers j*e mod k, its twisted mean checked when it is built;
-- per request: one Bernoulli pass to the top order and one pass over the
-  rows for the power sums sum c * m^e by power of zeta (_bucket_sums);
-  each L(-n, C) then combines those sums with the integer coefficients of
-  B_{n+1}, folds mod Phi_k once and divides once.
+- per L-value request at zeta_k^j: a TwistedSeq that places those rows
+  at their powers j*e mod k, its twisted mean checked when it is built,
+  one Bernoulli pass to the order asked for and one pass over the rows
+  for the power sums sum c * m^e by power of zeta (_bucket_sums);
+  L(-n, C) then combines those sums with the integer coefficients of
+  B_{n+1}, folds mod Phi_k once and divides once;
+- per character, conductor k and top order of a gamma or match request
+  (_theta_classes): the same work, done once for every root of order k
+  on the classes r = e mod k instead of the powers, with the class
+  numerators of each L-value and of each gamma_n built when a root
+  first reads that order;
+- per gamma or match request at zeta_k^j: the order-0 class sums and the
+  class numerators of each gamma_n read placed at powers j*r mod k and
+  folded, the first to refuse a nonzero twisted mean.
 
 L-value and gamma requests whose work estimate exceeds MAX_L_WORK, and
 twisted sequences whose period exceeds MAX_TWIST_PERIOD, are refused with
@@ -37,7 +45,7 @@ import functools
 import math
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter, mul
 
 from qstrange._admit import MAX_L_WORK, MAX_TWIST_PERIOD, admit
@@ -252,21 +260,20 @@ def _builtin_character(text: str) -> Character:
 
 # -- twisted sequences ---------------------------------------------------------
 
-def _folded(k: int, rows) -> list:
-    """Integer coordinates of the sum of the rows over Q(zeta_k): each term
-    (power, c) adds c into the bucket of that power of zeta, and the k
-    buckets are folded once."""
+def _folded(k: int, terms) -> list:
+    """Integer coordinates of sum c * zeta_k**power over the pairs
+    (power, c) of terms, power < k: each c is added into the bucket of its
+    power, so equal powers merge, and the k buckets are folded once."""
     buckets = [0] * k
-    for _, terms in rows:
-        for power, c in terms:
-            buckets[power] += c
+    for power, c in terms:
+        buckets[power] += c
     return _fold(k, buckets)
 
 
 def _sealed(seq, character: Character, k: int, j: int, period: int,
             rows: tuple, den: int) -> "TwistedSeq":
     """seq with its fields set, after refusing a nonzero twisted mean."""
-    if any(_folded(k, rows)):
+    if any(_folded(k, chain.from_iterable(map(itemgetter(1), rows)))):
         raise MeanValueNonzero(
             f"twisted mean of {character.label} at zeta_{k}^{j} is nonzero")
     Record.__init__(seq, character, k, j, period, rows, den)
@@ -302,8 +309,8 @@ class TwistedSeq(Record):
     def entry(self, n: int) -> CycloNum:
         m = n % self.period or self.period
         at = bisect.bisect_left(self.rows, m, key=itemgetter(0))
-        row = [r for r in self.rows[at:at + 1] if r[0] == m]
-        return _new(self.k, _folded(self.k, row), self.den)
+        terms = next((t for r, t in self.rows[at:at + 1] if r == m), ())
+        return _new(self.k, _folded(self.k, terms), self.den)
 
     @property
     def table(self) -> tuple:
@@ -326,10 +333,7 @@ def twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
     _twist_rows shares among the roots of order k; each call builds its
     own sequence and checks its twisted mean.
     """
-    if k < 1:
-        raise ValueError("conductor k must be positive")
-    admit("MAX_TWIST_PERIOD", math.lcm(char.period, char.b * k),
-          f"period of the twisted sequence of {char.label} at zeta_{k}")
+    _admit_twist(char, k)
     j %= k
     P, ms, exps, cs = _twist_rows(char, k)
     rows = tuple((m, ((j * e % k, c),)) for m, e, c in zip(ms, exps, cs))
@@ -395,22 +399,23 @@ def l_value(seq: TwistedSeq, n: int) -> CycloNum:
         raise ValueError("n must be nonnegative")
     P = seq.period
     admit("MAX_L_WORK", l_value_work(n, P), f"work of L(-{n}, C) at period {P}")
-    return _l_value(seq, n, _bernoulli(n + 1), _bucket_sums(seq, n + 1))
+    nums, den = _l_value(n, P, _bernoulli(n + 1), _bucket_sums(seq.rows, n + 1))
+    return _new(seq.k, _folded(seq.k, nums), den * seq.den)
 
 
-def _l_value(seq: TwistedSeq, n: int, bern: list, sums: list) -> CycloNum:
-    """l_value(seq, n) from bern = B_0, ..., B_{n+1} as _bernoulli gives
-    them and the _bucket_sums of seq to an order of at least n+1, with no
-    admission; d is the lcm over every pair in bern.  Each power of zeta
-    takes sum_e C(n+1, e) B_{n+1-e} d P^(n+1-e) times its e-th sum."""
-    P = seq.period
+def _l_value(n: int, P: int, bern: list, sums: list) -> tuple:
+    """The numerators of L(-n, C) at period P, from bern = B_0, ..., B_{n+1}
+    as _bernoulli gives them and _bucket_sums to an order of at least n+1,
+    with no admission: (nums, d * (n+1) * P), d the lcm over every pair in
+    bern, where nums pairs each group's key with minus sum_e
+    C(n+1, e) B_{n+1-e} d P^(n+1-e) times its e-th sum.  Keyed by power of
+    zeta, L(-n, C) is sum v * zeta**power over the pairs (power, v) of
+    nums, over that denominator times the sequence's."""
     d = math.lcm(*(den for _, den in bern))
     weights = [math.comb(n + 1, e) * num * (d // den) * P ** (n + 1 - e)
                for e, (num, den) in enumerate(reversed(bern))]
-    buckets = [0] * seq.k
-    for power, row in sums:
-        buckets[power] = -sum(map(mul, weights, row))
-    return _new(seq.k, _fold(seq.k, buckets), d * seq.den * (n + 1) * P)
+    return ([(key, -sum(map(mul, weights, row))) for key, row in sums],
+            d * (n + 1) * P)
 
 
 def gamma_coeff(char: Character, k: int, j: int, n: int) -> CycloNum:
@@ -418,9 +423,12 @@ def gamma_coeff(char: Character, k: int, j: int, n: int) -> CycloNum:
 
     Cauchy product of the exp(a*t/b) prefactor series with the L-value
     expansion: gamma_n = sum_r (a/b)^(n-r)/(n-r)! * (-1)^r/(b^r r!) * L(-2r-nu, C).
-    It is the last value of _gammas, which computes L(-2r-nu, C) once for
-    each r <= n.  Refused with InvalidParam when gamma_work(char, k, n)
-    exceeds MAX_L_WORK.
+    It is the last value of _gammas, which reads L(-2r-nu, C) once for each
+    r <= n.  The power sums, the Bernoulli numbers and the class numerators
+    of those L-values are shared with every root of order k that asks for
+    gamma_n (_theta_classes); this root only places and folds them.
+    Refused with InvalidParam when gamma_work(char, k, n) exceeds
+    MAX_L_WORK.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -431,30 +439,43 @@ def gamma_coeff(char: Character, k: int, j: int, n: int) -> CycloNum:
 def _gammas(char: Character, k: int, j: int, top: int) -> Iterator[CycloNum]:
     """gamma_0, ..., gamma_top at zeta_k^j, with one L-value per order.
 
-    Over b^n n!, gamma_n is sum_r a^(n-r) (-1)^r C(n, r) L_r, where
-    L_r = L(-2r-nu, C) is computed once, when gamma_r is, and kept as its
-    integer (num, den).  Each gamma_n is that integer sum over the lcm of
-    the kept denominators, normalized once.  One Bernoulli pass and one
-    pass of power sums over the rows, both to the order of L_top, serve
-    every L_r.  Nothing is admitted here: the caller admits gamma_work at
-    top.
+    Over b^n n!, gamma_n is sum_r a^(n-r) (-1)^r C(n, r) L_r, with
+    L_r = L(-2r-nu, C).  Both sides are linear in the classes r of
+    e(m) mod k, which a root zeta_k^j only places at its powers j*r mod k,
+    so everything but that placement is done once per (char, k, top) and
+    shared by every root of order k (_theta_classes): the power sums of
+    each class and one Bernoulli pass up front, then, when a root first
+    reads gamma_n, the class numerators of L_n (_l_value) and of gamma_n,
+    the integer sum above over the lcm of the L-values' denominators.
+    This root places the order-0 sums and folds them, to refuse a nonzero
+    twisted mean, then places and folds each gamma_n's numerators, and
+    normalizes once.  Nothing but the twisted period is admitted here: the
+    caller admits gamma_work at top.
     """
-    seq = twisted_sequence(char, k, j)
+    _admit_twist(char, k)
+    j %= k
     a, b, nu = char.a, char.b, char.nu
-    bern = _bernoulli(2 * top + nu + 1)
-    sums = _bucket_sums(seq, 2 * top + nu + 1)
-    kept = []
+    P, bern, sums, lvals, gammas = _theta_classes(char, k, top)
+    at = [j * r % k for r, _ in sums]  # the power of each class r
+    if any(_folded(k, zip(at, (row[0] for _, row in sums)))):
+        raise MeanValueNonzero(
+            f"twisted mean of {char.label} at zeta_{k}^{j} is nonzero")
     for n in range(top + 1):
-        order = 2 * n + nu
-        x = _l_value(seq, order, bern[:order + 2], sums)
-        kept.append((x.num, x.den))
-        den = math.lcm(*(d for _, d in kept))
-        acc = [0] * max(len(num) for num, _ in kept)
-        for r, (num, d) in enumerate(kept):
-            c = (-1) ** r * math.comb(n, r) * a ** (n - r) * (den // d)
-            for i, v in enumerate(num):
-                acc[i] += c * v
-        yield _new(k, acc, den * b ** n * math.factorial(n))
+        if gammas[n] is None:  # an equal value if two roots race to fill it
+            order = 2 * n + nu
+            nums, den = _l_value(order, P, bern[:order + 2], sums)
+            # in lowest terms, so the sums below stay as small as they
+            # were on the folded, normalized L-values of one root
+            g = math.gcd(den, *(v for _, v in nums))
+            lvals[n] = ([v // g for _, v in nums], den // g)
+            lcm = math.lcm(*(d for _, d in lvals[:n + 1]))
+            acc = [0] * len(sums)
+            for r, (vals, d) in enumerate(lvals[:n + 1]):
+                c = (-1) ** r * math.comb(n, r) * a ** (n - r) * (lcm // d)
+                for i, v in enumerate(vals):
+                    acc[i] += c * v
+            gammas[n] = (acc, lcm * char.den * b ** n * math.factorial(n))
+        yield _new(k, _folded(k, zip(at, gammas[n][0])), gammas[n][1])
 
 
 def theta_truncated(char: Character, cap: int) -> RatPoly:
@@ -503,14 +524,41 @@ def _power_sums(xs, cs, top: int) -> list:
     return out
 
 
-def _bucket_sums(seq: TwistedSeq, top: int) -> list:
-    """(power, sums) for each power of zeta among seq's terms: sums[e] is
-    sum c * m**e over the terms (power, c) of the rows m, e <= top."""
+def _bucket_sums(rows, top: int) -> list:
+    """(key, sums) for each key among the terms (key, c) of the rows
+    (m, terms), as TwistedSeq.rows holds them by power of zeta: sums[e] is
+    sum c * m**e over the terms with that key, e <= top."""
     groups = {}
-    for m, terms in seq.rows:
-        for power, c in terms:
-            ms, cs = groups.setdefault(power, ([], []))
+    for m, terms in rows:
+        for key, c in terms:
+            ms, cs = groups.setdefault(key, ([], []))
             ms.append(m)
             cs.append(c)
-    return [(power, _power_sums(ms, cs, top))
-            for power, (ms, cs) in groups.items()]
+    return [(key, _power_sums(ms, cs, top))
+            for key, (ms, cs) in groups.items()]
+
+
+@functools.lru_cache(maxsize=256)
+def _theta_classes(char: Character, k: int, top: int) -> tuple:
+    """What every root of order k shares for gamma_0, ..., gamma_top:
+    (P, bern, sums, lvals, gammas).  bern is B_0, ..., B_{2top+nu+1}, and
+    sums the _bucket_sums of the _twist_rows keyed by the class
+    r = e(m) mod k, to that order.  lvals and gammas have one slot per
+    order n, None until a root first reads gamma_n; _gammas then fills
+    them with the numerators, one per class in the order of sums, and the
+    denominator of L(-2n-nu, C) and of gamma_n, which do not depend on the
+    root."""
+    P, ms, exps, cs = _twist_rows(char, k)
+    order = 2 * top + char.nu + 1
+    rows = zip(ms, zip(zip(exps, cs)))  # m with its one term (e mod k, c)
+    return (P, _bernoulli(order), _bucket_sums(rows, order),
+            [None] * (top + 1), [None] * (top + 1))
+
+
+def _admit_twist(char: Character, k: int) -> None:
+    """Refuse a conductor below 1, and with InvalidParam a twisted period
+    lcm(T, b*k) over MAX_TWIST_PERIOD, before any row is built."""
+    if k < 1:
+        raise ValueError("conductor k must be positive")
+    admit("MAX_TWIST_PERIOD", math.lcm(char.period, char.b * k),
+          f"period of the twisted sequence of {char.label} at zeta_{k}")

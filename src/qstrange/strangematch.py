@@ -21,9 +21,11 @@ l at zeta, so its l-th (q d/dq) derivative is 0 there.  The series side
 reads the moments sum c_e e^l of that sum's coefficients, one per class
 of e mod the root's order and per l <= d (_series_moments, shared by every
 root and request with the same family, index, order and d); a root only
-places each class at its power of zeta.  The theta side shares its work
-as partialtheta describes: each L-value is computed once, from power sums
-taken once per request, and reused for every later order.
+places each class at its power of zeta.  The theta side is shared the
+same way, as partialtheta describes: per character, conductor and d, the
+power sums of each class of exponents mod k, one Bernoulli pass and the
+class numerators of each order's L-value and gamma, built when a root
+first reads that order; a root places them at its powers and folds.
 
 The module also carries the derivative bookkeeping used to extract single
 dissection pieces from a series: applying (q d/dq)**l to q**i * g(q**s)
@@ -150,8 +152,10 @@ def match_expansion(family, char, k: int, j: int, depth: int) -> MatchReport:
     numerical artifact.  The series side reads the partial sum at the
     stable_derivative index of order ``depth`` once, for every order: the
     terms past a lower order's own index vanish under that many derivatives
-    at the root, so they add exactly 0.  The theta side computes one
-    L-value per order.  Both stop at the first failing order.  Refused with
+    at the root, so they add exactly 0.  The theta side reads one gamma
+    per order, from class numerators shared by every root of order k, and
+    builds each order's L-value only when no root has read that order yet.
+    Both stop at the first failing order.  Refused with
     InvalidParam before any work when the stable_derivative index at
     ``depth`` exceeds MAX_MATCH_INDEX, the partial sum to that index exceeds
     MAX_PARTIAL_SUM_WORK, or gamma_depth exceeds the L-value work limit.

@@ -649,6 +649,7 @@ GUARDS = {
                                              get_character("chi_kz"), 1, 0, x),
               [("qstrange.strangematch", "partial_sum"),
                ("qstrange.strangematch", "_series_moments"),
+               ("qstrange.partialtheta", "_theta_classes"),
                ("qstrange.partialtheta", "_bucket_sums"),
                ("qstrange.partialtheta", "_l_value")]),
     "character": ("MAX_TWIST_PERIOD", "qstrange.partialtheta",

@@ -26,6 +26,11 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "readme_calls.json"
 # stdout of lvalue --char chi6 --k 33322 --j 1 --n 0 --format json, taken
 # from the fold that removed each coordinate by all p terms of Phi_2p
 LVALUE_K33322 = GOLDEN.with_name("lvalue_chi6_k33322.json")
+# SHA-256 of the stdout of gamma calls at two roots of Q(zeta_4166) and
+# at every root of Q(zeta_30), taken from the code that built each root's
+# twisted sequence and L-values on its own; the two chi_kz outputs at
+# k = 4166 are 124 and 113 KB
+GAMMA_DIGESTS = GOLDEN.with_name("gamma_digests.json")
 
 
 def invoke(capsys, *argv):
@@ -595,7 +600,8 @@ def test_identity_check_single_poly(capsys):
 def test_identity_check_bad_poly_json_is_usage_error(capsys):
     code, out, err = invoke(capsys, "identity-check", "--s", "2", "--ell", "1",
                             "--poly", "{oops")
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad --poly JSON: Expecting property name")
 
 
 @pytest.mark.parametrize("value", ["1_0", "\u0663"])
@@ -604,7 +610,8 @@ def test_identity_check_poly_off_the_grammar_is_usage_error(capsys, value):
     code, out, err = invoke(capsys, "identity-check", "--s", "2", "--ell", "1",
                             "--poly", poly)
     assert (code, out) == (2, "")
-    assert err == f"error: {value!r} is not an exact integer\n"
+    # the message names the option, as an inline family's names its terms
+    assert err == f"error: bad --poly polynomial: {value!r} is not an exact integer\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--count", "-5"), ("--max-degree", "-2")])
@@ -646,6 +653,18 @@ def test_deep_admitted_call_finishes_in_seconds(capsys, argv, want):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, handler)
     assert (code, out) == (0, want)
+
+
+def test_gamma_at_every_root_keeps_its_stdout(capsys):
+    # in one process, so the later roots of each order read the theta side
+    # that the first one built
+    import hashlib
+
+    for want in json.loads(GAMMA_DIGESTS.read_text()):
+        code, out, err = invoke(capsys, *want["argv"])
+        assert (code, err) == (0, ""), want["argv"]
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == want["sha256"], want["argv"]
 
 
 # ---------------------------------------------------------------- work guards

@@ -168,6 +168,7 @@ class TestMemos:
             "qstrange.exactpoly.cyclotomic",
             "qstrange.fishburn._xi_mod",
             "qstrange.partialtheta._builtin_character",
+            "qstrange.partialtheta._theta_classes",
             "qstrange.partialtheta._twist_rows",
             "qstrange.qfamilies._partial_sum_value",
             "qstrange.qfamilies._stream",
@@ -193,6 +194,8 @@ class TestMemos:
             f'{{"kernel":"F","terms":[{{"coeffs":[{j}]}}]}}'), 0)),
         ("qstrange.partialtheta._twist_rows",
          lambda j: (Character(0, 1, 0, 2, {0: j, 1: -j}), 1)),
+        ("qstrange.partialtheta._theta_classes",
+         lambda j: (Character(0, 1, 0, 2, {0: j, 1: -j}), 1, 0)),
         ("qstrange.strangematch._series_moments",
          lambda j: (parse_family("kz"), 2, j, 1)),
         ("qstrange.fishburn._xi_mod", lambda j: (parse_family("gk:k=1"), 0, j + 1)),
@@ -200,7 +203,8 @@ class TestMemos:
     ])
     def test_large_entry_memos_are_bounded(self, memos, name, key):
         # one entry is a whole partial sum, set of twisted rows, set of
-        # series moments, xi column or cyclotomic polynomial; 300 distinct
+        # series moments, set of class sums and numerators of the theta
+        # side, xi column or cyclotomic polynomial; 300 distinct
         # keys, each cheap to build, must not keep 300 entries
         memo, bound = memos[name], 256
         assert memo.cache_info().maxsize == bound

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bernoulli_number, bernoulli_poly_def, evaluate, to_rat, zeta
+from helpers import (
+    bernoulli_number,
+    bernoulli_poly_def,
+    evaluate,
+    gamma_def,
+    to_rat,
+    zeta,
+)
 from qstrange.cyclofield import CycloNum
 from qstrange.exactpoly import RatPoly
 from qstrange.partialtheta import (
@@ -318,6 +325,52 @@ class TestGamma:
     def test_values_live_in_the_right_field(self):
         g = gamma_coeff(get_character("chi6"), 3, 1, 1)
         assert g.k == 3
+
+    @pytest.mark.parametrize("char,k", [
+        (get_character("chi6"), 6), (get_character("chi6"), 30),
+        (get_character("chi_gk:k=2"), 5),
+        # a nonzero twisted mean at the odd j, zero at the j with gcd 2
+        (Character(0, 1, 0, 2, {0: 1, 1: -1}), 6),
+    ], ids=["chi6-k6", "chi6-k30", "chi_gk:k=2-k5", "alternating-k6"])
+    def test_roots_of_one_order_share_the_theta_side(self, monkeypatch,
+                                                     clear_memos, char, k):
+        # every j of one order, ascending, descending and after a memo
+        # clear, gives what a cold call and the oracle give, including the
+        # j with gcd(j, k) > 1 whose classes merge, and the j refused for a
+        # nonzero twisted mean; the class sums are built once per (char,
+        # k, top), not once per root
+        import qstrange.partialtheta as pt
+
+        def outcome(f, j, n):
+            try:
+                return f(char, k, j, n)
+            except MeanValueNonzero as exc:
+                return str(exc)
+
+        tops = range(3)
+        cold = {}
+        for j in range(k):
+            for n in tops:
+                clear_memos()
+                cold[j, n] = outcome(gamma_coeff, j, n)
+                assert cold[j, n] == outcome(gamma_def, j, n), (j, n)
+        builds = []
+        real = pt._bucket_sums
+        monkeypatch.setattr(pt, "_bucket_sums",
+                            lambda *args: builds.append(args) or real(*args))
+
+        def sweep(js):
+            for j in js:
+                for n in tops:
+                    assert outcome(gamma_coeff, j, n) == cold[j, n], (j, n)
+
+        clear_memos()
+        sweep(range(k))
+        sweep(reversed(range(k)))
+        assert len(builds) == len(tops)
+        clear_memos()
+        sweep(range(k))
+        assert len(builds) == 2 * len(tops)
 
 
 class TestThetaTruncated:

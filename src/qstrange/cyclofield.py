@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from qstrange._record import Record, _set
-from qstrange.exactpoly import (IntPoly, RatPoly, _add_into, _cyclotomic_binomials,
+from qstrange.exactpoly import (RatPoly, _add_into, _cyclotomic_binomials,
                                 _mul_lists, _sub_lists, cyclotomic)
 
 __all__ = ["CycloNum", "ConductorMismatch", "eval_at_root"]
@@ -55,6 +55,16 @@ def _fold(k: int, coeffs: list) -> list:
             for i, p in terms:
                 out[base + i] -= c * p
     return out[:d]
+
+
+def _folded(k: int, terms) -> list:
+    """Integer coordinates of sum c * zeta_k**power over the pairs
+    (power, c) of terms, power < k: each c is added into the bucket of its
+    power, so equal powers merge, and the k buckets are folded once."""
+    buckets = [0] * k
+    for power, c in terms:
+        buckets[power] += c
+    return _fold(k, buckets)
 
 
 def _exact(x):
@@ -223,16 +233,15 @@ class CycloNum(Record):
 
 
 def eval_at_root(p, k: int, power: int = 1) -> CycloNum:
-    """Value of a polynomial at q = zeta_k**power, folding exponents mod k first."""
+    """Value of an IntPoly or RatPoly at q = zeta_k**power: its coefficients
+    over their common denominator, each placed at its power e * power mod k
+    and folded once."""
     if k < 1:
         raise ValueError("k must be positive")
-    folded = [0] * k
-    for e, c in enumerate(p.coeffs):
-        if c:
-            folded[(e * power) % k] += c
-    if isinstance(p, IntPoly):
-        return _new(k, _fold(k, folded), 1)
-    return CycloNum(k, folded)
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    terms = ((e * power % k, c.numerator * (den // c.denominator))
+             for e, c in enumerate(p.coeffs) if c)
+    return _new(k, _folded(k, terms), den)
 
 
 def _fold_by_series(k: int, out: list, d: int) -> list:

@@ -339,10 +339,6 @@ class _BasePoly(Record):
         """Formal d/dq."""
         return self._new([e * c for e, c in enumerate(self.coeffs) if e])
 
-    def truncate(self, cap: int):
-        """Drop all terms of degree above cap."""
-        return self._new(self.coeffs[: max(cap + 1, 0)])
-
     def valuation(self) -> int:
         """Least exponent with nonzero coefficient; -1 for the zero polynomial."""
         for e, c in enumerate(self.coeffs):

@@ -18,12 +18,12 @@ does its work once at the level its inputs allow:
 - per character and conductor k (_twist_rows): the twisted period P and,
   for every supported m in 1..P, e(m) mod k and the integer value, so a
   root zeta_k^j only maps e to the power j*e mod k;
-- per L-value request at zeta_k^j: a TwistedSeq that places those rows
-  at their powers j*e mod k, its twisted mean checked when it is built,
-  one Bernoulli pass to the order asked for and one pass over the rows
-  for the power sums sum c * m^e by power of zeta (_bucket_sums);
-  L(-n, C) then combines those sums with the integer coefficients of
-  B_{n+1}, folds mod Phi_k once and divides once;
+- per L-value request at zeta_k^j: a TwistedSeq (character, k, j,
+  period), its twisted mean checked on those rows; one Bernoulli pass to
+  the order asked for and one pass over the rows, repeated over the
+  period, for the power sums sum c * m^e by power j*e mod k of zeta
+  (_bucket_sums); L(-n, C) then combines those sums with the integer
+  coefficients of B_{n+1}, folds mod Phi_k once and divides once;
 - per character, conductor k and top order of a gamma or match request
   (_theta_classes): the same work, done once for every root of order k
   on the classes r = e mod k instead of the powers, with the class
@@ -40,17 +40,16 @@ InvalidParam before any arithmetic.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain, islice
-from operator import itemgetter, mul
+from itertools import islice
+from operator import mul
 
 from qstrange._admit import MAX_L_WORK, MAX_TWIST_PERIOD, admit
 from qstrange._record import Record
-from qstrange.cyclofield import CycloNum, _fold, _new
+from qstrange.cyclofield import CycloNum, _folded, _new
 from qstrange.exactpoly import RatPoly, _parse_number
 from qstrange.qfamilies import ParseError, _builtin_params
 
@@ -260,57 +259,50 @@ def _builtin_character(text: str) -> Character:
 
 # -- twisted sequences ---------------------------------------------------------
 
-def _folded(k: int, terms) -> list:
-    """Integer coordinates of sum c * zeta_k**power over the pairs
-    (power, c) of terms, power < k: each c is added into the bucket of its
-    power, so equal powers merge, and the k buckets are folded once."""
-    buckets = [0] * k
-    for power, c in terms:
-        buckets[power] += c
-    return _fold(k, buckets)
-
-
-def _sealed(seq, character: Character, k: int, j: int, period: int,
-            rows: tuple, den: int) -> "TwistedSeq":
-    """seq with its fields set, after refusing a nonzero twisted mean."""
-    if any(_folded(k, chain.from_iterable(map(itemgetter(1), rows)))):
+def _refuse_nonzero_mean(char: Character, k: int, j: int, terms) -> None:
+    """Raise MeanValueNonzero unless sum c * zeta_k**power over the pairs
+    (power, c) of terms, the twisted mean of char at zeta_k^j, is 0."""
+    if any(_folded(k, terms)):
         raise MeanValueNonzero(
-            f"twisted mean of {character.label} at zeta_{k}^{j} is nonzero")
-    Record.__init__(seq, character, k, j, period, rows, den)
-    return seq
+            f"twisted mean of {char.label} at zeta_{k}^{j} is nonzero")
 
 
 class TwistedSeq(Record):
-    """C(n) = zeta^((n^2-a)/b) * chi(n) tabulated over one full period.
+    """C(n) = zeta_k^(j*(n^2-a)/b) * chi(n) over a period, a multiple of
+    P = lcm(T, b*k): the record (character, k, j mod k, period).
 
-    C(m) = sum c * zeta**power / den over the integer (power, c) terms of
-    row m, power < k, for each m in 1..period with C(m) != 0, ascending.
-    The public constructor keeps each table entry's nonzero coordinates;
-    twisted_sequence writes one term per supported m.  Both refuse a
-    nonzero twisted mean; table and entry are derived from rows.
+    entry(n) folds the one monomial chi(n) * zeta_k^(j*e(n)), table is
+    built from entry, and l_value reads the rows of _twist_rows.  Like
+    twisted_sequence, the constructor refuses a nonzero twisted mean; it
+    also refuses with ValueError a period that is not a multiple of P and
+    a table that is not the twist over it.
     """
 
-    __slots__ = ("character", "k", "j", "period", "rows", "den")
+    __slots__ = ("character", "k", "j", "period")
 
     def __init__(self, character: Character, k: int, j: int, period: int,
                  table: tuple):
+        base = twisted_sequence(character, k, j)
+        if period < 1 or period % base.period:
+            raise ValueError(f"period {period} is not a multiple of "
+                             f"lcm(T, b*k) = {base.period}")
         if len(table) != period:
             raise ValueError("table length must equal the period")
         if not all(isinstance(x, CycloNum) and x.k == k for x in table):
             raise ValueError(f"table entries must lie in Q(zeta_{k})")
-        nonzero = [(m, table[m % period]) for m in range(1, period + 1)
-                   if table[m % period]]
-        den = math.lcm(*(x.den for _, x in nonzero))
-        rows = tuple((m, tuple((i, c * (den // x.den))
-                               for i, c in enumerate(x.num) if c))
-                     for m, x in nonzero)
-        _sealed(self, character, k, j, period, rows, den)
+        super().__init__(character, k, base.j, period)
+        if tuple(table) != self.table:
+            raise ValueError(f"table is not the twist of {character.label} "
+                             f"at zeta_{k}^{base.j}")
 
     def entry(self, n: int) -> CycloNum:
-        m = n % self.period or self.period
-        at = bisect.bisect_left(self.rows, m, key=itemgetter(0))
-        terms = next((t for r, t in self.rows[at:at + 1] if r == m), ())
-        return _new(self.k, _folded(self.k, terms), self.den)
+        """C(n): chi(n) * zeta_k^(j*e(n)), one monomial folded into Q(zeta_k)."""
+        char, k = self.character, self.k
+        c = char.value(n)
+        if not c:
+            return _new(k, [], 1)
+        terms = ((self.j * char.exponent(n) % k, c.numerator),)
+        return _new(k, _folded(k, terms), c.denominator)
 
     @property
     def table(self) -> tuple:
@@ -323,21 +315,21 @@ class TwistedSeq(Record):
 
 
 def twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
-    """Tabulate C(n) over P = lcm(T, b*k).
+    """The twist of char at zeta_k^j over P = lcm(T, b*k).
 
     C is P-periodic by construction: T divides P, and b*k dividing P makes
     the zeta-power ratio between n + P and n one.  Refused with InvalidParam,
-    before any entry is built, when P exceeds MAX_TWIST_PERIOD.  On the
-    support, C(m) = chi(m) * zeta**(j*e) with e = (m^2-a)/b is one term,
-    the integer chi(m) * den at power j*e mod k, placed on the rows that
-    _twist_rows shares among the roots of order k; each call builds its
-    own sequence and checks its twisted mean.
+    before any row is built, when P exceeds MAX_TWIST_PERIOD, and with
+    MeanValueNonzero when the twisted mean, read off the rows of
+    _twist_rows at their powers j*e(m) mod k, is not zero.
     """
     _admit_twist(char, k)
     j %= k
-    P, ms, exps, cs = _twist_rows(char, k)
-    rows = tuple((m, ((j * e % k, c),)) for m, e, c in zip(ms, exps, cs))
-    return _sealed(object.__new__(TwistedSeq), char, k, j, P, rows, char.den)
+    P, _, exps, cs = _twist_rows(char, k)
+    _refuse_nonzero_mean(char, k, j, zip((j * e % k for e in exps), cs))
+    seq = object.__new__(TwistedSeq)
+    Record.__init__(seq, char, k, j, P)
+    return seq
 
 
 # -- Bernoulli machinery --------------------------------------------------------
@@ -384,23 +376,29 @@ def _bernoulli(top: int) -> list:
 def l_value(seq: TwistedSeq, n: int) -> CycloNum:
     """L(-n, C) = (-P^n/(n+1)) * sum_{m=1}^{P} C(m) B_{n+1}(m/P), exactly.
 
-    Computed in integers: with C(m) = row_m/D (seq.rows, seq.den), d the
-    lcm of the denominators of B_0..B_{n+1}, and
+    Computed in integers: with C(m) = c_m zeta^(j*e(m)) / D on the rows of
+    _twist_rows (D = char.den), repeated over P = seq.period, d the lcm of
+    the denominators of B_0..B_{n+1}, and
     B_{n+1}(x) = sum_e b_e x^e / d for integers b_e,
 
-        L(-n, C) = -sum_m row_m * H(m) / (d * D * (n+1) * P),
+        L(-n, C) = -sum_m c_m zeta^(j*e(m)) * H(m) / (d * D * (n+1) * P),
         H(m) = sum_e b_e m^e P^(n+1-e),
 
-    so each power of zeta needs only the power sums sum c * m^e of its
-    terms, e <= n+1 (_bucket_sums); one fold and one division end it.
+    so each power of zeta needs only the power sums sum c_m * m^e of its
+    rows, e <= n+1 (_bucket_sums); one fold and one division end it.
     Refused with InvalidParam when l_value_work(n, P) exceeds MAX_L_WORK.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    P = seq.period
+    P, k = seq.period, seq.k
     admit("MAX_L_WORK", l_value_work(n, P), f"work of L(-{n}, C) at period {P}")
-    nums, den = _l_value(n, P, _bernoulli(n + 1), _bucket_sums(seq.rows, n + 1))
-    return _new(seq.k, _folded(seq.k, nums), den * seq.den)
+    base, ms, exps, cs = _twist_rows(seq.character, k)
+    times = P // base
+    sums = _bucket_sums((shift + m for shift in range(0, P, base) for m in ms),
+                        (seq.j * e % k for e in exps * times), cs * times,
+                        n + 1)
+    nums, den = _l_value(n, P, _bernoulli(n + 1), sums)
+    return _new(k, _folded(k, nums), den * seq.character.den)
 
 
 def _l_value(n: int, P: int, bern: list, sums: list) -> tuple:
@@ -457,9 +455,7 @@ def _gammas(char: Character, k: int, j: int, top: int) -> Iterator[CycloNum]:
     a, b, nu = char.a, char.b, char.nu
     P, bern, sums, lvals, gammas = _theta_classes(char, k, top)
     at = [j * r % k for r, _ in sums]  # the power of each class r
-    if any(_folded(k, zip(at, (row[0] for _, row in sums)))):
-        raise MeanValueNonzero(
-            f"twisted mean of {char.label} at zeta_{k}^{j} is nonzero")
+    _refuse_nonzero_mean(char, k, j, zip(at, (row[0] for _, row in sums)))
     for n in range(top + 1):
         if gammas[n] is None:  # an equal value if two roots race to fill it
             order = 2 * n + nu
@@ -524,18 +520,17 @@ def _power_sums(xs, cs, top: int) -> list:
     return out
 
 
-def _bucket_sums(rows, top: int) -> list:
-    """(key, sums) for each key among the terms (key, c) of the rows
-    (m, terms), as TwistedSeq.rows holds them by power of zeta: sums[e] is
-    sum c * m**e over the terms with that key, e <= top."""
+def _bucket_sums(ms, keys, cs, top: int) -> list:
+    """(key, sums) for each key among the parallel sequences ms, keys and
+    cs, one row (m, key, c) per place: sums[e] is sum c * m**e over the
+    rows with that key, e <= top."""
     groups = {}
-    for m, terms in rows:
-        for key, c in terms:
-            ms, cs = groups.setdefault(key, ([], []))
-            ms.append(m)
-            cs.append(c)
-    return [(key, _power_sums(ms, cs, top))
-            for key, (ms, cs) in groups.items()]
+    for m, key, c in zip(ms, keys, cs):
+        xs, ys = groups.setdefault(key, ([], []))
+        xs.append(m)
+        ys.append(c)
+    return [(key, _power_sums(xs, ys, top))
+            for key, (xs, ys) in groups.items()]
 
 
 @functools.lru_cache(maxsize=256)
@@ -550,8 +545,7 @@ def _theta_classes(char: Character, k: int, top: int) -> tuple:
     root."""
     P, ms, exps, cs = _twist_rows(char, k)
     order = 2 * top + char.nu + 1
-    rows = zip(ms, zip(zip(exps, cs)))  # m with its one term (e mod k, c)
-    return (P, _bernoulli(order), _bucket_sums(rows, order),
+    return (P, _bernoulli(order), _bucket_sums(ms, exps, cs, order),
             [None] * (top + 1), [None] * (top + 1))
 
 

@@ -41,7 +41,7 @@ from itertools import islice, zip_longest
 from ._admit import InvalidParam, admit
 from ._admit import MAX_C_ARRAY_WORK, MAX_MATCH_INDEX  # re-exported
 from ._record import Record
-from .cyclofield import CycloNum, _fold, _new
+from .cyclofield import CycloNum, _fold, _folded, _new
 from .exactpoly import theta_deriv
 from .partialtheta import _gammas, _power_sums, gamma_work
 from .qfamilies import partial_sum, partial_sum_work
@@ -101,23 +101,21 @@ def _root_values(family, index: int, k: int, j: int,
     order = k // g
     at = [g * (r * (j // g) % order) for r in range(order)]
     moments = _series_moments(family, index, order, top)
-    for ell in range(top + 1):
-        buckets = [0] * k
-        sign = -1 if ell % 2 else 1
-        for power, row in zip(at, moments):
-            buckets[power] = sign * row[ell]
-        yield _new(k, _fold(k, buckets), math.factorial(ell))
+    for ell, column in enumerate(moments):
+        # the sign rides on the denominator, which _new makes positive
+        yield _new(k, _folded(k, zip(at, column)),
+                   (-1) ** ell * math.factorial(ell))
 
 
 @functools.lru_cache(maxsize=256)
 def _series_moments(family, index: int, k: int, top: int) -> tuple:
-    """For each residue r mod k, the sums of c_e * e**ell over the
-    coefficients c_e of the partial sum at index with e = r mod k, for
-    ell = 0..top.  Keyed on the family and numbers, never on the sum, so
-    the partial-sum memo stays the only holder of the polynomial."""
+    """For ell = 0..top, one sum per residue r mod k: that of c_e * e**ell
+    over the coefficients c_e of the partial sum at index with e = r mod k.
+    Keyed on the family and numbers, never on the sum, so the partial-sum
+    memo stays the only holder of the polynomial."""
     coeffs = partial_sum(family, index).coeffs
-    return tuple(tuple(_power_sums(range(r, len(coeffs), k), coeffs[r::k], top))
-                 for r in range(k))
+    return tuple(zip(*(_power_sums(range(r, len(coeffs), k), coeffs[r::k], top)
+                       for r in range(k))))
 
 
 class MatchReport(Record):

@@ -58,6 +58,11 @@ def to_rat(p: IntPoly) -> RatPoly:
     return RatPoly(p.coeffs)
 
 
+def truncate(p, cap: int):
+    """p without its terms of degree above cap, of p's type."""
+    return type(p)(p.coeffs[: max(cap + 1, 0)])
+
+
 def pochhammer_factors(n: int, step: int = 1) -> tuple:
     """The binomials 1 - q^e whose product is pochhammer(n, step), in order."""
     return tuple(IntPoly((1,) + (0,) * (e - 1) + (-1,))

@@ -31,6 +31,10 @@ LVALUE_K33322 = GOLDEN.with_name("lvalue_chi6_k33322.json")
 # twisted sequence and L-values on its own; the two chi_kz outputs at
 # k = 4166 are 124 and 113 KB
 GAMMA_DIGESTS = GOLDEN.with_name("gamma_digests.json")
+# SHA-256 of the stdout of lvalue calls at a root of order 2083 in
+# Q(zeta_4166) and at every root of Q(zeta_30), gcd(j, k) > 1 included,
+# taken from the code whose twisted sequences stored their own rows
+LVALUE_DIGESTS = GOLDEN.with_name("lvalue_digests.json")
 
 
 def invoke(capsys, *argv):
@@ -655,16 +659,25 @@ def test_deep_admitted_call_finishes_in_seconds(capsys, argv, want):
     assert (code, out) == (0, want)
 
 
-def test_gamma_at_every_root_keeps_its_stdout(capsys):
-    # in one process, so the later roots of each order read the theta side
-    # that the first one built
+def _keeps_its_digests(capsys, path):
     import hashlib
 
-    for want in json.loads(GAMMA_DIGESTS.read_text()):
+    for want in json.loads(path.read_text()):
         code, out, err = invoke(capsys, *want["argv"])
         assert (code, err) == (0, ""), want["argv"]
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == want["sha256"], want["argv"]
+
+
+def test_gamma_at_every_root_keeps_its_stdout(capsys):
+    # in one process, so the later roots of each order read the theta side
+    # that the first one built
+    _keeps_its_digests(capsys, GAMMA_DIGESTS)
+
+
+def test_lvalue_at_every_root_keeps_its_stdout(capsys):
+    # the roots of one order read the rows that the first one built
+    _keeps_its_digests(capsys, LVALUE_DIGESTS)
 
 
 # ---------------------------------------------------------------- work guards

@@ -178,10 +178,29 @@ class TestTwistedSequence:
         assert again is not seq
         assert again == seq and hash(again) == hash(seq)
         assert twisted_sequence(char, 3, 2) != seq
-        # the public constructor stores each entry's coordinates, not one
-        # term per entry: the same table in other rows
-        public = TwistedSeq(char, 3, 1, seq.period, seq.table)
-        assert public.table == seq.table and public != seq
+        # the public constructor builds the same record from its table
+        public = TwistedSeq(char, 3, 4, seq.period, seq.table)
+        assert public.table == seq.table
+        assert public == seq and hash(public) == hash(seq)
+
+    def test_constructor_refuses_what_is_not_the_twist(self):
+        char = get_character("chi6")
+        seq = twisted_sequence(char, 3, 1)
+        P, table = seq.period, seq.table
+        changed = list(table)
+        changed[1] = changed[1] + 1
+        other = twisted_sequence(char, 6, 1)
+        # one entry changed, entries from another conductor, a table of
+        # the wrong length, and a period that is not a multiple of P
+        for period, bad, why in (
+                (P, changed, "not the twist"),
+                (P, other.table[:P], r"Q\(zeta_3\)"),
+                (P, table[:-1], "length"),
+                (P + 1, table + table[:1], "multiple"),
+                (P // 2, table[:P // 2], "multiple")):
+            with pytest.raises(ValueError, match=why):
+                TwistedSeq(char, 3, 1, period, tuple(bad))
+        assert TwistedSeq(char, 3, 1, 2 * P, table * 2).period == 2 * P
 
     def test_cached_call_does_not_rehash_the_values(self, monkeypatch):
         # the character's hash is the key of the shared twisted rows; it is
@@ -306,6 +325,28 @@ class TestLValue:
                              2 * seq.period, seq.table * 2)
         for n in range(7):
             assert l_value(seq, n) == l_value(doubled, n), (name, n)
+
+    def test_doubled_sequence_reads_twice_the_rows(self, monkeypatch):
+        # l_value reads the shared rows over the stored period, not the
+        # base one, so a doubled sequence is a second computation
+        import qstrange.partialtheta as pt
+
+        char = get_character("chi_kz")
+        seq = twisted_sequence(char, 3, 1)
+        P = seq.period
+        doubled = TwistedSeq(char, 3, 1, 2 * P, seq.table * 2)
+        read = []
+        real = pt._bucket_sums
+
+        def spy(ms, keys, cs, top):
+            rows = list(zip(ms, keys, cs))
+            read.append([m for m, _, _ in rows])
+            return real(*zip(*rows), top)
+
+        monkeypatch.setattr(pt, "_bucket_sums", spy)
+        assert l_value(doubled, 2) == l_value(seq, 2)
+        supported = [m for m in range(1, 2 * P + 1) if char.value(m)]
+        assert read == [supported, supported[:len(supported) // 2]]
 
 
 class TestGamma:

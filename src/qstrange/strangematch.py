@@ -18,7 +18,7 @@ A match through order d reads one partial sum, at the stable_derivative
 index of order d, for every order l <= d.  That is exact: each term past
 order l's own index has a kernel with a zero of multiplicity greater than
 l at zeta, so its l-th (q d/dq) derivative is 0 there.  The series side
-reads the moments sum c_e e^l of that sum's coefficients, one per class
+reads the moments sum c_e (-e)^l of that sum's coefficients, one per class
 of e mod the root's order and per l <= d (_series_moments, shared by every
 root and request with the same family, index, order and d); a root only
 places each class at its power of zeta.  The theta side is shared the
@@ -94,27 +94,27 @@ def _root_values(family, index: int, k: int, j: int,
 
     With g = gcd(j, k), zeta_k**j is a root of order k' = k/g, and the
     class of e mod k' sits at the power g * (e * j/g mod k') of zeta_k:
-    each value is the moments of order ell, one per class, placed there,
-    folded into Q(zeta_k) and normalized once.
+    each value is the signed moments of order ell, one per class, placed
+    there, folded into Q(zeta_k) and divided by ell! once.
     """
     g = math.gcd(j, k)
     order = k // g
     at = [g * (r * (j // g) % order) for r in range(order)]
     moments = _series_moments(family, index, order, top)
     for ell, column in enumerate(moments):
-        # the sign rides on the denominator, which _new makes positive
-        yield _new(k, _folded(k, zip(at, column)),
-                   (-1) ** ell * math.factorial(ell))
+        yield _new(k, _folded(k, zip(at, column)), math.factorial(ell))
 
 
 @functools.lru_cache(maxsize=256)
 def _series_moments(family, index: int, k: int, top: int) -> tuple:
-    """For ell = 0..top, one sum per residue r mod k: that of c_e * e**ell
-    over the coefficients c_e of the partial sum at index with e = r mod k.
+    """For ell = 0..top, one sum per residue r mod k: that of c_e * (-e)**ell
+    over the coefficients c_e of the partial sum at index with e = r mod k,
+    so the sign of (-1)**ell / ell! is paid once per entry, not per root.
     Keyed on the family and numbers, never on the sum, so the partial-sum
     memo stays the only holder of the polynomial."""
     coeffs = partial_sum(family, index).coeffs
-    return tuple(zip(*(_power_sums(range(r, len(coeffs), k), coeffs[r::k], top)
+    return tuple(zip(*(_power_sums(range(-r, -len(coeffs), -k), coeffs[r::k],
+                                   top)
                        for r in range(k))))
 
 

@@ -28,8 +28,9 @@ class InvalidParam(ValueError):
 MAX_PARTIAL_SUM_WORK = 10 ** 8
 
 # fishburn: the modular engine refuses, before it allocates anything, a
-# request whose tables would take more bytes than this (256 MiB: up to
-# depth 2363 for gk:k>=2, 2588 for hikami:m>=2 and 5791 for gk:k=1).
+# request whose _table_bytes is over this (256 MiB: up to depth 262135 for
+# kz and gk:k=1, 5727 for gk:k=2 and hikami:m=2, and 1921 for gk:k>=3 and
+# hikami:m>=3).  MAX_MODULAR_WORK below refuses each of those depths too.
 MAX_TABLE_BYTES = 2 ** 28
 
 # fishburn: it also refuses a request whose modular_work is over this: the

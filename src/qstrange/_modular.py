@@ -9,9 +9,10 @@ recurrence of two convolutions per step, O(depth**3), whose powers of
 (1-x) are walked up by first differences.  Each later level is a column
 ladder, one Toeplitz block product per step, O(depth**4); a run of equal
 levels builds its units and buffers once.  Only those levels read powers
-of (1-x) from a table, so only a family with a second level builds one,
-of the powers it reads.  gk's final shift of weight n by q**n is folded
-into the Horner accumulation as one first difference per index.
+of (1-x) from a table, so only a family with a second level builds one:
+rows 0..depth+1 of (1-x)**(base e), which the engine sizes from the depth
+alone.  gk's final shift of weight n by q**n is folded into the Horner
+accumulation as one first difference per index.
 
 Residues lie in [0, m); every product of residues is taken in floating
 point (a truncated convolution, or one matrix product per block of ladder
@@ -64,12 +65,12 @@ def _conv_trunc(a, b, prec: int, mod: int):
     return full[:prec].astype(np.int64) % mod
 
 
-def _pw_table(depth: int, mod: int, top: int, base: int):
-    """Rows e = 0..top of P**e mod (x**(depth+1), mod), P = (1-x)**base:
-    the only powers of (1-x) that a ladder of that base reads."""
-    pw = np.zeros((top + 1, depth + 1), dtype=np.int64)
+def _pw_table(depth: int, mod: int, base: int):
+    """Rows e = 0..depth+1 of P**e mod (x**(depth+1), mod), P = (1-x)**base:
+    every power of (1-x) that a ladder of that base reads."""
+    pw = np.zeros((depth + 2, depth + 1), dtype=np.int64)
     pw[0, 0] = 1
-    for e in range(1, top + 1):
+    for e in range(1, depth + 2):
         pw[e] = pw[e - 1]
         _times_p(pw[e], base, mod)
     return pw
@@ -209,7 +210,7 @@ def _sub_ladder_mod(weights, c0, steps, pw, depth, mod, count=1):
     return weights
 
 
-def _sub_weights_mod(family, depth, mod, top):
+def _sub_weights_mod(family, depth, mod):
     """The family's weights w(0..depth) in the substituted domain, mod m,
     each to the precision depth+1-n that xi_residues reads from w(n).
 
@@ -218,9 +219,12 @@ def _sub_weights_mod(family, depth, mod, top):
     ladder level, always fed by those ones, is _ones_level_mod's; the
     later levels of the family's shape are replayed by _sub_ladder_mod,
     one call per run of equal levels.
-    Only a family with a later level builds a table, of the powers of
-    (1-x)**base up to (1-x)**top that its ladders read.  gk's final shift
-    by q**n is left out: xi_residues folds it into its Horner units.
+    Only a family with a later level builds a table, rows 0..depth+1 of
+    P**e, P = (1-x)**base, and those rows are all that its ladders read:
+    the step n of a ladder with offset c0 runs only while n <= depth+1-c0
+    and reads P**(n+c0), and the unit of column c, c <= depth+1-c0, reads
+    P**(c-1).  gk's final shift by q**n is left out: xi_residues folds it
+    into its Horner units.
     """
     levels = _shape(family)[0]
     vals = [np.ones(1, dtype=np.int64)] * (
@@ -235,7 +239,7 @@ def _sub_weights_mod(family, depth, mod, top):
         vals = _ones_level_mod(c0, base, len(vals) - 1, depth, mod)
         levels = [(count - 1, c0, base, drop)] + levels[1:]
         if any(count for count, *_ in levels):
-            pw = _pw_table(depth, mod, top // base, base)
+            pw = _pw_table(depth, mod, base)
     for count, c0, _, drop in levels:
         if count:
             vals = _sub_ladder_mod(vals, c0, len(vals) - 1, pw, depth, mod,
@@ -244,8 +248,9 @@ def _sub_weights_mod(family, depth, mod, top):
     return vals
 
 
-def xi_residues(family, depth: int, mod: int, top: int) -> tuple:
-    """xi(0..depth) mod ``mod``; a ladder reads (1-x)**e for e <= top.
+def xi_residues(family, depth: int, mod: int) -> tuple:
+    """xi(0..depth) mod ``mod``; a ladder's (1-x)**e table, sized from the
+    depth alone, has rows 0..depth+1 (_sub_weights_mod says why).
 
     xi = sum_n x**n R_n w_n, R_n = u_1 ... u_n, with the units
     u_n = (1 - (1-x)**j_n)/x, j_n = n (F kernel) or 2n-1 (G kernel).  It is
@@ -265,7 +270,7 @@ def xi_residues(family, depth: int, mod: int, top: int) -> tuple:
     is reduced once, after its weight is added.
     """
     step, shift = _step(family), _shape(family)[1]
-    wsub = _sub_weights_mod(family, depth, mod, top)
+    wsub = _sub_weights_mod(family, depth, mod)
     # neg = -(1-x)**j mod (x**(depth+1), mod), first for j = j_(depth+1);
     # its entries 1..j are the unit's, u = (1 - (1-x)**j)/x
     j = step * depth + 1

@@ -197,6 +197,12 @@ def cmd_identity_check(args) -> int:
         raise InvalidParam(f"--count must be positive, got {args.count}")
     if args.max_degree < 0:
         raise InvalidParam(f"--max-degree must be nonnegative, got {args.max_degree}")
+    # extraction_identity_check refuses these too, but only after the
+    # draw: identity_check_work is 0 or negative for them, so admits any size
+    if args.s < 1:
+        raise InvalidParam("modulus must be positive")
+    if args.ell < 0:
+        raise InvalidParam("derivative order must be nonnegative")
     if args.poly is not None:
         try:
             obj = _json_loads(args.poly, "--poly JSON")

@@ -305,18 +305,6 @@ class _BasePoly(Record):
         c = self._coerce(c)
         return self._new([c * a for a in self.coeffs])
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = type(self).one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift(self, exponent: int):
         """Multiply by q**exponent."""
         if not self.coeffs:
@@ -338,13 +326,6 @@ class _BasePoly(Record):
     def derivative(self):
         """Formal d/dq."""
         return self._new([e * c for e, c in enumerate(self.coeffs) if e])
-
-    def valuation(self) -> int:
-        """Least exponent with nonzero coefficient; -1 for the zero polynomial."""
-        for e, c in enumerate(self.coeffs):
-            if c:
-                return e
-        return -1
 
     # -- text and JSON -----------------------------------------------------
 

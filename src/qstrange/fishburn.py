@@ -70,28 +70,27 @@ def xi_coeffs(family, depth: int) -> tuple:
 
 # -- road choice and guards ---------------------------------------------------
 
-def _table_plan(family, depth: int):
-    """(last row of the (1-x)**e table, bytes of the engine's tables).
+def _table_bytes(family, depth: int) -> int:
+    """Bytes the modular engine holds at depth, read off the family's shape.
 
-    The bytes count that table and, for laddered families, 4 n (n+1)
-    words, n = depth + 1, which bound one ladder's buffers: its column
-    block of at most (n+1)**2 words, and its Toeplitz kernel and two step
-    buffers of at most n**2 words each.  The words are 8 bytes, as in a
-    float64 ladder; a float32 ladder's 4-byte words stay within them.
-    Only the levels after the first build the table and a ladder, so for
-    gk:k=2 and hikami:m=2, whose one level takes O(n) words, and for
-    gk:k=1, which has no level, the count is an upper bound.
+    In 8-byte words, n = depth + 1, each part counted at its largest:
+    - 128 n for the accumulation's rows, a ladder's step buffers and the
+      headers of the n arrays that each level hands on (an inline term's
+      residues are no more words than the term has coefficients);
+    - n**2 if the family has a level: the first level's outputs, w(n) to
+      depth+1-n residues each;
+    - 8 (n+1)**2 if it has a level after the first: the table of P**e,
+      e = 0..depth+1, the units and Toeplitz kernel of a column ladder,
+      two column blocks while one level hands over to the next, and the
+      outputs of two levels, at most 5.5 (n+1)**2 in all.
+    A float32 ladder's 4-byte words stay within them.  With 8 KiB for
+    numpy's fixed costs, the count is at least 4/3 of the peak that
+    tracemalloc measures, and for a family with a level at depth 100 or
+    more at most 4 times it.
     """
-    n = depth + 1
-    top = laddered = 0
-    if family.kind == "gk" and family.params[0] > 1:
-        top, laddered = 2 * depth + 2, True
-    elif family.kind == "gk":
-        top = depth
-    elif family.kind == "hikami" and family.params[0] > 1:
-        top, laddered = depth + 2, True
-    ladder = 4 * (n + 1) * n if laddered else 0
-    return top, 8 * ((top + 1) * n + ladder)
+    n, levels = depth + 1, _levels(family)
+    words = 128 * n + (levels > 0) * n * n + (levels > 1) * 8 * (n + 1) ** 2
+    return 8192 + 8 * words
 
 
 def modular_work(family, depth: int) -> int:
@@ -121,17 +120,18 @@ def _levels(family) -> int:
     return sum(count for count, *_ in _shape(family)[0])
 
 
-def _admit_depth(family, depth: int) -> int:
-    """Refuse a depth over MAX_TABLE_BYTES or MAX_MODULAR_WORK before any
-    work, else give the last (1-x)**e table row; admitted depths are < 3684."""
+def _admit_depth(family, depth: int) -> None:
+    """Refuse a depth whose _table_bytes is over MAX_TABLE_BYTES or whose
+    modular_work is over MAX_MODULAR_WORK, before any work.  Both read the
+    family's shape alone; MAX_MODULAR_WORK refuses every depth that
+    MAX_TABLE_BYTES does, and admitted depths are < 3684."""
     if depth < 0:
         raise InvalidParam("depth must be nonnegative")
-    top, size = _table_plan(family, depth)
+    size = _table_bytes(family, depth)
     admit("MAX_TABLE_BYTES", size, f"modular table bytes of {family.label} "
           f"at depth {depth} (about {size >> 20} MiB)")
     admit("MAX_MODULAR_WORK", modular_work(family, depth),
           f"modular work of {family.label} at depth {depth}")
-    return top
 
 
 def _float_exact(mod: int, depth: int) -> bool:
@@ -147,17 +147,18 @@ def _xi_mod(family, depth: int, mod: int) -> tuple:
     unless the family has a level after the first, whose column ladder
     would leave float32 for float64 at SHARED.  _admit_depth refuses the
     depth first; a modulus past the float64 edge is then a caller's bug.
+    The engine sizes its own table from the depth.
     """
     if mod < 2:
         raise InvalidParam("modulus must be at least 2")
-    top = _admit_depth(family, depth)
+    _admit_depth(family, depth)
     if not _float_exact(mod, depth):
         raise ValueError(f"modulus {mod} is past the float64 edge")
     if mod != SHARED and SHARED % mod == 0 and _levels(family) < 2:
         return tuple(v % mod for v in _xi_mod(family, depth, SHARED))
     from ._modular import xi_residues
 
-    return xi_residues(family, depth, mod, top)
+    return xi_residues(family, depth, mod)
 
 
 def _xi_exact(family, n: int, mod: int) -> int:

@@ -45,6 +45,23 @@ def monomial(cls, exponent: int, coefficient=1):
     return cls((0,) * exponent + (coefficient,))
 
 
+def valuation(p) -> int:
+    """Least exponent with nonzero coefficient; -1 for the zero polynomial."""
+    return next((e for e, c in enumerate(p.coeffs) if c), -1)
+
+
+def power(p, n: int):
+    """p**n for n >= 0, by repeated squaring."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = type(p).one()
+    while n:
+        if n & 1:
+            result = result * p
+        p, n = p * p, n >> 1
+    return result
+
+
 def evaluate(p, x):
     """p(x) by Horner's rule, at any value supporting + and *."""
     acc = 0 * x
@@ -553,26 +570,6 @@ def partial_sum_work_def(family: FamilySpec, upper: int, cap: int = -1) -> int:
     return passes * (kdeg + wdeg) * (1 + bits // 64)
 
 
-def table_plan_def(family, depth: int):
-    """(last row of the (1-x)**e table, bytes of the engine's tables).
-
-    The bytes count that table and, for laddered families, 4 n (n+1)
-    words, n = depth + 1, which bound one ladder's buffers: its column
-    block of at most (n+1)**2 words, and its Toeplitz kernel and two step
-    buffers of at most n**2 words each.
-    """
-    n = depth + 1
-    top = laddered = 0
-    if family.kind == "gk" and family.params[0] > 1:
-        top, laddered = 2 * depth + 2, True
-    elif family.kind == "gk":
-        top = depth
-    elif family.kind == "hikami" and family.params[0] > 1:
-        top, laddered = depth + 2, True
-    ladder = 4 * (n + 1) * n if laddered else 0
-    return top, 8 * ((top + 1) * n + ladder)
-
-
 def modular_work_def(family, depth: int) -> int:
     """Work estimate for xi mod m at this depth, from the family alone.
 
@@ -688,9 +685,9 @@ BOUNDARIES = [
     ("modular", "kz", 3683), ("modular", "gk:k=1", 3683),
     ("modular", "gk:k=2", 666), ("modular", "hikami:m=2,alpha=1", 666),
     ("modular", "gk:k=3", 560), ("modular", "hikami:m=3,alpha=1", 560),
-    ("table", "gk:k=1", 5791), ("table", "gk:k=2", 2363),
-    ("table", "gk:k=3", 2363), ("table", "hikami:m=2,alpha=1", 2588),
-    ("table", "hikami:m=3,alpha=2", 2588),
+    ("table", "gk:k=1", 262135), ("table", "gk:k=2", 5727),
+    ("table", "gk:k=3", 1921), ("table", "hikami:m=2,alpha=1", 5727),
+    ("table", "hikami:m=3,alpha=2", 1921),
     ("l_value", "chi_kz", 574),  # period 24
     ("c_array", "i=1,s=5", 1492),
     ("match", "kz", 100),  # at k = 1 the index is the depth

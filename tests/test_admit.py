@@ -12,7 +12,7 @@ import pytest
 
 from qstrange import _admit
 from qstrange.cli import identity_check_work
-from qstrange.fishburn import _table_plan, modular_work
+from qstrange.fishburn import _table_bytes, modular_work
 from qstrange.partialtheta import gamma_work, get_character, l_value_work
 from qstrange.qfamilies import InvalidParam, parse_family, partial_sum_work
 from qstrange.strangematch import c_array_work
@@ -78,7 +78,7 @@ README_ROWS = [
     ("qfamilies.MAX_PARTIAL_SUM_WORK", _per_family(partial_sum_work)),
     ("qfamilies.MAX_PARTIAL_SUM_WORK",
      _per_family(lambda f, n: partial_sum_work(f, n, n))),
-    ("fishburn.MAX_TABLE_BYTES", _per_family(lambda f, n: _table_plan(f, n)[1])),
+    ("fishburn.MAX_TABLE_BYTES", _per_family(_table_bytes)),
     ("fishburn.MAX_MODULAR_WORK", _per_family(modular_work)),
     ("partialtheta.MAX_L_WORK", _named({
         "lvalue --char chi_kz --n": lambda n: l_value_work(n, 24),
@@ -172,7 +172,6 @@ def test_estimates_match_the_per_kind_oracles(label):
         assert partial(partial_sum_work(fam, x, x),
                        helpers.partial_sum_work_def(fam, x, x))
         assert modular(modular_work(fam, x), helpers.modular_work_def(fam, x))
-        assert _table_plan(fam, x) == helpers.table_plan_def(fam, x)
 
 
 # (family, partial_sum_work at N = 0 without and with the 1-q substitution,

@@ -35,6 +35,12 @@ GAMMA_DIGESTS = GOLDEN.with_name("gamma_digests.json")
 # Q(zeta_4166) and at every root of Q(zeta_30), gcd(j, k) > 1 included,
 # taken from the code whose twisted sequences stored their own rows
 LVALUE_DIGESTS = GOLDEN.with_name("lvalue_digests.json")
+# SHA-256 of the stdout of scan calls at the deepest depth the work limit
+# admits for gk:k=3 and hikami:m=3, whose later levels run the column
+# ladder and read the (1-x)**e table: in float32 (p = 5), in float64
+# (p = 179) and, at depth 300, for every class; taken from the code whose
+# callers sized that table
+SCAN_DIGESTS = GOLDEN.with_name("scan_digests.json")
 
 
 def invoke(capsys, *argv):
@@ -680,6 +686,11 @@ def test_lvalue_at_every_root_keeps_its_stdout(capsys):
     _keeps_its_digests(capsys, LVALUE_DIGESTS)
 
 
+def test_column_ladder_scan_keeps_its_stdout(capsys):
+    # no benchmark workload reaches the column ladder or its table
+    _keeps_its_digests(capsys, SCAN_DIGESTS)
+
+
 # ---------------------------------------------------------------- work guards
 
 def _never(what):
@@ -731,6 +742,23 @@ def _identity_check_refused(capsys, monkeypatch, *argv):
 def test_identity_check_over_work_limit_is_usage_error(capsys, monkeypatch):
     _identity_check_refused(capsys, monkeypatch, "--s", "3", "--ell", "2",
                             "--count", "100000000")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--s", "0"), ("--s", "-1"), ("--ell", "-1"), ("--ell", "-3")])
+def test_identity_check_bad_s_or_ell_is_refused_before_the_draw(
+        capsys, monkeypatch, flag, value):
+    # the work estimate was 0 or negative here, so --ell -3 drew 100
+    # polynomials of degree up to 10**6 (21 s, 721 MB) before the refusal
+    import random
+
+    monkeypatch.setattr(random, "Random", _never("Random"))
+    options = {"--s": "1", "--ell": "0", flag: value}
+    code, out, err = invoke(capsys, "identity-check", *(
+        x for pair in options.items() for x in pair), "--max-degree", "1000000")
+    assert (code, out) == (2, "")
+    assert err == ("error: modulus must be positive\n" if flag == "--s" else
+                   "error: derivative order must be nonnegative\n")
 
 
 def test_identity_check_ell_over_work_limit_is_usage_error(capsys, monkeypatch):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import pochhammer_factorization, reassemble_def, residue_set_def
+from helpers import (pochhammer_factorization, power, reassemble_def,
+                     residue_set_def)
 from qstrange.dissection import (
     MAX_DISSECT_MODULUS,
     DivisibilityFalsified,
@@ -238,7 +239,7 @@ class TestPochhammerFactorization:
             prod = IntPoly((sign,))
             for k, e in enumerate(exps, start=1):
                 base = k if step == 1 else 2 * k - 1
-                prod = prod * cyclotomic(base) ** e
+                prod = prod * power(cyclotomic(base), e)
             assert prod == pochhammer(n, step), (step, n)
 
 

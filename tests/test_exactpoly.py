@@ -35,9 +35,9 @@ class TestBasics:
     def test_degree_and_valuation(self):
         p = IntPoly((0, 0, 3, 0, 1))
         assert p.degree == 4
-        assert p.valuation() == 2
+        assert helpers.valuation(p) == 2
         assert IntPoly().degree == -1
-        assert IntPoly().valuation() == -1
+        assert helpers.valuation(IntPoly()) == -1
 
     def test_immutability(self):
         p = IntPoly((1, 2))
@@ -93,8 +93,8 @@ class TestRingOps:
 
     def test_pow(self):
         p = IntPoly((1, 1))
-        assert (p ** 4).coeffs == (1, 4, 6, 4, 1)
-        assert (p ** 0) == IntPoly.one()
+        assert helpers.power(p, 4).coeffs == (1, 4, 6, 4, 1)
+        assert helpers.power(p, 0) == IntPoly.one()
 
     def test_shift_dilate(self):
         p = IntPoly((1, 2, 3))

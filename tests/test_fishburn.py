@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import json
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -32,6 +34,11 @@ INLINE_F = parse_family(json.dumps(
                               {"coeffs": ["-1", "0", "1"]}]}))
 INLINE_G = parse_family(json.dumps(
     {"kernel": "G", "terms": [{"coeffs": ["2"]}, {"coeffs": ["1", "-1"]}]}))
+# test_admit's inline G family, one of whose terms is wider than a word
+WIDE_G = parse_family(json.dumps(
+    {"kernel": "G", "terms": [
+        {"coeffs": ["2"]}, {"coeffs": ["1", "-1"]},
+        {"coeffs": ["0", "0", "0", "-98765432109876543210987654321"]}]}))
 
 
 class TestXiCoeffs:
@@ -182,7 +189,7 @@ class TestModularEngine:
         import qstrange.fishburn as fb
         # every depth the tests and the benchmark use stays within the limit
         for label in ("gk:k=4", "hikami:m=4,alpha=1", "kz"):
-            assert fb._table_plan(parse_family(label), 676)[1] \
+            assert fb._table_bytes(parse_family(label), 676) \
                 <= fb.MAX_TABLE_BYTES
 
         def never(*args):
@@ -208,7 +215,7 @@ class TestModularEngine:
         for label, depth in (("kz", 100000), ("gk:k=1", 5000),
                              ("gk:k=2", 1000), ("hikami:m=3,alpha=1", 700)):
             fam = parse_family(label)
-            assert fb._table_plan(fam, depth)[1] <= fb.MAX_TABLE_BYTES
+            assert fb._table_bytes(fam, depth) <= fb.MAX_TABLE_BYTES
             for mod in (5, 2 ** 31):
                 with pytest.raises(InvalidParam, match="MAX_MODULAR_WORK"):
                     _xi_mod(fam, depth, mod)
@@ -255,7 +262,6 @@ class TestModularEngine:
     @pytest.mark.parametrize("label", [
         "gk:k=1", "gk:k=2", "gk:k=3", "hikami:m=3,alpha=1"])
     def test_set_up_convolution_budget(self, label, monkeypatch):
-        import qstrange.fishburn as fb
         from qstrange.qfamilies import _shape
         fam, depth, mod = parse_family(label), 60, 7
         levels = _shape(fam)[0]
@@ -282,7 +288,7 @@ class TestModularEngine:
                             in_part("first", engine._ones_level_mod))
         monkeypatch.setattr(engine, "_sub_ladder_mod",
                             in_part("later", engine._sub_ladder_mod))
-        engine.xi_residues(fam, depth, mod, fb._table_plan(fam, depth)[0])
+        engine.xi_residues(fam, depth, mod)
         assert calls["accumulation"] <= depth + 1
         assert calls["first"] <= 2 * outputs * bool(levels)
         assert calls["later"] <= 2 * (depth + 1) * later
@@ -292,7 +298,6 @@ class TestModularEngine:
     # accumulation makes at most one convolution per index
     @pytest.mark.parametrize("real,mod", [("float32", 7), ("float64", 10007)])
     def test_one_pass_per_step(self, real, mod, monkeypatch):
-        import qstrange.fishburn as fb
         fam = parse_family("gk:k=3")
         depth = 70  # the first steps of its second level span three blocks
         matmul, convolve = engine.np.matmul, engine.np.convolve
@@ -314,7 +319,7 @@ class TestModularEngine:
         monkeypatch.setattr(engine.np, "matmul", matmul_spy)
         monkeypatch.setattr(engine.np, "convolve", convolve_spy)
         monkeypatch.setattr(engine, "_sub_weights_mod", weights_spy)
-        engine.xi_residues(fam, depth, mod, fb._table_plan(fam, depth)[0])
+        engine.xi_residues(fam, depth, mod)
         # gk:k=3's second level is its one ladder, of width depth+1, with a
         # column per row
         cols = bases[0]
@@ -364,7 +369,6 @@ class TestModularEngine:
         "kz", "gk:k=1", "hikami:m=1,alpha=0", INLINE_F.label, "gk:k=2",
         "hikami:m=2,alpha=0", "hikami:m=2,alpha=1"])
     def test_no_table_without_a_ladder(self, label, monkeypatch):
-        import qstrange.fishburn as fb
         fam, depth, mod = parse_family(label), 40, 13
 
         def never(*args, **kwargs):
@@ -372,8 +376,67 @@ class TestModularEngine:
 
         monkeypatch.setattr(engine, "_pw_table", never)
         monkeypatch.setattr(engine.np, "matmul", never)
-        got = engine.xi_residues(fam, depth, mod, fb._table_plan(fam, depth)[0])
+        got = engine.xi_residues(fam, depth, mod)
         assert got == tuple(c % mod for c in xi_coeffs(fam, depth))
+
+    # the table holds rows 0..depth+1, and a ladder's last step and last
+    # unit read up to row depth+1: with offset 1 (gk) and offset 0 (the
+    # levels up to alpha of hikami)
+    @pytest.mark.parametrize("label", ["gk:k=3", "hikami:m=3,alpha=2"])
+    def test_table_holds_the_rows_the_ladder_reads(self, label, monkeypatch):
+        fam, mod = parse_family(label), 7
+        pw_table, sub_ladder = engine._pw_table, engine._sub_ladder_mod
+        shapes, rows = [], set()
+
+        class Rows:
+            def __init__(self, table):
+                self.table = table
+
+            def __getitem__(self, e):
+                rows.add(e)
+                return self.table[e]
+
+        def table_spy(*args):
+            table = pw_table(*args)
+            shapes.append(table.shape)
+            return table
+
+        def ladder_spy(weights, c0, steps, pw, *args):
+            return sub_ladder(weights, c0, steps, Rows(pw), *args)
+
+        monkeypatch.setattr(engine, "_pw_table", table_spy)
+        monkeypatch.setattr(engine, "_sub_ladder_mod", ladder_spy)
+        for depth in (1, 2, 7, 40):
+            shapes.clear()
+            rows.clear()
+            got = engine.xi_residues(fam, depth, mod)
+            assert got == tuple(c % mod for c in xi_coeffs(fam, depth))
+            assert shapes == [(depth + 2, depth + 1)]
+            assert max(rows) == depth + 1
+
+    # _table_bytes, read off the shape alone, stays a quarter above the
+    # peak memory of the engine's run, and for a family with a level it is
+    # within 4 times that peak from depth 100 on
+    @pytest.mark.parametrize("label", [
+        "kz", *(f"gk:k={k}" for k in (1, 2, 3, 4, 5, 8)),
+        *(f"hikami:m={m},alpha={a}" for m in range(2, 6) for a in (0, m - 1)),
+        INLINE_F.label, WIDE_G.label])
+    def test_table_bytes_bound_what_the_engine_holds(self, label):
+        import qstrange.fishburn as fb
+        fam = parse_family(label)
+        depths = [*range(13), 30, 100] + [300] * (label == "gk:k=3")
+        for depth, mod in itertools.product(depths, (7, 720720)):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                engine.xi_residues(fam, depth, mod)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            bound = fb._table_bytes(fam, depth)
+            assert 4 * peak <= 3 * bound, (depth, mod, peak, bound)
+            if fb._levels(fam) and depth >= 100:
+                assert bound <= 4 * peak, (depth, mod, peak, bound)
 
     def test_memo_returns_one_tuple(self):
         vals = _xi_mod(KZ, 60, 5)
@@ -389,9 +452,9 @@ class TestModularEngine:
         import qstrange.fishburn as fb
         xi_residues, mods = engine.xi_residues, []
 
-        def spy(fam, depth, mod, top):
+        def spy(fam, depth, mod):
             mods.append(mod)
-            return xi_residues(fam, depth, mod, top)
+            return xi_residues(fam, depth, mod)
 
         monkeypatch.setattr(engine, "xi_residues", spy)
         assert scan_congruences(KZ, 5, 1, 104).passing_beta == (1, 2)
@@ -401,19 +464,21 @@ class TestModularEngine:
 
     def test_shared_run_is_exact_at_every_admitted_depth(self):
         # the run modulo SHARED needs its float64 products exact, which
-        # holds up to depth 17339; the deepest depth each of the modular
-        # and table guards admits is below that
+        # holds up to depth 17339; the deepest depth that the modular and
+        # table guards admit together is below that
         import qstrange.fishburn as fb
         assert fb._float_exact(fb.SHARED, 17339)
         assert not fb._float_exact(fb.SHARED, 17340)
-        estimates = {"modular": fb.modular_work,
-                     "table": lambda fam, d: fb._table_plan(fam, d)[1]}
-        for guard, arg, _ in BOUNDARIES:
-            if guard in estimates:
-                fam = parse_family(arg)
-                deepest = deepest_admitted(
-                    GUARDS[guard][0], lambda d: estimates[guard](fam, d))
-                assert deepest < 17339, (guard, arg)
+        estimates = {"modular": fb.modular_work, "table": fb._table_bytes}
+        for arg in {arg for guard, arg, _ in BOUNDARIES if guard in estimates}:
+            fam = parse_family(arg)
+            deepest = min(deepest_admitted(GUARDS[guard][0],
+                                           lambda d: estimate(fam, d))
+                          for guard, estimate in estimates.items())
+            fb._admit_depth(fam, deepest)
+            with pytest.raises(InvalidParam):
+                fb._admit_depth(fam, deepest + 1)
+            assert deepest < 17339, arg
 
     # a column ladder keeps its own modulus, so its block products stay in
     # float32 rather than moving to float64 at SHARED
@@ -422,9 +487,9 @@ class TestModularEngine:
         xi_residues, matmul = engine.xi_residues, engine.np.matmul
         mods, widths = [], set()
 
-        def spy(fam, depth, mod, top):
+        def spy(fam, depth, mod):
             mods.append(mod)
-            return xi_residues(fam, depth, mod, top)
+            return xi_residues(fam, depth, mod)
 
         def matmul_spy(a, b, **kwargs):
             widths.add((a.dtype.name, b.dtype.name, kwargs["out"].dtype.name))

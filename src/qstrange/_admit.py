@@ -67,8 +67,14 @@ MAX_TWIST_PERIOD = 10 ** 5
 # 0.13-0.16 s, most of it the sum.
 MAX_MATCH_INDEX = 100
 
-# strangematch: largest accepted c_array_work: c_array(1000, 1, 5) is
-# 3 * 10**9 and takes about 0.5 s on a 2-vCPU Xeon VM.
+# strangematch: largest accepted c_array_work, which counts the printing of
+# the row as well as its arithmetic, since str() of an entry is quadratic
+# in its digits: the deepest accepted ell at i = 1, s = 5 is 1049, a fresh
+# CLI call that prints 2.2 MB in about 0.7 s on a 2-vCPU Xeon VM (ell 1492
+# was admitted before the printing was counted).  --i 9999999999 at ell
+# 600, whose 6000-digit entries passed the interpreter's default limit on
+# int-string conversion, and 4000 nines at ell 80, which ran 52 s, are
+# refused up front.
 MAX_C_ARRAY_WORK = 10 ** 10
 
 # cli: largest accepted identity_check_work: under 0.8 s on a 2-vCPU Xeon VM.

@@ -319,7 +319,27 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """One CLI call on argv (default sys.argv[1:]); returns its exit code
-    and never ends the process."""
+    and never ends the process.
+
+    The call runs with the interpreter's limit on int-string conversion
+    (CPython 3.10.7+ and 3.11+) lifted, so that its exit code and output
+    do not depend on that setting: every guard bounds the integers its
+    request prints, and exactpoly's number grammar bounds those read.  The
+    caller's limit is restored on return.  The limit is the process's, so
+    calls from several threads at once would share one setting: make one
+    call at a time."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        return _run(argv)
+    old = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv else None)
     try:

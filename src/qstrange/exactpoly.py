@@ -69,9 +69,14 @@ class NotDivisible(ArithmeticError):
 # residue keys) have one grammar: an optional sign and ASCII digits and, for
 # a rational, an optional /digits (not zero) or .digits.  int() and
 # Fraction() also take some of "1_0", " 7", "1 / 2" and non-ASCII digits,
-# which ones by Python version; on this grammar they agree everywhere.
+# which ones by Python version; on this grammar they agree everywhere.  No
+# run of digits may be longer than CPython's default limit on int-string
+# conversion, whatever limit the interpreter is set to (the CLI lifts it):
+# past it, reading a number takes quadratic time.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*|\.[0-9]+)?")
+_DIGIT_RUN = re.compile(r"[0-9]+")
+_MAX_DIGITS = 4300
 
 
 def _parse_number(c, rational: bool = False):
@@ -79,7 +84,9 @@ def _parse_number(c, rational: bool = False):
     (not a bool) or a string in the grammar above; ValueError otherwise."""
     if isinstance(c, int) and not isinstance(c, bool):
         return Fraction(c) if rational else c
-    if isinstance(c, str) and (_RATIONAL if rational else _INTEGER).fullmatch(c):
+    if (isinstance(c, str) and (_RATIONAL if rational else _INTEGER).fullmatch(c)
+            and (len(c) <= _MAX_DIGITS
+                 or max(map(len, _DIGIT_RUN.findall(c))) <= _MAX_DIGITS)):
         return Fraction(c) if rational else int(c)
     kind = "rational" if rational else "integer"
     raise ValueError(f"{c!r} is not an exact {kind}")

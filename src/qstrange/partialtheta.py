@@ -215,7 +215,6 @@ def _chi_hikami(m: int, alpha: int) -> Character:
     T = 8 * m + 4
     minus = ((2 * m - 2 * alpha - 1) % T, (6 * m + 2 * alpha + 5) % T)
     plus = ((2 * m + 2 * alpha + 3) % T, (6 * m - 2 * alpha + 1) % T)
-    assert len(set(minus + plus)) == 4
     vals = {n: Fraction(-1, 2) for n in minus}
     vals.update({n: Fraction(1, 2) for n in plus})
     return Character((2 * m - 2 * alpha - 1) ** 2, 8 * (2 * m + 1), 1, T, vals,

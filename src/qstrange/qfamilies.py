@@ -257,9 +257,10 @@ def _parse_kv(tail: str, names: tuple, full: str) -> dict:
 
 def _json_loads(text: str, what: str):
     """json.loads, with input nested too deeply for the decoder refused as a
-    ParseError instead of escaping as a RecursionError."""
+    ParseError instead of escaping as a RecursionError, and integers read
+    in exactpoly's number grammar."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_parse_number)
     except RecursionError:
         raise ParseError(f"{what} is nested too deeply") from None
 

@@ -179,9 +179,16 @@ def match_expansion(family, char, k: int, j: int, depth: int) -> MatchReport:
 
 
 def c_array_work(ell: int, i: int, s: int) -> int:
-    """Work estimate for c_array(ell, i, s): about ell**2 multiply-adds on
-    entries whose bit length grows with ell times that of |i| + |s|."""
-    return (ell + 1) ** 3 * max(1, (abs(i) + abs(s)).bit_length())
+    """Work estimate for c_array(ell, i, s) and for printing it: about
+    ell**2 multiply-adds on entries whose bit length grows with ell times
+    that of |i| + |s|, and then str() of each of the ell + 1 entries, which
+    is quadratic in its 30-bit digits.  Step u multiplies the row's l1 norm
+    by at most |i| + u*s, so no entry has more than ell times the bit
+    length of |i| + ell*s bits; printing one of b bits makes about
+    (b/30)**2 digit steps, each worth 30 of the first term's."""
+    bits = ell * (abs(i) + ell * s).bit_length()
+    return ((ell + 1) ** 3 * max(1, (abs(i) + abs(s)).bit_length())
+            + (ell + 1) * bits ** 2 // 30)
 
 
 def c_array(ell: int, i: int, s: int) -> list:

@@ -689,7 +689,7 @@ BOUNDARIES = [
     ("table", "gk:k=3", 1921), ("table", "hikami:m=2,alpha=1", 5727),
     ("table", "hikami:m=3,alpha=2", 1921),
     ("l_value", "chi_kz", 574),  # period 24
-    ("c_array", "i=1,s=5", 1492),
+    ("c_array", "i=1,s=5", 1049),
     ("match", "kz", 100),  # at k = 1 the index is the depth
     ("character", "period", 10 ** 5),
     ("twisted_sequence", "k", 10 ** 5),

@@ -11,36 +11,22 @@ import io
 import json
 import os
 import pathlib
-import signal
 import subprocess
 import sys
 import time
 
 import pytest
 
+import contracts
 from qstrange.cli import COMMANDS, build_parser, run
 from qstrange.partialtheta import get_character
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "readme_calls.json"
-# stdout of lvalue --char chi6 --k 33322 --j 1 --n 0 --format json, taken
-# from the fold that removed each coordinate by all p terms of Phi_2p
-LVALUE_K33322 = GOLDEN.with_name("lvalue_chi6_k33322.json")
-# SHA-256 of the stdout of gamma calls at two roots of Q(zeta_4166) and
-# at every root of Q(zeta_30), taken from the code that built each root's
-# twisted sequence and L-values on its own; the two chi_kz outputs at
-# k = 4166 are 124 and 113 KB
-GAMMA_DIGESTS = GOLDEN.with_name("gamma_digests.json")
-# SHA-256 of the stdout of lvalue calls at a root of order 2083 in
-# Q(zeta_4166) and at every root of Q(zeta_30), gcd(j, k) > 1 included,
-# taken from the code whose twisted sequences stored their own rows
-LVALUE_DIGESTS = GOLDEN.with_name("lvalue_digests.json")
-# SHA-256 of the stdout of scan calls at the deepest depth the work limit
-# admits for gk:k=3 and hikami:m=3, whose later levels run the column
-# ladder and read the (1-x)**e table: in float32 (p = 5), in float64
-# (p = 179) and, at depth 300, for every class; taken from the code whose
-# callers sized that table
-SCAN_DIGESTS = GOLDEN.with_name("scan_digests.json")
+# The pinned outcome of each CLI call (the README's calls, deep admitted
+# calls, digests of large outputs and refusals) is a row of the registry
+# tests/data/contracts.json, which tests/contracts.py checks: in process in
+# tests/test_contracts.py and tests/test_readme_calls.py, and here through
+# the console entry.
 
 
 def invoke(capsys, *argv):
@@ -350,8 +336,10 @@ def test_inexact_character_field_is_usage_error(capsys, tmp_path, field,
     assert "error:" in err
 
 
-# int() and Fraction() took some of these, and which by Python version
-OFF_GRAMMAR = ["1_0", " 7", "1 / 2", "\u0663"]
+# int() and Fraction() took some of these, and which by Python version;
+# the last, past CPython's default digit limit, whatever the limit is set to
+OFF_GRAMMAR = ["1_0", " 7", "1 / 2", "\u0663",
+               pytest.param("1" * 4301, id="4301-digits")]
 
 
 @pytest.mark.parametrize("value", OFF_GRAMMAR)
@@ -634,63 +622,6 @@ def test_identity_check_negative_size_is_usage_error(capsys, flag, value):
     assert flag in err
 
 
-@pytest.mark.parametrize("argv, want", [
-    # each of the s filter sums was s additions of field elements: 83 s at
-    # s = 997, which MAX_IDENTITY_WORK admits
-    (("identity-check", "--s", "997", "--ell", "0", "--count", "1",
-      "--max-degree", "0"),
-     '{"checked":1,"command":"identity-check","ell":0,"ok":true,"s":997,'
-     '"schema":"qstrange/1"}\n'),
-    # the table of zeta**e mod Phi_4166 and every twisted entry's
-    # coordinates: 25 s and 891 MB
-    (("lvalue", "--char", "chi_kz", "--k", "4166", "--j", "1", "--n", "0"),
-     '{"character":"chi_kz","command":"lvalue","j":1,"k":4166,"n":0,'
-     '"schema":"qstrange/1","value":{"coeffs":[],"conductor":4166}}\n'),
-    # Phi_2p has p nonzero terms, and each of the p + 1 coordinates above
-    # phi(2p) was removed by all of them: 22 s
-    (("lvalue", "--char", "chi6", "--k", "33322", "--j", "1", "--n", "0"),
-     LVALUE_K33322.read_text()),
-], ids=["identity-check-s997", "lvalue-k4166", "lvalue-k33322"])
-def test_deep_admitted_call_finishes_in_seconds(capsys, argv, want):
-    def expire(signum, frame):
-        raise TimeoutError(f"qstrange {' '.join(argv)} ran past 10 s")
-
-    handler = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 10)
-    try:
-        code, out, err = invoke(capsys, *argv, "--format", "json")
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, handler)
-    assert (code, out) == (0, want)
-
-
-def _keeps_its_digests(capsys, path):
-    import hashlib
-
-    for want in json.loads(path.read_text()):
-        code, out, err = invoke(capsys, *want["argv"])
-        assert (code, err) == (0, ""), want["argv"]
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == want["sha256"], want["argv"]
-
-
-def test_gamma_at_every_root_keeps_its_stdout(capsys):
-    # in one process, so the later roots of each order read the theta side
-    # that the first one built
-    _keeps_its_digests(capsys, GAMMA_DIGESTS)
-
-
-def test_lvalue_at_every_root_keeps_its_stdout(capsys):
-    # the roots of one order read the rows that the first one built
-    _keeps_its_digests(capsys, LVALUE_DIGESTS)
-
-
-def test_column_ladder_scan_keeps_its_stdout(capsys):
-    # no benchmark workload reaches the column ladder or its table
-    _keeps_its_digests(capsys, SCAN_DIGESTS)
-
-
 # ---------------------------------------------------------------- work guards
 
 def _never(what):
@@ -907,6 +838,11 @@ def test_numpy_is_imported_only_by_the_modular_engine():
                                    "lvalue", "--char", "chi_kz", "--n", "1")
     assert (code, out) == (0, "L(-1, C) = 1\n")
     assert "numpy" not in _imported(err)
+    # past the float64 edge, scan --beta reads its one index exactly
+    code, out, err = _fresh_python("-X", "importtime", "-m", "qstrange.cli",
+                                   *EDGE_SCAN, "270")
+    assert (code, out) == (1, "fail: xi(1) = 1 mod 1000000007\n")
+    assert "numpy" not in _imported(err)
     code, out, err = _fresh_python("-X", "importtime", "-m", "qstrange.cli",
                                    "scan", "--family", "kz", "--p", "5",
                                    "--beta", "1", "--depth", "104")
@@ -934,15 +870,11 @@ def _console_env():
     return env
 
 
-@pytest.mark.parametrize(
-    "want", json.loads(GOLDEN.read_text(encoding="utf-8")),
-    ids=lambda want: " ".join(want["argv"]))
-def test_readme_call_through_the_console_entry(want):
-    proc = subprocess.run([sys.executable, "-m", "qstrange.cli",
-                           *want["argv"]], env=_console_env(),
-                          capture_output=True, timeout=120, check=False)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        want["code"], want["stdout"].encode(), want["stderr"].encode())
+@pytest.mark.parametrize("row", contracts.readme_rows(), ids=contracts.row_id)
+def test_readme_call_through_the_console_entry(row, tmp_path):
+    why = contracts.check(row, tmp_path, [sys.executable, "-m", "qstrange.cli"],
+                          _console_env())
+    assert why is None, why
 
 
 def test_usage_error_through_the_console_entry():

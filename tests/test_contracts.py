@@ -1,0 +1,51 @@
+"""The registry of CLI contracts, tests/data/contracts.json, through
+tests/contracts.py: each row after the README's (tests/test_readme_calls.py
+checks those) through cli.run in this process, and every row but the deep
+ones once more in one fresh process per interpreter setting."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import contracts
+
+SRC = contracts.ROOT / "src"
+
+
+@pytest.mark.parametrize("row", contracts.load()[len(contracts.readme_calls()):],
+                         ids=contracts.row_id)
+def test_contract_holds(row, tmp_path):
+    why = contracts.check(row, tmp_path)
+    assert why is None, why
+
+
+# exit codes and stdout must not depend on the hash seed, on the limit of
+# int-string conversion (640 is the least it may be set to, 0 lifts it) or
+# on whether asserts run
+SETTINGS = {
+    "PYTHONHASHSEED=1": ([], {"PYTHONHASHSEED": "1"}),
+    "PYTHONINTMAXSTRDIGITS=640": ([], {"PYTHONINTMAXSTRDIGITS": "640"}),
+    "PYTHONINTMAXSTRDIGITS=0": ([], {"PYTHONINTMAXSTRDIGITS": "0"}),
+    "python -O": (["-O"], {}),
+}
+
+
+def test_contracts_hold_under_interpreter_settings():
+    # the processes run side by side; each checks every row but the deep
+    # ones in process, so later rows also read the memos that earlier ones
+    # filled
+    procs = {}
+    for name, (flags, extra) in SETTINGS.items():
+        env = {**os.environ, "PYTHONPATH": str(SRC), **extra}
+        procs[name] = subprocess.Popen(
+            [sys.executable, *flags, contracts.__file__, "--shallow"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True)
+    failed = {}
+    for name, proc in procs.items():
+        out, _ = proc.communicate(timeout=300)
+        if proc.returncode:
+            failed[name] = out
+    assert not failed, failed

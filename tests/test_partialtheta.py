@@ -69,6 +69,19 @@ class TestCharacters:
         assert (c.a, c.b, c.period) == (9, 40, 20)
         assert c.value(3) == c.value(17) == Fraction(-1, 2)
         assert c.value(7) == c.value(13) == Fraction(1, 2)
+        # and every (m, alpha) to m = 40 has its four residues, all distinct
+        half = Fraction(1, 2)
+        for m in range(1, 41):
+            T = 8 * m + 4
+            for alpha in range(m):
+                c = get_character(f"chi_hikami:m={m},alpha={alpha}")
+                want = {(2 * m - 2 * alpha - 1) % T: -half,
+                        (6 * m + 2 * alpha + 5) % T: -half,
+                        (2 * m + 2 * alpha + 3) % T: half,
+                        (6 * m - 2 * alpha + 1) % T: half}
+                assert len(want) == 4, (m, alpha)
+                assert {n: c.value(n) for n in range(T) if c.value(n)} \
+                    == want, (m, alpha)
 
     def test_chi_gk_table(self):
         c = get_character("chi_gk:k=2")

@@ -147,9 +147,9 @@ def _sub_ladder_mod(weights, c0, steps, pw, depth, mod, count=1):
     into its rows.  The outputs leave at the integer width.
 
     The count levels share c0, base, steps and width, so the units, the
-    Toeplitz view and the buffers, O(depth**2) words, are built once for
-    all of them; each level builds its own column block, and each step its
-    kernel.
+    Toeplitz view, the column block and the buffers, O(depth**2) words, are
+    built once for all of them; each level zeroes the block, since the
+    outputs it leaves are copies, and each step builds its kernel.
     """
     width = depth + 2 - c0
     # one width per ladder: float32 blocks are exact below 2**24
@@ -172,8 +172,9 @@ def _sub_ladder_mod(weights, c0, steps, pw, depth, mod, count=1):
     kernel = np.empty((side, side), dtype=real)
     prod = np.empty(min(_BLOCK_ROWS, side) * side, dtype=real)
     total = np.empty(prod.size, dtype=whole)
+    cols = np.empty((columns, width), dtype=real)
     for _ in range(count):
-        cols = np.zeros((columns, width), dtype=real)
+        cols.fill(0)
         for c, unit in enumerate(units):
             # the weights are residues, so an unscaled column is a copy
             col = weights[c][: width - c]

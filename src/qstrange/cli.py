@@ -26,7 +26,7 @@ from .dissection import (
     residue_set,
     verify_theorem,
 )
-from .exactpoly import IntPoly, _parse_number
+from .exactpoly import IntPoly, _parse_number, _quoted
 from .fishburn import (EngineMismatch, scan_congruences, verify_congruence,
                        xi_coeffs)
 from .partialtheta import (
@@ -237,7 +237,7 @@ def _integer(text: str) -> int:
     try:
         return _parse_number(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}")
 
 
 _REQ_STR = {"required": True}

@@ -89,7 +89,17 @@ def _parse_number(c, rational: bool = False):
                  or max(map(len, _DIGIT_RUN.findall(c))) <= _MAX_DIGITS)):
         return Fraction(c) if rational else int(c)
     kind = "rational" if rational else "integer"
-    raise ValueError(f"{c!r} is not an exact {kind}")
+    raise ValueError(f"{_quoted(c)} is not an exact {kind}")
+
+
+def _quoted(value) -> str:
+    """repr(value) for an error line; a value whose text is over 60
+    characters shows its first 60 and its length, so that an error line
+    stays short whatever input it echoes."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 60:
+        return repr(value)
+    return f"{text[:60]!r}... ({len(text)} characters)"
 
 
 def _add_into(acc: list, coeffs: Sequence, off: int = 0) -> list:

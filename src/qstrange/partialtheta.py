@@ -4,14 +4,15 @@ A character here is a periodic rational-valued function chi together with
 the exponent data (a, b) and the weight nu, so that the attached partial
 theta series is sum over n >= 0 of n^nu * chi(n) * q^((n^2-a)/b).  A
 Character meets the support condition (integrality of the exponent) and
-the mean-zero condition once it is built.  The module builds the twisted
-sequences C(n) = zeta^((n^2-a)/b) * chi(n) at a root of unity, computes
+the mean-zero condition once it is built, and a TwistedSeq, the twisted
+sequence C(n) = zeta^((n^2-a)/b) * chi(n) at a root of unity, its period
+and twisted-mean conditions.  The module builds those sequences, computes
 L(-n, C) exactly through Bernoulli sums, and assembles the asymptotic
 expansion coefficients gamma_n(zeta).
 
 Everything is exact: character values are Fractions (only ints, Fractions
-and exact strings are accepted), twisted entries are CycloNum.  Each step
-does its work once at the level its inputs allow:
+and exact strings are accepted), L-values and gamma_n are CycloNum.  Each
+step does its work once at the level its inputs allow:
 
 - per character: its nonzero values as integers over one denominator,
   built by the constructor;
@@ -19,9 +20,10 @@ does its work once at the level its inputs allow:
   for every supported m in 1..P, e(m) mod k and the integer value, so a
   root zeta_k^j only maps e to the power j*e mod k;
 - per L-value request at zeta_k^j: a TwistedSeq (character, k, j,
-  period), its twisted mean checked on those rows; one Bernoulli pass to
-  the order asked for and one pass over the rows, repeated over the
-  period, for the power sums sum c * m^e by power j*e mod k of zeta
+  period), whose constructor checks the twisted mean on those rows and
+  keeps none of them; one Bernoulli pass to the order asked for and one
+  pass over the rows, repeated over the period, for the power sums
+  sum c * m^e by power j*e mod k of zeta
   (_bucket_sums); L(-n, C) then combines those sums with the integer
   coefficients of B_{n+1}, folds mod Phi_k once and divides once;
 - per character, conductor k and top order of a gamma or match request
@@ -50,7 +52,7 @@ from operator import mul
 from qstrange._admit import MAX_L_WORK, MAX_TWIST_PERIOD, admit
 from qstrange._record import Record
 from qstrange.cyclofield import CycloNum, _folded, _new
-from qstrange.exactpoly import RatPoly, _parse_number
+from qstrange.exactpoly import RatPoly, _parse_number, _quoted
 from qstrange.qfamilies import ParseError, _builtin_params
 
 __all__ = [
@@ -92,7 +94,7 @@ def _exact_value(v) -> Fraction:
         return v if isinstance(v, Fraction) else _parse_number(v, rational=True)
     except ValueError:
         raise CharacterInvalid(
-            f"character value {v!r} is not an exact rational") from None
+            f"character value {_quoted(v)} is not an exact rational") from None
 
 
 class Character(Record, compare=("a", "b", "nu", "period", "values")):
@@ -131,7 +133,8 @@ class Character(Record, compare=("a", "b", "nu", "period", "values")):
                 try:
                     n = _parse_number(key)
                 except ValueError:
-                    raise CharacterInvalid(f"residue {key!r} is not an integer") from None
+                    raise CharacterInvalid(
+                        f"residue {_quoted(key)} is not an integer") from None
                 if not 0 <= n < period:
                     raise CharacterInvalid(f"residue {n} outside 0..{period - 1}")
                 table[n] = _exact_value(val)
@@ -190,7 +193,8 @@ def character_from_json_obj(obj: dict, label: str = "custom") -> Character:
         if name not in obj:
             raise ParseError(f"character JSON missing field {name!r}")
         if type(obj[name]) is not int:
-            raise ParseError(f"character field {name!r} must be an integer, got {obj[name]!r}")
+            raise ParseError(f"character field {name!r} must be an integer, "
+                             f"got {_quoted(obj[name])}")
     values = obj.get("values", {})
     entries = values.values() if isinstance(values, dict) else values
     if not isinstance(values, (dict, list)) or any(
@@ -253,7 +257,7 @@ def _builtin_character(text: str) -> Character:
         return _chi_hikami(*_builtin_params("hikami", tail, text))
     if head == "chi_gk":
         return _chi_gk(*_builtin_params("gk", tail, text))
-    raise ParseError(f"unknown character name {text!r}")
+    raise ParseError(f"unknown character name {_quoted(text)}")
 
 
 # -- twisted sequences ---------------------------------------------------------
@@ -270,43 +274,27 @@ class TwistedSeq(Record):
     """C(n) = zeta_k^(j*(n^2-a)/b) * chi(n) over a period, a multiple of
     P = lcm(T, b*k): the record (character, k, j mod k, period).
 
-    entry(n) folds the one monomial chi(n) * zeta_k^(j*e(n)), table is
-    built from entry, and l_value reads the rows of _twist_rows.  Like
-    twisted_sequence, the constructor refuses a nonzero twisted mean; it
-    also refuses with ValueError a period that is not a multiple of P and
-    a table that is not the twist over it.
+    C is P-periodic by construction: T divides P, and b*k dividing P makes
+    the zeta-power ratio between n + P and n one.  The constructor refuses
+    a conductor below 1 with ValueError; with InvalidParam, before any row
+    is built, a P over MAX_TWIST_PERIOD; with ValueError a period that is
+    not a multiple of P; and with MeanValueNonzero a nonzero twisted mean,
+    read off the rows of _twist_rows at their powers j*e(m) mod k.
+    l_value reads the same rows.
     """
 
     __slots__ = ("character", "k", "j", "period")
 
-    def __init__(self, character: Character, k: int, j: int, period: int,
-                 table: tuple):
-        base = twisted_sequence(character, k, j)
-        if period < 1 or period % base.period:
+    def __init__(self, character: Character, k: int, j: int, period: int):
+        _admit_twist(character, k)
+        j %= k
+        P, _, exps, cs = _twist_rows(character, k)
+        if period < 1 or period % P:
             raise ValueError(f"period {period} is not a multiple of "
-                             f"lcm(T, b*k) = {base.period}")
-        if len(table) != period:
-            raise ValueError("table length must equal the period")
-        if not all(isinstance(x, CycloNum) and x.k == k for x in table):
-            raise ValueError(f"table entries must lie in Q(zeta_{k})")
-        super().__init__(character, k, base.j, period)
-        if tuple(table) != self.table:
-            raise ValueError(f"table is not the twist of {character.label} "
-                             f"at zeta_{k}^{base.j}")
-
-    def entry(self, n: int) -> CycloNum:
-        """C(n): chi(n) * zeta_k^(j*e(n)), one monomial folded into Q(zeta_k)."""
-        char, k = self.character, self.k
-        c = char.value(n)
-        if not c:
-            return _new(k, [], 1)
-        terms = ((self.j * char.exponent(n) % k, c.numerator),)
-        return _new(k, _folded(k, terms), c.denominator)
-
-    @property
-    def table(self) -> tuple:
-        """C(0), ..., C(period - 1)."""
-        return tuple(map(self.entry, range(self.period)))
+                             f"lcm(T, b*k) = {P}")
+        _refuse_nonzero_mean(character, k, j,
+                             zip((j * e % k for e in exps), cs))
+        super().__init__(character, k, j, period)
 
     def __repr__(self):
         return (f"TwistedSeq({self.character.label!r}, zeta_{self.k}^{self.j}, "
@@ -314,21 +302,9 @@ class TwistedSeq(Record):
 
 
 def twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
-    """The twist of char at zeta_k^j over P = lcm(T, b*k).
-
-    C is P-periodic by construction: T divides P, and b*k dividing P makes
-    the zeta-power ratio between n + P and n one.  Refused with InvalidParam,
-    before any row is built, when P exceeds MAX_TWIST_PERIOD, and with
-    MeanValueNonzero when the twisted mean, read off the rows of
-    _twist_rows at their powers j*e(m) mod k, is not zero.
-    """
-    _admit_twist(char, k)
-    j %= k
-    P, _, exps, cs = _twist_rows(char, k)
-    _refuse_nonzero_mean(char, k, j, zip((j * e % k for e in exps), cs))
-    seq = object.__new__(TwistedSeq)
-    Record.__init__(seq, char, k, j, P)
-    return seq
+    """The twist of char at zeta_k^j over P = lcm(T, b*k), the least period
+    TwistedSeq takes, and refused as it refuses."""
+    return TwistedSeq(char, k, j, math.lcm(char.period, char.b * k))
 
 
 # -- Bernoulli machinery --------------------------------------------------------

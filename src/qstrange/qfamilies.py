@@ -44,7 +44,7 @@ from itertools import chain, islice, repeat
 from qstrange._admit import MAX_PARTIAL_SUM_WORK, InvalidParam, admit
 from qstrange._record import Record
 from qstrange.exactpoly import (WORD, IntPoly, _decode, _encode, _fitting,
-                                 _parse_number, _respace, _truncate,
+                                 _parse_number, _quoted, _respace, _truncate,
                                  pochhammer_exponents)
 
 __all__ = [
@@ -143,21 +143,35 @@ def _weights(family: FamilySpec, cap: int | None) -> Iterator[tuple]:
 
 
 class FamilySpec(Record, compare=("label",)):
-    """Immutable family descriptor: kernel kind, label, coefficient rule.
+    """Immutable family, built from its descriptor: "kz",
+    "hikami:m=<m>,alpha=<a>", "gk:k=<k>" or inline JSON.
 
-    kernel is "F" or "G"; kind names the rule ("kz", "hikami", "gk",
-    "inline") and params holds its arguments.  The label determines the
-    rest, so only the label is compared.
+    kernel ("F" or "G"), kind ("kz", "hikami", "gk", "inline"), params
+    (the rule's arguments) and label (the canonical descriptor) are all
+    read from it, so the label determines the rest and only the label is
+    compared: every family memo is keyed on it.
     """
 
     __slots__ = ("kernel", "label", "kind", "params")
 
-    def __init__(self, kernel: str, label: str, kind: str, params: tuple):
-        if kernel not in ("F", "G"):
-            raise InvalidParam(f"unknown kernel {kernel!r}")
-        if kind not in ("kz", "hikami", "gk", "inline"):
-            raise InvalidParam(f"unknown family kind {kind!r}")
-        super().__init__(kernel, label, kind, params)
+    def __init__(self, descriptor: str):
+        if not isinstance(descriptor, str):
+            raise ParseError("descriptor must be a string")
+        text = descriptor.strip()
+        head, _, tail = text.partition(":")
+        if text.startswith("{"):
+            fields = _parse_inline(text)
+        elif text == "kz":
+            fields = "F", "kz", "kz", ()
+        elif head == "hikami":
+            m, alpha = _builtin_params(head, tail, text)
+            fields = "F", f"hikami:m={m},alpha={alpha}", "hikami", (m, alpha)
+        elif head == "gk":
+            (k,) = _builtin_params(head, tail, text)
+            fields = "G", f"gk:k={k}", "gk", (k,)
+        else:
+            raise ParseError(f"unknown family descriptor {_quoted(descriptor)}")
+        super().__init__(*fields)
 
     def __repr__(self):
         return f"FamilySpec({self.label!r})"
@@ -204,22 +218,8 @@ def _stream(family: FamilySpec):
 
 
 def parse_family(descriptor: str) -> FamilySpec:
-    """Build a FamilySpec from "kz", "hikami:m=..,alpha=..", "gk:k=..", or inline JSON."""
-    if not isinstance(descriptor, str):
-        raise ParseError("descriptor must be a string")
-    text = descriptor.strip()
-    if text.startswith("{"):
-        return _parse_inline(text)
-    if text == "kz":
-        return FamilySpec("F", "kz", "kz", ())
-    head, _, tail = text.partition(":")
-    if head == "hikami":
-        m, alpha = _builtin_params(head, tail, text)
-        return FamilySpec("F", f"hikami:m={m},alpha={alpha}", "hikami", (m, alpha))
-    if head == "gk":
-        (k,) = _builtin_params(head, tail, text)
-        return FamilySpec("G", f"gk:k={k}", "gk", (k,))
-    raise ParseError(f"unknown family descriptor {descriptor!r}")
+    """FamilySpec(descriptor), under the name the README and the CLI use."""
+    return FamilySpec(descriptor)
 
 
 def _builtin_params(head: str, tail: str, full: str) -> tuple:
@@ -242,16 +242,16 @@ def _builtin_params(head: str, tail: str, full: str) -> tuple:
 def _parse_kv(tail: str, names: tuple, full: str) -> dict:
     parts = tail.split(",") if tail else []
     if len(parts) != len(names):
-        raise ParseError(f"expected {','.join(n + '=<int>' for n in names)} in {full!r}")
+        raise ParseError(f"expected {','.join(n + '=<int>' for n in names)} in {_quoted(full)}")
     out = {}
     for part, name in zip(parts, names):
         key, eq, val = part.partition("=")
         if key.strip() != name or not eq:
-            raise ParseError(f"expected {name}=<int> in {full!r}")
+            raise ParseError(f"expected {name}=<int> in {_quoted(full)}")
         try:
             out[name] = _parse_number(val.strip())
         except ValueError:
-            raise ParseError(f"bad integer for {name} in {full!r}") from None
+            raise ParseError(f"bad integer for {name} in {_quoted(full)}") from None
     return out
 
 
@@ -265,14 +265,14 @@ def _json_loads(text: str, what: str):
         raise ParseError(f"{what} is nested too deeply") from None
 
 
-def _parse_inline(text: str) -> FamilySpec:
+def _parse_inline(text: str) -> tuple:
+    """FamilySpec's fields for inline JSON; the label is its canonical form."""
     try:
         obj = _json_loads(text, "inline family JSON")
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad inline family JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("inline family must be a JSON object")
-    kernel = obj.get("kernel")  # checked by FamilySpec
     terms = obj.get("terms")
     if not isinstance(terms, list):
         raise ParseError("inline family needs a 'terms' list")
@@ -280,9 +280,12 @@ def _parse_inline(text: str) -> FamilySpec:
         polys = tuple(IntPoly.from_json_obj(t) for t in terms)
     except ValueError as exc:
         raise ParseError(f"bad term polynomial: {exc}") from None
+    kernel = obj.get("kernel")
+    if kernel not in ("F", "G"):
+        raise InvalidParam(f"unknown kernel {_quoted(kernel)}")
     canon = {"kernel": kernel, "terms": [p.to_json_obj() for p in polys]}
     label = json.dumps(canon, sort_keys=True, separators=(",", ":"))
-    return FamilySpec(kernel, label, "inline", polys)
+    return kernel, label, "inline", polys
 
 
 def _step(family: FamilySpec) -> int:

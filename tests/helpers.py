@@ -482,7 +482,7 @@ def l_value_def(seq, n: int) -> RatPoly:
     bp = bernoulli_poly_def(n + 1)
     total = RatPoly()
     for m in range(1, P + 1):
-        c = seq.entry(m)
+        c = twisted_entry(seq, m)
         if c:
             total = total + c.rep.scale(evaluate(bp, Fraction(m, P)))
     return total.scale(Fraction(-(P ** n), n + 1))
@@ -511,6 +511,20 @@ def expansion_def(family, k: int, j: int, ell: int, upper=None) -> CycloNum:
     p = theta_deriv(partial_sum(family, upper), ell)
     return eval_at_root(p, k, j).scale(
         Fraction((-1) ** ell, math.factorial(ell)))
+
+
+def twisted_entry(seq, n: int) -> CycloNum:
+    """C(n) = chi(n) * zeta_k**(j*e(n)) of a TwistedSeq, built by the public
+    CycloNum constructor from its monomial."""
+    char, k = seq.character, seq.k
+    c = char.value(n)
+    power = seq.j * char.exponent(n) % k if c else 0
+    return CycloNum(k, [0] * power + [c])
+
+
+def twisted_table(seq) -> tuple:
+    """C(0), ..., C(period - 1) of a TwistedSeq."""
+    return tuple(twisted_entry(seq, n) for n in range(seq.period))
 
 
 def twisted_table_def(char, k: int, j: int) -> list:

@@ -156,7 +156,7 @@ def test_10_l_values():
         for name in names:
             base = twisted_sequence(get_character(name), 1, 0)
             doubled = TwistedSeq(base.character, base.k, base.j,
-                                 2 * base.period, base.table * 2)
+                                 2 * base.period)
             for n in range(7):
                 assert l_value(doubled, n) == l_value(base, n), (name, n)
 

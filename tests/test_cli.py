@@ -340,6 +340,8 @@ def test_inexact_character_field_is_usage_error(capsys, tmp_path, field,
 # the last, past CPython's default digit limit, whatever the limit is set to
 OFF_GRAMMAR = ["1_0", " 7", "1 / 2", "\u0663",
                pytest.param("1" * 4301, id="4301-digits")]
+# how an error line quotes a value: whole, unless it is over 60 characters
+SHOWN = {"1" * 4301: "'" + "1" * 60 + "'... (4301 characters)"}
 
 
 @pytest.mark.parametrize("value", OFF_GRAMMAR)
@@ -352,7 +354,8 @@ def test_character_value_off_the_grammar_is_usage_error(capsys, tmp_path,
     code, out, err = invoke(capsys, "residues", "--char", str(charfile),
                             "--s", "5")
     assert (code, out) == (2, "")
-    assert err == f"error: character value {value!r} is not an exact rational\n"
+    shown = SHOWN.get(value, repr(value))
+    assert err == f"error: character value {shown} is not an exact rational\n"
 
 
 @pytest.mark.parametrize("value", OFF_GRAMMAR)
@@ -361,8 +364,8 @@ def test_inline_coefficient_off_the_grammar_is_usage_error(capsys, value):
     code, out, err = invoke(capsys, "dissect", "--family", family, "--s", "2",
                             "--N", "0")
     assert (code, out) == (2, "")
-    assert err == (f"error: bad term polynomial: {value!r} is not an exact "
-                   "integer\n")
+    assert err == (f"error: bad term polynomial: {SHOWN.get(value, repr(value))}"
+                   " is not an exact integer\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -386,6 +389,46 @@ def test_option_integer_off_the_grammar_is_usage_error(capsys, flag, value):
     assert (code, out) == (2, "")
     assert err.endswith(f"error: argument {flag}: invalid int value: "
                         f"{value!r}\n")
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    pytest.param(("carray", "--i", LONG, "--s", "5", "--ell", "2"), {},
+                 "argument --i: invalid int value: '" + "9" * 60
+                 + "'... (5000 characters)", id="option-integer"),
+    pytest.param(("dissect", "--family", "gk:k=" + LONG, "--s", "2", "--N", "0"),
+                 {}, "bad integer for k in 'gk:k=" + "9" * 55
+                 + "'... (5005 characters)", id="descriptor-integer"),
+    pytest.param(("dissect", "--family", "x" * 5000, "--s", "2", "--N", "0"),
+                 {}, "unknown family descriptor '" + "x" * 60
+                 + "'... (5000 characters)", id="descriptor"),
+    pytest.param(("residues", "--char", "y" * 5000, "--s", "5"), {},
+                 "unknown character name '" + "y" * 60
+                 + "'... (5000 characters)", id="character-name"),
+    pytest.param(("residues", "--char", "c.json", "--s", "5"),
+                 {"c.json": {"a": 1, "b": 3, "nu": 0, "period": 6,
+                             "values": {LONG: "1", "5": "-1"}}},
+                 "residue '" + "9" * 60 + "'... (5000 characters) is not an "
+                 "integer", id="residue-key"),
+    pytest.param(("residues", "--char", "c.json", "--s", "5"),
+                 {"c.json": {"a": "z" * 5000, "b": 3, "nu": 0, "period": 6}},
+                 "character field 'a' must be an integer, got '" + "z" * 60
+                 + "'... (5000 characters)", id="character-field"),
+])
+def test_long_input_is_cut_short_in_the_error_line(capsys, tmp_path,
+                                                   monkeypatch, argv, files,
+                                                   message):
+    # each echoed its input whole: over 5000 bytes of stderr
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    line = err.splitlines()[-1]
+    assert line.endswith("error: " + message)
+    assert len(line.encode()) < 200
 
 
 def test_option_integer_keeps_its_sign(capsys):
@@ -1066,8 +1109,7 @@ def test_work_guards_admit_criteria_and_bench_items(capsys):
                  "chi_hikami:m=1,alpha=0", "chi_hikami:m=2,alpha=0",
                  "chi_hikami:m=2,alpha=1"):
         base = twisted_sequence(get_character(name), 1, 0)
-        doubled = TwistedSeq(base.character, base.k, base.j,
-                             2 * base.period, base.table * 2)
+        doubled = TwistedSeq(base.character, base.k, base.j, 2 * base.period)
         for n in range(7):
             l_value(doubled, n)
     # criterion 5 and the residue sets of exact-sweep's certificates

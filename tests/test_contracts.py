@@ -1,7 +1,8 @@
 """The registry of CLI contracts, tests/data/contracts.json, through
 tests/contracts.py: each row after the README's (tests/test_readme_calls.py
 checks those) through cli.run in this process, and every row but the deep
-ones once more in one fresh process per interpreter setting."""
+ones that run the modular engine once more in one fresh process per
+interpreter setting."""
 
 import os
 import subprocess
@@ -34,8 +35,9 @@ SETTINGS = {
 
 def test_contracts_hold_under_interpreter_settings():
     # the processes run side by side; each checks every row but the deep
-    # ones in process, so later rows also read the memos that earlier ones
-    # filled
+    # scans in process, so later rows also read the memos that earlier ones
+    # filled.  The deep scans are left out because their block products
+    # slow each other down many times over when run side by side
     procs = {}
     for name, (flags, extra) in SETTINGS.items():
         env = {**os.environ, "PYTHONPATH": str(SRC), **extra}

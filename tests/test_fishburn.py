@@ -438,6 +438,23 @@ class TestModularEngine:
             if fb._levels(fam) and depth >= 100:
                 assert bound <= 4 * peak, (depth, mod, peak, bound)
 
+    def test_later_levels_reuse_one_column_block(self):
+        # a run of two or more later levels allocated each level's block
+        # while the last one was still held: at depth 300 they peaked about
+        # 20 % above gk:k=3, whose run has one later level
+        def peak(label):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                engine.xi_residues(parse_family(label), 300, 720720)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        base = peak("gk:k=3")
+        for label in ("gk:k=4", "gk:k=5", "gk:k=8", "hikami:m=5,alpha=2"):
+            assert peak(label) <= 1.05 * base, label
+
     def test_memo_returns_one_tuple(self):
         vals = _xi_mod(KZ, 60, 5)
         assert isinstance(vals, tuple)

@@ -11,6 +11,7 @@ from helpers import (
     evaluate,
     gamma_def,
     to_rat,
+    twisted_entry,
     zeta,
 )
 from qstrange.cyclofield import CycloNum
@@ -174,7 +175,7 @@ class TestTwistedSequence:
     def test_chi6_untwisted(self):
         seq = twisted_sequence(get_character("chi6"), 1, 0)
         assert seq.period == 6
-        assert seq.entry(1) == 1 and seq.entry(5) == -1
+        assert twisted_entry(seq, 1) == 1 and twisted_entry(seq, 5) == -1
 
     def test_chi_hikami_period_80(self):
         seq = twisted_sequence(get_character("chi_hikami:m=2,alpha=0"), 2, 1)
@@ -184,36 +185,37 @@ class TestTwistedSequence:
         char = get_character("chi6")
         seq = twisted_sequence(char, 3, 1)
         with pytest.raises(AttributeError):
-            seq.table = ()
+            seq.period = 2 * seq.period
         # each call builds its own sequence, equal field by field for the
         # same (character, k, j mod k)
         again = twisted_sequence(char, 3, 4)
         assert again is not seq
         assert again == seq and hash(again) == hash(seq)
         assert twisted_sequence(char, 3, 2) != seq
-        # the public constructor builds the same record from its table
-        public = TwistedSeq(char, 3, 4, seq.period, seq.table)
-        assert public.table == seq.table
+        # the constructor builds the same record from its four fields
+        public = TwistedSeq(char, 3, 4, seq.period)
+        assert (public.j, public.period) == (1, 18)
         assert public == seq and hash(public) == hash(seq)
+        assert TwistedSeq(char, 3, 1, 2 * seq.period) != seq
 
-    def test_constructor_refuses_what_is_not_the_twist(self):
+    def test_constructor_refuses_what_is_not_the_twist(self, monkeypatch):
+        import qstrange.partialtheta as pt
+
         char = get_character("chi6")
-        seq = twisted_sequence(char, 3, 1)
-        P, table = seq.period, seq.table
-        changed = list(table)
-        changed[1] = changed[1] + 1
-        other = twisted_sequence(char, 6, 1)
-        # one entry changed, entries from another conductor, a table of
-        # the wrong length, and a period that is not a multiple of P
-        for period, bad, why in (
-                (P, changed, "not the twist"),
-                (P, other.table[:P], r"Q\(zeta_3\)"),
-                (P, table[:-1], "length"),
-                (P + 1, table + table[:1], "multiple"),
-                (P // 2, table[:P // 2], "multiple")):
-            with pytest.raises(ValueError, match=why):
-                TwistedSeq(char, 3, 1, period, tuple(bad))
-        assert TwistedSeq(char, 3, 1, 2 * P, table * 2).period == 2 * P
+        P = twisted_sequence(char, 3, 1).period
+        # a period that is not a positive multiple of P
+        for period in (P + 1, P // 2, 0, -P):
+            with pytest.raises(ValueError, match="multiple"):
+                TwistedSeq(char, 3, 1, period)
+        assert TwistedSeq(char, 3, 1, 3 * P).period == 3 * P
+        with pytest.raises(ValueError, match="conductor"):
+            TwistedSeq(char, 0, 1, P)
+        with pytest.raises(MeanValueNonzero):
+            TwistedSeq(Character(0, 1, 0, 1, {0: 1}), 1, 0, 1)
+        # a twisted period past the limit is refused before any row
+        monkeypatch.setattr(pt, "_twist_rows", None)
+        with pytest.raises(InvalidParam, match="MAX_TWIST_PERIOD"):
+            TwistedSeq(char, pt.MAX_TWIST_PERIOD, 1, P)
 
     def test_cached_call_does_not_rehash_the_values(self, monkeypatch):
         # the character's hash is the key of the shared twisted rows; it is
@@ -246,7 +248,7 @@ class TestTwistedSequence:
             c = char.value(n)
             want = (zeta(k, j * char.exponent(n)).scale(c)
                     if c else CycloNum.rational(k, 0))
-            assert seq.entry(n) == want
+            assert twisted_entry(seq, n) == want
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_half_period_lemma(self, m):
@@ -257,7 +259,7 @@ class TestTwistedSequence:
                 seq = twisted_sequence(char, M, 1)
                 total = CycloNum.rational(M, 0)
                 for n in range(1, M * (8 * m + 4) + 1):
-                    total = total + seq.entry(n)
+                    total = total + twisted_entry(seq, n)
                 assert not total, (m, alpha, M)
 
     def test_no_sequence_outlives_its_request(self):
@@ -334,10 +336,11 @@ class TestLValue:
     ])
     def test_period_doubling(self, name, k, j):
         seq = twisted_sequence(get_character(name), k, j)
-        doubled = TwistedSeq(seq.character, seq.k, seq.j,
-                             2 * seq.period, seq.table * 2)
-        for n in range(7):
-            assert l_value(seq, n) == l_value(doubled, n), (name, n)
+        for times in (2, 3):
+            longer = TwistedSeq(seq.character, seq.k, seq.j,
+                                times * seq.period)
+            for n in range(7):
+                assert l_value(seq, n) == l_value(longer, n), (name, times, n)
 
     def test_doubled_sequence_reads_twice_the_rows(self, monkeypatch):
         # l_value reads the shared rows over the stored period, not the
@@ -347,7 +350,7 @@ class TestLValue:
         char = get_character("chi_kz")
         seq = twisted_sequence(char, 3, 1)
         P = seq.period
-        doubled = TwistedSeq(char, 3, 1, 2 * P, seq.table * 2)
+        doubled = TwistedSeq(char, 3, 1, 2 * P)
         read = []
         real = pt._bucket_sums
 

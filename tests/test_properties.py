@@ -24,7 +24,7 @@ from helpers import (bernoulli_number, bernoulli_numbers_def, certificate_def,
                      exact_div_def, expansion_def, fold_def, gamma_def,
                      horner_def, is_prime_def, l_value_def, ladder_def,
                      monomial, power, reassemble_def, residue_set_def, to_rat,
-                     truncate, twisted_table_def)
+                     truncate, twisted_table, twisted_table_def)
 from qstrange.cyclofield import CycloNum, _fold, eval_at_root
 from qstrange.dissection import (DivisibilityFalsified, DivisibilityReport,
                                  DivisibilityRow, OddModulusRequired, dissect,
@@ -587,26 +587,29 @@ fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 @given(valid_characters, fractions.filter(bool), st.integers(1, 12),
        st.integers(0, 12))
 def test_twisted_sequence_matches_two_period_oracle(char, scale, k, j):
-    # the oracle tabulates two periods: the second window equals the first,
-    # and the trusted sequence is the record, with the table and low
-    # L-values, that the public constructor builds from the oracle's table;
-    # scaling keeps integrality and a zero mean, and gives the values
-    # unequal denominators
+    # the oracle tabulates two periods: the second window equals the first.
+    # The sequence is refused exactly when the sum of that window, the
+    # twisted mean, is not zero; else it is the record of its four fields,
+    # at j mod k and period P, with the oracle's entries and the L-values
+    # of the definition.  Scaling keeps integrality and a zero mean, and
+    # gives the values unequal denominators
     char = Character(char.a, char.b, char.nu, char.period,
                      [v * scale for v in char.values])
     P = math.lcm(char.period, char.b * k)
     table = twisted_table_def(char, k, j)
     assert table[P:] == table[:P]
-    want = checked(TwistedSeq, char, k, j % k, P, tuple(table[:P]))
     got = checked(twisted_sequence, char, k, j)
-    if isinstance(want, tuple):
-        assert got == want
+    if sum(table[:P], CycloNum.rational(k, 0)):
+        assert got == (MeanValueNonzero, f"twisted mean of {char.label} at "
+                                         f"zeta_{k}^{j % k} is nonzero")
         return
+    want = TwistedSeq(char, k, j, P)
     assert got == want and hash(got) == hash(want)
-    assert got.table == want.table
-    assert all(stored_form_ok(x) for x in got.table)
+    assert (got.j, got.period) == (j % k, P)
+    assert twisted_table(got) == tuple(table[:P])
     for n in range(4):
-        assert l_value(got, n) == l_value(want, n)
+        value = l_value(got, n)
+        assert value.rep == l_value_def(got, n) and stored_form_ok(value)
 
 
 @PROPERTY
@@ -755,8 +758,7 @@ def twisted_seqs(draw):
     except MeanValueNonzero:
         seq = twisted_sequence(Character(0, 1, nu, T, odd), k, j)
     if draw(st.booleans()):
-        seq = TwistedSeq(seq.character, seq.k, seq.j, 2 * seq.period,
-                         seq.table * 2)
+        seq = TwistedSeq(seq.character, seq.k, seq.j, 2 * seq.period)
     return seq
 
 

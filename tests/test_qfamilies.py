@@ -27,6 +27,7 @@ from qstrange.qfamilies import (
 
 BUILTINS = ["kz", "hikami:m=2,alpha=0", "hikami:m=2,alpha=1",
             "gk:k=1", "gk:k=2", "gk:k=3"]
+INLINE = '{"kernel":"F","terms":[{"coeffs":["1"]},{"coeffs":["0","1"]}]}'
 
 
 class TestParse:
@@ -81,11 +82,40 @@ class TestParse:
         assert parse_family("kz") == parse_family("kz")
         assert parse_family("kz") != parse_family("gk:k=1")
         assert hash(parse_family("gk:k=2")) == hash(parse_family("gk:k=2"))
-        assert FamilySpec("F", "x", "kz", ()) == FamilySpec("G", "x", "gk", (1,))
 
     def test_unknown_kind_is_refused(self):
-        with pytest.raises(InvalidParam, match="kind 'bogus'"):
-            FamilySpec("F", "bogus", "bogus", ())
+        # the kind is read from the descriptor, so none but the four exists
+        with pytest.raises(ParseError, match="descriptor 'bogus'"):
+            FamilySpec("bogus")
+        assert {parse_family(d).kind for d in BUILTINS + [INLINE]} == {
+            "kz", "hikami", "gk", "inline"}
+
+    def test_four_field_call_is_refused(self):
+        # a spec built from fields could carry kz's label and gk's rule;
+        # every memo is keyed on the label, so its sum was kz's after a kz
+        # call and gk:k=3's when the memos were cold
+        with pytest.raises(TypeError):
+            FamilySpec("G", "kz", "gk", (3,))
+        kz = partial_sum(parse_family("kz"), 3)
+        assert partial_sum(FamilySpec("gk:k=3"), 3) != kz
+
+    def test_equal_labels_have_equal_fields(self):
+        descriptors = [
+            *BUILTINS, " kz ", "gk: k = +03", "hikami:m=02, alpha = 0",
+            INLINE, json.dumps(json.loads(INLINE), indent=2),
+            '{"terms": [{"coeffs": ["+1"]}, {"coeffs": ["0", "1", "0"]}], '
+            '"kernel": "F"}',
+            '{"kernel": "G", "terms": [{"coeffs": ["1"]}, {"coeffs": ["0", "1"]}]}',
+        ]
+        specs = [parse_family(d) for d in descriptors]
+        for f in specs:
+            assert FamilySpec(f.label) == f
+            for g in specs:
+                same = (f.kernel, f.kind, f.params) == (g.kernel, g.kind, g.params)
+                assert (f.label == g.label) == same == (f == g), (f, g)
+                if same:
+                    assert hash(f) == hash(g)
+        assert len(set(specs)) == len(descriptors) - 5
 
     def test_rule_fields(self):
         f = parse_family("hikami:m=2,alpha=1")
@@ -137,7 +167,7 @@ class TestTermPoly:
 
     def test_descending_requests_on_a_new_label(self):
         # the first request fills the stream's prefix; smaller ones slice it
-        f = FamilySpec("G", "gk:k=3 (descending requests)", "gk", (3,))
+        f = parse_family("gk:k=3")
         want = [helpers.to_poly(helpers.gk_g_def(3, n)) for n in range(13)]
         for n in range(12, -1, -1):
             got = f.coefficient_polys(n)
@@ -149,7 +179,7 @@ class TestTermPoly:
         # a generator cannot be advanced from two threads at once; without
         # the lock these callers raised or got wrong prefixes
         workers = 8
-        f = FamilySpec("G", "gk:k=3 (cold stream, concurrent)", "gk", (3,))
+        f = parse_family("gk:k=3")
         want = [helpers.to_poly(helpers.gk_g_def(3, n)) for n in range(13)]
         barrier = threading.Barrier(workers)
         got = [None] * workers
@@ -176,7 +206,7 @@ class TestTermPoly:
         # generator; later requests for the label must not meet a dead one,
         # nor a prefix drawn before it.  The ladder is interrupted once, as
         # it hands out packed weight 5, after weights 0..3 were drawn
-        f = FamilySpec("G", "gk:k=2 (interrupted stream)", "gk", (2,))
+        f = parse_family("gk:k=2")
         ladder, fired = qfamilies._ladder, []
 
         def interrupt_at_5(*args):

@@ -288,12 +288,30 @@ COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose invalid-choice and unrecognized-arguments
+    errors shorten an input over 60 characters with exactpoly._quoted (the
+    usage line lists the choices); shorter inputs keep argparse's lines."""
+
+    def _check_value(self, action, value):
+        if len(str(value)) > 60 and value not in (action.choices or (value,)):
+            raise argparse.ArgumentError(action, f"invalid choice: {_quoted(value)}")
+        super()._check_value(action, value)
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: " + " ".join(
+                arg if len(arg) <= 60 else _quoted(arg) for arg in extra))
+        return args
+
+
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of command alone when it names
     one: a call parses its argv with build_parser(argv[0]) and so builds
     one subparser, not ten.  Parsing gives the same result, output and exit
     code either way, usage errors and help included."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qstrange",
         description="Exact arithmetic for strange q-series: dissections, "
                     "divisibility certificates, root-of-unity expansions, "
@@ -370,7 +388,10 @@ def console_main():
     package registers none).  A flush that raises OSError, say into a
     closed pipe, leaves the exit to sys.exit, whose teardown reports it and
     exits 120; an exception that escapes run() prints its traceback and
-    exits 1."""
+    exits 1.  It sets OPENBLAS_NUM_THREADS=1 before numpy is imported,
+    unless the caller set it: more threads do not speed one call up, and
+    calls that share the CPUs slow each other down many times over."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = run()
     try:
         for stream in (sys.stdout, sys.stderr):

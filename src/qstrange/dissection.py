@@ -11,10 +11,10 @@ applies is a hard error, never a report row.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from qstrange._admit import MAX_DISSECT_MODULUS, MAX_RESIDUE_SPAN, admit
+from qstrange._memo import memo
 from qstrange._record import Record
 # verify_theorem calls no exact_div; the name stays bound here because
 # perfbench's span tests rebind it in this module
@@ -70,7 +70,7 @@ def thresholds(N: int, s: int, k: int = 1) -> tuple[int, int]:
     return lam, mu
 
 
-@functools.lru_cache(maxsize=256, typed=True)
+@memo(typed=True)
 def residue_set(char: Character, s: int) -> frozenset:
     """S_{a,b,chi}(s): residues (n^2-a)/b mod s over the support of chi.
 
@@ -80,8 +80,9 @@ def residue_set(char: Character, s: int) -> frozenset:
     MAX_RESIDUE_SPAN.  Memoized per (chi, s): the modulus and the span are
     checked once, when the entry is first built, and equal characters share
     an entry whatever their labels.  An invalid modulus is refused on every
-    call.  A set mod s holds up to s residues, so the memo keeps only the
-    latest 256 entries (perfbench's exact-sweep makes 19).
+    call.  A set mod s holds up to s residues; the memo is _memo's,
+    bounded by the bytes of the sets it keeps.  Keys are typed, so
+    residue_set(char, True) is not residue_set(char, 1).
     """
     if s < 1:
         raise ValueError("modulus must be positive")

@@ -44,6 +44,7 @@ import struct
 from collections.abc import Sequence
 from fractions import Fraction
 
+from qstrange._memo import memo
 from qstrange._record import Record, _set
 
 __all__ = [
@@ -524,14 +525,14 @@ def _cyclotomic_binomials(k: int) -> list:
     return factors
 
 
-@functools.lru_cache(maxsize=256)
+@memo
 def cyclotomic(k: int) -> IntPoly:
     """k-th cyclotomic polynomial, monic, with cyclotomic(1) = q - 1.
 
     The product of _cyclotomic_binomials(k); the mu = +1 binomials go
-    first, so each division is exact.  The memo keeps the latest 256, as
-    the other memos of large entries do: Phi_k near k = 90000 holds about
-    0.44 MB, and root matching reads at most a handful of conductors.
+    first, so each division is exact.  Memoized, within _memo's byte
+    budget: Phi_k near k = 90000 holds about 0.44 MB, and root matching
+    reads at most a handful of conductors.
     """
     if k < 1:
         raise ValueError("k must be positive")

@@ -19,13 +19,13 @@ SHARED = lcm(1..16) reads, reduced, the one run per (family, depth) modulo
 SHARED unless the family runs a column ladder.  Processes share nothing.
 """
 
-import functools
-
 from ._admit import (MAX_MODULAR_WORK, MAX_PARTIAL_SUM_WORK, MAX_TABLE_BYTES,
                      InvalidParam, admit)
+from ._memo import memo
 from ._record import Record
 from .exactpoly import _one_minus_q_coeff, subst_one_minus_q
-from .qfamilies import _shape, partial_sum, partial_sum_work
+from .qfamilies import (_admitted, _partial_sum_value, _shape, partial_sum,
+                        partial_sum_work)
 
 __all__ = [
     "EngineMismatch",
@@ -139,9 +139,9 @@ def _float_exact(mod: int, depth: int) -> bool:
     return (mod - 1) ** 2 * (depth + 1) < 2 ** 53
 
 
-@functools.lru_cache(maxsize=256)
+@memo
 def _xi_mod(family, depth: int, mod: int) -> tuple:
-    """xi(0..depth) mod ``mod`` by the modular engine; the latest 256 memoized.
+    """xi(0..depth) mod ``mod`` by the modular engine, memoized.
 
     A divisor of SHARED below it reads the run modulo SHARED, reduced,
     unless the family has a level after the first, whose column ladder
@@ -162,8 +162,10 @@ def _xi_mod(family, depth: int, mod: int) -> tuple:
 
 
 def _xi_exact(family, n: int, mod: int) -> int:
-    """xi(n) mod ``mod``, exact, refused as partial_sum(family, n) is."""
-    return _one_minus_q_coeff(partial_sum(family, n), n) % mod
+    """xi(n) mod ``mod``, exact, refused as partial_sum(family, n) is; the
+    sum is read once and not kept."""
+    sum_n = _partial_sum_value.__wrapped__(*_admitted(family, n))
+    return _one_minus_q_coeff(sum_n, n) % mod
 
 
 # -- congruence checking ------------------------------------------------------

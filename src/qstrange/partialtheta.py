@@ -28,9 +28,9 @@ step does its work once at the level its inputs allow:
   coefficients of B_{n+1}, folds mod Phi_k once and divides once;
 - per character, conductor k and top order of a gamma or match request
   (_theta_classes): the same work, done once for every root of order k
-  on the classes r = e mod k instead of the powers, with the class
-  numerators of each L-value and of each gamma_n built when a root
-  first reads that order;
+  on the classes r = e mod k instead of the powers, and per order n the
+  class numerators of L(-2n-nu, C) and of gamma_n, one memo entry each,
+  built when a root first reads that order;
 - per gamma or match request at zeta_k^j: the order-0 class sums and the
   class numerators of each gamma_n read placed at powers j*r mod k and
   folded, the first to refuse a nonzero twisted mean.
@@ -42,7 +42,6 @@ InvalidParam before any arithmetic.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator
 from fractions import Fraction
@@ -50,6 +49,7 @@ from itertools import islice
 from operator import mul
 
 from qstrange._admit import MAX_L_WORK, MAX_TWIST_PERIOD, admit
+from qstrange._memo import Memo, memo
 from qstrange._record import Record
 from qstrange.cyclofield import CycloNum, _folded, _new
 from qstrange.exactpoly import RatPoly, _parse_number, _quoted
@@ -97,13 +97,14 @@ def _exact_value(v) -> Fraction:
             f"character value {_quoted(v)} is not an exact rational") from None
 
 
-class Character(Record, compare=("a", "b", "nu", "period", "values")):
+class Character(Record, compare=("a", "b", "nu", "period", "den", "terms")):
     """Periodic rational character with quadratic exponent data (a, b, nu).
 
     values, a {residue: value} dict or one full period of ints, Fractions or
     exact strings, is stored as a tuple of Fractions; terms holds the
     nonzero ones as (residue, integer) pairs over the common denominator
-    den.  Equality and hashing compare a, b, nu, period and values; the
+    den.  Equality and hashing compare a, b, nu, period and values, the
+    values through den and terms, which fix them and hold ints alone; the
     hash, of the nonzero values with their residues, is computed once,
     since every memoized call hashes its character.  Refused with
     InvalidParam, before its table is built, when lcm(period, b) exceeds
@@ -238,15 +239,14 @@ def get_character(name: str) -> Character:
     A non-string is refused with ParseError.  The name's parameters are
     checked and the record is built once per stripped name, when it is
     first asked for; later calls return that same immutable record while
-    it is among the latest 16 names asked for.  A refused or unknown name
-    raises on every call.
+    the memo keeps it.  A refused or unknown name raises on every call.
     """
     if not isinstance(name, str):
         raise ParseError("character name must be a string")
     return _builtin_character(name.strip())
 
 
-@functools.lru_cache(maxsize=16)
+@memo
 def _builtin_character(text: str) -> Character:
     if text == "chi_kz":
         return _chi_kz()
@@ -369,26 +369,25 @@ def l_value(seq: TwistedSeq, n: int) -> CycloNum:
     admit("MAX_L_WORK", l_value_work(n, P), f"work of L(-{n}, C) at period {P}")
     base, ms, exps, cs = _twist_rows(seq.character, k)
     times = P // base
-    sums = _bucket_sums((shift + m for shift in range(0, P, base) for m in ms),
-                        (seq.j * e % k for e in exps * times), cs * times,
-                        n + 1)
+    keys, sums = _bucket_sums(
+        (shift + m for shift in range(0, P, base) for m in ms),
+        (seq.j * e % k for e in exps * times), cs * times, n + 1)
     nums, den = _l_value(n, P, _bernoulli(n + 1), sums)
-    return _new(k, _folded(k, nums), den * seq.character.den)
+    return _new(k, _folded(k, zip(keys, nums)), den * seq.character.den)
 
 
-def _l_value(n: int, P: int, bern: list, sums: list) -> tuple:
+def _l_value(n: int, P: int, bern, sums) -> tuple:
     """The numerators of L(-n, C) at period P, from bern = B_0, ..., B_{n+1}
-    as _bernoulli gives them and _bucket_sums to an order of at least n+1,
-    with no admission: (nums, d * (n+1) * P), d the lcm over every pair in
-    bern, where nums pairs each group's key with minus sum_e
-    C(n+1, e) B_{n+1-e} d P^(n+1-e) times its e-th sum.  Keyed by power of
-    zeta, L(-n, C) is sum v * zeta**power over the pairs (power, v) of
-    nums, over that denominator times the sequence's."""
+    as _bernoulli gives them and the sums of _bucket_sums to an order of at
+    least n+1, with no admission: (nums, d * (n+1) * P), d the lcm over
+    every pair in bern, where nums holds minus sum_e C(n+1, e) B_{n+1-e}
+    d P^(n+1-e) times the e-th sum of each key.  L(-n, C) is sum v *
+    zeta**key over the keys and nums, over that denominator times the
+    sequence's."""
     d = math.lcm(*(den for _, den in bern))
     weights = [math.comb(n + 1, e) * num * (d // den) * P ** (n + 1 - e)
                for e, (num, den) in enumerate(reversed(bern))]
-    return ([(key, -sum(map(mul, weights, row))) for key, row in sums],
-            d * (n + 1) * P)
+    return [-sum(map(mul, weights, row)) for row in sums], d * (n + 1) * P
 
 
 def gamma_coeff(char: Character, k: int, j: int, n: int) -> CycloNum:
@@ -409,44 +408,55 @@ def gamma_coeff(char: Character, k: int, j: int, n: int) -> CycloNum:
     return next(islice(_gammas(char, k, j, n), n, None))
 
 
+_ORDERS = Memo("qstrange.partialtheta._gammas")
+
+
 def _gammas(char: Character, k: int, j: int, top: int) -> Iterator[CycloNum]:
     """gamma_0, ..., gamma_top at zeta_k^j, with one L-value per order.
 
     Over b^n n!, gamma_n is sum_r a^(n-r) (-1)^r C(n, r) L_r, with
     L_r = L(-2r-nu, C).  Both sides are linear in the classes r of
     e(m) mod k, which a root zeta_k^j only places at its powers j*r mod k,
-    so everything but that placement is done once per (char, k, top) and
-    shared by every root of order k (_theta_classes): the power sums of
-    each class and one Bernoulli pass up front, then, when a root first
-    reads gamma_n, the class numerators of L_n (_l_value) and of gamma_n,
-    the integer sum above over the lcm of the L-values' denominators.
-    This root places the order-0 sums and folds them, to refuse a nonzero
-    twisted mean, then places and folds each gamma_n's numerators, and
-    normalizes once.  Nothing but the twisted period is admitted here: the
-    caller admits gamma_work at top.
+    so everything but that placement is shared by every root of order k:
+    the power sums of each class and one Bernoulli pass per (char, k, top)
+    (_theta_classes), and, once a root reads gamma_n, the memo entry of
+    (char, k, n) in _ORDERS: one tuple of ints, the denominators of L_n
+    and of gamma_n, then the class numerators of L_n (_l_value) and of
+    gamma_n, the integer sum above over the lcm of the L-values'
+    denominators.  They depend neither on the root nor on top, since a
+    lower order reads a prefix of each class's sums.  This root places the
+    order-0 sums and folds them, to refuse a nonzero twisted mean, then
+    places and folds each gamma_n's numerators, and normalizes once.
+    Nothing but the twisted period is admitted here: the caller admits
+    gamma_work at top.
     """
     _admit_twist(char, k)
     j %= k
-    a, b, nu = char.a, char.b, char.nu
-    P, bern, sums, lvals, gammas = _theta_classes(char, k, top)
-    at = [j * r % k for r, _ in sums]  # the power of each class r
-    _refuse_nonzero_mean(char, k, j, zip(at, (row[0] for _, row in sums)))
+    P, bern, classes, sums = _theta_classes(char, k, top)
+    at = [j * r % k for r in classes]  # the power of each class r
+    _refuse_nonzero_mean(char, k, j, zip(at, (row[0] for row in sums)))
+    c, read = len(classes), []  # the entries of the orders before n
     for n in range(top + 1):
-        if gammas[n] is None:  # an equal value if two roots race to fill it
-            order = 2 * n + nu
+        entry = _ORDERS.get((char, k, n))
+        if entry is None:
+            order = 2 * n + char.nu
             nums, den = _l_value(order, P, bern[:order + 2], sums)
             # in lowest terms, so the sums below stay as small as they
             # were on the folded, normalized L-values of one root
-            g = math.gcd(den, *(v for _, v in nums))
-            lvals[n] = ([v // g for _, v in nums], den // g)
-            lcm = math.lcm(*(d for _, d in lvals[:n + 1]))
-            acc = [0] * len(sums)
-            for r, (vals, d) in enumerate(lvals[:n + 1]):
-                c = (-1) ** r * math.comb(n, r) * a ** (n - r) * (lcm // d)
+            g = math.gcd(den, *nums)
+            lvals = [(e[2:c + 2], e[0]) for e in read] + [(
+                [v // g for v in nums], den // g)]
+            lcm = math.lcm(*(d for _, d in lvals))
+            acc = [0] * c
+            for r, (vals, d) in enumerate(lvals):
+                w = (-1) ** r * math.comb(n, r) * char.a ** (n - r) * (lcm // d)
                 for i, v in enumerate(vals):
-                    acc[i] += c * v
-            gammas[n] = (acc, lcm * char.den * b ** n * math.factorial(n))
-        yield _new(k, _folded(k, zip(at, gammas[n][0])), gammas[n][1])
+                    acc[i] += w * v
+            entry = _ORDERS.put((char, k, n), (
+                den // g, lcm * char.den * char.b ** n * math.factorial(n),
+                *lvals[-1][0], *acc))
+        read.append(entry)
+        yield _new(k, _folded(k, zip(at, islice(entry, c + 2, None))), entry[1])
 
 
 def theta_truncated(char: Character, cap: int) -> RatPoly:
@@ -473,7 +483,7 @@ def theta_truncated(char: Character, cap: int) -> RatPoly:
 
 # -- rows and power sums shared by the roots of one order -------------------
 
-@functools.lru_cache(maxsize=256)
+@memo
 def _twist_rows(char: Character, k: int) -> tuple:
     """What every root of order k shares: P = lcm(T, b*k) and, for the
     supported m in 1..P ascending, m, e(m) mod k and chi(m) * den."""
@@ -495,33 +505,29 @@ def _power_sums(xs, cs, top: int) -> list:
     return out
 
 
-def _bucket_sums(ms, keys, cs, top: int) -> list:
-    """(key, sums) for each key among the parallel sequences ms, keys and
-    cs, one row (m, key, c) per place: sums[e] is sum c * m**e over the
-    rows with that key, e <= top."""
+def _bucket_sums(ms, keys, cs, top: int) -> tuple:
+    """(keys, sums) over the parallel sequences ms, keys and cs, one row
+    (m, key, c) per place: each key once and its sums, whose e-th entry is
+    sum c * m**e over the rows with that key, e <= top."""
     groups = {}
     for m, key, c in zip(ms, keys, cs):
         xs, ys = groups.setdefault(key, ([], []))
         xs.append(m)
         ys.append(c)
-    return [(key, _power_sums(xs, ys, top))
-            for key, (xs, ys) in groups.items()]
+    return (tuple(groups),
+            tuple(_power_sums(xs, ys, top) for xs, ys in groups.values()))
 
 
-@functools.lru_cache(maxsize=256)
+@memo
 def _theta_classes(char: Character, k: int, top: int) -> tuple:
     """What every root of order k shares for gamma_0, ..., gamma_top:
-    (P, bern, sums, lvals, gammas).  bern is B_0, ..., B_{2top+nu+1}, and
-    sums the _bucket_sums of the _twist_rows keyed by the class
-    r = e(m) mod k, to that order.  lvals and gammas have one slot per
-    order n, None until a root first reads gamma_n; _gammas then fills
-    them with the numerators, one per class in the order of sums, and the
-    denominator of L(-2n-nu, C) and of gamma_n, which do not depend on the
-    root."""
-    P, ms, exps, cs = _twist_rows(char, k)
+    (P, bern, classes, sums), with bern B_0, ..., B_{2top+nu+1} and
+    (classes, sums) the _bucket_sums of the _twist_rows keyed by the class
+    r = e(m) mod k, to that order.  The rows are built afresh and not kept,
+    since the class sums stand in for them."""
+    P, ms, exps, cs = _twist_rows.__wrapped__(char, k)
     order = 2 * top + char.nu + 1
-    return (P, _bernoulli(order), _bucket_sums(ms, exps, cs, order),
-            [None] * (top + 1), [None] * (top + 1))
+    return (P, tuple(_bernoulli(order)), *_bucket_sums(ms, exps, cs, order))
 
 
 def _admit_twist(char: Character, k: int) -> None:

@@ -28,19 +28,19 @@ requests grow, and no products.  Tests check it against tuple enumeration.
 The ladder and the Horner sums hold each polynomial as a _packed triple
 (l1 bound, slot width, one packed int of exactpoly's codec), so that a
 shift-and-add is one pass in C over an int.  Each family's weights are
-drawn once, from the lru_cache memo _stream, which keeps the latest 8
-families; only coefficient_polys decodes them to IntPoly, and a sum is
-decoded once.
+drawn once, from _stream, whose memo entry per family holds what the
+ladders keep and grows with each draw; only coefficient_polys decodes
+them to IntPoly, and a sum is decoded once.  Every memo here is one of
+_memo's, bounded by the bytes its entries hold.
 """
 
 from __future__ import annotations
 
-import _thread
-import functools
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat
 
+from qstrange import _memo
 from qstrange._admit import MAX_PARTIAL_SUM_WORK, InvalidParam, admit
 from qstrange._record import Record
 from qstrange.exactpoly import (WORD, IntPoly, _decode, _encode, _fitting,
@@ -65,7 +65,8 @@ class ParseError(ValueError):
 # -- the ladder --------------------------------------------------------------
 
 def _ladder(weights: Iterable[tuple], c0: int, base: int,
-            cap: int | None = None, count: int = 1) -> Iterator[tuple]:
+            cap: int | None = None, count: int = 1,
+            held: list | None = None) -> Iterator[tuple]:
     """Stream A(n) = sum_t Q^(t^2 + c0*t) * w(t) * [n choose t]_Q for n = 0, 1, ...
 
     Q = q**base.  With count > 1, one generator runs count such levels, each
@@ -80,9 +81,13 @@ def _ladder(weights: Iterable[tuple], c0: int, base: int,
     same recurrence on the bound of w(m), and a level's column 0 bounds all
     its columns; before a step would let the last level's column 0 reach
     the slot (or w(m) comes wider), every column moves to a doubled width.
+    The levels' lists of columns and of bounds go to held, when given, so
+    that a caller can size what the ladder keeps.
     """
     width = WORD
     levels = [([], []) for _ in range(count)]  # (packed columns, l1 bounds)
+    if held is not None:
+        held += chain.from_iterable(levels)
     for m, (norm, wide, val) in enumerate(weights):
         if cap is not None:
             val = _truncate(val, wide, cap + 1)
@@ -126,16 +131,18 @@ def _shape(family: FamilySpec) -> tuple[list, bool]:
     return [run for run in runs if run[0]], shift
 
 
-def _weights(family: FamilySpec, cap: int | None) -> Iterator[tuple]:
+def _weights(family: FamilySpec, cap: int | None,
+             held: list | None = None) -> Iterator[tuple]:
     """The family's _packed weights: its inline terms then zeros, or all
     ones, through each ladder level (truncated at degree cap when cap is
-    set), then gk's shift of weight n by q**n, that is by n slots."""
+    set), then gk's shift of weight n by q**n, that is by n slots.  Each
+    level's columns go to held as _ladder says."""
     vals = repeat((1, WORD, 1))
     if family.kind == "inline":
         vals = chain(map(_packed, family.params), repeat((0, WORD, 0)))
     levels, shift = _shape(family)
     for count, c0, base, drop in levels:
-        vals = islice(_ladder(vals, c0, base, cap, count), drop, None)
+        vals = islice(_ladder(vals, c0, base, cap, count, held), drop, None)
     if shift:
         vals = ((norm, width, x << n * width)
                 for n, (norm, width, x) in enumerate(vals))
@@ -184,37 +191,32 @@ class FamilySpec(Record, compare=("label",)):
         the family's stream, so a request pays only for values not yet
         drawn, and refused with InvalidParam as partial_sum(upper) is."""
         return [IntPoly._new(_decode(x, width))
-                for _, width, x in _stream(self)(upper)]
+                for _, width, x in _stream(self, upper)]
 
 
-@functools.lru_cache(maxsize=8)
-def _stream(family: FamilySpec):
-    """draw(upper): the family's _packed weights 0..upper as a new list,
-    admitted as partial_sum(upper) is, each drawn once from _weights and
-    kept.  The lock is there because a generator cannot be advanced from
-    two threads; one that raised (say, on KeyboardInterrupt) is finished,
-    so the stream starts over.  A cold race may build two; both are right.
-    One stream can hold 20 MB, so the memo keeps the latest 8 families
-    (perfbench's root-match, the widest workload, draws from 7)."""
-    lock, gen, drawn = _thread.allocate_lock(), None, []
+_STREAMS = _memo.Memo("qstrange.qfamilies._stream")
 
-    def draw(upper: int) -> list[tuple]:
-        nonlocal gen
-        if upper < 0:
-            raise ValueError("upper must be nonnegative")
-        admit("MAX_PARTIAL_SUM_WORK", partial_sum_work(family, upper),
-              f"weights of {family.label} up to n = {upper}")
-        with lock:
-            try:
-                gen = gen or _weights(family, None)
-                while len(drawn) <= upper:
-                    drawn.append(next(gen))
-            except BaseException:
-                gen = None
-                drawn.clear()
-                raise
-            return drawn[: upper + 1]
-    return draw
+
+def _stream(family: FamilySpec, upper: int) -> list[tuple]:
+    """The family's _packed weights 0..upper as a new list, admitted as
+    partial_sum(upper) is, each drawn once from _weights.  The memo entry
+    (weights drawn, their generator, the columns its ladders keep) is the
+    one that grows: a draw takes it out under the memo's lock, since a
+    generator cannot be advanced from two threads, and stores it again,
+    sized anew.  A draw that raises (say, on KeyboardInterrupt) leaves no
+    entry, so the next one starts over."""
+    if upper < 0:
+        raise ValueError("upper must be nonnegative")
+    admit("MAX_PARTIAL_SUM_WORK", partial_sum_work(family, upper),
+          f"weights of {family.label} up to n = {upper}")
+    entry = _STREAMS.get((family,))
+    if entry is None or len(entry[0]) <= upper:
+        with _memo.LOCK:
+            drawn, gen, held = _STREAMS.pop((family,)) or ((), None, [])
+            gen = gen or _weights(family, None, held)
+            drawn += tuple(islice(gen, upper + 1 - len(drawn)))
+            entry = _STREAMS.put((family,), (drawn, gen, held))
+    return list(entry[0][: upper + 1])
 
 
 def parse_family(descriptor: str) -> FamilySpec:
@@ -396,21 +398,28 @@ def partial_sum(family: FamilySpec, upper: int) -> IntPoly:
     """Sum of f_n(q)*kernel(n) for n = 0..upper, exactly, f_n the n-th of
     the family's coefficient_polys.
 
-    Memoized per (family, upper), the latest 256: a call returns the memo's
-    one immutable IntPoly.  One Horner pass of O(upper) binomial factors,
+    Memoized per (family, upper): a call returns the memo's one immutable
+    IntPoly while the memo keeps it.  One Horner pass of O(upper) binomial factors,
     each a shift and a subtraction of one packed int, in O(degree x slot
     words).  Raises InvalidParam if partial_sum_work > MAX_PARTIAL_SUM_WORK.
     """
+    return _partial_sum_value(*_admitted(family, upper))
+
+
+def _admitted(family: FamilySpec, upper: int) -> tuple:
+    """(family, upper), once partial_sum's limit admits them.  A caller that
+    reads a sum once, to keep something smaller, passes them on to
+    _partial_sum_value.__wrapped__, so that the sum is not kept."""
     if upper < 0:
         raise ValueError("upper must be nonnegative")
     admit("MAX_PARTIAL_SUM_WORK", partial_sum_work(family, upper),
           f"partial-sum work of {family.label} at N = {upper}")
-    return _partial_sum_value(family, upper)
+    return family, upper
 
 
-@functools.lru_cache(maxsize=256)
+@_memo.memo
 def _partial_sum_value(family: FamilySpec, upper: int) -> IntPoly:
-    return _horner(family, _stream(family)(upper))
+    return _horner(family, _stream(family, upper))
 
 
 def partial_sum_prefix(family: FamilySpec, upper: int, cap: int) -> IntPoly:

@@ -23,9 +23,10 @@ of e mod the root's order and per l <= d (_series_moments, shared by every
 root and request with the same family, index, order and d); a root only
 places each class at its power of zeta.  The theta side is shared the
 same way, as partialtheta describes: per character, conductor and d, the
-power sums of each class of exponents mod k, one Bernoulli pass and the
-class numerators of each order's L-value and gamma, built when a root
-first reads that order; a root places them at its powers and folds.
+power sums of each class of exponents mod k and one Bernoulli pass, and
+per character, conductor and order, the class numerators of that order's
+L-value and gamma, built when a root first reads that order; a root
+places them at its powers and folds.
 
 The module also carries the derivative bookkeeping used to extract single
 dissection pieces from a series: applying (q d/dq)**l to q**i * g(q**s)
@@ -33,18 +34,18 @@ produces a fixed integer combination of shifted derivatives of g, and
 ``c_array`` tabulates those combinations.
 """
 
-import functools
 import math
 from collections.abc import Iterator
 from itertools import islice, zip_longest
 
 from ._admit import InvalidParam, admit
 from ._admit import MAX_C_ARRAY_WORK, MAX_MATCH_INDEX  # re-exported
+from ._memo import memo
 from ._record import Record
 from .cyclofield import CycloNum, _fold, _folded, _new
 from .exactpoly import theta_deriv
 from .partialtheta import _gammas, _power_sums, gamma_work
-from .qfamilies import partial_sum, partial_sum_work
+from .qfamilies import _admitted, _partial_sum_value, partial_sum_work
 
 
 class OddOrderRequired(ValueError):
@@ -105,14 +106,14 @@ def _root_values(family, index: int, k: int, j: int,
         yield _new(k, _folded(k, zip(at, column)), math.factorial(ell))
 
 
-@functools.lru_cache(maxsize=256)
+@memo
 def _series_moments(family, index: int, k: int, top: int) -> tuple:
     """For ell = 0..top, one sum per residue r mod k: that of c_e * (-e)**ell
     over the coefficients c_e of the partial sum at index with e = r mod k,
     so the sign of (-1)**ell / ell! is paid once per entry, not per root.
-    Keyed on the family and numbers, never on the sum, so the partial-sum
-    memo stays the only holder of the polynomial."""
-    coeffs = partial_sum(family, index).coeffs
+    Keyed on the family and numbers, never on the sum, which is read once,
+    refused as partial_sum refuses it, and not kept."""
+    coeffs = _partial_sum_value.__wrapped__(*_admitted(family, index)).coeffs
     return tuple(zip(*(_power_sums(range(-r, -len(coeffs), -k), coeffs[r::k],
                                    top)
                        for r in range(k))))

@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qstrange import _admit
+from qstrange import _admit, _memo
 from qstrange.cli import build_parser, cmd_identity_check
 from qstrange.cyclofield import ConductorMismatch, CycloNum, eval_at_root
 from qstrange.dissection import (DivisibilityFalsified, DivisibilityReport,
@@ -34,6 +34,11 @@ from qstrange.partialtheta import (Character, IntegralityViolation,
 from qstrange.qfamilies import (FamilySpec, InvalidParam, parse_family,
                                  partial_sum)
 from qstrange.strangematch import c_array, match_expansion, stable_derivative
+
+
+def memo_entries(name: str) -> dict:
+    """The entries that the memo named name stores now, value by key."""
+    return {key: entry[0] for key, entry in _memo.MEMOS[name].entries.items()}
 
 
 # -- polynomial helpers the library does not need --------------------------
@@ -651,7 +656,7 @@ GUARDS = {
     "edge_index": ("MAX_PARTIAL_SUM_WORK", "qstrange.qfamilies",
                    lambda arg, x: verify_congruence(
                        parse_family(arg), EDGE_P, 1, EDGE_P - x, x),
-                   [("qstrange.qfamilies", "_partial_sum_value"),
+                   [("qstrange.qfamilies", "_horner"),
                     ("qstrange.fishburn", "_xi_mod")]),
     "l_value": ("MAX_L_WORK", "qstrange.partialtheta",
                 lambda arg, x: l_value(twisted_sequence(
@@ -663,7 +668,7 @@ GUARDS = {
     "match": ("MAX_MATCH_INDEX", "qstrange.strangematch",
               lambda arg, x: match_expansion(parse_family(arg),
                                              get_character("chi_kz"), 1, 0, x),
-              [("qstrange.strangematch", "partial_sum"),
+              [("qstrange.qfamilies", "_horner"),
                ("qstrange.strangematch", "_series_moments"),
                ("qstrange.partialtheta", "_theta_classes"),
                ("qstrange.partialtheta", "_bucket_sums"),

@@ -416,6 +416,17 @@ LONG = "9" * 5000
                  {"c.json": {"a": "z" * 5000, "b": 3, "nu": 0, "period": 6}},
                  "character field 'a' must be an integer, got '" + "z" * 60
                  + "'... (5000 characters)", id="character-field"),
+    # argparse's own lines: 5314, 5201 and 5184 bytes of stderr before
+    pytest.param(("x" * 5000,), {}, "argument command: invalid choice: '"
+                 + "x" * 60 + "'... (5000 characters)", id="subcommand"),
+    pytest.param(("dissect", "--format", "x" * 5000, "--family", "kz",
+                  "--s", "2", "--N", "0"), {},
+                 "argument --format: invalid choice: '" + "x" * 60
+                 + "'... (5000 characters)", id="choice"),
+    pytest.param(("dissect", "--family", "kz", "--s", "2", "--N", "0",
+                  "--" + "x" * 4998), {},
+                 "unrecognized arguments: '--" + "x" * 58
+                 + "'... (5000 characters)", id="unknown-option"),
 ])
 def test_long_input_is_cut_short_in_the_error_line(capsys, tmp_path,
                                                    monkeypatch, argv, files,
@@ -685,9 +696,10 @@ def test_lvalue_over_work_limit_is_usage_error(capsys, monkeypatch):
 
 def test_match_over_index_limit_is_usage_error(capsys, monkeypatch):
     import qstrange.partialtheta as pt
+    import qstrange.qfamilies as qf
     import qstrange.strangematch as sm
 
-    monkeypatch.setattr(sm, "partial_sum", _never("partial_sum"))
+    monkeypatch.setattr(qf, "_horner", _never("the partial sum"))
     monkeypatch.setattr(sm, "_series_moments", _never("_series_moments"))
     monkeypatch.setattr(pt, "_bucket_sums", _never("_bucket_sums"))
     monkeypatch.setattr(pt, "_l_value", _never("_l_value"))
@@ -979,6 +991,25 @@ cli.console_main()
     assert (code, out) == (1, "")
     assert err.startswith("Traceback (most recent call last):\n")
     assert err.endswith("RuntimeError: forced out of run\n")
+
+
+@pytest.mark.parametrize("caller, want", [(None, "1"), ("4", "4")])
+def test_console_entry_runs_one_blas_thread(monkeypatch, caller, want):
+    # four scans side by side took 7.8-24.1 s on 2 vCPUs with OpenBLAS's
+    # default threads, against 0.6 s on one thread each; a caller's own
+    # setting stays
+    import qstrange.cli as cli
+
+    # setenv first, so that the variable is restored after the test
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller or "")
+    if caller is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda: seen.append(
+        os.environ.get("OPENBLAS_NUM_THREADS")) or 0)
+    monkeypatch.setattr(os, "_exit", seen.append)
+    cli.console_main()
+    assert seen == [want, 0]
 
 
 # each was killed by a 10 s timeout before the partial-sum work limit

@@ -22,6 +22,29 @@ def test_contract_holds(row, tmp_path):
     assert why is None, why
 
 
+def test_contracts_hold_while_memos_evict(monkeypatch, tmp_path):
+    # results must not depend on what the memos keep: every row without a
+    # timeout, in one process and in registry order, under a budget so
+    # low that rows evict what earlier rows stored, and what they stored
+    # themselves, keeps its exit code, stdout and error line
+    from qstrange import _memo
+
+    monkeypatch.setattr(_memo, "BUDGET", 1 << 12)
+    evictions = []
+    for i, row in enumerate(contracts.load()):
+        if "timeout" in row:
+            continue
+        before = sum(memo.stats[2] for memo in _memo.MEMOS.values())
+        held = sum(map(len, (memo.entries for memo in _memo.MEMOS.values())))
+        (tmp_path / str(i)).mkdir()
+        why = contracts.check(row, tmp_path / str(i))
+        assert why is None, (contracts.row_id(row), why)
+        after = sum(memo.stats[2] for memo in _memo.MEMOS.values())
+        evictions.append((after - before, held))
+    assert any(0 < n <= held for n, held in evictions)  # earlier rows' entries
+    assert any(n > held for n, held in evictions)  # its own entries too
+
+
 # exit codes and stdout must not depend on the hash seed, on the limit of
 # int-string conversion (640 is the least it may be set to, 0 lifts it) or
 # on whether asserts run

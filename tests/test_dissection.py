@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
+
+import qstrange
 
 from helpers import (pochhammer_factorization, power, reassemble_def,
                      residue_set_def)
@@ -13,11 +17,15 @@ from qstrange.dissection import (
     thresholds,
     verify_theorem,
 )
+from qstrange import _memo
 from qstrange.exactpoly import IntPoly, NotDivisible, cyclotomic, exact_div, pochhammer
+from qstrange.fishburn import _xi_mod
 from qstrange.partialtheta import (Character, CharacterInvalid,
                                    IntegralityViolation, MeanValueNonzero,
-                                   get_character)
+                                   gamma_coeff, get_character, l_value,
+                                   twisted_sequence)
 from qstrange.qfamilies import InvalidParam, parse_family, partial_sum
+from qstrange.strangematch import match_expansion
 
 
 def rand_poly(rng, max_deg=40):
@@ -163,32 +171,63 @@ class TestMemos:
                 residue_set(char, 0)
 
     def test_every_memo_is_found(self, memos):
-        # the helper that empties the memos between tests finds them all
+        # every memo is the helper's, so the fixture that empties them
+        # between tests finds them all in its registry; no module keeps a
+        # functools.lru_cache beside it
         assert sorted(memos) == [
             "qstrange.dissection.residue_set",
             "qstrange.exactpoly.cyclotomic",
             "qstrange.fishburn._xi_mod",
             "qstrange.partialtheta._builtin_character",
+            "qstrange.partialtheta._gammas",
             "qstrange.partialtheta._theta_classes",
             "qstrange.partialtheta._twist_rows",
             "qstrange.qfamilies._partial_sum_value",
             "qstrange.qfamilies._stream",
             "qstrange.strangematch._series_moments",
         ]
+        assert [f"{info.name}.{name}"
+                for info in pkgutil.iter_modules(qstrange.__path__, "qstrange.")
+                for name, obj in vars(importlib.import_module(info.name)).items()
+                if hasattr(obj, "cache_info")] == []
 
-    def test_every_memo_is_bounded(self, memos):
-        # a memo without a bound keeps every entry that a sweep asks for
-        assert [name for name, memo in memos.items()
-                if memo.cache_info().maxsize is None] == []
+    def test_every_memo_is_bounded(self, memos, monkeypatch):
+        # every memo's entries count against the one budget: under a
+        # lowered one, calls that fill all ten memos keep the bytes of
+        # all of them within it, and each memo's count of bytes is the
+        # size of what it stores now
+        monkeypatch.setattr(_memo, "BUDGET", 1 << 18)
+        kz, gk1, chi6 = parse_family("kz"), parse_family("gk:k=1"), get_character("chi6")
+        for j in range(1, 41):
+            match_expansion(kz, get_character("chi_kz"), j % 7 + 1, j, 2)
+            gamma_coeff(chi6, j, 1, 2)
+            l_value(twisted_sequence(chi6, j, 1), 1)
+            residue_set(chi6, j)
+            partial_sum(kz, j % 9)
+            _xi_mod(gk1, j, 5)
+            get_character(f"chi_gk:k={j}")
+            assert sum(memo.stats[3] for memo in memos.values()) <= _memo.BUDGET
+            for name, memo in memos.items():
+                sizes = [entry[1] for entry in memo.entries.values()]
+                assert memo.stats[3] == sum(sizes), name
+                assert sizes == [_memo.nbytes(entry[0])
+                                 for entry in memo.entries.values()], name
+        assert sum(memo.stats[2] for memo in memos.values()) > 0
+        assert all(memo.stats[0] + memo.stats[1] for memo in memos.values())
 
-    def test_residue_set_memo_is_bounded(self):
+    def test_residue_set_memo_is_bounded(self, memos, monkeypatch):
         # a memo without a bound kept every set of a sweep over s: 271 MB
-        # at s = 1..4000, against 14 MB without the memo
-        char, bound = get_character("chi6"), residue_set.cache_info().maxsize
-        assert bound is not None
-        for s in range(1, bound + 20):
+        # at s = 1..4000, against 14 MB without the memo.  Under a budget
+        # of the bytes of the first 100 sets, a sweep to 300 evicts, keeps
+        # within it and still gets every set right
+        char, memo = get_character("chi6"), memos["qstrange.dissection.residue_set"]
+        for s in range(1, 101):
+            residue_set(char, s)
+        monkeypatch.setattr(_memo, "BUDGET", memo.stats[3])
+        for s in range(1, 301):
             assert residue_set(char, s) == residue_set_def(char, s)
-            assert residue_set.cache_info().currsize <= bound
+            assert memo.stats[3] <= _memo.BUDGET
+        assert memo.stats[2] > 0 and len(memo.entries) < 100
 
     @pytest.mark.parametrize("name,key", [
         ("qstrange.qfamilies._partial_sum_value", lambda j: (parse_family(
@@ -201,18 +240,34 @@ class TestMemos:
          lambda j: (parse_family("kz"), 2, j, 1)),
         ("qstrange.fishburn._xi_mod", lambda j: (parse_family("gk:k=1"), 0, j + 1)),
         ("qstrange.exactpoly.cyclotomic", lambda j: (j,)),
+        ("qstrange.qfamilies._stream", lambda j: (parse_family(
+            f'{{"kernel":"G","terms":[{{"coeffs":[{j}]}}]}}'), 3)),
+        ("qstrange.partialtheta._builtin_character",
+         lambda j: (f"chi_gk:k={j}",)),
+        ("qstrange.dissection.residue_set",
+         lambda j: (get_character("chi_kz"), j)),
     ])
-    def test_large_entry_memos_are_bounded(self, memos, name, key):
+    def test_large_entry_memos_are_bounded(self, memos, monkeypatch, name,
+                                           key):
         # one entry is a whole partial sum, set of twisted rows, set of
-        # series moments, set of class sums and numerators of the theta
-        # side, xi column or cyclotomic polynomial; 300 distinct
-        # keys, each cheap to build, must not keep 300 entries
-        memo, bound = memos[name], 256
-        assert memo.cache_info().maxsize == bound
-        for j in range(1, 301):
-            memo(*key(j))
-            assert memo.cache_info().currsize <= bound
-        assert memo.cache_info().currsize == bound
+        # series moments, set of class sums, xi column or cyclotomic
+        # polynomial.  With the budget lowered to the bytes of the first
+        # 100 of 300 distinct keys, each cheap to build, the memo evicts
+        # its oldest entries, keeps the budget after every call and fills
+        # it to within one entry
+        module, _, attr = name.rpartition(".")
+        call, memo = getattr(importlib.import_module(module), attr), memos[name]
+        for j in range(1, 101):
+            call(*key(j))
+        budget = sum(m.stats[3] for m in memos.values())
+        monkeypatch.setattr(_memo, "BUDGET", budget)
+        for j in range(101, 301):
+            call(*key(j))
+            held = sum(m.stats[3] for m in memos.values())
+            assert held <= budget
+        assert memo.stats[2] >= 100 and len(memo.entries) < 300
+        assert held > budget - max(entry[1] for m in memos.values()
+                                   for entry in m.entries.values())
 
     def test_get_character_before_and_after_cache_clear(self, clear_memos):
         names = ("chi_kz", "chi6", "chi_gk:k=3", "chi_hikami:m=2,alpha=1")

@@ -23,7 +23,7 @@ from qstrange.fishburn import (
 from qstrange.qfamilies import InvalidParam, parse_family, partial_sum
 
 from helpers import (BOUNDARIES, GUARDS, _never, check_boundary,
-                     deepest_admitted, is_prime_def, subst_def)
+                     deepest_admitted, is_prime_def, memo_entries, subst_def)
 
 KZ = parse_family("kz")
 GK1 = parse_family("gk:k=1")
@@ -229,7 +229,7 @@ class TestModularEngine:
         # the least index, 64, is over MAX_PARTIAL_SUM_WORK for gk:k=3
         fam = parse_family("gk:k=3")
         assert fb.partial_sum_work(fam, 64) > fb.MAX_PARTIAL_SUM_WORK
-        monkeypatch.setattr(fb, "partial_sum", never)
+        monkeypatch.setattr(fb, "_partial_sum_value", never)
         rep = verify_congruence(fam, 67, 1, 3, 140)
         assert rep.indices_checked == 2
         assert rep.verdict in ("pass", "fail")
@@ -455,11 +455,11 @@ class TestModularEngine:
         for label in ("gk:k=4", "gk:k=5", "gk:k=8", "hikami:m=5,alpha=2"):
             assert peak(label) <= 1.05 * base, label
 
-    def test_memo_returns_one_tuple(self):
+    def test_memo_returns_one_tuple(self, memos):
         vals = _xi_mod(KZ, 60, 5)
         assert isinstance(vals, tuple)
         assert _xi_mod(KZ, 60, 5) is vals
-        assert _xi_mod.cache_info().hits == 1
+        assert memos["qstrange.fishburn._xi_mod"].stats[0] == 1
         with pytest.raises(TypeError):
             vals[0] = 4
 
@@ -745,7 +745,7 @@ class TestMemo:
                 assert fn(*args) == cold[i]
             # one shared run modulo SHARED per (family, depth), and one
             # reduced entry per modulus: 13; 5 and 7; 7 and 11
-            assert _xi_mod.cache_info().currsize == 3 + 5
+            assert len(memo_entries("qstrange.fishburn._xi_mod")) == 3 + 5
 
     def test_mutating_a_report_cannot_reach_the_memo(self):
         rep = verify_congruence(KZ, 5, 1, 3, 104)

@@ -10,6 +10,7 @@ from helpers import (
     bernoulli_poly_def,
     evaluate,
     gamma_def,
+    memo_entries,
     to_rat,
     twisted_entry,
     zeta,
@@ -22,7 +23,6 @@ from qstrange.partialtheta import (
     IntegralityViolation,
     MeanValueNonzero,
     TwistedSeq,
-    _twist_rows,
     character_from_json_obj,
     gamma_coeff,
     get_character,
@@ -217,7 +217,7 @@ class TestTwistedSequence:
         with pytest.raises(InvalidParam, match="MAX_TWIST_PERIOD"):
             TwistedSeq(char, pt.MAX_TWIST_PERIOD, 1, P)
 
-    def test_cached_call_does_not_rehash_the_values(self, monkeypatch):
+    def test_cached_call_does_not_rehash_the_values(self, monkeypatch, memos):
         # the character's hash is the key of the shared twisted rows; it is
         # computed once, not from its tuple of Fractions on each call
         char = get_character("chi_kz")
@@ -227,7 +227,7 @@ class TestTwistedSequence:
         monkeypatch.setattr(Fraction, "__hash__",
                             lambda x: calls.append(x) or real(x))
         assert twisted_sequence(char, 5, 1) == seq
-        assert _twist_rows.cache_info().hits == 1
+        assert memos["qstrange.partialtheta._twist_rows"].stats[0] == 1
         assert calls == []
         # of the nonzero values with their residues, not of every value
         nonzero = tuple((r, v) for r, v in enumerate(char.values) if v)
@@ -428,6 +428,32 @@ class TestGamma:
         clear_memos()
         sweep(range(k))
         assert len(builds) == 2 * len(tops)
+
+    @pytest.mark.parametrize("char,k", [
+        (get_character("chi6"), 6), (get_character("chi_kz"), 4),
+        (get_character("chi_gk:k=2"), 5),
+    ], ids=["chi6-k6", "chi_kz-k4", "chi_gk:k=2-k5"])
+    def test_gamma_orders_in_either_order_store_the_same_entries(
+            self, clear_memos, char, k):
+        # each order's numerators are one memo entry, keyed by (char, k, n)
+        # and stored once: reading gamma_0..gamma_top over every root of
+        # order k ascending, then descending, stores the same entries with
+        # the same values, and later reads replace none of them
+        top, name = 4, "qstrange.partialtheta._gammas"
+
+        def read(orders):
+            for n in orders:
+                for j in range(k):
+                    gamma_coeff(char, k, j, n)
+            return memo_entries(name)
+
+        up = read(range(top + 1))
+        clear_memos()
+        down = read(range(top, -1, -1))
+        assert set(up) == set(down) == {(char, k, n) for n in range(top + 1)}
+        assert up == down
+        again = read(range(top + 1))
+        assert all(again[key] is down[key] for key in down)
 
 
 class TestThetaTruncated:

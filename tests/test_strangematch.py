@@ -133,14 +133,16 @@ class TestMatchExpansion:
         rep2 = match_expansion(GK1, get_character("chi_kz"), 1, 0, 4)
         assert rep2.verdict == "mismatch" and rep2.first_mismatch == 3
 
-    def test_one_sum_and_one_l_value_per_order(self, monkeypatch):
+    def test_one_sum_and_one_l_value_per_order(self, monkeypatch,
+                                               clear_memos):
         # one partial sum, at the deepest stable index, and L(-2r-nu) once
         # per order r: not once per (order, r) pair, which is
-        # (depth+1)(depth+2)/2 calls; a mismatch stops the L-values there
+        # (depth+1)(depth+2)/2 calls; a mismatch stops the L-values there.
+        # Each case starts cold, and a repeated request builds nothing
         import qstrange.partialtheta as pt
-        import qstrange.strangematch as sm
+        import qstrange.qfamilies as qf
 
-        calls = {"partial_sum": 0, "_l_value": 0}
+        calls = {"_horner": 0, "_l_value": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -150,14 +152,17 @@ class TestMatchExpansion:
                 return real(*args)
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(sm, "partial_sum")
+        counted(qf, "_horner")
         counted(pt, "_l_value")
         for char, k, depth, stop in (("chi_kz", 3, 0, 0), ("chi_kz", 3, 4, 4),
                                      ("chi6", 1, 4, 3)):
-            calls.update(partial_sum=0, _l_value=0)
+            clear_memos()
+            calls.update(_horner=0, _l_value=0)
             rep = match_expansion(KZ, get_character(char), k, 1, depth)
             assert rep.first_mismatch == (None if stop == depth else stop)
-            assert calls == {"partial_sum": 1, "_l_value": stop + 1}
+            assert calls == {"_horner": 1, "_l_value": stop + 1}
+            assert match_expansion(KZ, get_character(char), k, 1, depth) == rep
+            assert calls == {"_horner": 1, "_l_value": stop + 1}
 
     def test_one_bernoulli_pass_per_request(self, monkeypatch):
         # B_0..B_{2 depth + nu + 1} once, sliced for each order, not one

@@ -2,11 +2,12 @@
 
 memo(fn) memoizes fn on its positional arguments (typed=True keys on their
 types too, so True is not 1); a Memo's get and put serve callers that build
-entries themselves.  put sizes a value once, with nbytes, and no stored
-value changes.  Once the entries of all memos pass BUDGET, the least
-recently used are evicted; a value over BUDGET is returned, not kept.  A
-hit takes no lock; put and pop take LOCK, which a caller may hold around a
-get and a put.  MEMOS names every memo.
+entries themselves.  put sizes a value with nbytes and stores it; a stored
+value does not change, but for qfamilies._stream's, which is put again each
+time it grows.  Once the entries of all memos pass BUDGET, the least
+recently used are evicted down to 3/4 of it, so that one sort of the
+entries pays for many puts; a value over BUDGET is returned, not kept.  A
+hit takes no lock; put takes LOCK.  MEMOS names every memo.
 """
 
 import _thread
@@ -24,30 +25,20 @@ _held = [0]  # bytes of every entry stored
 _HOLDERS = (tuple, list, frozenset)
 
 
-def _ints(ints, count: int) -> int:
-    """Bytes of count ints, from their bit lengths: 28 each and one per 7
-    bits, at least the 4 bytes CPython adds per 30-bit digit past one."""
-    return 28 * count + sum(map(int.bit_length, ints)) // 7
-
-
 def nbytes(x) -> int:
     """getsizeof of x and all it holds through tuples, lists, frozensets and
     records' fields (an array's counts its buffer).  Items of one type that
     is none of those, or sequences of one type that hold ints alone, are
     summed in C."""
-    if type(x) is int:
-        return int.__sizeof__(x)
     if type(x) not in _HOLDERS:
         if not isinstance(x, Record):
             return sys.getsizeof(x)
         x = [getattr(x, name) for name in x._fields]
     size, kind = sys.getsizeof(x), type(next(iter(x), None))
     try:
-        if kind is int:
-            return size + _ints(x, len(x))
         if kind in _HOLDERS:
             return (size + sum(map(kind.__sizeof__, x))
-                    + _ints(chain.from_iterable(x), sum(map(len, x))))
+                    + sum(map(int.__sizeof__, chain.from_iterable(x))))
         if not issubclass(kind, Record):
             return size + sum(map(kind.__sizeof__, x))
     except TypeError:  # items of more than one type
@@ -73,8 +64,7 @@ class Memo:
     def put(self, key: tuple, value):
         size = nbytes(value)
         with LOCK:
-            if key in self.entries:
-                self.pop(key)
+            self._drop(key)
             if size <= BUDGET:
                 self.entries[key] = [value, size, next(_clock)]
                 self.stats[3] += size
@@ -83,36 +73,31 @@ class Memo:
                 lru = sorted((entry[2], memo, old) for memo in MEMOS.values()
                              for old, entry in memo.entries.items())
                 for _, memo, old in lru:
-                    if _held[0] <= BUDGET:
+                    if _held[0] <= BUDGET * 3 // 4:
                         break
-                    memo.pop(old)
+                    memo._drop(old)
                     memo.stats[2] += 1
         return value
 
-    def pop(self, key: tuple):
-        with LOCK:
-            value, size, _ = self.entries.pop(key, (None, 0, 0))
-            self.stats[3] -= size
-            _held[0] -= size
-        return value
+    def _drop(self, key: tuple) -> None:
+        """Remove key's entry, if any; the caller holds LOCK."""
+        _, size, _ = self.entries.pop(key, (None, 0, 0))
+        self.stats[3] -= size
+        _held[0] -= size
 
 
 def memo(fn=None, *, typed: bool = False):
-    """fn memoized on its positional arguments, in a Memo named after it."""
+    """fn memoized on its positional arguments, in a Memo named after it;
+    fn never returns None."""
     if fn is None:
         return lambda fn: memo(fn, typed=typed)
     store = Memo(f"{fn.__module__}.{fn.__qualname__}")
-    entries, stats = store.entries, store.stats
 
     @wraps(fn)
-    def memoized(*args):  # store.get, inline on the hot path
+    def memoized(*args):
         key = (*args, *map(type, args)) if typed else args
-        entry = entries.get(key)
-        stats[entry is None] += 1
-        if entry is None:
-            return store.put(key, fn(*args))
-        entry[2] = next(_clock)
-        return entry[0]
+        value = store.get(key)
+        return store.put(key, fn(*args)) if value is None else value
     return memoized
 
 

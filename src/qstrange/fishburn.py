@@ -24,8 +24,7 @@ from ._admit import (MAX_MODULAR_WORK, MAX_PARTIAL_SUM_WORK, MAX_TABLE_BYTES,
 from ._memo import memo
 from ._record import Record
 from .exactpoly import _one_minus_q_coeff, subst_one_minus_q
-from .qfamilies import (_admitted, _partial_sum_value, _shape, partial_sum,
-                        partial_sum_work)
+from .qfamilies import _partial_sum, _shape, partial_sum, partial_sum_work
 
 __all__ = [
     "EngineMismatch",
@@ -164,8 +163,7 @@ def _xi_mod(family, depth: int, mod: int) -> tuple:
 def _xi_exact(family, n: int, mod: int) -> int:
     """xi(n) mod ``mod``, exact, refused as partial_sum(family, n) is; the
     sum is read once and not kept."""
-    sum_n = _partial_sum_value.__wrapped__(*_admitted(family, n))
-    return _one_minus_q_coeff(sum_n, n) % mod
+    return _one_minus_q_coeff(_partial_sum(family, n), n) % mod
 
 
 # -- congruence checking ------------------------------------------------------

@@ -420,13 +420,14 @@ def _gammas(char: Character, k: int, j: int, top: int) -> Iterator[CycloNum]:
     so everything but that placement is shared by every root of order k:
     the power sums of each class and one Bernoulli pass per (char, k, top)
     (_theta_classes), and, once a root reads gamma_n, the memo entry of
-    (char, k, n) in _ORDERS: one tuple of ints, the denominators of L_n
-    and of gamma_n, then the class numerators of L_n (_l_value) and of
-    gamma_n, the integer sum above over the lcm of the L-values'
-    denominators.  They depend neither on the root nor on top, since a
-    lower order reads a prefix of each class's sums.  This root places the
-    order-0 sums and folds them, to refuse a nonzero twisted mean, then
-    places and folds each gamma_n's numerators, and normalizes once.
+    (char, k, n) in _ORDERS: for L_n, then gamma_n, a tuple of ints, the
+    denominator followed by one numerator per class in the order of
+    classes: those of L_n from _l_value, those of gamma_n the integer sum
+    above over the lcm of the L-values' denominators.  They depend neither
+    on the root nor on top, since a lower order reads a prefix of each
+    class's sums.  This root places the order-0 sums and folds them, to
+    refuse a nonzero twisted mean, then places and folds each gamma_n's
+    numerators, and normalizes once.
     Nothing but the twisted period is admitted here: the caller admits
     gamma_work at top.
     """
@@ -435,7 +436,7 @@ def _gammas(char: Character, k: int, j: int, top: int) -> Iterator[CycloNum]:
     P, bern, classes, sums = _theta_classes(char, k, top)
     at = [j * r % k for r in classes]  # the power of each class r
     _refuse_nonzero_mean(char, k, j, zip(at, (row[0] for row in sums)))
-    c, read = len(classes), []  # the entries of the orders before n
+    read = []  # the entries of the orders before n
     for n in range(top + 1):
         entry = _ORDERS.get((char, k, n))
         if entry is None:
@@ -444,19 +445,19 @@ def _gammas(char: Character, k: int, j: int, top: int) -> Iterator[CycloNum]:
             # in lowest terms, so the sums below stay as small as they
             # were on the folded, normalized L-values of one root
             g = math.gcd(den, *nums)
-            lvals = [(e[2:c + 2], e[0]) for e in read] + [(
-                [v // g for v in nums], den // g)]
-            lcm = math.lcm(*(d for _, d in lvals))
-            acc = [0] * c
-            for r, (vals, d) in enumerate(lvals):
+            lvals = [e[0] for e in read] + [
+                (den // g, *(v // g for v in nums))]
+            lcm = math.lcm(*(d for d, *_ in lvals))
+            acc = [0] * len(classes)
+            for r, (d, *vals) in enumerate(lvals):
                 w = (-1) ** r * math.comb(n, r) * char.a ** (n - r) * (lcm // d)
                 for i, v in enumerate(vals):
                     acc[i] += w * v
-            entry = _ORDERS.put((char, k, n), (
-                den // g, lcm * char.den * char.b ** n * math.factorial(n),
-                *lvals[-1][0], *acc))
+            entry = _ORDERS.put((char, k, n), (lvals[-1], (
+                lcm * char.den * char.b ** n * math.factorial(n), *acc)))
         read.append(entry)
-        yield _new(k, _folded(k, zip(at, islice(entry, c + 2, None))), entry[1])
+        den, *nums = entry[1]
+        yield _new(k, _folded(k, zip(at, nums)), den)
 
 
 def theta_truncated(char: Character, cap: int) -> RatPoly:

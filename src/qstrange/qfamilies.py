@@ -36,6 +36,7 @@ _memo's, bounded by the bytes its entries hold.
 
 from __future__ import annotations
 
+import _thread
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat
@@ -199,24 +200,45 @@ _STREAMS = _memo.Memo("qstrange.qfamilies._stream")
 
 def _stream(family: FamilySpec, upper: int) -> list[tuple]:
     """The family's _packed weights 0..upper as a new list, admitted as
-    partial_sum(upper) is, each drawn once from _weights.  The memo entry
-    (weights drawn, their generator, the columns its ladders keep) is the
-    one that grows: a draw takes it out under the memo's lock, since a
-    generator cannot be advanced from two threads, and stores it again,
-    sized anew.  A draw that raises (say, on KeyboardInterrupt) leaves no
-    entry, so the next one starts over."""
+    partial_sum(upper) is, each drawn once by the family's _Drawer."""
     if upper < 0:
         raise ValueError("upper must be nonnegative")
     admit("MAX_PARTIAL_SUM_WORK", partial_sum_work(family, upper),
           f"weights of {family.label} up to n = {upper}")
-    entry = _STREAMS.get((family,))
-    if entry is None or len(entry[0]) <= upper:
-        with _memo.LOCK:
-            drawn, gen, held = _STREAMS.pop((family,)) or ((), None, [])
-            gen = gen or _weights(family, None, held)
-            drawn += tuple(islice(gen, upper + 1 - len(drawn)))
-            entry = _STREAMS.put((family,), (drawn, gen, held))
-    return list(entry[0][: upper + 1])
+    entry = _STREAMS.get((family,)) or (None, None, _Drawer(family))
+    return entry[2](upper)
+
+
+class _Drawer:
+    """Draws a family's weights from _weights and keeps them: a call
+    draws up to upper and returns a copy of drawn[:upper + 1].  The memo
+    entry, (drawn, held, drawer) with held the columns the ladders keep, is
+    put again, sized anew, after each draw.  The lock is there because a
+    generator cannot be advanced from two threads; one that raised (say,
+    on KeyboardInterrupt) is finished, so the stream starts over.  A cold
+    race may build two drawers; both are right."""
+
+    __slots__ = ("family", "lock", "gen", "drawn", "held")
+
+    def __init__(self, family: FamilySpec):
+        self.family, self.lock, self.gen = family, _thread.allocate_lock(), None
+        self.drawn, self.held = [], []
+
+    def __call__(self, upper: int) -> list[tuple]:
+        drawn = self.drawn
+        with self.lock:
+            if len(drawn) <= upper:
+                try:
+                    self.gen = self.gen or _weights(self.family, None,
+                                                    self.held)
+                    drawn.extend(islice(self.gen, upper + 1 - len(drawn)))
+                except BaseException:
+                    self.gen = None
+                    drawn.clear()
+                    self.held.clear()
+                    raise
+                _STREAMS.put((self.family,), (drawn, self.held, self))
+            return drawn[: upper + 1]
 
 
 def parse_family(descriptor: str) -> FamilySpec:
@@ -399,22 +421,27 @@ def partial_sum(family: FamilySpec, upper: int) -> IntPoly:
     the family's coefficient_polys.
 
     Memoized per (family, upper): a call returns the memo's one immutable
-    IntPoly while the memo keeps it.  One Horner pass of O(upper) binomial factors,
-    each a shift and a subtraction of one packed int, in O(degree x slot
-    words).  Raises InvalidParam if partial_sum_work > MAX_PARTIAL_SUM_WORK.
+    IntPoly while the memo keeps it.  One Horner pass of O(upper) binomial
+    factors, each a shift and a subtraction of one packed int, in
+    O(degree x slot words).  Raises InvalidParam if partial_sum_work >
+    MAX_PARTIAL_SUM_WORK.
     """
-    return _partial_sum_value(*_admitted(family, upper))
+    _admit_sum(family, upper)
+    return _partial_sum_value(family, upper)
 
 
-def _admitted(family: FamilySpec, upper: int) -> tuple:
-    """(family, upper), once partial_sum's limit admits them.  A caller that
-    reads a sum once, to keep something smaller, passes them on to
-    _partial_sum_value.__wrapped__, so that the sum is not kept."""
+def _partial_sum(family: FamilySpec, upper: int) -> IntPoly:
+    """partial_sum(family, upper), built afresh and not kept: for a caller
+    that reads a sum once, to keep something smaller."""
+    _admit_sum(family, upper)
+    return _horner(family, _stream(family, upper))
+
+
+def _admit_sum(family: FamilySpec, upper: int) -> None:
     if upper < 0:
         raise ValueError("upper must be nonnegative")
     admit("MAX_PARTIAL_SUM_WORK", partial_sum_work(family, upper),
           f"partial-sum work of {family.label} at N = {upper}")
-    return family, upper
 
 
 @_memo.memo

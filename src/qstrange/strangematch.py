@@ -45,7 +45,7 @@ from ._record import Record
 from .cyclofield import CycloNum, _fold, _folded, _new
 from .exactpoly import theta_deriv
 from .partialtheta import _gammas, _power_sums, gamma_work
-from .qfamilies import _admitted, _partial_sum_value, partial_sum_work
+from .qfamilies import _partial_sum, partial_sum_work
 
 
 class OddOrderRequired(ValueError):
@@ -113,7 +113,7 @@ def _series_moments(family, index: int, k: int, top: int) -> tuple:
     so the sign of (-1)**ell / ell! is paid once per entry, not per root.
     Keyed on the family and numbers, never on the sum, which is read once,
     refused as partial_sum refuses it, and not kept."""
-    coeffs = _partial_sum_value.__wrapped__(*_admitted(family, index)).coeffs
+    coeffs = _partial_sum(family, index).coeffs
     return tuple(zip(*(_power_sums(range(-r, -len(coeffs), -k), coeffs[r::k],
                                    top)
                        for r in range(k))))

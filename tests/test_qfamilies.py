@@ -201,6 +201,36 @@ class TestTermPoly:
         assert not any(t.is_alive() for t in threads)
         assert all(g == want for g in got)
 
+    def test_concurrent_callers_with_different_uppers(self, clear_memos):
+        # callers that ask one cold stream for different uppers: a caller
+        # that finds the stream short must see how far it has got once it
+        # holds the lock, since another may have drawn past its upper
+        uppers = range(3, 17)
+        f = parse_family("gk:k=3")
+        want = [helpers.to_poly(helpers.gk_g_def(3, n)) for n in range(17)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                clear_memos()
+                barrier = threading.Barrier(len(uppers))
+                got = {}
+
+                def call(upper):
+                    barrier.wait(timeout=60)
+                    got[upper] = f.coefficient_polys(upper)
+
+                threads = [threading.Thread(target=call, args=(upper,))
+                           for upper in uppers]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == {n: want[: n + 1] for n in uppers}
+        finally:
+            sys.setswitchinterval(old_interval)
+
     def test_interrupted_stream_starts_over(self, monkeypatch):
         # an exception inside a stream (say KeyboardInterrupt) finishes the
         # generator; later requests for the label must not meet a dead one,

@@ -1,13 +1,17 @@
 """The package's one memo mechanism: LRU entries under one byte budget.
 
 memo(fn) memoizes fn on its positional arguments (typed=True keys on their
-types too, so True is not 1); a Memo's get and put serve callers that build
-entries themselves.  put sizes a value with nbytes and stores it; a stored
-value does not change, but for qfamilies._stream's, which is put again each
-time it grows.  Once the entries of all memos pass BUDGET, the least
-recently used are evicted down to 3/4 of it, so that one sort of the
-entries pays for many puts; a value over BUDGET is returned, not kept.  A
-hit takes no lock; put takes LOCK.  MEMOS names every memo.
+types too, so True is not 1) and serves a hit with one dict lookup and one
+use stamp.  A Memo's get and put serve callers that build entries
+themselves.  put takes the bytes an entry counts from its caller: memo's
+wrapper sizes a value with nbytes, unless fn is sized (it returns (value,
+bytes), the bytes bounded from what fn already holds and never below
+nbytes(value)), and qfamilies._stream counts its entry as it draws.  A
+stored value does not change, but for _stream's, which is put again after
+each draw.  Once the entries of all memos pass BUDGET, the least recently
+used are evicted down to 3/4 of it, so that one sort of the entries pays
+for many puts; a value over BUDGET is returned, not kept.  A hit takes no
+lock; put takes LOCK.  MEMOS names every memo.
 """
 
 import _thread
@@ -61,14 +65,19 @@ class Memo:
             entry[2] = next(_clock)
             return entry[0]
 
-    def put(self, key: tuple, value):
-        size = nbytes(value)
+    def put(self, key: tuple, value, size: int):
+        """Store value at key, counted at size bytes, and return it."""
+        entry = [value, size, next(_clock)]
         with LOCK:
-            self._drop(key)
-            if size <= BUDGET:
-                self.entries[key] = [value, size, next(_clock)]
-                self.stats[3] += size
-                _held[0] += size
+            if size > BUDGET:
+                self._drop(key)
+                return value
+            old = self.entries.setdefault(key, entry)  # one hash of a new key
+            if old is not entry:  # a value put again replaces the old one
+                self.entries[key] = entry
+                size -= old[1]
+            self.stats[3] += size
+            _held[0] += size
             if _held[0] > BUDGET:
                 lru = sorted((entry[2], memo, old) for memo in MEMOS.values()
                              for old, entry in memo.entries.items())
@@ -86,18 +95,27 @@ class Memo:
         _held[0] -= size
 
 
-def memo(fn=None, *, typed: bool = False):
+def memo(fn=None, *, typed: bool = False, sized: bool = False):
     """fn memoized on its positional arguments, in a Memo named after it;
-    fn never returns None."""
+    fn never returns None, and with sized set returns (value, bytes)."""
     if fn is None:
-        return lambda fn: memo(fn, typed=typed)
+        return lambda fn: memo(fn, typed=typed, sized=sized)
     store = Memo(f"{fn.__module__}.{fn.__qualname__}")
+    entries, stats = store.entries, store.stats
 
     @wraps(fn)
     def memoized(*args):
         key = (*args, *map(type, args)) if typed else args
-        value = store.get(key)
-        return store.put(key, fn(*args)) if value is None else value
+        entry = entries.get(key)
+        if entry is not None:
+            stats[0] += 1
+            entry[2] = next(_clock)
+            return entry[0]
+        stats[1] += 1
+        if sized:
+            return store.put(key, *fn(*args))
+        value = fn(*args)
+        return store.put(key, value, nbytes(value))
     return memoized
 
 

@@ -31,14 +31,16 @@ class ConductorMismatch(ValueError):
     """Arithmetic tried to mix elements of different cyclotomic fields."""
 
 
-def _fold(k: int, coeffs: list) -> list:
+def _fold(k: int, coeffs: list, phi: tuple | None = None) -> list:
     """Integer coordinates of sum coeffs[e] * zeta**e, any length: exponents
     mod k, then each term from the top down to phi(k) removed by the monic
     Phi_k's nonzero coefficients.  When that costs over 2k steps (Phi_2p
     has p terms and p + 1 coordinates to remove), the remainder comes from
     the quotient's power series instead (_fold_by_series).  A short coeffs
-    is returned itself."""
-    phi = cyclotomic(k).coeffs
+    is returned itself.  phi is Phi_k's coefficients, read from its memo
+    when not given: a loop that folds many values at one k reads it once."""
+    if phi is None:
+        phi = cyclotomic(k).coeffs
     d = len(phi) - 1
     if len(coeffs) <= d:
         return coeffs
@@ -57,14 +59,15 @@ def _fold(k: int, coeffs: list) -> list:
     return out[:d]
 
 
-def _folded(k: int, terms) -> list:
+def _folded(k: int, terms, phi: tuple | None = None) -> list:
     """Integer coordinates of sum c * zeta_k**power over the pairs
     (power, c) of terms, power < k: each c is added into the bucket of its
-    power, so equal powers merge, and the k buckets are folded once."""
+    power, so equal powers merge, and the k buckets are folded once, by
+    _fold with phi."""
     buckets = [0] * k
     for power, c in terms:
         buckets[power] += c
-    return _fold(k, buckets)
+    return _fold(k, buckets, phi)
 
 
 def _exact(x):

@@ -154,10 +154,19 @@ def div_binomial(coeffs: Sequence, e: int) -> list:
     mod e the quotient is the running sum of p's coefficients, and the
     class's last running sum is its coefficient of the remainder.  Raises
     NotDivisible unless every class ends at 0.  O(len + e); a list without
-    trailing zeros gives a list without trailing zeros.
+    trailing zeros gives a list without trailing zeros.  At e = 1, where
+    most refusals of a certificate fall (a slice whose value at q = 1 is
+    not 0), the remainder p(1) is summed first, and a quotient is one
+    running sum less its last entry.
     """
     if e < 1:
         raise ValueError("binomial exponent must be positive")
+    if e == 1:
+        if sum(coeffs):
+            raise NotDivisible("nonzero remainder")
+        quo = list(itertools.accumulate(coeffs))
+        del quo[-1:]
+        return quo
     quo = [0] * len(coeffs)
     for r in range(e):
         sums = list(itertools.accumulate(coeffs[r::e]))

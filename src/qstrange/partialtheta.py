@@ -49,10 +49,10 @@ from itertools import islice
 from operator import mul
 
 from qstrange._admit import MAX_L_WORK, MAX_TWIST_PERIOD, admit
-from qstrange._memo import Memo, memo
+from qstrange._memo import Memo, memo, nbytes
 from qstrange._record import Record
 from qstrange.cyclofield import CycloNum, _folded, _new
-from qstrange.exactpoly import RatPoly, _parse_number, _quoted
+from qstrange.exactpoly import RatPoly, _parse_number, _quoted, cyclotomic
 from qstrange.qfamilies import ParseError, _builtin_params
 
 __all__ = [
@@ -436,6 +436,7 @@ def _gammas(char: Character, k: int, j: int, top: int) -> Iterator[CycloNum]:
     P, bern, classes, sums = _theta_classes(char, k, top)
     at = [j * r % k for r in classes]  # the power of each class r
     _refuse_nonzero_mean(char, k, j, zip(at, (row[0] for row in sums)))
+    phi = cyclotomic(k).coeffs
     read = []  # the entries of the orders before n
     for n in range(top + 1):
         entry = _ORDERS.get((char, k, n))
@@ -453,11 +454,12 @@ def _gammas(char: Character, k: int, j: int, top: int) -> Iterator[CycloNum]:
                 w = (-1) ** r * math.comb(n, r) * char.a ** (n - r) * (lcm // d)
                 for i, v in enumerate(vals):
                     acc[i] += w * v
-            entry = _ORDERS.put((char, k, n), (lvals[-1], (
-                lcm * char.den * char.b ** n * math.factorial(n), *acc)))
+            entry = (lvals[-1], (
+                lcm * char.den * char.b ** n * math.factorial(n), *acc))
+            _ORDERS.put((char, k, n), entry, nbytes(entry))
         read.append(entry)
         den, *nums = entry[1]
-        yield _new(k, _folded(k, zip(at, nums)), den)
+        yield _new(k, _folded(k, zip(at, nums), phi), den)
 
 
 def theta_truncated(char: Character, cap: int) -> RatPoly:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import _thread
 import json
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat
 
@@ -213,31 +214,44 @@ class _Drawer:
     """Draws a family's weights from _weights and keeps them: a call
     draws up to upper and returns a copy of drawn[:upper + 1].  The memo
     entry, (drawn, held, drawer) with held the columns the ladders keep, is
-    put again, sized anew, after each draw.  The lock is there because a
-    generator cannot be advanced from two threads; one that raised (say,
-    on KeyboardInterrupt) is finished, so the stream starts over.  A cold
-    race may build two drawers; both are right."""
+    put again after each draw, counted at the bytes _memo.nbytes would
+    give it: the weights' bytes are summed into `weighed` as each is drawn,
+    and the held columns, which every draw moves, are counted again.  The
+    lock is there because a generator cannot be advanced from two threads;
+    one that raised (say, on KeyboardInterrupt) is finished, so the stream
+    starts over, and its entry is put again, empty.  A cold race may build
+    two drawers; both are right."""
 
-    __slots__ = ("family", "lock", "gen", "drawn", "held")
+    __slots__ = ("family", "lock", "gen", "drawn", "held", "weighed")
 
     def __init__(self, family: FamilySpec):
         self.family, self.lock, self.gen = family, _thread.allocate_lock(), None
-        self.drawn, self.held = [], []
+        self.drawn, self.held, self.weighed = [], [], 0
 
     def __call__(self, upper: int) -> list[tuple]:
         drawn = self.drawn
         with self.lock:
             if len(drawn) <= upper:
+                start = len(drawn)
                 try:
                     self.gen = self.gen or _weights(self.family, None,
                                                     self.held)
-                    drawn.extend(islice(self.gen, upper + 1 - len(drawn)))
+                    drawn.extend(islice(self.gen, upper + 1 - start))
                 except BaseException:
                     self.gen = None
                     drawn.clear()
                     self.held.clear()
+                    self.weighed = 0
                     raise
-                _STREAMS.put((self.family,), (drawn, self.held, self))
+                finally:
+                    new = drawn[start:]  # none once a draw has raised
+                    self.weighed += (sum(map(tuple.__sizeof__, new)) + sum(
+                        map(int.__sizeof__, chain.from_iterable(new))))
+                    entry = (drawn, self.held, self)
+                    _STREAMS.put((self.family,), entry, (
+                        sys.getsizeof(entry) + sys.getsizeof(drawn)
+                        + self.weighed + _memo.nbytes(self.held)
+                        + sys.getsizeof(self)))
             return drawn[: upper + 1]
 
 
@@ -325,8 +339,10 @@ def _packed(w: IntPoly) -> tuple[int, int, int]:
 
 
 def _horner(family: FamilySpec, weights: Sequence[tuple],
-            cap: int | None = None) -> IntPoly:
-    """sum_n w_n*K_n over the given _packed weights, K_n the family's kernel.
+            cap: int | None = None, with_width: bool = False):
+    """sum_n w_n*K_n over the given _packed weights, K_n the family's kernel,
+    as an IntPoly; with with_width set, (that IntPoly, the slot width w it
+    was decoded from), so that every coefficient is below 2**(w-1).
 
     Horner's rule over the kernel's binomial factors f_j = 1 - q^e_j,
     w_0 + f_1*(w_1 + f_2*(w_2 + ...)), on packed ints (exactpoly._encode):
@@ -369,7 +385,8 @@ def _horner(family: FamilySpec, weights: Sequence[tuple],
         if cap is not None:  # w_n may reach past it, say by gk's shift
             acc = _truncate(acc, width, cap + 1)
             short = _truncate(short, width, cap + 1)
-    return IntPoly._new(_decode(acc + short, width))
+    poly = IntPoly._new(_decode(acc + short, width))
+    return (poly, width) if with_width else poly
 
 
 def _work_factors(family: FamilySpec, upper: int) -> tuple[int, ...]:
@@ -444,9 +461,21 @@ def _admit_sum(family: FamilySpec, upper: int) -> None:
           f"partial-sum work of {family.label} at N = {upper}")
 
 
-@_memo.memo
-def _partial_sum_value(family: FamilySpec, upper: int) -> IntPoly:
-    return _horner(family, _stream(family, upper))
+# what _memo.nbytes counts for an IntPoly beyond its coefficient tuple
+_SHELL = _memo.nbytes(IntPoly._new(())) - ().__sizeof__()
+
+
+@_memo.memo(sized=True)
+def _partial_sum_value(family: FamilySpec, upper: int) -> tuple[IntPoly, int]:
+    """The sum, and a bound on the bytes of its memo entry read from the
+    slot width w it was decoded from, not from its ints: no coefficient is
+    larger than 2**(w-1) - 1, so none takes more bytes than that one.  It
+    never counts below _memo.nbytes of the sum, and for the built-in
+    families at most about 1.7x it."""
+    poly, width = _horner(family, _stream(family, upper), with_width=True)
+    coeffs = poly.coeffs
+    return poly, (_SHELL + coeffs.__sizeof__()
+                  + len(coeffs) * int.__sizeof__((1 << width - 1) - 1))
 
 
 def partial_sum_prefix(family: FamilySpec, upper: int, cap: int) -> IntPoly:

@@ -43,7 +43,7 @@ from ._admit import MAX_C_ARRAY_WORK, MAX_MATCH_INDEX  # re-exported
 from ._memo import memo
 from ._record import Record
 from .cyclofield import CycloNum, _fold, _folded, _new
-from .exactpoly import theta_deriv
+from .exactpoly import cyclotomic, theta_deriv
 from .partialtheta import _gammas, _power_sums, gamma_work
 from .qfamilies import _partial_sum, partial_sum_work
 
@@ -102,8 +102,9 @@ def _root_values(family, index: int, k: int, j: int,
     order = k // g
     at = [g * (r * (j // g) % order) for r in range(order)]
     moments = _series_moments(family, index, order, top)
+    phi = cyclotomic(k).coeffs
     for ell, column in enumerate(moments):
-        yield _new(k, _folded(k, zip(at, column)), math.factorial(ell))
+        yield _new(k, _folded(k, zip(at, column), phi), math.factorial(ell))
 
 
 @memo

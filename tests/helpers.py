@@ -309,6 +309,20 @@ def exact_div_def(p: IntPoly, d: IntPoly):
     return IntPoly([int(c) for c in quo.coeffs])
 
 
+def div_binomial_def(coeffs, e: int):
+    """coeffs / (1 - q^e) as a list by running sums within each residue
+    class mod e, or NotDivisible when a class's last sum is not 0."""
+    quo = [0] * len(coeffs)
+    for r in range(e):
+        total = 0
+        for i in range(r, len(coeffs), e):
+            total += coeffs[i]
+            quo[i] = total
+        if total:
+            return NotDivisible
+    return quo[:max(len(coeffs) - e, 0)]
+
+
 def subst_def(p: IntPoly, cap: int) -> IntPoly:
     """p(1-q) truncated at cap, via direct binomial expansion of each term."""
     acc = {0: 0}

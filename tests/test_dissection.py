@@ -195,7 +195,8 @@ class TestMemos:
         # every memo's entries count against the one budget: under a
         # lowered one, calls that fill all ten memos keep the bytes of
         # all of them within it, and each memo's count of bytes is the
-        # size of what it stores now
+        # size of what it stores now; a partial sum's is bounded from its
+        # slot width, so it lies between that size and twice it
         monkeypatch.setattr(_memo, "BUDGET", 1 << 18)
         kz, gk1, chi6 = parse_family("kz"), parse_family("gk:k=1"), get_character("chi6")
         for j in range(1, 41):
@@ -210,8 +211,12 @@ class TestMemos:
             for name, memo in memos.items():
                 sizes = [entry[1] for entry in memo.entries.values()]
                 assert memo.stats[3] == sum(sizes), name
-                assert sizes == [_memo.nbytes(entry[0])
-                                 for entry in memo.entries.values()], name
+                held = [_memo.nbytes(entry[0]) for entry in memo.entries.values()]
+                if name == "qstrange.qfamilies._partial_sum_value":
+                    assert all(n <= size <= 2 * n
+                               for size, n in zip(sizes, held)), name
+                else:
+                    assert sizes == held, name
         assert sum(memo.stats[2] for memo in memos.values()) > 0
         assert all(memo.stats[0] + memo.stats[1] for memo in memos.values())
 

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from helpers import BOUNDARIES, memo_entries
-from qstrange import _memo
+from qstrange import _memo, qfamilies
 from qstrange.dissection import residue_set
 from qstrange.exactpoly import cyclotomic
 from qstrange.fishburn import _xi_mod
@@ -116,3 +116,73 @@ def test_counts_hits_and_misses(memos):
         cyclotomic(k)
     assert memo.stats[:2] == [2, 2]
     assert set(memo_entries("qstrange.exactpoly.cyclotomic")) == {(12,), (7,)}
+
+
+def _entry(name: str, key: tuple) -> list:
+    return _memo.MEMOS[name].entries[key]
+
+
+@pytest.mark.parametrize("label", ["kz", "gk:k=3", "hikami:m=3,alpha=1"])
+def test_stream_entry_counts_what_it_holds(label, monkeypatch):
+    # the stream's entry is counted from the weights as they are drawn and
+    # the ladder columns it holds, never by walking the weights again; the
+    # count is nbytes of the entry after every draw: ascending uppers, a
+    # jump, a request below what is drawn, a draw interrupted on its way
+    # (which empties the stream) and the draws that start it over
+    fam, memo = parse_family(label), _memo.MEMOS["qstrange.qfamilies._stream"]
+    weights, fired = qfamilies._weights, []
+
+    def interrupt_at_16(*args):
+        for n, triple in enumerate(weights(*args)):
+            if n == 16 and not fired:
+                fired.append(n)
+                raise KeyboardInterrupt
+            yield triple
+
+    def check() -> int:
+        entry = _entry("qstrange.qfamilies._stream", (fam,))
+        assert entry[1] == _memo.nbytes(entry[0]) == memo.stats[3]
+        return entry[1]
+
+    monkeypatch.setattr(qfamilies, "_weights", interrupt_at_16)
+    for upper in (0, 1, 2, 3, 5, 8, 12):
+        qfamilies._stream(fam, upper)
+        check()
+    before = check()
+    qfamilies._stream(fam, 4)
+    assert check() == before
+    with pytest.raises(KeyboardInterrupt):
+        qfamilies._stream(fam, 20)
+    assert fired and check() < before
+    for upper in (20, 21, 40):
+        qfamilies._stream(fam, upper)
+        check()
+
+
+PARTIAL_SUMS = [(label, deepest) for guard, label, deepest in BOUNDARIES
+                if guard == "partial_sum"]
+
+
+@pytest.mark.parametrize("label,deepest", PARTIAL_SUMS,
+                         ids=[label for label, _ in PARTIAL_SUMS])
+def test_partial_sum_entries_bound_what_they_hold(label, deepest):
+    # a partial sum's entry is counted from its length and slot width, not
+    # by walking its ints: never below nbytes of the sum, at most twice it
+    fam = parse_family(label)
+    for upper in [*range(31), deepest]:
+        value = partial_sum(fam, upper)
+        size = _entry("qstrange.qfamilies._partial_sum_value", (fam, upper))[1]
+        assert _memo.nbytes(value) <= size <= 2 * _memo.nbytes(value), upper
+
+
+@pytest.mark.parametrize("width", [64, 128, 256, 512])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_sum_that_fills_its_slots_is_counted_exactly(width, sign):
+    # the bound is tight when a coefficient is the largest its slot holds:
+    # an inline weight 2**(w-1) - 1 is packed at width w and is its sum
+    top = sign * ((1 << width - 1) - 1)
+    fam = parse_family(f'{{"kernel":"F","terms":[{{"coeffs":[{top}]}}]}}')
+    value = partial_sum(fam, 0)
+    assert value.coeffs == (top,)
+    size = _entry("qstrange.qfamilies._partial_sum_value", (fam, 0))[1]
+    assert size == _memo.nbytes(value)

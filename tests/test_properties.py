@@ -20,8 +20,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (bernoulli_number, bernoulli_numbers_def, certificate_def,
-                     character_def, cyclo_ref, divmod_def, embed_def,
-                     exact_div_def, expansion_def, fold_def, gamma_def,
+                     character_def, cyclo_ref, div_binomial_def, divmod_def,
+                     embed_def, exact_div_def, expansion_def, fold_def, gamma_def,
                      horner_def, is_prime_def, l_value_def, ladder_def,
                      monomial, power, reassemble_def, residue_set_def, to_rat,
                      truncate, twisted_table, twisted_table_def)
@@ -170,6 +170,36 @@ def test_div_binomial_perturbed_in_one_class(a, e, data):
         quo = div_binomial(p.coeffs, e)
         assert all(type(c) is int for c in quo) and quo[-1:] != [0]
         assert mul_binomial(quo, e) == list(p.coeffs)
+
+
+# unstripped slices as verify_theorem divides them: empty, of length 1,
+# all zeros, with trailing zeros, as lists and as tuples; the first
+# strategy draws slices that sum to 0, so that most are divisible by 1 - q
+_slices = st.lists(st.integers(-9, 9), max_size=12)
+_zero_sum_slices = _slices.map(lambda cs: cs + [-sum(cs)])
+
+
+@PROPERTY
+@given(st.one_of(_zero_sum_slices, _slices,
+                 st.lists(st.just(0), max_size=5)),
+       st.integers(0, 4), st.booleans())
+@example([], 0, False)
+@example([0], 0, True)
+@example([5], 0, False)
+@example([0, 0, 0], 0, True)
+@example([1, -1], 3, True)
+def test_div_binomial_by_one_minus_q_matches_the_class_loop(cs, zeros, as_tuple):
+    coeffs = cs + [0] * zeros
+    if as_tuple:
+        coeffs = tuple(coeffs)
+    want = div_binomial_def(coeffs, 1)
+    if want is NotDivisible:
+        with pytest.raises(NotDivisible):
+            div_binomial(coeffs, 1)
+    else:
+        got = div_binomial(coeffs, 1)
+        assert type(got) is list and got == want
+        assert all(type(c) is int for c in got)
 
 
 @PROPERTY

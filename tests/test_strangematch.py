@@ -164,6 +164,18 @@ class TestMatchExpansion:
             assert match_expansion(KZ, get_character(char), k, 1, depth) == rep
             assert calls == {"_horner": 1, "_l_value": stop + 1}
 
+    @pytest.mark.parametrize("k", [1, 3, 6, 7])
+    def test_phi_k_read_once_per_request(self, memos, clear_memos, k):
+        # each fold loop, that of the series side and that of the theta
+        # side, reads Phi_k from its memo once, not once per order, and
+        # the twisted mean's check reads it once: two hits and one miss
+        # at every depth
+        stats = memos["qstrange.exactpoly.cyclotomic"].stats
+        for depth in (1, 4, 8):
+            clear_memos()
+            match_expansion(KZ, get_character("chi_kz"), k, 1, depth)
+            assert stats[:2] == [2, 1], depth
+
     def test_one_bernoulli_pass_per_request(self, monkeypatch):
         # B_0..B_{2 depth + nu + 1} once, sliced for each order, not one
         # tangent-number pass per L-value

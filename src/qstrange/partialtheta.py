@@ -16,24 +16,22 @@ step does its work once at the level its inputs allow:
 
 - per character: its nonzero values as integers over one denominator,
   built by the constructor;
-- per character and conductor k (_twist_rows): the twisted period P and,
-  for every supported m in 1..P, e(m) mod k and the integer value, so a
-  root zeta_k^j only maps e to the power j*e mod k;
-- per L-value request at zeta_k^j: a TwistedSeq (character, k, j,
-  period), whose constructor checks the twisted mean on those rows and
-  keeps none of them; one Bernoulli pass to the order asked for and one
-  pass over the rows, repeated over the period, for the power sums
-  sum c * m^e by power j*e mod k of zeta
-  (_bucket_sums); L(-n, C) then combines those sums with the integer
-  coefficients of B_{n+1}, folds mod Phi_k once and divides once;
-- per character, conductor k and top order of a gamma or match request
-  (_theta_classes): the same work, done once for every root of order k
-  on the classes r = e mod k instead of the powers, and per order n the
-  class numerators of L(-2n-nu, C) and of gamma_n, one memo entry each,
-  built when a root first reads that order;
-- per gamma or match request at zeta_k^j: the order-0 class sums and the
-  class numerators of each gamma_n read placed at powers j*r mod k and
-  folded, the first to refuse a nonzero twisted mean.
+- per character and conductor k (_twist_rows, not kept): the twisted
+  period P and, for every supported m in 1..P, e(m) mod k and the integer
+  value, so a root zeta_k^j only maps e to the power j*e mod k;
+- per TwistedSeq (character, k, j, period): the twisted-mean check on
+  those rows;
+- per character, conductor k and power-sum order (_theta_classes): one
+  Bernoulli pass to that order and the power sums sum c * m^e, e <= order,
+  of each class r = e(m) mod k over P, shared by every root of order k;
+  L(-n, C) reads them at order n+1, over any multiple of P, and gamma_top
+  at order 2*top+nu+1;
+- per character, conductor k and order n (_gammas): the class numerators
+  of L(-2n-nu, C) and of gamma_n, one memo entry each, built when a root
+  first reads that order;
+- per request at zeta_k^j: class numerators placed at powers j*r mod k,
+  folded mod Phi_k once and divided once, after the order-0 class sums,
+  for a gamma or match request, to refuse a nonzero twisted mean.
 
 L-value and gamma requests whose work estimate exceeds MAX_L_WORK, and
 twisted sequences whose period exceeds MAX_TWIST_PERIOD, are refused with
@@ -279,8 +277,8 @@ class TwistedSeq(Record):
     a conductor below 1 with ValueError; with InvalidParam, before any row
     is built, a P over MAX_TWIST_PERIOD; with ValueError a period that is
     not a multiple of P; and with MeanValueNonzero a nonzero twisted mean,
-    read off the rows of _twist_rows at their powers j*e(m) mod k.
-    l_value reads the same rows.
+    read off the rows of _twist_rows at their powers j*e(m) mod k; l_value
+    reads the class sums of P, over whatever multiple of P the period is.
     """
 
     __slots__ = ("character", "k", "j", "period")
@@ -310,19 +308,21 @@ def twisted_sequence(char: Character, k: int, j: int) -> TwistedSeq:
 # -- Bernoulli machinery --------------------------------------------------------
 
 def l_value_work(n: int, P: int) -> int:
-    """Work estimate for l_value(seq, n) at period P, from n and P alone.
+    """Work estimate for l_value(seq, n) at the least period P, from n and
+    P alone.
 
-    B_0..B_{n+1} take under (n+2)^2 integer multiply-adds and the P Horner
-    passes n+2 steps each; every step is weighted by n+2, since the
-    integers' bit length grows with the order.
+    B_0..B_{n+1} take under (n+2)^2 integer multiply-adds and the power
+    sums of the at most P supported rows n+2 steps per row; every step is
+    weighted by n+2, since the integers' bit length grows with the order.
     """
     return (n + 2) ** 2 * (n + 2 + P)
 
 
 def gamma_work(char: Character, k: int, n: int) -> int:
-    """Work estimate for gamma_coeff(char, k, j, n): n+1 L-values of order
-    at most 2n+nu at the twisted period; their Bernoulli numbers are
-    charged as one set at the top order."""
+    """Work estimate for gamma_coeff(char, k, j, n) at the least period P:
+    the Bernoulli numbers to top = 2n+nu+2 once, and the power sums of the
+    at most P supported rows, top steps per row, once per L-value, though
+    one pass serves all; each step is weighted by top, for bit length."""
     top = 2 * n + char.nu + 2
     P = math.lcm(char.period, char.b * k)
     return top ** 2 * (top + (n + 1) * P)
@@ -351,29 +351,29 @@ def _bernoulli(top: int) -> list:
 def l_value(seq: TwistedSeq, n: int) -> CycloNum:
     """L(-n, C) = (-P^n/(n+1)) * sum_{m=1}^{P} C(m) B_{n+1}(m/P), exactly.
 
-    Computed in integers: with C(m) = c_m zeta^(j*e(m)) / D on the rows of
-    _twist_rows (D = char.den), repeated over P = seq.period, d the lcm of
-    the denominators of B_0..B_{n+1}, and
+    Computed in integers over the least period P = lcm(T, b*k), as L(-n, C)
+    is the same over every multiple of it: with C(m) = c_m zeta^(j*e(m)) / D
+    on the rows of _twist_rows (D = char.den), d the lcm of the denominators
+    of B_0..B_{n+1}, and
     B_{n+1}(x) = sum_e b_e x^e / d for integers b_e,
 
         L(-n, C) = -sum_m c_m zeta^(j*e(m)) * H(m) / (d * D * (n+1) * P),
         H(m) = sum_e b_e m^e P^(n+1-e),
 
-    so each power of zeta needs only the power sums sum c_m * m^e of its
-    rows, e <= n+1 (_bucket_sums); one fold and one division end it.
+    so each class r = e(m) mod k needs only the power sums sum c_m * m^e of
+    its rows, e <= n+1, shared by every root of order k (_theta_classes);
+    this root places them at j*r mod k, folds once and divides once.
     Refused with InvalidParam when l_value_work(n, P) exceeds MAX_L_WORK.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    P, k = seq.period, seq.k
+    char, k = seq.character, seq.k
+    P = math.lcm(char.period, char.b * k)
     admit("MAX_L_WORK", l_value_work(n, P), f"work of L(-{n}, C) at period {P}")
-    base, ms, exps, cs = _twist_rows(seq.character, k)
-    times = P // base
-    keys, sums = _bucket_sums(
-        (shift + m for shift in range(0, P, base) for m in ms),
-        (seq.j * e % k for e in exps * times), cs * times, n + 1)
-    nums, den = _l_value(n, P, _bernoulli(n + 1), sums)
-    return _new(k, _folded(k, zip(keys, nums)), den * seq.character.den)
+    P, bern, classes, sums = _theta_classes(char, k, n + 1)
+    nums, den = _l_value(n, P, bern, sums)
+    return _new(k, _folded(k, zip((seq.j * r % k for r in classes), nums)),
+                den * char.den)
 
 
 def _l_value(n: int, P: int, bern, sums) -> tuple:
@@ -418,7 +418,7 @@ def _gammas(char: Character, k: int, j: int, top: int) -> Iterator[CycloNum]:
     L_r = L(-2r-nu, C).  Both sides are linear in the classes r of
     e(m) mod k, which a root zeta_k^j only places at its powers j*r mod k,
     so everything but that placement is shared by every root of order k:
-    the power sums of each class and one Bernoulli pass per (char, k, top)
+    the power sums of each class and the Bernoulli numbers to 2top+nu+1
     (_theta_classes), and, once a root reads gamma_n, the memo entry of
     (char, k, n) in _ORDERS: for L_n, then gamma_n, a tuple of ints, the
     denominator followed by one numerator per class in the order of
@@ -433,7 +433,7 @@ def _gammas(char: Character, k: int, j: int, top: int) -> Iterator[CycloNum]:
     """
     _admit_twist(char, k)
     j %= k
-    P, bern, classes, sums = _theta_classes(char, k, top)
+    P, bern, classes, sums = _theta_classes(char, k, 2 * top + char.nu + 1)
     at = [j * r % k for r in classes]  # the power of each class r
     _refuse_nonzero_mean(char, k, j, zip(at, (row[0] for row in sums)))
     phi = cyclotomic(k).coeffs
@@ -486,7 +486,6 @@ def theta_truncated(char: Character, cap: int) -> RatPoly:
 
 # -- rows and power sums shared by the roots of one order -------------------
 
-@memo
 def _twist_rows(char: Character, k: int) -> tuple:
     """What every root of order k shares: P = lcm(T, b*k) and, for the
     supported m in 1..P ascending, m, e(m) mod k and chi(m) * den."""
@@ -496,7 +495,7 @@ def _twist_rows(char: Character, k: int) -> tuple:
     cs = [c for _, c in char.terms] * (P // T)
     if ms and not ms[0]:  # C(0) is entry m = P
         ms, cs = ms[1:] + [P], cs[1:] + cs[:1]
-    return P, tuple(ms), tuple((m * m - a) // b % k for m in ms), tuple(cs)
+    return P, ms, [(m * m - a) // b % k for m in ms], cs
 
 
 def _power_sums(xs, cs, top: int) -> list:
@@ -522,14 +521,13 @@ def _bucket_sums(ms, keys, cs, top: int) -> tuple:
 
 
 @memo
-def _theta_classes(char: Character, k: int, top: int) -> tuple:
-    """What every root of order k shares for gamma_0, ..., gamma_top:
-    (P, bern, classes, sums), with bern B_0, ..., B_{2top+nu+1} and
+def _theta_classes(char: Character, k: int, order: int) -> tuple:
+    """What every root of order k shares for L(-n, C), n < order:
+    (P, bern, classes, sums), with bern B_0, ..., B_order and
     (classes, sums) the _bucket_sums of the _twist_rows keyed by the class
-    r = e(m) mod k, to that order.  The rows are built afresh and not kept,
-    since the class sums stand in for them."""
-    P, ms, exps, cs = _twist_rows.__wrapped__(char, k)
-    order = 2 * top + char.nu + 1
+    r = e(m) mod k, to that order.  The rows are not kept, since the class
+    sums stand in for them."""
+    P, ms, exps, cs = _twist_rows(char, k)
     return (P, tuple(_bernoulli(order)), *_bucket_sums(ms, exps, cs, order))
 
 

@@ -22,11 +22,11 @@ reads the moments sum c_e (-e)^l of that sum's coefficients, one per class
 of e mod the root's order and per l <= d (_series_moments, shared by every
 root and request with the same family, index, order and d); a root only
 places each class at its power of zeta.  The theta side is shared the
-same way, as partialtheta describes: per character, conductor and d, the
-power sums of each class of exponents mod k and one Bernoulli pass, and
-per character, conductor and order, the class numerators of that order's
-L-value and gamma, built when a root first reads that order; a root
-places them at its powers and folds.
+same way, as partialtheta describes: per character, conductor and order
+2d+nu+1, the power sums of each class of exponents mod k and one
+Bernoulli pass, and per character, conductor and order, the class
+numerators of that order's L-value and gamma, built when a root first
+reads that order; a root places them at its powers and folds.
 
 The module also carries the derivative bookkeeping used to extract single
 dissection pieces from a series: applying (q d/dq)**l to q**i * g(q**s)

@@ -181,7 +181,6 @@ class TestMemos:
             "qstrange.partialtheta._builtin_character",
             "qstrange.partialtheta._gammas",
             "qstrange.partialtheta._theta_classes",
-            "qstrange.partialtheta._twist_rows",
             "qstrange.qfamilies._partial_sum_value",
             "qstrange.qfamilies._stream",
             "qstrange.strangematch._series_moments",
@@ -193,7 +192,7 @@ class TestMemos:
 
     def test_every_memo_is_bounded(self, memos, monkeypatch):
         # every memo's entries count against the one budget: under a
-        # lowered one, calls that fill all ten memos keep the bytes of
+        # lowered one, calls that fill all nine memos keep the bytes of
         # all of them within it, and each memo's count of bytes is the
         # size of what it stores now; a partial sum's is bounded from its
         # slot width, so it lies between that size and twice it
@@ -237,10 +236,8 @@ class TestMemos:
     @pytest.mark.parametrize("name,key", [
         ("qstrange.qfamilies._partial_sum_value", lambda j: (parse_family(
             f'{{"kernel":"F","terms":[{{"coeffs":[{j}]}}]}}'), 0)),
-        ("qstrange.partialtheta._twist_rows",
-         lambda j: (Character(0, 1, 0, 2, {0: j, 1: -j}), 1)),
         ("qstrange.partialtheta._theta_classes",
-         lambda j: (Character(0, 1, 0, 2, {0: j, 1: -j}), 1, 0)),
+         lambda j: (Character(0, 1, 0, 2, {0: j, 1: -j}), 1, 1)),
         ("qstrange.strangematch._series_moments",
          lambda j: (parse_family("kz"), 2, j, 1)),
         ("qstrange.fishburn._xi_mod", lambda j: (parse_family("gk:k=1"), 0, j + 1)),
@@ -254,12 +251,12 @@ class TestMemos:
     ])
     def test_large_entry_memos_are_bounded(self, memos, monkeypatch, name,
                                            key):
-        # one entry is a whole partial sum, set of twisted rows, set of
-        # series moments, set of class sums, xi column or cyclotomic
-        # polynomial.  With the budget lowered to the bytes of the first
-        # 100 of 300 distinct keys, each cheap to build, the memo evicts
-        # its oldest entries, keeps the budget after every call and stays
-        # filled to within one entry of the 3/4 that eviction leaves
+        # one entry is a whole partial sum, set of series moments, set of
+        # class sums, xi column or cyclotomic polynomial.  With the budget
+        # lowered to the bytes of the first 100 of 300 distinct keys, each
+        # cheap to build, the memo evicts its oldest entries, keeps the
+        # budget after every call and stays filled to within one entry of
+        # the 3/4 that eviction leaves
         module, _, attr = name.rpartition(".")
         call, memo = getattr(importlib.import_module(module), attr), memos[name]
         for j in range(1, 101):

@@ -10,6 +10,7 @@ from helpers import (
     bernoulli_poly_def,
     evaluate,
     gamma_def,
+    l_value_def,
     memo_entries,
     to_rat,
     twisted_entry,
@@ -218,16 +219,18 @@ class TestTwistedSequence:
             TwistedSeq(char, pt.MAX_TWIST_PERIOD, 1, P)
 
     def test_cached_call_does_not_rehash_the_values(self, monkeypatch, memos):
-        # the character's hash is the key of the shared twisted rows; it is
+        # the character's hash is the key of the shared class sums; it is
         # computed once, not from its tuple of Fractions on each call
         char = get_character("chi_kz")
         seq = twisted_sequence(char, 5, 1)
+        value = l_value(seq, 1)
         calls = []
         real = Fraction.__hash__
         monkeypatch.setattr(Fraction, "__hash__",
                             lambda x: calls.append(x) or real(x))
         assert twisted_sequence(char, 5, 1) == seq
-        assert memos["qstrange.partialtheta._twist_rows"].stats[0] == 1
+        assert l_value(seq, 1) == value
+        assert memos["qstrange.partialtheta._theta_classes"].stats[0] == 1
         assert calls == []
         # of the nonzero values with their residues, not of every value
         nonzero = tuple((r, v) for r, v in enumerate(char.values) if v)
@@ -263,8 +266,9 @@ class TestTwistedSequence:
                 assert not total, (m, alpha, M)
 
     def test_no_sequence_outlives_its_request(self):
-        # the rows shared by the roots of one order are memoized, the
-        # sequences built on them are not, so none is kept after a call
+        # the class sums shared by the roots of one order are memoized,
+        # the sequences read against them are not, so none is kept after
+        # a call
         def alive():
             gc.collect()
             return sum(isinstance(x, TwistedSeq) for x in gc.get_objects())
@@ -335,34 +339,85 @@ class TestLValue:
         ("chi_gk:k=2", 5, 1), ("chi_hikami:m=2,alpha=1", 2, 1),
     ])
     def test_period_doubling(self, name, k, j):
+        # L(-n, C) is the same over every multiple of the least period:
+        # l_value, which sums over the least one alone, equals the
+        # definition summed over 2P and 3P
         seq = twisted_sequence(get_character(name), k, j)
         for times in (2, 3):
             longer = TwistedSeq(seq.character, seq.k, seq.j,
                                 times * seq.period)
             for n in range(7):
-                assert l_value(seq, n) == l_value(longer, n), (name, times, n)
+                assert l_value(longer, n).rep == l_value_def(longer, n), \
+                    (name, times, n)
 
-    def test_doubled_sequence_reads_twice_the_rows(self, monkeypatch):
-        # l_value reads the shared rows over the stored period, not the
-        # base one, so a doubled sequence is a second computation
+    def test_doubled_sequence_reads_the_base_entry(self, monkeypatch):
+        # l_value reads the class sums of the least period, whatever
+        # multiple of it the sequence's period is, so once the base
+        # sequence's entry is held a doubled sequence builds none
         import qstrange.partialtheta as pt
 
         char = get_character("chi_kz")
         seq = twisted_sequence(char, 3, 1)
-        P = seq.period
-        doubled = TwistedSeq(char, 3, 1, 2 * P)
-        read = []
+        doubled = TwistedSeq(char, 3, 1, 2 * seq.period)
+        want = l_value(seq, 2)
+        builds = []
         real = pt._bucket_sums
+        monkeypatch.setattr(pt, "_bucket_sums",
+                            lambda *args: builds.append(args) or real(*args))
+        assert l_value(doubled, 2) == want
+        assert builds == []
 
-        def spy(ms, keys, cs, top):
-            rows = list(zip(ms, keys, cs))
-            read.append([m for m, _, _ in rows])
-            return real(*zip(*rows), top)
+    @pytest.mark.parametrize("char,k", [
+        (get_character("chi6"), 6), (get_character("chi6"), 30),
+        # a nonzero twisted mean at the odd j, zero at the even j
+        (Character(0, 1, 0, 2, {0: 1, 1: -1}), 6),
+    ], ids=["chi6-k6", "chi6-k30", "alternating-k6"])
+    def test_roots_of_one_order_share_the_l_value_work(
+            self, monkeypatch, clear_memos, char, k):
+        # every j of one order, ascending, descending and after a memo
+        # clear, gives what a cold call and the definition give, including
+        # the j refused for a nonzero twisted mean; the class sums are
+        # built once per (char, k, order), not once per root, and gamma_t
+        # reads the entry that L(-2t-nu, C) built
+        import qstrange.partialtheta as pt
 
-        monkeypatch.setattr(pt, "_bucket_sums", spy)
-        assert l_value(doubled, 2) == l_value(seq, 2)
-        supported = [m for m in range(1, 2 * P + 1) if char.value(m)]
-        assert read == [supported, supported[:len(supported) // 2]]
+        def outcome(f, j, n):
+            try:
+                return f(twisted_sequence(char, k, j), n)
+            except MeanValueNonzero as exc:
+                return str(exc)
+
+        orders = range(4)
+        cold = {}
+        for j in range(k):
+            for n in orders:
+                clear_memos()
+                cold[j, n] = outcome(l_value, j, n)
+                assert cold[j, n] == outcome(
+                    lambda seq, n: CycloNum(k, l_value_def(seq, n)), j, n)
+        builds = []
+        real = pt._bucket_sums
+        monkeypatch.setattr(pt, "_bucket_sums",
+                            lambda *args: builds.append(args) or real(*args))
+
+        def sweep(js):
+            for j in js:
+                for n in orders:
+                    assert outcome(l_value, j, n) == cold[j, n], (j, n)
+
+        clear_memos()
+        sweep(range(k))
+        sweep(reversed(range(k)))
+        assert [args[-1] for args in builds] == [n + 1 for n in orders]
+        clear_memos()
+        sweep(range(k))
+        assert [args[-1] for args in builds] == [n + 1 for n in orders] * 2
+        clear_memos()
+        builds.clear()
+        for j in range(k):
+            outcome(l_value, j, 2 + char.nu)
+            outcome(lambda seq, n: gamma_coeff(char, k, seq.j, n), j, 1)
+        assert len(builds) == 1
 
 
 class TestGamma:

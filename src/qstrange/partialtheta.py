@@ -24,8 +24,8 @@ step does its work once at the level its inputs allow:
 - per character, conductor k and power-sum order (_theta_classes): one
   Bernoulli pass to that order and the power sums sum c * m^e, e <= order,
   of each class r = e(m) mod k over P, shared by every root of order k;
-  L(-n, C) reads them at order n+1, over any multiple of P, and gamma_top
-  at order 2*top+nu+1;
+  L(-n, C) reads them at order n+1, over any multiple of P, and a gamma
+  or match request to top at order 2*top+nu+1;
 - per character, conductor k and order n (_gammas): the class numerators
   of L(-2n-nu, C) and of gamma_n, one memo entry each, built when a root
   first reads that order;
